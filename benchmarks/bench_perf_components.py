@@ -588,3 +588,68 @@ def test_measured_analysis_budget(results_dir):
         f"dfa {dfa_us_per_point:.3f}us/point "
         f"({dfa1.windows}+{dfa2.windows} windows)"
     )
+
+
+def test_topology_build_budget(results_dir):
+    """Budget rows for building a topology and for CLI start-up.
+
+    Exact: link count and canonical-JSON digest of the fixed-seed
+    Baseline graph at n=2000 and n=8000 (the generator's output is part
+    of every experiment's identity).  Cost: µs per link to generate and
+    to load at n=8000, and the wall time of importing the CLI module in a
+    fresh interpreter.  The scaling invariant — the per-link cost at
+    n=8000 stays within 3x of that at n=2000, where a scan of a tier-1's
+    adjacency or of a candidate pool per link gave ~7x — is asserted by
+    ``scripts/check_perf_budget.py`` from the two per-size rows.
+    """
+    import hashlib
+    import subprocess
+
+    from repro.topology.serialization import from_json_dict, to_json_dict
+
+    def best_of(fn, rounds):
+        best = float("inf")
+        for _ in range(rounds):
+            t0 = time.perf_counter()
+            fn()
+            best = min(best, time.perf_counter() - t0)
+        return best
+
+    topology_build = {}
+    for n in (2000, 8000):
+        params = baseline_params(n)
+        graph = generate_topology(params, seed=3)
+        document = to_json_dict(graph)
+        links = graph.edge_count()
+        canonical = json.dumps(document, sort_keys=True, separators=(",", ":"))
+        topology_build[f"links_n{n}"] = links
+        topology_build[f"graph_digest_n{n}"] = hashlib.sha256(
+            canonical.encode("utf-8")
+        ).hexdigest()
+        generate_s = best_of(lambda: generate_topology(params, seed=3), 3)
+        load_s = best_of(lambda: from_json_dict(document), 3)
+        # The budgeted cost rows are the n=8000 ones; n=2000 is their base.
+        suffix = "_n2000" if n == 2000 else ""
+        topology_build[f"generate_us_per_link{suffix}"] = generate_s / links * 1e6
+        topology_build[f"load_us_per_link{suffix}"] = load_s / links * 1e6
+
+    src = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    topology_build["cli_import_ms"] = 1e3 * best_of(
+        lambda: subprocess.run(
+            [sys.executable, "-c", "import repro.experiments.cli"],
+            env=env,
+            check=True,
+        ),
+        3,
+    )
+
+    _merge_bench_json(results_dir, {"topology_build": topology_build})
+    print(
+        f"\ntopology build budget: generate "
+        f"{topology_build['generate_us_per_link_n2000']:.1f} -> "
+        f"{topology_build['generate_us_per_link']:.1f} us/link, load "
+        f"{topology_build['load_us_per_link_n2000']:.1f} -> "
+        f"{topology_build['load_us_per_link']:.1f} us/link "
+        f"(n=2000 -> 8000), cli import {topology_build['cli_import_ms']:.0f} ms"
+    )

@@ -15,7 +15,10 @@ benchmark records (see ``benchmarks/bench_perf_components.py``):
   say the preference-key memoization being dropped — still trips it.
 
 Additionally the supersession invariant itself is asserted: the tracked
-scenario must execute at most half the events the pre-fix kernel did.
+scenario must execute at most half the events the pre-fix kernel did;
+and the topology-construction scaling invariant: generating and loading
+a Baseline topology may cost at most 3x more *per link* at n=8000 than
+at n=2000 (a per-link scan of a tier-1's adjacency gave ~7x).
 
 Usage::
 
@@ -55,6 +58,10 @@ EXACT_COUNTERS = [
     ("longmem_analysis", "dfa1_windows"),
     ("longmem_analysis", "dfa2_windows"),
     ("longmem_analysis", "dfa1_scales"),
+    ("topology_build", "links_n2000"),
+    ("topology_build", "graph_digest_n2000"),
+    ("topology_build", "links_n8000"),
+    ("topology_build", "graph_digest_n8000"),
 ]
 
 #: (section, key) pairs where *larger* is worse (cost in µs or bytes).
@@ -69,7 +76,13 @@ COST_METRICS = [
     ("prefix_per_op", "redecide_1_of_10k_us"),
     ("measured_import", "import_us_per_edge"),
     ("longmem_analysis", "dfa_per_point_us"),
+    ("topology_build", "generate_us_per_link"),
+    ("topology_build", "load_us_per_link"),
+    ("topology_build", "cli_import_ms"),
 ]
+
+#: Allowed growth of the topology per-link cost from n=2000 to n=8000.
+TOPOLOGY_SCALING_LIMIT = 3.0
 
 #: (section, key) pairs where *smaller* is worse (throughput).
 THROUGHPUT_METRICS = [("per_op", "events_per_sec")]
@@ -142,6 +155,21 @@ def main(argv=None) -> int:
             "per-prefix dirty tracking no longer dominates the multi-prefix "
             "decision economy"
         )
+
+    for phase in ("generate", "load"):
+        small = float(
+            _get(current, "topology_build", f"{phase}_us_per_link_n2000", args.current)
+        )
+        large = float(
+            _get(current, "topology_build", f"{phase}_us_per_link", args.current)
+        )
+        if large > TOPOLOGY_SCALING_LIMIT * small:
+            failures.append(
+                f"topology_build: {phase} costs {large:.1f} us/link at n=8000 vs "
+                f"{small:.1f} at n=2000 ({large / small:.1f}x > "
+                f"{TOPOLOGY_SCALING_LIMIT}x) — building a topology is no longer "
+                "near-linear in its links"
+            )
 
     for section, key in COST_METRICS:
         got = float(_get(current, section, key, args.current))

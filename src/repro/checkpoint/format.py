@@ -54,8 +54,10 @@ FORMAT_VERSION = 1
 #: as zero).  1.3.0 documents read unchanged under 1.4.0 — the 1.4.0
 #: schema only *adds* the ``partition`` kind (per-member network
 #: snapshots plus in-flight border events); the pre-existing kinds'
-#: layouts are untouched.
-COMPATIBLE_CODE_VERSIONS = frozenset({"1.1.0", "1.2.0", "1.3.0"})
+#: layouts are untouched.  1.5.0 (measured-topology import, long-memory
+#: analysis) did not touch ``repro.checkpoint`` at all, so 1.4.0
+#: documents — every partition checkpoint among them — read unchanged.
+COMPATIBLE_CODE_VERSIONS = frozenset({"1.1.0", "1.2.0", "1.3.0", "1.4.0"})
 
 #: Recognised checkpoint kinds (the envelope's ``kind`` field).
 KIND_NETWORK = "network"

@@ -11,8 +11,6 @@ from __future__ import annotations
 import dataclasses
 from typing import List, Sequence
 
-import numpy as np
-
 from repro.errors import ParameterError
 
 
@@ -27,6 +25,8 @@ class PolynomialFit:
 
     def predict(self, x: float) -> float:
         """Evaluate the fitted polynomial at ``x``."""
+        import numpy as np
+
         return float(np.polyval(self.coefficients, x))
 
 
@@ -40,6 +40,8 @@ def fit_polynomial(
         raise ParameterError(
             f"need at least {degree + 1} points for a degree-{degree} fit, got {len(x)}"
         )
+    import numpy as np
+
     x_arr = np.asarray(x, dtype=float)
     y_arr = np.asarray(y, dtype=float)
     coefficients = np.polyfit(x_arr, y_arr, degree)
@@ -88,6 +90,8 @@ def growth_classification(
         raise ParameterError("log-log classification needs positive data")
     if max(y) / min(y) < 1.05:
         return "constant"
+    import numpy as np
+
     log_fit = fit_linear([np.log(v) for v in x], [np.log(v) for v in y])
     exponent = log_fit.coefficients[0]
     if exponent < 1.0 - superlinear_margin:
@@ -101,4 +105,6 @@ def log_log_exponent(x: Sequence[float], y: Sequence[float]) -> float:
     """The power-law exponent of ``y ~ x^a`` via log-log regression."""
     if min(y) <= 0 or min(x) <= 0:
         raise ParameterError("log-log exponent needs positive data")
+    import numpy as np
+
     return fit_linear([np.log(v) for v in x], [np.log(v) for v in y]).coefficients[0]

@@ -32,9 +32,8 @@ from __future__ import annotations
 
 import math
 import os
-from typing import Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
-from repro.analysis import LongMemoryReport, analyze_churn_series, longmem_noise_source
 from repro.bgp.config import BGPConfig
 from repro.core.workload import WorkloadSpec, run_workload
 from repro.errors import ExperimentError
@@ -46,6 +45,9 @@ from repro.stats.timeseries import ChurnSeriesSpec, synthesize_churn_series
 from repro.topology.generator import generate_topology
 from repro.topology.graph import ASGraph
 from repro.topology.params import baseline_params
+
+if TYPE_CHECKING:
+    from repro.analysis import LongMemoryReport
 
 EXPERIMENT_ID = "ext-longmem"
 TITLE = "Long-memory structure of simulated churn (DFA/Hurst validation)"
@@ -140,6 +142,8 @@ def _reference_series(seed: int) -> List[float]:
     Trend, weekly seasonality and bursts are disabled so the log-series
     is pure fGn — the cleanest possible known-H validation input.
     """
+    from repro.analysis import longmem_noise_source
+
     spec = ChurnSeriesSpec(
         days=REFERENCE_DAYS,
         total_growth=0.0,
@@ -163,6 +167,8 @@ def run(
     config: Optional[BGPConfig] = None,
 ) -> ExperimentResult:
     """Estimate Hurst exponents of simulated and reference churn."""
+    from repro.analysis import analyze_churn_series
+
     scale = scale if scale is not None else get_scale()
     config = config if config is not None else BGPConfig()
     n, duration, bins = _grid(scale)

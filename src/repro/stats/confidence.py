@@ -14,8 +14,6 @@ import math
 import random
 from typing import Sequence
 
-from scipy import stats as _scipy_stats
-
 from repro.errors import ParameterError
 
 
@@ -57,7 +55,9 @@ def mean_confidence_interval(
     mean = sum(values) / n
     variance = sum((v - mean) ** 2 for v in values) / (n - 1)
     std_error = math.sqrt(variance / n)
-    t_crit = float(_scipy_stats.t.ppf(0.5 + confidence / 2.0, df=n - 1))
+    from scipy.stats import t as student_t
+
+    t_crit = float(student_t.ppf(0.5 + confidence / 2.0, df=n - 1))
     half = t_crit * std_error
     return ConfidenceInterval(
         mean=mean, low=mean - half, high=mean + half, confidence=confidence

@@ -18,8 +18,6 @@ import dataclasses
 import math
 from typing import List, Sequence
 
-from scipy.special import zeta as _hurwitz_zeta
-
 from repro.errors import ParameterError
 
 
@@ -64,7 +62,9 @@ def fit_power_law(values: Sequence[int], *, d_min: int = 2) -> PowerLawFit:
     alpha = _mle_alpha(tail, d_min)
 
     # Model tail CDF: P(X <= k | X >= d_min) via Hurwitz zeta sums.
-    normalizer = float(_hurwitz_zeta(alpha, d_min))
+    from scipy.special import zeta as hurwitz_zeta
+
+    normalizer = float(hurwitz_zeta(alpha, d_min))
     max_value = tail[-1]
     cdf: List[float] = []
     cumulative = 0.0

@@ -21,8 +21,6 @@ from __future__ import annotations
 import dataclasses
 from typing import Dict, List, Tuple
 
-from scipy import stats as _scipy_stats
-
 from repro.topology.graph import ASGraph
 from repro.topology.metrics import (
     approximate_betweenness,
@@ -90,7 +88,9 @@ def compare_topologies(a: ASGraph, b: ASGraph) -> TopologyComparison:
     }
     degrees_a = [a.degree(v) for v in a.node_ids]
     degrees_b = [b.degree(v) for v in b.node_ids]
-    ks = _scipy_stats.ks_2samp(degrees_a, degrees_b)
+    from scipy.stats import ks_2samp
+
+    ks = ks_2samp(degrees_a, degrees_b)
     return TopologyComparison(
         n_a=len(a),
         n_b=len(b),
@@ -211,8 +211,10 @@ def topology_fidelity_report(
     bc_meas = approximate_betweenness(measured, pivots=pivots_used, seed=seed)
     values_gen: List[float] = sorted(bc_gen.values())
     values_meas: List[float] = sorted(bc_meas.values())
-    betweenness_ks = _scipy_stats.ks_2samp(values_gen, values_meas)
-    degree_ks = _scipy_stats.ks_2samp(
+    from scipy.stats import ks_2samp
+
+    betweenness_ks = ks_2samp(values_gen, values_meas)
+    degree_ks = ks_2samp(
         [generated.degree(v) for v in generated.node_ids],
         [measured.degree(v) for v in measured.node_ids],
     )

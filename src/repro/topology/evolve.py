@@ -95,8 +95,8 @@ def evolve_topology(
     _add_stub_nodes(
         state, NodeType.C, params.n_c - counts[NodeType.C], params.d_c, params.t_c
     )
-    new_m = [m for m in state.m_nodes if m not in set(existing_m)]
-    new_cp = [cp for cp in state.cp_nodes if cp not in set(existing_cp)]
+    new_m = state.m_nodes[len(existing_m) :]
+    new_cp = state.cp_nodes[len(existing_cp) :]
 
     # 2. Densify existing nodes toward the target multihoming degrees.
     _densify_mhd(state, existing_m, params.d_m, params.t_m)
@@ -135,7 +135,7 @@ def _densify_mhd(
         if extra == 0:
             continue
         for provider in _provider_slots(state, node_id, extra, t_probability):
-            if provider in graph.neighbors(node_id):
+            if graph.has_link(node_id, provider):
                 continue
             if graph.is_in_customer_tree(ancestor=node_id, descendant=provider):
                 continue

@@ -20,12 +20,14 @@ The generator is fully deterministic given a seed.
 from __future__ import annotations
 
 import random
-from typing import Dict, List, Optional, Sequence, Set
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.errors import TopologyError
 from repro.topology.attachment import (
+    WeightedPool,
     draw_link_count,
     preferential_choice,
+    preferential_draw,
     uniform_choice,
 )
 from repro.topology.graph import ASGraph
@@ -38,11 +40,62 @@ from repro.topology.types import NodeType
 _MAX_DRAW_ATTEMPTS = 32
 
 
+class _Candidates:
+    """The nodes one attachment decision may choose from.
+
+    Stands for the list "every item of the first pool, then the items of
+    each further pool not listed yet, minus everything excluded" without
+    building it: items that must not be offered (twice) are hidden in the
+    shared pools while the view is open, so use it as a context manager.
+    """
+
+    def __init__(self, pools: Sequence[WeightedPool]) -> None:
+        self.pools = pools
+        self._hidden: List[Tuple[WeightedPool, int]] = []
+        for index, pool in enumerate(pools):
+            for earlier in pools[:index]:
+                small, large = sorted((earlier, pool), key=len)
+                for item in small.items:
+                    if item in large:
+                        self._hide(pool, item)
+
+    def _hide(self, pool: WeightedPool, item: int) -> None:
+        if pool.hide(item):
+            self._hidden.append((pool, item))
+
+    def exclude(self, item: int) -> None:
+        """Stop offering ``item``."""
+        for pool in self.pools:
+            if item in pool:
+                self._hide(pool, item)
+
+    def __enter__(self) -> "_Candidates":
+        return self
+
+    def __exit__(self, *exc_info: object) -> None:
+        for pool, item in self._hidden:
+            pool.unhide(item)
+        self._hidden.clear()
+
+    def __bool__(self) -> bool:
+        return any(pool.total for pool in self.pools)
+
+    def __iter__(self) -> Iterator[int]:
+        for pool in self.pools:
+            yield from pool.visible()
+
+    def draw(self, rng: random.Random) -> int:
+        """Preferential-attachment draw among the offered items."""
+        return preferential_draw(self.pools, rng)
+
+
 class _GeneratorState:
     """Book-keeping shared by the generation phases.
 
-    Keeps per-region candidate pools and cached degrees so provider/peer
-    selection does not repeatedly scan the graph.
+    Keeps the provider and peer candidates of every region in
+    :class:`WeightedPool` s whose weights follow the graph's degrees link
+    by link, so selection neither scans the graph nor re-accumulates a
+    pool's weights.
     """
 
     def __init__(self, params: TopologyParams, rng: random.Random) -> None:
@@ -50,15 +103,19 @@ class _GeneratorState:
         self.rng = rng
         self.graph = ASGraph(scenario=params.scenario)
         self.next_id = 0
-        self.t_nodes: List[int] = []
         self.m_nodes: List[int] = []
         self.cp_nodes: List[int] = []
         self.c_nodes: List[int] = []
-        #: M-type transit providers present in each region
-        self.m_by_region: Dict[int, List[int]] = {
-            region: [] for region in range(params.regions)
+        #: T nodes, weighted by transit degree + 1
+        self.t_providers = WeightedPool()
+        #: M nodes present in each region, weighted by transit degree + 1 ...
+        self.m_providers: Dict[int, WeightedPool] = {
+            region: WeightedPool() for region in range(params.regions)
         }
-        self.transit_degree: Dict[int, int] = {}
+        #: ... and by peering degree + 1
+        self.m_peers: Dict[int, WeightedPool] = {
+            region: WeightedPool() for region in range(params.regions)
+        }
         self.peering_degree: Dict[int, int] = {}
 
     @classmethod
@@ -70,25 +127,34 @@ class _GeneratorState:
         Used by :mod:`repro.topology.evolve` to grow a topology
         incrementally instead of regenerating it from scratch.
         """
-        state = cls.__new__(cls)
-        state.params = params
-        state.rng = rng
+        state = cls(params, rng)
         state.graph = graph
         state.next_id = (max(graph.node_ids) + 1) if len(graph) else 0
-        state.t_nodes = graph.nodes_of_type(NodeType.T)
         state.m_nodes = graph.nodes_of_type(NodeType.M)
         state.cp_nodes = graph.nodes_of_type(NodeType.CP)
         state.c_nodes = graph.nodes_of_type(NodeType.C)
-        state.m_by_region = {region: [] for region in range(params.regions)}
-        for m in state.m_nodes:
-            for region in graph.node(m).regions:
-                state.m_by_region.setdefault(region, []).append(m)
-        state.transit_degree = {
-            node_id: graph.transit_degree(node_id) for node_id in graph.node_ids
-        }
         state.peering_degree = {
             node_id: graph.peering_degree(node_id) for node_id in graph.node_ids
         }
+
+        def transit_weight(node_id: int) -> int:
+            return graph.transit_degree(node_id) + 1
+
+        def peering_weight(node_id: int) -> int:
+            return state.peering_degree[node_id] + 1
+
+        state.t_providers = WeightedPool(
+            graph.nodes_of_type(NodeType.T), transit_weight
+        )
+        m_by_region: Dict[int, List[int]] = {
+            region: [] for region in range(params.regions)
+        }
+        for m in state.m_nodes:
+            for region in graph.node(m).regions:
+                m_by_region[region].append(m)
+        for region, members in m_by_region.items():
+            state.m_providers[region] = WeightedPool(members, transit_weight)
+            state.m_peers[region] = WeightedPool(members, peering_weight)
         return state
 
     def add_node(self, node_type: NodeType) -> int:
@@ -105,14 +171,14 @@ class _GeneratorState:
                 cp_two_region_fraction=self.params.cp_two_region_fraction,
             )
         self.graph.add_node(node_id, node_type, regions)
-        self.transit_degree[node_id] = 0
         self.peering_degree[node_id] = 0
         if node_type is NodeType.T:
-            self.t_nodes.append(node_id)
+            self.t_providers.append(node_id, 1)
         elif node_type is NodeType.M:
             self.m_nodes.append(node_id)
             for region in regions:
-                self.m_by_region[region].append(node_id)
+                self.m_providers[region].append(node_id, 1)
+                self.m_peers[region].append(node_id, 1)
         elif node_type is NodeType.CP:
             self.cp_nodes.append(node_id)
         else:
@@ -121,29 +187,34 @@ class _GeneratorState:
 
     def add_transit(self, customer: int, provider: int) -> None:
         self.graph.add_transit_link(customer, provider)
-        self.transit_degree[customer] += 1
-        self.transit_degree[provider] += 1
+        for node_id in (customer, provider):
+            node = self.graph.node(node_id)
+            if node.node_type is NodeType.T:
+                self.t_providers.add_weight(node_id, 1)
+            elif node.node_type is NodeType.M:
+                for region in node.regions:
+                    self.m_providers[region].add_weight(node_id, 1)
 
     def add_peering(self, a: int, b: int) -> None:
         self.graph.add_peering_link(a, b)
-        self.peering_degree[a] += 1
-        self.peering_degree[b] += 1
+        for node_id in (a, b):
+            self.peering_degree[node_id] += 1
+            node = self.graph.node(node_id)
+            if node.node_type is NodeType.M:
+                for region in node.regions:
+                    self.m_peers[region].add_weight(node_id, 1)
 
-    def m_candidates_for(self, node_id: int) -> List[int]:
-        """M nodes sharing a region with ``node_id`` (excluding itself)."""
+    def m_candidates_for(
+        self, node_id: int, pools_by_region: Dict[int, WeightedPool]
+    ) -> _Candidates:
+        """M nodes sharing a region with ``node_id`` (excluding itself).
+
+        Offered in the order of ``node_id``'s regions, each M node once.
+        """
         regions = self.graph.node(node_id).regions
-        if len(regions) == 1:
-            (region,) = regions
-            pool = self.m_by_region[region]
-            return [m for m in pool if m != node_id]
-        seen: Set[int] = set()
-        result: List[int] = []
-        for region in regions:
-            for m in self.m_by_region[region]:
-                if m != node_id and m not in seen:
-                    seen.add(m)
-                    result.append(m)
-        return result
+        view = _Candidates([pools_by_region[region] for region in regions])
+        view.exclude(node_id)
+        return view
 
 
 def generate_topology(
@@ -175,8 +246,9 @@ def _build_t_clique(state: _GeneratorState) -> None:
     """Create the T nodes and fully mesh them with peering links."""
     for _ in range(state.params.n_t):
         state.add_node(NodeType.T)
-    for i, a in enumerate(state.t_nodes):
-        for b in state.t_nodes[i + 1 :]:
+    t_nodes = state.t_providers.items
+    for i, a in enumerate(t_nodes):
+        for b in t_nodes[i + 1 :]:
             state.add_peering(a, b)
 
 
@@ -197,48 +269,34 @@ def _provider_slots(
     """
     params = state.params
     chosen: List[int] = []
-    chosen_set: Set[int] = set()
     t_chosen = 0
     m_chosen = 0
-    m_candidates = state.m_candidates_for(node_id)
-    for _ in range(count):
-        t_allowed = bool(state.t_nodes) and (
-            params.max_t_providers is None or t_chosen < params.max_t_providers
-        )
-        t_open = t_allowed and len(
-            [t for t in state.t_nodes if t not in chosen_set]
-        ) > 0
-        m_allowed = bool(m_candidates) and (
-            params.max_m_providers is None or m_chosen < params.max_m_providers
-        )
-        m_open = m_allowed and any(m not in chosen_set for m in m_candidates)
-        if not t_open and not m_open:
-            break
-        if t_open and m_open:
-            use_t = state.rng.random() < t_probability
-        else:
-            use_t = t_open
-        if use_t:
-            pool = [t for t in state.t_nodes if t not in chosen_set]
-        else:
-            pool = [m for m in m_candidates if m not in chosen_set]
-        provider = _draw_provider(state, pool)
-        if provider is None:
-            break
-        chosen.append(provider)
-        chosen_set.add(provider)
-        if use_t:
-            t_chosen += 1
-        else:
-            m_chosen += 1
+    with _Candidates([state.t_providers]) as t_candidates, state.m_candidates_for(
+        node_id, state.m_providers
+    ) as m_candidates:
+        for _ in range(count):
+            t_open = bool(t_candidates) and (
+                params.max_t_providers is None or t_chosen < params.max_t_providers
+            )
+            m_open = bool(m_candidates) and (
+                params.max_m_providers is None or m_chosen < params.max_m_providers
+            )
+            if not t_open and not m_open:
+                break
+            if t_open and m_open:
+                use_t = state.rng.random() < t_probability
+            else:
+                use_t = t_open
+            if use_t:
+                provider = t_candidates.draw(state.rng)
+                t_candidates.exclude(provider)
+                t_chosen += 1
+            else:
+                provider = m_candidates.draw(state.rng)
+                m_candidates.exclude(provider)
+                m_chosen += 1
+            chosen.append(provider)
     return chosen
-
-
-def _draw_provider(state: _GeneratorState, pool: Sequence[int]) -> Optional[int]:
-    """Preferential-attachment draw from ``pool`` (transit degree weights)."""
-    if not pool:
-        return None
-    return preferential_choice(pool, state.transit_degree.__getitem__, state.rng)
 
 
 def _add_m_nodes(state: _GeneratorState, how_many: int) -> None:
@@ -272,7 +330,7 @@ def _add_stub_nodes(
 def _peering_eligible(state: _GeneratorState, a: int, b: int) -> bool:
     """Whether a peering link a--b respects all generator constraints."""
     graph = state.graph
-    if a == b or b in graph.neighbors(a):
+    if a == b or graph.has_link(a, b):
         return False
     if not graph.node(a).shares_region_with(graph.node(b)):
         return False
@@ -288,16 +346,16 @@ def _add_m_peering(state: _GeneratorState, initiators: Sequence[int]) -> None:
     params = state.params
     for node_id in initiators:
         count = draw_link_count(params.p_m, state.rng, minimum=0)
-        candidates = state.m_candidates_for(node_id)
-        for _ in range(count):
-            peer = _draw_peer_preferential(state, node_id, candidates)
-            if peer is None:
-                break
-            state.add_peering(node_id, peer)
+        with state.m_candidates_for(node_id, state.m_peers) as candidates:
+            for _ in range(count):
+                peer = _draw_peer_preferential(state, node_id, candidates)
+                if peer is None:
+                    break
+                state.add_peering(node_id, peer)
 
 
 def _draw_peer_preferential(
-    state: _GeneratorState, node_id: int, candidates: Sequence[int]
+    state: _GeneratorState, node_id: int, candidates: _Candidates
 ) -> Optional[int]:
     """Draw an eligible peer with peering-degree preferential attachment.
 
@@ -308,9 +366,7 @@ def _draw_peer_preferential(
     if not candidates:
         return None
     for _ in range(_MAX_DRAW_ATTEMPTS):
-        peer = preferential_choice(
-            candidates, state.peering_degree.__getitem__, state.rng
-        )
+        peer = candidates.draw(state.rng)
         if _peering_eligible(state, node_id, peer):
             return peer
     eligible = [c for c in candidates if _peering_eligible(state, node_id, c)]
@@ -339,7 +395,8 @@ def _add_cp_peering(state: _GeneratorState, initiators: Sequence[int]) -> None:
     """Add CP–M and CP–CP peering links, uniform selection within region."""
     params = state.params
     for node_id in initiators:
-        m_candidates = state.m_candidates_for(node_id)
+        with state.m_candidates_for(node_id, state.m_peers) as offered:
+            m_candidates = list(offered)
         for _ in range(draw_link_count(params.p_cp_m, state.rng, minimum=0)):
             peer = _draw_peer_uniform(state, node_id, m_candidates)
             if peer is None:

@@ -52,6 +52,15 @@ class ASGraph:
         self._nodes: Dict[int, ASNode] = {}
         #: adjacency[u][v] is the relationship of v as seen from u.
         self._adjacency: Dict[int, Dict[int, Relationship]] = {}
+        #: Transit index: direct providers / customers of each node, kept
+        #: in step with ``_adjacency`` by ``add_transit_link`` and
+        #: ``remove_link`` so cone walks never scan a node's peers (or, going
+        #: up, a tier-1's thousands of customers).
+        self._providers: Dict[int, List[int]] = {}
+        self._customers: Dict[int, List[int]] = {}
+        #: node → all its direct and indirect providers, filled on demand;
+        #: entries are dropped when a transit-link change could alter them.
+        self._ancestor_memo: Dict[int, Set[int]] = {}
 
     # ------------------------------------------------------------------
     # Construction
@@ -66,6 +75,8 @@ class ASGraph:
         node = ASNode(node_id=node_id, node_type=node_type, regions=region_set)
         self._nodes[node_id] = node
         self._adjacency[node_id] = {}
+        self._providers[node_id] = []
+        self._customers[node_id] = []
         return node
 
     def add_transit_link(self, customer: int, provider: int) -> None:
@@ -81,6 +92,9 @@ class ASGraph:
             )
         self._adjacency[customer][provider] = Relationship.PROVIDER
         self._adjacency[provider][customer] = Relationship.CUSTOMER
+        self._providers[customer].append(provider)
+        self._customers[provider].append(customer)
+        self._forget_ancestors_below(customer)
 
     def add_peering_link(self, a: int, b: int) -> None:
         """Add a settlement-free peering link between ``a`` and ``b``.
@@ -109,7 +123,23 @@ class ASGraph:
             self._adjacency[b].pop(a)
         except KeyError as exc:
             raise TopologyError(f"no link between {a} and {b}") from exc
+        if relationship is not Relationship.PEER:
+            customer, provider = (
+                (a, b) if relationship is Relationship.PROVIDER else (b, a)
+            )
+            self._providers[customer].remove(provider)
+            self._customers[provider].remove(customer)
+            self._forget_ancestors_below(customer)
         return relationship
+
+    def _forget_ancestors_below(self, customer: int) -> None:
+        """Drop the remembered ancestor sets a transit-link change above
+        ``customer`` makes stale: its own and those of its customer tree —
+        found without a walk only when that tree is empty."""
+        if self._customers[customer]:
+            self._ancestor_memo.clear()
+        else:
+            self._ancestor_memo.pop(customer, None)
 
     def _check_new_edge(self, a: int, b: int) -> None:
         if a == b:
@@ -156,6 +186,10 @@ class ASGraph:
             return self._adjacency[u][v]
         except KeyError as exc:
             raise TopologyError(f"no link between {u} and {v}") from exc
+
+    def has_link(self, u: int, v: int) -> bool:
+        """Whether ``u`` and ``v`` are adjacent (any relationship)."""
+        return v in self._adjacency.get(u, ())
 
     def neighbors(self, node_id: int) -> Dict[int, Relationship]:
         """Mapping neighbour id → relationship as seen from ``node_id``.
@@ -211,12 +245,16 @@ class ASGraph:
         )
 
     def customers_of(self, node_id: int) -> List[int]:
-        """Direct customers of ``node_id``."""
-        return self.neighbors_by_relationship(node_id, Relationship.CUSTOMER)
+        """Direct customers of ``node_id``, ascending."""
+        if node_id not in self._customers:
+            raise TopologyError(f"unknown node id {node_id}")
+        return sorted(self._customers[node_id])
 
     def providers_of(self, node_id: int) -> List[int]:
-        """Direct providers of ``node_id``."""
-        return self.neighbors_by_relationship(node_id, Relationship.PROVIDER)
+        """Direct providers of ``node_id``, ascending."""
+        if node_id not in self._providers:
+            raise TopologyError(f"unknown node id {node_id}")
+        return sorted(self._providers[node_id])
 
     def peers_of(self, node_id: int) -> List[int]:
         """Peers of ``node_id``."""
@@ -244,7 +282,9 @@ class ASGraph:
 
     def multihoming_degree(self, node_id: int) -> int:
         """Number of providers of ``node_id`` (the paper's MHD)."""
-        return len(self.providers_of(node_id))
+        if node_id not in self._providers:
+            raise TopologyError(f"unknown node id {node_id}")
+        return len(self._providers[node_id])
 
     def edges(self) -> Iterator[Tuple[int, int, Relationship]]:
         """Each link exactly once as ``(u, v, relationship-from-u)``.
@@ -276,37 +316,46 @@ class ASGraph:
         stack = self.customers_of(node_id)
         while stack:
             current = stack.pop()
-            if current in seen:
-                continue
-            seen.add(current)
-            stack.extend(
-                v
-                for v, rel in self._adjacency[current].items()
-                if rel is Relationship.CUSTOMER and v not in seen
-            )
+            if current not in seen:
+                seen.add(current)
+                stack.extend(self._customers[current])
         seen.discard(node_id)
         return seen
 
     def is_in_customer_tree(self, *, ancestor: int, descendant: int) -> bool:
         """Whether ``descendant`` lies in ``ancestor``'s customer tree.
 
-        Walks *upward* from ``descendant`` through provider links, which is
-        cheap because multihoming degrees are small.
+        Answered from ``descendant``'s ancestor set: everything reachable
+        *upward* over the provider index, a walk that costs the number of
+        transit links above ``descendant`` whatever the degree of the
+        nodes it passes.  The set is remembered until a transit-link
+        change could alter it, so while the hierarchy is frozen (the
+        generator's peering phase, loading a saved topology) repeated
+        questions about one node cost one walk.
         """
-        if ancestor == descendant:
+        if ancestor == descendant or not self._customers[ancestor]:
             return False
-        seen: Set[int] = set()
-        stack = [descendant]
-        while stack:
-            current = stack.pop()
-            for v, rel in self._adjacency[current].items():
-                if rel is not Relationship.PROVIDER or v in seen:
+        return ancestor in self._ancestors(descendant)
+
+    def _ancestors(self, node_id: int) -> Set[int]:
+        """All direct and indirect providers of ``node_id`` (remembered)."""
+        memo = self._ancestor_memo
+        ancestors = memo.get(node_id)
+        if ancestors is None:
+            ancestors = set()
+            stack = list(self._providers[node_id])
+            while stack:
+                current = stack.pop()
+                if current in ancestors:
                     continue
-                if v == ancestor:
-                    return True
-                seen.add(v)
-                stack.append(v)
-        return False
+                ancestors.add(current)
+                known = memo.get(current)
+                if known is None:
+                    stack.extend(self._providers[current])
+                else:
+                    ancestors |= known
+            memo[node_id] = ancestors
+        return ancestors
 
     def all_customer_tree_sizes(self) -> Dict[int, int]:
         """Customer-tree size for every node, computed in one bottom-up pass.

@@ -22,13 +22,14 @@ from __future__ import annotations
 import collections
 import math
 import random
-from typing import Dict, List, Optional, Sequence, Tuple
-
-import networkx as nx
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 from repro.errors import ParameterError
 from repro.topology.graph import ASGraph
 from repro.topology.types import NodeType, Relationship
+
+if TYPE_CHECKING:
+    import networkx as nx
 
 #: BFS phases for valley-free traversal, in the direction *away* from the
 #: source: ascending (provider links), crossed a peering link, descending.
@@ -79,6 +80,8 @@ def to_networkx(graph: ASGraph) -> nx.Graph:
     Node attribute ``node_type`` holds the type name; edge attribute
     ``relationship`` is ``"transit"`` or ``"peer"``.
     """
+    import networkx as nx
+
     result = nx.Graph()
     for node in graph.nodes():
         result.add_node(
@@ -116,7 +119,9 @@ def clustering_coefficient(
     if sample is not None and sample < len(eligible):
         rng = random.Random(seed)
         nodes = rng.sample(eligible, sample)
-    values = nx.clustering(nx_graph, nodes=nodes)
+    from networkx import clustering
+
+    values = clustering(nx_graph, nodes=nodes)
     if not values:
         return 0.0
     return sum(values.values()) / len(values)
@@ -222,6 +227,8 @@ def clustering_spectrum(
     attach to tightly meshed transit cores — which a degree-matched
     random graph does not reproduce.
     """
+    from networkx import clustering
+
     nx_graph = to_networkx(graph)
     by_degree: Dict[int, List[int]] = collections.defaultdict(list)
     for node_id in graph.node_ids:
@@ -230,7 +237,7 @@ def clustering_spectrum(
             by_degree[degree].append(node_id)
     spectrum: Dict[int, float] = {}
     for degree in sorted(by_degree):
-        values = nx.clustering(nx_graph, nodes=by_degree[degree])
+        values = clustering(nx_graph, nodes=by_degree[degree])
         spectrum[degree] = sum(values.values()) / len(values)
     return spectrum
 

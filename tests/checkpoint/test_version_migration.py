@@ -1,0 +1,148 @@
+"""Checkpoints written by the previous release restore under this one.
+
+The checkpoint schema has not changed since 1.4.0 introduced the
+``partition`` kind, so a document whose envelope is stamped 1.4.0 must
+pass the restore gate *and* produce the same continuation as a document
+stamped with the running version — for every kind that is restored from
+disk: ``network``, ``sweep-unit`` and ``partition``.
+"""
+
+import json
+
+import pytest
+
+import repro.checkpoint.batch as batch_module
+from repro._version import __version__
+from repro.bgp.config import BGPConfig
+from repro.checkpoint import restore_network, snapshot_network
+from repro.checkpoint.batch import (
+    execute_sweep_unit_checkpointed,
+    unit_checkpoint_path,
+)
+from repro.checkpoint.format import (
+    KIND_NETWORK,
+    KIND_PARTITION,
+    read_checkpoint,
+    write_checkpoint,
+)
+from repro.checkpoint.partition import (
+    restore_partitioned_run,
+    snapshot_partitioned_run,
+)
+from repro.core.sweep import SweepUnit, execute_sweep_unit
+from repro.prefix.prefix import host_prefix
+from repro.sim.network import SimNetwork
+from repro.sim.partition import LockstepRunner, build_local_parts
+from repro.topology.generator import generate_topology
+from repro.topology.partition import partition_graph
+from repro.topology.scenarios import scenario_params
+
+PREVIOUS_RELEASE = "1.4.0"
+FAST = BGPConfig(mrai=2.0, link_delay=0.001, processing_time_max=0.01)
+
+
+def _stamp(path, code_version):
+    """Rewrite the envelope's code version (the digest covers the payload)."""
+    data = json.loads(path.read_text(encoding="utf-8"))
+    assert data["code_version"] == __version__
+    data["code_version"] = code_version
+    path.write_text(json.dumps(data), encoding="utf-8")
+
+
+def test_network_checkpoint_from_previous_release_restores(tmp_path):
+    graph = generate_topology(scenario_params("baseline", 60), seed=11)
+    network = SimNetwork(graph, FAST, seed=12)
+    network.start_counting()
+    network.originate(graph.node_ids[-1], 0)
+    for _ in range(150):
+        network.engine.step()
+    path = tmp_path / "net.ckpt"
+    write_checkpoint(path, KIND_NETWORK, snapshot_network(network))
+    _stamp(path, PREVIOUS_RELEASE)
+
+    document = read_checkpoint(path, expected_kind=KIND_NETWORK)
+    assert document.code_version == PREVIOUS_RELEASE
+    restored = restore_network(graph, document.payload)
+    network.run_to_convergence()
+    restored.run_to_convergence()
+    assert restored.engine.now == network.engine.now
+    assert restored.engine.executed_events == network.engine.executed_events
+    assert restored.counter.dump_state() == network.counter.dump_state()
+
+
+def test_sweep_unit_checkpoint_from_previous_release_resumes(tmp_path, monkeypatch):
+    unit = SweepUnit(
+        scenario="baseline",
+        n=60,
+        num_origins=4,
+        batch_index=0,
+        num_batches=1,
+        seed=17,
+        config=FAST,
+        scenario_kwargs=(),
+    )
+    plain = execute_sweep_unit(unit)
+    run_batch = batch_module.run_c_event_batch
+
+    class Interrupt(Exception):
+        pass
+
+    def dying(*args, **kwargs):
+        write = kwargs["after_event"]
+
+        def hook(cursor):
+            write(cursor)
+            if cursor.next_index == 2:
+                raise Interrupt
+
+        kwargs["after_event"] = hook
+        return run_batch(*args, **kwargs)
+
+    monkeypatch.setattr(batch_module, "run_c_event_batch", dying)
+    with pytest.raises(Interrupt):
+        execute_sweep_unit_checkpointed(unit, tmp_path)
+    _stamp(unit_checkpoint_path(tmp_path, unit), PREVIOUS_RELEASE)
+
+    resumed_from = []
+
+    def recording(*args, **kwargs):
+        cursor = kwargs["cursor"]
+        resumed_from.append(None if cursor is None else cursor.next_index)
+        return run_batch(*args, **kwargs)
+
+    monkeypatch.setattr(batch_module, "run_c_event_batch", recording)
+    resumed = execute_sweep_unit_checkpointed(unit, tmp_path)
+    assert resumed_from == [2], "1.4.0 checkpoint was discarded, not resumed"
+    assert resumed.raw.updates == plain.raw.updates
+    assert resumed.raw.total_updates == plain.raw.total_updates
+    assert resumed.down_totals == plain.down_totals
+    assert resumed.up_totals == plain.up_totals
+    assert resumed.measured_messages == plain.measured_messages
+
+
+def test_partition_checkpoint_from_previous_release_restores(tmp_path):
+    graph = generate_topology(scenario_params("BASELINE", 30), seed=5)
+    partition = partition_graph(graph, 2)
+    parts = build_local_parts(graph, partition, FAST, seed=3)
+    runner = LockstepRunner(partition, parts, link_delay=FAST.link_delay)
+    runner.set_counting(True)
+    runner.apply("originate", graph.node_ids[0], host_prefix(0))
+    target = runner.now
+    while not runner.pending_border_events():
+        target += FAST.link_delay / 2
+        runner.advance(target)
+        assert target < 5.0, "flood never produced in-flight border events"
+    path = tmp_path / "run.ckpt"
+    write_checkpoint(path, KIND_PARTITION, snapshot_partitioned_run(runner))
+    _stamp(path, PREVIOUS_RELEASE)
+
+    document = read_checkpoint(path, expected_kind=KIND_PARTITION)
+    assert document.code_version == PREVIOUS_RELEASE
+    restored = restore_partitioned_run(graph, document.payload)
+    runner.converge()
+    restored.converge()
+    assert restored.now == runner.now
+    assert restored.windows == runner.windows
+    assert dict(restored.collect_counters()[0].received) == dict(
+        runner.collect_counters()[0].received
+    )

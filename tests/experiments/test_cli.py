@@ -1,9 +1,49 @@
 """Tests for the repro-bgp command-line interface."""
 
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from repro.experiments.cli import build_parser, main
 from repro.experiments.registry import experiment_ids
+
+
+class TestImportHygiene:
+    def test_cli_start_up_loads_no_analysis_library(self, tmp_path):
+        """Every CLI child pays the import of ``repro.experiments.cli``;
+        scipy and networkx serve a handful of verbs and load when those
+        run, not before — not for ``--version``, not for the generator."""
+        script = (
+            "import json, sys\n"
+            "from repro.experiments.cli import main\n"
+            "def heavy():\n"
+            "    return sorted({'scipy', 'networkx'} & set(sys.modules))\n"
+            "try:\n"
+            "    main(['--version'])\n"
+            "except SystemExit as stop:\n"
+            "    assert stop.code == 0\n"
+            "after_version = heavy()\n"
+            f"assert main(['topology', 'generate', '-n', '80', '-o', {str(tmp_path / 't.json')!r}]) == 0\n"
+            "print(json.dumps({'version': after_version, 'generate': heavy()}))\n"
+        )
+        env = dict(os.environ)
+        env["PYTHONPATH"] = str(Path(__file__).resolve().parents[2] / "src")
+        done = subprocess.run(
+            [sys.executable, "-c", script],
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert done.returncode == 0, done.stderr
+        assert json.loads(done.stdout.splitlines()[-1]) == {
+            "version": [],
+            "generate": [],
+        }
 
 
 class TestParser:

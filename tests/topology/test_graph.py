@@ -1,9 +1,14 @@
 """Tests for the ASGraph data structure."""
 
+import random
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import TopologyError
 from repro.topology.graph import ASGraph
+from repro.topology.serialization import from_json_dict, to_json_dict
 from repro.topology.types import NodeType, Relationship
 
 
@@ -179,3 +184,123 @@ class TestSummaries:
 
     def test_repr_mentions_scenario(self, diamond):
         assert "diamond" in repr(diamond)
+
+
+def _reachable(start, step):
+    """Brute-force closure of ``step`` from ``start`` (excluding it)."""
+    seen = set()
+    stack = [start]
+    while stack:
+        for v in step(stack.pop()):
+            if v not in seen:
+                seen.add(v)
+                stack.append(v)
+    seen.discard(start)
+    return seen
+
+
+def assert_transit_index_consistent(graph):
+    """The provider/customer index, the ancestor memo and every cone
+    query agree with a scan of the adjacency dicts."""
+    adjacency = graph._adjacency
+
+    def scan(node_id, wanted):
+        return sorted(v for v, rel in adjacency[node_id].items() if rel is wanted)
+
+    for node_id in graph.node_ids:
+        providers = scan(node_id, Relationship.PROVIDER)
+        customers = scan(node_id, Relationship.CUSTOMER)
+        assert sorted(graph._providers[node_id]) == providers
+        assert sorted(graph._customers[node_id]) == customers
+        assert graph.providers_of(node_id) == providers
+        assert graph.customers_of(node_id) == customers
+        assert graph.multihoming_degree(node_id) == len(providers)
+    ancestors = {
+        v: _reachable(v, lambda u: scan(u, Relationship.PROVIDER))
+        for v in graph.node_ids
+    }
+    for node_id, remembered in graph._ancestor_memo.items():
+        assert remembered == ancestors[node_id], f"stale ancestor memo at {node_id}"
+    for a in graph.node_ids:
+        tree = graph.customer_tree(a)
+        assert tree == _reachable(a, lambda u: scan(u, Relationship.CUSTOMER))
+        for d in graph.node_ids:
+            expected = a in ancestors[d]
+            assert (d in tree) == expected
+            assert graph.is_in_customer_tree(ancestor=a, descendant=d) == expected
+    # ... and the queries above filled the memo; it must still be right.
+    for node_id, remembered in graph._ancestor_memo.items():
+        assert remembered == ancestors[node_id]
+
+
+_NODE = st.integers(min_value=0, max_value=8)
+_OPERATION = st.one_of(
+    st.tuples(st.sampled_from(["transit", "peer", "remove", "ask"]), _NODE, _NODE),
+    st.tuples(st.just("reorder"), _NODE, st.integers(min_value=0, max_value=99)),
+)
+
+
+class TestTransitIndexProperties:
+    @given(
+        node_count=st.integers(min_value=2, max_value=9),
+        operations=st.lists(_OPERATION, max_size=60),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_index_and_memo_track_adjacency(self, node_count, operations):
+        graph = ASGraph()
+        for node_id in range(node_count):
+            graph.add_node(node_id, NodeType.M, [0])
+        for kind, a, b in operations:
+            if a >= node_count:
+                continue
+            try:
+                if kind == "reorder":
+                    order = graph.adjacency_order(a)
+                    random.Random(b).shuffle(order)
+                    graph.apply_adjacency_order({a: order})
+                elif b >= node_count:
+                    continue
+                elif kind == "transit":
+                    graph.add_transit_link(a, b)
+                elif kind == "peer":
+                    graph.add_peering_link(a, b)
+                elif kind == "remove":
+                    graph.remove_link(a, b)
+                else:
+                    graph.is_in_customer_tree(ancestor=a, descendant=b)
+            except TopologyError:
+                pass  # rejected links must leave the index untouched too
+            for node_id, remembered in graph._ancestor_memo.items():
+                assert remembered == _reachable(node_id, graph.providers_of)
+        assert_transit_index_consistent(graph)
+        rebuilt = from_json_dict(to_json_dict(graph))
+        assert_transit_index_consistent(rebuilt)
+        assert rebuilt._adjacency == graph._adjacency
+        assert [rebuilt.adjacency_order(v) for v in rebuilt.node_ids] == [
+            graph.adjacency_order(v) for v in graph.node_ids
+        ]
+
+    def test_remove_and_re_add_cycle(self, diamond):
+        """Failing a transit link and restoring it (the link-event
+        extension's cycle) leaves index and memo as they were."""
+        assert diamond.is_in_customer_tree(ancestor=1, descendant=4)
+        before = {v: diamond.customer_tree(v) for v in diamond.node_ids}
+        assert diamond.remove_link(3, 1) is Relationship.PROVIDER
+        assert_transit_index_consistent(diamond)
+        assert not diamond.is_in_customer_tree(ancestor=1, descendant=4)
+        diamond.add_transit_link(3, 1)
+        assert_transit_index_consistent(diamond)
+        assert {v: diamond.customer_tree(v) for v in diamond.node_ids} == before
+
+    def test_remove_from_the_provider_side(self, diamond):
+        assert diamond.remove_link(1, 3) is Relationship.CUSTOMER
+        assert diamond.providers_of(3) == [0]
+        assert_transit_index_consistent(diamond)
+
+    def test_link_event_experiment_leaves_graph_consistent(self, diamond):
+        from repro.core.linkevent import run_link_event_experiment
+
+        order = {v: diamond.adjacency_order(v) for v in diamond.node_ids}
+        run_link_event_experiment(diamond, origin=4, num_links=1, seed=1)
+        assert {v: diamond.adjacency_order(v) for v in diamond.node_ids} == order
+        assert_transit_index_consistent(diamond)
