@@ -220,6 +220,16 @@ def test_sim_core_telemetry(benchmark, results_dir):
     assert overhead_pct < 50.0
 
 
+def _best_of(fn, rounds: int, clock=time.perf_counter) -> float:
+    """Seconds of the fastest of ``rounds`` calls."""
+    best = float("inf")
+    for _ in range(rounds):
+        t0 = clock()
+        fn()
+        best = min(best, clock() - t0)
+    return best
+
+
 def _time_per_call_us(fn, rounds: int) -> float:
     t0 = time.perf_counter()
     for _ in range(rounds):
@@ -607,14 +617,6 @@ def test_topology_build_budget(results_dir):
 
     from repro.topology.serialization import from_json_dict, to_json_dict
 
-    def best_of(fn, rounds):
-        best = float("inf")
-        for _ in range(rounds):
-            t0 = time.perf_counter()
-            fn()
-            best = min(best, time.perf_counter() - t0)
-        return best
-
     topology_build = {}
     for n in (2000, 8000):
         params = baseline_params(n)
@@ -626,8 +628,8 @@ def test_topology_build_budget(results_dir):
         topology_build[f"graph_digest_n{n}"] = hashlib.sha256(
             canonical.encode("utf-8")
         ).hexdigest()
-        generate_s = best_of(lambda: generate_topology(params, seed=3), 3)
-        load_s = best_of(lambda: from_json_dict(document), 3)
+        generate_s = _best_of(lambda: generate_topology(params, seed=3), 3)
+        load_s = _best_of(lambda: from_json_dict(document), 3)
         # The budgeted cost rows are the n=8000 ones; n=2000 is their base.
         suffix = "_n2000" if n == 2000 else ""
         topology_build[f"generate_us_per_link{suffix}"] = generate_s / links * 1e6
@@ -635,7 +637,7 @@ def test_topology_build_budget(results_dir):
 
     src = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
     env = dict(os.environ, PYTHONPATH=src)
-    topology_build["cli_import_ms"] = 1e3 * best_of(
+    topology_build["cli_import_ms"] = 1e3 * _best_of(
         lambda: subprocess.run(
             [sys.executable, "-c", "import repro.experiments.cli"],
             env=env,
@@ -652,4 +654,85 @@ def test_topology_build_budget(results_dir):
         f"{topology_build['load_us_per_link_n2000']:.1f} -> "
         f"{topology_build['load_us_per_link']:.1f} us/link "
         f"(n=2000 -> 8000), cli import {topology_build['cli_import_ms']:.0f} ms"
+    )
+
+
+def test_checkpoint_cost_budget(results_dir, tmp_path):
+    """Budget rows for what a sweep-unit checkpoint costs.
+
+    The network is the one a per-event checkpoint captures: Baseline
+    n=400, fixed seed, four C-events measured, heap empty.  Exact: the
+    canonical payload size and the total RNG draw count (both are pure
+    functions of the trajectory and of the node layout, so a size
+    regression or a new uncounted draw site shows as a counter drift).
+    Cost: snapshot µs per node, write ms, restore ms (read + rebuild).
+    Two ratios ``scripts/check_perf_budget.py`` bounds absolutely: the
+    RNG share of the payload, and a checkpointed unit over the same unit
+    plain, alternated in this process (best of each, CPU time).
+    """
+    from repro.checkpoint import (
+        KIND_NETWORK,
+        execute_sweep_unit_checkpointed,
+        read_checkpoint,
+        restore_network,
+        snapshot_network,
+        write_checkpoint,
+    )
+    from repro.checkpoint.format import network_section_bytes
+    from repro.core.cevent import new_batch_cursor, pick_origins, run_c_event_batch
+    from repro.core.sweep import SweepUnit, execute_sweep_unit
+
+    n, events, seed = 400, 4, 5
+    graph = generate_topology(baseline_params(n), seed=3)
+    config = BGPConfig()
+    origins = pick_origins(graph, events, seed)
+    cursor = new_batch_cursor(graph, config, origins=origins, seed=seed)
+    run_c_event_batch(graph, config, origins=origins, seed=seed, cursor=cursor)
+    network = cursor.network
+
+    payload = snapshot_network(network)
+    sizes = network_section_bytes(payload)
+    path = tmp_path / "network.ckpt"
+    snapshot_s = _best_of(lambda: snapshot_network(network), 5)
+    write_s = _best_of(lambda: write_checkpoint(path, KIND_NETWORK, payload), 5)
+    restore_s = _best_of(
+        lambda: restore_network(graph, read_checkpoint(path).payload), 5
+    )
+
+    unit = SweepUnit(
+        scenario="BASELINE", n=n, num_origins=events, batch_index=0, num_batches=1,
+        seed=seed, config=config, scenario_kwargs=(),
+    )
+    plain_s = checkpointed_s = float("inf")
+    for _ in range(5):  # alternated, so host drift hits both sides alike
+        plain_s = min(
+            plain_s, _best_of(lambda: execute_sweep_unit(unit), 1, time.process_time)
+        )
+        checkpointed_s = min(
+            checkpointed_s,
+            _best_of(
+                lambda: execute_sweep_unit_checkpointed(unit, tmp_path / "units"),
+                1,
+                time.process_time,
+            ),
+        )
+
+    checkpoint_cost = {
+        "snapshot_bytes": sum(sizes.values()),
+        "rng_draws": sum(node.rng_draws for node in network.nodes.values()),
+        "rng_share": sizes["rng"] / sum(sizes.values()),
+        "snapshot_us_per_node": snapshot_s / n * 1e6,
+        "write_ms": write_s * 1e3,
+        "restore_ms": restore_s * 1e3,
+        "unit_overhead_ratio": checkpointed_s / plain_s,
+    }
+    _merge_bench_json(results_dir, {"checkpoint_cost": checkpoint_cost})
+    print(
+        f"\ncheckpoint cost budget: {checkpoint_cost['snapshot_bytes']:,} bytes "
+        f"({100 * checkpoint_cost['rng_share']:.1f} % rng, "
+        f"{checkpoint_cost['rng_draws']:,} draws), snapshot "
+        f"{checkpoint_cost['snapshot_us_per_node']:.1f} us/node, write "
+        f"{checkpoint_cost['write_ms']:.1f} ms, restore "
+        f"{checkpoint_cost['restore_ms']:.1f} ms, checkpointed unit "
+        f"{checkpoint_cost['unit_overhead_ratio']:.2f}x plain"
     )

@@ -18,7 +18,10 @@ Additionally the supersession invariant itself is asserted: the tracked
 scenario must execute at most half the events the pre-fix kernel did;
 and the topology-construction scaling invariant: generating and loading
 a Baseline topology may cost at most 3x more *per link* at n=8000 than
-at n=2000 (a per-link scan of a tier-1's adjacency gave ~7x).
+at n=2000 (a per-link scan of a tier-1's adjacency gave ~7x); and two
+checkpoint invariants: RNG streams take under 5 % of a snapshot's bytes
+(full generator states took 86 %), and a checkpointed sweep unit costs
+at most 2x the same unit run plain (it cost 4.2-4.7x).
 
 Usage::
 
@@ -62,6 +65,8 @@ EXACT_COUNTERS = [
     ("topology_build", "graph_digest_n2000"),
     ("topology_build", "links_n8000"),
     ("topology_build", "graph_digest_n8000"),
+    ("checkpoint_cost", "snapshot_bytes"),
+    ("checkpoint_cost", "rng_draws"),
 ]
 
 #: (section, key) pairs where *larger* is worse (cost in µs or bytes).
@@ -79,10 +84,23 @@ COST_METRICS = [
     ("topology_build", "generate_us_per_link"),
     ("topology_build", "load_us_per_link"),
     ("topology_build", "cli_import_ms"),
+    ("checkpoint_cost", "snapshot_us_per_node"),
+    ("checkpoint_cost", "write_ms"),
+    ("checkpoint_cost", "restore_ms"),
 ]
 
 #: Allowed growth of the topology per-link cost from n=2000 to n=8000.
 TOPOLOGY_SCALING_LIMIT = 3.0
+
+#: Largest share of a network snapshot's bytes its RNG streams may take.
+CHECKPOINT_RNG_SHARE_LIMIT = 0.05
+
+#: Allowed cost of a checkpointed sweep unit relative to the plain unit
+#: (n=400, 4 C-events, 3 checkpoints).  The design goal is 1.5; run to
+#: run the reference host reads 1.3-1.6, so the gate sits where host
+#: noise does not trip it and the return of either full RNG states or
+#: the double serialization (together 4.2-4.7x) does.
+CHECKPOINT_UNIT_RATIO_LIMIT = 2.0
 
 #: (section, key) pairs where *smaller* is worse (throughput).
 THROUGHPUT_METRICS = [("per_op", "events_per_sec")]
@@ -170,6 +188,23 @@ def main(argv=None) -> int:
                 f"{TOPOLOGY_SCALING_LIMIT}x) — building a topology is no longer "
                 "near-linear in its links"
             )
+
+    rng_share = float(_get(current, "checkpoint_cost", "rng_share", args.current))
+    if rng_share >= CHECKPOINT_RNG_SHARE_LIMIT:
+        failures.append(
+            f"checkpoint_cost: RNG streams are {100 * rng_share:.1f} % of a "
+            f"snapshot's bytes (limit {100 * CHECKPOINT_RNG_SHARE_LIMIT:.0f} %) — "
+            "are nodes writing full generator states again?"
+        )
+    unit_ratio = float(
+        _get(current, "checkpoint_cost", "unit_overhead_ratio", args.current)
+    )
+    if unit_ratio > CHECKPOINT_UNIT_RATIO_LIMIT:
+        failures.append(
+            f"checkpoint_cost: a checkpointed unit costs {unit_ratio:.2f}x the "
+            f"plain unit (limit {CHECKPOINT_UNIT_RATIO_LIMIT}x) — checkpoints "
+            "cost more than the work they protect again"
+        )
 
     for section, key in COST_METRICS:
         got = float(_get(current, section, key, args.current))

@@ -49,6 +49,7 @@ class OutputChannel:
         "_pending",
         "_interface_gate",
         "_prefix_gates",
+        "arms",
     )
 
     def __init__(
@@ -73,6 +74,10 @@ class OutputChannel:
         #: Gate(s): time at which the next rate-limited send is allowed.
         self._interface_gate = 0.0
         self._prefix_gates: Dict[PrefixToken, float] = {}
+        #: Timer armings so far, each one draw from the owner's RNG
+        #: stream.  Never reset: a checkpoint records the stream as its
+        #: draw count (see :meth:`BGPNode.rng_draws`).
+        self.arms = 0
 
     # ------------------------------------------------------------------
     # Introspection (used by tests and the node)
@@ -91,7 +96,10 @@ class OutputChannel:
         return self._sent.get(prefix) is not None
 
     def reset(self) -> None:
-        """Forget all session state (used when the BGP session goes down)."""
+        """Forget all session state (used when the BGP session goes down).
+
+        ``arms`` survives: the draws were taken from the owner's stream.
+        """
         self._sent.clear()
         self._pending.clear()
         self._interface_gate = 0.0
@@ -109,6 +117,7 @@ class OutputChannel:
             "pending": dict(self._pending),
             "interface_gate": self._interface_gate,
             "prefix_gates": dict(self._prefix_gates),
+            "arms": self.arms,
         }
 
     def load_state(self, state: dict) -> None:
@@ -117,6 +126,7 @@ class OutputChannel:
         self._pending = dict(state["pending"])
         self._interface_gate = state["interface_gate"]
         self._prefix_gates = dict(state["prefix_gates"])
+        self.arms = state["arms"]
 
     # ------------------------------------------------------------------
     # Main entry points
@@ -204,6 +214,7 @@ class OutputChannel:
         return self._prefix_gates.get(prefix, 0.0)
 
     def _arm(self, prefix: PrefixToken, now: float) -> float:
+        self.arms += 1
         interval = self._config.mrai * self._rng.uniform(
             self._config.jitter_low, self._config.jitter_high
         )

@@ -28,13 +28,42 @@ from repro.bgp.mrai import OutputChannel
 from repro.bgp.policy import exportable
 from repro.bgp.rib import AdjRIBIn, LocRIB
 from repro.bgp.route import Route, import_route, local_route
-from repro.errors import SimulationError
+from repro.errors import CheckpointError, SimulationError
 from repro.prefix.rib import RadixAdjRIBIn, RadixLocRIB
 from repro.bgp.events import DampingReuseCheck, MRAIWakeup, ServiceCompletion
 from repro.obs.telemetry import NULL_TELEMETRY
 from repro.topology.types import NodeType, Relationship
 
 TransmitFn = Callable[[UpdateMessage, float], None]
+
+#: Largest ``getrandbits`` request made while replaying a stream (bounds
+#: the throw-away integer to 512 kB however long the stream is).
+_REPLAY_CHUNK_DRAWS = 1 << 16
+
+
+def rng_mark(rng: random.Random) -> int:
+    """A small fingerprint of a Mersenne-Twister stream's position.
+
+    The position index (which moves with every draw) and the first state
+    word (which changes with every regeneration, i.e. every 312 draws)
+    packed into one integer: enough to tell a replayed stream that ended
+    anywhere but where the checkpointed one stood.
+    """
+    words = rng.getstate()[1]
+    return (words[-1] << 32) | words[0]
+
+
+def advance_rng(rng: random.Random, draws: int) -> None:
+    """Consume exactly ``draws`` ``random()`` calls' worth of the stream.
+
+    ``random()`` takes two 32-bit outputs, ``getrandbits(64 * k)`` takes
+    ``2 * k`` of them: the generator ends in the same state either way.
+    """
+    while draws > 0:
+        step = min(draws, _REPLAY_CHUNK_DRAWS)
+        rng.getrandbits(64 * step)
+        draws -= step
+
 
 #: Floor on the wait before a re-scheduled damping reuse check.  Guards
 #: against a zero-wait loop when a penalty sits exactly on the reuse
@@ -62,6 +91,9 @@ class BGPNode:
         self._engine = engine
         self._config = config
         self._rng = rng
+        #: False once restored from a pre-1.6 checkpoint, whose full RNG
+        #: state says nothing about how many draws produced it.
+        self._rng_counted = True
         self._transmit = transmit
         self._obs = telemetry
         self._in_queue: Deque[UpdateMessage] = collections.deque()
@@ -449,15 +481,37 @@ class BGPNode:
     # ------------------------------------------------------------------
     # Checkpointing
     # ------------------------------------------------------------------
+    @property
+    def rng_draws(self) -> int:
+        """``random()`` calls made on this node's stream since seeding.
+
+        The stream has two consumers, one draw each: a service start
+        (every completed one, plus the one in flight) and a timer arming
+        on any output channel.  With the seed, this count *is* the
+        stream: a checkpoint stores it in place of the generator state.
+        """
+        return (
+            self.processed_count
+            + self._busy
+            + sum(channel.arms for channel in self._channels.values())
+        )
+
     def checkpoint_state(self) -> dict:
         """Everything that distinguishes this node from a freshly built one.
 
-        Returns live Python objects (routes, messages, RNG state tuples);
+        Returns live Python objects (routes, messages);
         :mod:`repro.checkpoint` converts them to JSON primitives.  The
-        counterpart of :meth:`restore_state`.
+        counterpart of :meth:`restore_state`.  The RNG stream is
+        ``rng_draws`` plus the ``rng_mark`` fingerprint restore checks
+        its replay against, or the full ``rng_state`` for a node whose
+        count was lost to a pre-1.6 checkpoint.
         """
+        if self._rng_counted:
+            stream = {"rng_draws": self.rng_draws, "rng_mark": rng_mark(self._rng)}
+        else:
+            stream = {"rng_state": self._rng.getstate()}
         return {
-            "rng_state": self._rng.getstate(),
+            **stream,
             "in_queue": list(self._in_queue),
             "busy": self._busy,
             "adj_rib_in": self.adj_rib_in.entries(),
@@ -485,8 +539,27 @@ class BGPNode:
         Dict insertion orders are reproduced exactly, because iteration
         order feeds float-summation and decision order downstream — the
         basis of the restored-run byte-identity guarantee.
+
+        Raises :class:`~repro.errors.CheckpointError` when the RNG stream
+        replayed from the draw count does not end where the checkpointed
+        one stood.
         """
-        self._rng.setstate(state["rng_state"])
+        if "rng_state" in state:
+            self._rng.setstate(state["rng_state"])
+            self._rng_counted = False
+        else:
+            if not self._rng_counted or self.rng_draws:
+                raise SimulationError(
+                    f"node {self.node_id}: a draw-count checkpoint restores "
+                    "only onto a freshly built node"
+                )
+            advance_rng(self._rng, state["rng_draws"])
+            if rng_mark(self._rng) != state["rng_mark"]:
+                raise CheckpointError(
+                    f"node {self.node_id}: RNG stream replayed from "
+                    f"{state['rng_draws']} draws does not match the "
+                    "checkpointed fingerprint"
+                )
         self._in_queue = collections.deque(state["in_queue"])
         self._busy = state["busy"]
         self.adj_rib_in, self.loc_rib = self._new_ribs()
@@ -521,6 +594,11 @@ class BGPNode:
         # Absent in pre-1.3 checkpoints: the counters restart at zero.
         self.decisions_run = state.get("decisions_run", 0)
         self.decisions_skipped = state.get("decisions_skipped", 0)
+        if self._rng_counted and self.rng_draws != state["rng_draws"]:
+            raise CheckpointError(
+                f"node {self.node_id}: checkpoint records {state['rng_draws']} "
+                f"RNG draws but its counters account for {self.rng_draws}"
+            )
 
     def adopt_pending_event(self, entry: list) -> None:
         """Re-attach a restored heap entry as a live cancellation handle.

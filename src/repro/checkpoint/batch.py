@@ -7,10 +7,13 @@ execution with periodic on-disk checkpoints so a unit killed mid-flight
 instead of starting over.
 
 Checkpoints are written at origin boundaries — after each measured
-C-event, every ``checkpoint_every`` events — where the engine's event
-heap is empty and the network is in a steady state.  The snapshot still
-records the full network (RIBs, MRAI gates, RNG streams, counters), so
-the resumed batch is byte-identical to an uninterrupted one.
+C-event but the last, every ``checkpoint_every`` events — where the
+engine's event heap is empty and the network is in a steady state.  The
+snapshot still records the full network (RIBs, MRAI gates, RNG streams,
+counters), so the resumed batch is byte-identical to an uninterrupted
+one.  Nothing is written after the last event: the unit's result is
+returned (and the file removed) on the next line, and a crash in between
+resumes from the previous checkpoint to the same result.
 
 Each unit's checkpoint file is named after a content hash of the unit's
 inputs: a stale file from a different sweep, seed, or code version can
@@ -21,11 +24,17 @@ from __future__ import annotations
 
 import hashlib
 import json
+import sys
 from pathlib import Path
 from typing import Optional, Union
 
 from repro._version import __version__
-from repro.checkpoint.format import KIND_SWEEP_UNIT, read_checkpoint, write_checkpoint
+from repro.checkpoint.format import (
+    KIND_SWEEP_UNIT,
+    gc_paused,
+    read_checkpoint,
+    write_checkpoint,
+)
 from repro.checkpoint.network import restore_network, snapshot_network
 from repro.core.cevent import (
     BatchCursor,
@@ -36,6 +45,7 @@ from repro.core.cevent import (
 from repro.core.factors import FactorAccumulator, RawFactorSums
 from repro.core.sweep import SweepUnit, maybe_inject_fault, split_origins
 from repro.errors import CheckpointError
+from repro.obs.telemetry import current_telemetry
 from repro.sim.rng import origin_batch_seed, sweep_point_seeds
 from repro.topology.generator import generate_topology
 from repro.topology.scenarios import scenario_params
@@ -213,10 +223,14 @@ def execute_sweep_unit_checkpointed(
     """Run one sweep unit with periodic checkpoints under ``checkpoint_dir``.
 
     Resumes from an existing valid checkpoint of the same unit (unless
-    ``resume=False``); an invalid or foreign checkpoint file is ignored
-    and the unit restarts from scratch.  On success the checkpoint file
-    is removed — a populated checkpoint directory always means
-    interrupted work.
+    ``resume=False``); an invalid or foreign checkpoint file is reported
+    on stderr, counted (``checkpoint.discarded``) and the unit restarts
+    from scratch.  On success the checkpoint file is removed — a
+    populated checkpoint directory always means interrupted work.
+
+    Under a telemetry session the cost shows up as the ``checkpoint``
+    phase (snapshot + write) and the ``checkpoint.writes`` / ``.bytes``
+    / ``.resumes`` / ``.discarded`` counters.
 
     The returned result is byte-identical to
     :func:`~repro.core.sweep.execute_sweep_unit` for the same unit,
@@ -232,25 +246,37 @@ def execute_sweep_unit_checkpointed(
     origin_list = pick_origins(graph, unit.num_origins, sim_seed)
     batch = split_origins(origin_list, unit.num_batches)[unit.batch_index]
 
+    obs = current_telemetry()
     key = unit_checkpoint_key(unit)
     path = unit_checkpoint_path(checkpoint_dir, unit)
     cursor: Optional[BatchCursor] = None
     if resume and path.exists():
         try:
             cursor = load_unit_cursor(path, unit, graph, batch)
-        except CheckpointError:
-            cursor = None  # unusable checkpoint: recompute from scratch
+            obs.inc("checkpoint.resumes")
+        except CheckpointError as exc:
+            # Unusable checkpoint: recompute from scratch, but say so.
+            obs.inc("checkpoint.discarded")
+            print(
+                f"repro: discarding checkpoint {path.name} of {unit.scenario} "
+                f"n={unit.n} batch {unit.batch_index}/{unit.num_batches}, "
+                f"recomputing the unit from scratch: {exc}",
+                file=sys.stderr,
+            )
 
     maybe_inject_fault(unit, cursor.next_index if cursor is not None else 0)
 
     def after_event(live: BatchCursor) -> None:
-        if (
-            live.next_index % checkpoint_every == 0
-            or live.next_index == len(batch)
-        ):
-            write_checkpoint(
-                path, KIND_SWEEP_UNIT, _cursor_payload(unit, key, batch, live)
-            )
+        if live.next_index < len(batch) and live.next_index % checkpoint_every == 0:
+            # One pause over the payload's whole life: built, written and
+            # dropped before the collector gets to look at it.
+            with obs.phase("checkpoint"), gc_paused():
+                write_checkpoint(
+                    path, KIND_SWEEP_UNIT, _cursor_payload(unit, key, batch, live)
+                )
+            if obs.enabled:
+                obs.inc("checkpoint.writes")
+                obs.inc("checkpoint.bytes", path.stat().st_size)
         maybe_inject_fault(unit, live.next_index)
 
     result = run_c_event_batch(

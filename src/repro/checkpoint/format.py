@@ -31,7 +31,9 @@ writing version).
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
+import gc
 import hashlib
 import json
 from pathlib import Path
@@ -57,7 +59,12 @@ FORMAT_VERSION = 1
 #: layouts are untouched.  1.5.0 (measured-topology import, long-memory
 #: analysis) did not touch ``repro.checkpoint`` at all, so 1.4.0
 #: documents — every partition checkpoint among them — read unchanged.
-COMPATIBLE_CODE_VERSIONS = frozenset({"1.1.0", "1.2.0", "1.3.0", "1.4.0"})
+#: 1.6.0 changed the node layout (RNG streams as ``rng_draws`` /
+#: ``rng_mark``, a per-channel ``arms`` count, construction defaults
+#: left out); the reader still takes the older form, full ``rng``
+#: states included, so 1.5.0 documents restore — to nodes that keep
+#: writing full states, since their draw counts are unknown.
+COMPATIBLE_CODE_VERSIONS = frozenset({"1.1.0", "1.2.0", "1.3.0", "1.4.0", "1.5.0"})
 
 #: Recognised checkpoint kinds (the envelope's ``kind`` field).
 KIND_NETWORK = "network"
@@ -67,12 +74,49 @@ KIND_CAMPAIGN = "campaign"
 #: the lockstep runner's clock/stats, and the border events in flight.
 KIND_PARTITION = "partition"
 KNOWN_KINDS = (KIND_NETWORK, KIND_SWEEP_UNIT, KIND_CAMPAIGN, KIND_PARTITION)
+#: Kinds whose payloads never depend on JSON object order (simulator
+#: state stores every ordered mapping as a list of pairs), so the file
+#: can carry the very bytes the digest covers.  A campaign state embeds
+#: experiment results that are re-rendered from the dicts as parsed.
+_ORDER_FREE_KINDS = frozenset({KIND_NETWORK, KIND_SWEEP_UNIT, KIND_PARTITION})
+
+
+@contextlib.contextmanager
+def gc_paused():
+    """Keep the cyclic collector out of building or parsing a payload.
+
+    A payload is tens of thousands of short-lived, acyclic lists made
+    next to a large long-lived network: the allocation counters trip the
+    collector again and again, it walks the network and frees nothing
+    (measured at n=400: a third of snapshot, read and restore time).
+    Reference counting frees the payload as soon as it is dropped.
+    """
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if was_enabled:
+            gc.enable()
+
+
+#: Sorted keys, no whitespace, ASCII.  Payloads are trees this package
+#: builds, so the encoder's per-container cycle bookkeeping (a third of
+#: its time) is off; a cyclic payload ends in ``RecursionError``.
+_CANONICAL = json.JSONEncoder(
+    sort_keys=True, separators=(",", ":"), check_circular=False
+)
+
+
+def _canonical_bytes(payload: dict) -> bytes:
+    """The canonical serialization the digest covers."""
+    with gc_paused():
+        return _CANONICAL.encode(payload).encode("ascii")
 
 
 def payload_digest(payload: dict) -> str:
     """SHA-256 over the canonical JSON serialization of ``payload``."""
-    blob = json.dumps(payload, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(blob.encode("utf-8")).hexdigest()
+    return hashlib.sha256(_canonical_bytes(payload)).hexdigest()
 
 
 @dataclasses.dataclass(frozen=True)
@@ -96,18 +140,25 @@ def write_checkpoint(path: Union[str, Path], kind: str, payload: dict) -> None:
     if kind not in KNOWN_KINDS:
         raise CheckpointError(f"unknown checkpoint kind {kind!r}")
     target = Path(path)
-    document = {
-        "format": FORMAT_NAME,
-        "format_version": FORMAT_VERSION,
-        "code_version": __version__,
-        "kind": kind,
-        "sha256": payload_digest(payload),
-        "payload": payload,
-    }
+    # Simulator state is serialized once: the bytes that are hashed are
+    # the bytes spliced into the envelope.
+    blob = _canonical_bytes(payload)
+    digest = hashlib.sha256(blob).hexdigest()
+    if kind not in _ORDER_FREE_KINDS:
+        blob = json.dumps(payload, separators=(",", ":")).encode("ascii")
+    header = json.dumps(
+        {
+            "format": FORMAT_NAME,
+            "format_version": FORMAT_VERSION,
+            "code_version": __version__,
+            "kind": kind,
+            "sha256": digest,
+        },
+        separators=(",", ":"),
+    )
     target.parent.mkdir(parents=True, exist_ok=True)
-    blob = json.dumps(document, separators=(",", ":"))
     tmp = target.with_name(target.name + ".tmp")
-    tmp.write_text(blob, encoding="utf-8")
+    tmp.write_bytes(header[:-1].encode("ascii") + b',"payload":' + blob + b"}")
     tmp.replace(target)
 
 
@@ -126,7 +177,8 @@ def read_checkpoint(
     """
     target = Path(path)
     try:
-        data = json.loads(target.read_text(encoding="utf-8"))
+        with gc_paused():
+            data = json.loads(target.read_text(encoding="utf-8"))
     except (OSError, json.JSONDecodeError) as exc:
         raise CheckpointError(f"cannot read checkpoint {target}: {exc}") from exc
     if not isinstance(data, dict) or data.get("format") != FORMAT_NAME:
@@ -193,6 +245,7 @@ def inspect_checkpoint(path: Union[str, Path]) -> dict:
     payload = document.payload
     if document.kind == KIND_NETWORK:
         summary.update(_network_summary(payload))
+        summary.update(_size_summary([payload]))
     elif document.kind == KIND_SWEEP_UNIT:
         unit = payload.get("unit", {})
         summary.update(
@@ -205,7 +258,9 @@ def inspect_checkpoint(path: Union[str, Path]) -> dict:
                 "events_total": len(payload.get("origins", [])),
             }
         )
-        summary.update(_network_summary(payload.get("network", {})))
+        network = payload.get("network", {})
+        summary.update(_network_summary(network))
+        summary.update(_size_summary([network]))
     elif document.kind == KIND_PARTITION:
         parts = payload.get("parts", [])
         summary.update(
@@ -222,6 +277,7 @@ def inspect_checkpoint(path: Union[str, Path]) -> dict:
         )
         if parts:
             summary.update(_network_summary(parts[0]))
+            summary.update(_size_summary(parts))
     elif document.kind == KIND_CAMPAIGN:
         summary.update(
             {
@@ -248,3 +304,76 @@ def _network_summary(payload: dict) -> dict:
         "pending_events": len(engine.get("pending", [])),
         "delivered_messages": payload.get("delivered_messages"),
     }
+
+
+#: Which size row of ``checkpoint inspect`` a node field is counted in
+#: (fields not named here are per-node counters).
+_NODE_FIELD_SECTIONS = {
+    "rng": "rng",
+    "rng_draws": "rng",
+    "rng_mark": "rng",
+    "adj_rib_in": "ribs",
+    "loc_rib": "ribs",
+    "local_prefixes": "ribs",
+    "channels": "channels",
+    "wakeup_at": "channels",
+    "down_neighbors": "channels",
+}
+
+#: Likewise for the top-level fields of a network payload.
+_NETWORK_FIELD_SECTIONS = {
+    "engine": "engine",
+    "counter": "counters",
+    "trace": "counters",
+    "delivered_messages": "counters",
+}
+
+
+def network_section_bytes(payload: dict) -> dict:
+    """Canonical-JSON bytes of a network payload, by section.
+
+    ``rng`` / ``ribs`` / ``channels`` / ``counters`` / ``engine`` hold
+    ``"key":value`` bytes of the fields counted there; ``other`` is the
+    rest (seed, config, topology identity, brackets and node ids), so
+    the values add up to the payload's canonical size.
+    """
+    sizes = dict.fromkeys(("rng", "ribs", "channels", "counters", "engine"), 0)
+
+    def count(section: str, key: str, value: object) -> None:
+        # "key":value plus the comma that separates it from the next field
+        sizes[section] += len(key) + 4 + len(_CANONICAL.encode(value))
+
+    for key, value in payload.items():
+        if key in _NETWORK_FIELD_SECTIONS:
+            count(_NETWORK_FIELD_SECTIONS[key], key, value)
+    for _node_id, state in payload.get("nodes", []):
+        for key, value in state.items():
+            count(_NODE_FIELD_SECTIONS.get(key, "counters"), key, value)
+    sizes["other"] = len(_CANONICAL.encode(payload)) - sum(sizes.values())
+    return sizes
+
+
+def _size_summary(networks: list) -> dict:
+    """RNG encoding and bytes per section over one or more network payloads."""
+    states = [
+        state for payload in networks for _node_id, state in payload.get("nodes", [])
+    ]
+    if not states:
+        return {}
+    full = sum(1 for state in states if "rng" in state)
+    if full == 0:
+        draws = sum(state.get("rng_draws", 0) for state in states)
+        encoding = f"draw counts ({draws:,} total)"
+    elif full == len(states):
+        encoding = "full states"
+    else:
+        encoding = f"mixed ({full} of {len(states)} nodes carry full states)"
+    sizes: dict = {}
+    for payload in networks:
+        for section, size in network_section_bytes(payload).items():
+            sizes[section] = sizes.get(section, 0) + size
+    total = sum(sizes.values())
+    summary = {"rng_encoding": encoding, "network_bytes": f"{total:,}"}
+    for section, size in sizes.items():
+        summary[f"bytes_{section}"] = f"{size:,} ({100.0 * size / total:.1f} %)"
+    return summary

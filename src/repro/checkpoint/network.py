@@ -20,6 +20,7 @@ from typing import TYPE_CHECKING, Optional
 
 from repro.bgp.config import BGPConfig
 from repro.bgp.events import build_event, describe_event
+from repro.checkpoint.format import gc_paused
 from repro.checkpoint.state import (
     counter_state_from_json,
     counter_state_to_json,
@@ -35,6 +36,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.topology.graph import ASGraph
 
 
+@gc_paused()
 def snapshot_network(network: SimNetwork) -> dict:
     """Capture a :class:`SimNetwork`'s complete state as a JSON payload.
 
@@ -47,6 +49,8 @@ def snapshot_network(network: SimNetwork) -> dict:
         (time, sequence, describe_event(callback))
         for time, sequence, callback in engine.dump_pending()
     )
+    if network.topology_digest is None:
+        network.topology_digest = topology_digest(network.graph)
     trace = None
     if network.trace is not None:
         trace = {
@@ -62,7 +66,7 @@ def snapshot_network(network: SimNetwork) -> dict:
         "topology": {
             "scenario": network.graph.scenario,
             "n": len(network.graph),
-            "digest": topology_digest(network.graph),
+            "digest": network.topology_digest,
         },
         "engine": {
             "now": engine.now,
@@ -86,6 +90,7 @@ def snapshot_network(network: SimNetwork) -> dict:
     }
 
 
+@gc_paused()
 def restore_network(
     graph: "ASGraph",
     payload: dict,
@@ -127,6 +132,7 @@ def restore_network(
     network = SimNetwork(
         graph, BGPConfig.from_dict(config_data), seed=seed, local_nodes=local_nodes
     )
+    network.topology_digest = digest
 
     restored_ids = [node_id for node_id, _ in node_states]
     expected_ids = (

@@ -1,13 +1,18 @@
 """Converters between live simulator state and JSON-primitive payloads.
 
 :mod:`repro.bgp.node` and friends expose their mutable state as live
-Python objects (routes, messages, RNG state tuples) via
+Python objects (routes, messages) via
 ``checkpoint_state``/``restore_state``; this module maps those to and
 from pure JSON primitives for the on-disk format.  Every dict is
 serialized as a list of pairs *in insertion order* — the simulator's
 float summations and decision tie-breaks iterate dicts, so a restored
 run must replay the exact insertion history, not just the same
 key/value sets.
+
+Schema 1.6.0 writes a node's RNG stream as ``rng_draws``/``rng_mark``
+(a count and a fingerprint, not 625 state words) and leaves out every
+field that still holds its construction default, so a snapshot taken at
+a quiescent C-event boundary is mostly RIB, gate and counter data.
 """
 
 from __future__ import annotations
@@ -83,10 +88,90 @@ def route_from_json(data: list) -> Route:
 # ----------------------------------------------------------------------
 # Per-node state
 # ----------------------------------------------------------------------
+#: Construction defaults of a node's JSON fields: a field equal to its
+#: default is left out of the document and filled back in on read.
+_NODE_DEFAULTS = {
+    "busy": False,
+    "in_queue": [],
+    "adj_rib_in": [],
+    "loc_rib": [],
+    "local_prefixes": [],
+    "wakeup_at": [],
+    "down_neighbors": [],
+    "damper": [],
+    "best_change_count": [],
+}
+
+#: Likewise for one output channel.
+_CHANNEL_DEFAULTS = {
+    "sent": [],
+    "pending": [],
+    "interface_gate": 0.0,
+    "prefix_gates": [],
+    "arms": 0,
+}
+
+
+def _without_defaults(document: dict, defaults: dict) -> dict:
+    return {
+        key: value
+        for key, value in document.items()
+        if key not in defaults or value != defaults[key]
+    }
+
+
+def _channel_state_to_json(channel: dict) -> dict:
+    return _without_defaults(
+        {
+            "sent": [
+                [prefix_to_json(prefix), path_to_json(target)]
+                for prefix, target in channel["sent"].items()
+            ],
+            "pending": [
+                [prefix_to_json(prefix), path_to_json(target)]
+                for prefix, target in channel["pending"].items()
+            ],
+            "interface_gate": channel["interface_gate"],
+            "prefix_gates": [
+                [prefix_to_json(prefix), gate]
+                for prefix, gate in channel["prefix_gates"].items()
+            ],
+            "arms": channel["arms"],
+        },
+        _CHANNEL_DEFAULTS,
+    )
+
+
+def _channel_state_from_json(data: dict) -> dict:
+    # ``arms`` is also absent from every pre-1.6 channel; those nodes
+    # restore from a full RNG state and never read it.
+    channel = {**_CHANNEL_DEFAULTS, **data}
+    return {
+        "sent": {
+            prefix_from_json(prefix): path_from_json(target)
+            for prefix, target in channel["sent"]
+        },
+        "pending": {
+            prefix_from_json(prefix): path_from_json(target)
+            for prefix, target in channel["pending"]
+        },
+        "interface_gate": float(channel["interface_gate"]),
+        "prefix_gates": {
+            prefix_from_json(prefix): float(gate)
+            for prefix, gate in channel["prefix_gates"]
+        },
+        "arms": int(channel["arms"]),
+    }
+
+
 def node_state_to_json(state: dict) -> dict:
     """Serialize one :meth:`BGPNode.checkpoint_state` result."""
-    return {
-        "rng": rng_state_to_json(state["rng_state"]),
+    if "rng_state" in state:
+        stream = {"rng": rng_state_to_json(state["rng_state"])}
+    else:
+        stream = {"rng_draws": state["rng_draws"], "rng_mark": state["rng_mark"]}
+    document = {
+        **stream,
         "busy": state["busy"],
         "in_queue": [message_to_json(m) for m in state["in_queue"]],
         "adj_rib_in": [
@@ -99,27 +184,13 @@ def node_state_to_json(state: dict) -> dict:
         ],
         "local_prefixes": [prefix_to_json(p) for p in state["local_prefixes"]],
         "channels": [
-            [
-                neighbor,
-                {
-                    "sent": [
-                        [prefix_to_json(prefix), path_to_json(target)]
-                        for prefix, target in channel["sent"].items()
-                    ],
-                    "pending": [
-                        [prefix_to_json(prefix), path_to_json(target)]
-                        for prefix, target in channel["pending"].items()
-                    ],
-                    "interface_gate": channel["interface_gate"],
-                    "prefix_gates": list(
-                        [prefix_to_json(prefix), gate]
-                        for prefix, gate in channel["prefix_gates"].items()
-                    ),
-                },
-            ]
+            [neighbor, _channel_state_to_json(channel)]
             for neighbor, channel in state["channels"].items()
         ],
-        "wakeup_at": [[n, at] for n, at in state["wakeup_at"].items()],
+        # Restore starts every neighbour at "no wakeup", in neighbour order.
+        "wakeup_at": [
+            [n, at] for n, at in state["wakeup_at"].items() if at is not None
+        ],
         "down_neighbors": list(state["down_neighbors"]),
         "damper": [
             [neighbor, prefix_to_json(prefix), penalty, last, suppressed]
@@ -136,13 +207,27 @@ def node_state_to_json(state: dict) -> dict:
         "decisions_run": state["decisions_run"],
         "decisions_skipped": state["decisions_skipped"],
     }
+    return _without_defaults(document, _NODE_DEFAULTS)
 
 
 def node_state_from_json(data: dict) -> dict:
-    """Inverse of :func:`node_state_to_json` (``restore_state`` input)."""
+    """Inverse of :func:`node_state_to_json` (``restore_state`` input).
+
+    Pre-1.6 documents carry the full generator state under ``rng`` and
+    no per-channel ``arms``; they restore to a node that keeps writing
+    full states (its draw count is unknown).
+    """
     try:
+        data = {**_NODE_DEFAULTS, **data}
+        if "rng" in data:
+            stream = {"rng_state": rng_state_from_json(data["rng"])}
+        else:
+            stream = {
+                "rng_draws": int(data["rng_draws"]),
+                "rng_mark": int(data["rng_mark"]),
+            }
         return {
-            "rng_state": rng_state_from_json(data["rng"]),
+            **stream,
             "busy": bool(data["busy"]),
             "in_queue": [message_from_json(m) for m in data["in_queue"]],
             "adj_rib_in": [
@@ -155,21 +240,7 @@ def node_state_from_json(data: dict) -> dict:
             ],
             "local_prefixes": [prefix_from_json(p) for p in data["local_prefixes"]],
             "channels": {
-                int(neighbor): {
-                    "sent": {
-                        prefix_from_json(prefix): path_from_json(target)
-                        for prefix, target in channel["sent"]
-                    },
-                    "pending": {
-                        prefix_from_json(prefix): path_from_json(target)
-                        for prefix, target in channel["pending"]
-                    },
-                    "interface_gate": float(channel["interface_gate"]),
-                    "prefix_gates": {
-                        prefix_from_json(prefix): float(gate)
-                        for prefix, gate in channel["prefix_gates"]
-                    },
-                }
+                int(neighbor): _channel_state_from_json(channel)
                 for neighbor, channel in data["channels"]
             },
             "wakeup_at": {

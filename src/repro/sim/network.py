@@ -49,6 +49,10 @@ class SimNetwork:
         self.counter = UpdateCounter()
         self.trace: Optional[MonitorTrace] = None
         self.delivered_messages = 0
+        #: Content digest of ``graph``, filled in by the first checkpoint
+        #: snapshot or restore so later snapshots of this network do not
+        #: re-hash a topology that was fixed when the nodes were built.
+        self.topology_digest: Optional[str] = None
         #: None for a whole-graph network; a frozen member set when this
         #: network simulates one partition of the graph.  Only members
         #: get a BGPNode; a transmit towards a non-member lands in

@@ -12,9 +12,11 @@ from repro.checkpoint.batch import (
     unit_checkpoint_key,
     unit_checkpoint_path,
 )
+from repro.checkpoint.format import read_checkpoint
 from repro.core.factors import RawFactorSums
 from repro.core.sweep import SweepUnit, execute_sweep_unit
 from repro.errors import CheckpointError
+from repro.obs import telemetry_session
 
 FAST = BGPConfig(mrai=2.0, link_delay=0.001, processing_time_max=0.01)
 
@@ -141,8 +143,53 @@ class TestResumeRobustness:
             lambda *a, **kw: (writes.append(1), original(*a, **kw)),
         )
         execute_sweep_unit_checkpointed(unit, tmp_path, checkpoint_every=2)
-        # 4 origins, every 2nd event (the final event also checkpoints).
-        assert len(writes) == 2
+        # 4 origins, every 2nd event; nothing is written after the last.
+        assert len(writes) == 1
+
+    def test_kill_after_last_event_resumes_from_previous_checkpoint(
+        self, tmp_path, monkeypatch
+    ):
+        unit = _unit("baseline", 60, FAST)
+        _interrupt_after(monkeypatch, events=4)  # dies before returning
+        with pytest.raises(Interrupt):
+            execute_sweep_unit_checkpointed(unit, tmp_path)
+        monkeypatch.undo()
+
+        path = unit_checkpoint_path(tmp_path, unit)
+        assert read_checkpoint(path).payload["next_index"] == 3
+        resumed = execute_sweep_unit_checkpointed(unit, tmp_path)
+        _assert_identical(execute_sweep_unit(unit), resumed)
+        assert list(tmp_path.iterdir()) == []
+
+    def test_discarded_checkpoint_is_reported_and_counted(self, tmp_path, capsys):
+        unit = _unit("baseline", 60, FAST)
+        path = unit_checkpoint_path(tmp_path, unit)
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text("{broken", encoding="utf-8")
+        with telemetry_session() as telemetry:
+            execute_sweep_unit_checkpointed(unit, tmp_path)
+        assert telemetry.counters["checkpoint.discarded"] == 1
+        assert "checkpoint.resumes" not in telemetry.counters
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1
+        assert path.name in lines[0] and "cannot read checkpoint" in lines[0]
+
+    def test_telemetry_accounts_for_writes_and_resumes(self, tmp_path, monkeypatch):
+        unit = _unit("baseline", 60, FAST)
+        _interrupt_after(monkeypatch, events=2)
+        with telemetry_session() as first, pytest.raises(Interrupt):
+            execute_sweep_unit_checkpointed(unit, tmp_path)
+        monkeypatch.undo()
+        size = unit_checkpoint_path(tmp_path, unit).stat().st_size
+        assert first.counters["checkpoint.writes"] == 2
+        assert first.counters["checkpoint.bytes"] >= size  # two files this size
+        assert first.phase_seconds["checkpoint"] > 0.0
+
+        with telemetry_session() as second:
+            execute_sweep_unit_checkpointed(unit, tmp_path)
+        assert second.counters["checkpoint.resumes"] == 1
+        assert second.counters["checkpoint.writes"] == 1  # event 3 of 4 only
+        assert "checkpoint.discarded" not in second.counters
 
     def test_checkpoint_every_must_be_positive(self, tmp_path):
         unit = _unit("baseline", 60, FAST)

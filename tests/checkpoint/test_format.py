@@ -55,6 +55,30 @@ class TestWriteRead:
             read_checkpoint(path, expected_kind=KIND_SWEEP_UNIT)
 
 
+class TestEnvelopeBytes:
+    PAYLOAD = {"zeta": [1, {"b": 2.5, "a": None}], "alpha": {"y": 1, "x": 2}}
+
+    def test_simulator_state_is_hashed_and_written_as_the_same_bytes(self, path):
+        write_checkpoint(path, KIND_SWEEP_UNIT, self.PAYLOAD)
+        raw = path.read_bytes()
+        canonical = json.dumps(
+            self.PAYLOAD, sort_keys=True, separators=(",", ":")
+        ).encode("ascii")
+        assert raw.endswith(b',"payload":' + canonical + b"}")
+        document = read_checkpoint(path)
+        assert document.sha256 == payload_digest(self.PAYLOAD)
+        assert document.payload == self.PAYLOAD and document.digest_ok
+
+    def test_campaign_state_keeps_its_key_order(self, path):
+        # Experiment results are re-rendered from the dicts as parsed, so
+        # a resumed campaign's artifact depends on the order surviving.
+        write_checkpoint(path, KIND_CAMPAIGN, self.PAYLOAD)
+        document = read_checkpoint(path)
+        assert list(document.payload) == ["zeta", "alpha"]
+        assert list(document.payload["alpha"]) == ["y", "x"]
+        assert document.sha256 == payload_digest(self.PAYLOAD)
+
+
 class TestValidation:
     def test_missing_file(self, tmp_path):
         with pytest.raises(CheckpointError, match="cannot read"):
@@ -145,3 +169,37 @@ class TestInspect:
         data["payload"]["scale"] = "edited"
         path.write_text(json.dumps(data), encoding="utf-8")
         assert inspect_checkpoint(path)["digest_ok"] is False
+
+    def test_inspect_reports_rng_encoding_and_bytes_per_section(self, path):
+        from repro.checkpoint import snapshot_network
+        from repro.checkpoint.format import network_section_bytes
+        from repro.sim.network import SimNetwork
+        from repro.topology.generator import generate_topology
+        from repro.topology.scenarios import scenario_params
+
+        from tests.checkpoint.legacy import legacy_snapshot_network
+
+        graph = generate_topology(scenario_params("baseline", 60), seed=11)
+        network = SimNetwork(graph, seed=12)
+        network.originate(graph.node_ids[-1], 0)
+        network.run_to_convergence()
+        payload = snapshot_network(network)
+        draws = sum(node.rng_draws for node in network.nodes.values())
+
+        write_checkpoint(path, KIND_NETWORK, payload)
+        summary = inspect_checkpoint(path)
+        assert summary["rng_encoding"] == f"draw counts ({draws:,} total)"
+        sizes = network_section_bytes(payload)
+        assert set(sizes) == {"rng", "ribs", "channels", "counters", "engine", "other"}
+        canonical = json.dumps(payload, sort_keys=True, separators=(",", ":"))
+        assert sum(sizes.values()) == len(canonical)
+        assert summary["network_bytes"] == f"{len(canonical):,}"
+        assert summary["bytes_rng"].startswith(f"{sizes['rng']:,} (")
+        assert sizes["rng"] < 0.2 * len(canonical)
+
+        write_checkpoint(path, KIND_NETWORK, legacy_snapshot_network(network))
+        legacy = inspect_checkpoint(path)
+        assert legacy["rng_encoding"] == "full states"
+        full = network_section_bytes(read_checkpoint(path).payload)
+        assert full["rng"] > 0.5 * sum(full.values())
+        assert full["ribs"] >= sizes["ribs"]  # plus the empty fields 1.5.0 wrote

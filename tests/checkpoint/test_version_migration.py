@@ -1,10 +1,15 @@
-"""Checkpoints written by the previous release restore under this one.
+"""Checkpoints written by earlier releases restore under this one.
 
-The checkpoint schema has not changed since 1.4.0 introduced the
-``partition`` kind, so a document whose envelope is stamped 1.4.0 must
-pass the restore gate *and* produce the same continuation as a document
-stamped with the running version — for every kind that is restored from
-disk: ``network``, ``sweep-unit`` and ``partition``.
+A document whose envelope is stamped 1.4.0 must pass the restore gate
+*and* produce the same continuation as a document stamped with the
+running version — for every kind that is restored from disk:
+``network``, ``sweep-unit`` and ``partition``.
+
+1.6.0 changed the node layout (RNG streams as draw counts, sparse
+defaults).  The second half writes 1.5.0 documents the way 1.5.0 did —
+full ``rng`` states, every field present (``tests/checkpoint/legacy.py``)
+— and requires the same of them, plus that the restored network, which
+no longer knows its draw counts, snapshots and restores again.
 """
 
 import json
@@ -12,6 +17,7 @@ import json
 import pytest
 
 import repro.checkpoint.batch as batch_module
+import repro.checkpoint.partition as partition_module
 from repro._version import __version__
 from repro.bgp.config import BGPConfig
 from repro.checkpoint import restore_network, snapshot_network
@@ -37,7 +43,17 @@ from repro.topology.generator import generate_topology
 from repro.topology.partition import partition_graph
 from repro.topology.scenarios import scenario_params
 
+from tests.checkpoint.legacy import legacy_snapshot_network
+from tests.checkpoint.test_batch import (
+    Interrupt,
+    _assert_identical,
+    _interrupt_after,
+    _unit,
+)
+
 PREVIOUS_RELEASE = "1.4.0"
+#: The last release of the full-RNG-state node layout.
+FULL_STATE_RELEASE = "1.5.0"
 FAST = BGPConfig(mrai=2.0, link_delay=0.001, processing_time_max=0.01)
 
 
@@ -146,3 +162,128 @@ def test_partition_checkpoint_from_previous_release_restores(tmp_path):
     assert dict(restored.collect_counters()[0].received) == dict(
         runner.collect_counters()[0].received
     )
+
+
+# ----------------------------------------------------------------------
+# 1.5.0 documents: the pre-1.6 node layout, full RNG states included
+# ----------------------------------------------------------------------
+def _rng_states(network):
+    return {nid: node._rng.getstate() for nid, node in network.nodes.items()}
+
+
+def _mid_flood_network():
+    graph = generate_topology(scenario_params("baseline", 60), seed=11)
+    network = SimNetwork(graph, FAST, seed=12)
+    network.start_counting()
+    network.originate(graph.node_ids[-1], 0)
+    for _ in range(150):
+        network.engine.step()
+    assert network.engine.pending_events, "snapshot point must be mid-flood"
+    return graph, network
+
+
+def test_full_state_network_checkpoint_restores_and_round_trips(tmp_path):
+    graph, network = _mid_flood_network()
+    path = tmp_path / "net.ckpt"
+    write_checkpoint(path, KIND_NETWORK, legacy_snapshot_network(network))
+    _stamp(path, FULL_STATE_RELEASE)
+
+    document = read_checkpoint(path, expected_kind=KIND_NETWORK)
+    assert document.code_version == FULL_STATE_RELEASE
+    first_node = document.payload["nodes"][0][1]
+    assert len(first_node["rng"][1]) == 625 and "rng_draws" not in first_node
+    restored = restore_network(graph, document.payload)
+    assert _rng_states(restored) == _rng_states(network)
+
+    # The restored nodes cannot know their draw counts: a re-snapshot
+    # carries full states again, and restores to the same streams.
+    again_path = tmp_path / "again.ckpt"
+    write_checkpoint(again_path, KIND_NETWORK, snapshot_network(restored))
+    again_payload = read_checkpoint(again_path).payload
+    assert all("rng" in state for _, state in again_payload["nodes"])
+    again = restore_network(graph, again_payload)
+    assert _rng_states(again) == _rng_states(network)
+
+    for continued in (network, restored, again):
+        continued.run_to_convergence()
+    for continued in (restored, again):
+        assert continued.engine.now == network.engine.now
+        assert continued.engine.executed_events == network.engine.executed_events
+        assert continued.counter.dump_state() == network.counter.dump_state()
+        assert _rng_states(continued) == _rng_states(network)
+
+
+def test_full_state_sweep_unit_checkpoint_resumes(tmp_path, monkeypatch):
+    unit = _unit("baseline", 60, FAST)
+    plain = execute_sweep_unit(unit)
+    run_batch = batch_module.run_c_event_batch
+
+    _interrupt_after(monkeypatch, events=2)
+    monkeypatch.setattr(batch_module, "snapshot_network", legacy_snapshot_network)
+    with pytest.raises(Interrupt):
+        execute_sweep_unit_checkpointed(unit, tmp_path)
+    monkeypatch.undo()
+    path = unit_checkpoint_path(tmp_path, unit)
+    _stamp(path, FULL_STATE_RELEASE)
+    assert "rng" in read_checkpoint(path).payload["network"]["nodes"][0][1]
+
+    resumed_from = []
+    rewritten = []
+    write = batch_module.write_checkpoint
+
+    def recording(*args, **kwargs):
+        cursor = kwargs["cursor"]
+        resumed_from.append(None if cursor is None else cursor.next_index)
+        return run_batch(*args, **kwargs)
+
+    def keeping(path, kind, payload):
+        rewritten.append(payload)
+        return write(path, kind, payload)
+
+    monkeypatch.setattr(batch_module, "run_c_event_batch", recording)
+    monkeypatch.setattr(batch_module, "write_checkpoint", keeping)
+    resumed = execute_sweep_unit_checkpointed(unit, tmp_path)
+    assert resumed_from == [2], "1.5.0 checkpoint was discarded, not resumed"
+    # The checkpoint after event 3 comes from nodes of unknown draw count.
+    assert [payload["next_index"] for payload in rewritten] == [3]
+    assert all("rng" in state for _, state in rewritten[0]["network"]["nodes"])
+    _assert_identical(plain, resumed)
+
+
+def test_full_state_partition_checkpoint_restores_and_round_trips(
+    tmp_path, monkeypatch
+):
+    graph = generate_topology(scenario_params("BASELINE", 30), seed=5)
+    partition = partition_graph(graph, 2)
+    parts = build_local_parts(graph, partition, FAST, seed=3)
+    runner = LockstepRunner(partition, parts, link_delay=FAST.link_delay)
+    runner.set_counting(True)
+    runner.apply("originate", graph.node_ids[0], host_prefix(0))
+    target = runner.now
+    while not runner.pending_border_events():
+        target += FAST.link_delay / 2
+        runner.advance(target)
+        assert target < 5.0, "flood never produced in-flight border events"
+    path = tmp_path / "run.ckpt"
+    with monkeypatch.context() as patch:
+        patch.setattr(partition_module, "snapshot_network", legacy_snapshot_network)
+        write_checkpoint(path, KIND_PARTITION, snapshot_partitioned_run(runner))
+    _stamp(path, FULL_STATE_RELEASE)
+
+    document = read_checkpoint(path, expected_kind=KIND_PARTITION)
+    assert document.code_version == FULL_STATE_RELEASE
+    assert "rng" in document.payload["parts"][0]["nodes"][0][1]
+    restored = restore_partitioned_run(graph, document.payload)
+    again = restore_partitioned_run(
+        graph, json.loads(json.dumps(snapshot_partitioned_run(restored)))
+    )
+    for continued in (runner, restored, again):
+        continued.converge()
+    for continued in (restored, again):
+        assert continued.now == runner.now
+        assert continued.windows == runner.windows
+        assert dict(continued.collect_counters()[0].received) == dict(
+            runner.collect_counters()[0].received
+        )
+        for live, other in zip(runner.parts, continued.parts):
+            assert _rng_states(other.network) == _rng_states(live.network)
