@@ -1,0 +1,280 @@
+"""Golden digests of the event kernel's trajectory.
+
+``data/kernel_digests.json`` pins, for a Baseline n = 200 topology and
+fixed seeds, the sha256 of everything a run leaves behind that a later
+run could read: the measurement plane after every C-event (per-node
+received / announcements / withdrawals, per-pair counts), the engine's
+``executed_events`` / ``cancelled_events`` / ``next_sequence`` / final
+clock, and per node its RNG draw count, busy time, processing and
+decision counters and Loc-RIB.  One case per corner of the protocol
+model: NO-WRATE/WRATE x PER_INTERFACE/PER_PREFIX x DELAY_FIRST/SEND_FIRST
+C-events, a flap storm under damping, the radix RIB backend, ``mrai=0``,
+link down/up events and a multi-prefix churn run.
+
+The kernel may get cheaper per event; it may not execute a different
+event, draw a different random number or count a different update.  The
+file was recorded on the commit *before* the hot-path rewrite it guards.
+
+Re-record (only when the trajectory is *meant* to change) with
+``PYTHONPATH=src python tests/sim/test_kernel_digests.py``.
+"""
+
+import contextlib
+import hashlib
+import json
+from pathlib import Path
+
+import pytest
+
+from repro.bgp.config import BGPConfig, DampingConfig, MRAIMode, SendDiscipline
+from repro.core import linkevent, prefix_churn
+from repro.core.cevent import new_batch_cursor, pick_origins, run_c_event_batch
+from repro.prefix.prefix import Prefix, prefix_to_json
+from repro.prefix.workload import PrefixChurnSpec
+from repro.sim.network import SimNetwork
+from repro.topology.generator import generate_topology
+from repro.topology.params import baseline_params
+
+DIGESTS_PATH = Path(__file__).parent / "data" / "kernel_digests.json"
+
+_N = 200
+_TOPOLOGY_SEED = 11
+_SIM_SEED = 23
+_ORIGINS = 3
+
+
+def _graph():
+    return generate_topology(baseline_params(_N), seed=_TOPOLOGY_SEED)
+
+
+def _token_key(token):
+    return (isinstance(token, Prefix), prefix_to_json(token))
+
+
+def counter_state(counter) -> dict:
+    """The measurement plane, order-free."""
+    return {
+        "total": counter.total,
+        "received": sorted(counter.received.items()),
+        "announcements": sorted(counter.announcements.items()),
+        "withdrawals": sorted(counter.withdrawals.items()),
+        "received_by_pair": sorted(
+            [receiver, sender, count]
+            for (receiver, sender), count in counter.received_by_pair.items()
+        ),
+    }
+
+
+def network_state(network: SimNetwork) -> dict:
+    """Everything the kernel leaves in a network besides its counter."""
+    engine = network.engine
+    nodes = []
+    for node_id in sorted(network.nodes):
+        node = network.nodes[node_id]
+        loc_rib = [
+            [prefix_to_json(prefix), list(route.path), route.local_pref]
+            for prefix, route in sorted(
+                node.loc_rib.entries(), key=lambda entry: _token_key(entry[0])
+            )
+        ]
+        nodes.append(
+            [
+                node_id,
+                node.rng_draws,
+                node.busy_time.hex(),
+                node.processed_count,
+                node.max_queue_length,
+                node.decisions_run,
+                node.decisions_skipped,
+                sorted(
+                    ([prefix_to_json(p), c] for p, c in node.best_change_count.items()),
+                    key=repr,
+                ),
+                loc_rib,
+            ]
+        )
+    return {
+        "executed_events": engine.executed_events,
+        "cancelled_events": engine.cancelled_events,
+        "next_sequence": engine.next_sequence,
+        "pending_events": engine.pending_events,
+        "now": engine.now.hex(),
+        "delivered_messages": network.delivered_messages,
+        "nodes": nodes,
+    }
+
+
+def _digest(document) -> str:
+    canonical = json.dumps(document, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+
+
+@contextlib.contextmanager
+def _capture_networks(module):
+    """Record every ``SimNetwork`` a driver module builds."""
+    built = []
+    original = module.SimNetwork
+
+    def recording(*args, **kwargs):
+        network = original(*args, **kwargs)
+        built.append(network)
+        return network
+
+    module.SimNetwork = recording
+    try:
+        yield built
+    finally:
+        module.SimNetwork = original
+
+
+def _c_event_case(config: BGPConfig):
+    def run() -> str:
+        graph = _graph()
+        origins = pick_origins(graph, _ORIGINS, _SIM_SEED)
+        cursor = new_batch_cursor(graph, config, origins=origins, seed=_SIM_SEED)
+        per_event = []
+        run_c_event_batch(
+            graph,
+            config,
+            origins=origins,
+            seed=_SIM_SEED,
+            cursor=cursor,
+            after_event=lambda c: per_event.append(counter_state(c.network.counter)),
+        )
+        return _digest({"events": per_event, "network": network_state(cursor.network)})
+
+    return run
+
+
+def _flap_storm(config: BGPConfig):
+    """One stub flapping an int-token prefix; counters read mid-flight."""
+
+    def run() -> str:
+        graph = _graph()
+        origin = pick_origins(graph, 1, _SIM_SEED)[0]
+        network = SimNetwork(graph, config, seed=_SIM_SEED)
+        network.originate(origin, 0)
+        network.run_to_convergence()
+        network.start_counting()
+        start = network.engine.now
+        for k in range(6):
+            network.engine.schedule_at(
+                start + 20.0 * k, lambda: network.withdraw(origin, 0)
+            )
+            network.engine.schedule_at(
+                start + 20.0 * k + 10.0, lambda: network.originate(origin, 0)
+            )
+        network.engine.run(until=start + 150.0)
+        halted = {
+            "counter": counter_state(network.counter),
+            "network": network_state(network),
+        }
+        network.run_to_convergence()
+        return _digest(
+            {
+                "halted": halted,
+                "counter": counter_state(network.counter),
+                "network": network_state(network),
+            }
+        )
+
+    return run
+
+
+def _link_events() -> str:
+    graph = _graph()
+    origin = pick_origins(graph, 1, _SIM_SEED)[0]
+    with _capture_networks(linkevent) as built:
+        stats = linkevent.run_link_event_experiment(
+            graph, BGPConfig(wrate=True), origin=origin, num_links=2, seed=_SIM_SEED
+        )
+    (network,) = built
+    return _digest(
+        {
+            "links": stats.links,
+            "down": stats.mean_down_convergence.hex(),
+            "up": stats.mean_up_convergence.hex(),
+            "counter": counter_state(network.counter),
+            "network": network_state(network),
+        }
+    )
+
+
+def _prefix_churn(rib_backend: str):
+    def run() -> str:
+        graph = _graph()
+        allocation = prefix_churn.build_allocation(graph, 24, num_origins=6, seed=_SIM_SEED)
+        spec = PrefixChurnSpec(
+            duration=200.0, event_rate=0.1, mean_downtime=30.0, deaggregation_probability=0.3
+        )
+        config = BGPConfig(mrai_mode=MRAIMode.PER_PREFIX, wrate=True, rib_backend=rib_backend)
+        with _capture_networks(prefix_churn) as built:
+            result = prefix_churn.run_prefix_churn(
+                graph, allocation, spec, config, seed=_SIM_SEED
+            )
+        (network,) = built
+        return _digest(
+            {
+                "executed": result.events_executed,
+                "absorbed": result.events_absorbed,
+                "loc_rib_digest": result.loc_rib_digest,
+                "counter": counter_state(network.counter),
+                "network": network_state(network),
+            }
+        )
+
+    return run
+
+
+CASES = {
+    f"c-event/{'wrate' if wrate else 'no-wrate'}/{mode.value}/{discipline.value}": _c_event_case(
+        BGPConfig(wrate=wrate, mrai_mode=mode, discipline=discipline)
+    )
+    for wrate in (False, True)
+    for mode in MRAIMode
+    for discipline in SendDiscipline
+}
+CASES.update(
+    {
+        "c-event/radix": _c_event_case(BGPConfig(rib_backend="radix")),
+        "c-event/mrai=0": _c_event_case(BGPConfig(mrai=0.0)),
+        "c-event/damping": _c_event_case(
+            BGPConfig(damping=DampingConfig(enabled=True))
+        ),
+        "flap-storm/damping": _flap_storm(
+            # NO-WRATE: under WRATE the 10 s re-announce cancels the still
+            # queued withdrawal and the storm never leaves the origin.
+            BGPConfig(
+                damping=DampingConfig(
+                    enabled=True, suppress_threshold=2.0, reuse_threshold=0.75, half_life=60.0
+                )
+            )
+        ),
+        "link-events/wrate": _link_events,
+        "prefix-churn/dict": _prefix_churn("dict"),
+        "prefix-churn/radix": _prefix_churn("radix"),
+    }
+)
+
+
+@pytest.fixture(scope="module")
+def recorded():
+    return json.loads(DIGESTS_PATH.read_text(encoding="utf-8"))
+
+
+def test_every_case_is_recorded(recorded):
+    assert sorted(recorded) == sorted(CASES)
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_kernel_trajectory_is_pinned(case, recorded):
+    assert CASES[case]() == recorded[case]
+
+
+if __name__ == "__main__":
+    DIGESTS_PATH.parent.mkdir(exist_ok=True)
+    DIGESTS_PATH.write_text(
+        json.dumps({case: run() for case, run in sorted(CASES.items())}, indent=1) + "\n",
+        encoding="utf-8",
+    )
+    print(f"recorded {len(CASES)} digests in {DIGESTS_PATH}")
