@@ -6,20 +6,29 @@ regressions in the hot paths show up in
 ``pytest benchmarks/ --benchmark-only``.
 """
 
+import cProfile
+import gc
 import json
 import os
+import pstats
 import random
 import sys
 import time
+import tracemalloc
 
 from repro.bgp.config import BGPConfig, DampingConfig, MRAIMode
 from repro.bgp.node import BGPNode
 from repro.bgp.route import Route, best_route, clear_intern_caches, import_route
-from repro.core.cevent import run_c_event_experiment
+from repro.core.cevent import (
+    new_batch_cursor,
+    pick_origins,
+    run_c_event_batch,
+    run_c_event_experiment,
+)
 from repro.core.prefix_churn import build_allocation, run_prefix_churn
 from repro.core.reference import steady_state_routes
 from repro.core.sweep import run_growth_sweep
-from repro.prefix.prefix import make_prefix
+from repro.prefix.prefix import clear_prefix_intern_cache, make_prefix
 from repro.prefix.trie import PrefixTrie
 from repro.prefix.workload import PrefixChurnSpec
 from repro.experiments.results_io import sweep_result_to_dict
@@ -159,14 +168,14 @@ def test_sweep_parallel_speedup(benchmark, results_dir):
 def test_sim_core_telemetry(benchmark, results_dir):
     """Telemetry cost on the simulation core: disabled vs enabled.
 
-    The disabled path is the null-object hub, so its cost must stay in
-    the noise; the enabled path additionally yields the per-phase
-    wall-clock/event breakdown.  Both throughputs and the phase table
-    are recorded in ``BENCH_sim_core.json`` so the CI perf-smoke job can
-    archive them.
+    The kernel counts where the work happens whether or not a hub reads
+    the counts, so the two runs execute the same per-message code and
+    the enabled one adds only ``run()``-boundary and phase samples.
+    Both throughputs and the phase table are recorded in
+    ``BENCH_sim_core.json`` so the CI perf-smoke job can archive them.
     """
     graph = generate_topology(baseline_params(400), seed=5)
-    rounds = 3
+    rounds = 5
 
     def run_disabled():
         return run_c_event_experiment(graph, FAST, num_origins=1, seed=5)
@@ -178,21 +187,17 @@ def test_sim_core_telemetry(benchmark, results_dir):
         return hub
 
     run_disabled()  # warm caches so both timed paths start equal
-    started = time.perf_counter()
+    run_enabled()
+    # Alternated, best of each, CPU time: host drift hits both alike.
+    disabled_seconds = enabled_seconds = float("inf")
     for _ in range(rounds):
-        run_disabled()
-    disabled_seconds = (time.perf_counter() - started) / rounds
-
-    timings = []
-
-    def timed_enabled():
-        t0 = time.perf_counter()
-        hub = run_enabled()
-        timings.append(time.perf_counter() - t0)
-        return hub
-
-    hub = benchmark.pedantic(timed_enabled, rounds=rounds, iterations=1)
-    enabled_seconds = sum(timings) / len(timings)
+        disabled_seconds = min(
+            disabled_seconds, _best_of(run_disabled, 1, time.process_time)
+        )
+        enabled_seconds = min(
+            enabled_seconds, _best_of(run_enabled, 1, time.process_time)
+        )
+    hub = benchmark.pedantic(run_enabled, rounds=1, iterations=1)
 
     snapshot = hub.snapshot()
     overhead_pct = (
@@ -214,10 +219,10 @@ def test_sim_core_telemetry(benchmark, results_dir):
         f"events/sec enabled, overhead {overhead_pct:+.1f}%"
     )
     assert {phase["name"] for phase in snapshot["phases"]} == {"warmup", "measured"}
-    # Guard against accidental per-event instrumentation (which costs
-    # ~20%+); the expected overhead is a run()-boundary sample, well
-    # under this deliberately loose, CI-noise-tolerant bound.
-    assert overhead_pct < 50.0
+    # Per-message hooks cost 13 % here (6 calls per event whenever a hub
+    # was live, i.e. on every ``campaign -o``); a run()-boundary sample
+    # costs nothing measurable.
+    assert overhead_pct < 10.0
 
 
 def _best_of(fn, rounds: int, clock=time.perf_counter) -> float:
@@ -300,6 +305,22 @@ def test_sim_core_budget(results_dir):
     route = cands[0]
     route_bytes = sys.getsizeof(route)
     path_bytes = sys.getsizeof(route.path)  # shared across interned copies
+
+    # --- per-node memory of a built network --------------------------
+    # Mostly RNG state (2.5 kB), RIB/channel dicts and the node itself;
+    # an unslotted BGPNode adds ~1.5 kB (no key-sharing dict at its
+    # attribute count), which is what this row is here to catch.
+    footprint_n = 2000
+    footprint_graph = generate_topology(baseline_params(footprint_n), seed=3)
+    gc.collect()
+    tracemalloc.start()
+    traced_before = tracemalloc.get_traced_memory()[0]
+    footprint_net = SimNetwork(footprint_graph, BGPConfig(), seed=3)
+    network_bytes_per_node = (
+        tracemalloc.get_traced_memory()[0] - traced_before
+    ) / len(footprint_net.nodes)
+    tracemalloc.stop()
+    del footprint_net
 
     # --- raw event throughput ----------------------------------------
     engine = Engine()
@@ -494,6 +515,7 @@ def test_sim_core_budget(results_dir):
             "decision_candidates": len(node.adj_rib_in.candidates(0)),
             "route_bytes": route_bytes,
             "path_bytes_shared": path_bytes,
+            "network_bytes_per_node": network_bytes_per_node,
             "events_per_sec": events_per_sec,
         },
         "prefix_per_op": {
@@ -517,6 +539,58 @@ def test_sim_core_budget(results_dir):
         f"{trie_insert_us:.2f}us insert / {trie_match_us:.2f}us match, "
         f"re-decide 1-of-10k {redecide_us:.2f}us; prefix churn skipped "
         f"{pc.decisions_skipped}/{pc.decisions_run + pc.decisions_skipped}"
+    )
+
+
+def _calls_per_event(graph, config: BGPConfig, *, live: bool, seed: int) -> float:
+    """cProfile's total call count over one C-event / engine events executed."""
+    origins = pick_origins(graph, 1, seed)
+
+    def profiled() -> float:
+        # Same cache state for every measurement, or the later ones find
+        # their routes interned and count fewer calls.
+        clear_intern_caches()
+        clear_prefix_intern_cache()
+        cursor = new_batch_cursor(graph, config, origins=origins, seed=seed)
+        profile = cProfile.Profile()
+        profile.enable()
+        run_c_event_batch(graph, config, origins=origins, seed=seed, cursor=cursor)
+        profile.disable()
+        calls = pstats.Stats(profile).total_calls
+        return calls / cursor.network.engine.executed_events
+
+    if not live:
+        return profiled()
+    with telemetry_session(Telemetry()):
+        return profiled()
+
+
+def test_kernel_hot_path_budget(results_dir):
+    """Interpreter calls per engine event: the kernel's cost with the noise taken out.
+
+    Every call cProfile sees (Python frames and C builtins alike) while
+    one C-event (warm-up, DOWN, UP) runs on a Baseline n=400 network,
+    divided by the events the engine executed — for NO-WRATE and WRATE,
+    under the null sink and under a live hub.  The count depends on the
+    code and the interpreter version, not on the host, so it repeats
+    exactly and ``scripts/check_perf_budget.py`` can hold it to absolute
+    limits: at most 32 calls per event (the per-message-hook kernel took
+    46.5 / 47.2 under the null sink and 53.0 / 53.4 live), and a live hub
+    may add at most one.
+    """
+    graph = generate_topology(baseline_params(400), seed=5)
+    kernel_hot_path = {}
+    for name, config in (("no_wrate", BGPConfig()), ("wrate", BGPConfig(wrate=True))):
+        for sink, live in (("null", False), ("live", True)):
+            kernel_hot_path[f"calls_per_event_{name}_{sink}"] = _calls_per_event(
+                graph, config, live=live, seed=5
+            )
+    _merge_bench_json(results_dir, {"kernel_hot_path": kernel_hot_path})
+    print(
+        "\nkernel hot path: "
+        + ", ".join(f"{key[len('calls_per_event_'):]} {value:.1f}"
+                    for key, value in kernel_hot_path.items())
+        + " calls/event"
     )
 
 
@@ -679,7 +753,6 @@ def test_checkpoint_cost_budget(results_dir, tmp_path):
         write_checkpoint,
     )
     from repro.checkpoint.format import network_section_bytes
-    from repro.core.cevent import new_batch_cursor, pick_origins, run_c_event_batch
     from repro.core.sweep import SweepUnit, execute_sweep_unit
 
     n, events, seed = 400, 4, 5

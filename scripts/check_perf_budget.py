@@ -21,7 +21,11 @@ a Baseline topology may cost at most 3x more *per link* at n=8000 than
 at n=2000 (a per-link scan of a tier-1's adjacency gave ~7x); and two
 checkpoint invariants: RNG streams take under 5 % of a snapshot's bytes
 (full generator states took 86 %), and a checkpointed sweep unit costs
-at most 2x the same unit run plain (it cost 4.2-4.7x).
+at most 2x the same unit run plain (it cost 4.2-4.7x); and two kernel
+hot-path invariants, on a count that does not depend on the host: one
+engine event costs at most 32 interpreter calls (it cost 46-53), and a
+live telemetry hub adds at most one call per event to the null sink's
+(per-message hooks added six).
 
 Usage::
 
@@ -76,6 +80,11 @@ COST_METRICS = [
     ("per_op", "decision_full_us"),
     ("per_op", "decision_incremental_us"),
     ("per_op", "route_bytes"),
+    ("per_op", "network_bytes_per_node"),
+    ("kernel_hot_path", "calls_per_event_no_wrate_null"),
+    ("kernel_hot_path", "calls_per_event_no_wrate_live"),
+    ("kernel_hot_path", "calls_per_event_wrate_null"),
+    ("kernel_hot_path", "calls_per_event_wrate_live"),
     ("prefix_per_op", "trie_insert_us"),
     ("prefix_per_op", "trie_longest_match_us"),
     ("prefix_per_op", "redecide_1_of_10k_us"),
@@ -101,6 +110,17 @@ CHECKPOINT_RNG_SHARE_LIMIT = 0.05
 #: noise does not trip it and the return of either full RNG states or
 #: the double serialization (together 4.2-4.7x) does.
 CHECKPOINT_UNIT_RATIO_LIMIT = 2.0
+
+#: Interpreter calls (cProfile's total, builtins included) one engine
+#: event may cost inside a C-event at n=400.  Measured 25.2 (NO-WRATE)
+#: and 26.1 (WRATE) on CPython 3.11; the kernel with per-message
+#: telemetry hooks, a `step()` call per dispatch and a Python
+#: `Prefix.__hash__` took 46.5 / 47.2, and 53.0 / 53.4 under a live hub.
+KERNEL_CALLS_PER_EVENT_LIMIT = 32.0
+
+#: Calls per event a live hub may add to the null sink's.  The kernel
+#: counts either way; a hub adds run()-boundary and phase samples only.
+KERNEL_LIVE_HUB_CALLS_LIMIT = 1.0
 
 #: (section, key) pairs where *smaller* is worse (throughput).
 THROUGHPUT_METRICS = [("per_op", "events_per_sec")]
@@ -205,6 +225,29 @@ def main(argv=None) -> int:
             f"plain unit (limit {CHECKPOINT_UNIT_RATIO_LIMIT}x) — checkpoints "
             "cost more than the work they protect again"
         )
+
+    for workload in ("no_wrate", "wrate"):
+        null_calls = float(
+            _get(current, "kernel_hot_path", f"calls_per_event_{workload}_null", args.current)
+        )
+        live_calls = float(
+            _get(current, "kernel_hot_path", f"calls_per_event_{workload}_live", args.current)
+        )
+        for sink, calls in (("null", null_calls), ("live", live_calls)):
+            if calls > KERNEL_CALLS_PER_EVENT_LIMIT:
+                failures.append(
+                    f"kernel_hot_path: {calls:.1f} interpreter calls per event "
+                    f"({workload}, {sink} sink; limit "
+                    f"{KERNEL_CALLS_PER_EVENT_LIMIT:.0f}) — something on the "
+                    "per-event path grew a call chain again"
+                )
+        if live_calls > null_calls + KERNEL_LIVE_HUB_CALLS_LIMIT:
+            failures.append(
+                f"kernel_hot_path: a live hub costs {live_calls - null_calls:.1f} "
+                f"calls per event over the null sink ({workload}; limit "
+                f"{KERNEL_LIVE_HUB_CALLS_LIMIT:.0f}) — is the kernel calling "
+                "into the hub per message again?"
+            )
 
     for section, key in COST_METRICS:
         got = float(_get(current, section, key, args.current))

@@ -24,27 +24,76 @@ removed from the output queue").
 from __future__ import annotations
 
 import random
-from typing import Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.bgp.config import BGPConfig, MRAIMode, SendDiscipline
-from repro.bgp.messages import UpdateMessage, announcement, withdrawal
-from repro.obs.telemetry import NULL_TELEMETRY
+from repro.bgp.messages import UpdateMessage
+from repro.bgp.route import intern_path
+from repro.obs.telemetry import NULL_TELEMETRY, RELATIONSHIP_SLOTS, KernelCounts
 from repro.prefix.prefix import PrefixToken
+from repro.topology.types import LOCAL_PREFERENCE, Relationship
 
 #: A target state for a prefix at a neighbour: the AS path to advertise,
 #: or None meaning "withdrawn / no route".
 TargetState = Optional[Tuple[int, ...]]
 
+#: What :meth:`OutputChannel.set_target` returns when the call changed
+#: nothing: one shared object, so callers must not mutate the list.
+_NOTHING: Tuple[List[UpdateMessage], Optional[float]] = ([], None)
+
+
+class ChannelParams:
+    """The constants of a :class:`BGPConfig` the send path branches on.
+
+    One object per config, shared by every channel built from it: a
+    channel reads plain slots where it would otherwise chase config
+    properties and compare enum members per update.
+    """
+
+    __slots__ = (
+        "wrate",
+        "limited",
+        "per_interface",
+        "send_first",
+        "mrai",
+        "jitter_low",
+        "jitter_span",
+    )
+
+    def __init__(self, config: BGPConfig) -> None:
+        self.wrate = config.wrate
+        self.limited = config.rate_limiting_enabled
+        self.per_interface = config.mrai_mode is MRAIMode.PER_INTERFACE
+        self.send_first = config.discipline is SendDiscipline.SEND_FIRST
+        self.mrai = config.mrai
+        self.jitter_low = config.jitter_low
+        #: ``random.uniform(a, b)`` is ``a + (b - a) * random()``; keeping
+        #: the width makes :meth:`OutputChannel._arm` bit-equal to it.
+        self.jitter_span = config.jitter_high - config.jitter_low
+
 
 class OutputChannel:
-    """Out-queue and MRAI state for one directed (node → neighbour) session."""
+    """Out-queue and MRAI state for one directed (node → neighbour) session.
+
+    Also the node's per-session record: what the owner needs to know
+    about this neighbour on every update (``to_customer`` for the
+    no-valley filter, ``import_pref`` for routes learned from it,
+    ``rel_slot`` for the per-relationship counts) sits here, resolved
+    once from the relationship.  A node passes ``relationship`` and the
+    objects its channels share (``params``, ``counts``, its bound
+    ``rng.random``); a channel built on its own makes them from
+    ``config`` / ``rng`` and takes fresh counts from ``telemetry``.
+    """
 
     __slots__ = (
         "owner",
         "neighbor",
-        "_config",
-        "_rng",
-        "_obs",
+        "to_customer",
+        "import_pref",
+        "rel_slot",
+        "_params",
+        "_random",
+        "_counts",
         "_sent",
         "_pending",
         "_interface_gate",
@@ -59,12 +108,23 @@ class OutputChannel:
         config: BGPConfig,
         rng: random.Random,
         telemetry=NULL_TELEMETRY,
+        *,
+        relationship: Optional[Relationship] = None,
+        params: Optional[ChannelParams] = None,
+        counts: Optional[KernelCounts] = None,
+        draw: Optional[Callable[[], float]] = None,
     ) -> None:
         self.owner = owner
         self.neighbor = neighbor
-        self._config = config
-        self._rng = rng
-        self._obs = telemetry
+        if relationship is None:
+            self.to_customer = self.import_pref = self.rel_slot = None
+        else:
+            self.to_customer = relationship is Relationship.CUSTOMER
+            self.import_pref = LOCAL_PREFERENCE[relationship]
+            self.rel_slot = RELATIONSHIP_SLOTS.index(relationship.value)
+        self._params = params if params is not None else ChannelParams(config)
+        self._random = draw if draw is not None else rng.random
+        self._counts = counts if counts is not None else telemetry.new_counts()
         #: What the neighbour currently believes, per prefix (None/absent =
         #: no route).  Only explicitly advertised-then-withdrawn prefixes
         #: keep a None entry; never-advertised prefixes are absent.
@@ -140,32 +200,35 @@ class OutputChannel:
         the absolute time at which :meth:`wakeup` must be called to flush a
         queued update (None when nothing is queued by this call).
         """
-        if prefix in self._pending:
-            if self._pending[prefix] == target:
-                return [], None
+        pending = self._pending
+        if prefix in pending:
+            if pending[prefix] == target:
+                return _NOTHING
             # Output-queue invalidation: the newer update replaces the old.
-            del self._pending[prefix]
-            self._obs.on_mrai_invalidation()
+            del pending[prefix]
+            self._counts.invalidations += 1
         if self._sent.get(prefix) == target:
-            # Converged back to what the neighbour already knows.
-            return [], None
-        if target is None and self._sent.get(prefix) is None:
-            # Withdrawal for a prefix the neighbour never had: suppress.
-            return [], None
+            # Converged back to what the neighbour already knows — or a
+            # withdrawal for a prefix it never had (absent reads as None).
+            return _NOTHING
 
-        is_withdrawal = target is None
-        bypass = is_withdrawal and not self._config.wrate
-        if bypass or not self._config.rate_limiting_enabled:
-            return [self._send(prefix, target, now, arm_timer=not bypass)], None
+        params = self._params
+        if not params.limited or (target is None and not params.wrate):
+            # No timer at all, or NO-WRATE's withdrawal bypass: neither
+            # arms the gate.
+            return [self._send(prefix, target, now, False)], None
 
-        gate = self._gate_for(prefix)
-        if self._config.discipline is SendDiscipline.SEND_FIRST and now >= gate:
-            return [self._send(prefix, target, now, arm_timer=True)], None
-        # Delay-first (the paper's model): the update always waits in the
-        # out-queue for a timer expiry; an idle timer is armed now.
+        if params.per_interface:
+            gate = self._interface_gate
+        else:
+            gate = self._prefix_gates.get(prefix, 0.0)
         if now >= gate:
+            if params.send_first:
+                return [self._send(prefix, target, now, True)], None
+            # Delay-first (the paper's model): the update always waits in
+            # the out-queue for a timer expiry; an idle timer is armed now.
             gate = self._arm(prefix, now)
-        self._pending[prefix] = target
+        pending[prefix] = target
         return [], gate
 
     def wakeup(self, now: float) -> Tuple[List[UpdateMessage], Optional[float]]:
@@ -174,9 +237,10 @@ class OutputChannel:
         Returns ``(messages, next_wakeup)`` where ``next_wakeup`` is the
         earliest still-pending gate (None when the queue drained).
         """
-        self._obs.on_mrai_wakeup()
+        counts = self._counts
+        counts.wakeups += 1
         messages: List[UpdateMessage] = []
-        if self._config.mrai_mode is MRAIMode.PER_INTERFACE:
+        if self._params.per_interface:
             if self._pending and now >= self._interface_gate:
                 # One expiry flushes the whole interface queue as a batch,
                 # and the timer is re-armed once for the batch.
@@ -184,7 +248,7 @@ class OutputChannel:
                 self._pending = {}
                 armed = False
                 for prefix, target in batch:
-                    messages.append(self._send(prefix, target, now, arm_timer=not armed))
+                    messages.append(self._send(prefix, target, now, not armed))
                     armed = True
             next_wakeup = self._interface_gate if self._pending else None
             return messages, next_wakeup
@@ -192,46 +256,48 @@ class OutputChannel:
         due = [p for p, gate in self._prefix_gates.items() if p in self._pending and now >= gate]
         for prefix in sorted(due):
             target = self._pending.pop(prefix)
-            messages.append(self._send(prefix, target, now, arm_timer=True))
+            messages.append(self._send(prefix, target, now, True))
         # Prune expired gates: a gate ≤ now behaves exactly like a missing
-        # one (see _gate_for), so dropping it is semantics-preserving and
-        # keeps the dict from growing with every prefix ever rate-limited.
-        # Pending prefixes always carry a fresh (future) gate, so none of
-        # the queue's own gates are touched.
+        # one (set_target reads an absent gate as 0.0), so dropping it is
+        # semantics-preserving and keeps the dict from growing with every
+        # prefix ever rate-limited.  Pending prefixes always carry a fresh
+        # (future) gate, so none of the queue's own gates are touched.
         expired = [p for p, gate in self._prefix_gates.items() if gate <= now]
         for prefix in expired:
             del self._prefix_gates[prefix]
-        self._obs.on_prefix_gates(len(self._prefix_gates))
+        live_gates = len(self._prefix_gates)
+        if live_gates > counts.prefix_gates:
+            counts.prefix_gates = live_gates
         remaining = [self._prefix_gates[p] for p in self._pending]
         return messages, (min(remaining) if remaining else None)
 
     # ------------------------------------------------------------------
     # Internals
     # ------------------------------------------------------------------
-    def _gate_for(self, prefix: PrefixToken) -> float:
-        if self._config.mrai_mode is MRAIMode.PER_INTERFACE:
-            return self._interface_gate
-        return self._prefix_gates.get(prefix, 0.0)
-
     def _arm(self, prefix: PrefixToken, now: float) -> float:
         self.arms += 1
-        interval = self._config.mrai * self._rng.uniform(
-            self._config.jitter_low, self._config.jitter_high
+        params = self._params
+        gate = now + params.mrai * (
+            params.jitter_low + params.jitter_span * self._random()
         )
-        gate = now + interval
-        if self._config.mrai_mode is MRAIMode.PER_INTERFACE:
+        if params.per_interface:
             self._interface_gate = gate
         else:
             self._prefix_gates[prefix] = gate
         return gate
 
     def _send(
-        self, prefix: PrefixToken, target: TargetState, now: float, *, arm_timer: bool
+        self, prefix: PrefixToken, target: TargetState, now: float, arm_timer: bool
     ) -> UpdateMessage:
+        """Put ``target`` on the wire (``arm_timer`` only on a limited path)."""
         self._sent[prefix] = target
-        if arm_timer and self._config.rate_limiting_enabled:
+        if arm_timer:
             self._arm(prefix, now)
-        self._obs.on_mrai_send(target is None)
+        counts = self._counts
+        counts.sends += 1
         if target is None:
-            return withdrawal(self.owner, self.neighbor, prefix)
-        return announcement(self.owner, self.neighbor, prefix, (self.owner,) + target)
+            counts.send_withdrawals += 1
+            return UpdateMessage(self.owner, self.neighbor, prefix, None)
+        return UpdateMessage(
+            self.owner, self.neighbor, prefix, intern_path((self.owner,) + target)
+        )

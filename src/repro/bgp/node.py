@@ -24,15 +24,15 @@ from repro.bgp.config import BGPConfig
 from repro.bgp.damping import FlapKind, RouteFlapDamper
 from repro.bgp.decision import select_best
 from repro.bgp.messages import UpdateMessage
-from repro.bgp.mrai import OutputChannel
+from repro.bgp.mrai import ChannelParams, OutputChannel
 from repro.bgp.policy import exportable
 from repro.bgp.rib import AdjRIBIn, LocRIB
-from repro.bgp.route import Route, import_route, local_route
+from repro.bgp.route import Route, local_route, make_route
 from repro.errors import CheckpointError, SimulationError
 from repro.prefix.rib import RadixAdjRIBIn, RadixLocRIB
 from repro.bgp.events import DampingReuseCheck, MRAIWakeup, ServiceCompletion
-from repro.obs.telemetry import NULL_TELEMETRY
-from repro.topology.types import NodeType, Relationship
+from repro.obs.telemetry import NULL_TELEMETRY, KernelCounts
+from repro.topology.types import LOCAL_PREFERENCE, NodeType, Relationship
 
 TransmitFn = Callable[[UpdateMessage, float], None]
 
@@ -65,6 +65,10 @@ def advance_rng(rng: random.Random, draws: int) -> None:
         draws -= step
 
 
+#: Local preference of customer-learned routes: with locally originated
+#: ones, the routes the no-valley filter lets out to every neighbour.
+_CUSTOMER_PREF = LOCAL_PREFERENCE[Relationship.CUSTOMER]
+
 #: Floor on the wait before a re-scheduled damping reuse check.  Guards
 #: against a zero-wait loop when a penalty sits exactly on the reuse
 #: threshold (decay makes the next check strictly later).
@@ -72,7 +76,48 @@ _REUSE_EPSILON = 1e-6
 
 
 class BGPNode:
-    """One AS in the simulation."""
+    """One AS in the simulation.
+
+    Slotted: a network holds thousands of these, and with as many
+    instance attributes as this class has an unslotted instance loses
+    CPython's key-sharing dict (a node then costs ~1.5 kB more).
+
+    ``counts`` / ``params`` are the records a network shares among its
+    nodes; a node built on its own takes fresh counts from ``telemetry``
+    and lets its channels derive their own params.
+    """
+
+    __slots__ = (
+        "node_id",
+        "node_type",
+        "neighbors",
+        "_engine",
+        "_config",
+        "_rng",
+        "_random",
+        "_rng_counted",
+        "_transmit",
+        "_counts",
+        "_service_event",
+        "_in_queue",
+        "_busy",
+        "adj_rib_in",
+        "loc_rib",
+        "_local_routes",
+        "_channels",
+        "_wakeup_at",
+        "_wakeup_entries",
+        "_reuse_pending",
+        "_down_neighbors",
+        "_damper",
+        "processed_count",
+        "busy_time",
+        "_service_delay",
+        "max_queue_length",
+        "best_change_count",
+        "decisions_run",
+        "decisions_skipped",
+    )
 
     def __init__(
         self,
@@ -84,6 +129,9 @@ class BGPNode:
         rng: random.Random,
         transmit: TransmitFn,
         telemetry=NULL_TELEMETRY,
+        *,
+        counts: Optional[KernelCounts] = None,
+        params: Optional[ChannelParams] = None,
     ) -> None:
         self.node_id = node_id
         self.node_type = node_type
@@ -91,18 +139,32 @@ class BGPNode:
         self._engine = engine
         self._config = config
         self._rng = rng
+        #: The one bound ``rng.random`` every draw of this node's stream
+        #: goes through (service times here, timer jitter in the channels).
+        self._random = rng.random
         #: False once restored from a pre-1.6 checkpoint, whose full RNG
         #: state says nothing about how many draws produced it.
         self._rng_counted = True
         self._transmit = transmit
-        self._obs = telemetry
+        self._counts = counts if counts is not None else telemetry.new_counts()
+        #: Scheduled once per service; stateless, so one object serves.
+        self._service_event = ServiceCompletion(self)
         self._in_queue: Deque[UpdateMessage] = collections.deque()
         self._busy = False
         self.adj_rib_in, self.loc_rib = self._new_ribs()
         self._local_routes: Dict[int, Route] = {}
         self._channels: Dict[int, OutputChannel] = {
-            neighbor: OutputChannel(node_id, neighbor, config, rng, telemetry=telemetry)
-            for neighbor in neighbors
+            neighbor: OutputChannel(
+                node_id,
+                neighbor,
+                config,
+                rng,
+                relationship=relationship,
+                params=params,
+                counts=counts,
+                draw=self._random,
+            )
+            for neighbor, relationship in neighbors.items()
         }
         self._wakeup_at: Dict[int, Optional[float]] = {n: None for n in neighbors}
         #: Live engine handles for the pending MRAI wakeup per neighbour,
@@ -172,20 +234,22 @@ class BGPNode:
     # ------------------------------------------------------------------
     def receive(self, message: UpdateMessage) -> None:
         """Place an incoming update in the FIFO in-queue."""
+        sender = message.sender
         if message.receiver != self.node_id:
             raise SimulationError(
                 f"node {self.node_id} received message addressed to {message.receiver}"
             )
-        if message.sender not in self.neighbors:
+        if sender not in self.neighbors:
             raise SimulationError(
-                f"node {self.node_id} received update from non-neighbor {message.sender}"
+                f"node {self.node_id} received update from non-neighbor {sender}"
             )
-        if message.sender in self._down_neighbors:
-            self._obs.on_drop()
+        if sender in self._down_neighbors:
+            self._counts.drops += 1
             return  # in-flight message on a failed link: dropped
-        self._in_queue.append(message)
-        if len(self._in_queue) > self.max_queue_length:
-            self.max_queue_length = len(self._in_queue)
+        queue = self._in_queue
+        queue.append(message)
+        if len(queue) > self.max_queue_length:
+            self.max_queue_length = len(queue)
         if not self._busy:
             self._start_service()
 
@@ -196,9 +260,10 @@ class BGPNode:
 
     def _start_service(self) -> None:
         self._busy = True
-        delay = self._rng.uniform(0.0, self._config.processing_time_max)
+        # uniform(0, max) drawn as the product it is (bit-equal, one call).
+        delay = self._config.processing_time_max * self._random()
         self._service_delay = delay
-        self._engine.schedule(delay, ServiceCompletion(self))
+        self._engine.schedule(delay, self._service_event)
 
     def _complete_service(self) -> None:
         now = self._engine.now
@@ -217,23 +282,27 @@ class BGPNode:
     def _process(self, message: UpdateMessage, now: float) -> None:
         prefix = message.prefix
         sender = message.sender
-        self._obs.on_update(self.neighbors[sender], message.is_withdrawal)
-        previous = self.adj_rib_in.route_from(prefix, sender)
-        if message.is_withdrawal:
+        path = message.path
+        session = self._channels[sender]
+        counts = self._counts
+        counts.updates_from[session.rel_slot] += 1
+        if path is None:
+            counts.update_withdrawals += 1
             route: Optional[Route] = None
-        elif message.path is not None and self.node_id in message.path:
+        elif self.node_id in path:
             # Receiver-side AS-path loop detection: treat as unreachable.
             route = None
         else:
-            route = import_route(prefix, message.path, self.neighbors[sender])
-        if self._damper.enabled:
+            route = make_route(prefix, path, session.import_pref)
+        if self._config.damping.enabled:
+            previous = self.adj_rib_in.route_from(prefix, sender)
             self._record_flap(previous, route, sender, prefix, now)
             self.adj_rib_in.update(prefix, sender, route)
             # Suppression state depends on the clock, so the installed
             # best cannot be trusted as a comparison anchor: full scan.
             self._run_decision(prefix, now)
         else:
-            self.adj_rib_in.update(prefix, sender, route)
+            previous = self.adj_rib_in.update(prefix, sender, route)
             self._run_decision_incremental(prefix, previous, route, now)
         # Dirty-set economy: of everything installed, only this one
         # prefix was re-decided; the rest is the work a full-table
@@ -307,7 +376,7 @@ class BGPNode:
         return candidates
 
     def _run_decision(self, prefix: int, now: float) -> None:
-        self._obs.on_decision()
+        self._counts.decision_runs += 1
         self.decisions_run += 1
         self.adj_rib_in.clear_dirty(prefix)
         best = select_best(self.node_id, self._candidates(prefix, now))
@@ -331,10 +400,11 @@ class BGPNode:
         greater key and every one after has a greater-or-equal key, which
         is what the ``<=`` / ``<`` splits below encode.
         """
-        self._obs.on_decision()
+        self._counts.decision_runs += 1
         self.decisions_run += 1
         self.adj_rib_in.clear_dirty(prefix)
         current = self.loc_rib.best(prefix)
+        node_id = self.node_id
         if route is not None:
             if current is None:
                 # Nothing was installed, so nothing else can compete.
@@ -343,23 +413,18 @@ class BGPNode:
                 # The replaced entry was the best; it keeps its position
                 # in candidate order, so the new route wins iff it is no
                 # worse than the old best (everything later has a >= key).
-                if route.preference_key(self.node_id) <= current.preference_key(
-                    self.node_id
-                ):
+                if route.preference_key(node_id) <= current.preference_key(node_id):
                     best = route
                 else:
-                    best = select_best(self.node_id, self._candidates(prefix, now))
-            elif route.preference_key(self.node_id) < current.preference_key(
-                self.node_id
-            ):
+                    best = select_best(node_id, self._candidates(prefix, now))
+            elif route.preference_key(node_id) < current.preference_key(node_id):
                 best = route
             else:
-                best = current
+                return  # the installed best stands
         else:
             if previous is None or current is None or previous != current:
-                best = current  # removed nothing, or a non-best entry
-            else:
-                best = select_best(self.node_id, self._candidates(prefix, now))
+                return  # removed nothing, or a non-best entry
+            best = select_best(node_id, self._candidates(prefix, now))
         self._install(prefix, best, now)
 
     def _install(self, prefix: int, best: Optional[Route], now: float) -> None:
@@ -368,14 +433,34 @@ class BGPNode:
             self._export(prefix, best, now)
 
     def _export(self, prefix: int, best: Optional[Route], now: float) -> None:
-        for neighbor, relationship in self.neighbors.items():
-            if neighbor in self._down_neighbors:
+        """Tell every live session what it should now hold for ``prefix``.
+
+        The export decision is :func:`repro.bgp.policy.exportable` with
+        the route-side half hoisted out of the loop: a local or
+        customer-learned route goes to everyone, anything else to
+        customers only, and never to a neighbour already on its path.
+        """
+        if best is None:
+            path = None
+            to_all = False
+        else:
+            path = best.path
+            to_all = not path or best.local_pref == _CUSTOMER_PREF
+        down = self._down_neighbors
+        for neighbor, channel in self._channels.items():
+            if neighbor in down:
                 continue
-            if best is not None and exportable(best, neighbor, relationship):
-                target = best.path
-            else:
+            if (
+                path is not None
+                and (to_all or channel.to_customer)
+                and neighbor not in path
+            ):
+                target = path
+            elif prefix in channel._pending or channel._sent.get(prefix) is not None:
                 target = None
-            messages, wakeup = self._channels[neighbor].set_target(prefix, target, now)
+            else:
+                continue  # no route for a neighbour that holds and awaits none
+            messages, wakeup = channel.set_target(prefix, target, now)
             for message in messages:
                 self._transmit(message, now)
             if wakeup is not None:

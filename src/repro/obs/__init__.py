@@ -1,8 +1,9 @@
 """repro.obs — run telemetry, progress and profiling.
 
-The observability layer of the reproduction: a low-overhead
-:class:`Telemetry` hub that the engine, network, nodes and MRAI channels
-report into (see :mod:`repro.obs.telemetry` for the overhead contract),
+The observability layer of the reproduction: a :class:`Telemetry` hub
+that times the engine's runs and reads each network's
+:class:`KernelCounts` (see :mod:`repro.obs.telemetry` for the overhead
+contract),
 JSONL run logs (:mod:`repro.obs.runlog`), live progress lines
 (:mod:`repro.obs.progress`) and opt-in cProfile hooks
 (:mod:`repro.obs.profiler`).
@@ -31,6 +32,7 @@ from repro.obs.runlog import (
 )
 from repro.obs.telemetry import (
     NULL_TELEMETRY,
+    KernelCounts,
     NullTelemetry,
     Telemetry,
     current_telemetry,
@@ -38,6 +40,7 @@ from repro.obs.telemetry import (
 )
 
 __all__ = [
+    "KernelCounts",
     "NULL_TELEMETRY",
     "NullTelemetry",
     "ProgressLine",

@@ -4,34 +4,43 @@ The paper's argument rests on *measured* rates — churn at monitors,
 processor busy time, queue occupancy (Sec. 1, Fig. 2) — and the same
 standard applies to the simulator itself: a run should be able to report
 how many events it executed, at what rate, and where the wall-clock time
-went.  This module is the collection point.  Components report into one
-:class:`Telemetry` object:
+went.  This module is the collection point.  One :class:`Telemetry`
+object gathers:
 
-* the **engine** reports events executed and run wall-clock
-  (:meth:`on_engine_run`), from which events/sec falls out;
-* the **network** reports deliveries (:meth:`on_delivery`) and in-flight
-  drops on failed links (:meth:`on_drop`);
-* **nodes** report processed updates by sender relationship and kind
-  (:meth:`on_update`) and decision-process runs (:meth:`on_decision`);
-* **MRAI output channels** report sends, out-queue invalidations and
-  timer wakeups (:meth:`on_mrai_send` and friends);
-* experiment drivers wrap their stages in :meth:`phase` timers
+* from the **engine**, events executed and run wall-clock
+  (:meth:`Telemetry.on_engine_run`), from which events/sec falls out;
+* from the **kernel** — network, nodes, MRAI output channels — the
+  :class:`KernelCounts` of every network built under it: deliveries and
+  in-flight drops, processed updates by sender relationship and kind,
+  decision runs, MRAI sends, out-queue invalidations and timer wakeups;
+* from experiment drivers, :meth:`Telemetry.phase` timers
   ("topology-gen", "warmup", "measured", "analysis"), which also snapshot
-  the engine's event counter for a per-phase events/sec.
+  the engine's event counter for a per-phase events/sec, and coarse
+  :meth:`Telemetry.inc` / :meth:`Telemetry.set_gauge` calls (a checkpoint
+  written, a partition window closed).
 
 Overhead contract
 -----------------
-Telemetry is **disabled by default** and must be near-free when off.
-Every instrumented component holds a :data:`NULL_TELEMETRY` sink — the
-null-object pattern — whose hooks are empty methods, so the disabled hot
-path pays one attribute access plus a no-op call per *message* (never per
-engine event: the engine's per-event loop is not instrumented at all;
-event counts are sampled from ``Engine.executed_events`` at ``run()`` and
-phase boundaries, which costs nothing per event).
+**The kernel runs the same code whether or not a hub is listening.**
+Nothing on the per-message path calls into this module: a network owns
+one :class:`KernelCounts` record, its nodes and channels add to plain
+integer slots where the work happens, and a live hub holds a reference to
+the record and folds it into :attr:`Telemetry.counters` /
+:attr:`Telemetry.gauges` when somebody *reads* them — the way event counts
+have always been sampled from ``Engine.executed_events`` at ``run()`` and
+phase boundaries.  So a run under a live hub (every ``campaign -o``,
+``profile`` and ``repro.dist`` worker) costs what a run under
+:data:`NULL_TELEMETRY` costs, and the only price of observability is a
+handful of integer additions per message that are paid either way.
+
+``inc`` / ``set_gauge`` / ``phase`` remain for coarse events — per run,
+per phase, per checkpoint — and are no-ops on the null sink.  They do
+not belong on a per-message path: one Python call per event is a tenth
+of the kernel's whole budget.
 
 Enabling is explicit and scoped: :func:`telemetry_session` installs a hub
 as the ambient sink; :class:`~repro.sim.network.SimNetwork` objects built
-inside the session report into it.
+inside the session take their counts record from it.
 """
 
 from __future__ import annotations
@@ -39,6 +48,76 @@ from __future__ import annotations
 import contextlib
 import time
 from typing import Dict, Iterator, List, Optional
+
+
+#: Slots of :attr:`KernelCounts.updates_from`: the ``Relationship`` values
+#: in declaration order, which is also the counter-name suffix.
+RELATIONSHIP_SLOTS = ("customer", "peer", "provider")
+
+
+class KernelCounts:
+    """What one network's kernel did, as plain integers.
+
+    One record per :class:`~repro.sim.network.SimNetwork`, shared by its
+    nodes and output channels, which add to the slots inline.  Process
+    local like the hub totals it feeds: a checkpoint does not carry it,
+    so a resumed run counts from the resume on.
+    """
+
+    __slots__ = (
+        "deliveries",
+        "delivery_withdrawals",
+        "drops",
+        "updates_from",
+        "update_withdrawals",
+        "decision_runs",
+        "sends",
+        "send_withdrawals",
+        "invalidations",
+        "wakeups",
+        "prefix_gates",
+    )
+
+    def __init__(self) -> None:
+        self.deliveries = 0
+        self.delivery_withdrawals = 0
+        #: in-flight messages dropped on a failed link
+        self.drops = 0
+        #: updates processed, per sender relationship (RELATIONSHIP_SLOTS)
+        self.updates_from = [0, 0, 0]
+        self.update_withdrawals = 0
+        self.decision_runs = 0
+        self.sends = 0
+        self.send_withdrawals = 0
+        #: queued updates replaced by a newer one before sending
+        self.invalidations = 0
+        self.wakeups = 0
+        #: High-water mark of live per-prefix gates on one channel after
+        #: a wakeup's pruning: under PER_PREFIX MRAI the gate dict is the
+        #: per-session state whose growth the pruning bounds, so the
+        #: interesting number is the worst case seen, not the last sample.
+        self.prefix_gates = 0
+
+    def counters(self) -> Dict[str, int]:
+        """The counts under their hub counter names; zero ones left out
+        (a hub counter exists from its first increment)."""
+        updates = sum(self.updates_from)
+        named = {
+            "network.deliveries": self.deliveries,
+            "network.deliveries.withdrawals": self.delivery_withdrawals,
+            "network.drops": self.drops,
+            "node.updates": updates,
+            "node.updates.withdrawals": self.update_withdrawals,
+            "node.updates.announcements": updates - self.update_withdrawals,
+            "node.decision_runs": self.decision_runs,
+            "mrai.sends": self.sends,
+            "mrai.sends.withdrawals": self.send_withdrawals,
+            "mrai.invalidations": self.invalidations,
+            "mrai.wakeups": self.wakeups,
+        }
+        for slot, count in zip(RELATIONSHIP_SLOTS, self.updates_from):
+            named[f"node.updates.from_{slot}"] = count
+        return {name: value for name, value in named.items() if value}
 
 
 class _NullPhase:
@@ -59,9 +138,9 @@ _NULL_PHASE = _NullPhase()
 class NullTelemetry:
     """The disabled sink: every hook is a no-op.
 
-    Stateless and shared (:data:`NULL_TELEMETRY`); components call its
+    Stateless and shared (:data:`NULL_TELEMETRY`); drivers call its
     methods unconditionally, so the enabled/disabled decision is made
-    once at wiring time instead of per message.
+    once at wiring time.
     """
 
     __slots__ = ()
@@ -77,29 +156,9 @@ class NullTelemetry:
     def on_engine_run(self, events: int, seconds: float) -> None:
         """No-op."""
 
-    def on_delivery(self, is_withdrawal: bool) -> None:
-        """No-op."""
-
-    def on_drop(self) -> None:
-        """No-op."""
-
-    def on_update(self, relationship: object, is_withdrawal: bool) -> None:
-        """No-op."""
-
-    def on_decision(self) -> None:
-        """No-op."""
-
-    def on_mrai_send(self, is_withdrawal: bool) -> None:
-        """No-op."""
-
-    def on_mrai_invalidation(self) -> None:
-        """No-op."""
-
-    def on_mrai_wakeup(self) -> None:
-        """No-op."""
-
-    def on_prefix_gates(self, count: int) -> None:
-        """No-op."""
+    def new_counts(self) -> "KernelCounts":
+        """A fresh kernel record that nobody will read through this sink."""
+        return KernelCounts()
 
     def phase(self, name: str, engine: Optional[object] = None) -> _NullPhase:
         """No-op timer (a shared null context manager)."""
@@ -155,27 +214,34 @@ class Telemetry:
 
     def __init__(self, meta: Optional[Dict[str, object]] = None) -> None:
         self.meta: Dict[str, object] = dict(meta or {})
-        self.counters: Dict[str, int] = {}
-        self.gauges: Dict[str, float] = {}
+        self._counters: Dict[str, int] = {}
+        self._gauges: Dict[str, float] = {}
+        #: kernel records of every network built under this hub
+        self._kernel: List[KernelCounts] = []
         self.phase_seconds: Dict[str, float] = {}
         self.phase_events: Dict[str, int] = {}
         self.engine_events = 0
         self.engine_seconds = 0.0
         self.created = time.time()
         self._started = time.perf_counter()
-        #: relationship -> counter-name cache (avoids per-update f-strings)
-        self._relationship_keys: Dict[object, str] = {}
 
     # ------------------------------------------------------------------
     # Generic instruments
     # ------------------------------------------------------------------
     def inc(self, name: str, amount: int = 1) -> None:
         """Add ``amount`` to the named counter (created at zero)."""
-        self.counters[name] = self.counters.get(name, 0) + amount
+        self._counters[name] = self._counters.get(name, 0) + amount
 
     def set_gauge(self, name: str, value: float) -> None:
         """Set the named gauge to ``value`` (last write wins)."""
-        self.gauges[name] = value
+        self._gauges[name] = value
+
+    def new_counts(self) -> KernelCounts:
+        """A fresh kernel record, read into :attr:`counters` / :attr:`gauges`
+        from now on."""
+        counts = KernelCounts()
+        self._kernel.append(counts)
+        return counts
 
     def phase(self, name: str, engine: Optional[object] = None) -> _Phase:
         """Time a stage: ``with telemetry.phase("warmup", engine=e): ...``.
@@ -198,61 +264,27 @@ class Telemetry:
         self.engine_events += events
         self.engine_seconds += seconds
 
-    def on_delivery(self, is_withdrawal: bool) -> None:
-        """The network delivered one update message."""
-        self.inc("network.deliveries")
-        if is_withdrawal:
-            self.inc("network.deliveries.withdrawals")
-
-    def on_drop(self) -> None:
-        """An in-flight message was dropped (failed link)."""
-        self.inc("network.drops")
-
-    def on_update(self, relationship: object, is_withdrawal: bool) -> None:
-        """A node processed one update from a neighbour of ``relationship``."""
-        self.inc("node.updates")
-        key = self._relationship_keys.get(relationship)
-        if key is None:
-            key = f"node.updates.from_{getattr(relationship, 'value', relationship)}"
-            self._relationship_keys[relationship] = key
-        self.inc(key)
-        if is_withdrawal:
-            self.inc("node.updates.withdrawals")
-        else:
-            self.inc("node.updates.announcements")
-
-    def on_decision(self) -> None:
-        """A node ran its decision process for one prefix."""
-        self.inc("node.decision_runs")
-
-    def on_mrai_send(self, is_withdrawal: bool) -> None:
-        """An output channel put one update on the wire."""
-        self.inc("mrai.sends")
-        if is_withdrawal:
-            self.inc("mrai.sends.withdrawals")
-
-    def on_mrai_invalidation(self) -> None:
-        """A queued update was replaced by a newer one before sending."""
-        self.inc("mrai.invalidations")
-
-    def on_mrai_wakeup(self) -> None:
-        """An MRAI timer expiry was serviced."""
-        self.inc("mrai.wakeups")
-
-    def on_prefix_gates(self, count: int) -> None:
-        """A per-prefix channel reports its live gate count after pruning.
-
-        Kept as a high-water gauge: under PER_PREFIX MRAI the gate dict
-        is the per-session state whose growth the pruning in
-        :meth:`OutputChannel.wakeup` bounds, so the interesting number is
-        the worst case seen, not the last sample.
-        """
-        if count > self.gauges.get("mrai.prefix_gates", 0.0):
-            self.gauges["mrai.prefix_gates"] = float(count)
-
     # ------------------------------------------------------------------
     # Readout
     # ------------------------------------------------------------------
+    @property
+    def counters(self) -> Dict[str, int]:
+        """Every counter as of now: ``inc`` totals plus the kernel counts."""
+        merged = dict(self._counters)
+        for record in self._kernel:
+            for name, value in record.counters().items():
+                merged[name] = merged.get(name, 0) + value
+        return merged
+
+    @property
+    def gauges(self) -> Dict[str, float]:
+        """Every gauge as of now (``mrai.prefix_gates`` is a high-water mark)."""
+        merged = dict(self._gauges)
+        high_water = max((record.prefix_gates for record in self._kernel), default=0)
+        if high_water > merged.get("mrai.prefix_gates", 0.0):
+            merged["mrai.prefix_gates"] = float(high_water)
+        return merged
+
     @property
     def wall_clock_seconds(self) -> float:
         """Seconds since this hub was created."""
@@ -285,8 +317,8 @@ class Telemetry:
         return {
             "meta": dict(self.meta),
             "phases": self.phases(),
-            "counters": dict(self.counters),
-            "gauges": dict(self.gauges),
+            "counters": self.counters,
+            "gauges": self.gauges,
             "summary": {
                 "wall_clock_seconds": self.wall_clock_seconds,
                 "engine_events": self.engine_events,

@@ -7,9 +7,10 @@ per C-event origin); multi-prefix workloads need real (address, length)
 pairs so aggregation, longest-match and covering relations exist.
 
 :class:`Prefix` follows the :class:`~repro.bgp.route.Route` hot-path
-idiom: hand-slotted, frozen, with a process-global intern table
-(:func:`make_prefix`) so one churning prefix re-imported thousands of
-times is a single shared object and dict lookups hash a precomputed slot.
+idiom: frozen, with a process-global intern table (:func:`make_prefix`)
+so one churning prefix re-imported thousands of times is a single shared
+object — and it *is* the ``(addr, length)`` tuple, so dict lookups hash
+and compare it without entering the interpreter.
 
 Mixed-token ordering
 --------------------
@@ -25,6 +26,7 @@ an int token never aliases a Prefix token.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import FrozenInstanceError
 from typing import Dict, Iterator, Optional, Tuple, Union
 
@@ -50,16 +52,20 @@ def _netmask(length: int) -> int:
     return _ADDRESS_MASK ^ ((1 << (ADDRESS_BITS - length)) - 1)
 
 
-class Prefix:
+class Prefix(tuple):
     """An immutable IPv4 prefix: ``addr`` (canonical) / ``length``.
 
     ``addr`` must be canonical — host bits below ``length`` must be
     zero — so equal prefixes are equal ints and interning is exact.
+
+    A ``tuple`` subclass: hashing and equality — every RIB, out-queue
+    and gate lookup in the kernel — run in C, with the hash value of
+    the plain ``(addr, length)`` pair.
     """
 
-    __slots__ = ("addr", "length", "_hash")
+    __slots__ = ()
 
-    def __init__(self, addr: int, length: int) -> None:
+    def __new__(cls, addr: int, length: int) -> "Prefix":
         if not 0 <= length <= ADDRESS_BITS:
             raise ParameterError(
                 f"prefix length must be in [0, {ADDRESS_BITS}], got {length}"
@@ -70,10 +76,10 @@ class Prefix:
             raise ParameterError(
                 f"non-canonical prefix: {addr:#010x}/{length} has host bits set"
             )
-        _set = object.__setattr__
-        _set(self, "addr", addr)
-        _set(self, "length", length)
-        _set(self, "_hash", hash((addr, length)))
+        return tuple.__new__(cls, (addr, length))
+
+    addr = property(operator.itemgetter(0), doc="The network address as an int.")
+    length = property(operator.itemgetter(1), doc="The prefix length in bits.")
 
     def __setattr__(self, name: str, value: object) -> None:
         raise FrozenInstanceError(f"cannot assign to field {name!r}")
@@ -81,51 +87,28 @@ class Prefix:
     def __delattr__(self, name: str) -> None:
         raise FrozenInstanceError(f"cannot delete field {name!r}")
 
-    def __eq__(self, other: object) -> bool:
-        if self is other:
-            return True
-        if not isinstance(other, Prefix):
-            return NotImplemented
-        return self.addr == other.addr and self.length == other.length
-
-    def __ne__(self, other: object) -> bool:
-        result = self.__eq__(other)
-        if result is NotImplemented:
-            return result
-        return not result
-
-    def __hash__(self) -> int:
-        return self._hash
-
-    # Total order: (addr, length) among prefixes; every int sorts before
-    # every Prefix (see module docstring on mixed-token sorts).
+    # Total order: (addr, length) among prefixes — the tuple order;
+    # every int sorts before every Prefix (see module docstring on
+    # mixed-token sorts).
     def __lt__(self, other: object) -> bool:
-        if isinstance(other, Prefix):
-            return (self.addr, self.length) < (other.addr, other.length)
         if isinstance(other, int):
             return False
-        return NotImplemented
+        return tuple.__lt__(self, other)
 
     def __le__(self, other: object) -> bool:
-        if isinstance(other, Prefix):
-            return (self.addr, self.length) <= (other.addr, other.length)
         if isinstance(other, int):
             return False
-        return NotImplemented
+        return tuple.__le__(self, other)
 
     def __gt__(self, other: object) -> bool:
-        if isinstance(other, Prefix):
-            return (self.addr, self.length) > (other.addr, other.length)
         if isinstance(other, int):
             return True
-        return NotImplemented
+        return tuple.__gt__(self, other)
 
     def __ge__(self, other: object) -> bool:
-        if isinstance(other, Prefix):
-            return (self.addr, self.length) >= (other.addr, other.length)
         if isinstance(other, int):
             return True
-        return NotImplemented
+        return tuple.__ge__(self, other)
 
     def __str__(self) -> str:
         octets = (

@@ -27,8 +27,8 @@ letting no-op callbacks pile up and churn the heap.
 
 from __future__ import annotations
 
-import heapq
 import time
+from heapq import heapify, heappop, heappush
 from typing import Callable, List, Optional, Tuple
 
 from repro.errors import ConvergenceError, SimulationError
@@ -73,7 +73,11 @@ class Engine:
         """
         if delay < 0:
             raise SimulationError(f"cannot schedule into the past (delay={delay})")
-        return self.schedule_at(self.now + delay, callback)
+        sequence = self._next_sequence
+        entry: EventHandle = [self.now + delay, sequence, callback]
+        heappush(self._queue, entry)
+        self._next_sequence = sequence + 1
+        return entry
 
     def schedule_at(self, time: float, callback: Callback) -> EventHandle:
         """Run ``callback`` at absolute simulation time ``time``; returns a handle."""
@@ -81,9 +85,10 @@ class Engine:
             raise SimulationError(
                 f"cannot schedule into the past (at={time}, now={self.now})"
             )
-        entry: EventHandle = [time, self._next_sequence, callback]
-        heapq.heappush(self._queue, entry)
-        self._next_sequence += 1
+        sequence = self._next_sequence
+        entry: EventHandle = [time, sequence, callback]
+        heappush(self._queue, entry)
+        self._next_sequence = sequence + 1
         return entry
 
     def cancel(self, handle: EventHandle) -> None:
@@ -116,7 +121,7 @@ class Engine:
         while queue:
             head = queue[0]
             if head[2] is None:
-                heapq.heappop(queue)
+                heappop(queue)
                 self._cancelled -= 1
                 continue
             return head[0]
@@ -194,7 +199,7 @@ class Engine:
         self._queue = [
             entry if isinstance(entry, list) else list(entry) for entry in pending
         ]
-        heapq.heapify(self._queue)
+        heapify(self._queue)
         self.now = now
         self._next_sequence = next_sequence
         self.executed_events = executed_events
@@ -208,7 +213,7 @@ class Engine:
         """
         queue = self._queue
         while queue:
-            entry = heapq.heappop(queue)
+            entry = heappop(queue)
             callback = entry[2]
             if callback is None:
                 self._cancelled -= 1
@@ -254,28 +259,37 @@ class Engine:
         until: Optional[float],
         max_events: int,
     ) -> None:
-        """The :meth:`run` loop body (uninstrumented)."""
+        """The :meth:`run` loop body (uninstrumented).
+
+        Pops and dispatches inline — the same per-event semantics as
+        :meth:`step` (a dead entry is discarded without advancing the
+        clock, counting as executed or charging the budget), held to it
+        by the parity test in ``tests/sim/test_engine.py``.
+        """
         if until is not None:
             until = max(until, self.now)
-        executed = 0
+        remaining = max_events
         queue = self._queue
         while queue:
             head = queue[0]
-            if head[2] is None:
-                # Dead head: discard without charging the event budget.
-                heapq.heappop(queue)
+            callback = head[2]
+            if callback is None:
+                heappop(queue)
                 self._cancelled -= 1
                 continue
             if until is not None and head[0] > until:
                 self.now = until
                 return
-            if executed >= max_events:
+            if remaining <= 0:
                 raise ConvergenceError(
                     f"event budget of {max_events} exhausted at t={self.now:.3f}s "
                     f"with {self.pending_events} events still pending"
                 )
-            self.step()
-            executed += 1
+            remaining -= 1
+            heappop(queue)
+            self.now = head[0]
+            self.executed_events += 1
+            callback()
         if until is not None and until > self.now:
             # Queue drained before the horizon: advance the clock to it, so
             # callers can use run(until=...) to let timers expire / settle.

@@ -18,6 +18,7 @@ from typing import Dict, FrozenSet, Iterable, List, Optional, Tuple
 
 from repro.bgp.config import BGPConfig
 from repro.bgp.messages import UpdateMessage
+from repro.bgp.mrai import ChannelParams
 from repro.bgp.node import BGPNode
 from repro.bgp.route import stable_hash
 from repro.errors import SimulationError
@@ -65,10 +66,14 @@ class SimNetwork:
         #: transmit order; drained at every window barrier.
         self.border_outbox: List[Tuple[float, UpdateMessage]] = []
         # The telemetry sink (ambient session unless passed explicitly)
-        # is shared by the engine, every node and every output channel;
-        # it observes the run without influencing any RNG or event order.
+        # times the engine's runs and reads :attr:`kernel_counts`; it
+        # observes the run without influencing any RNG or event order.
         self.telemetry = telemetry if telemetry is not None else current_telemetry()
         self.engine.telemetry = self.telemetry
+        #: What this network's nodes and channels did, counted where the
+        #: work happens whether or not a hub reads it.
+        self.kernel_counts = self.telemetry.new_counts()
+        params = ChannelParams(self.config)
         self.nodes: Dict[int, BGPNode] = {}
         for node in graph.nodes():
             if self.local_nodes is not None and node.node_id not in self.local_nodes:
@@ -86,7 +91,8 @@ class SimNetwork:
                 config=self.config,
                 rng=rng,
                 transmit=self._transmit,
-                telemetry=self.telemetry,
+                counts=self.kernel_counts,
+                params=params,
             )
 
     # ------------------------------------------------------------------
@@ -123,24 +129,31 @@ class SimNetwork:
         return outbox
 
     def _deliver(self, message: UpdateMessage) -> None:
-        receiver = self.nodes.get(message.receiver)
+        receiver_id = message.receiver
+        receiver = self.nodes.get(receiver_id)
         if receiver is None:
-            raise SimulationError(f"message to unknown node {message.receiver}")
+            raise SimulationError(f"message to unknown node {receiver_id}")
+        is_withdrawal = message.path is None
         self.delivered_messages += 1
-        self.counter.record(
-            receiver=message.receiver,
-            sender=message.sender,
-            sender_relationship=receiver.neighbors[message.sender],
-            is_withdrawal=message.is_withdrawal,
-        )
-        if self.trace is not None and self.trace.watches(message.receiver):
+        counts = self.kernel_counts
+        counts.deliveries += 1
+        if is_withdrawal:
+            counts.delivery_withdrawals += 1
+        if self.counter.enabled:
+            sender = message.sender
+            self.counter.record(
+                receiver_id,
+                sender,
+                receiver.neighbors[sender],
+                is_withdrawal=is_withdrawal,
+            )
+        if self.trace is not None and self.trace.watches(receiver_id):
             self.trace.record(
                 self.engine.now,
-                message.receiver,
+                receiver_id,
                 message.sender,
-                is_withdrawal=message.is_withdrawal,
+                is_withdrawal=is_withdrawal,
             )
-        self.telemetry.on_delivery(message.is_withdrawal)
         receiver.receive(message)
 
     # ------------------------------------------------------------------

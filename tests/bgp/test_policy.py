@@ -63,3 +63,44 @@ class TestLoopAvoidance:
         assert not exportable(route, 9, PEER)  # valley
         assert not exportable(route, 3, CUST)  # loop
         assert exportable(route, 9, CUST)
+
+
+class TestInlinedExportFilter:
+    """``BGPNode._export`` inlines the filter; ``exportable`` is the reference."""
+
+    NEIGHBOR = 2
+
+    @pytest.mark.parametrize("to_relationship", list(Relationship))
+    @pytest.mark.parametrize("on_path", [False, True])
+    @pytest.mark.parametrize("learned_from", [None, *Relationship])
+    def test_agrees_with_exportable(self, learned_from, to_relationship, on_path):
+        import random
+
+        from repro.bgp.config import BGPConfig
+        from repro.bgp.node import BGPNode
+        from repro.sim.engine import Engine
+        from repro.topology.types import NodeType
+
+        if learned_from is None:
+            if on_path:
+                pytest.skip("a locally originated route has no path to be on")
+            route = local_route(0)
+        else:
+            path = (3, self.NEIGHBOR, 9) if on_path else (3, 8, 9)
+            route = import_route(0, path, learned_from)
+        sent = []
+        node = BGPNode(
+            node_id=1,
+            node_type=NodeType.M,
+            neighbors={self.NEIGHBOR: to_relationship, 3: Relationship.PEER},
+            engine=Engine(),
+            config=BGPConfig(mrai=0.0),  # no timer: an allowed export leaves at once
+            rng=random.Random(0),
+            transmit=lambda message, now: sent.append(message),
+        )
+        node._export(0, route, 0.0)
+        announced = [m.receiver for m in sent if m.path is not None]
+        assert (self.NEIGHBOR in announced) == exportable(
+            route, self.NEIGHBOR, to_relationship
+        )
+        assert all(m.path == (1,) + route.path for m in sent)

@@ -85,9 +85,12 @@ class TestGatePruning:
         assert 1 <= high_water <= len(PREFIXES)
 
     def test_gauge_is_monotone_max(self):
+        # The hub reports the worst case over every kernel record it
+        # reads, and a later, smaller sample never lowers it.
         hub = Telemetry()
-        hub.on_prefix_gates(7)
-        hub.on_prefix_gates(3)
+        first, second = hub.new_counts(), hub.new_counts()
+        first.prefix_gates = 7
+        second.prefix_gates = 3
         assert hub.gauges["mrai.prefix_gates"] == 7.0
-        hub.on_prefix_gates(11)
+        second.prefix_gates = 11
         assert hub.gauges["mrai.prefix_gates"] == 11.0

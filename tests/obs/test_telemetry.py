@@ -5,6 +5,8 @@ import pytest
 from repro.bgp.config import BGPConfig
 from repro.obs.telemetry import (
     NULL_TELEMETRY,
+    RELATIONSHIP_SLOTS,
+    KernelCounts,
     NullTelemetry,
     Telemetry,
     current_telemetry,
@@ -30,15 +32,33 @@ class TestCountersAndGauges:
         assert t.gauges == {"x": 2.5}
 
     def test_update_hook_splits_by_relationship_and_kind(self):
+        # Two updates from a customer (one a withdrawal), one from a peer.
         t = Telemetry()
-        t.on_update(Relationship.CUSTOMER, False)
-        t.on_update(Relationship.CUSTOMER, True)
-        t.on_update(Relationship.PEER, False)
+        counts = t.new_counts()
+        counts.updates_from[RELATIONSHIP_SLOTS.index("customer")] += 2
+        counts.update_withdrawals += 1
+        counts.updates_from[RELATIONSHIP_SLOTS.index("peer")] += 1
         assert t.counters["node.updates"] == 3
         assert t.counters["node.updates.from_customer"] == 2
         assert t.counters["node.updates.from_peer"] == 1
         assert t.counters["node.updates.withdrawals"] == 1
         assert t.counters["node.updates.announcements"] == 2
+        assert "node.updates.from_provider" not in t.counters
+
+    def test_relationship_slots_follow_the_enum(self):
+        assert RELATIONSHIP_SLOTS == tuple(r.value for r in Relationship)
+
+    def test_kernel_counts_add_up_across_networks_and_inc(self):
+        # The hub reads every attached record when asked, live, and adds
+        # them to what inc() accumulated under the same name.
+        t = Telemetry()
+        a, b = t.new_counts(), t.new_counts()
+        assert t.counters == {}  # a counter exists from its first increment
+        a.sends, b.sends, b.send_withdrawals = 3, 4, 1
+        t.inc("mrai.sends", 10)
+        assert t.counters == {"mrai.sends": 17, "mrai.sends.withdrawals": 1}
+        a.sends += 1
+        assert t.snapshot()["counters"]["mrai.sends"] == 18
 
 
 class TestPhases:
@@ -91,13 +111,7 @@ class TestNullObject:
         n.inc("x")
         n.set_gauge("x", 1.0)
         n.on_engine_run(1, 0.1)
-        n.on_delivery(True)
-        n.on_drop()
-        n.on_update(Relationship.PEER, False)
-        n.on_decision()
-        n.on_mrai_send(False)
-        n.on_mrai_invalidation()
-        n.on_mrai_wakeup()
+        assert isinstance(n.new_counts(), KernelCounts)
         with n.phase("anything"):
             pass
         assert n.enabled is False
@@ -110,7 +124,10 @@ class TestNullObject:
             for name in dir(Telemetry)
             if not name.startswith("_")
             and callable(getattr(Telemetry, name))
-            and (name.startswith("on_") or name in ("inc", "set_gauge", "phase"))
+            and (
+                name.startswith("on_")
+                or name in ("inc", "set_gauge", "phase", "new_counts")
+            )
         ]
         assert hooks  # the probe itself must find something
         for name in hooks:

@@ -348,3 +348,112 @@ class TestEngineProperties:
         engine.schedule(0.0, lambda: spawn(4))
         engine.run()
         assert counter["n"] == engine.executed_events
+
+
+def _run_by_steps(engine, *, until, max_events):
+    """``Engine.run`` spelled with ``peek_next_time`` / ``step`` only.
+
+    ``_drain`` pops and dispatches inline instead of calling ``step``;
+    this is the reference the two are held together by.
+    """
+    if until is not None:
+        until = max(until, engine.now)
+    executed = 0
+    while True:
+        head_time = engine.peek_next_time()
+        if head_time is None:
+            break
+        if until is not None and head_time > until:
+            engine.now = until
+            return
+        if executed >= max_events:
+            raise ConvergenceError(
+                f"event budget of {max_events} exhausted at t={engine.now:.3f}s "
+                f"with {engine.pending_events} events still pending"
+            )
+        assert engine.step() is True
+        executed += 1
+    if until is not None and until > engine.now:
+        engine.now = until
+
+
+class _Script:
+    """A schedule whose callbacks schedule and cancel further events."""
+
+    #: Bound on events ever scheduled (children may share descendants).
+    SPAWN_BUDGET = 80
+
+    def __init__(self, engine, specs, cancel_first):
+        self.engine = engine
+        self.specs = specs
+        self.handles = []
+        self.log = []
+        for index, (delay, _children, _cancels, is_root) in enumerate(specs):
+            if is_root or index == 0:
+                self._schedule(index, delay)
+        for target in cancel_first:
+            engine.cancel(self.handles[target % len(self.handles)])
+
+    def _schedule(self, index, delay):
+        if len(self.handles) < self.SPAWN_BUDGET:
+            self.handles.append(
+                self.engine.schedule(delay, lambda: self._fire(index))
+            )
+
+    def _fire(self, index):
+        self.log.append((index, self.engine.now, self.engine.executed_events))
+        _delay, children, cancels, _is_root = self.specs[index]
+        for offset in children:
+            child = index + 1 + offset
+            if child < len(self.specs):
+                self._schedule(child, self.specs[child][0])
+        for target in cancels:
+            self.engine.cancel(self.handles[target % len(self.handles)])
+
+    def state(self):
+        engine = self.engine
+        return (
+            list(self.log),
+            engine.now,
+            engine.executed_events,
+            engine.cancelled_events,
+            engine.pending_events,
+            engine.next_sequence,
+        )
+
+
+# Half-second grid: ties, and horizons that fall before, on and after events.
+_grid = st.integers(min_value=0, max_value=12).map(lambda k: k * 0.5)
+_spec = st.tuples(
+    _grid,
+    st.lists(st.integers(min_value=0, max_value=4), max_size=3),
+    st.lists(st.integers(min_value=0, max_value=40), max_size=2),
+    st.booleans(),
+)
+
+
+class TestRunMatchesStepLoop:
+    @given(
+        specs=st.lists(_spec, min_size=1, max_size=12),
+        cancel_first=st.lists(st.integers(min_value=0, max_value=40), max_size=3),
+        until=st.one_of(st.none(), _grid, st.just(1000.0)),
+        max_events=st.one_of(st.just(10_000), st.integers(min_value=0, max_value=12)),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_same_trajectory_and_same_error(self, specs, cancel_first, until, max_events):
+        outcomes = []
+        for drive in (
+            lambda engine, **kwargs: engine.run(**kwargs),
+            _run_by_steps,
+        ):
+            script = _Script(Engine(), specs, cancel_first)
+            error = None
+            try:
+                drive(script.engine, until=until, max_events=max_events)
+            except ConvergenceError as exc:
+                error = str(exc)
+            halted = (error, script.state())
+            # Whatever the first call left queued must drain identically.
+            drive(script.engine, until=None, max_events=10_000)
+            outcomes.append((halted, script.state()))
+        assert outcomes[0] == outcomes[1]

@@ -89,3 +89,62 @@ class TestDeterminism:
             return network.engine.now
 
         assert run(1) != run(2)
+
+
+class TestFootprint:
+    """A network is thousands of nodes and sessions: both stay slotted.
+
+    ``BGPNode`` has too many attributes for CPython to keep sharing
+    instance-dict keys, so an unslotted node costs ~1.5 kB more — which
+    once pushed the e2e ledger's ``peak_rss_mb`` over its bound.
+    """
+
+    def test_nodes_and_channels_have_no_instance_dict(self, diamond_network):
+        node = diamond_network.node(4)
+        assert not hasattr(node, "__dict__")
+        assert not hasattr(node.channel(2), "__dict__")
+
+    def test_bytes_per_node_at_n2000(self):
+        import gc
+        import tracemalloc
+
+        from repro.topology.generator import generate_topology
+        from repro.topology.params import baseline_params
+
+        n = 2000
+        graph = generate_topology(baseline_params(n), seed=3)
+        config = BGPConfig()
+        gc.collect()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            network = SimNetwork(graph, config, seed=3)
+            after = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert len(network.nodes) == n
+        # 7.3 kB measured, 2.5 kB of it the node's Mersenne-Twister state.
+        assert (after - before) / n <= 8000
+
+
+class TestKernelCounts:
+    def test_counted_with_or_without_a_hub(self, diamond, fast_config):
+        # The kernel runs one code path: the counts a hub would read are
+        # there under the null sink too, and equal the hub's view.
+        from repro.obs.telemetry import NULL_TELEMETRY, Telemetry
+
+        def run(telemetry):
+            network = SimNetwork(diamond, fast_config, seed=5, telemetry=telemetry)
+            network.originate(4, 0)
+            network.run_to_convergence()
+            network.withdraw(4, 0)
+            network.run_to_convergence()
+            return network
+
+        silent = run(None)
+        assert silent.telemetry is NULL_TELEMETRY
+        hub = Telemetry()
+        heard = run(hub)
+        assert silent.kernel_counts.counters() == heard.kernel_counts.counters()
+        assert heard.kernel_counts.counters() == hub.counters
+        assert hub.counters["network.deliveries"] == heard.delivered_messages
