@@ -809,3 +809,45 @@ def test_checkpoint_cost_budget(results_dir, tmp_path):
         f"{checkpoint_cost['restore_ms']:.1f} ms, checkpointed unit "
         f"{checkpoint_cost['unit_overhead_ratio']:.2f}x plain"
     )
+
+
+def test_campaign_pool_budget(results_dir):
+    """Budget rows for the campaign-wide unit queue.
+
+    The smoke fig07 + fig10 + fig11 campaign — six sweeps of two sizes —
+    cold at ``jobs=2``.  Exact: ``pools``, the process pools the campaign
+    started (1: every planned unit is queued on one pool up front; a pool
+    per sweep made it 6), and ``units``, the sweep units it submitted
+    (12).  Timing: ``pool_efficiency``, the unit seconds the campaign
+    simulated over what its workers could have in its wall time
+    (``jobs`` x wall).  ``scripts/check_perf_budget.py`` holds ``pools``
+    to 1.
+    """
+    from repro.experiments import cache
+    from repro.experiments.campaign import run_campaign
+    from repro.experiments.scale import get_scale
+
+    jobs = 2
+    hub = Telemetry()
+    cache.clear_cache()
+    summary = run_campaign(
+        get_scale("smoke"),
+        seed=0,
+        experiments=["fig07", "fig10", "fig11"],
+        jobs=jobs,
+        telemetry=hub,
+    )
+    cache.clear_cache()
+    campaign_pool = {
+        "pools": hub.counters.get("sweep.pools", 0),
+        "units": hub.counters.get("sweep.units", 0),
+        "pool_efficiency": (
+            summary.worker_seconds / (jobs * summary.wall_clock_seconds)
+        ),
+    }
+    _merge_bench_json(results_dir, {"campaign_pool": campaign_pool})
+    print(
+        f"\ncampaign pool budget: {campaign_pool['pools']} pool(s), "
+        f"{campaign_pool['units']} units, efficiency "
+        f"{campaign_pool['pool_efficiency']:.2f} at jobs={jobs}"
+    )

@@ -25,7 +25,9 @@ at most 2x the same unit run plain (it cost 4.2-4.7x); and two kernel
 hot-path invariants, on a count that does not depend on the host: one
 engine event costs at most 32 interpreter calls (it cost 46-53), and a
 live telemetry hub adds at most one call per event to the null sink's
-(per-message hooks added six).
+(per-message hooks added six); and the campaign-pool invariant: the smoke
+fig07+fig10+fig11 campaign at ``jobs=2`` starts exactly one process pool
+(a pool per sweep started six).
 
 Usage::
 
@@ -71,6 +73,8 @@ EXACT_COUNTERS = [
     ("topology_build", "graph_digest_n8000"),
     ("checkpoint_cost", "snapshot_bytes"),
     ("checkpoint_cost", "rng_draws"),
+    ("campaign_pool", "pools"),
+    ("campaign_pool", "units"),
 ]
 
 #: (section, key) pairs where *larger* is worse (cost in µs or bytes).
@@ -122,8 +126,15 @@ KERNEL_CALLS_PER_EVENT_LIMIT = 32.0
 #: counts either way; a hub adds run()-boundary and phase samples only.
 KERNEL_LIVE_HUB_CALLS_LIMIT = 1.0
 
+#: Process pools the smoke fig07+fig10+fig11 campaign may start at
+#: ``jobs=2``: one for the whole campaign.
+CAMPAIGN_POOLS_LIMIT = 1
+
 #: (section, key) pairs where *smaller* is worse (throughput).
-THROUGHPUT_METRICS = [("per_op", "events_per_sec")]
+THROUGHPUT_METRICS = [
+    ("per_op", "events_per_sec"),
+    ("campaign_pool", "pool_efficiency"),
+]
 
 
 def _load(path: Path) -> dict:
@@ -249,6 +260,14 @@ def main(argv=None) -> int:
                 "into the hub per message again?"
             )
 
+    pools = int(_get(current, "campaign_pool", "pools", args.current))
+    if pools != CAMPAIGN_POOLS_LIMIT:
+        failures.append(
+            f"campaign_pool: the campaign started {pools} process pools "
+            f"(want {CAMPAIGN_POOLS_LIMIT}) — is a sweep forking a pool of "
+            "its own again?"
+        )
+
     for section, key in COST_METRICS:
         got = float(_get(current, section, key, args.current))
         want = float(_get(baseline, section, key, args.baseline))
@@ -265,8 +284,8 @@ def main(argv=None) -> int:
         floor = want / args.tolerance
         if got < floor:
             failures.append(
-                f"{section}.{key}: {got:,.0f} below floor {floor:,.0f} "
-                f"(baseline {want:,.0f} / tolerance {args.tolerance})"
+                f"{section}.{key}: {got:,.3g} below floor {floor:,.3g} "
+                f"(baseline {want:,.3g} / tolerance {args.tolerance})"
             )
 
     if failures:

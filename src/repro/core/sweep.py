@@ -9,26 +9,32 @@ increases).
 
 Execution model: a sweep is decomposed into independent, picklable
 :class:`SweepUnit` work items — one ``(scenario, n, origin-batch)``
-simulation each — which run either inline or fanned out over a
-``ProcessPoolExecutor`` (``jobs=N``).  Every unit derives its seeds from
-the sweep's master seed alone, and unit results are merged in a fixed
-order, so serial and parallel runs of the same sweep are bit-identical.
+simulation each — which run either inline or on the worker processes of
+a :class:`UnitQueue` (``jobs=N``).  A queue outlives a sweep: it takes
+the units of as many sweeps as its owner submits, and collecting one
+sweep waits for that sweep's units only.  Every unit derives its seeds
+from the sweep's master seed alone, and unit results are merged in a
+fixed order (:func:`merge_sweep`), so serial and parallel runs of the
+same sweep are bit-identical.
 """
 
 from __future__ import annotations
 
+import concurrent.futures
 import dataclasses
+import gc
 import logging
+import multiprocessing
 import os
 import threading
 import time
 from concurrent.futures import ProcessPoolExecutor
-from concurrent.futures import TimeoutError as FutureTimeoutError
 from concurrent.futures.process import BrokenProcessPool
 from pathlib import Path
-from typing import Callable, Dict, List, Optional, Sequence, Union
+from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.bgp.config import BGPConfig
+from repro.bgp.route import clear_intern_caches
 from repro.core.cevent import (
     CEventBatchResult,
     CEventStats,
@@ -38,7 +44,8 @@ from repro.core.cevent import (
 )
 from repro.core.regression import relative_increase
 from repro.errors import ExperimentError
-from repro.obs.telemetry import current_telemetry
+from repro.obs.telemetry import Telemetry, current_telemetry, telemetry_session
+from repro.prefix.prefix import clear_prefix_intern_cache
 from repro.sim.rng import origin_batch_seed, sweep_point_seeds
 from repro.topology.generator import generate_topology
 from repro.topology.scenarios import scenario_params
@@ -61,10 +68,14 @@ FAULT_MODE_ENV = "REPRO_FAULT_MODE"
 ProgressFn = Callable[[str, int, CEventStats], None]
 
 #: Signature of a per-unit completion callback: (unit,).  Invoked from the
-#: submitting process as soon as a unit's result lands — from a pool
-#: worker's completion thread under parallel execution, so implementations
-#: must be thread-safe (``repro.obs.progress.ProgressLine`` is).
+#: submitting process as soon as a unit's result lands — from the pool's
+#: management thread under parallel execution, so implementations must be
+#: thread-safe (``repro.obs.progress.ProgressLine`` is).
 UnitDoneFn = Callable[["SweepUnit"], None]
+
+#: What a unit runner returns: the unit's result and the counters its
+#: hub collected (see :func:`_run_unit`).
+UnitOutcome = Tuple[CEventBatchResult, Dict[str, int]]
 
 
 @dataclasses.dataclass(frozen=True)
@@ -248,16 +259,15 @@ def execute_sweep_unit(unit: SweepUnit) -> CEventBatchResult:
     )
 
 
-def _run_unit(
+def _execute(
     unit: SweepUnit,
     checkpoint_dir: Optional[Union[str, Path]],
     checkpoint_every: int,
 ) -> CEventBatchResult:
-    """One unit, checkpointed when a checkpoint directory is configured.
+    """One unit in this process, checkpointed when a directory is given.
 
-    Module-level (picklable by reference) so it can serve as the pool's
-    work function; the checkpoint import is deferred because
-    :mod:`repro.checkpoint.batch` imports this module.
+    The checkpoint import is deferred because :mod:`repro.checkpoint.batch`
+    imports this module.
     """
     if checkpoint_dir is None:
         return execute_sweep_unit(unit)
@@ -268,106 +278,368 @@ def _run_unit(
     )
 
 
-def _run_units_parallel(
-    units: Sequence[SweepUnit],
-    jobs: int,
+def _run_unit(
+    unit: SweepUnit,
     checkpoint_dir: Optional[Union[str, Path]],
     checkpoint_every: int,
-    on_unit_done: Optional[UnitDoneFn] = None,
-    unit_timeout: Optional[float] = None,
-) -> List[CEventBatchResult]:
-    """Fan units out over a process pool, surviving worker deaths.
+) -> UnitOutcome:
+    """The unit runner of every process that is not the campaign's own.
 
-    Futures are collected in submission order (the merge downstream
-    relies on it).  A unit whose worker died — ``BrokenProcessPool`` —
-    is re-run *serially* in this process after the pool is torn down:
-    one bounded retry that cannot be killed by another worker crash.
-    With checkpointing enabled the retry resumes from the dead worker's
-    last checkpoint instead of starting over.  Unit *errors* (in the
-    simulation itself) are not retried; they propagate as before.
-
-    ``unit_timeout`` bounds how long the collector waits on any single
-    unit's future: a hung worker (stuck I/O, runaway loop) can no longer
-    stall the sweep forever.  Timed-out units take the same recovery
-    path as ``BrokenProcessPool`` — the pool's processes are killed and
-    the units re-run serially from their checkpoints.  The wait starts
-    when collection reaches the unit, so the bound is conservative
-    (units run concurrently while earlier ones are being collected);
-    pick a timeout comfortably above one unit's expected wall clock.
+    Pool workers and ``repro.dist`` workers both run a unit through here:
+    under a hub of its own, returning ``(result, counters)`` so the
+    submitting side can fold the unit's counters — every kernel count,
+    ``checkpoint.*`` — into its hub with :meth:`Telemetry.absorb`.
+    Module-level, so a pool pickles it by reference.
     """
-    results: List[Optional[CEventBatchResult]] = [None] * len(units)
-    failed: List[int] = []
-    timed_out: List[int] = []
-    # A timed-out unit can complete twice from the observer's point of
-    # view: the pool future still resolves if the worker finishes between
-    # the FutureTimeoutError and the pool kill (firing the done-callback),
-    # and the serial retry below completes the unit again.  Deduplicate
-    # notifications per unit index so on_unit_done fires exactly once —
-    # progress lines and API event streams rely on an exact count.
-    notified: set = set()
-    notify_lock = threading.Lock()
+    with telemetry_session(Telemetry()) as hub:
+        result = _execute(unit, checkpoint_dir, checkpoint_every)
+    return result, hub.counters
 
-    def notify_done(index: int) -> None:
-        if on_unit_done is None:
-            return
-        with notify_lock:
-            if index in notified:
-                return
-            notified.add(index)
-        on_unit_done(units[index])
 
-    pool = ProcessPoolExecutor(max_workers=min(jobs, len(units)))
-    try:
-        futures = [
-            pool.submit(_run_unit, unit, checkpoint_dir, checkpoint_every)
-            for unit in units
+# ----------------------------------------------------------------------
+# Pool workers
+# ----------------------------------------------------------------------
+#: In a pool worker: the pool's start board (only under a unit timeout)
+#: and this worker's slot on it — ``(ticket, start time)`` pairs the
+#: parent reads to time the units from when a worker picked them up.
+_BOARD: Optional[Sequence[float]] = None
+_SLOT = 0
+#: In a pool worker: whether a unit already ran here.
+_RAN_UNIT = False
+
+
+def _init_worker(
+    board: Optional[Sequence[float]],
+    slots: Optional["multiprocessing.sharedctypes.Synchronized"],
+) -> None:
+    """Pool initializer: claim a slot on the start board, if there is one.
+
+    ``gc.freeze()`` moves everything inherited from the parent out of the
+    collector's sight, so the collections :func:`_pool_task` runs between
+    units only walk what the units themselves allocated.
+    """
+    global _BOARD, _SLOT
+    if board is not None and slots is not None:
+        with slots.get_lock():
+            _SLOT = slots.value
+            slots.value += 1
+        _BOARD = board
+    gc.freeze()
+
+
+def _pool_task(
+    ticket: int,
+    unit: SweepUnit,
+    checkpoint_dir: Optional[Union[str, Path]],
+    checkpoint_every: int,
+) -> UnitOutcome:
+    """One unit on a pool worker.
+
+    A reused worker first drops what the previous unit left behind, so
+    every unit starts where a fresh worker would: the route, path and
+    prefix intern tables (values of another topology, no use to this
+    one) and the unit's cyclic garbage — a network's nodes, channels and
+    events reference each other, so without a collection a worker grows
+    by a network per unit.  Then it stamps the start board with the
+    ticket and the time, which is where ``unit_timeout`` counts from.
+    """
+    global _RAN_UNIT
+    if _RAN_UNIT:
+        clear_intern_caches()
+        clear_prefix_intern_cache()
+        gc.collect()
+    _RAN_UNIT = True
+    if _BOARD is not None:
+        _BOARD[2 * _SLOT + 1] = time.monotonic()
+        _BOARD[2 * _SLOT] = ticket
+    return _run_unit(unit, checkpoint_dir, checkpoint_every)
+
+
+def _lost(future: concurrent.futures.Future) -> bool:
+    """Whether a finished future's pool failed it (vs. a result or a
+    unit's own error)."""
+    return future.cancelled() or isinstance(future.exception(), BrokenProcessPool)
+
+
+@dataclasses.dataclass(eq=False)
+class _Ticket:
+    """One submitted unit and, once collected, its result."""
+
+    index: int
+    unit: SweepUnit
+    future: Optional[concurrent.futures.Future] = None
+    #: the pool generation ``future`` belongs to
+    generation: int = 0
+    #: when a worker picked the unit up (monotonic clock), once seen
+    started: Optional[float] = None
+    result: Optional[CEventBatchResult] = None
+
+
+class UnitQueue:
+    """Sweep units queued on one process pool, collected sweep by sweep.
+
+    :meth:`submit` queues units (in the order given) and returns their
+    tickets; :meth:`collect` waits for some tickets and returns their
+    results in ticket order.  The pool starts at the first submit and
+    serves every later one, so the owner — a sweep execution context or
+    a standalone :func:`run_growth_sweep` — can queue all its work up
+    front and no sweep waits for another's slowest unit.
+
+    Failure handling is written once, here:
+
+    * a worker that dies breaks the pool (``BrokenProcessPool``); a unit
+      that runs longer than ``unit_timeout`` — counted from when a worker
+      picked it up, not from when it was queued — gets the pool killed.
+      Either way the tickets being collected that lost their result re-run
+      *serially* in this process, from their checkpoints when configured:
+      one bounded retry another crash cannot kill.  Every other unit still
+      outstanding goes to a fresh pool;
+    * a unit that raises (a simulation error) propagates from
+      :meth:`collect`, as it would serially;
+    * ``on_unit_done`` fires exactly once per ticket, whichever of a pool
+      completion or a retry delivered it.
+
+    Each unit's counters are folded into the collecting thread's hub when
+    its result is collected.  Counters ``sweep.pools`` and ``sweep.units``
+    count the pools started and the units submitted.
+    """
+
+    def __init__(
+        self,
+        jobs: int,
+        *,
+        checkpoint_dir: Optional[Union[str, Path]] = None,
+        checkpoint_every: int = 1,
+        on_unit_done: Optional[UnitDoneFn] = None,
+        unit_timeout: Optional[float] = None,
+    ) -> None:
+        self.jobs = jobs
+        self.checkpoint_dir = checkpoint_dir
+        self.checkpoint_every = checkpoint_every
+        self.on_unit_done = on_unit_done
+        self.unit_timeout = unit_timeout
+        self._pool: Optional[ProcessPoolExecutor] = None
+        self._board: Optional[Sequence[float]] = None
+        #: bumped whenever a pool is torn down after a failure
+        self._generation = 0
+        #: submitted tickets whose result is not collected yet, by index
+        self._live: Dict[int, _Ticket] = {}
+        self._submitted = 0
+        self._notified: set = set()
+        self._notify_lock = threading.Lock()
+
+    def __enter__(self) -> "UnitQueue":
+        return self
+
+    def __exit__(self, *exc: object) -> None:
+        self.close()
+
+    # ------------------------------------------------------------------
+    # Submission
+    # ------------------------------------------------------------------
+    def submit(self, units: Sequence[SweepUnit]) -> List[_Ticket]:
+        """Queue ``units`` behind everything queued so far."""
+        tickets = [
+            _Ticket(index=self._submitted + offset, unit=unit)
+            for offset, unit in enumerate(units)
         ]
-        if on_unit_done is not None:
-            # Fire progress as units land (out of order), while results are
-            # still *collected* in submission order below — live feedback
-            # without touching the deterministic merge.
-            for index, future in enumerate(futures):
-                future.add_done_callback(
-                    lambda fut, index=index: (
-                        notify_done(index)
-                        if not fut.cancelled() and fut.exception() is None
-                        else None
-                    )
-                )
-        for index, future in enumerate(futures):
-            try:
-                results[index] = future.result(timeout=unit_timeout)
-            except BrokenProcessPool:
-                failed.append(index)
-            except FutureTimeoutError:
-                timed_out.append(index)
-                future.cancel()  # no-op if running; stops a queued unit
-    finally:
-        if timed_out:
-            # The hung workers still occupy the pool; a graceful shutdown
-            # would block on them forever.  Kill the whole pool — every
-            # collectible result is already in hand.
-            for process in list((getattr(pool, "_processes", None) or {}).values()):
-                process.kill()
-        pool.shutdown(wait=True, cancel_futures=True)
-    for index in failed + sorted(timed_out):
-        unit = units[index]
-        _LOG.warning(
-            "worker %s while running sweep unit %s n=%d batch %d/%d; "
-            "re-running serially%s",
-            "timed out" if index in timed_out else "died",
-            unit.scenario,
-            unit.n,
-            unit.batch_index,
-            unit.num_batches,
-            " (resuming from checkpoint)" if checkpoint_dir is not None else "",
+        self._submitted += len(tickets)
+        current_telemetry().inc("sweep.units", len(tickets))
+        for ticket in tickets:
+            self._live[ticket.index] = ticket
+            self._dispatch(ticket)
+        return tickets
+
+    def _dispatch(self, ticket: _Ticket) -> None:
+        ticket.future = None
+        ticket.started = None
+        try:
+            future = self._running_pool().submit(
+                _pool_task,
+                ticket.index,
+                ticket.unit,
+                self.checkpoint_dir,
+                self.checkpoint_every,
+            )
+        except BrokenProcessPool:
+            # The pool broke while nobody was collecting from it.
+            self._restart(keep=(), kill=False)
+            self._dispatch(ticket)
+            return
+        ticket.future = future
+        ticket.generation = self._generation
+        future.add_done_callback(
+            lambda done: (
+                self._notify(ticket)
+                if not done.cancelled() and done.exception() is None
+                else None
+            )
         )
-        results[index] = _run_unit(unit, checkpoint_dir, checkpoint_every)
-        notify_done(index)
-    return results  # type: ignore[return-value]  # all slots filled above
+
+    def _running_pool(self) -> ProcessPoolExecutor:
+        if self._pool is None:
+            slots = None
+            if self.unit_timeout is not None:
+                # Shared memory (and the ctypes it imports) only when a
+                # timeout needs the workers' start times.
+                context = multiprocessing.get_context()
+                self._board = context.RawArray("d", [-1.0] * (2 * self.jobs))
+                slots = context.Value("i", 0)
+            self._pool = ProcessPoolExecutor(
+                max_workers=self.jobs,
+                initializer=_init_worker,
+                initargs=(self._board, slots),
+            )
+            current_telemetry().inc("sweep.pools")
+        return self._pool
+
+    def _notify(self, ticket: _Ticket) -> None:
+        if self.on_unit_done is None:
+            return
+        with self._notify_lock:
+            if ticket.index in self._notified:
+                return
+            self._notified.add(ticket.index)
+        self.on_unit_done(ticket.unit)
+
+    # ------------------------------------------------------------------
+    # Collection
+    # ------------------------------------------------------------------
+    def landed(self, tickets: Sequence[_Ticket]) -> bool:
+        """Whether every ticket's unit finished successfully on the pool
+        (so :meth:`collect` would return without waiting)."""
+        return all(
+            ticket.result is not None
+            or (
+                ticket.future is not None
+                and ticket.future.done()
+                and not ticket.future.cancelled()
+                and ticket.future.exception() is None
+            )
+            for ticket in tickets
+        )
+
+    def collect(
+        self,
+        tickets: Sequence[_Ticket],
+        on_wait: Optional[Callable[[], None]] = None,
+    ) -> List[CEventBatchResult]:
+        """The tickets' results in ticket order, waiting as needed.
+
+        ``on_wait`` runs whenever the wait wakes up with tickets still
+        outstanding (a unit landed, or a timeout poll): the owner's chance
+        to do something with the results of *other* tickets.
+        """
+        waiting = [ticket for ticket in tickets if ticket.result is None]
+        lost: List[_Ticket] = []
+        timed_out: set = set()
+        while waiting:
+            outstanding = []
+            for ticket in waiting:
+                if not ticket.future.done():
+                    outstanding.append(ticket)
+                elif not self._take(ticket, keep=tickets):
+                    lost.append(ticket)
+            waiting = outstanding
+            if not waiting:
+                break
+            if on_wait is not None:
+                on_wait()
+            expired = self._expired(waiting)
+            if expired:
+                timed_out.update(ticket.index for ticket in expired)
+                self._restart(keep=tickets, kill=True)
+                continue
+            concurrent.futures.wait(
+                [ticket.future for ticket in waiting],
+                timeout=self._poll_seconds(),
+                return_when=concurrent.futures.FIRST_COMPLETED,
+            )
+        for ticket in sorted(lost, key=lambda t: t.index):
+            unit = ticket.unit
+            _LOG.warning(
+                "worker %s while running sweep unit %s n=%d batch %d/%d; "
+                "re-running serially%s",
+                "timed out" if ticket.index in timed_out else "died",
+                unit.scenario,
+                unit.n,
+                unit.batch_index,
+                unit.num_batches,
+                " (resuming from checkpoint)" if self.checkpoint_dir else "",
+            )
+            ticket.result = _execute(unit, self.checkpoint_dir, self.checkpoint_every)
+            ticket.future = None
+            self._notify(ticket)
+        for ticket in tickets:
+            self._live.pop(ticket.index, None)
+        return [ticket.result for ticket in tickets]  # type: ignore[misc]
+
+    def _take(self, ticket: _Ticket, *, keep: Sequence[_Ticket]) -> bool:
+        """Collect one finished future; False if the pool lost it."""
+        future = ticket.future
+        if _lost(future):
+            if ticket.generation == self._generation:
+                self._restart(keep=keep, kill=False)
+            return False
+        result, counters = future.result()  # a unit's own error raises here
+        current_telemetry().absorb(counters)
+        ticket.result = result
+        ticket.future = None
+        return True
+
+    def _expired(self, waiting: Sequence[_Ticket]) -> List[_Ticket]:
+        """Tickets a worker has been running for longer than the timeout."""
+        if self.unit_timeout is None or self._board is None:
+            return []
+        board = self._board
+        for slot in range(self.jobs):
+            ticket = self._live.get(int(board[2 * slot]))
+            if ticket is not None and ticket.started is None:
+                ticket.started = board[2 * slot + 1]
+        now = time.monotonic()
+        return [
+            ticket
+            for ticket in waiting
+            if ticket.started is not None
+            and now - ticket.started > self.unit_timeout
+        ]
+
+    def _poll_seconds(self) -> Optional[float]:
+        """How long one wait may block: forever without a timeout to
+        enforce, else short enough to catch an overrun promptly."""
+        if self.unit_timeout is None:
+            return None
+        return min(0.2, self.unit_timeout / 4.0)
+
+    def _restart(self, *, keep: Sequence[_Ticket], kill: bool) -> None:
+        """Tear the pool down and queue the lost units of other sweeps on
+        a fresh one; ``keep`` — the tickets being collected — are left to
+        the caller's serial retry."""
+        pool, self._pool, self._board = self._pool, None, None
+        self._generation += 1
+        if pool is not None:
+            if kill:
+                # Hung workers would block a graceful shutdown forever;
+                # every result already delivered stays in its future.
+                for process in list((getattr(pool, "_processes", None) or {}).values()):
+                    process.kill()
+            pool.shutdown(wait=True, cancel_futures=True)
+        kept = {ticket.index for ticket in keep}
+        for ticket in sorted(self._live.values(), key=lambda t: t.index):
+            future = ticket.future
+            if ticket.index in kept or future is None:
+                continue
+            if _lost(future):
+                self._dispatch(ticket)
+
+    def close(self) -> None:
+        """Cancel queued units, wait for running ones, stop the workers."""
+        pool, self._pool, self._board = self._pool, None, None
+        if pool is not None:
+            pool.shutdown(wait=True, cancel_futures=True)
 
 
-def _sweep_units(
+def sweep_units(
     scenario: str,
     sizes: Sequence[int],
     config: BGPConfig,
@@ -377,6 +649,8 @@ def _sweep_units(
     origin_batch_size: Optional[int],
 ) -> List[SweepUnit]:
     """The full work list, in deterministic (size, batch) order."""
+    if not sizes:
+        raise ExperimentError("empty size grid")
     if origin_batch_size is not None and origin_batch_size < 1:
         raise ExperimentError(
             f"origin_batch_size must be >= 1, got {origin_batch_size}"
@@ -403,17 +677,50 @@ def _sweep_units(
     ]
 
 
-def resolve_jobs(jobs: Optional[int]) -> int:
-    """Validated worker count: None → 1 (serial), 0 → auto (CPU count).
+def merge_sweep(
+    units: Sequence[SweepUnit],
+    batch_results: Sequence[CEventBatchResult],
+    progress: Optional[ProgressFn] = None,
+) -> SweepResult:
+    """One sweep's :class:`SweepResult` from its units' results, both in
+    the (size, batch) order :func:`sweep_units` lists them in."""
+    first = units[0]
+    num_batches = first.num_batches
+    stats: List[CEventStats] = []
+    with current_telemetry().phase("analysis"):
+        for start in range(0, len(units), num_batches):
+            n = units[start].n
+            _, sim_seed = sweep_point_seeds(first.seed, n)
+            result = merge_c_event_batches(
+                batch_results[start : start + num_batches], seed=sim_seed
+            )
+            stats.append(result)
+            if progress is not None:
+                progress(first.scenario, n, result)
+    return SweepResult(
+        scenario=first.scenario.upper(),
+        sizes=[unit.n for unit in units[::num_batches]],
+        stats=stats,
+        config=first.config,
+    )
 
-    Raises :class:`~repro.errors.ExperimentError` on negative values —
-    nothing downstream ever sees a ``ProcessPoolExecutor(max_workers<=0)``.
+
+def resolve_jobs(jobs: Optional[int]) -> int:
+    """Validated worker count: None → 1 (serial), 0 → auto (usable CPUs).
+
+    "Usable" is this process's CPU affinity mask where the platform has
+    one — a container's or ``taskset``'s share of the host, not the
+    host's count.  Raises :class:`~repro.errors.ExperimentError` on
+    negative values — nothing downstream ever sees a
+    ``ProcessPoolExecutor(max_workers<=0)``.
     """
     if jobs is None:
         return 1
     if jobs < 0:
         raise ExperimentError(f"jobs must be >= 0, got {jobs}")
     if jobs == 0:
+        if hasattr(os, "sched_getaffinity"):
+            return len(os.sched_getaffinity(0)) or 1
         return os.cpu_count() or 1
     return jobs
 
@@ -441,13 +748,13 @@ def run_growth_sweep(
     different scenarios at the same (seed, size) share nothing but remain
     individually reproducible.
 
-    ``jobs`` > 1 fans the work units out over a process pool (``0`` =
-    one worker per CPU); results are merged in fixed (size, batch)
-    order, so the returned numbers are bit-identical to a serial run.  A
-    unit whose worker process dies is re-run serially instead of
-    aborting the sweep, and ``unit_timeout`` additionally bounds how
-    long any single unit may keep the sweep waiting (hung workers take
-    the same serial-retry path).  ``origin_batch_size`` bounds how many
+    ``jobs`` > 1 runs the work units on a :class:`UnitQueue` of that many
+    worker processes (``0`` = one per usable CPU); results are merged in
+    fixed (size, batch) order, so the returned numbers are bit-identical
+    to a serial run.  A unit whose worker process dies is re-run serially
+    instead of aborting the sweep, and ``unit_timeout`` bounds how long
+    any single unit may run on a worker (hung workers take the same
+    serial-retry path).  ``origin_batch_size`` bounds how many
     origins one unit simulates: smaller batches expose more parallelism
     within a single size (each batch runs on its own deterministically
     seeded network, so the batch size — unlike ``jobs`` — is part of the
@@ -469,10 +776,8 @@ def run_growth_sweep(
     CLI's progress line.  Purely observational: it sees the
     :class:`SweepUnit`, not its result.
     """
-    if not sizes:
-        raise ExperimentError("empty size grid")
     config = config if config is not None else BGPConfig()
-    units = _sweep_units(
+    units = sweep_units(
         scenario,
         sizes,
         config,
@@ -485,39 +790,21 @@ def run_growth_sweep(
     if coordinator is not None:
         batch_results = coordinator.run_units(units, on_unit_done=on_unit_done)
     elif effective_jobs > 1 and len(units) > 1:
-        batch_results = _run_units_parallel(
-            units,
-            effective_jobs,
-            checkpoint_dir,
-            checkpoint_every,
-            on_unit_done,
-            unit_timeout,
-        )
+        with UnitQueue(
+            min(effective_jobs, len(units)),
+            checkpoint_dir=checkpoint_dir,
+            checkpoint_every=checkpoint_every,
+            on_unit_done=on_unit_done,
+            unit_timeout=unit_timeout,
+        ) as queue:
+            batch_results = queue.collect(queue.submit(units))
     else:
         batch_results = []
         for unit in units:
-            batch_results.append(_run_unit(unit, checkpoint_dir, checkpoint_every))
+            batch_results.append(_execute(unit, checkpoint_dir, checkpoint_every))
             if on_unit_done is not None:
                 on_unit_done(unit)
-
-    num_batches = units[0].num_batches
-    stats: List[CEventStats] = []
-    with current_telemetry().phase("analysis"):
-        for size_index, n in enumerate(sizes):
-            _, sim_seed = sweep_point_seeds(seed, n)
-            per_size = batch_results[
-                size_index * num_batches : (size_index + 1) * num_batches
-            ]
-            result = merge_c_event_batches(per_size, seed=sim_seed)
-            stats.append(result)
-            if progress is not None:
-                progress(scenario, n, result)
-    return SweepResult(
-        scenario=scenario.upper(),
-        sizes=list(sizes),
-        stats=stats,
-        config=config,
-    )
+    return merge_sweep(units, batch_results, progress)
 
 
 def run_scenario_comparison(

@@ -33,9 +33,12 @@ across K graph-partition workers, fail-stop, no leases — has its own
 driver in :mod:`repro.dist.partition`; workers built by
 :func:`~repro.dist.worker.run_worker` serve both (the reply to their
 lease request decides which mode they enter).
-Worker-side telemetry counters arriving in RESULT frames are aggregated
-into the ambient :func:`~repro.obs.telemetry.current_telemetry` hub
-under a ``worker.`` prefix; purely observational.
+Worker-side telemetry counters arriving in RESULT frames are folded
+(:meth:`~repro.obs.telemetry.Telemetry.absorb`) into the hub that was
+ambient where :meth:`Coordinator.run_units` was called — the connection
+threads are handed it, since a hub is per thread — once per accepted
+result, so a distributed campaign's ``telemetry.jsonl`` counts what a
+serial one does; purely observational.
 """
 
 from __future__ import annotations
@@ -64,7 +67,7 @@ from repro.dist.protocol import (
 )
 from repro.errors import DistributedError, ProtocolError
 from repro.obs.progress import ProgressLine, format_eta
-from repro.obs.telemetry import current_telemetry
+from repro.obs.telemetry import NULL_TELEMETRY, current_telemetry
 
 _LOG = logging.getLogger(__name__)
 
@@ -180,6 +183,8 @@ class Coordinator:
         self._filled = 0
         self._failure: Optional[str] = None
         self._on_unit_done: Optional[UnitDoneFn] = None
+        #: the active run's hub, for the connection threads
+        self._telemetry = NULL_TELEMETRY
         self._progress: Optional[ProgressLine] = None
         # cumulative stats (over the coordinator's lifetime)
         self.units_completed = 0
@@ -297,6 +302,7 @@ class Coordinator:
             self._filled = 0
             self._failure = None
             self._on_unit_done = on_unit_done
+            self._telemetry = current_telemetry()
             for index, unit in enumerate(units):
                 key = unit_checkpoint_key(unit)
                 job = self._jobs.get(key)
@@ -329,6 +335,7 @@ class Coordinator:
                 self._leases.clear()
                 self._results = []
                 self._on_unit_done = None
+                self._telemetry = NULL_TELEMETRY
                 if self._progress is not None:
                     self._progress.finish()
                     self._progress = None
@@ -553,12 +560,14 @@ class Coordinator:
                 job.lease_id = None
                 accepted = True
                 on_unit_done = self._on_unit_done
+                telemetry = self._telemetry
                 if self._progress is not None:
                     self._progress.advance(
                         amount=done_count, extra=self._progress_extra_locked()
                     )
                 self._cond.notify_all()
-        self._absorb_telemetry(message.get("telemetry"))
+        if accepted:
+            telemetry.absorb(message.get("telemetry"))
         worker.send(
             {
                 "type": MSG_RESULT,
@@ -608,15 +617,3 @@ class Coordinator:
             self._cond.notify_all()
         if self._echo is not None and not self._closing.is_set():
             self._echo(f"worker {worker.worker_id} left")
-
-    @staticmethod
-    def _absorb_telemetry(counters: object) -> None:
-        """Fold worker-side counters into the ambient hub (observational)."""
-        if not isinstance(counters, dict):
-            return
-        telemetry = current_telemetry()
-        if not telemetry.enabled:
-            return
-        for name, value in counters.items():
-            if isinstance(name, str) and isinstance(value, int):
-                telemetry.inc(f"worker.{name}", value)

@@ -2,11 +2,12 @@
 
 ``repro-bgp worker host:port`` runs :func:`run_worker`: connect (with
 capped exponential backoff + jitter on transient failures), register,
-then loop — request a lease, execute the unit with
-:func:`~repro.core.sweep.execute_sweep_unit` (checkpointed via PR 2 when
-a checkpoint directory is configured, so a worker restarted after a
-crash resumes its unit mid-batch instead of starting over), and stream
-the result plus telemetry counters back in one RESULT frame.
+then loop — request a lease, execute the unit through the sweep layer's
+unit runner (the one pool workers use: checkpointed when a checkpoint
+directory is configured, so a worker restarted after a crash resumes its
+unit mid-batch instead of starting over, and under a telemetry hub of its
+own), and stream the result plus that hub's counters back in one RESULT
+frame.
 
 While a unit executes, a background thread heartbeats the coordinator to
 renew the lease; request/response pairs share the socket under a lock,
@@ -28,7 +29,7 @@ import time
 from pathlib import Path
 from typing import Callable, Dict, Optional, Tuple, Union
 
-from repro.core.sweep import execute_sweep_unit
+from repro.core.sweep import _run_unit
 from repro.dist.protocol import (
     MSG_HEARTBEAT,
     MSG_LEASE,
@@ -42,7 +43,6 @@ from repro.dist.protocol import (
     unit_from_wire,
 )
 from repro.errors import DistributedError, ProtocolError, ReproError
-from repro.obs.telemetry import Telemetry, telemetry_session
 
 _LOG = logging.getLogger(__name__)
 
@@ -145,33 +145,6 @@ class _HeartbeatPump:
                 return
 
 
-def _execute(
-    unit,
-    checkpoint_dir: Optional[Path],
-    checkpoint_every: int,
-    collect_telemetry: bool,
-) -> Tuple[object, Dict[str, int]]:
-    """Run one unit, optionally checkpointed, returning (result, counters)."""
-
-    def run():
-        if checkpoint_dir is None:
-            return execute_sweep_unit(unit)
-        from repro.checkpoint.batch import execute_sweep_unit_checkpointed
-
-        return execute_sweep_unit_checkpointed(
-            unit, checkpoint_dir, checkpoint_every=checkpoint_every
-        )
-
-    if not collect_telemetry:
-        return run(), {}
-    # telemetry_session swaps a process-global; the CLI worker process is
-    # single-threaded so this is safe (in-process test workers pass
-    # collect_telemetry=False).
-    with telemetry_session(Telemetry()) as telemetry:
-        result = run()
-    return result, dict(telemetry.counters)
-
-
 def run_worker(
     address: Union[str, Tuple[str, int]],
     *,
@@ -193,7 +166,8 @@ def run_worker(
     retried ``max_connect_attempts`` times with capped exponential
     backoff and full jitter; a connection lost *mid-campaign* restarts
     the same dial loop, and an already-computed result is resubmitted
-    after the reconnect rather than recomputed.
+    after the reconnect rather than recomputed.  ``collect_telemetry=False``
+    sends each result without its unit's counters.
     """
     if isinstance(address, str):
         from repro.dist.coordinator import parse_address
@@ -272,11 +246,8 @@ def run_worker(
                 started = time.monotonic()
                 try:
                     with _HeartbeatPump(connection, lease_id):
-                        result, counters = _execute(
-                            unit,
-                            checkpoint_dir,
-                            checkpoint_every,
-                            collect_telemetry,
+                        result, counters = _run_unit(
+                            unit, checkpoint_dir, checkpoint_every
                         )
                 except ReproError as exc:
                     # Deterministic failure: retrying elsewhere cannot
@@ -296,7 +267,7 @@ def run_worker(
                     "unit_key": unit_key,
                     "result": batch_result_to_wire(result),
                     "wall_clock_seconds": time.monotonic() - started,
-                    "telemetry": counters,
+                    "telemetry": counters if collect_telemetry else {},
                 }
             except (OSError, ProtocolError) as exc:
                 _LOG.warning("connection to coordinator lost: %s", exc)

@@ -22,22 +22,46 @@ and the key is stable across processes and hash randomization.
 ``jobs``, ``cache_dir``, origin batching) plus hit/miss telemetry, so
 callers like :func:`~repro.experiments.campaign.run_campaign` can wire
 ``--jobs``/``--cache-dir`` through without threading parameters into
-every figure module.
+every figure module.  Under ``jobs`` > 1 the context owns one
+:class:`~repro.core.sweep.UnitQueue` for its lifetime: every sweep it
+computes runs on the same worker processes, and
+:meth:`SweepExecution.plan` can queue the units of sweeps an experiment
+will only ask for later (see :class:`SweepRequest`).
 """
 
 from __future__ import annotations
 
 import contextlib
+import contextvars
 import dataclasses
 import enum
 import hashlib
 import json
 from pathlib import Path
-from typing import Dict, Iterator, Optional, Sequence, Union
+from typing import (
+    Dict,
+    Iterable,
+    Iterator,
+    List,
+    NamedTuple,
+    Optional,
+    Sequence,
+    Union,
+)
 
 from repro._version import __version__
 from repro.bgp.config import BGPConfig
-from repro.core.sweep import ProgressFn, SweepResult, UnitDoneFn, run_growth_sweep
+from repro.core.sweep import (
+    ProgressFn,
+    SweepResult,
+    SweepUnit,
+    UnitDoneFn,
+    UnitQueue,
+    merge_sweep,
+    resolve_jobs,
+    run_growth_sweep,
+    sweep_units,
+)
 from repro.errors import SerializationError
 from repro.obs.telemetry import current_telemetry
 from repro.experiments.results_io import load_sweep, sweep_result_to_dict
@@ -103,12 +127,29 @@ def sweep_cache_key(
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()
 
 
+class SweepRequest(NamedTuple):
+    """One sweep an experiment reads: :func:`cached_sweep`'s arguments
+    beyond the scale and seed every sweep of an experiment shares.
+
+    A sweeping experiment module lists its requests in a module-level
+    ``sweeps(scale, *, seed, config=None)`` and fetches its results
+    through that same list (:func:`cached_sweeps`), so the plan a
+    campaign queues up front is by construction what the experiment
+    reads.
+    """
+
+    scenario: str
+    config: Optional[BGPConfig] = None
+    scenario_kwargs: Optional[Dict[str, object]] = None
+
+
 # ----------------------------------------------------------------------
 # Execution context: ambient policy + telemetry
 # ----------------------------------------------------------------------
 @dataclasses.dataclass
 class SweepExecution:
-    """Policy and counters for the sweeps of one logical run."""
+    """Policy, counters and (under ``jobs`` > 1) the unit queue for the
+    sweeps of one logical run."""
 
     jobs: Optional[int] = None
     cache_dir: Optional[Path] = None
@@ -119,7 +160,8 @@ class SweepExecution:
     checkpoint_every: int = 1
     #: live per-unit completion hook (the CLI progress line); observational
     on_unit_done: Optional[UnitDoneFn] = None
-    #: upper bound on one unit's collection wait under parallel execution
+    #: upper bound on one unit's run on a pool worker, counted from when
+    #: the worker picks it up
     unit_timeout: Optional[float] = None
     #: a started repro.dist Coordinator: route sweep units to remote
     #: workers instead of local processes (jobs is then ignored)
@@ -130,19 +172,167 @@ class SweepExecution:
     #: aggregate simulation wall clock across all workers (the serial
     #: cost the run would have paid without parallelism or caching)
     worker_seconds: float = 0.0
+    _queue: Optional[UnitQueue] = dataclasses.field(
+        default=None, init=False, repr=False
+    )
+    #: queued sweeps nobody asked for yet: cache key → their tickets
+    _planned: Dict[str, list] = dataclasses.field(
+        default_factory=dict, init=False, repr=False
+    )
+    #: sweeps merged off the queue that no caller has read yet: their
+    #: miss is counted, so the first read is not a hit
+    _unread: set = dataclasses.field(default_factory=set, init=False, repr=False)
 
     @property
     def cache_hits(self) -> int:
         """Sweeps answered from either cache layer."""
         return self.memory_hits + self.disk_hits
 
+    @property
+    def pooled(self) -> bool:
+        """Whether this context's sweeps run on its unit queue."""
+        return self.coordinator is None and resolve_jobs(self.jobs) > 1
 
-_EXECUTION = SweepExecution()
+    def plan(
+        self, requests: Iterable[SweepRequest], scale: Scale, *, seed: int
+    ) -> None:
+        """Queue the units of every requested sweep that is neither cached
+        (in memory or on disk) nor queued already, largest ``n`` first.
+
+        A no-op unless :attr:`pooled`.  A planned sweep is merged and
+        cached as soon as its last unit lands, whoever is waiting at the
+        time; :func:`cached_sweep` then finds it, or waits for just its
+        units.
+        """
+        if not self.pooled:
+            return
+        slots: Dict[str, list] = {}
+        entries = []
+        for request in requests:
+            config = request.config if request.config is not None else BGPConfig()
+            key = sweep_cache_key(
+                request.scenario,
+                scale.sizes,
+                scale.origins,
+                config,
+                seed,
+                request.scenario_kwargs,
+            )
+            if (
+                key in slots
+                or key in self._planned
+                or key in _CACHE
+                or (
+                    self.cache_dir is not None
+                    and _disk_path(self.cache_dir, key).exists()
+                )
+            ):
+                continue
+            units = self._units(
+                request.scenario, scale, config, seed, request.scenario_kwargs
+            )
+            slots[key] = [None] * len(units)
+            entries.extend((key, index, unit) for index, unit in enumerate(units))
+        if not entries:
+            return
+        entries.sort(key=lambda entry: -entry[2].n)  # stable: plan order within n
+        tickets = self._unit_queue().submit([unit for _, _, unit in entries])
+        for (key, index, _), ticket in zip(entries, tickets):
+            slots[key][index] = ticket
+        self._planned.update(slots)
+
+    def _units(
+        self,
+        scenario: str,
+        scale: Scale,
+        config: BGPConfig,
+        seed: int,
+        scenario_kwargs: Optional[Dict[str, object]],
+    ) -> List[SweepUnit]:
+        return sweep_units(
+            scenario,
+            scale.sizes,
+            config,
+            scale.origins,
+            seed,
+            dict(scenario_kwargs or {}),
+            self.origin_batch_size,
+        )
+
+    def _unit_queue(self) -> UnitQueue:
+        if self._queue is None:
+            self._queue = UnitQueue(
+                resolve_jobs(self.jobs),
+                checkpoint_dir=self.checkpoint_dir,
+                checkpoint_every=self.checkpoint_every,
+                on_unit_done=self.on_unit_done,
+                unit_timeout=self.unit_timeout,
+            )
+        return self._queue
+
+    def _run_queued(
+        self, key: str, units: List[SweepUnit], progress: Optional[ProgressFn]
+    ) -> SweepResult:
+        """One sweep off the unit queue: its planned tickets, or its units
+        queued now; other planned sweeps are assembled while it waits."""
+        queue = self._unit_queue()
+        tickets = self._planned.pop(key, None) or queue.submit(units)
+        results = queue.collect(tickets, on_wait=self._assemble_landed)
+        return merge_sweep(units, results, progress)
+
+    def _assemble_landed(self) -> None:
+        """Merge and cache every planned sweep whose units have all landed."""
+        queue = self._queue
+        if queue is None:
+            return
+        for key, tickets in list(self._planned.items()):
+            if queue.landed(tickets):
+                del self._planned[key]
+                units = [ticket.unit for ticket in tickets]
+                result = merge_sweep(units, queue.collect(tickets))
+                self._store(key, result, self.cache_dir)
+                self._unread.add(key)
+
+    def _store(
+        self, key: str, result: SweepResult, cache_dir: Optional[Path]
+    ) -> None:
+        """Account for one computed sweep and keep it in both cache layers."""
+        self.misses += 1
+        current_telemetry().inc("cache.misses")
+        self.worker_seconds += sum(
+            stats.wall_clock_seconds for stats in result.stats
+        )
+        _CACHE[key] = result
+        if cache_dir is not None:
+            try:
+                cache_dir.mkdir(parents=True, exist_ok=True)
+                _write_entry(_disk_path(cache_dir, key), result, key)
+            except OSError:
+                pass  # a read-only cache dir must not fail the sweep
+
+    def close(self) -> None:
+        """Stop the unit queue: cancel queued units, let running ones
+        finish, and keep every planned sweep whose units all landed — an
+        interrupted run loses no finished sweep."""
+        if self._queue is None:
+            return
+        try:
+            self._queue.close()
+            self._assemble_landed()
+        finally:
+            self._queue = None
+            self._planned.clear()
+
+
+_EXECUTION: "contextvars.ContextVar[SweepExecution]" = contextvars.ContextVar(
+    "repro_sweep_execution", default=SweepExecution()
+)
 
 
 def current_execution() -> SweepExecution:
-    """The ambient execution context (a process-wide default otherwise)."""
-    return _EXECUTION
+    """The calling thread's execution context (a process-wide default
+    outside any :func:`sweep_execution`)."""
+    return _EXECUTION.get()
 
 
 @contextlib.contextmanager
@@ -157,10 +347,13 @@ def sweep_execution(
     unit_timeout: Optional[float] = None,
     coordinator: Optional[object] = None,
 ) -> Iterator[SweepExecution]:
-    """Install an execution context for the duration of a ``with`` block."""
-    global _EXECUTION
-    previous = _EXECUTION
-    _EXECUTION = SweepExecution(
+    """Install an execution context for the duration of a ``with`` block.
+
+    The context belongs to the calling thread (two campaigns in two
+    threads each see their own), and on exit it stops its unit queue
+    (:meth:`SweepExecution.close`).
+    """
+    execution = SweepExecution(
         jobs=jobs,
         cache_dir=Path(cache_dir) if cache_dir is not None else None,
         origin_batch_size=origin_batch_size,
@@ -170,10 +363,14 @@ def sweep_execution(
         unit_timeout=unit_timeout,
         coordinator=coordinator,
     )
+    token = _EXECUTION.set(execution)
     try:
-        yield _EXECUTION
+        yield execution
     finally:
-        _EXECUTION = previous
+        try:
+            execution.close()
+        finally:
+            _EXECUTION.reset(token)
 
 
 # ----------------------------------------------------------------------
@@ -298,12 +495,12 @@ def cached_sweep(
     """A growth sweep, memoized in-process and (optionally) on disk.
 
     ``jobs`` and ``cache_dir`` default to the ambient
-    :func:`sweep_execution` context.  Parallelism never affects the
-    returned numbers, so it is deliberately *not* part of the cache key.
+    :func:`sweep_execution` context; a miss in a pooled context runs on
+    the context's unit queue.  Parallelism never affects the returned
+    numbers, so it is deliberately *not* part of the cache key.
     """
     config = config if config is not None else BGPConfig()
     execution = current_execution()
-    jobs = jobs if jobs is not None else execution.jobs
     if cache_dir is not None:
         cache_dir = Path(cache_dir)
     else:
@@ -315,8 +512,11 @@ def cached_sweep(
     telemetry = current_telemetry()
     cached = _CACHE.get(key)
     if cached is not None:
-        execution.memory_hits += 1
-        telemetry.inc("cache.memory_hits")
+        if key in execution._unread:
+            execution._unread.discard(key)  # computed here; its miss is counted
+        else:
+            execution.memory_hits += 1
+            telemetry.inc("cache.memory_hits")
         return cached
     if cache_dir is not None:
         path = _disk_path(cache_dir, key)
@@ -331,35 +531,44 @@ def cached_sweep(
                 _CACHE[key] = result
                 return result
 
-    result = run_growth_sweep(
-        scenario,
-        sizes=scale.sizes,
-        config=config,
-        num_origins=scale.origins,
-        seed=seed,
-        scenario_kwargs=scenario_kwargs,
-        progress=progress,
-        jobs=jobs,
-        origin_batch_size=execution.origin_batch_size,
-        checkpoint_dir=execution.checkpoint_dir,
-        checkpoint_every=execution.checkpoint_every,
-        on_unit_done=execution.on_unit_done,
-        unit_timeout=execution.unit_timeout,
-        coordinator=execution.coordinator,
-    )
-    execution.misses += 1
-    telemetry.inc("cache.misses")
-    execution.worker_seconds += sum(
-        stats.wall_clock_seconds for stats in result.stats
-    )
-    _CACHE[key] = result
-    if cache_dir is not None:
-        try:
-            cache_dir.mkdir(parents=True, exist_ok=True)
-            _write_entry(_disk_path(cache_dir, key), result, key)
-        except OSError:
-            pass  # a read-only cache dir must not fail the sweep
+    if jobs is None and execution.pooled:
+        units = execution._units(scenario, scale, config, seed, scenario_kwargs)
+        result = execution._run_queued(key, units, progress)
+    else:
+        result = run_growth_sweep(
+            scenario,
+            sizes=scale.sizes,
+            config=config,
+            num_origins=scale.origins,
+            seed=seed,
+            scenario_kwargs=scenario_kwargs,
+            progress=progress,
+            jobs=jobs if jobs is not None else execution.jobs,
+            origin_batch_size=execution.origin_batch_size,
+            checkpoint_dir=execution.checkpoint_dir,
+            checkpoint_every=execution.checkpoint_every,
+            on_unit_done=execution.on_unit_done,
+            unit_timeout=execution.unit_timeout,
+            coordinator=execution.coordinator,
+        )
+    execution._store(key, result, cache_dir)
     return result
+
+
+def cached_sweeps(
+    requests: Sequence[SweepRequest], scale: Scale, *, seed: int
+) -> List[SweepResult]:
+    """Every requested sweep, in request order (see :func:`cached_sweep`)."""
+    return [
+        cached_sweep(
+            request.scenario,
+            scale,
+            config=request.config,
+            seed=seed,
+            scenario_kwargs=request.scenario_kwargs,
+        )
+        for request in requests
+    ]
 
 
 def clear_cache() -> None:

@@ -35,7 +35,7 @@ from repro.experiments.cache import sweep_execution
 from repro.obs.progress import ProgressLine
 from repro.obs.runlog import TELEMETRY_FILENAME, write_telemetry_jsonl
 from repro.obs.telemetry import Telemetry, telemetry_session
-from repro.experiments.registry import experiment_ids, run_experiment
+from repro.experiments.registry import declared_sweeps, experiment_ids, run_experiment
 from repro.experiments.report import ExperimentResult
 from repro.experiments.results_io import (
     result_from_dict,
@@ -419,11 +419,15 @@ def run_campaign(
     resume with a different subset is rejected rather than silently
     merged.
 
-    ``jobs`` fans each sweep out over that many worker processes and
+    ``jobs`` runs the sweeps on one pool of that many worker processes:
+    before the first experiment, the units of every sweep the remaining
+    experiments declare (and no cache holds) are queued, largest ``n``
+    first, and each experiment waits only for its own sweeps.
     ``cache_dir`` enables the persistent sweep cache; neither changes any
     measured number (``campaign.json`` is byte-identical for every
     ``jobs`` value and for cold vs warm caches).  ``unit_timeout`` bounds
-    how long a hung pool worker can stall any single sweep unit.
+    how long one sweep unit may run on a pool worker, counted from when
+    the worker picks it up.
 
     ``distributed="host:port"`` turns this process into a
     :class:`repro.dist.Coordinator` bound to that address: sweep units
@@ -586,6 +590,10 @@ def run_campaign(
             )
         )
         try:
+            # Under --jobs every sweep the campaign will read is queued now,
+            # largest units first, on the execution's one pool.
+            todo = [experiment_id for experiment_id in ids if experiment_id not in done]
+            execution.plan(declared_sweeps(todo, scale, seed=seed), scale, seed=seed)
             for experiment_id in ids:
                 if experiment_id in done:
                     continue

@@ -541,8 +541,10 @@ def _add_execution_options(parser: argparse.ArgumentParser) -> None:
         default=None,
         metavar="N",
         help=(
-            "fan sweeps out over N worker processes; 0 = one per CPU "
-            "(results are bit-identical to a serial run; default: serial)"
+            "run sweep units on one pool of N worker processes (a "
+            "campaign queues all its sweeps up front, largest units "
+            "first); 0 = one per usable CPU (results are bit-identical "
+            "to a serial run; default: serial)"
         ),
     )
     parser.add_argument(
@@ -551,9 +553,9 @@ def _add_execution_options(parser: argparse.ArgumentParser) -> None:
         default=None,
         metavar="SECONDS",
         help=(
-            "per-unit wall-clock bound under --jobs: a hung worker is "
-            "killed and its unit re-run serially from checkpoint "
-            "(default: wait forever)"
+            "per-unit wall-clock bound under --jobs, counted from when a "
+            "worker starts the unit: a hung worker is killed and its unit "
+            "re-run serially from checkpoint (default: wait forever)"
         ),
     )
     parser.add_argument(

@@ -12,13 +12,21 @@ from typing import Dict, List, Optional
 
 from repro.bgp.config import BGPConfig
 from repro.core.heterogeneity import churn_heterogeneity
-from repro.experiments.cache import cached_sweep
+from repro.experiments.cache import SweepRequest, cached_sweeps
 from repro.experiments.report import ExperimentResult
 from repro.experiments.scale import Scale, get_scale
 from repro.topology.types import NodeType
 
 EXPERIMENT_ID = "ext-heterogeneity"
 TITLE = "Churn concentration (Gini / top-10% share) across the sweep"
+
+
+
+def sweeps(
+    scale: Scale, *, seed: int, config: Optional[BGPConfig] = None
+) -> List[SweepRequest]:
+    """The sweeps :func:`run` reads: Baseline under ``config``."""
+    return [SweepRequest("BASELINE", config)]
 
 
 def run(
@@ -29,7 +37,8 @@ def run(
 ) -> ExperimentResult:
     """Derive concentration metrics from the (cached) Baseline sweep."""
     scale = scale if scale is not None else get_scale()
-    sweep = cached_sweep("BASELINE", scale, config=config, seed=seed)
+    requests = sweeps(scale, seed=seed, config=config)
+    (sweep,) = cached_sweeps(requests, scale, seed=seed)
     series: Dict[str, List[float]] = {
         "gini M": [],
         "gini C": [],

@@ -7,16 +7,24 @@ and show the strongest growth; C stubs receive the least.
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import List, Optional
 
 from repro.bgp.config import BGPConfig
-from repro.experiments.cache import cached_sweep
+from repro.experiments.cache import SweepRequest, cached_sweeps
 from repro.experiments.report import ExperimentResult, series_ratio
 from repro.experiments.scale import Scale, get_scale
 from repro.topology.types import NODE_TYPE_ORDER
 
 EXPERIMENT_ID = "fig04"
 TITLE = "Updates per C-event by node type (Baseline, NO-WRATE)"
+
+
+
+def sweeps(
+    scale: Scale, *, seed: int, config: Optional[BGPConfig] = None
+) -> List[SweepRequest]:
+    """The sweeps :func:`run` reads: Baseline under ``config``."""
+    return [SweepRequest("BASELINE", config)]
 
 
 def run(
@@ -27,7 +35,8 @@ def run(
 ) -> ExperimentResult:
     """Sweep the Baseline model and report U(X) per node type."""
     scale = scale if scale is not None else get_scale()
-    sweep = cached_sweep("BASELINE", scale, config=config, seed=seed)
+    requests = sweeps(scale, seed=seed, config=config)
+    (sweep,) = cached_sweeps(requests, scale, seed=seed)
     series = {
         f"U({node_type.value})": sweep.u_series(node_type)
         for node_type in NODE_TYPE_ORDER

@@ -10,17 +10,25 @@ Paper shape (Baseline, NO-WRATE):
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import List, Optional
 
 from repro.bgp.config import BGPConfig
 from repro.core.regression import fit_linear, fit_quadratic
-from repro.experiments.cache import cached_sweep
+from repro.experiments.cache import SweepRequest, cached_sweeps
 from repro.experiments.report import ExperimentResult, series_ratio
 from repro.experiments.scale import Scale, get_scale
 from repro.topology.types import NodeType, Relationship
 
 EXPERIMENT_ID = "fig05"
 TITLE = "Update sources: Uc(T), Up(T) (top); Ud(M), Up(M), Uc(M) (bottom)"
+
+
+
+def sweeps(
+    scale: Scale, *, seed: int, config: Optional[BGPConfig] = None
+) -> List[SweepRequest]:
+    """The sweeps :func:`run` reads: Baseline under ``config``."""
+    return [SweepRequest("BASELINE", config)]
 
 
 def run(
@@ -31,7 +39,8 @@ def run(
 ) -> ExperimentResult:
     """Decompose U(T) and U(M) by the sender's relationship class."""
     scale = scale if scale is not None else get_scale()
-    sweep = cached_sweep("BASELINE", scale, config=config, seed=seed)
+    requests = sweeps(scale, seed=seed, config=config)
+    (sweep,) = cached_sweeps(requests, scale, seed=seed)
     x = [float(n) for n in sweep.sizes]
     uc_t = sweep.u_rel_series(NodeType.T, Relationship.CUSTOMER)
     up_t = sweep.u_rel_series(NodeType.T, Relationship.PEER)

@@ -8,17 +8,25 @@ absolute ratios shrink, but the ordering Uc(T) ≫ Up(T), Ud(M) must hold.
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import List, Optional
 
 from repro.bgp.config import BGPConfig
 from repro.core.regression import relative_increase
-from repro.experiments.cache import cached_sweep
+from repro.experiments.cache import SweepRequest, cached_sweeps
 from repro.experiments.report import ExperimentResult, monotone_fraction
 from repro.experiments.scale import Scale, get_scale
 from repro.topology.types import NodeType, Relationship
 
 EXPERIMENT_ID = "fig06"
 TITLE = "Relative increase in Uc(T), Up(T) and Ud(M)"
+
+
+
+def sweeps(
+    scale: Scale, *, seed: int, config: Optional[BGPConfig] = None
+) -> List[SweepRequest]:
+    """The sweeps :func:`run` reads: Baseline under ``config``."""
+    return [SweepRequest("BASELINE", config)]
 
 
 def run(
@@ -29,7 +37,8 @@ def run(
 ) -> ExperimentResult:
     """Normalize the Fig. 5 series to 1 at the smallest size."""
     scale = scale if scale is not None else get_scale()
-    sweep = cached_sweep("BASELINE", scale, config=config, seed=seed)
+    requests = sweeps(scale, seed=seed, config=config)
+    (sweep,) = cached_sweeps(requests, scale, seed=seed)
     uc_t = relative_increase(sweep.u_rel_series(NodeType.T, Relationship.CUSTOMER))
     up_t = relative_increase(sweep.u_rel_series(NodeType.T, Relationship.PEER))
     ud_m = relative_increase(sweep.u_rel_series(NodeType.M, Relationship.PROVIDER))

@@ -12,17 +12,25 @@ Paper shape (Baseline, NO-WRATE):
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import List, Optional
 
 from repro.bgp.config import BGPConfig
 from repro.core.regression import relative_increase
-from repro.experiments.cache import cached_sweep
+from repro.experiments.cache import SweepRequest, cached_sweeps
 from repro.experiments.report import ExperimentResult
 from repro.experiments.scale import Scale, get_scale
 from repro.topology.types import NodeType, Relationship
 
 EXPERIMENT_ID = "fig07"
 TITLE = "Factor decomposition: m, e and q across the sweep"
+
+
+
+def sweeps(
+    scale: Scale, *, seed: int, config: Optional[BGPConfig] = None
+) -> List[SweepRequest]:
+    """The sweeps :func:`run` reads: Baseline under ``config``."""
+    return [SweepRequest("BASELINE", config)]
 
 
 def run(
@@ -33,7 +41,8 @@ def run(
 ) -> ExperimentResult:
     """Extract the nine factor series of Fig. 7 from the Baseline sweep."""
     scale = scale if scale is not None else get_scale()
-    sweep = cached_sweep("BASELINE", scale, config=config, seed=seed)
+    requests = sweeps(scale, seed=seed, config=config)
+    (sweep,) = cached_sweeps(requests, scale, seed=seed)
     m_c_t = sweep.m_series(NodeType.T, Relationship.CUSTOMER)
     m_p_t = sweep.m_series(NodeType.T, Relationship.PEER)
     m_d_m = sweep.m_series(NodeType.M, Relationship.PROVIDER)

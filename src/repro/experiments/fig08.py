@@ -15,7 +15,7 @@ from __future__ import annotations
 from typing import Dict, List, Optional
 
 from repro.bgp.config import BGPConfig
-from repro.experiments.cache import cached_sweep
+from repro.experiments.cache import SweepRequest, cached_sweeps
 from repro.experiments.report import ExperimentResult
 from repro.experiments.scale import Scale, get_scale
 from repro.sim.rng import derive_seed
@@ -36,6 +36,22 @@ SCENARIOS = (
 )
 
 
+def sweeps(
+    scale: Scale, *, seed: int, config: Optional[BGPConfig] = None
+) -> List[SweepRequest]:
+    """The sweeps :func:`run` reads: one per population-mix scenario."""
+    requests = []
+    for scenario in SCENARIOS:
+        kwargs: Dict[str, object] = {}
+        if scenario == "STATIC-MIDDLE":
+            # Freeze the transit population at the smallest sweep size (the
+            # paper freezes it at its n=1000 value; scaled sweeps freeze at
+            # their own starting point).
+            kwargs["reference_n"] = scale.smallest
+        requests.append(SweepRequest(scenario, config, kwargs))
+    return requests
+
+
 def run(
     scale: Optional[Scale] = None,
     *,
@@ -48,18 +64,13 @@ def run(
     the smallest network size.
     """
     scale = scale if scale is not None else get_scale()
-    raw: Dict[str, List[float]] = {}
-    for scenario in SCENARIOS:
-        kwargs: Dict[str, object] = {}
-        if scenario == "STATIC-MIDDLE":
-            # Freeze the transit population at the smallest sweep size (the
-            # paper freezes it at its n=1000 value; scaled sweeps freeze at
-            # their own starting point).
-            kwargs["reference_n"] = scale.smallest
-        sweep = cached_sweep(
-            scenario, scale, config=config, seed=seed, scenario_kwargs=kwargs
+    requests = sweeps(scale, seed=seed, config=config)
+    raw: Dict[str, List[float]] = {
+        scenario: sweep.u_series(NodeType.T)
+        for scenario, sweep in zip(
+            SCENARIOS, cached_sweeps(requests, scale, seed=seed), strict=True
         )
-        raw[scenario] = sweep.u_series(NodeType.T)
+    }
     base = raw["BASELINE"][0]
     series = {name: [v / base for v in values] for name, values in raw.items()}
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 from typing import Dict, List, Optional
 
 from repro.bgp.config import BGPConfig
-from repro.experiments.cache import cached_sweep
+from repro.experiments.cache import SweepRequest, cached_sweeps
 from repro.experiments.report import ExperimentResult, series_ratio
 from repro.experiments.scale import Scale, get_scale
 from repro.topology.types import NodeType, Relationship
@@ -21,6 +21,13 @@ EXPERIMENT_ID = "fig09"
 TITLE = "Effect of the multihoming degree on U(T) (and mc,T)"
 
 SCENARIOS = ("DENSE-CORE", "DENSE-EDGE", "BASELINE", "TREE", "CONSTANT-MHD")
+
+
+def sweeps(
+    scale: Scale, *, seed: int, config: Optional[BGPConfig] = None
+) -> List[SweepRequest]:
+    """The sweeps :func:`run` reads: one per MHD scenario."""
+    return [SweepRequest(scenario, config) for scenario in SCENARIOS]
 
 
 def run(
@@ -34,8 +41,9 @@ def run(
     u_series: Dict[str, List[float]] = {}
     m_series: Dict[str, List[float]] = {}
     q_series: Dict[str, List[float]] = {}
-    for scenario in SCENARIOS:
-        sweep = cached_sweep(scenario, scale, config=config, seed=seed)
+    requests = sweeps(scale, seed=seed, config=config)
+    fetched = cached_sweeps(requests, scale, seed=seed)
+    for scenario, sweep in zip(SCENARIOS, fetched, strict=True):
         u_series[scenario] = sweep.u_series(NodeType.T)
         m_series[scenario] = sweep.m_series(NodeType.T, Relationship.CUSTOMER)
         q_series[scenario] = sweep.q_series(NodeType.T, Relationship.CUSTOMER)

@@ -11,7 +11,7 @@ from __future__ import annotations
 from typing import Dict, List, Optional
 
 from repro.bgp.config import BGPConfig
-from repro.experiments.cache import cached_sweep
+from repro.experiments.cache import SweepRequest, cached_sweeps
 from repro.experiments.report import ExperimentResult
 from repro.experiments.scale import Scale, get_scale
 from repro.topology.types import NodeType
@@ -31,6 +31,13 @@ SCENARIOS = (
 SPREAD_TOLERANCE = 0.30
 
 
+def sweeps(
+    scale: Scale, *, seed: int, config: Optional[BGPConfig] = None
+) -> List[SweepRequest]:
+    """The sweeps :func:`run` reads: one per peering scenario."""
+    return [SweepRequest(scenario, config) for scenario in SCENARIOS]
+
+
 def run(
     scale: Optional[Scale] = None,
     *,
@@ -39,10 +46,13 @@ def run(
 ) -> ExperimentResult:
     """Sweep the peering deviations and measure the spread of U(M)."""
     scale = scale if scale is not None else get_scale()
-    series: Dict[str, List[float]] = {}
-    for scenario in SCENARIOS:
-        sweep = cached_sweep(scenario, scale, config=config, seed=seed)
-        series[f"U(M) {scenario}"] = sweep.u_series(NodeType.M)
+    requests = sweeps(scale, seed=seed, config=config)
+    series: Dict[str, List[float]] = {
+        f"U(M) {scenario}": sweep.u_series(NodeType.M)
+        for scenario, sweep in zip(
+            SCENARIOS, cached_sweeps(requests, scale, seed=seed), strict=True
+        )
+    }
 
     result = ExperimentResult(
         experiment_id=EXPERIMENT_ID,

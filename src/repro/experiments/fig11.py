@@ -14,7 +14,7 @@ from typing import Dict, List, Optional
 
 from repro.bgp.config import BGPConfig
 from repro.core.regression import relative_increase
-from repro.experiments.cache import cached_sweep
+from repro.experiments.cache import SweepRequest, cached_sweeps
 from repro.experiments.report import ExperimentResult
 from repro.experiments.scale import Scale, get_scale
 from repro.topology.types import NodeType, Relationship
@@ -23,6 +23,13 @@ EXPERIMENT_ID = "fig11"
 TITLE = "Effect of provider preference on U(T) (with mc,T and qc,T)"
 
 SCENARIOS = ("PREFER-MIDDLE", "BASELINE", "PREFER-TOP")
+
+
+def sweeps(
+    scale: Scale, *, seed: int, config: Optional[BGPConfig] = None
+) -> List[SweepRequest]:
+    """The sweeps :func:`run` reads: one per provider-preference scenario."""
+    return [SweepRequest(scenario, config) for scenario in SCENARIOS]
 
 
 def run(
@@ -36,8 +43,9 @@ def run(
     u_series: Dict[str, List[float]] = {}
     m_series: Dict[str, List[float]] = {}
     q_series: Dict[str, List[float]] = {}
-    for scenario in SCENARIOS:
-        sweep = cached_sweep(scenario, scale, config=config, seed=seed)
+    requests = sweeps(scale, seed=seed, config=config)
+    fetched = cached_sweeps(requests, scale, seed=seed)
+    for scenario, sweep in zip(SCENARIOS, fetched, strict=True):
         u_series[scenario] = sweep.u_series(NodeType.T)
         m_series[scenario] = sweep.m_series(NodeType.T, Relationship.CUSTOMER)
         q_series[scenario] = sweep.q_series(NodeType.T, Relationship.CUSTOMER)

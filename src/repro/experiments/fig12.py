@@ -14,13 +14,31 @@ from __future__ import annotations
 from typing import Dict, List, Optional
 
 from repro.bgp.config import BGPConfig
-from repro.experiments.cache import cached_sweep
+from repro.experiments.cache import SweepRequest, cached_sweeps
 from repro.experiments.report import ExperimentResult
 from repro.experiments.scale import Scale, get_scale
 from repro.topology.types import NODE_TYPE_ORDER, NodeType, Relationship
 
 EXPERIMENT_ID = "fig12"
 TITLE = "WRATE vs NO-WRATE: churn ratio and e-factors"
+
+
+def sweeps(
+    scale: Scale,
+    *,
+    seed: int,
+    config: Optional[BGPConfig] = None,
+    include_dense_core: bool = True,
+) -> List[SweepRequest]:
+    """The sweeps :func:`run` reads: Baseline (and, by default,
+    DENSE-CORE) under NO-WRATE and WRATE variants of ``config``."""
+    base_config = config if config is not None else BGPConfig()
+    scenarios = ("BASELINE", "DENSE-CORE") if include_dense_core else ("BASELINE",)
+    return [
+        SweepRequest(scenario, base_config.replace(wrate=wrate))
+        for scenario in scenarios
+        for wrate in (False, True)
+    ]
 
 
 def run(
@@ -32,11 +50,10 @@ def run(
 ) -> ExperimentResult:
     """Sweep Baseline under both MRAI variants and compare."""
     scale = scale if scale is not None else get_scale()
-    base_config = config if config is not None else BGPConfig()
-    no_wrate = base_config.replace(wrate=False)
-    wrate = base_config.replace(wrate=True)
-    sweep_nw = cached_sweep("BASELINE", scale, config=no_wrate, seed=seed)
-    sweep_w = cached_sweep("BASELINE", scale, config=wrate, seed=seed)
+    requests = sweeps(
+        scale, seed=seed, config=config, include_dense_core=include_dense_core
+    )
+    sweep_nw, sweep_w, *dense_core = cached_sweeps(requests, scale, seed=seed)
 
     series: Dict[str, List[float]] = {}
     ratios: Dict[NodeType, List[float]] = {}
@@ -92,8 +109,7 @@ def run(
     )
 
     if include_dense_core:
-        dc_nw = cached_sweep("DENSE-CORE", scale, config=no_wrate, seed=seed)
-        dc_w = cached_sweep("DENSE-CORE", scale, config=wrate, seed=seed)
+        dc_nw, dc_w = dense_core
         dc_ratio = [
             w / nw if nw else float("nan")
             for w, nw in zip(

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, List, Optional, Sequence
 
 from repro.errors import ExperimentError
 from repro.experiments import (
@@ -29,10 +29,14 @@ from repro.experiments import (
     fig12,
     table1,
 )
+from repro.experiments.cache import SweepRequest
 from repro.experiments.report import ExperimentResult
 from repro.experiments.scale import Scale
 
 RunFn = Callable[..., ExperimentResult]
+
+#: A sweeping experiment's ``sweeps(scale, *, seed, config=None)``.
+SweepsFn = Callable[..., List[SweepRequest]]
 
 
 @dataclasses.dataclass(frozen=True)
@@ -44,6 +48,8 @@ class ExperimentSpec:
     run: RunFn
     #: False for the extension studies beyond the paper's figures.
     paper_artifact: bool = True
+    #: the growth sweeps ``run`` reads (None: it reads none)
+    sweeps: Optional[SweepsFn] = None
 
 
 _SPECS: Dict[str, ExperimentSpec] = {}
@@ -55,6 +61,7 @@ def _register(module, *, paper_artifact: bool = True) -> None:
         title=module.TITLE,
         run=module.run,
         paper_artifact=paper_artifact,
+        sweeps=getattr(module, "sweeps", None),
     )
     _SPECS[spec.experiment_id] = spec
 
@@ -106,6 +113,18 @@ def get_experiment(experiment_id: str) -> ExperimentSpec:
         raise ExperimentError(
             f"unknown experiment {experiment_id!r}; known: {', '.join(_SPECS)}"
         ) from exc
+
+
+def declared_sweeps(
+    experiment_ids: Sequence[str], scale: Scale, *, seed: int
+) -> List[SweepRequest]:
+    """Every sweep the given experiments will read, in experiment order."""
+    requests: List[SweepRequest] = []
+    for experiment_id in experiment_ids:
+        sweeps = get_experiment(experiment_id).sweeps
+        if sweeps is not None:
+            requests.extend(sweeps(scale, seed=seed))
+    return requests
 
 
 def run_experiment(

@@ -39,13 +39,19 @@ not belong on a per-message path: one Python call per event is a tenth
 of the kernel's whole budget.
 
 Enabling is explicit and scoped: :func:`telemetry_session` installs a hub
-as the ambient sink; :class:`~repro.sim.network.SimNetwork` objects built
-inside the session take their counts record from it.
+as the ambient sink of the calling thread (a :mod:`contextvars` variable,
+so two campaigns in two threads never see each other's hub);
+:class:`~repro.sim.network.SimNetwork` objects built inside the session
+take their counts record from it.  Counters measured in another process
+— a pool or ``repro.dist`` worker running a sweep unit under a hub of its
+own — come back as a plain dict and are folded in with
+:meth:`Telemetry.absorb`.
 """
 
 from __future__ import annotations
 
 import contextlib
+import contextvars
 import time
 from typing import Dict, Iterator, List, Optional
 
@@ -160,6 +166,9 @@ class NullTelemetry:
         """A fresh kernel record that nobody will read through this sink."""
         return KernelCounts()
 
+    def absorb(self, counters: object) -> None:
+        """No-op."""
+
     def phase(self, name: str, engine: Optional[object] = None) -> _NullPhase:
         """No-op timer (a shared null context manager)."""
         return _NULL_PHASE
@@ -242,6 +251,19 @@ class Telemetry:
         counts = KernelCounts()
         self._kernel.append(counts)
         return counts
+
+    def absorb(self, counters: object) -> None:
+        """Add another hub's :attr:`counters` — a sweep unit's, measured in
+        the worker process that ran it — to this one's, name by name.
+
+        The dict may come off the wire, so anything but ``str`` → ``int``
+        entries is ignored.
+        """
+        if not isinstance(counters, dict):
+            return
+        for name, value in counters.items():
+            if isinstance(name, str) and type(value) is int:
+                self.inc(name, value)
 
     def phase(self, name: str, engine: Optional[object] = None) -> _Phase:
         """Time a stage: ``with telemetry.phase("warmup", engine=e): ...``.
@@ -331,15 +353,18 @@ class Telemetry:
 # ----------------------------------------------------------------------
 # Ambient telemetry
 # ----------------------------------------------------------------------
-_CURRENT: "NullTelemetry | Telemetry" = NULL_TELEMETRY
+_CURRENT: "contextvars.ContextVar[NullTelemetry | Telemetry]" = contextvars.ContextVar(
+    "repro_telemetry", default=NULL_TELEMETRY
+)
 
 
 def current_telemetry() -> "NullTelemetry | Telemetry":
     """The ambient sink new networks and experiment drivers report into.
 
-    :data:`NULL_TELEMETRY` unless a :func:`telemetry_session` is active.
+    :data:`NULL_TELEMETRY` unless a :func:`telemetry_session` is active in
+    the calling thread (a new thread starts without one).
     """
-    return _CURRENT
+    return _CURRENT.get()
 
 
 @contextlib.contextmanager
@@ -348,16 +373,16 @@ def telemetry_session(
 ) -> Iterator[Telemetry]:
     """Install ``telemetry`` (a fresh hub if None) as the ambient sink.
 
-    Sessions nest; the previous sink is restored on exit.  Objects built
-    *inside* the session keep their reference, so a network outliving the
-    session keeps reporting into the same hub — by design, a hub is
-    per-run state, not a global registry.
+    Sessions nest; the previous sink is restored on exit.  The session
+    belongs to the calling thread: other threads keep their own sink, so
+    a thread that must report into this hub is handed it explicitly.
+    Objects built *inside* the session keep their reference, so a network
+    outliving the session keeps reporting into the same hub — by design,
+    a hub is per-run state, not a global registry.
     """
-    global _CURRENT
     hub = telemetry if telemetry is not None else Telemetry()
-    previous = _CURRENT
-    _CURRENT = hub
+    token = _CURRENT.set(hub)
     try:
         yield hub
     finally:
-        _CURRENT = previous
+        _CURRENT.reset(token)

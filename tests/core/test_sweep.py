@@ -226,10 +226,25 @@ class TestResolveJobs:
         assert resolve_jobs(None) == 1
 
     def test_zero_is_auto(self, monkeypatch):
+        monkeypatch.setattr(
+            os, "sched_getaffinity", lambda pid: set(range(6)), raising=False
+        )
+        assert resolve_jobs(0) == 6
+
+    def test_zero_counts_the_affinity_mask_not_the_host(self, monkeypatch):
+        # A container or `taskset -c 0,2` run: the host has 64 CPUs, this
+        # process may use two of them.
+        monkeypatch.setattr(os, "cpu_count", lambda: 64)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 2}, raising=False)
+        assert resolve_jobs(0) == 2
+
+    def test_zero_without_affinity_uses_cpu_count(self, monkeypatch):
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
         monkeypatch.setattr(os, "cpu_count", lambda: 6)
         assert resolve_jobs(0) == 6
 
     def test_zero_with_unknown_cpu_count_falls_back_to_one(self, monkeypatch):
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
         monkeypatch.setattr(os, "cpu_count", lambda: None)
         assert resolve_jobs(0) == 1
 
@@ -244,6 +259,7 @@ class TestResolveJobs:
     def test_jobs_zero_sweep_matches_serial(self, monkeypatch):
         # jobs=0 = one worker per CPU; clamp the auto value so the test
         # stays cheap while still exercising the parallel path.
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
         monkeypatch.setattr(os, "cpu_count", lambda: 2)
         serial = run_growth_sweep(
             "BASELINE", sizes=SIZES, config=FAST, num_origins=2, seed=1

@@ -228,3 +228,54 @@ class TestFaultMode:
         # Validated eagerly, even though the unit does not match the spec.
         with pytest.raises(ExperimentError, match="malformed"):
             maybe_inject_fault(self._unit(), 0)
+
+
+class TestQueuedSweepsSurviveWorkerDeath:
+    """One pool serves several sweeps: a death in one must not cost the
+    others their place on the pool."""
+
+    def test_worker_dies_in_sweep_one_while_sweep_two_is_queued(
+        self, serial_sweep, tmp_path, monkeypatch
+    ):
+        from repro.core.sweep import UnitQueue, merge_sweep, sweep_units
+        from repro.obs.telemetry import Telemetry, telemetry_session
+
+        marker = tmp_path / "died.marker"
+        monkeypatch.setenv(FAULT_INJECT_ENV, f"BASELINE:80:0:1:{marker}")
+        kw = dict(
+            sizes=SWEEP_KW["sizes"],
+            config=FAST,
+            num_origins=SWEEP_KW["num_origins"],
+            seed=SWEEP_KW["seed"],
+            scenario_kwargs={},
+            origin_batch_size=None,
+        )
+        first = sweep_units("baseline", **kw)
+        second = sweep_units("tree", **kw)
+        seen = []
+        lock = threading.Lock()
+
+        def record(unit):
+            with lock:
+                seen.append((unit.scenario, unit.n))
+
+        hub = Telemetry()
+        with telemetry_session(hub), UnitQueue(
+            2, checkpoint_dir=tmp_path / "ck", on_unit_done=record
+        ) as queue:
+            tickets_one = queue.submit(first)
+            tickets_two = queue.submit(second)
+            result_one = merge_sweep(first, queue.collect(tickets_one))
+            result_two = merge_sweep(second, queue.collect(tickets_two))
+
+        assert marker.exists(), "the fault should actually have fired"
+        assert _series(result_one) == _series(serial_sweep)
+        monkeypatch.delenv(FAULT_INJECT_ENV)
+        assert _series(result_two) == _series(run_growth_sweep("tree", **SWEEP_KW))
+        # Sweep two went to a fresh pool rather than running serially here.
+        assert hub.counters["sweep.pools"] == 2
+        assert hub.counters["sweep.units"] == 4
+        assert sorted(seen) == sorted(
+            [("baseline", 60), ("baseline", 80), ("tree", 60), ("tree", 80)]
+        )
+        assert list((tmp_path / "ck").glob("unit-*.json")) == []

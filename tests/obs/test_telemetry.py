@@ -60,6 +60,20 @@ class TestCountersAndGauges:
         a.sends += 1
         assert t.snapshot()["counters"]["mrai.sends"] == 18
 
+    def test_absorb_adds_another_hubs_counters(self):
+        # A worker's unit ran under its own hub; its counters come back as
+        # a dict (possibly off the wire) and fold in under the same names.
+        worker = Telemetry()
+        worker.new_counts().sends = 5
+        worker.inc("checkpoint.writes", 2)
+        t = Telemetry()
+        t.inc("checkpoint.writes")
+        t.absorb(worker.counters)
+        t.absorb({"mrai.sends": True, 7: 1, "x": 1.5, "y": "2"})  # ignored
+        t.absorb(["not", "a", "dict"])
+        assert t.counters == {"checkpoint.writes": 3, "mrai.sends": 5}
+        NULL_TELEMETRY.absorb(worker.counters)  # no-op
+
 
 class TestPhases:
     def test_phase_accumulates_time_and_events(self):
@@ -126,7 +140,7 @@ class TestNullObject:
             and callable(getattr(Telemetry, name))
             and (
                 name.startswith("on_")
-                or name in ("inc", "set_gauge", "phase", "new_counts")
+                or name in ("inc", "set_gauge", "phase", "new_counts", "absorb")
             )
         ]
         assert hooks  # the probe itself must find something
