@@ -736,13 +736,17 @@ def test_checkpoint_cost_budget(results_dir, tmp_path):
 
     The network is the one a per-event checkpoint captures: Baseline
     n=400, fixed seed, four C-events measured, heap empty.  Exact: the
-    canonical payload size and the total RNG draw count (both are pure
-    functions of the trajectory and of the node layout, so a size
-    regression or a new uncounted draw site shows as a counter drift).
+    canonical payload size after the first and after the fourth event
+    and the total RNG draw count (all pure functions of the trajectory
+    and of the node layout, so a size regression or a new uncounted draw
+    site shows as a counter drift).  Measured prefixes are retired, so
+    the two sizes must stay level: a snapshot that grows with the events
+    behind it means finished origins are kept again.
     Cost: snapshot µs per node, write ms, restore ms (read + rebuild).
-    Two ratios ``scripts/check_perf_budget.py`` bounds absolutely: the
-    RNG share of the payload, and a checkpointed unit over the same unit
-    plain, alternated in this process (best of each, CPU time).
+    Three ratios ``scripts/check_perf_budget.py`` bounds absolutely: the
+    fourth event's size over the first's, the RNG share of the payload,
+    and a checkpointed unit over the same unit plain, alternated in this
+    process (best of each, CPU time).
     """
     from repro.checkpoint import (
         KIND_NETWORK,
@@ -760,7 +764,13 @@ def test_checkpoint_cost_budget(results_dir, tmp_path):
     config = BGPConfig()
     origins = pick_origins(graph, events, seed)
     cursor = new_batch_cursor(graph, config, origins=origins, seed=seed)
-    run_c_event_batch(graph, config, origins=origins, seed=seed, cursor=cursor)
+    event_bytes = []
+    run_c_event_batch(
+        graph, config, origins=origins, seed=seed, cursor=cursor,
+        after_event=lambda live: event_bytes.append(
+            sum(network_section_bytes(snapshot_network(live.network)).values())
+        ),
+    )
     network = cursor.network
 
     payload = snapshot_network(network)
@@ -791,6 +801,7 @@ def test_checkpoint_cost_budget(results_dir, tmp_path):
         )
 
     checkpoint_cost = {
+        "snapshot_bytes_first_event": event_bytes[0],
         "snapshot_bytes": sum(sizes.values()),
         "rng_draws": sum(node.rng_draws for node in network.nodes.values()),
         "rng_share": sizes["rng"] / sum(sizes.values()),
@@ -801,7 +812,9 @@ def test_checkpoint_cost_budget(results_dir, tmp_path):
     }
     _merge_bench_json(results_dir, {"checkpoint_cost": checkpoint_cost})
     print(
-        f"\ncheckpoint cost budget: {checkpoint_cost['snapshot_bytes']:,} bytes "
+        f"\ncheckpoint cost budget: "
+        f"{checkpoint_cost['snapshot_bytes_first_event']:,} -> "
+        f"{checkpoint_cost['snapshot_bytes']:,} bytes after 1 -> {events} events "
         f"({100 * checkpoint_cost['rng_share']:.1f} % rng, "
         f"{checkpoint_cost['rng_draws']:,} draws), snapshot "
         f"{checkpoint_cost['snapshot_us_per_node']:.1f} us/node, write "

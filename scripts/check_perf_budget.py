@@ -18,10 +18,12 @@ Additionally the supersession invariant itself is asserted: the tracked
 scenario must execute at most half the events the pre-fix kernel did;
 and the topology-construction scaling invariant: generating and loading
 a Baseline topology may cost at most 3x more *per link* at n=8000 than
-at n=2000 (a per-link scan of a tier-1's adjacency gave ~7x); and two
-checkpoint invariants: RNG streams take under 5 % of a snapshot's bytes
-(full generator states took 86 %), and a checkpointed sweep unit costs
-at most 2x the same unit run plain (it cost 4.2-4.7x); and two kernel
+at n=2000 (a per-link scan of a tier-1's adjacency gave ~7x); and three
+checkpoint invariants: RNG streams take under 25 % of a snapshot's bytes
+(full generator states took 86 %), a snapshot after four C-events is at
+most 5 % larger than after the first (keeping every measured prefix made
+it 67 % larger), and a checkpointed sweep unit costs at most 2x the same
+unit run plain (it cost 4.2-4.7x); and two kernel
 hot-path invariants, on a count that does not depend on the host: one
 engine event costs at most 32 interpreter calls (it cost 46-53), and a
 live telemetry hub adds at most one call per event to the null sink's
@@ -71,6 +73,7 @@ EXACT_COUNTERS = [
     ("topology_build", "graph_digest_n2000"),
     ("topology_build", "links_n8000"),
     ("topology_build", "graph_digest_n8000"),
+    ("checkpoint_cost", "snapshot_bytes_first_event"),
     ("checkpoint_cost", "snapshot_bytes"),
     ("checkpoint_cost", "rng_draws"),
     ("campaign_pool", "pools"),
@@ -106,7 +109,14 @@ COST_METRICS = [
 TOPOLOGY_SCALING_LIMIT = 3.0
 
 #: Largest share of a network snapshot's bytes its RNG streams may take.
-CHECKPOINT_RNG_SHARE_LIMIT = 0.05
+#: Draw counts are 11 % of a snapshot that retired its measured prefixes
+#: (4 % when it still held them); full generator states would be > 90 %.
+CHECKPOINT_RNG_SHARE_LIMIT = 0.25
+
+#: Allowed growth of the snapshot from the first to the fourth C-event:
+#: measured prefixes are retired, so the size is flat up to MRAI gates
+#: and counters (+2.5 %); keeping them added ≈ 47 kB per event (+67 %).
+CHECKPOINT_GROWTH_LIMIT = 1.05
 
 #: Allowed cost of a checkpointed sweep unit relative to the plain unit
 #: (n=400, 4 C-events, 3 checkpoints).  The design goal is 1.5; run to
@@ -226,6 +236,16 @@ def main(argv=None) -> int:
             f"checkpoint_cost: RNG streams are {100 * rng_share:.1f} % of a "
             f"snapshot's bytes (limit {100 * CHECKPOINT_RNG_SHARE_LIMIT:.0f} %) — "
             "are nodes writing full generator states again?"
+        )
+    first_bytes = int(
+        _get(current, "checkpoint_cost", "snapshot_bytes_first_event", args.current)
+    )
+    last_bytes = int(_get(current, "checkpoint_cost", "snapshot_bytes", args.current))
+    if last_bytes > CHECKPOINT_GROWTH_LIMIT * first_bytes:
+        failures.append(
+            f"checkpoint_cost: the snapshot grew from {first_bytes:,} bytes after "
+            f"the first C-event to {last_bytes:,} after the fourth (limit "
+            f"{CHECKPOINT_GROWTH_LIMIT}x) — are measured prefixes kept again?"
         )
     unit_ratio = float(
         _get(current, "checkpoint_cost", "unit_overhead_ratio", args.current)

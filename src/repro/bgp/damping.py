@@ -158,6 +158,11 @@ class RouteFlapDamper:
                 best = wait
         return best
 
+    def forget(self, prefix: PrefixToken) -> None:
+        """Drop every record for ``prefix`` (it will never flap again)."""
+        if prefix in self._records:
+            del self._records[prefix]
+
     def dump_state(self) -> list:
         """All penalty records in insertion order (checkpointing).
 

@@ -257,19 +257,25 @@ class OutputChannel:
         for prefix in sorted(due):
             target = self._pending.pop(prefix)
             messages.append(self._send(prefix, target, now, True))
-        # Prune expired gates: a gate ≤ now behaves exactly like a missing
-        # one (set_target reads an absent gate as 0.0), so dropping it is
-        # semantics-preserving and keeps the dict from growing with every
-        # prefix ever rate-limited.  Pending prefixes always carry a fresh
-        # (future) gate, so none of the queue's own gates are touched.
-        expired = [p for p, gate in self._prefix_gates.items() if gate <= now]
-        for prefix in expired:
-            del self._prefix_gates[prefix]
+        self.prune_gates(now)
         live_gates = len(self._prefix_gates)
         if live_gates > counts.prefix_gates:
             counts.prefix_gates = live_gates
         remaining = [self._prefix_gates[p] for p in self._pending]
         return messages, (min(remaining) if remaining else None)
+
+    def prune_gates(self, now: float) -> None:
+        """Drop every per-prefix gate that expired by ``now``.
+
+        A gate ≤ now behaves exactly like a missing one (set_target reads
+        an absent gate as 0.0), so dropping it is semantics-preserving and
+        keeps the dict from growing with every prefix ever rate-limited.
+        Pending prefixes always carry a fresh (future) gate, so none of
+        the queue's own gates are touched.
+        """
+        gates = self._prefix_gates
+        for prefix in [p for p, gate in gates.items() if gate <= now]:
+            del gates[prefix]
 
     # ------------------------------------------------------------------
     # Internals

@@ -200,6 +200,9 @@ class BGPNode:
         #: re-decided.  A full-table implementation re-scans all of them,
         #: so this counter is the saved work — deterministic (no timing
         #: involved), which lets the perf budget gate pin it exactly.
+        #: Meaningful only for multi-prefix workloads (``prefix_churn``):
+        #: a C-event retires each prefix once measured, so its Loc-RIBs
+        #: hold one prefix at a time and this reads 0 there.
         self.decisions_skipped = 0
 
     def _new_ribs(self):
@@ -228,6 +231,43 @@ class BGPNode:
     def originates(self, prefix: int) -> bool:
         """Whether this node currently originates ``prefix``."""
         return prefix in self._local_routes
+
+    def retire(self, prefix: int) -> None:
+        """Forget ``prefix`` everywhere in this node, sending nothing.
+
+        For a prefix that will never be touched again, once the network
+        has converged on it: its routes, Loc-RIB entry, best-change count,
+        damping records and what every neighbour was told go, together
+        with per-prefix MRAI gates that already expired (what the next
+        wakeup would prune anyway).  State shared across prefixes — the
+        interface gates, the RNG stream, every work counter — stays.
+
+        Raises :class:`~repro.errors.SimulationError` while an update for
+        ``prefix`` still waits in an out-queue.
+        """
+        # Once per node per C-event, so kept to plain dict operations: an
+        # interpreter call per channel would show in the per-event budget.
+        channels = self._channels.values()
+        for channel in channels:
+            if prefix in channel._pending:
+                raise SimulationError(
+                    f"node {self.node_id} cannot retire prefix {prefix}: an "
+                    f"update to {channel.neighbor} is still queued"
+                )
+        now = self._engine.now
+        for channel in channels:
+            sent = channel._sent
+            if prefix in sent:
+                del sent[prefix]
+            if channel._prefix_gates:
+                channel.prune_gates(now)
+        for held in (self._local_routes, self.best_change_count, self._reuse_pending):
+            if prefix in held:
+                del held[prefix]
+        self.adj_rib_in.retire(prefix)
+        self.loc_rib.retire(prefix)
+        if self._config.damping.enabled:  # no records are kept otherwise
+            self._damper.forget(prefix)
 
     # ------------------------------------------------------------------
     # Message intake (called by the network at delivery time)
@@ -306,7 +346,9 @@ class BGPNode:
             self._run_decision_incremental(prefix, previous, route, now)
         # Dirty-set economy: of everything installed, only this one
         # prefix was re-decided; the rest is the work a full-table
-        # re-scan would have burned.
+        # re-scan would have burned.  Zero under C-events, whose
+        # Loc-RIBs hold only the prefix being measured (earlier ones
+        # are retired); multi-prefix workloads are what this counts.
         skipped = len(self.loc_rib) - 1
         if skipped > 0:
             self.decisions_skipped += skipped

@@ -63,6 +63,17 @@ class AdjRIBIn:
         self._dirty[prefix] = None
         return previous
 
+    def retire(self, prefix: int) -> None:
+        """Forget every entry for ``prefix``, without marking it dirty."""
+        by_prefix = self._by_prefix
+        if prefix in by_prefix:
+            routes = self._routes
+            for neighbor in by_prefix[prefix]:
+                del routes[(prefix, neighbor)]
+            del by_prefix[prefix]
+        if prefix in self._dirty:
+            del self._dirty[prefix]
+
     def take_dirty(self) -> List[int]:
         """Prefixes whose entries changed since the last take (mark order)."""
         dirty = list(self._dirty)
@@ -137,6 +148,11 @@ class LocRIB:
         else:
             self._best[prefix] = route
         return True
+
+    def retire(self, prefix: int) -> None:
+        """Forget ``prefix``'s entry (no change is reported)."""
+        if prefix in self._best:
+            del self._best[prefix]
 
     def prefixes(self) -> List[int]:
         """All prefixes with an installed route."""

@@ -247,6 +247,10 @@ def run_c_event_batch(
 
         cursor.accumulator.add_event(network.counter)
         network.stop_counting()
+        # Measured and converged: the prefix is never touched again, so
+        # its state goes now and a batch's memory stays flat in its
+        # origin count.
+        network.retire(prefix)
         cursor.next_index = index + 1
         if after_event is not None:
             after_event(cursor)

@@ -259,6 +259,10 @@ def execute_sweep_unit(unit: SweepUnit) -> CEventBatchResult:
     )
 
 
+#: Whether a unit already ran in this process (see :func:`_execute`).
+_RAN_UNIT = False
+
+
 def _execute(
     unit: SweepUnit,
     checkpoint_dir: Optional[Union[str, Path]],
@@ -266,9 +270,24 @@ def _execute(
 ) -> CEventBatchResult:
     """One unit in this process, checkpointed when a directory is given.
 
+    Every runner — the serial loop, pool workers, serial re-runs of lost
+    pool units and ``repro.dist`` workers — goes through here, so each
+    unit starts from the same process state.  When a unit already ran in
+    this process, what it left behind goes first: the route, path and
+    prefix intern tables (values of another topology, no use to this
+    one) and its cyclic garbage — a network's nodes, channels and events
+    reference each other, so without a collection the process grows by
+    a network per unit.
+
     The checkpoint import is deferred because :mod:`repro.checkpoint.batch`
     imports this module.
     """
+    global _RAN_UNIT
+    if _RAN_UNIT:
+        clear_intern_caches()
+        clear_prefix_intern_cache()
+        gc.collect()
+    _RAN_UNIT = True
     if checkpoint_dir is None:
         return execute_sweep_unit(unit)
     from repro.checkpoint.batch import execute_sweep_unit_checkpointed
@@ -304,8 +323,6 @@ def _run_unit(
 #: parent reads to time the units from when a worker picked them up.
 _BOARD: Optional[Sequence[float]] = None
 _SLOT = 0
-#: In a pool worker: whether a unit already ran here.
-_RAN_UNIT = False
 
 
 def _init_worker(
@@ -315,7 +332,7 @@ def _init_worker(
     """Pool initializer: claim a slot on the start board, if there is one.
 
     ``gc.freeze()`` moves everything inherited from the parent out of the
-    collector's sight, so the collections :func:`_pool_task` runs between
+    collector's sight, so the collections :func:`_execute` runs between
     units only walk what the units themselves allocated.
     """
     global _BOARD, _SLOT
@@ -335,20 +352,9 @@ def _pool_task(
 ) -> UnitOutcome:
     """One unit on a pool worker.
 
-    A reused worker first drops what the previous unit left behind, so
-    every unit starts where a fresh worker would: the route, path and
-    prefix intern tables (values of another topology, no use to this
-    one) and the unit's cyclic garbage — a network's nodes, channels and
-    events reference each other, so without a collection a worker grows
-    by a network per unit.  Then it stamps the start board with the
-    ticket and the time, which is where ``unit_timeout`` counts from.
+    Stamps the start board with the ticket and the time, which is where
+    ``unit_timeout`` counts from.
     """
-    global _RAN_UNIT
-    if _RAN_UNIT:
-        clear_intern_caches()
-        clear_prefix_intern_cache()
-        gc.collect()
-    _RAN_UNIT = True
     if _BOARD is not None:
         _BOARD[2 * _SLOT + 1] = time.monotonic()
         _BOARD[2 * _SLOT] = ticket

@@ -83,6 +83,19 @@ class RadixAdjRIBIn:
         self._dirty[prefix] = None
         return previous
 
+    def retire(self, prefix: PrefixToken) -> None:
+        """Forget every entry for ``prefix``, without marking it dirty."""
+        bucket = self._bucket(prefix)
+        if bucket is not None:
+            for neighbor in bucket:
+                del self._routes[(prefix, neighbor)]
+            if isinstance(prefix, Prefix):
+                self._trie.delete(prefix)
+            else:
+                del self._int_index[prefix]
+        if prefix in self._dirty:
+            del self._dirty[prefix]
+
     def route_from(self, prefix: PrefixToken, neighbor: int) -> Optional[Route]:
         """The route ``neighbor`` currently advertises for ``prefix``."""
         return self._routes.get((prefix, neighbor))
@@ -167,6 +180,13 @@ class RadixLocRIB:
             if isinstance(prefix, Prefix):
                 self._trie.insert(prefix, route)
         return True
+
+    def retire(self, prefix: PrefixToken) -> None:
+        """Forget ``prefix``'s entry (no change is reported)."""
+        if prefix in self._best:
+            del self._best[prefix]
+            if isinstance(prefix, Prefix):
+                self._trie.delete(prefix)
 
     def prefixes(self) -> List[PrefixToken]:
         """All prefixes with an installed route (insertion order)."""

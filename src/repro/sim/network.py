@@ -20,7 +20,7 @@ from repro.bgp.config import BGPConfig
 from repro.bgp.messages import UpdateMessage
 from repro.bgp.mrai import ChannelParams
 from repro.bgp.node import BGPNode
-from repro.bgp.route import stable_hash
+from repro.bgp.route import clear_intern_caches, stable_hash
 from repro.errors import SimulationError
 from repro.bgp.events import Delivery
 from repro.obs.telemetry import current_telemetry
@@ -173,6 +173,21 @@ class SimNetwork:
     def withdraw(self, origin: int, prefix: int) -> None:
         """Withdraw a locally-originated prefix at ``origin``."""
         self.node(origin).withdraw_origin(prefix)
+
+    def retire(self, prefix: int) -> None:
+        """Drop every node's state for ``prefix``, which is done with.
+
+        Call once the network has converged on a prefix no operation will
+        touch again (see :meth:`BGPNode.retire`).  Nothing is sent and no
+        event is scheduled, so the rest of the run is unchanged.  The
+        route and path intern tables are cleared as well: they are keyed
+        by value, so the clear only gives up sharing, and what they would
+        share is the retired prefix's routes (no route outlives its
+        prefix, and paths end at the prefix's origin).
+        """
+        for node in self.nodes.values():
+            node.retire(prefix)
+        clear_intern_caches()
 
     def run_to_convergence(self, *, max_events: int = DEFAULT_MAX_EVENTS) -> float:
         """Drain all events (routing has converged); returns the sim time."""
