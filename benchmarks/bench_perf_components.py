@@ -674,16 +674,30 @@ def test_measured_analysis_budget(results_dir):
     )
 
 
+#: CLI verbs whose start-up the budget tracks -> the ``repro-bgp``
+#: command whose handler module they import (None: ``--version``).
+CLI_VERBS = {
+    "version": None,
+    "topology_generate": "topology",
+    "simulate": "simulate",
+    "campaign": "campaign",
+}
+
+
 def test_topology_build_budget(results_dir):
     """Budget rows for building a topology and for CLI start-up.
 
     Exact: link count and canonical-JSON digest of the fixed-seed
     Baseline graph at n=2000 and n=8000 (the generator's output is part
     of every experiment's identity).  Cost: µs per link to generate and
-    to load at n=8000, and the wall time of importing the CLI module in a
-    fresh interpreter.  The scaling invariant — the per-link cost at
-    n=8000 stays within 3x of that at n=2000, where a scan of a tier-1's
-    adjacency or of a candidate pool per link gave ~7x — is asserted by
+    to load at n=8000.  Per verb of :data:`CLI_VERBS`, what a fresh
+    interpreter pays before the verb runs — importing the CLI and the
+    module :func:`~repro.experiments.cli.main` dispatches to: the wall
+    time (``cli_import_ms_<verb>``) and the number of ``repro`` modules
+    loaded (``modules_loaded_<verb>``, a ceiling in the gate).  The
+    scaling invariant — the per-link cost at n=8000 stays within 3x of
+    that at n=2000, where a scan of a tier-1's adjacency or of a
+    candidate pool per link gave ~7x — is asserted by
     ``scripts/check_perf_budget.py`` from the two per-size rows.
     """
     import hashlib
@@ -711,14 +725,23 @@ def test_topology_build_budget(results_dir):
 
     src = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
     env = dict(os.environ, PYTHONPATH=src)
-    topology_build["cli_import_ms"] = 1e3 * _best_of(
-        lambda: subprocess.run(
-            [sys.executable, "-c", "import repro.experiments.cli"],
-            env=env,
-            check=True,
-        ),
-        3,
-    )
+    for verb, command in CLI_VERBS.items():
+        dispatch = f"importlib.import_module(VERB_MODULES[{command!r}])\n" if command else ""
+        script = (
+            "import importlib, sys\n"
+            "from repro.experiments.cli import VERB_MODULES\n"
+            + dispatch
+            + "print(sum(name.split('.')[0] == 'repro' for name in sys.modules))\n"
+        )
+        argv = [sys.executable, "-c", script]
+        topology_build[f"cli_import_ms_{verb}"] = 1e3 * _best_of(
+            lambda: subprocess.run(argv, env=env, check=True, capture_output=True), 3
+        )
+        topology_build[f"modules_loaded_{verb}"] = int(
+            subprocess.run(
+                argv, env=env, check=True, capture_output=True, text=True
+            ).stdout
+        )
 
     _merge_bench_json(results_dir, {"topology_build": topology_build})
     print(
@@ -726,9 +749,13 @@ def test_topology_build_budget(results_dir):
         f"{topology_build['generate_us_per_link_n2000']:.1f} -> "
         f"{topology_build['generate_us_per_link']:.1f} us/link, load "
         f"{topology_build['load_us_per_link_n2000']:.1f} -> "
-        f"{topology_build['load_us_per_link']:.1f} us/link "
-        f"(n=2000 -> 8000), cli import {topology_build['cli_import_ms']:.0f} ms"
+        f"{topology_build['load_us_per_link']:.1f} us/link (n=2000 -> 8000)"
     )
+    for verb in CLI_VERBS:
+        print(
+            f"  cli {verb}: {topology_build[f'cli_import_ms_{verb}']:.0f} ms, "
+            f"{topology_build[f'modules_loaded_{verb}']} repro modules"
+        )
 
 
 def test_checkpoint_cost_budget(results_dir, tmp_path):

@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """CI gate: compare BENCH_sim_core.json against the committed baseline.
 
-Two classes of checks, matching the two classes of numbers the budget
+Three classes of checks, matching the classes of numbers the budget
 benchmark records (see ``benchmarks/bench_perf_components.py``):
 
 * **Deterministic counters** (executed/delivered/cancelled event counts
@@ -9,6 +9,8 @@ benchmark records (see ``benchmarks/bench_perf_components.py``):
   machine-independent, so any drift is a real behavior change (e.g. the
   stale-wakeup fix regressing and no-op events sneaking back into the
   heap).
+* **Ceilings** (``repro`` modules each CLI verb imports before it runs)
+  may fall but not rise above the baseline.
 * **Timing metrics** (per-op µs, events/s) are compared within a
   tolerance band (default 3.0x, ``--tolerance``): CI runners are noisy
   and slower than dev machines, but an order-of-magnitude regression —
@@ -80,6 +82,17 @@ EXACT_COUNTERS = [
     ("campaign_pool", "units"),
 ]
 
+#: (section, key) pairs that may not exceed the baseline: the ``repro``
+#: modules a CLI verb imports before it runs.  Fewer is fine (re-record
+#: the baseline to lock a gain in); more means a verb pays for a
+#: subsystem it does not run, e.g. an eager import back in a package.
+CEILING_COUNTERS = [
+    ("topology_build", "modules_loaded_version"),
+    ("topology_build", "modules_loaded_topology_generate"),
+    ("topology_build", "modules_loaded_simulate"),
+    ("topology_build", "modules_loaded_campaign"),
+]
+
 #: (section, key) pairs where *larger* is worse (cost in µs or bytes).
 COST_METRICS = [
     ("per_op", "best_path_us_warm"),
@@ -99,7 +112,10 @@ COST_METRICS = [
     ("longmem_analysis", "dfa_per_point_us"),
     ("topology_build", "generate_us_per_link"),
     ("topology_build", "load_us_per_link"),
-    ("topology_build", "cli_import_ms"),
+    ("topology_build", "cli_import_ms_version"),
+    ("topology_build", "cli_import_ms_topology_generate"),
+    ("topology_build", "cli_import_ms_simulate"),
+    ("topology_build", "cli_import_ms_campaign"),
     ("checkpoint_cost", "snapshot_us_per_node"),
     ("checkpoint_cost", "write_ms"),
     ("checkpoint_cost", "restore_ms"),
@@ -194,6 +210,15 @@ def main(argv=None) -> int:
             failures.append(
                 f"{section}.{key}: {got} != baseline {want} (deterministic "
                 "counter drifted — event economy changed)"
+            )
+
+    for section, key in CEILING_COUNTERS:
+        got = _get(current, section, key, args.current)
+        want = _get(baseline, section, key, args.baseline)
+        if got > want:
+            failures.append(
+                f"{section}.{key}: {got} > baseline {want} (a CLI verb imports "
+                "more of the package than it did)"
             )
 
     supersession = current.get("wakeup_supersession", {})
@@ -315,6 +340,7 @@ def main(argv=None) -> int:
         return 1
     print(
         f"perf budget check OK: {len(EXACT_COUNTERS)} counters exact, "
+        f"{len(CEILING_COUNTERS)} within their ceilings, "
         f"{len(COST_METRICS) + len(THROUGHPUT_METRICS)} timing metrics within "
         f"{args.tolerance}x of baseline"
     )

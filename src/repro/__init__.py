@@ -24,63 +24,62 @@ Quickstart::
     print({t.value: stats.u(t) for t in stats.per_type})
 """
 
-from repro._version import __version__
-from repro.bgp import BGPConfig, MRAIMode, NO_WRATE_CONFIG, WRATE_CONFIG
-from repro.core import (
-    CEventStats,
-    SweepResult,
-    run_c_event_experiment,
-    run_growth_sweep,
-    run_link_event_experiment,
-    run_scenario_comparison,
-)
-from repro.errors import (
-    ConvergenceError,
-    ExperimentError,
-    ParameterError,
-    ReproError,
-    SerializationError,
-    SimulationError,
-    TopologyError,
-)
-from repro.sim import SimNetwork
-from repro.topology import (
-    ASGraph,
-    NodeType,
-    Relationship,
-    TopologyParams,
-    baseline_params,
-    generate_topology,
-    scenario_names,
-    scenario_params,
-)
+from __future__ import annotations
 
-__all__ = [
-    "ASGraph",
-    "BGPConfig",
-    "CEventStats",
-    "ConvergenceError",
-    "ExperimentError",
-    "MRAIMode",
-    "NO_WRATE_CONFIG",
-    "NodeType",
-    "ParameterError",
-    "Relationship",
-    "ReproError",
-    "SerializationError",
-    "SimNetwork",
-    "SimulationError",
-    "SweepResult",
-    "TopologyError",
-    "TopologyParams",
-    "WRATE_CONFIG",
-    "__version__",
-    "baseline_params",
-    "generate_topology",
-    "run_c_event_experiment",
-    "run_growth_sweep",
-    "run_link_event_experiment",
-    "run_scenario_comparison",
-    "scenario_names",
-    "scenario_params",
-]
+import importlib
+import sys
+
+
+def _lazy_exports(package: str, exports: dict[str, tuple[str, ...]]) -> tuple:
+    """A package's PEP 562 ``__getattr__`` and ``__dir__``, and its ``__all__``.
+
+    ``exports`` maps each defining module to the names the package
+    re-exports from it.  A name's module is imported on its first access
+    and the value is then cached on the package, so importing a package
+    costs nothing until one of its names is used: a CLI verb loads the
+    modules it runs, not every subsystem.
+    """
+    home = {name: module for module, names in exports.items() for name in names}
+
+    def __getattr__(name: str) -> object:
+        try:
+            module = home[name]
+        except KeyError:
+            raise AttributeError(
+                f"module {package!r} has no attribute {name!r}"
+            ) from None
+        value = getattr(importlib.import_module(module), name)
+        setattr(sys.modules[package], name, value)
+        return value
+
+    def __dir__() -> list[str]:
+        return sorted(set(vars(sys.modules[package])) | set(home))
+
+    return __getattr__, __dir__, sorted(home)
+
+
+__getattr__, __dir__, __all__ = _lazy_exports(
+    __name__,
+    {
+        "repro._version": ("__version__",),
+        "repro.bgp.config": ("BGPConfig", "MRAIMode", "NO_WRATE_CONFIG", "WRATE_CONFIG"),
+        "repro.core.cevent": ("CEventStats", "run_c_event_experiment"),
+        "repro.core.linkevent": ("run_link_event_experiment",),
+        "repro.core.sweep": ("SweepResult", "run_growth_sweep", "run_scenario_comparison"),
+        "repro.errors": (
+            "ConvergenceError",
+            "ExperimentError",
+            "ParameterError",
+            "ReproError",
+            "SerializationError",
+            "SimulationError",
+            "TopologyError",
+        ),
+        "repro.sim.network": ("SimNetwork",),
+        "repro.topology.generator": ("generate_topology",),
+        "repro.topology.graph": ("ASGraph",),
+        "repro.topology.params": ("TopologyParams", "baseline_params"),
+        "repro.topology.scenarios": ("scenario_names", "scenario_params"),
+        "repro.topology.types": ("NodeType", "Relationship"),
+    },
+)

@@ -21,24 +21,22 @@ reproduces the measured memory structure.
   the ``ext-longmem`` experiment and the ``analyze churn`` CLI verb.
 """
 
-from repro.analysis.bootstrap import hurst_confidence_interval
-from repro.analysis.estimators import (
-    HurstEstimate,
-    aggregated_variance_hurst,
-    dfa,
-    rs_hurst,
-)
-from repro.analysis.fgn import fractional_gaussian_noise, longmem_noise_source
-from repro.analysis.report import LongMemoryReport, analyze_churn_series
+from repro import _lazy_exports
 
-__all__ = [
-    "HurstEstimate",
-    "LongMemoryReport",
-    "aggregated_variance_hurst",
-    "analyze_churn_series",
-    "dfa",
-    "fractional_gaussian_noise",
-    "hurst_confidence_interval",
-    "longmem_noise_source",
-    "rs_hurst",
-]
+__getattr__, __dir__, __all__ = _lazy_exports(
+    __name__,
+    {
+        "repro.analysis.bootstrap": ("hurst_confidence_interval",),
+        "repro.analysis.estimators": (
+            "HurstEstimate",
+            "aggregated_variance_hurst",
+            "dfa",
+            "rs_hurst",
+        ),
+        "repro.analysis.fgn": (
+            "fractional_gaussian_noise",
+            "longmem_noise_source",
+        ),
+        "repro.analysis.report": ("LongMemoryReport", "analyze_churn_series"),
+    },
+)

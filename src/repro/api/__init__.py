@@ -19,27 +19,21 @@ Layers (each importable on its own):
   the two together.
 """
 
-from repro.api.scheduler import (
-    ARTIFACT_NAMES,
-    STATE_CANCELLED,
-    STATE_DONE,
-    STATE_FAILED,
-    STATE_QUEUED,
-    STATE_RUNNING,
-    CampaignJob,
-    CampaignScheduler,
-)
-from repro.api.server import DEFAULT_API_PORT, ApiServer
+from repro import _lazy_exports
 
-__all__ = [
-    "ARTIFACT_NAMES",
-    "ApiServer",
-    "CampaignJob",
-    "CampaignScheduler",
-    "DEFAULT_API_PORT",
-    "STATE_CANCELLED",
-    "STATE_DONE",
-    "STATE_FAILED",
-    "STATE_QUEUED",
-    "STATE_RUNNING",
-]
+__getattr__, __dir__, __all__ = _lazy_exports(
+    __name__,
+    {
+        "repro.api.scheduler": (
+            "ARTIFACT_NAMES",
+            "CampaignJob",
+            "CampaignScheduler",
+            "STATE_CANCELLED",
+            "STATE_DONE",
+            "STATE_FAILED",
+            "STATE_QUEUED",
+            "STATE_RUNNING",
+        ),
+        "repro.api.server": ("ApiServer", "DEFAULT_API_PORT"),
+    },
+)

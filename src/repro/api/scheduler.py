@@ -31,6 +31,7 @@ from pathlib import Path
 from typing import Dict, List, Optional, Tuple, Union
 
 from repro.errors import ApiError
+from repro.files import atomic_writer
 from repro.experiments.campaign import (
     CampaignCancelled,
     CampaignSpec,
@@ -441,9 +442,8 @@ class CampaignScheduler:
         }
         path = self.job_dir(job.job_id) / _JOB_META_FILE
         path.parent.mkdir(parents=True, exist_ok=True)
-        tmp = path.with_name(path.name + ".tmp")
-        tmp.write_text(json.dumps(meta, indent=1), encoding="utf-8")
-        tmp.replace(path)
+        with atomic_writer(path) as handle:
+            json.dump(meta, handle, indent=1)
 
     # ------------------------------------------------------------------
     # Event log

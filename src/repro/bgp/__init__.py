@@ -1,31 +1,26 @@
 """BGP protocol model: routes, policies, decision process, MRAI, damping."""
 
-from repro.bgp.config import (
-    NO_WRATE_CONFIG,
-    WRATE_CONFIG,
-    BGPConfig,
-    DampingConfig,
-    MRAIMode,
-    SendDiscipline,
-)
-from repro.bgp.messages import UpdateMessage, announcement, withdrawal
-from repro.bgp.node import BGPNode
-from repro.bgp.route import Route, best_route, import_route, local_route, stable_hash
+from repro import _lazy_exports
 
-__all__ = [
-    "BGPConfig",
-    "BGPNode",
-    "DampingConfig",
-    "MRAIMode",
-    "NO_WRATE_CONFIG",
-    "Route",
-    "SendDiscipline",
-    "UpdateMessage",
-    "WRATE_CONFIG",
-    "announcement",
-    "best_route",
-    "import_route",
-    "local_route",
-    "stable_hash",
-    "withdrawal",
-]
+__getattr__, __dir__, __all__ = _lazy_exports(
+    __name__,
+    {
+        "repro.bgp.config": (
+            "BGPConfig",
+            "DampingConfig",
+            "MRAIMode",
+            "NO_WRATE_CONFIG",
+            "SendDiscipline",
+            "WRATE_CONFIG",
+        ),
+        "repro.bgp.messages": ("UpdateMessage", "announcement", "withdrawal"),
+        "repro.bgp.node": ("BGPNode",),
+        "repro.bgp.route": (
+            "Route",
+            "best_route",
+            "import_route",
+            "local_route",
+            "stable_hash",
+        ),
+    },
+)

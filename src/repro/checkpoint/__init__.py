@@ -16,45 +16,32 @@ Three layers, bottom-up:
   clock and in-flight border events).
 """
 
-from repro.checkpoint.format import (
-    FORMAT_VERSION,
-    KIND_CAMPAIGN,
-    KIND_NETWORK,
-    KIND_PARTITION,
-    KIND_SWEEP_UNIT,
-    CheckpointDocument,
-    inspect_checkpoint,
-    read_checkpoint,
-    verify_checkpoint,
-    write_checkpoint,
-)
-from repro.checkpoint.network import restore_network, snapshot_network
-from repro.checkpoint.batch import (
-    execute_sweep_unit_checkpointed,
-    unit_checkpoint_key,
-    unit_checkpoint_path,
-)
-from repro.checkpoint.partition import (
-    restore_partitioned_run,
-    snapshot_partitioned_run,
-)
+from repro import _lazy_exports
 
-__all__ = [
-    "FORMAT_VERSION",
-    "KIND_CAMPAIGN",
-    "KIND_NETWORK",
-    "KIND_PARTITION",
-    "KIND_SWEEP_UNIT",
-    "CheckpointDocument",
-    "inspect_checkpoint",
-    "read_checkpoint",
-    "verify_checkpoint",
-    "write_checkpoint",
-    "restore_network",
-    "snapshot_network",
-    "execute_sweep_unit_checkpointed",
-    "unit_checkpoint_key",
-    "unit_checkpoint_path",
-    "restore_partitioned_run",
-    "snapshot_partitioned_run",
-]
+__getattr__, __dir__, __all__ = _lazy_exports(
+    __name__,
+    {
+        "repro.checkpoint.batch": (
+            "execute_sweep_unit_checkpointed",
+            "unit_checkpoint_key",
+            "unit_checkpoint_path",
+        ),
+        "repro.checkpoint.format": (
+            "CheckpointDocument",
+            "FORMAT_VERSION",
+            "KIND_CAMPAIGN",
+            "KIND_NETWORK",
+            "KIND_PARTITION",
+            "KIND_SWEEP_UNIT",
+            "inspect_checkpoint",
+            "read_checkpoint",
+            "verify_checkpoint",
+            "write_checkpoint",
+        ),
+        "repro.checkpoint.network": ("restore_network", "snapshot_network"),
+        "repro.checkpoint.partition": (
+            "restore_partitioned_run",
+            "snapshot_partitioned_run",
+        ),
+    },
+)

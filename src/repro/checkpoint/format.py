@@ -41,6 +41,7 @@ from typing import Optional, Union
 
 from repro._version import __version__
 from repro.errors import CheckpointError
+from repro.files import atomic_writer
 
 FORMAT_NAME = "repro-checkpoint"
 FORMAT_VERSION = 1
@@ -157,9 +158,8 @@ def write_checkpoint(path: Union[str, Path], kind: str, payload: dict) -> None:
         separators=(",", ":"),
     )
     target.parent.mkdir(parents=True, exist_ok=True)
-    tmp = target.with_name(target.name + ".tmp")
-    tmp.write_bytes(header[:-1].encode("ascii") + b',"payload":' + blob + b"}")
-    tmp.replace(target)
+    with atomic_writer(target, "wb") as handle:
+        handle.write(header[:-1].encode("ascii") + b',"payload":' + blob + b"}")
 
 
 def read_checkpoint(

@@ -1,107 +1,81 @@
 """Core churn experiments: C-events, factor analysis, growth sweeps."""
 
-from repro.core.cevent import CEventStats, pick_origins, run_c_event_experiment
-from repro.core.convergence import ConvergenceProfile, convergence_profile
-from repro.core.exploration import (
-    ExplorationStats,
-    exploration_comparison,
-    measure_path_exploration,
-)
-from repro.core.factors import FactorAccumulator, TypeFactors, predicted_u
-from repro.core.heterogeneity import (
-    HeterogeneityReport,
-    churn_heterogeneity,
-    gini_coefficient,
-    lorenz_curve,
-    top_share,
-)
-from repro.core.linkevent import LinkEventStats, run_link_event_experiment
-from repro.core.load import LoadReport, TypeLoad, load_report, run_load_probe
-from repro.core.mrai_sweep import (
-    DEFAULT_MRAI_VALUES,
-    MRAISweepResult,
-    run_mrai_sweep,
-)
-from repro.core.model import (
-    FactorScaling,
-    attribute_growth,
-    decomposition_residual,
-    dominant_term,
-    predict_updates,
-)
-from repro.core.reference import RouteSummary, steady_state_routes
-from repro.core.regression import (
-    PolynomialFit,
-    fit_linear,
-    fit_polynomial,
-    fit_quadratic,
-    growth_classification,
-    log_log_exponent,
-    relative_increase,
-)
-from repro.core.sweep import (
-    DEFAULT_SIZES,
-    SweepResult,
-    run_growth_sweep,
-    run_scenario_comparison,
-)
-from repro.core.workload import (
-    WorkloadEvent,
-    WorkloadResult,
-    WorkloadSpec,
-    default_monitors,
-    generate_poisson_workload,
-    run_workload,
-)
+from repro import _lazy_exports
 
-__all__ = [
-    "CEventStats",
-    "ConvergenceProfile",
-    "DEFAULT_MRAI_VALUES",
-    "DEFAULT_SIZES",
-    "ExplorationStats",
-    "HeterogeneityReport",
-    "LoadReport",
-    "MRAISweepResult",
-    "FactorAccumulator",
-    "FactorScaling",
-    "LinkEventStats",
-    "PolynomialFit",
-    "RouteSummary",
-    "SweepResult",
-    "TypeFactors",
-    "TypeLoad",
-    "WorkloadEvent",
-    "WorkloadResult",
-    "WorkloadSpec",
-    "attribute_growth",
-    "churn_heterogeneity",
-    "convergence_profile",
-    "decomposition_residual",
-    "default_monitors",
-    "dominant_term",
-    "exploration_comparison",
-    "gini_coefficient",
-    "fit_linear",
-    "fit_polynomial",
-    "fit_quadratic",
-    "generate_poisson_workload",
-    "growth_classification",
-    "load_report",
-    "log_log_exponent",
-    "lorenz_curve",
-    "measure_path_exploration",
-    "pick_origins",
-    "predict_updates",
-    "predicted_u",
-    "relative_increase",
-    "run_c_event_experiment",
-    "run_growth_sweep",
-    "run_link_event_experiment",
-    "run_load_probe",
-    "run_mrai_sweep",
-    "run_scenario_comparison",
-    "run_workload",
-    "steady_state_routes",
-    "top_share",
-]
+__getattr__, __dir__, __all__ = _lazy_exports(
+    __name__,
+    {
+        "repro.core.cevent": (
+            "CEventStats",
+            "pick_origins",
+            "run_c_event_experiment",
+        ),
+        "repro.core.convergence": (
+            "ConvergenceProfile",
+            "convergence_profile",
+        ),
+        "repro.core.exploration": (
+            "ExplorationStats",
+            "exploration_comparison",
+            "measure_path_exploration",
+        ),
+        "repro.core.factors": (
+            "FactorAccumulator",
+            "TypeFactors",
+            "predicted_u",
+        ),
+        "repro.core.heterogeneity": (
+            "HeterogeneityReport",
+            "churn_heterogeneity",
+            "gini_coefficient",
+            "lorenz_curve",
+            "top_share",
+        ),
+        "repro.core.linkevent": (
+            "LinkEventStats",
+            "run_link_event_experiment",
+        ),
+        "repro.core.load": (
+            "LoadReport",
+            "TypeLoad",
+            "load_report",
+            "run_load_probe",
+        ),
+        "repro.core.model": (
+            "FactorScaling",
+            "attribute_growth",
+            "decomposition_residual",
+            "dominant_term",
+            "predict_updates",
+        ),
+        "repro.core.mrai_sweep": (
+            "DEFAULT_MRAI_VALUES",
+            "MRAISweepResult",
+            "run_mrai_sweep",
+        ),
+        "repro.core.reference": ("RouteSummary", "steady_state_routes"),
+        "repro.core.regression": (
+            "PolynomialFit",
+            "fit_linear",
+            "fit_polynomial",
+            "fit_quadratic",
+            "growth_classification",
+            "log_log_exponent",
+            "relative_increase",
+        ),
+        "repro.core.sweep": (
+            "DEFAULT_SIZES",
+            "SweepResult",
+            "run_growth_sweep",
+            "run_scenario_comparison",
+        ),
+        "repro.core.workload": (
+            "WorkloadEvent",
+            "WorkloadResult",
+            "WorkloadSpec",
+            "default_monitors",
+            "generate_poisson_workload",
+            "run_workload",
+        ),
+    },
+)

@@ -484,6 +484,10 @@ class UnitQueue:
 
     def _running_pool(self) -> ProcessPoolExecutor:
         if self._pool is None:
+            if self.checkpoint_dir is not None:
+                # The workers' unit runner, imported once here rather
+                # than after the fork by every worker.
+                import repro.checkpoint.batch  # noqa: F401
             slots = None
             if self.unit_timeout is not None:
                 # Shared memory (and the ctypes it imports) only when a

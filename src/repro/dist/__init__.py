@@ -19,24 +19,23 @@ numbers *bit-identical* to a serial one — distribution is purely a
 throughput and robustness layer.
 """
 
-from repro.dist.coordinator import Coordinator, DEFAULT_PORT, parse_address
-from repro.dist.protocol import (
-    MAX_FRAME_BYTES,
-    PROTOCOL_VERSION,
-    FrameStream,
-    decode_frame_payload,
-    encode_frame,
-)
-from repro.dist.worker import run_worker
+from repro import _lazy_exports
 
-__all__ = [
-    "Coordinator",
-    "DEFAULT_PORT",
-    "FrameStream",
-    "MAX_FRAME_BYTES",
-    "PROTOCOL_VERSION",
-    "decode_frame_payload",
-    "encode_frame",
-    "parse_address",
-    "run_worker",
-]
+__getattr__, __dir__, __all__ = _lazy_exports(
+    __name__,
+    {
+        "repro.dist.coordinator": (
+            "Coordinator",
+            "DEFAULT_PORT",
+            "parse_address",
+        ),
+        "repro.dist.protocol": (
+            "FrameStream",
+            "MAX_FRAME_BYTES",
+            "PROTOCOL_VERSION",
+            "decode_frame_payload",
+            "encode_frame",
+        ),
+        "repro.dist.worker": ("run_worker",),
+    },
+)

@@ -6,20 +6,13 @@ per process so the full campaign simulates each (scenario, config, size)
 exactly once.
 """
 
-from repro.experiments.report import ExperimentResult, ShapeCheck
-from repro.experiments.results_io import load_results, save_results
-from repro.experiments.scale import PRESETS, Scale, get_scale
+from repro import _lazy_exports
 
-__all__ = [
-    "ExperimentResult",
-    "PRESETS",
-    "Scale",
-    "ShapeCheck",
-    "get_scale",
-    "load_results",
-    "save_results",
-]
-
-# campaign imports the registry (and thus every figure module); import it
-# lazily via repro.experiments.campaign to keep plain report/scale usage
-# light-weight.
+__getattr__, __dir__, __all__ = _lazy_exports(
+    __name__,
+    {
+        "repro.experiments.report": ("ExperimentResult", "ShapeCheck"),
+        "repro.experiments.results_io": ("load_results", "save_results"),
+        "repro.experiments.scale": ("PRESETS", "Scale", "get_scale"),
+    },
+)

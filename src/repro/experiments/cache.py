@@ -63,6 +63,7 @@ from repro.core.sweep import (
     sweep_units,
 )
 from repro.errors import SerializationError
+from repro.files import atomic_writer
 from repro.obs.telemetry import current_telemetry
 from repro.experiments.results_io import load_sweep, sweep_result_to_dict
 from repro.experiments.scale import Scale
@@ -395,10 +396,8 @@ def _write_entry(path: Path, result: SweepResult, key: str) -> None:
         "key_version": _KEY_VERSION,
         "code_version": __version__,
     }
-    payload = json.dumps(document, indent=1)
-    tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text(payload, encoding="utf-8")
-    tmp.replace(path)
+    with atomic_writer(path) as handle:
+        json.dump(document, handle, indent=1)
 
 
 @dataclasses.dataclass

@@ -53,30 +53,44 @@ Examples::
     repro-bgp workload dense.json --duration 600 --rate 0.05
     repro-bgp profile fig04 --scale smoke -o fig04-telemetry.jsonl
     repro-bgp stats runs/campaign-2026-08/
+
+This module only parses: each verb's handler lives in a module of
+:mod:`repro.experiments.commands` (:data:`VERB_MODULES`), which
+:func:`main` imports when that verb is dispatched, so a verb loads the
+subsystems it runs and ``--version`` loads none.
 """
 
 from __future__ import annotations
 
 import argparse
+import importlib
 import sys
 from pathlib import Path
 from typing import List, Optional
 
 from repro._version import __version__
-from repro.bgp.config import BGPConfig
-from repro.core.cevent import run_c_event_experiment
-from repro.core.workload import WorkloadSpec, run_workload
-from repro.errors import ReproError
-from repro.experiments.registry import experiment_ids, run_all, run_experiment
-from repro.experiments.report import format_table
-from repro.experiments.scale import PRESETS, get_scale
-from repro.topology.dot import save_dot
-from repro.topology.generator import generate_topology
-from repro.topology.metrics import summarize
-from repro.topology.scenarios import scenario_names, scenario_params
-from repro.topology.serialization import load_as_rel, load_json, save_as_rel, save_json
-from repro.topology.types import NODE_TYPE_ORDER, RELATIONSHIP_ORDER
-from repro.topology.validation import find_violations
+
+#: The presets of :mod:`repro.experiments.scale` (a test keeps the two
+#: equal), spelled out so that building the parser imports nothing.
+SCALE_NAMES = ("default", "full", "paper", "smoke")
+
+#: Verb -> the module holding its handler, ``main(args) -> exit code``.
+VERB_MODULES = {
+    "list": "repro.experiments.commands.run",
+    "run": "repro.experiments.commands.run",
+    "campaign": "repro.experiments.commands.campaign",
+    "serve": "repro.experiments.commands.campaign",
+    "api": "repro.experiments.commands.api",
+    "worker": "repro.experiments.commands.worker",
+    "cache": "repro.experiments.commands.cache",
+    "checkpoint": "repro.experiments.commands.checkpoint",
+    "topology": "repro.experiments.commands.topology",
+    "simulate": "repro.experiments.commands.simulate",
+    "workload": "repro.experiments.commands.workload",
+    "profile": "repro.experiments.commands.telemetry",
+    "stats": "repro.experiments.commands.telemetry",
+    "analyze": "repro.experiments.commands.analyze",
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -97,7 +111,7 @@ def build_parser() -> argparse.ArgumentParser:
     run_parser.add_argument("experiment", help="experiment id, e.g. fig04, or 'all'")
     run_parser.add_argument(
         "--scale",
-        choices=sorted(PRESETS),
+        choices=SCALE_NAMES,
         default=None,
         help="scale preset (default: REPRO_SCALE env or 'default')",
     )
@@ -127,7 +141,7 @@ def build_parser() -> argparse.ArgumentParser:
         "campaign", help="run all experiments and persist md/json/summary"
     )
     campaign_parser.add_argument(
-        "--scale", choices=sorted(PRESETS), default=None,
+        "--scale", choices=SCALE_NAMES, default=None,
     )
     campaign_parser.add_argument("--seed", type=int, default=0)
     campaign_parser.add_argument("-o", "--output", type=Path, required=True)
@@ -162,7 +176,7 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     serve_parser.add_argument(
-        "--scale", choices=sorted(PRESETS), default=None,
+        "--scale", choices=SCALE_NAMES, default=None,
     )
     serve_parser.add_argument("--seed", type=int, default=0)
     serve_parser.add_argument("-o", "--output", type=Path, required=True)
@@ -358,7 +372,7 @@ def build_parser() -> argparse.ArgumentParser:
     gen.add_argument(
         "--scenario",
         default="BASELINE",
-        help=f"growth scenario ({', '.join(scenario_names())})",
+        help="growth scenario (default: BASELINE; an unknown name lists all)",
     )
     gen.add_argument("--seed", type=int, default=0)
     gen.add_argument("-o", "--output", type=Path, required=True)
@@ -460,7 +474,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     profile.add_argument("experiment", help="experiment id, e.g. fig04")
     profile.add_argument(
-        "--scale", choices=sorted(PRESETS), default=None,
+        "--scale", choices=SCALE_NAMES, default=None,
         help="scale preset (default: REPRO_SCALE env or 'default')",
     )
     profile.add_argument("--seed", type=int, default=0, help="master seed")
@@ -624,741 +638,13 @@ def _add_bgp_options(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def _load_topology(path: Path):
-    if path.suffix == ".gz":
-        from repro.measured import load_serial1
-
-        graph, _ = load_serial1(path)
-        return graph
-    if path.suffix in (".as-rel", ".asrel", ".txt"):
-        return load_as_rel(path)
-    return load_json(path)
-
-
-def _write_canonical_json(payload: dict, path: Path, label: str) -> None:
-    import json
-
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(
-        json.dumps(payload, indent=1, sort_keys=True) + "\n",
-        encoding="utf-8",
-    )
-    print(f"{label} written to {path}")
-
-
-def _cmd_topology(args: argparse.Namespace) -> int:
-    if args.topology_command == "generate":
-        params = scenario_params(args.scenario, args.n)
-        graph = generate_topology(params, seed=args.seed)
-        fmt = args.format
-        if fmt is None:
-            fmt = "as-rel" if args.output.suffix in (".as-rel", ".asrel") else "json"
-        args.output.parent.mkdir(parents=True, exist_ok=True)
-        if fmt == "as-rel":
-            save_as_rel(graph, args.output)
-        else:
-            save_json(graph, args.output)
-        print(f"wrote {graph} to {args.output} ({fmt})")
-        return 0
-    if args.topology_command == "metrics":
-        graph = _load_topology(args.path)
-        rows = [
-            [key, f"{value:.4g}"] for key, value in summarize(graph).items()
-        ]
-        print(format_table(["metric", "value"], rows, title=str(graph)))
-        return 0
-    if args.topology_command == "import":
-        from repro.measured import load_serial1
-
-        graph, report = load_serial1(args.path, strict=not args.lenient)
-        args.output.parent.mkdir(parents=True, exist_ok=True)
-        save_json(graph, args.output)
-        print(f"imported {graph} from {args.path}")
-        print(
-            f"  {report.edges_parsed} edge(s) parsed, "
-            f"{report.edges_kept} kept "
-            f"({report.transit_edges} transit, {report.peer_edges} peer), "
-            f"{report.edges_dropped} dropped"
-        )
-        if report.edges_dropped:
-            print(
-                f"  dropped: {report.self_loops} self-loop(s), "
-                f"{report.duplicate_edges} duplicate(s), "
-                f"{report.conflicting_edges} conflict(s), "
-                f"{len(report.invariant_drops)} invariant violation(s)"
-            )
-        if not report.connected:
-            print(
-                f"  WARNING: graph is disconnected "
-                f"({len(report.components)} components, "
-                f"sizes {list(report.components[:5])}...)"
-            )
-        print(f"wrote {args.output}")
-        if args.report_json is not None:
-            _write_canonical_json(
-                report.to_dict(), args.report_json, "import report"
-            )
-        return 0
-    if args.topology_command == "stats":
-        return _cmd_topology_stats(args)
-    if args.topology_command == "dot":
-        graph = _load_topology(args.path)
-        args.output.parent.mkdir(parents=True, exist_ok=True)
-        save_dot(
-            graph,
-            args.output,
-            max_nodes=(args.max_nodes or None),
-            include_labels=not args.no_labels,
-        )
-        print(f"wrote DOT for {graph} to {args.output}")
-        return 0
-    # validate
-    graph = _load_topology(args.path)
-    violations = find_violations(graph)
-    if violations:
-        print(f"{len(violations)} violation(s):")
-        for violation in violations[:20]:
-            print(f"  - {violation}")
-        return 1
-    print(f"OK: {graph} satisfies all structural invariants")
-    return 0
-
-
-def _cmd_topology_stats(args: argparse.Namespace) -> int:
-    from repro.topology.compare import topology_fidelity_report
-    from repro.topology.metrics import (
-        approximate_betweenness,
-        clustering_spectrum,
-        joint_degree_distribution,
-    )
-
-    graph = _load_topology(args.path)
-    if args.against is not None:
-        measured = _load_topology(args.against)
-        report = topology_fidelity_report(
-            graph, measured, pivots=args.pivots, seed=args.seed
-        )
-        rows = [
-            [name, f"{distance:.4f}"]
-            for name, distance in report.distances().items()
-        ]
-        print(
-            format_table(
-                ["metric", "distance"],
-                rows,
-                title=(
-                    f"fidelity: {args.path.name} (n={report.n_generated}) "
-                    f"vs {args.against.name} (n={report.n_measured})"
-                ),
-            )
-        )
-        print(
-            f"(0 = identical; {report.pivots} betweenness pivots, "
-            f"seed {report.seed})"
-        )
-        if args.json is not None:
-            _write_canonical_json(
-                report.to_dict(), args.json, "fidelity report"
-            )
-        return 0
-    jdd = joint_degree_distribution(graph)
-    spectrum = clustering_spectrum(graph)
-    betweenness = approximate_betweenness(
-        graph, pivots=min(args.pivots, len(graph)), seed=args.seed
-    )
-    top = sorted(betweenness.items(), key=lambda kv: (-kv[1], kv[0]))[:5]
-    rows = [
-        [key, f"{value:.4g}"] for key, value in summarize(graph).items()
-    ]
-    rows.append(["jdd pairs", f"{len(jdd)}"])
-    rows.append(["clustering spectrum degrees", f"{len(spectrum)}"])
-    rows.append(
-        ["top betweenness", ", ".join(f"{v}:{b:.3f}" for v, b in top)]
-    )
-    print(format_table(["metric", "value"], rows, title=str(graph)))
-    if args.json is not None:
-        payload = {
-            "summary": {k: v for k, v in summarize(graph).items()},
-            "joint_degree_distribution": {
-                f"{a},{b}": count for (a, b), count in sorted(jdd.items())
-            },
-            "clustering_spectrum": {
-                str(k): round(v, 10) for k, v in sorted(spectrum.items())
-            },
-            "betweenness": {
-                str(v): round(b, 10) for v, b in sorted(betweenness.items())
-            },
-            "pivots": min(args.pivots, len(graph)),
-            "seed": args.seed,
-        }
-        _write_canonical_json(payload, args.json, "topology stats")
-    return 0
-
-
-def _cmd_analyze(args: argparse.Namespace) -> int:
-    from repro.analysis import analyze_churn_series, fractional_gaussian_noise
-
-    if args.series is not None:
-        text = args.series.read_text(encoding="utf-8").strip()
-        if text.startswith("["):
-            import json
-
-            series = [float(v) for v in json.loads(text)]
-        else:
-            series = [float(v) for v in text.split()]
-        label = f"series file {args.series}"
-    elif args.topology is not None:
-        from repro.core.workload import WorkloadSpec, run_workload
-
-        graph = _load_topology(args.topology)
-        config = BGPConfig(
-            mrai=args.mrai, wrate=args.wrate, rib_backend=args.rib_backend
-        )
-        spec = WorkloadSpec(
-            duration=args.duration,
-            event_rate=args.rate,
-            mean_downtime=2.0,
-            storm_probability=0.0,
-        )
-        result = run_workload(graph, spec, config, seed=args.seed)
-        bin_width = max(args.duration / 128.0, 4.0 * config.mrai)
-        series = [rate for _, rate in result.trace.rate_series(bin_width)]
-        label = (
-            f"workload on {args.topology} "
-            f"({result.events_executed} events, {bin_width:.0f}s bins)"
-        )
-    else:
-        series = list(
-            fractional_gaussian_noise(
-                args.points, args.synthetic, seed=args.seed
-            )
-        )
-        label = f"synthetic fGn, H={args.synthetic}, {args.points} points"
-
-    report = analyze_churn_series(
-        series, seed=args.seed, resamples=args.resamples
-    )
-    print(f"long-memory analysis of {label}")
-    rows = [
-        [name, f"{estimate.hurst:.4f}", f"{estimate.windows}"]
-        for name, estimate in sorted(report.estimates.items())
-    ]
-    print(format_table(["estimator", "hurst", "windows"], rows))
-    interval = report.dfa1_interval
-    print(
-        f"dfa1 H = {report.hurst:.4f} "
-        f"[{interval.low:.4f}, {interval.high:.4f}] "
-        f"({interval.confidence:.0%} block bootstrap, "
-        f"{args.resamples} resamples)"
-    )
-    print(f"consensus H = {report.consensus_hurst:.4f}")
-    verdict = "inside" if report.in_measured_band() else "outside"
-    print(f"{verdict} the measured churn band H in [0.6, 0.9] (Kitsak et al.)")
-    if args.json is not None:
-        _write_canonical_json(
-            report.to_dict(), args.json, "long-memory report"
-        )
-    return 0
-
-
-def _churn_artifact(stats) -> dict:
-    """Mode-independent churn statistics as JSON-ready primitives.
-
-    Serial and partitioned runs of the same ``(topology, config, seed)``
-    produce byte-identical artifacts — ``scripts/partition_smoke.sh``
-    diffs them in CI.
-    """
-    return {
-        "scenario": stats.scenario,
-        "n": stats.n,
-        "seed": stats.seed,
-        "origins": list(stats.origins),
-        "mrai": stats.config.mrai,
-        "wrate": stats.config.wrate,
-        "measured_messages": stats.measured_messages,
-        "mean_down_convergence": stats.mean_down_convergence,
-        "mean_up_convergence": stats.mean_up_convergence,
-        "down_updates_per_type": {
-            node_type.value: stats.down_updates_per_type[node_type]
-            for node_type in NODE_TYPE_ORDER
-            if node_type in stats.down_updates_per_type
-        },
-        "up_updates_per_type": {
-            node_type.value: stats.up_updates_per_type[node_type]
-            for node_type in NODE_TYPE_ORDER
-            if node_type in stats.up_updates_per_type
-        },
-        "per_type": {
-            node_type.value: {
-                "U": factors.u_total,
-                **{
-                    rel.value: factors.u(rel) for rel in RELATIONSHIP_ORDER
-                },
-            }
-            for node_type in NODE_TYPE_ORDER
-            for factors in (stats.per_type.get(node_type),)
-            if factors is not None
-        },
-    }
-
-
-def _write_churn_json(stats, path: Path) -> None:
-    import json
-
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(
-        json.dumps(_churn_artifact(stats), indent=1, sort_keys=True) + "\n",
-        encoding="utf-8",
-    )
-    print(f"churn statistics written to {path}")
-
-
-def _cmd_simulate(args: argparse.Namespace) -> int:
-    graph = _load_topology(args.path)
-    config = BGPConfig(
-        mrai=args.mrai, wrate=args.wrate, rib_backend=args.rib_backend
-    )
-    if args.partitions:
-        from repro.sim.partition import run_partitioned_c_event_experiment
-        from repro.topology.partition import cut_statistics, partition_graph
-
-        partition = partition_graph(graph, args.partitions)
-        cut = cut_statistics(graph, partition)
-        print(
-            f"partitioned over {cut['num_parts']} members "
-            f"(sizes {cut['part_sizes']}): {cut['cut_edges']} of "
-            f"{cut['total_edges']} links cut ({cut['cut_fraction']:.1%})"
-        )
-        stats = run_partitioned_c_event_experiment(
-            graph,
-            config,
-            num_parts=args.partitions,
-            partition=partition,
-            num_origins=args.origins,
-            seed=args.seed,
-        )
-    else:
-        stats = run_c_event_experiment(
-            graph, config, num_origins=args.origins, seed=args.seed
-        )
-    variant = "WRATE" if args.wrate else "NO-WRATE"
-    rows = []
-    for node_type in NODE_TYPE_ORDER:
-        factors = stats.per_type.get(node_type)
-        if factors is None:
-            continue
-        row = [node_type.value, f"{factors.u_total:.2f}"]
-        for rel in RELATIONSHIP_ORDER:
-            row.append(f"{factors.u(rel):.2f}")
-        rows.append(row)
-    print(
-        format_table(
-            ["type", "U", "Uc", "Up", "Ud"],
-            rows,
-            title=(
-                f"{stats.scenario} n={stats.n}, {len(stats.origins)} C-events, "
-                f"MRAI={args.mrai:g}s {variant}"
-            ),
-        )
-    )
-    print(
-        f"convergence: {stats.mean_down_convergence:.1f}s down / "
-        f"{stats.mean_up_convergence:.1f}s up; "
-        f"{stats.measured_messages} updates delivered"
-    )
-    if args.churn_json is not None:
-        _write_churn_json(stats, args.churn_json)
-    return 0
-
-
-def _cmd_serve_partitioned(args: argparse.Namespace) -> int:
-    """``serve --partitions K``: one simulation split over K workers."""
-    from repro.dist import parse_address
-    from repro.dist.partition import run_distributed_partitioned_experiment
-
-    if args.topology is None:
-        print("error: serve --partitions requires --topology", file=sys.stderr)
-        return 2
-    graph = _load_topology(args.topology)
-    config = BGPConfig(
-        mrai=args.mrai, wrate=args.wrate, rib_backend=args.rib_backend
-    )
-    host, port = parse_address(args.bind)
-
-    def on_listening(address) -> None:
-        bound_host, bound_port = address
-        print(
-            f"partition coordinator listening on {bound_host}:{bound_port} — "
-            f"waiting for {args.partitions} 'repro-bgp worker' process(es)"
-        )
-
-    stats = run_distributed_partitioned_experiment(
-        graph,
-        config,
-        num_parts=args.partitions,
-        num_origins=args.origins,
-        seed=args.seed,
-        host=host,
-        port=port,
-        member_timeout=args.lease_timeout,
-        echo=print,
-        on_listening=on_listening,
-    )
-    print(
-        f"partitioned run complete: {len(stats.origins)} C-events, "
-        f"{stats.measured_messages} updates delivered, "
-        f"convergence {stats.mean_down_convergence:.1f}s down / "
-        f"{stats.mean_up_convergence:.1f}s up"
-    )
-    _write_churn_json(stats, args.output / "churn.json")
-    return 0
-
-
-def _cmd_worker(args: argparse.Namespace) -> int:
-    from repro.dist import run_worker
-
-    echo = (lambda line: None) if args.quiet else print
-    units = run_worker(
-        args.address,
-        checkpoint_dir=args.checkpoint_dir,
-        checkpoint_every=args.checkpoint_every,
-        max_units=args.max_units,
-        max_connect_attempts=args.connect_attempts,
-        echo=echo,
-    )
-    if not args.quiet:
-        print(f"worker done: {units} unit(s) executed")
-    return 0
-
-
-def _cmd_api(args: argparse.Namespace) -> int:
-    import asyncio
-
-    from repro.api import ApiServer, CampaignScheduler
-    from repro.dist import parse_address
-
-    host, port = parse_address(args.bind)
-    api_keys = None
-    if args.api_keys is not None:
-        api_keys = [key.strip() for key in args.api_keys.split(",") if key.strip()]
-
-    async def _serve(scheduler: "CampaignScheduler") -> None:
-        server = ApiServer(scheduler, host, port, api_keys=api_keys)
-        await server.start()
-        bound_host, bound_port = server.address
-        print(
-            f"campaign service listening on http://{bound_host}:{bound_port} "
-            f"(data: {args.data_dir})"
-        )
-        try:
-            await server.serve_forever()
-        finally:
-            await server.close()
-
-    with CampaignScheduler(
-        args.data_dir,
-        max_running=args.max_running,
-        max_queued_per_tenant=args.max_queued_per_tenant,
-        max_running_per_tenant=args.max_running_per_tenant,
-        cache_dir=args.cache_dir,
-        checkpoint_every=args.checkpoint_every,
-    ) as scheduler:
-        try:
-            asyncio.run(_serve(scheduler))
-        except KeyboardInterrupt:
-            print("campaign service stopped")
-    return 0
-
-
-def _cmd_cache(args: argparse.Namespace) -> int:
-    from repro.experiments.cache import gc_cache_dir
-
-    report = gc_cache_dir(args.cache_dir, dry_run=args.dry_run)
-    for path in report.pruned_files:
-        print(f"{'would prune' if args.dry_run else 'pruned'} {path.name}")
-    print(report.to_text())
-    return 0
-
-
-def _cmd_checkpoint(args: argparse.Namespace) -> int:
-    from repro.checkpoint import inspect_checkpoint, verify_checkpoint
-    from repro.errors import CheckpointError
-
-    if args.checkpoint_command == "inspect":
-        status = 0
-        for path in args.paths:
-            try:
-                summary = inspect_checkpoint(path)
-            except CheckpointError as exc:
-                print(f"{path}: {exc}", file=sys.stderr)
-                status = 1
-                continue
-            rows = [[key, str(value)] for key, value in summary.items()]
-            print(format_table(["field", "value"], rows, title=str(path)))
-        return status
-    # verify
-    failures = 0
-    for path in args.paths:
-        try:
-            document = verify_checkpoint(path)
-        except CheckpointError as exc:
-            print(f"FAIL {path}: {exc}")
-            failures += 1
-        else:
-            print(
-                f"OK   {path}: {document.kind} checkpoint, "
-                f"digest {document.sha256[:16]}… intact"
-            )
-    if failures:
-        print(f"{failures} of {len(args.paths)} file(s) failed verification")
-    return 1 if failures else 0
-
-
-def _cmd_workload(args: argparse.Namespace) -> int:
-    graph = _load_topology(args.path)
-    config = BGPConfig(
-        mrai=args.mrai, wrate=args.wrate, rib_backend=args.rib_backend
-    )
-    spec = WorkloadSpec(
-        duration=args.duration, event_rate=args.rate, mean_downtime=args.downtime
-    )
-    result = run_workload(graph, spec, config, seed=args.seed)
-    print(
-        f"{result.scenario} n={result.n}: {result.events_executed} C-events "
-        f"executed ({result.events_skipped} skipped) over "
-        f"{result.measured_duration:.0f}s; {result.total_updates} updates "
-        "delivered network-wide"
-    )
-    rows = []
-    for monitor in result.monitors:
-        counts = result.trace.counts(monitor)
-        if counts["total"] == 0:
-            rows.append([str(monitor), "0", "-", "-", "-"])
-            continue
-        report = result.burstiness(monitor, bin_width=args.bin)
-        rows.append(
-            [
-                str(monitor),
-                str(counts["total"]),
-                f"{result.monitor_rate(monitor):.3f}",
-                f"{report.peak_rate:.2f}",
-                f"{report.peak_to_mean:.1f}x",
-            ]
-        )
-    print(
-        format_table(
-            ["monitor", "updates", "mean rate/s", "peak rate/s", "peak/mean"],
-            rows,
-            title=f"monitor view (bin width {args.bin:g}s)",
-        )
-    )
-    return 0
-
-
-def _render_telemetry(snapshot: dict) -> str:
-    """Human-readable summary of a telemetry snapshot (profile/stats)."""
-    sections: List[str] = []
-    summary = snapshot.get("summary") or {}
-    if summary:
-        rows = [
-            ["wall clock", f"{summary.get('wall_clock_seconds', 0.0):.2f}s"],
-            ["engine events", f"{summary.get('engine_events', 0):,}"],
-            ["engine run time", f"{summary.get('engine_run_seconds', 0.0):.2f}s"],
-            ["events/sec", f"{summary.get('events_per_sec', 0.0):,.0f}"],
-        ]
-        sections.append(format_table(["metric", "value"], rows, title="run summary"))
-    phases = snapshot.get("phases") or []
-    if phases:
-        rows = [
-            [
-                str(phase["name"]),
-                f"{phase['seconds']:.2f}s",
-                f"{phase['events']:,}",
-                f"{phase['events_per_sec']:,.0f}",
-            ]
-            for phase in phases
-        ]
-        sections.append(
-            format_table(
-                ["phase", "wall clock", "events", "events/sec"],
-                rows,
-                title="per-phase breakdown",
-            )
-        )
-    counters = snapshot.get("counters") or {}
-    if counters:
-        rows = [[name, f"{counters[name]:,}"] for name in sorted(counters)]
-        sections.append(format_table(["counter", "value"], rows, title="counters"))
-    gauges = snapshot.get("gauges") or {}
-    if gauges:
-        rows = [[name, f"{gauges[name]:g}"] for name in sorted(gauges)]
-        sections.append(format_table(["gauge", "value"], rows, title="gauges"))
-    return "\n\n".join(sections)
-
-
-def _cmd_profile(args: argparse.Namespace) -> int:
-    from repro.experiments.cache import sweep_execution
-    from repro.obs import (
-        Telemetry,
-        format_top_entries,
-        maybe_profile,
-        telemetry_session,
-        top_entries,
-        write_telemetry_jsonl,
-    )
-
-    scale = get_scale(args.scale)
-    telemetry = Telemetry(
-        meta={
-            "run_kind": "profile",
-            "experiment": args.experiment,
-            "scale": scale.name,
-            "seed": args.seed,
-        }
-    )
-    with telemetry_session(telemetry), sweep_execution(
-        jobs=args.jobs,
-        cache_dir=args.cache_dir,
-        checkpoint_dir=args.checkpoint_dir,
-        checkpoint_every=args.checkpoint_every,
-        unit_timeout=args.unit_timeout,
-    ), maybe_profile(not args.no_profile) as profiler:
-        # The outer "experiment" phase guarantees a per-phase row even for
-        # experiments that run no simulation (e.g. fig01's synthetic
-        # series); simulation-backed ones additionally report
-        # topology-gen/warmup/measured/analysis from the sweep machinery.
-        with telemetry.phase("experiment"):
-            result = run_experiment(args.experiment, scale, seed=args.seed)
-    output = args.output
-    if output is None:
-        output = Path(f"{args.experiment}-telemetry.jsonl")
-    write_telemetry_jsonl(telemetry, output)
-    print(result.to_text())
-    print()
-    print(_render_telemetry(telemetry.snapshot()))
-    if profiler is not None:
-        print()
-        print(f"top {args.top} functions by cumulative time:")
-        print(format_top_entries(top_entries(profiler, limit=args.top)))
-    print()
-    print(f"telemetry written to {output}")
-    return 0 if result.passed else 1
-
-
-def _cmd_stats(args: argparse.Namespace) -> int:
-    from repro.obs import find_telemetry_file, read_jsonl, summarize_records
-
-    path = find_telemetry_file(args.path)
-    snapshot = summarize_records(read_jsonl(path))
-    meta = snapshot.get("meta") or {}
-    described = ", ".join(
-        f"{key}={meta[key]}"
-        for key in ("run_kind", "experiment", "scale", "seed", "code_version")
-        if key in meta
-    )
-    print(f"{path}" + (f" ({described})" if described else ""))
-    print()
-    print(_render_telemetry(snapshot))
-    return 0
-
-
 def main(argv: Optional[List[str]] = None) -> int:
     """CLI main; returns the process exit code."""
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)  # --version and --help exit here
+    from repro.errors import ReproError
+
     try:
-        if args.command == "list":
-            for experiment_id in experiment_ids():
-                print(experiment_id)
-            return 0
-        if args.command == "serve" and args.partitions:
-            return _cmd_serve_partitioned(args)
-        if args.command in ("campaign", "serve"):
-            from repro.experiments.campaign import CampaignSpec
-
-            # Both commands are thin clients of the same execution core
-            # the API service schedules onto: the spec carries what to
-            # compute, the keyword arguments carry local policy (where
-            # artifacts go, how to checkpoint, whether to coordinate
-            # workers).
-            spec = CampaignSpec(
-                scale=get_scale(args.scale).name,
-                seed=args.seed,
-                include_extensions=args.extensions,
-                experiments=(
-                    tuple(args.experiment) if args.experiment else None
-                ),
-                jobs=args.jobs,
-                unit_timeout=args.unit_timeout,
-            )
-            summary = spec.run(
-                output_dir=args.output,
-                echo=print,
-                cache_dir=args.cache_dir,
-                checkpoint_dir=args.checkpoint_dir,
-                checkpoint_every=args.checkpoint_every,
-                resume=args.resume,
-                distributed=(
-                    args.bind if args.command == "serve" else args.distributed
-                ),
-                lease_timeout=args.lease_timeout,
-            )
-            print(summary.to_text())
-            return 0 if summary.passed else 1
-        if args.command == "api":
-            return _cmd_api(args)
-        if args.command == "worker":
-            return _cmd_worker(args)
-        if args.command == "cache":
-            return _cmd_cache(args)
-        if args.command == "checkpoint":
-            return _cmd_checkpoint(args)
-        if args.command == "topology":
-            return _cmd_topology(args)
-        if args.command == "simulate":
-            return _cmd_simulate(args)
-        if args.command == "workload":
-            return _cmd_workload(args)
-        if args.command == "profile":
-            return _cmd_profile(args)
-        if args.command == "stats":
-            return _cmd_stats(args)
-        if args.command == "analyze":
-            return _cmd_analyze(args)
-        # run
-        from repro.experiments.cache import sweep_execution
-
-        scale = get_scale(args.scale)
-        with sweep_execution(
-            jobs=args.jobs,
-            cache_dir=args.cache_dir,
-            checkpoint_dir=args.checkpoint_dir,
-            checkpoint_every=args.checkpoint_every,
-            unit_timeout=args.unit_timeout,
-        ):
-            if args.experiment.lower() == "all":
-                results = run_all(
-                    scale,
-                    seed=args.seed,
-                    echo=print,
-                    include_extensions=args.extensions,
-                )
-            else:
-                result = run_experiment(args.experiment, scale, seed=args.seed)
-                print(result.to_text())
-                results = [result]
-        if args.plot:
-            from repro.experiments.plot import render_result
-
-            for result in results:
-                print()
-                print(render_result(result, log_y=args.log_y))
-        if args.markdown is not None:
-            args.markdown.parent.mkdir(parents=True, exist_ok=True)
-            args.markdown.write_text(
-                "\n".join(r.to_markdown() for r in results), encoding="utf-8"
-            )
-        return 0 if all(r.passed for r in results) else 1
+        return importlib.import_module(VERB_MODULES[args.command]).main(args)
     except ReproError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -23,6 +23,7 @@ from repro.core.cevent import CEventStats
 from repro.core.factors import TypeFactors
 from repro.core.sweep import SweepResult
 from repro.errors import SerializationError
+from repro.files import atomic_writer
 from repro.experiments.report import ExperimentResult, ShapeCheck
 from repro.topology.types import NodeType, Relationship
 
@@ -206,11 +207,8 @@ def sweep_result_from_dict(data: dict) -> SweepResult:
 
 def save_sweep(sweep: SweepResult, path: Union[str, Path]) -> None:
     """Write one sweep to a JSON file (atomically: tmp file + rename)."""
-    target = Path(path)
-    payload = json.dumps(sweep_result_to_dict(sweep), indent=1)
-    tmp = target.with_name(target.name + ".tmp")
-    tmp.write_text(payload, encoding="utf-8")
-    tmp.replace(target)
+    with atomic_writer(path) as handle:
+        json.dump(sweep_result_to_dict(sweep), handle, indent=1)
 
 
 def load_sweep(path: Union[str, Path]) -> SweepResult:

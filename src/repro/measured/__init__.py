@@ -19,22 +19,20 @@ consumes, so growth sweeps, churn workloads and the fidelity metrics of
   generative model.
 """
 
-from repro.measured.serial1 import (
-    ImportReport,
-    load_serial1,
-    parse_serial1_text,
-)
-from repro.measured.sequence import (
-    Snapshot,
-    load_snapshot_sequence,
-    run_measured_sweep,
-)
+from repro import _lazy_exports
 
-__all__ = [
-    "ImportReport",
-    "Snapshot",
-    "load_serial1",
-    "load_snapshot_sequence",
-    "parse_serial1_text",
-    "run_measured_sweep",
-]
+__getattr__, __dir__, __all__ = _lazy_exports(
+    __name__,
+    {
+        "repro.measured.sequence": (
+            "Snapshot",
+            "load_snapshot_sequence",
+            "run_measured_sweep",
+        ),
+        "repro.measured.serial1": (
+            "ImportReport",
+            "load_serial1",
+            "parse_serial1_text",
+        ),
+    },
+)

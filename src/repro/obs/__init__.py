@@ -19,43 +19,33 @@ Typical use::
     print(f"{telemetry.events_per_sec:.0f} events/sec")
 """
 
-from repro.obs.profiler import format_top_entries, maybe_profile, top_entries
-from repro.obs.progress import ProgressLine, format_eta
-from repro.obs.runlog import (
-    SCHEMA_VERSION,
-    TELEMETRY_FILENAME,
-    find_telemetry_file,
-    read_jsonl,
-    summarize_records,
-    telemetry_records,
-    write_telemetry_jsonl,
-)
-from repro.obs.telemetry import (
-    NULL_TELEMETRY,
-    KernelCounts,
-    NullTelemetry,
-    Telemetry,
-    current_telemetry,
-    telemetry_session,
-)
+from repro import _lazy_exports
 
-__all__ = [
-    "KernelCounts",
-    "NULL_TELEMETRY",
-    "NullTelemetry",
-    "ProgressLine",
-    "SCHEMA_VERSION",
-    "TELEMETRY_FILENAME",
-    "Telemetry",
-    "current_telemetry",
-    "find_telemetry_file",
-    "format_eta",
-    "format_top_entries",
-    "maybe_profile",
-    "read_jsonl",
-    "summarize_records",
-    "telemetry_records",
-    "telemetry_session",
-    "top_entries",
-    "write_telemetry_jsonl",
-]
+__getattr__, __dir__, __all__ = _lazy_exports(
+    __name__,
+    {
+        "repro.obs.profiler": (
+            "format_top_entries",
+            "maybe_profile",
+            "top_entries",
+        ),
+        "repro.obs.progress": ("ProgressLine", "format_eta"),
+        "repro.obs.runlog": (
+            "SCHEMA_VERSION",
+            "TELEMETRY_FILENAME",
+            "find_telemetry_file",
+            "read_jsonl",
+            "summarize_records",
+            "telemetry_records",
+            "write_telemetry_jsonl",
+        ),
+        "repro.obs.telemetry": (
+            "KernelCounts",
+            "NULL_TELEMETRY",
+            "NullTelemetry",
+            "Telemetry",
+            "current_telemetry",
+            "telemetry_session",
+        ),
+    },
+)

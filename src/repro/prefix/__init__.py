@@ -1,54 +1,38 @@
 """Multi-prefix subsystem: prefix values, radix tries, trie-backed RIBs,
 and workload generation.
 
-Import order matters: :mod:`repro.prefix.rib` must be loadable before
-:mod:`repro.prefix.workload` pulls in :mod:`repro.bgp` (whose node module
-imports the RIB backends from here).
+The exports load on first use, so :mod:`repro.bgp.node` can import the
+RIB backends from :mod:`repro.prefix.rib` without this package pulling
+:mod:`repro.prefix.workload` (and through it :mod:`repro.bgp`) back in.
 """
 
-from repro.prefix.prefix import (
-    ADDRESS_BITS,
-    Prefix,
-    PrefixToken,
-    clear_prefix_intern_cache,
-    host_prefix,
-    iter_block,
-    make_prefix,
-    prefix_from_json,
-    prefix_to_json,
-)
-from repro.prefix.trie import PrefixTrie
-from repro.prefix.rib import RadixAdjRIBIn, RadixLocRIB
-from repro.prefix.workload import (
-    DEAGGREGATE,
-    FLAP,
-    REAGGREGATE,
-    PrefixAllocation,
-    PrefixChurnSpec,
-    PrefixEvent,
-    allocate_prefixes,
-    generate_prefix_churn,
-)
+from repro import _lazy_exports
 
-__all__ = [
-    "ADDRESS_BITS",
-    "DEAGGREGATE",
-    "FLAP",
-    "Prefix",
-    "PrefixAllocation",
-    "PrefixChurnSpec",
-    "PrefixEvent",
-    "PrefixToken",
-    "PrefixTrie",
-    "RadixAdjRIBIn",
-    "RadixLocRIB",
-    "REAGGREGATE",
-    "allocate_prefixes",
-    "clear_prefix_intern_cache",
-    "generate_prefix_churn",
-    "host_prefix",
-    "iter_block",
-    "make_prefix",
-    "prefix_from_json",
-    "prefix_to_json",
-]
+__getattr__, __dir__, __all__ = _lazy_exports(
+    __name__,
+    {
+        "repro.prefix.prefix": (
+            "ADDRESS_BITS",
+            "Prefix",
+            "PrefixToken",
+            "clear_prefix_intern_cache",
+            "host_prefix",
+            "iter_block",
+            "make_prefix",
+            "prefix_from_json",
+            "prefix_to_json",
+        ),
+        "repro.prefix.rib": ("RadixAdjRIBIn", "RadixLocRIB"),
+        "repro.prefix.trie": ("PrefixTrie",),
+        "repro.prefix.workload": (
+            "DEAGGREGATE",
+            "FLAP",
+            "PrefixAllocation",
+            "PrefixChurnSpec",
+            "PrefixEvent",
+            "REAGGREGATE",
+            "allocate_prefixes",
+            "generate_prefix_churn",
+        ),
+    },
+)

@@ -1,18 +1,18 @@
 """Discrete-event simulation substrate."""
 
-from repro.sim.counters import UpdateCounter
-from repro.sim.engine import Engine
-from repro.sim.network import SimNetwork
-from repro.sim.rng import derive_rng, derive_seed
-from repro.sim.trace import BurstinessReport, MonitorTrace, TracedUpdate
+from repro import _lazy_exports
 
-__all__ = [
-    "BurstinessReport",
-    "Engine",
-    "MonitorTrace",
-    "SimNetwork",
-    "TracedUpdate",
-    "UpdateCounter",
-    "derive_rng",
-    "derive_seed",
-]
+__getattr__, __dir__, __all__ = _lazy_exports(
+    __name__,
+    {
+        "repro.sim.counters": ("UpdateCounter",),
+        "repro.sim.engine": ("Engine",),
+        "repro.sim.network": ("SimNetwork",),
+        "repro.sim.rng": ("derive_rng", "derive_seed"),
+        "repro.sim.trace": (
+            "BurstinessReport",
+            "MonitorTrace",
+            "TracedUpdate",
+        ),
+    },
+)

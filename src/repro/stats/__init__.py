@@ -1,47 +1,37 @@
 """Statistics substrate: trend tests, confidence intervals, synthesis."""
 
-from repro.stats.confidence import (
-    ConfidenceInterval,
-    bootstrap_confidence_interval,
-    mean_confidence_interval,
-)
-from repro.stats.descriptive import (
-    Summary,
-    coefficient_of_variation,
-    geometric_mean,
-    percentile,
-    summarize,
-)
-from repro.stats.powerlaw import PowerLawFit, best_minimum, fit_power_law
-from repro.stats.mannkendall import (
-    MannKendallResult,
-    mann_kendall,
-    sen_slope,
-    trend_total_growth,
-)
-from repro.stats.timeseries import (
-    ChurnSeriesSpec,
-    daily_to_cumulative,
-    synthesize_churn_series,
-)
+from repro import _lazy_exports
 
-__all__ = [
-    "ChurnSeriesSpec",
-    "ConfidenceInterval",
-    "MannKendallResult",
-    "PowerLawFit",
-    "Summary",
-    "best_minimum",
-    "bootstrap_confidence_interval",
-    "fit_power_law",
-    "coefficient_of_variation",
-    "daily_to_cumulative",
-    "geometric_mean",
-    "mann_kendall",
-    "mean_confidence_interval",
-    "percentile",
-    "sen_slope",
-    "summarize",
-    "synthesize_churn_series",
-    "trend_total_growth",
-]
+__getattr__, __dir__, __all__ = _lazy_exports(
+    __name__,
+    {
+        "repro.stats.confidence": (
+            "ConfidenceInterval",
+            "bootstrap_confidence_interval",
+            "mean_confidence_interval",
+        ),
+        "repro.stats.descriptive": (
+            "Summary",
+            "coefficient_of_variation",
+            "geometric_mean",
+            "percentile",
+            "summarize",
+        ),
+        "repro.stats.mannkendall": (
+            "MannKendallResult",
+            "mann_kendall",
+            "sen_slope",
+            "trend_total_growth",
+        ),
+        "repro.stats.powerlaw": (
+            "PowerLawFit",
+            "best_minimum",
+            "fit_power_law",
+        ),
+        "repro.stats.timeseries": (
+            "ChurnSeriesSpec",
+            "daily_to_cumulative",
+            "synthesize_churn_series",
+        ),
+    },
+)

@@ -1,49 +1,30 @@
 """AS-level topology substrate: generator, scenarios, metrics, validation."""
 
-from repro.topology.graph import ASGraph, ASNode
-from repro.topology.compare import TopologyComparison, compare_topologies
-from repro.topology.dot import save_dot, to_dot
-from repro.topology.evolve import evolve_topology
-from repro.topology.generator import generate_topology
-from repro.topology.params import TopologyParams, baseline_params
-from repro.topology.scenarios import scenario_names, scenario_params
-from repro.topology.tiers import (
-    depth_histogram,
-    hierarchy_depth,
-    mean_chain_length,
-    tier_map,
-)
-from repro.topology.types import (
-    LOCAL_PREFERENCE,
-    NODE_TYPE_ORDER,
-    RELATIONSHIP_ORDER,
-    NodeType,
-    Relationship,
-)
-from repro.topology.validation import find_violations, validate
+from repro import _lazy_exports
 
-__all__ = [
-    "ASGraph",
-    "ASNode",
-    "LOCAL_PREFERENCE",
-    "NODE_TYPE_ORDER",
-    "NodeType",
-    "RELATIONSHIP_ORDER",
-    "Relationship",
-    "TopologyComparison",
-    "TopologyParams",
-    "baseline_params",
-    "compare_topologies",
-    "depth_histogram",
-    "evolve_topology",
-    "find_violations",
-    "generate_topology",
-    "hierarchy_depth",
-    "mean_chain_length",
-    "save_dot",
-    "scenario_names",
-    "scenario_params",
-    "tier_map",
-    "to_dot",
-    "validate",
-]
+__getattr__, __dir__, __all__ = _lazy_exports(
+    __name__,
+    {
+        "repro.topology.compare": ("TopologyComparison", "compare_topologies"),
+        "repro.topology.dot": ("save_dot", "to_dot"),
+        "repro.topology.evolve": ("evolve_topology",),
+        "repro.topology.generator": ("generate_topology",),
+        "repro.topology.graph": ("ASGraph", "ASNode"),
+        "repro.topology.params": ("TopologyParams", "baseline_params"),
+        "repro.topology.scenarios": ("scenario_names", "scenario_params"),
+        "repro.topology.tiers": (
+            "depth_histogram",
+            "hierarchy_depth",
+            "mean_chain_length",
+            "tier_map",
+        ),
+        "repro.topology.types": (
+            "LOCAL_PREFERENCE",
+            "NODE_TYPE_ORDER",
+            "NodeType",
+            "RELATIONSHIP_ORDER",
+            "Relationship",
+        ),
+        "repro.topology.validation": ("find_violations", "validate"),
+    },
+)

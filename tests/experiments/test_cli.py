@@ -12,7 +12,42 @@ from repro.experiments.cli import build_parser, main
 from repro.experiments.registry import experiment_ids
 
 
+def _modules_after(argv, tmp_path):
+    """The ``repro``, scipy and networkx modules a fresh interpreter holds
+    after ``main(argv)``."""
+    script = (
+        "import json, sys\n"
+        "from repro.experiments.cli import main\n"
+        "try:\n"
+        f"    code = main({argv!r})\n"
+        "except SystemExit as stop:\n"
+        "    code = stop.code\n"
+        "assert code == 0, code\n"
+        "print(json.dumps(sorted(m for m in sys.modules\n"
+        "                        if m.split('.')[0] in ('repro', 'scipy', 'networkx'))))\n"
+    )
+    env = dict(os.environ)
+    env["PYTHONPATH"] = str(Path(__file__).resolve().parents[2] / "src")
+    done = subprocess.run(
+        [sys.executable, "-c", script],
+        env=env,
+        cwd=tmp_path,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    return json.loads(done.stdout.splitlines()[-1])
+
+
+def _loaded(modules, *prefixes):
+    return [m for m in modules if any(m == p or m.startswith(p + ".") for p in prefixes)]
+
+
 class TestImportHygiene:
+    """Each verb imports what it runs: the parser imports nothing, and
+    :func:`main` imports only the dispatched verb's module."""
+
     def test_cli_start_up_loads_no_analysis_library(self, tmp_path):
         """Every CLI child pays the import of ``repro.experiments.cli``;
         scipy and networkx serve a handful of verbs and load when those
@@ -44,6 +79,37 @@ class TestImportHygiene:
             "version": [],
             "generate": [],
         }
+
+    def test_version_loads_only_the_cli(self, tmp_path):
+        assert _modules_after(["--version"], tmp_path) == [
+            "repro",
+            "repro._version",
+            "repro.experiments",
+            "repro.experiments.cli",
+        ]
+
+    def test_topology_generate_loads_no_simulator(self, tmp_path):
+        modules = _modules_after(
+            ["topology", "generate", "-n", "80", "-o", "t.json"], tmp_path
+        )
+        assert "repro.topology.generator" in modules
+        assert _loaded(
+            modules,
+            "repro.bgp", "repro.sim", "repro.core", "repro.experiments.registry",
+            "repro.api", "repro.dist",
+        ) == []
+
+    def test_simulate_loads_no_service_or_analysis(self, tmp_path):
+        assert main(
+            ["topology", "generate", "-n", "80", "-o", str(tmp_path / "t.json")]
+        ) == 0
+        modules = _modules_after(["simulate", "t.json", "--origins", "1"], tmp_path)
+        assert "repro.core.cevent" in modules
+        assert _loaded(
+            modules,
+            "repro.api", "repro.dist", "repro.measured", "repro.analysis",
+            "scipy", "networkx",
+        ) == []
 
 
 class TestParser:
@@ -97,6 +163,12 @@ class TestParser:
         assert args.checkpoint_dir == tmp_path
         assert args.checkpoint_every == 5
         assert args.resume is True
+
+    def test_scale_choices_are_the_presets(self):
+        from repro.experiments.cli import SCALE_NAMES
+        from repro.experiments.scale import PRESETS
+
+        assert SCALE_NAMES == tuple(sorted(PRESETS))
 
     def test_checkpoint_subcommand_args(self, tmp_path):
         args = build_parser().parse_args(
@@ -162,6 +234,24 @@ class TestTopologyCommands:
         text = out.read_text(encoding="utf-8")
         assert "|-1" in text and "|0" in text
         capsys.readouterr()
+
+    def test_txt_output_reads_back(self, tmp_path, capsys):
+        """``.txt`` is as-rel for the writer and every reader alike."""
+        out = tmp_path / "topo.txt"
+        assert main(
+            ["topology", "generate", "-n", "120", "--seed", "1", "-o", str(out)]
+        ) == 0
+        assert "(as-rel)" in capsys.readouterr().out
+        assert out.read_text(encoding="utf-8").startswith("# generated by repro")
+        assert main(["topology", "metrics", str(out)]) == 0
+        assert main(["simulate", str(out), "--origins", "1", "--mrai", "1"]) == 0
+        assert "convergence" in capsys.readouterr().out
+
+    def test_generate_refuses_a_format_it_cannot_write(self, tmp_path, capsys):
+        out = tmp_path / "topo.gz"
+        assert main(["topology", "generate", "-n", "100", "-o", str(out)]) == 2
+        assert "cannot write serial-1" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_generate_scenario(self, tmp_path, capsys):
         out = tmp_path / "tree.json"
