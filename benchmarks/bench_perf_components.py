@@ -29,7 +29,6 @@ from repro.core.prefix_churn import build_allocation, run_prefix_churn
 from repro.core.reference import steady_state_routes
 from repro.core.sweep import run_growth_sweep
 from repro.prefix.prefix import clear_prefix_intern_cache, make_prefix
-from repro.prefix.trie import PrefixTrie
 from repro.prefix.workload import PrefixChurnSpec
 from repro.experiments.results_io import sweep_result_to_dict
 from repro.obs.telemetry import Telemetry, telemetry_session
@@ -419,50 +418,27 @@ def test_sim_core_budget(results_dir):
         "cancelled_events": damp_net.engine.cancelled_events,
     }
 
-    # --- radix trie per-op costs (the multi-prefix table axis) --------
-    # 10k /24 prefixes: insert cost amortized over the full build, then
-    # longest-match probes against /32 host addresses inside the table.
+    # --- multi-prefix table axis -------------------------------------
+    # Incremental re-decide with 1 dirty prefix out of a 10k-entry table
+    # of /24s: the dirty-set design makes this independent of the table
+    # size, so its budget is the proof that multi-prefix events stay cheap.
     table_size = 10_000
-    trie_prefixes = [make_prefix(index << 8, 24) for index in range(table_size)]
-
-    def build_trie():
-        trie = PrefixTrie()
-        for index, prefix in enumerate(trie_prefixes):
-            trie.insert(prefix, index)
-        return trie
-
-    t0 = time.perf_counter()
-    trie = build_trie()
-    trie_insert_us = (time.perf_counter() - t0) / table_size * 1e6
-    probes = [make_prefix((index << 8) | 7, 32) for index in range(0, table_size, 100)]
-
-    def probe_all():
-        for probe in probes:
-            trie.longest_match(probe)
-
-    trie_match_us = _time_per_call_us(probe_all, 200) / len(probes)
-
-    # Incremental re-decide with 1 dirty prefix out of a 10k-entry table:
-    # the dirty-set design makes this independent of the table size, so
-    # its budget is the proof that multi-prefix events stay cheap.
-    radix_cfg = BGPConfig(
-        mrai=2.0, link_delay=0.001, processing_time_max=0.01, rib_backend="radix"
-    )
+    table_prefixes = [make_prefix(index << 8, 24) for index in range(table_size)]
     rib_node = BGPNode(
         node_id=1,
         node_type=NodeType.C,
         neighbors={2: Relationship.PEER, 3: Relationship.PROVIDER},
         engine=Engine(),
-        config=radix_cfg,
+        config=FAST,
         rng=random.Random(0),
         transmit=lambda message, at: None,
     )
-    for index, prefix in enumerate(trie_prefixes):
+    for index, prefix in enumerate(table_prefixes):
         route = import_route(prefix, (2, 100 + (index % 50)), Relationship.PEER)
         rib_node.adj_rib_in.update(prefix, 2, route)
         rib_node.loc_rib.install(prefix, route)
         rib_node.adj_rib_in.clear_dirty(prefix)
-    dirty_prefix = trie_prefixes[table_size // 2]
+    dirty_prefix = table_prefixes[table_size // 2]
     dirty_route = rib_node.loc_rib.best(dirty_prefix)
     redecide_us = _time_per_call_us(
         lambda: rib_node._run_decision_incremental(
@@ -471,7 +447,7 @@ def test_sim_core_budget(results_dir):
         rounds,
     )
 
-    # --- multi-prefix churn (deterministic counters + backend parity) -
+    # --- multi-prefix churn (deterministic counters) -----------------
     pc_graph = generate_topology(baseline_params(120), seed=9)
     pc_alloc = build_allocation(pc_graph, 40, num_origins=8, seed=9)
     pc_spec = PrefixChurnSpec(
@@ -480,21 +456,7 @@ def test_sim_core_budget(results_dir):
         mean_downtime=30.0,
         deaggregation_probability=0.2,
     )
-    pc_results = {}
-    for backend in ("dict", "radix"):
-        pc_cfg = BGPConfig(
-            mrai=2.0,
-            link_delay=0.001,
-            processing_time_max=0.01,
-            rib_backend=backend,
-        )
-        pc_results[backend] = run_prefix_churn(
-            pc_graph, pc_alloc, pc_spec, pc_cfg, seed=9
-        )
-    pc = pc_results["radix"]
-    assert pc.loc_rib_digest == pc_results["dict"].loc_rib_digest, (
-        "radix and dict RIB backends diverged on the fixed-seed workload"
-    )
+    pc = run_prefix_churn(pc_graph, pc_alloc, pc_spec, FAST, seed=9)
     prefix_churn = {
         "events_executed": pc.events_executed,
         "total_updates": pc.total_updates,
@@ -519,8 +481,6 @@ def test_sim_core_budget(results_dir):
             "events_per_sec": events_per_sec,
         },
         "prefix_per_op": {
-            "trie_insert_us": trie_insert_us,
-            "trie_longest_match_us": trie_match_us,
             "redecide_1_of_10k_us": redecide_us,
             "table_size": table_size,
         },
@@ -535,8 +495,7 @@ def test_sim_core_budget(results_dir):
         f"{best_cold_us:.2f}us cold, decision {decision_full_us:.2f}us full / "
         f"{decision_incremental_us:.2f}us incremental, route {route_bytes}B, "
         f"{events_per_sec:,.0f} events/s; supersession "
-        f"{supersession['executed']}/{scheduled} executed; trie "
-        f"{trie_insert_us:.2f}us insert / {trie_match_us:.2f}us match, "
+        f"{supersession['executed']}/{scheduled} executed; "
         f"re-decide 1-of-10k {redecide_us:.2f}us; prefix churn skipped "
         f"{pc.decisions_skipped}/{pc.decisions_run + pc.decisions_skipped}"
     )

@@ -105,8 +105,6 @@ COST_METRICS = [
     ("kernel_hot_path", "calls_per_event_no_wrate_live"),
     ("kernel_hot_path", "calls_per_event_wrate_null"),
     ("kernel_hot_path", "calls_per_event_wrate_live"),
-    ("prefix_per_op", "trie_insert_us"),
-    ("prefix_per_op", "trie_longest_match_us"),
     ("prefix_per_op", "redecide_1_of_10k_us"),
     ("measured_import", "import_us_per_edge"),
     ("longmem_analysis", "dfa_per_point_us"),

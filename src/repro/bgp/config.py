@@ -14,8 +14,18 @@ from __future__ import annotations
 
 import dataclasses
 import enum
+import math
 
 from repro.errors import ParameterError, SerializationError
+
+
+def _require_finite(config: object, names: tuple) -> None:
+    """Reject NaN and ±inf: every ordering check below passes NaN, and an
+    infinite delay or timer never fires, so either runs silently wrong."""
+    for name in names:
+        value = getattr(config, name)
+        if not math.isfinite(value):
+            raise ParameterError(f"{name} must be finite, got {value}")
 
 
 class SendDiscipline(enum.Enum):
@@ -64,6 +74,18 @@ class DampingConfig:
     max_suppress_time: float = 3600.0
 
     def __post_init__(self) -> None:
+        _require_finite(
+            self,
+            (
+                "withdrawal_penalty",
+                "readvertisement_penalty",
+                "attribute_change_penalty",
+                "suppress_threshold",
+                "reuse_threshold",
+                "half_life",
+                "max_suppress_time",
+            ),
+        )
         if self.half_life <= 0:
             raise ParameterError(f"half_life must be > 0, got {self.half_life}")
         if self.reuse_threshold >= self.suppress_threshold:
@@ -100,19 +122,14 @@ class BGPConfig:
     #: One-way link propagation delay in seconds.
     link_delay: float = 0.002
     damping: DampingConfig = dataclasses.field(default_factory=DampingConfig)
-    #: RIB storage engine: ``"dict"`` (the reference implementation) or
-    #: ``"radix"`` (trie-backed, adds longest-match/covered queries for
-    #: multi-prefix workloads).  Both produce identical decisions; the
-    #: equivalence suite in ``tests/prefix`` holds them to it.
-    rib_backend: str = "dict"
 
     def __post_init__(self) -> None:
+        _require_finite(
+            self,
+            ("mrai", "jitter_low", "jitter_high", "processing_time_max", "link_delay"),
+        )
         if self.mrai < 0:
             raise ParameterError(f"mrai must be >= 0, got {self.mrai}")
-        if self.rib_backend not in ("dict", "radix"):
-            raise ParameterError(
-                f"rib_backend must be 'dict' or 'radix', got {self.rib_backend!r}"
-            )
         if not 0 < self.jitter_low <= self.jitter_high:
             raise ParameterError(
                 f"invalid jitter band [{self.jitter_low}, {self.jitter_high}]"
@@ -138,13 +155,8 @@ class BGPConfig:
 
         Shared by the sweep cache, result files and checkpoints, so the
         on-disk representation of a config is identical everywhere.
-
-        ``rib_backend`` is emitted only when it deviates from the default:
-        the default's serialization must stay byte-identical to what
-        pre-radix versions wrote, because sweep caches and recorded
-        campaign artifacts embed this dict verbatim.
         """
-        data = {
+        return {
             "mrai": self.mrai,
             "wrate": self.wrate,
             "jitter_low": self.jitter_low,
@@ -155,14 +167,17 @@ class BGPConfig:
             "link_delay": self.link_delay,
             "damping": dataclasses.asdict(self.damping),
         }
-        if self.rib_backend != "dict":
-            data["rib_backend"] = self.rib_backend
-        return data
 
     @classmethod
     def from_dict(cls, data: dict) -> "BGPConfig":
         """Rebuild a config from :meth:`to_dict` output."""
+        # Documents written while a radix-trie RIB shipped may name it.
+        # Both values ran the same computation (their kernel digests were
+        # identical), so either reads as the one RIB; anything else is
+        # not a document this code wrote.
         try:
+            if "rib_backend" in data and data["rib_backend"] not in ("dict", "radix"):
+                raise ValueError(f"unknown rib_backend {data['rib_backend']!r}")
             return cls(
                 mrai=data["mrai"],
                 wrate=bool(data["wrate"]),
@@ -173,7 +188,6 @@ class BGPConfig:
                 processing_time_max=data["processing_time_max"],
                 link_delay=data["link_delay"],
                 damping=DampingConfig(**data["damping"]),
-                rib_backend=data.get("rib_backend", "dict"),
             )
         except (KeyError, TypeError, ValueError) as exc:
             raise SerializationError(f"malformed config document: {exc}") from exc

@@ -29,7 +29,6 @@ from repro.bgp.policy import exportable
 from repro.bgp.rib import AdjRIBIn, LocRIB
 from repro.bgp.route import Route, local_route, make_route
 from repro.errors import CheckpointError, SimulationError
-from repro.prefix.rib import RadixAdjRIBIn, RadixLocRIB
 from repro.bgp.events import DampingReuseCheck, MRAIWakeup, ServiceCompletion
 from repro.obs.telemetry import NULL_TELEMETRY, KernelCounts
 from repro.topology.types import LOCAL_PREFERENCE, NodeType, Relationship
@@ -151,7 +150,7 @@ class BGPNode:
         self._service_event = ServiceCompletion(self)
         self._in_queue: Deque[UpdateMessage] = collections.deque()
         self._busy = False
-        self.adj_rib_in, self.loc_rib = self._new_ribs()
+        self.adj_rib_in, self.loc_rib = AdjRIBIn(), LocRIB()
         self._local_routes: Dict[int, Route] = {}
         self._channels: Dict[int, OutputChannel] = {
             neighbor: OutputChannel(
@@ -204,12 +203,6 @@ class BGPNode:
         #: a C-event retires each prefix once measured, so its Loc-RIBs
         #: hold one prefix at a time and this reads 0 there.
         self.decisions_skipped = 0
-
-    def _new_ribs(self):
-        """Fresh (Adj-RIB-In, Loc-RIB) pair for the configured backend."""
-        if self._config.rib_backend == "radix":
-            return RadixAdjRIBIn(), RadixLocRIB()
-        return AdjRIBIn(), LocRIB()
 
     # ------------------------------------------------------------------
     # Origin operations
@@ -689,7 +682,7 @@ class BGPNode:
                 )
         self._in_queue = collections.deque(state["in_queue"])
         self._busy = state["busy"]
-        self.adj_rib_in, self.loc_rib = self._new_ribs()
+        self.adj_rib_in, self.loc_rib = AdjRIBIn(), LocRIB()
         for prefix, neighbor, route in state["adj_rib_in"]:
             self.adj_rib_in.update(prefix, neighbor, route)
             self.adj_rib_in.clear_dirty(prefix)

@@ -8,8 +8,7 @@ axis: monitor-side churn, table sizes, and how much decision-process work
 the per-prefix dirty-set tracking saved.
 
 The result carries a canonical Loc-RIB digest so two runs of the same
-workload — e.g. one per RIB backend (``rib_backend="dict"`` vs
-``"radix"``) — can be checked for exact routing-state equivalence.
+workload can be checked for exact routing-state equivalence.
 """
 
 from __future__ import annotations
@@ -61,7 +60,7 @@ class PrefixChurnResult:
     #: network-wide decision-process work (sums over nodes)
     decisions_run: int
     decisions_skipped: int
-    #: canonical hash of every node's Loc-RIB (backend equivalence checks)
+    #: canonical hash of every node's Loc-RIB (equivalence checks)
     loc_rib_digest: str
 
     @property
@@ -76,8 +75,7 @@ def loc_rib_digest(network: SimNetwork) -> str:
     """Canonical content hash of every node's Loc-RIB.
 
     Entries are *sorted* by prefix before hashing, so the digest depends
-    only on the routing state, never on a backend's iteration order —
-    which makes it the right equality witness for dict-vs-radix runs.
+    only on the routing state, never on the order routes were installed.
     """
     canon = [
         [

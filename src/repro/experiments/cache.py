@@ -69,8 +69,10 @@ from repro.experiments.results_io import load_sweep, sweep_result_to_dict
 from repro.experiments.scale import Scale
 
 #: Bump when the simulation's measured quantities change meaning, to
-#: invalidate on-disk entries written by incompatible code.
-_KEY_VERSION = 1
+#: invalidate on-disk entries written by incompatible code, or when the
+#: key's inputs change shape (2: ``BGPConfig`` lost a field), so
+#: ``cache gc`` prunes the entries no key can reach any more.
+_KEY_VERSION = 2
 
 _CACHE: Dict[str, SweepResult] = {}
 

@@ -631,11 +631,6 @@ def _add_bgp_options(parser: argparse.ArgumentParser) -> None:
         "--wrate", action="store_true",
         help="rate-limit explicit withdrawals (RFC 4271) instead of NO-WRATE",
     )
-    parser.add_argument(
-        "--rib-backend", choices=("dict", "radix"), default="dict",
-        help="RIB implementation: insertion-ordered dicts (reference) or "
-        "the radix-trie backend with per-prefix dirty tracking",
-    )
 
 
 def main(argv: Optional[List[str]] = None) -> int:

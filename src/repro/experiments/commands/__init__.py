@@ -20,11 +20,11 @@ if TYPE_CHECKING:
 
 
 def bgp_config(args: argparse.Namespace) -> BGPConfig:
-    """The BGP configuration the ``--mrai/--wrate/--rib-backend`` options
-    name (imported here: ``topology`` verbs load no BGP model)."""
+    """The BGP configuration the ``--mrai/--wrate`` options name
+    (imported here: ``topology`` verbs load no BGP model)."""
     from repro.bgp.config import BGPConfig
 
-    return BGPConfig(mrai=args.mrai, wrate=args.wrate, rib_backend=args.rib_backend)
+    return BGPConfig(mrai=args.mrai, wrate=args.wrate)
 
 
 def write_json_artifact(payload: dict, path: Path, label: str) -> None:

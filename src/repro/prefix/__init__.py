@@ -1,8 +1,7 @@
-"""Multi-prefix subsystem: prefix values, radix tries, trie-backed RIBs,
-and workload generation.
+"""Multi-prefix subsystem: prefix values and workload generation.
 
-The exports load on first use, so :mod:`repro.bgp.node` can import the
-RIB backends from :mod:`repro.prefix.rib` without this package pulling
+The exports load on first use, so :mod:`repro.bgp` can import
+:mod:`repro.prefix.prefix` without this package pulling
 :mod:`repro.prefix.workload` (and through it :mod:`repro.bgp`) back in.
 """
 
@@ -22,8 +21,6 @@ __getattr__, __dir__, __all__ = _lazy_exports(
             "prefix_from_json",
             "prefix_to_json",
         ),
-        "repro.prefix.rib": ("RadixAdjRIBIn", "RadixLocRIB"),
-        "repro.prefix.trie": ("PrefixTrie",),
         "repro.prefix.workload": (
             "DEAGGREGATE",
             "FLAP",

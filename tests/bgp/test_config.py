@@ -6,10 +6,13 @@ from repro.bgp.config import (
     NO_WRATE_CONFIG,
     WRATE_CONFIG,
     BGPConfig,
+    DampingConfig,
     MRAIMode,
     SendDiscipline,
 )
-from repro.errors import ParameterError
+from repro.errors import ParameterError, SerializationError
+
+NON_FINITE = [float("nan"), float("inf"), float("-inf")]
 
 
 class TestDefaults:
@@ -51,6 +54,45 @@ class TestValidation:
     def test_negative_link_delay(self):
         with pytest.raises(ParameterError):
             BGPConfig(link_delay=-0.001)
+
+    @pytest.mark.parametrize("value", NON_FINITE, ids=str)
+    @pytest.mark.parametrize(
+        "field",
+        ["mrai", "jitter_low", "jitter_high", "processing_time_max", "link_delay"],
+    )
+    def test_non_finite_parameter_rejected(self, field, value):
+        with pytest.raises(ParameterError, match=f"{field} must be finite"):
+            BGPConfig(**{field: value})
+
+    @pytest.mark.parametrize("value", NON_FINITE, ids=str)
+    @pytest.mark.parametrize(
+        "field",
+        [
+            "withdrawal_penalty",
+            "readvertisement_penalty",
+            "attribute_change_penalty",
+            "suppress_threshold",
+            "reuse_threshold",
+            "half_life",
+            "max_suppress_time",
+        ],
+    )
+    def test_non_finite_damping_parameter_rejected(self, field, value):
+        with pytest.raises(ParameterError, match=f"{field} must be finite"):
+            DampingConfig(**{field: value})
+
+
+class TestFromDict:
+    @pytest.mark.parametrize("backend", ["dict", "radix"])
+    def test_a_named_rib_backend_reads_as_the_one_rib(self, backend):
+        config = BGPConfig(wrate=True)
+        document = {**config.to_dict(), "rib_backend": backend}
+        assert BGPConfig.from_dict(document) == config
+
+    def test_an_unknown_rib_backend_is_malformed(self):
+        document = {**BGPConfig().to_dict(), "rib_backend": "btree"}
+        with pytest.raises(SerializationError, match="rib_backend"):
+            BGPConfig.from_dict(document)
 
 
 class TestReplace:

@@ -1,7 +1,10 @@
 """Tests for Adj-RIB-In and Loc-RIB."""
 
+import random
+
 from repro.bgp.rib import AdjRIBIn, LocRIB
-from repro.bgp.route import import_route
+from repro.bgp.route import import_route, make_route
+from repro.prefix.prefix import make_prefix
 from repro.topology.types import Relationship
 
 
@@ -83,3 +86,116 @@ class TestLocRIB:
         rib.install(3, route(3, (5,)))
         assert sorted(rib.prefixes()) == [0, 3]
         assert len(rib) == 2
+
+
+# ----------------------------------------------------------------------
+# Behaviours the decision process and checkpoints rely on, checked on
+# mixed Prefix / bare-int tokens against a plain-dict model.
+# ----------------------------------------------------------------------
+NEIGHBORS = [2, 3, 5, 8]
+
+
+def token_pool():
+    """A mixed pool of Prefix and bare-int tokens."""
+    tokens = [make_prefix(index << 16, 16) for index in range(12)]
+    low, high = tokens[0].children()
+    tokens += [low, high, tokens[0].parent()]
+    tokens += [0, 1, 7]
+    return tokens
+
+
+def random_route(rng, prefix):
+    path = tuple(rng.sample(range(100, 140), rng.randint(1, 4)))
+    return make_route(prefix, path, rng.choice((0, 100)))
+
+
+class TestAdjRIBInModel:
+    def test_random_sequences_match_the_model(self):
+        for seed in range(5):
+            rng = random.Random(seed)
+            pool = token_pool()
+            rib = AdjRIBIn()
+            routes = {}  # (prefix, neighbour) -> route, in insertion order
+            dirty = {}  # prefixes in first-change order since the last take
+            for _step in range(400):
+                prefix = rng.choice(pool)
+                neighbor = rng.choice(NEIGHBORS)
+                route = None if rng.random() < 0.4 else random_route(rng, prefix)
+                previous = routes.get((prefix, neighbor))
+                assert rib.update(prefix, neighbor, route) is previous
+                if route is None and previous is not None:
+                    del routes[(prefix, neighbor)]
+                    dirty[prefix] = None
+                elif route is not None and route is not previous:
+                    routes[(prefix, neighbor)] = route
+                    dirty[prefix] = None
+                assert rib.candidates(prefix) == [
+                    (nbr, r) for (pfx, nbr), r in routes.items() if pfx == prefix
+                ]
+                assert rib.dirty_count == len(dirty)
+                if rng.random() < 0.1:
+                    assert rib.take_dirty() == list(dirty)
+                    dirty.clear()
+                    assert rib.dirty_count == 0
+            assert rib.entries() == [(p, n, r) for (p, n), r in routes.items()]
+            assert list(rib.prefixes()) == list(dict.fromkeys(p for p, _n in routes))
+            for neighbor in NEIGHBORS:
+                assert rib.prefixes_from(neighbor) == [
+                    p for (p, n) in routes if n == neighbor
+                ]
+            assert len(rib) == len(routes)
+            assert rib.take_dirty() == list(dirty)
+
+    def test_dirty_marks_drain_in_change_order(self):
+        rib = AdjRIBIn()
+        a, b = make_prefix(0x0A000000, 8), make_prefix(0x0B000000, 8)
+        rib.update(b, 2, make_route(b, (2,), 0))
+        rib.update(7, 2, make_route(7, (2,), 0))
+        rib.update(a, 2, make_route(a, (2,), 0))
+        rib.update(b, 3, make_route(b, (3,), 0))  # b already marked
+        assert rib.take_dirty() == [b, 7, a]
+        assert rib.take_dirty() == []
+
+    def test_identical_interned_route_is_not_a_change(self):
+        rib = AdjRIBIn()
+        prefix = make_prefix(0x0A000000, 8)
+        route = make_route(prefix, (2,), 0)
+        rib.update(prefix, 2, route)
+        rib.take_dirty()
+        assert rib.update(prefix, 2, route) is route
+        assert rib.dirty_count == 0
+
+    def test_withdrawing_absent_entry_is_a_noop(self):
+        rib = AdjRIBIn()
+        assert rib.update(make_prefix(0, 8), 2, None) is None
+        assert rib.update(7, 2, None) is None
+        assert rib.dirty_count == 0
+        assert len(rib) == 0
+
+
+class TestLocRIBModel:
+    def test_random_sequences_match_the_model(self):
+        rng = random.Random(23)
+        pool = token_pool()
+        rib, best = LocRIB(), {}
+        for _step in range(400):
+            prefix = rng.choice(pool)
+            route = None if rng.random() < 0.4 else random_route(rng, prefix)
+            changed = route != best.get(prefix)
+            assert rib.install(prefix, route) is changed
+            if changed and route is None:
+                del best[prefix]
+            elif changed:
+                best[prefix] = route
+            assert rib.best(prefix) == best.get(prefix)
+        assert rib.entries() == list(best.items())
+        assert rib.prefixes() == list(best)
+        assert len(rib) == len(best)
+
+    def test_reinstalling_equal_route_reports_no_change(self):
+        rib = LocRIB()
+        prefix = make_prefix(0x0A000000, 8)
+        route = make_route(prefix, (2,), 0)
+        assert rib.install(prefix, route)
+        assert not rib.install(prefix, route)
+        assert not rib.install(7, None)  # removing an absent int token

@@ -10,9 +10,13 @@ Two directions:
 
 import json
 
+import pytest
+
 from repro.bgp.config import BGPConfig
 from repro.checkpoint import restore_network, snapshot_network
 from repro.checkpoint.state import node_state_from_json, node_state_to_json
+from repro.core.prefix_churn import loc_rib_digest
+from repro.errors import SerializationError
 from repro.prefix.prefix import Prefix, make_prefix
 from repro.sim.network import SimNetwork
 from repro.topology.generator import generate_topology
@@ -21,11 +25,9 @@ from repro.topology.scenarios import scenario_params
 FAST = dict(link_delay=0.001, processing_time_max=0.01)
 
 
-def _build(*, config=None, seed=11):
+def _build(*, seed=11):
     graph = generate_topology(scenario_params("baseline", 60), seed=seed)
-    network = SimNetwork(
-        graph, config or BGPConfig(mrai=2.0, **FAST), seed=seed + 1
-    )
+    network = SimNetwork(graph, BGPConfig(mrai=2.0, **FAST), seed=seed + 1)
     return graph, network
 
 
@@ -92,16 +94,28 @@ class TestPrefixTokenRoundTrip:
             # identity, not mere equality: deserialization must intern
             assert prefix is make_prefix(prefix.addr, prefix.length)
 
-    def test_radix_backend_round_trips_too(self):
-        config = BGPConfig(mrai=2.0, rib_backend="radix", **FAST)
-        graph, reference = _build(config=config)
+    def test_a_named_rib_backend_restores_as_the_one_rib(self):
+        # Documents written while a second (radix) RIB backend shipped may
+        # carry its name; both values ran the same computation.
+        graph, reference = _build()
         _drive_prefix_run(reference, self.PREFIXES)
-        restored = restore_network(
-            graph, json.loads(json.dumps(snapshot_network(reference)))
-        )
-        reference.run_to_convergence()
+        payload = json.loads(json.dumps(snapshot_network(reference)))
+        legacy = json.loads(json.dumps(payload))
+        legacy["config"]["rib_backend"] = "radix"
+        restored = restore_network(graph, payload)
+        from_legacy = restore_network(graph, legacy)
         restored.run_to_convergence()
-        assert _full_state(restored) == _full_state(reference)
+        from_legacy.run_to_convergence()
+        assert loc_rib_digest(from_legacy) == loc_rib_digest(restored)
+        assert _full_state(from_legacy) == _full_state(restored)
+
+    def test_an_unknown_rib_backend_is_refused(self):
+        graph, network = _build()
+        _drive_prefix_run(network, self.PREFIXES)
+        payload = json.loads(json.dumps(snapshot_network(network)))
+        payload["config"]["rib_backend"] = "btree"
+        with pytest.raises(SerializationError, match="rib_backend"):
+            restore_network(graph, payload)
 
 
 class TestIntPrefixMigration:

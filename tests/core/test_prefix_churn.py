@@ -1,11 +1,4 @@
-"""Tests for the multi-prefix churn driver.
-
-The load-bearing check is backend equivalence: the same fixed-seed
-workload run under ``rib_backend="dict"`` and ``"radix"`` must produce
-byte-identical routing state (canonical Loc-RIB digests) and identical
-event/decision accounting — the trie is an indexing change, never a
-behavior change.
-"""
+"""Tests for the multi-prefix churn driver."""
 
 import pytest
 
@@ -40,34 +33,22 @@ def allocation(graph):
     return build_allocation(graph, 24, num_origins=6, seed=17)
 
 
-def run(graph, allocation, backend, *, spec=SPEC, seed=17):
-    config = BGPConfig(mrai=2.0, rib_backend=backend, **FAST)
+def run(graph, allocation, *, spec=SPEC, seed=17):
+    config = BGPConfig(mrai=2.0, **FAST)
     return run_prefix_churn(graph, allocation, spec, config, seed=seed)
 
 
-class TestBackendEquivalence:
-    def test_dict_and_radix_reach_identical_state(self, graph, allocation):
-        reference = run(graph, allocation, "dict")
-        radix = run(graph, allocation, "radix")
-        assert radix.loc_rib_digest == reference.loc_rib_digest
-        assert radix.events_executed == reference.events_executed
-        assert radix.events_absorbed == reference.events_absorbed
-        assert radix.total_updates == reference.total_updates
-        assert radix.measured_duration == reference.measured_duration
-        assert radix.decisions_run == reference.decisions_run
-        assert radix.decisions_skipped == reference.decisions_skipped
-        assert radix.mean_table_size == reference.mean_table_size
-
+class TestDigest:
     def test_digest_is_sensitive_to_routing_state(self, graph, allocation):
-        a = run(graph, allocation, "dict")
+        a = run(graph, allocation)
         bigger = build_allocation(graph, 30, num_origins=6, seed=17)
-        b = run(graph, bigger, "dict")
+        b = run(graph, bigger)
         assert a.loc_rib_digest != b.loc_rib_digest
 
 
 class TestMeasurement:
     def test_incremental_decisions_dominate(self, graph, allocation):
-        result = run(graph, allocation, "radix")
+        result = run(graph, allocation)
         assert result.events_executed > 0
         assert result.decisions_run > 0
         # The per-prefix dirty set is the point of the subsystem: one
@@ -75,7 +56,7 @@ class TestMeasurement:
         assert result.decisions_skipped > 10 * result.decisions_run
 
     def test_tables_track_the_allocation(self, graph, allocation):
-        result = run(graph, allocation, "radix")
+        result = run(graph, allocation)
         # Deaggregations may leave a few tables one entry above P, but
         # every node must carry roughly the allocated table.
         assert result.num_prefixes == 24
@@ -83,15 +64,15 @@ class TestMeasurement:
         assert result.max_table_size >= result.num_prefixes
 
     def test_churn_rate_normalizes_by_measured_duration(self, graph, allocation):
-        result = run(graph, allocation, "radix")
+        result = run(graph, allocation)
         assert result.measured_duration > 0
         assert result.churn_rate == pytest.approx(
             result.total_updates / result.measured_duration
         )
 
     def test_deterministic_per_seed(self, graph, allocation):
-        a = run(graph, allocation, "dict")
-        b = run(graph, allocation, "dict")
+        a = run(graph, allocation)
+        b = run(graph, allocation)
         assert a == b
 
 

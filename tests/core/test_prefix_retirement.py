@@ -29,7 +29,6 @@ from repro.core.sweep import SweepUnit, execute_sweep_unit, run_growth_sweep
 from repro.errors import SimulationError
 from repro.obs import Telemetry, telemetry_session
 from repro.prefix.prefix import host_prefix
-from repro.prefix.rib import RadixAdjRIBIn
 from repro.sim.network import SimNetwork
 from repro.topology.generator import generate_topology
 from repro.topology.params import baseline_params
@@ -56,7 +55,6 @@ CONFIGS = [
         ),
         id="damping",
     ),
-    pytest.param(BGPConfig(rib_backend="radix"), id="radix"),
 ]
 
 
@@ -151,9 +149,6 @@ def _held_prefixes(node, now) -> dict:
             prefix for channel in channels for prefix in channel._prefix_gates
         },
     }
-    if isinstance(rib, RadixAdjRIBIn):
-        held["adj-rib-in trie"] = {prefix for prefix, _bucket in rib._trie.items()}
-        held["loc-rib trie"] = {prefix for prefix, _route in node.loc_rib._trie.items()}
     return held
 
 

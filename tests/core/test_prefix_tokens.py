@@ -2,51 +2,13 @@
 
 The C-event sweep migrated from bare-int prefixes to interned ``/32``
 host prefixes; because host prefixes sort exactly like the ints they
-replaced, fixed-seed measurements must be unaffected — and identical
-under either RIB backend.
+replaced, fixed-seed measurements must be unaffected.
 """
 
-import dataclasses
-
-from repro.bgp.config import BGPConfig
-from repro.core.cevent import run_c_event_experiment
 from repro.prefix.prefix import Prefix
-from repro.topology.generator import generate_topology
-from repro.topology.params import baseline_params
-
-FAST = dict(link_delay=0.001, processing_time_max=0.01)
-
-
-def measure(backend):
-    graph = generate_topology(baseline_params(60), seed=13)
-    config = BGPConfig(mrai=2.0, rib_backend=backend, **FAST)
-    return run_c_event_experiment(graph, config, num_origins=6, seed=13)
-
-
-def comparable(stats):
-    """Everything measured, minus config (the backends differ) and wall clock."""
-    return {
-        "origins": stats.origins,
-        "per_type": stats.per_type,
-        "down": stats.down_updates_per_type,
-        "up": stats.up_updates_per_type,
-        "down_convergence": stats.mean_down_convergence,
-        "up_convergence": stats.mean_up_convergence,
-        "messages": stats.measured_messages,
-    }
 
 
 class TestCEventTokens:
-    def test_backends_measure_identically(self):
-        assert comparable(measure("dict")) == comparable(measure("radix"))
-
-    def test_config_carries_the_backend(self):
-        stats = measure("radix")
-        assert stats.config.rib_backend == "radix"
-        assert dataclasses.replace(stats.config, rib_backend="dict") == measure(
-            "dict"
-        ).config
-
     def test_origin_prefixes_are_host_prefixes(self):
         from repro.prefix.prefix import host_prefix
 

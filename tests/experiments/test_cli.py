@@ -308,23 +308,19 @@ class TestSimulateCommand:
         ) == 0
         assert "WRATE" in capsys.readouterr().out
 
-    def test_simulate_rib_backend_flag(self, tmp_path, capsys):
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_mrai_exits_2(self, tmp_path, capsys, value):
         out = tmp_path / "topo.json"
-        main(["topology", "generate", "-n", "100", "--seed", "4", "-o", str(out)])
+        main(["topology", "generate", "-n", "60", "--seed", "1", "-o", str(out)])
         capsys.readouterr()
-        base = ["simulate", str(out), "--origins", "2", "--mrai", "1", "--seed", "1"]
-        assert main(base) == 0
-        reference = capsys.readouterr().out
-        assert main(base + ["--rib-backend", "radix"]) == 0
-        # The trie backend is an indexing change: same measured numbers.
-        assert capsys.readouterr().out == reference
+        code = main(["simulate", str(out), "--origins", "1", f"--mrai={value}"])
+        assert code == 2
+        assert "mrai must be finite" in capsys.readouterr().err
 
-    def test_rib_backend_rejects_unknown_value(self, tmp_path, capsys):
-        out = tmp_path / "topo.json"
-        main(["topology", "generate", "-n", "100", "--seed", "4", "-o", str(out)])
-        capsys.readouterr()
-        with pytest.raises(SystemExit):
-            main(["simulate", str(out), "--rib-backend", "btree"])
+    def test_rib_backend_is_not_an_option(self, tmp_path):
+        with pytest.raises(SystemExit) as exc:
+            main(["simulate", str(tmp_path / "t.json"), "--rib-backend", "dict"])
+        assert exc.value.code == 2
 
 
 class TestWorkloadCommand:

@@ -14,8 +14,8 @@ fixed seeds, two sha256 digests per case:
 
 One case per corner of the protocol model: NO-WRATE/WRATE x
 PER_INTERFACE/PER_PREFIX x DELAY_FIRST/SEND_FIRST C-events, a flap storm
-under damping, the radix RIB backend, ``mrai=0``, link down/up events and
-a multi-prefix churn run.
+under damping, ``mrai=0``, link down/up events and a multi-prefix churn
+run.
 
 The kernel may get cheaper per event; it may not execute a different
 event, draw a different random number or count a different update, so
@@ -232,30 +232,25 @@ def _link_events() -> dict:
     )
 
 
-def _prefix_churn(rib_backend: str):
-    def run() -> dict:
-        graph = _graph()
-        allocation = prefix_churn.build_allocation(graph, 24, num_origins=6, seed=_SIM_SEED)
-        spec = PrefixChurnSpec(
-            duration=200.0, event_rate=0.1, mean_downtime=30.0, deaggregation_probability=0.3
-        )
-        config = BGPConfig(mrai_mode=MRAIMode.PER_PREFIX, wrate=True, rib_backend=rib_backend)
-        with _capture_networks(prefix_churn) as built:
-            result = prefix_churn.run_prefix_churn(
-                graph, allocation, spec, config, seed=_SIM_SEED
-            )
-        (network,) = built
-        return _digests(
-            {
-                "executed": result.events_executed,
-                "absorbed": result.events_absorbed,
-                "counter": counter_state(network.counter),
-                "network": trajectory_state(network),
-            },
-            {"loc_rib_digest": result.loc_rib_digest, "nodes": retained_state(network)},
-        )
-
-    return run
+def _prefix_churn() -> dict:
+    graph = _graph()
+    allocation = prefix_churn.build_allocation(graph, 24, num_origins=6, seed=_SIM_SEED)
+    spec = PrefixChurnSpec(
+        duration=200.0, event_rate=0.1, mean_downtime=30.0, deaggregation_probability=0.3
+    )
+    config = BGPConfig(mrai_mode=MRAIMode.PER_PREFIX, wrate=True)
+    with _capture_networks(prefix_churn) as built:
+        result = prefix_churn.run_prefix_churn(graph, allocation, spec, config, seed=_SIM_SEED)
+    (network,) = built
+    return _digests(
+        {
+            "executed": result.events_executed,
+            "absorbed": result.events_absorbed,
+            "counter": counter_state(network.counter),
+            "network": trajectory_state(network),
+        },
+        {"loc_rib_digest": result.loc_rib_digest, "nodes": retained_state(network)},
+    )
 
 
 CASES = {
@@ -268,7 +263,6 @@ CASES = {
 }
 CASES.update(
     {
-        "c-event/radix": _c_event_case(BGPConfig(rib_backend="radix")),
         "c-event/mrai=0": _c_event_case(BGPConfig(mrai=0.0)),
         "c-event/damping": _c_event_case(
             BGPConfig(damping=DampingConfig(enabled=True))
@@ -283,8 +277,7 @@ CASES.update(
             )
         ),
         "link-events/wrate": _link_events,
-        "prefix-churn/dict": _prefix_churn("dict"),
-        "prefix-churn/radix": _prefix_churn("radix"),
+        "prefix-churn": _prefix_churn,
     }
 )
 
