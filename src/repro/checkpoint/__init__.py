@@ -10,10 +10,7 @@ Three layers, bottom-up:
   one;
 * :mod:`repro.checkpoint.batch` — checkpointed execution of sweep work
   units, the hook the fault-tolerant sweep executor and resumable
-  campaigns build on;
-* :mod:`repro.checkpoint.partition` — snapshot/restore of a whole
-  graph-partitioned run (K member networks plus the lockstep runner's
-  clock and in-flight border events).
+  campaigns build on.
 """
 
 from repro import _lazy_exports
@@ -31,7 +28,6 @@ __getattr__, __dir__, __all__ = _lazy_exports(
             "FORMAT_VERSION",
             "KIND_CAMPAIGN",
             "KIND_NETWORK",
-            "KIND_PARTITION",
             "KIND_SWEEP_UNIT",
             "inspect_checkpoint",
             "read_checkpoint",
@@ -39,9 +35,5 @@ __getattr__, __dir__, __all__ = _lazy_exports(
             "write_checkpoint",
         ),
         "repro.checkpoint.network": ("restore_network", "snapshot_network"),
-        "repro.checkpoint.partition": (
-            "restore_partitioned_run",
-            "snapshot_partitioned_run",
-        ),
     },
 )

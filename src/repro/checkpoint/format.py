@@ -54,12 +54,12 @@ FORMAT_VERSION = 1
 #: documents are a strict subset of the 1.3.0 schema: prefixes are bare
 #: ints (1.3.0 additionally writes ``[addr, length]`` pairs for real
 #: prefixes) and the per-node decision counters are absent (they restore
-#: as zero).  1.3.0 documents read unchanged under 1.4.0 — the 1.4.0
-#: schema only *adds* the ``partition`` kind (per-member network
-#: snapshots plus in-flight border events); the pre-existing kinds'
-#: layouts are untouched.  1.5.0 (measured-topology import, long-memory
-#: analysis) did not touch ``repro.checkpoint`` at all, so 1.4.0
-#: documents — every partition checkpoint among them — read unchanged.
+#: as zero).  1.3.0 documents read unchanged under 1.4.0, which only
+#: added a ``partition`` kind (a graph-partitioned run's member
+#: snapshots); that kind is no longer written or restored, though
+#: ``checkpoint verify`` and ``inspect`` still read its envelope.  1.5.0
+#: (measured-topology import, long-memory analysis) did not touch
+#: ``repro.checkpoint`` at all, so 1.4.0 documents read unchanged.
 #: 1.6.0 changed the node layout (RNG streams as ``rng_draws`` /
 #: ``rng_mark``, a per-channel ``arms`` count, construction defaults
 #: left out); the reader still takes the older form, full ``rng``
@@ -71,15 +71,12 @@ COMPATIBLE_CODE_VERSIONS = frozenset({"1.1.0", "1.2.0", "1.3.0", "1.4.0", "1.5.0
 KIND_NETWORK = "network"
 KIND_SWEEP_UNIT = "sweep-unit"
 KIND_CAMPAIGN = "campaign"
-#: Schema 1.4.0: one graph-partitioned run — K member network snapshots,
-#: the lockstep runner's clock/stats, and the border events in flight.
-KIND_PARTITION = "partition"
-KNOWN_KINDS = (KIND_NETWORK, KIND_SWEEP_UNIT, KIND_CAMPAIGN, KIND_PARTITION)
+KNOWN_KINDS = (KIND_NETWORK, KIND_SWEEP_UNIT, KIND_CAMPAIGN)
 #: Kinds whose payloads never depend on JSON object order (simulator
 #: state stores every ordered mapping as a list of pairs), so the file
 #: can carry the very bytes the digest covers.  A campaign state embeds
 #: experiment results that are re-rendered from the dicts as parsed.
-_ORDER_FREE_KINDS = frozenset({KIND_NETWORK, KIND_SWEEP_UNIT, KIND_PARTITION})
+_ORDER_FREE_KINDS = frozenset({KIND_NETWORK, KIND_SWEEP_UNIT})
 
 
 @contextlib.contextmanager
@@ -261,23 +258,6 @@ def inspect_checkpoint(path: Union[str, Path]) -> dict:
         network = payload.get("network", {})
         summary.update(_network_summary(network))
         summary.update(_size_summary([network]))
-    elif document.kind == KIND_PARTITION:
-        parts = payload.get("parts", [])
-        summary.update(
-            {
-                "num_parts": payload.get("num_parts"),
-                "sim_time": payload.get("now"),
-                "windows": payload.get("windows"),
-                "border_events_total": payload.get("border_events"),
-                "border_events_in_flight": len(payload.get("pending", [])),
-                "part_sizes": ", ".join(
-                    str(len(part.get("nodes", []))) for part in parts
-                ),
-            }
-        )
-        if parts:
-            summary.update(_network_summary(parts[0]))
-            summary.update(_size_summary(parts))
     elif document.kind == KIND_CAMPAIGN:
         summary.update(
             {

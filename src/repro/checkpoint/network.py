@@ -81,9 +81,6 @@ def snapshot_network(network: SimNetwork) -> dict:
         "counter": counter_state_to_json(network.counter.dump_state()),
         "trace": trace,
         "nodes": [
-            # For a whole-graph network this is every node in id order;
-            # for a partition member (``local_nodes`` set) it is the
-            # member set — the same iteration either way.
             [node_id, node_state_to_json(network.nodes[node_id].checkpoint_state())]
             for node_id in sorted(network.nodes)
         ],
@@ -91,22 +88,12 @@ def snapshot_network(network: SimNetwork) -> dict:
 
 
 @gc_paused()
-def restore_network(
-    graph: "ASGraph",
-    payload: dict,
-    *,
-    local_nodes=None,
-) -> SimNetwork:
+def restore_network(graph: "ASGraph", payload: dict) -> SimNetwork:
     """Rebuild a live network from :func:`snapshot_network` output.
 
     ``graph`` must be the same topology the snapshot was taken from
     (same scenario, size, and structure); a digest mismatch raises
     :class:`~repro.errors.CheckpointError` before any state is touched.
-
-    ``local_nodes`` restores a *partition member*: the snapshot must
-    have been taken on a member with exactly this node set (the
-    partition-run restore in :mod:`repro.checkpoint.partition` passes
-    the member sets from the snapshot's recorded assignment).
     """
     try:
         topology = payload["topology"]
@@ -129,19 +116,14 @@ def restore_network(
             f"is {graph.scenario!r} n={len(graph)} (digest {digest[:12]}…)"
         )
 
-    network = SimNetwork(
-        graph, BGPConfig.from_dict(config_data), seed=seed, local_nodes=local_nodes
-    )
+    network = SimNetwork(graph, BGPConfig.from_dict(config_data), seed=seed)
     network.topology_digest = digest
 
     restored_ids = [node_id for node_id, _ in node_states]
-    expected_ids = (
-        graph.node_ids if local_nodes is None else sorted(local_nodes)
-    )
-    if restored_ids != expected_ids:
+    if restored_ids != graph.node_ids:
         raise CheckpointError(
             "checkpoint node set does not match the topology "
-            f"({len(restored_ids)} checkpointed vs {len(expected_ids)} expected)"
+            f"({len(restored_ids)} checkpointed vs {len(graph)} expected)"
         )
     for node_id, state in node_states:
         network.nodes[int(node_id)].restore_state(node_state_from_json(state))

@@ -78,6 +78,8 @@ class CEventStats:
 
 def pick_origins(graph: ASGraph, how_many: int, seed: int) -> List[int]:
     """Sample C-node origins (falls back to CP nodes in C-less topologies)."""
+    if how_many < 0:
+        raise ExperimentError(f"number of origins must be >= 0, got {how_many}")
     pool = graph.nodes_of_type(NodeType.C)
     if not pool:
         pool = graph.nodes_of_type(NodeType.CP)

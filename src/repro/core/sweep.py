@@ -367,6 +367,27 @@ def _lost(future: concurrent.futures.Future) -> bool:
     return future.cancelled() or isinstance(future.exception(), BrokenProcessPool)
 
 
+#: Longest accepted ``unit_timeout``, in seconds (one day).
+MAX_UNIT_TIMEOUT = 86_400.0
+
+
+def check_unit_timeout(
+    value: Optional[float], name: str = "unit_timeout"
+) -> Optional[float]:
+    """``value`` as a usable per-unit timeout; None means wait forever.
+
+    Raises :class:`~repro.errors.ExperimentError` unless the value is
+    finite and within (0, :data:`MAX_UNIT_TIMEOUT`].
+    """
+    if value is None:
+        return None
+    if not 0 < value <= MAX_UNIT_TIMEOUT:  # NaN fails every comparison
+        raise ExperimentError(
+            f"{name} must be within (0, {MAX_UNIT_TIMEOUT:g}], got {value}"
+        )
+    return float(value)
+
+
 @dataclasses.dataclass(eq=False)
 class _Ticket:
     """One submitted unit and, once collected, its result."""

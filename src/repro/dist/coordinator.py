@@ -27,12 +27,6 @@ Scheduling is lease-based:
 Results are placed into submission-order slots before the merge, so a
 distributed sweep returns numbers bit-identical to a serial run.
 
-This coordinator schedules *sweeps*: many independent units, retry-safe,
-lease-based.  The other distributed mode — one single simulation split
-across K graph-partition workers, fail-stop, no leases — has its own
-driver in :mod:`repro.dist.partition`; workers built by
-:func:`~repro.dist.worker.run_worker` serve both (the reply to their
-lease request decides which mode they enter).
 Worker-side telemetry counters arriving in RESULT frames are folded
 (:meth:`~repro.obs.telemetry.Telemetry.absorb`) into the hub that was
 ambient where :meth:`Coordinator.run_units` was called — the connection
@@ -45,6 +39,7 @@ from __future__ import annotations
 
 import dataclasses
 import logging
+import math
 import socket
 import threading
 import time
@@ -154,9 +149,9 @@ class Coordinator:
         echo: Optional[Callable[[str], None]] = None,
         show_progress: Optional[bool] = None,
     ) -> None:
-        if lease_timeout <= 0:
+        if not (math.isfinite(lease_timeout) and lease_timeout > 0):
             raise DistributedError(
-                f"lease_timeout must be > 0, got {lease_timeout}"
+                f"lease_timeout must be finite and > 0, got {lease_timeout}"
             )
         self._host = host
         self._port = port

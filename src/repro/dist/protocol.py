@@ -8,13 +8,16 @@ message is a JSON *object* carrying two mandatory envelope fields::
 
 ``v`` is the protocol version — a peer speaking a different version is
 rejected at the first frame, never half-understood — and ``type`` is one
-of the nine message kinds below.  Anything else (truncated prefix or
+of the six message kinds below.  Anything else (truncated prefix or
 body, oversized or zero length, non-JSON bytes, a non-object payload, a
 missing/foreign version, an unknown type) raises
 :class:`~repro.errors.ProtocolError` from a *bounded* read: the decoder
 either returns a valid message, returns end-of-stream, or fails — it
 never hangs waiting for bytes a malformed prefix promised but a correct
-peer would never send beyond the declared length.
+peer would never send beyond the declared length.  A read that breaks
+off mid-frame raises the subclass
+:class:`~repro.errors.ConnectionLostError`, so a peer can tell a lost
+connection from a frame it cannot use.
 
 Message kinds
 -------------
@@ -32,30 +35,19 @@ Message kinds
 ``nack``       worker → coordinator: the unit raised a (deterministic)
                simulation error that a retry cannot fix.
 ``shutdown``   coordinator → worker: the campaign is over, exit cleanly.
-``partition``  coordinator → worker, replacing a lease grant: enrol the
-               worker as one member of a graph-partitioned single
-               simulation (topology, config, member set, part index).
-               The worker switches from the lease loop to the
-               partition-serve loop for the rest of the session.
-``pcmd``       coordinator → worker in partition mode: one lockstep
-               command (``window``, ``snap``, ``originate``,
-               ``withdraw``, ``count``, ``collect``, ``done``) with the
-               border events due in the window.
-``preport``    worker → coordinator in partition mode: the command's
-               result — the member's clock, its next pending event time
-               and the border events it emitted (or, for ``collect``,
-               its update counters).
 
-Version compatibility is exact-match: version 2 added the three
-partition-mode kinds and is *not* accepted by version-1 peers (a v1
-coordinator could otherwise silently strand a v2 worker waiting for
-partition frames it will never see).  See ``docs/PROTOCOL.md`` for the
-full frame reference and the lease/partition state machines.
+Version compatibility is exact-match.  Version 2 added three kinds for
+a socket-distributed partition mode (``partition``, ``pcmd``,
+``preport``); that mode has been removed and the kinds are retired —
+decoding one raises :class:`~repro.errors.ProtocolError` — but the
+version stays 2, because the lease frames are unchanged and a v2 peer
+from before the removal still interoperates.  See ``docs/PROTOCOL.md``
+for the full frame reference and the lease state machine.
 
-The sweep-unit, batch-result and partition codecs live here too: they
-restrict themselves to JSON primitives (Python's ``json`` round-trips
-floats exactly), which is what preserves the distributed layer's
-bit-identity guarantee across the wire.
+The sweep-unit and batch-result codecs live here too: they restrict
+themselves to JSON primitives (Python's ``json`` round-trips floats
+exactly), which is what preserves the distributed layer's bit-identity
+guarantee across the wire.
 """
 
 from __future__ import annotations
@@ -70,11 +62,11 @@ from repro.checkpoint.batch import raw_sums_from_json, raw_sums_to_json
 from repro.core.cevent import CEventBatchResult
 from repro.core.factors import GraphSummary
 from repro.core.sweep import SweepUnit
-from repro.errors import CheckpointError, ProtocolError
+from repro.errors import CheckpointError, ConnectionLostError, ProtocolError
 from repro.topology.types import NodeType, Relationship
 
 #: Bump on any incompatible schema change; peers must match exactly.
-#: v2: partition-mode frames (``partition``/``pcmd``/``preport``).
+#: v2 added three partition-mode kinds, since retired (:data:`RETIRED_TYPES`).
 PROTOCOL_VERSION = 2
 
 #: Hard ceiling on one frame's payload; a length prefix above this is
@@ -89,9 +81,6 @@ MSG_HEARTBEAT = "heartbeat"
 MSG_RESULT = "result"
 MSG_NACK = "nack"
 MSG_SHUTDOWN = "shutdown"
-MSG_PARTITION = "partition"
-MSG_PCMD = "pcmd"
-MSG_PREPORT = "preport"
 
 KNOWN_TYPES = frozenset(
     (
@@ -101,11 +90,12 @@ KNOWN_TYPES = frozenset(
         MSG_RESULT,
         MSG_NACK,
         MSG_SHUTDOWN,
-        MSG_PARTITION,
-        MSG_PCMD,
-        MSG_PREPORT,
     )
 )
+
+#: Kinds version 2 defined for the removed socket-distributed partition
+#: mode; a peer built before the removal may still send them.
+RETIRED_TYPES = frozenset(("partition", "pcmd", "preport"))
 
 
 # ----------------------------------------------------------------------
@@ -154,6 +144,12 @@ def decode_frame_payload(blob: bytes) -> Dict[str, object]:
             f"this build speaks {PROTOCOL_VERSION}"
         )
     kind = message.get("type")
+    if kind in RETIRED_TYPES:
+        raise ProtocolError(
+            f"message type {kind!r} belongs to the socket-distributed "
+            "partition mode, which was removed; 'repro-bgp simulate "
+            "--partitions K' still runs a partitioned simulation in-process"
+        )
     if kind not in KNOWN_TYPES:
         raise ProtocolError(f"unknown message type {kind!r}")
     return message
@@ -205,7 +201,8 @@ class FrameStream:
     def _read_exactly(self, count: int, *, allow_eof: bool) -> Optional[bytes]:
         """``count`` bytes, or None on EOF *before any byte* if allowed.
 
-        EOF mid-read is always a protocol error: the peer promised more
+        EOF or a socket error mid-read is always a
+        :class:`~repro.errors.ConnectionLostError`: the peer promised more
         bytes than it sent (truncated frame).
         """
         chunks = []
@@ -214,11 +211,13 @@ class FrameStream:
             try:
                 chunk = self._sock.recv(min(65536, count - got))
             except OSError as exc:
-                raise ProtocolError(f"connection error mid-frame: {exc}") from exc
+                raise ConnectionLostError(
+                    f"connection error mid-frame: {exc}"
+                ) from exc
             if not chunk:
                 if got == 0 and allow_eof:
                     return None
-                raise ProtocolError(
+                raise ConnectionLostError(
                     f"truncated frame: peer closed after {got} of {count} bytes"
                 )
             chunks.append(chunk)
@@ -361,97 +360,3 @@ def batch_result_from_wire(data: Dict[str, object]) -> CEventBatchResult:
         )
     except (KeyError, TypeError, ValueError, CheckpointError) as exc:
         raise ProtocolError(f"malformed batch result on the wire: {exc}") from exc
-
-
-# ----------------------------------------------------------------------
-# Partition-mode codecs (protocol v2)
-# ----------------------------------------------------------------------
-def partition_assignment_to_wire(
-    graph, partition, part_index: int, config: BGPConfig, seed: int
-) -> Dict[str, object]:
-    """The ``partition`` frame body enrolling one worker as a member.
-
-    Ships the *whole* topology (a member needs the full graph to compute
-    per-node RNG streams and neighbor relationships — only node
-    instantiation is restricted to the member set) plus this member's
-    sorted id list, so every worker derives byte-identical state from
-    the frame alone.
-    """
-    from repro.topology.serialization import to_json_dict
-
-    return {
-        "type": MSG_PARTITION,
-        "topology": to_json_dict(graph),
-        "config": config.to_dict(),
-        "seed": seed,
-        "num_parts": partition.num_parts,
-        "part": part_index,
-        "members": sorted(partition.members(part_index)),
-    }
-
-
-def partition_assignment_from_wire(data: Dict[str, object]) -> Dict[str, object]:
-    """Decode a ``partition`` frame into ready-to-use member inputs."""
-    from repro.topology.serialization import from_json_dict
-
-    try:
-        return {
-            "graph": from_json_dict(data["topology"]),
-            "config": BGPConfig.from_dict(data["config"]),
-            "seed": int(data["seed"]),
-            "num_parts": int(data["num_parts"]),
-            "part": int(data["part"]),
-            "members": [int(node_id) for node_id in data["members"]],
-        }
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ProtocolError(
-            f"malformed partition assignment on the wire: {exc}"
-        ) from exc
-
-
-def part_report_to_wire(report) -> Dict[str, object]:
-    """JSON-ready body of a ``preport`` frame (one member barrier report)."""
-    return {
-        "now": report.now,
-        "next_event_at": report.next_event_at,
-        "outbox": [event.to_jsonable() for event in report.outbox],
-    }
-
-
-def part_report_from_wire(data: Dict[str, object]):
-    """Rebuild a :class:`~repro.sim.partition.PartReport` from the wire."""
-    from repro.sim.partition import BorderEvent, PartReport
-
-    try:
-        next_event = data["next_event_at"]
-        return PartReport(
-            now=float(data["now"]),
-            next_event_at=float(next_event) if next_event is not None else None,
-            outbox=[BorderEvent.from_jsonable(event) for event in data["outbox"]],
-        )
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ProtocolError(f"malformed part report on the wire: {exc}") from exc
-
-
-def counter_to_wire(counter) -> Dict[str, object]:
-    """JSON-ready dict for one member's ``UpdateCounter`` (``collect``)."""
-    from repro.checkpoint.state import counter_state_to_json
-
-    return counter_state_to_json(counter.dump_state())
-
-
-def counter_from_wire(data: Dict[str, object]):
-    """Rebuild an ``UpdateCounter`` shipped by :func:`counter_to_wire`.
-
-    The dump/load round trip preserves dict *insertion order*, which the
-    measurement merge relies on for reproducibility.
-    """
-    from repro.checkpoint.state import counter_state_from_json
-    from repro.sim.counters import UpdateCounter
-
-    counter = UpdateCounter()
-    try:
-        counter.load_state(counter_state_from_json(data))
-    except (KeyError, TypeError, ValueError, CheckpointError) as exc:
-        raise ProtocolError(f"malformed update counter on the wire: {exc}") from exc
-    return counter

@@ -34,7 +34,6 @@ from repro.dist.protocol import (
     MSG_HEARTBEAT,
     MSG_LEASE,
     MSG_NACK,
-    MSG_PARTITION,
     MSG_REGISTER,
     MSG_RESULT,
     MSG_SHUTDOWN,
@@ -42,7 +41,12 @@ from repro.dist.protocol import (
     batch_result_to_wire,
     unit_from_wire,
 )
-from repro.errors import DistributedError, ProtocolError, ReproError
+from repro.errors import (
+    ConnectionLostError,
+    DistributedError,
+    ProtocolError,
+    ReproError,
+)
 
 _LOG = logging.getLogger(__name__)
 
@@ -166,8 +170,13 @@ def run_worker(
     retried ``max_connect_attempts`` times with capped exponential
     backoff and full jitter; a connection lost *mid-campaign* restarts
     the same dial loop, and an already-computed result is resubmitted
-    after the reconnect rather than recomputed.  ``collect_telemetry=False``
-    sends each result without its unit's counters.
+    after the reconnect rather than recomputed.  A coordinator that
+    answers with a frame this build cannot use (a wrong or retired
+    message kind, a malformed unit) ends the session too; after
+    ``max_connect_attempts`` such sessions in a row with no unit finished,
+    :class:`~repro.errors.DistributedError` is raised instead of
+    reconnecting again.  ``collect_telemetry=False`` sends each result
+    without its unit's counters.
     """
     if isinstance(address, str):
         from repro.dist.coordinator import parse_address
@@ -179,6 +188,8 @@ def run_worker(
         checkpoint_dir = Path(checkpoint_dir)
     rng = rng if rng is not None else random.Random()
     units_done = 0
+    # sessions in a row that ended on an unusable frame, no unit finished
+    unusable_sessions = 0
     pending_result: Optional[Dict[str, object]] = None
     connection: Optional[_Connection] = None
     try:
@@ -201,33 +212,22 @@ def run_worker(
                 if pending_result is not None:
                     reply = connection.request(pending_result)
                     if reply is None:
-                        raise ProtocolError("coordinator closed during result")
+                        raise ConnectionLostError("coordinator closed during result")
                     if reply.get("type") == MSG_SHUTDOWN:
                         return units_done
                     pending_result = None
                     units_done += 1
+                    unusable_sessions = 0
                     if max_units is not None and units_done >= max_units:
                         return units_done
                     continue
                 reply = connection.request({"type": MSG_LEASE})
                 if reply is None:
-                    raise ProtocolError("coordinator closed the connection")
+                    raise ConnectionLostError("coordinator closed the connection")
                 if reply["type"] == MSG_SHUTDOWN:
                     if echo is not None:
                         echo("coordinator says shutdown; exiting")
                     return units_done
-                if reply["type"] == MSG_PARTITION:
-                    # A partitioned single simulation instead of a sweep
-                    # lease: serve it to completion on this connection
-                    # (no heartbeats — partition mode is fail-stop), then
-                    # drop back into the lease loop.
-                    from repro.dist.partition import serve_partition
-
-                    serve_partition(connection.stream, reply, echo=echo)
-                    units_done += 1
-                    if max_units is not None and units_done >= max_units:
-                        return units_done
-                    continue
                 if reply["type"] != MSG_LEASE:
                     raise ProtocolError(
                         f"expected a lease reply, got {reply['type']!r}"
@@ -269,12 +269,28 @@ def run_worker(
                     "wall_clock_seconds": time.monotonic() - started,
                     "telemetry": counters if collect_telemetry else {},
                 }
-            except (OSError, ProtocolError) as exc:
+            except (OSError, ConnectionLostError) as exc:
                 _LOG.warning("connection to coordinator lost: %s", exc)
                 if echo is not None:
                     echo(f"connection lost ({exc}); reconnecting")
                 connection.close()
                 connection = None
+            except ProtocolError as exc:
+                # The coordinator sent a frame this build cannot use.
+                # Reconnecting reaches the same coordinator, so only a
+                # bounded number of such sessions are retried.
+                connection.close()
+                connection = None
+                unusable_sessions += 1
+                if unusable_sessions >= max_connect_attempts:
+                    raise DistributedError(
+                        f"coordinator at {target[0]}:{target[1]} sent an "
+                        f"unusable frame in {unusable_sessions} consecutive "
+                        f"sessions: {exc}"
+                    ) from exc
+                _LOG.warning("unusable frame from coordinator: %s", exc)
+                if echo is not None:
+                    echo(f"unusable frame ({exc}); reconnecting")
     finally:
         if connection is not None:
             try:

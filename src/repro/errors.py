@@ -52,6 +52,10 @@ class ProtocolError(ReproError):
     """A distributed-execution wire frame is malformed or incompatible."""
 
 
+class ConnectionLostError(ProtocolError):
+    """A wire connection broke off in the middle of a frame."""
+
+
 class DistributedError(ReproError):
     """A distributed campaign failed at the coordinator/worker layer."""
 

@@ -57,6 +57,7 @@ from repro.core.sweep import (
     SweepUnit,
     UnitDoneFn,
     UnitQueue,
+    check_unit_timeout,
     merge_sweep,
     resolve_jobs,
     run_growth_sweep,
@@ -354,7 +355,9 @@ def sweep_execution(
 
     The context belongs to the calling thread (two campaigns in two
     threads each see their own), and on exit it stops its unit queue
-    (:meth:`SweepExecution.close`).
+    (:meth:`SweepExecution.close`).  An unusable ``unit_timeout`` raises
+    :class:`~repro.errors.ExperimentError` here, before any work starts
+    (:func:`~repro.core.sweep.check_unit_timeout`).
     """
     execution = SweepExecution(
         jobs=jobs,
@@ -363,7 +366,7 @@ def sweep_execution(
         checkpoint_dir=Path(checkpoint_dir) if checkpoint_dir is not None else None,
         checkpoint_every=checkpoint_every,
         on_unit_done=on_unit_done,
-        unit_timeout=unit_timeout,
+        unit_timeout=check_unit_timeout(unit_timeout),
         coordinator=coordinator,
     )
     token = _EXECUTION.set(execution)

@@ -30,6 +30,7 @@ from repro.checkpoint.format import (
     read_checkpoint,
     write_checkpoint,
 )
+from repro.core.sweep import check_unit_timeout
 from repro.errors import CheckpointError, ExperimentError, SerializationError
 from repro.experiments.cache import sweep_execution
 from repro.obs.progress import ProgressLine
@@ -257,11 +258,7 @@ def _spec_timeout(name: str, value: object) -> Optional[float]:
     if value is None:
         return None
     _check_type(name, value, (int, float), "a number")
-    if not 0 < float(value) <= 86_400 or value != value:  # NaN-safe
-        raise ExperimentError(
-            f"spec field {name!r} must be within (0, 86400], got {value}"
-        )
-    return float(value)
+    return check_unit_timeout(value, f"spec field {name!r}")
 
 
 CampaignSpec._FIELDS = {

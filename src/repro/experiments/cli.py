@@ -24,10 +24,9 @@ Subcommands:
 * ``stats`` — render the telemetry log of a previous run (a run
   directory or a ``telemetry.jsonl`` path);
 * ``serve`` / ``worker`` — distributed execution: ``serve`` runs a
-  campaign as a lease-based coordinator (or, with ``--partitions K``,
-  splits ONE simulation over K workers in conservative lockstep),
-  ``worker`` connects (from any host) and serves either mode, with
-  byte-identical artifacts;
+  campaign as a lease-based coordinator, ``worker`` connects (from any
+  host) and executes the sweep units it leases, with byte-identical
+  artifacts;
 * ``api`` — campaign-as-a-service: an asyncio HTTP server accepting
   campaign specs as JSON, deduplicating identical requests, queueing
   them under per-tenant quotas and streaming live progress as NDJSON
@@ -49,7 +48,6 @@ Examples::
     repro-bgp analyze churn --synthetic 0.75 --json longmem.json
     repro-bgp simulate dense.json --origins 10 --wrate
     repro-bgp simulate dense.json --partitions 4 --churn-json churn.json
-    repro-bgp serve --partitions 2 --topology dense.json -o runs/part
     repro-bgp workload dense.json --duration 600 --rate 0.05
     repro-bgp profile fig04 --scale smoke -o fig04-telemetry.jsonl
     repro-bgp stats runs/campaign-2026-08/
@@ -202,37 +200,9 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="SECONDS",
         help=(
             "how long a silent worker keeps a unit leased before it is "
-            "given to another worker (campaign mode) or how long to wait "
-            "for a silent partition member before aborting (default: 60)"
+            "given to another worker (default: 60)"
         ),
     )
-    serve_parser.add_argument(
-        "--partitions",
-        type=int,
-        default=0,
-        metavar="K",
-        help=(
-            "partition mode: instead of a campaign, run ONE simulation "
-            "split over K connected workers in conservative lockstep "
-            "(requires --topology; churn statistics are identical to a "
-            "serial run)"
-        ),
-    )
-    serve_parser.add_argument(
-        "--topology",
-        type=Path,
-        default=None,
-        metavar="FILE",
-        help="(partition mode) topology file to simulate",
-    )
-    serve_parser.add_argument(
-        "--origins",
-        type=int,
-        default=10,
-        metavar="N",
-        help="(partition mode) number of C-events to measure (default: 10)",
-    )
-    _add_bgp_options(serve_parser)
     _add_execution_options(serve_parser)
 
     api_parser = sub.add_parser(
@@ -328,7 +298,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     worker_parser.add_argument(
         "--connect-attempts", type=int, default=8, metavar="N",
-        help="transient connect failures to retry with backoff (default: 8)",
+        help=(
+            "transient connect failures to retry with backoff, and sessions "
+            "in a row a coordinator may end with a frame this worker cannot "
+            "use (default: 8)"
+        ),
     )
     worker_parser.add_argument(
         "--quiet", action="store_true", help="suppress per-unit progress output"

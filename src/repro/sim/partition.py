@@ -35,10 +35,8 @@ over randomized cut placements, and the fixed-seed equivalence tests
 pin exact churn equality.  See ``docs/ARCHITECTURE.md`` for the full
 argument.
 
-The module is socket-free: :class:`LocalPart` runs members in-process
-(tests, ``repro-bgp simulate --partitions K``), while
-:mod:`repro.dist.partition` provides a wire-backed member handle with
-the same interface for multi-process runs.
+Every member runs in this process (:class:`LocalPart`);
+``repro-bgp simulate --partitions K`` is the command-line entry.
 """
 
 from __future__ import annotations
@@ -54,12 +52,7 @@ from repro.core.cevent import CEventBatchResult, merge_c_event_batches, pick_ori
 from repro.core.factors import FactorAccumulator
 from repro.errors import ExperimentError, SimulationError
 from repro.obs.telemetry import current_telemetry
-from repro.prefix.prefix import (
-    PrefixToken,
-    host_prefix,
-    prefix_from_json,
-    prefix_to_json,
-)
+from repro.prefix.prefix import PrefixToken, host_prefix
 from repro.sim.counters import UpdateCounter
 from repro.sim.network import SimNetwork
 from repro.topology.graph import ASGraph
@@ -116,29 +109,6 @@ class BorderEvent:
             path=message.path,
         )
 
-    def to_jsonable(self) -> list:
-        """JSON-primitive representation (wire protocol / checkpoints)."""
-        return [
-            self.sent_at,
-            self.deliver_at,
-            self.sender,
-            self.receiver,
-            prefix_to_json(self.prefix),
-            list(self.path) if self.path is not None else None,
-        ]
-
-    @classmethod
-    def from_jsonable(cls, data: Sequence[object]) -> "BorderEvent":
-        sent_at, deliver_at, sender, receiver, prefix, path = data
-        return cls(
-            sent_at=float(sent_at),
-            deliver_at=float(deliver_at),
-            sender=int(sender),
-            receiver=int(receiver),
-            prefix=prefix_from_json(prefix),
-            path=tuple(int(hop) for hop in path) if path is not None else None,
-        )
-
 
 @dataclasses.dataclass(frozen=True)
 class PartReport:
@@ -154,14 +124,8 @@ class PartReport:
 
 
 class LocalPart:
-    """One in-process partition member.
-
-    Commands follow a two-step ``cast`` / ``gather`` discipline so the
-    lockstep runner can pipeline a barrier across members; the local
-    implementation simply executes eagerly in ``cast`` and hands the
-    result back in ``gather``.  :class:`repro.dist.partition.RemotePart`
-    implements the same interface over a socket.
-    """
+    """One in-process partition member: a :class:`SimNetwork` holding
+    only its member nodes, driven by :meth:`call`."""
 
     def __init__(
         self,
@@ -176,34 +140,9 @@ class LocalPart:
         self.network = SimNetwork(
             graph, config, seed=seed, local_nodes=members
         )
-        self._result: object = None
-
-    @classmethod
-    def from_network(cls, network: SimNetwork, part_index: int) -> "LocalPart":
-        """Wrap an existing member network (checkpoint restore path)."""
-        part = cls.__new__(cls)
-        part.part_index = part_index
-        part.network = network
-        part._result = None
-        return part
-
-    # -- command execution ------------------------------------------------
-    def cast(self, op: str, **kwargs: object) -> None:
-        """Issue one command (result picked up by :meth:`gather`)."""
-        self._result = self._execute(op, kwargs)
-
-    def gather(self) -> object:
-        result, self._result = self._result, None
-        return result
 
     def call(self, op: str, **kwargs: object) -> object:
-        self.cast(op, **kwargs)
-        return self.gather()
-
-    def close(self) -> None:
-        """Release the member (no-op in-process; symmetry with RemotePart)."""
-
-    def _execute(self, op: str, kwargs: dict) -> object:
+        """Execute one lockstep command; most return a :class:`PartReport`."""
         network = self.network
         engine = network.engine
         if op == "window":
@@ -245,14 +184,14 @@ class LockstepRunner:
 
     The runner owns the global clock and the in-flight border events;
     members only ever see "execute everything up to this barrier" plus
-    the border events due inside that window.  Works with any member
-    handle implementing the ``cast``/``gather`` interface.
+    the border events due inside that window.  Commands run on the
+    members one after another, in member order.
     """
 
     def __init__(
         self,
         partition: GraphPartition,
-        parts: Sequence[object],
+        parts: Sequence[LocalPart],
         *,
         link_delay: float,
         telemetry=None,
@@ -280,34 +219,12 @@ class LockstepRunner:
         # cumulative stats (exposed for telemetry / CLI reporting)
         self.windows = 0
         self.border_events = 0
-        self.sync_stall_seconds = 0.0
-        self.max_sync_stall_seconds = 0.0
 
     # -- barrier plumbing -------------------------------------------------
-    def _broadcast(
-        self, ops: Sequence[Tuple[object, str, dict]]
-    ) -> List[object]:
-        """Pipeline (part, op, kwargs) commands: cast all, then gather all.
-
-        The gap between the first and the last member finishing a
-        barrier is the *sync stall* — idle time a faster member spends
-        waiting — reported as telemetry gauges per run.
-        """
-        for part, op, kwargs in ops:
-            part.cast(op, **kwargs)
-        results: List[object] = []
-        first_done: Optional[float] = None
-        for part, _op, _kwargs in ops:
-            results.append(part.gather())
-            done = _time.monotonic()
-            if first_done is None:
-                first_done = done
-        if len(ops) > 1 and first_done is not None:
-            stall = _time.monotonic() - first_done
-            self.sync_stall_seconds += stall
-            if stall > self.max_sync_stall_seconds:
-                self.max_sync_stall_seconds = stall
-        return results
+    def _broadcast(self, op: str, **kwargs: object) -> None:
+        """Run one command on every member, absorbing each report."""
+        for index, part in enumerate(self.parts):
+            self._absorb(index, part.call(op, **kwargs))
 
     def _absorb(self, index: int, report: PartReport) -> None:
         self._part_next[index] = report.next_event_at
@@ -349,18 +266,11 @@ class LockstepRunner:
             if until is not None and window_end > until:
                 window_end = until
             inboxes = self._pop_due(window_end)
-            reports = self._broadcast(
-                [
-                    (part, "window", {"until": window_end, "inbox": inboxes[i]})
-                    for i, part in enumerate(self.parts)
-                ]
-            )
-            max_now = self.now
-            for i, report in enumerate(reports):
-                self._absorb(i, report)
-                if report.now > max_now:
-                    max_now = report.now
-            self.now = max_now
+            for index, part in enumerate(self.parts):
+                report = part.call("window", until=window_end, inbox=inboxes[index])
+                self._absorb(index, report)
+                if report.now > self.now:
+                    self.now = report.now
             self.windows += 1
         if until is not None:
             self.snap(until)
@@ -379,53 +289,11 @@ class LockstepRunner:
 
     def snap(self, at: float) -> None:
         """Advance every member's clock to ``at`` (no events may remain)."""
-        reports = self._broadcast(
-            [(part, "snap", {"at": at}) for part in self.parts]
-        )
-        for i, report in enumerate(reports):
-            self._absorb(i, report)
+        self._broadcast("snap", at=at)
         self.now = at
 
-    # -- checkpoint support -----------------------------------------------
-    def pending_border_events(self) -> List[BorderEvent]:
-        """In-flight border events, in canonical injection order."""
-        return [entry[2] for entry in sorted(self._pending)]
-
-    def restore_progress(
-        self,
-        *,
-        now: float,
-        windows: int,
-        border_events: int,
-        pending: Sequence[BorderEvent],
-        part_next: Sequence[Optional[float]],
-    ) -> None:
-        """Re-adopt checkpointed runner state (clock, stats, in-flight).
-
-        ``part_next`` carries each member's earliest live event time,
-        recomputed from the restored engines by the caller
-        (:func:`repro.checkpoint.partition.restore_partitioned_run`);
-        the wall-clock stall counters restart at zero — they describe
-        the current process, not the simulation.
-        """
-        self.now = now
-        self.windows = windows
-        self.border_events = border_events
-        self._pending = []
-        self._pending_seq = 0
-        for event in pending:
-            heapq.heappush(
-                self._pending, (event.sort_key(), self._pending_seq, event)
-            )
-            self._pending_seq += 1
-        if len(part_next) != len(self.parts):
-            raise SimulationError(
-                f"{len(self.parts)} members but {len(part_next)} next-event times"
-            )
-        self._part_next = list(part_next)
-
     # -- member operations ------------------------------------------------
-    def part_for(self, node_id: int) -> object:
+    def part_for(self, node_id: int) -> LocalPart:
         return self.parts[self.partition.part_of(node_id)]
 
     def apply(self, op: str, node_id: int, prefix: PrefixToken) -> None:
@@ -435,11 +303,7 @@ class LockstepRunner:
         self._absorb(index, report)
 
     def set_counting(self, enabled: bool) -> None:
-        reports = self._broadcast(
-            [(part, "count", {"enabled": enabled}) for part in self.parts]
-        )
-        for i, report in enumerate(reports):
-            self._absorb(i, report)
+        self._broadcast("count", enabled=enabled)
 
     def collect_counters(self) -> Tuple[UpdateCounter, int]:
         """Merged measurement plane: one counter over all members.
@@ -451,10 +315,8 @@ class LockstepRunner:
         """
         merged = UpdateCounter()
         delivered = 0
-        for result in self._broadcast(
-            [(part, "collect", {}) for part in self.parts]
-        ):
-            counter, part_delivered = result
+        for part in self.parts:
+            counter, part_delivered = part.call("collect")
             delivered += part_delivered
             merged.total += counter.total
             for key, count in counter.received.items():
@@ -475,12 +337,6 @@ class LockstepRunner:
             return
         self._obs.inc("partition.windows", self.windows)
         self._obs.inc("partition.border_events", self.border_events)
-        self._obs.set_gauge(
-            "partition.sync_stall_seconds", self.sync_stall_seconds
-        )
-        self._obs.set_gauge(
-            "partition.sync_stall_seconds_max", self.max_sync_stall_seconds
-        )
 
 
 def build_local_parts(
@@ -511,7 +367,6 @@ def run_partitioned_c_event_batch(
     origins: Sequence[int],
     seed: int = 0,
     settle_factor: float = 2.0,
-    parts: Optional[Sequence[object]] = None,
     runner: Optional[LockstepRunner] = None,
 ) -> CEventBatchResult:
     """The C-event measurement, executed graph-partitioned.
@@ -523,8 +378,8 @@ def run_partitioned_c_event_batch(
     kernel's exactly on tie-free trajectories (see the module
     docstring).
 
-    ``parts``/``runner`` let callers supply remote members; by default
-    in-process members are built.
+    ``runner`` lets a caller keep the lockstep runner to read its
+    statistics afterwards; by default one is built here.
     """
     config = config if config is not None else BGPConfig()
     origin_list = list(origins)
@@ -532,10 +387,10 @@ def run_partitioned_c_event_batch(
         if origin not in graph:
             raise ExperimentError(f"origin {origin} not in topology")
     if runner is None:
-        if parts is None:
-            parts = build_local_parts(graph, partition, config, seed=seed)
         runner = LockstepRunner(
-            partition, parts, link_delay=config.link_delay
+            partition,
+            build_local_parts(graph, partition, config, seed=seed),
+            link_delay=config.link_delay,
         )
 
     started = _time.monotonic()
@@ -612,8 +467,6 @@ def run_partitioned_c_event_experiment(
     num_origins: int = 10,
     seed: int = 0,
     settle_factor: float = 2.0,
-    parts: Optional[Sequence[object]] = None,
-    runner: Optional[LockstepRunner] = None,
 ):
     """Partitioned counterpart of :func:`~repro.core.cevent.run_c_event_experiment`.
 
@@ -637,7 +490,5 @@ def run_partitioned_c_event_experiment(
         origins=origin_list,
         seed=seed,
         settle_factor=settle_factor,
-        parts=parts,
-        runner=runner,
     )
     return merge_c_event_batches([batch], seed=seed)

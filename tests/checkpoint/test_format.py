@@ -203,3 +203,47 @@ class TestInspect:
         full = network_section_bytes(read_checkpoint(path).payload)
         assert full["rng"] > 0.5 * sum(full.values())
         assert full["ribs"] >= sizes["ribs"]  # plus the empty fields 1.5.0 wrote
+
+
+class TestRetiredPartitionKind:
+    """1.4.0 added a ``partition`` kind; it is no longer written or restored."""
+
+    #: The shape 1.4.0-1.7.0 wrote: member snapshots plus runner state.
+    PAYLOAD = {
+        "num_parts": 2,
+        "now": 1.25,
+        "windows": 7,
+        "border_events": 3,
+        "pending": [[1.2, 1.201, 4, 9, 0, [4, 2]]],
+        "parts": [{"nodes": [[1, {}]]}, {"nodes": [[2, {}], [3, {}]]}],
+    }
+
+    def _write_by_hand(self, path):
+        envelope = {
+            "format": FORMAT_NAME,
+            "format_version": FORMAT_VERSION,
+            "code_version": "1.6.0",
+            "kind": "partition",
+            "sha256": payload_digest(self.PAYLOAD),
+            "payload": self.PAYLOAD,
+        }
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text(json.dumps(envelope, indent=1), encoding="utf-8")
+
+    def test_write_refuses_the_kind(self, path):
+        with pytest.raises(CheckpointError, match="unknown checkpoint kind"):
+            write_checkpoint(path, "partition", self.PAYLOAD)
+        assert not path.exists()
+
+    def test_an_intact_file_still_verifies_and_inspects(self, path):
+        self._write_by_hand(path)
+        document = verify_checkpoint(path)
+        assert document.kind == "partition" and document.digest_ok
+        summary = inspect_checkpoint(path)
+        assert summary == {
+            "kind": "partition",
+            "format_version": FORMAT_VERSION,
+            "code_version": "1.6.0",
+            "sha256": payload_digest(self.PAYLOAD)[:16] + "…",
+            "digest_ok": True,
+        }

@@ -4,8 +4,7 @@ Schema 1.6.0 checkpoints a node's ``random.Random`` as the number of
 draws made since seeding (``processed_count + busy + Σ channel.arms``)
 plus a fingerprint, and restore replays a freshly seeded generator that
 far.  The property: wherever a run is stopped — mid-flood, processors
-busy, timers armed, links flapping, damping on, whole-graph or one
-partition member — every restored generator's ``getstate()`` equals the
+busy, timers armed, links flapping, damping on — every restored generator's ``getstate()`` equals the
 live one, and both continuations end in the same place.  The refusals: a
 count or fingerprint that does not match the replayed stream is a
 :class:`CheckpointError`, never a quietly different trajectory.
@@ -27,17 +26,10 @@ from repro.checkpoint.batch import (
     unit_checkpoint_path,
 )
 from repro.checkpoint.format import KIND_SWEEP_UNIT, read_checkpoint, write_checkpoint
-from repro.checkpoint.partition import (
-    restore_partitioned_run,
-    snapshot_partitioned_run,
-)
 from repro.core.sweep import execute_sweep_unit
 from repro.errors import CheckpointError
-from repro.prefix.prefix import host_prefix
 from repro.sim.network import SimNetwork
-from repro.sim.partition import LockstepRunner, build_local_parts
 from repro.topology.generator import generate_topology
-from repro.topology.partition import partition_graph
 from repro.topology.scenarios import scenario_params
 
 from tests.checkpoint.test_batch import (
@@ -161,37 +153,6 @@ class TestStreamIsSeedAndDrawCount:
         assert _rng_states(restored) == _rng_states(live)
         assert snapshot_network(restored) == snapshot_network(live)
         _assert_same_end(live, restored)
-
-    @given(
-        wrate=st.booleans(),
-        seed=st.integers(min_value=0, max_value=2**20),
-        half_delays=st.integers(min_value=1, max_value=60),
-    )
-    @settings(max_examples=15, deadline=None)
-    def test_partition_members_restore_their_streams(self, wrate, seed, half_delays):
-        config = _config(wrate, MRAIMode.PER_INTERFACE, damping=False)
-        partition = partition_graph(_GRAPH, 2)
-        live = LockstepRunner(
-            partition,
-            build_local_parts(_GRAPH, partition, config, seed=seed),
-            link_delay=config.link_delay,
-        )
-        live.set_counting(True)
-        live.apply("originate", _STUBS[-1], host_prefix(0))
-        live.advance(live.now + half_delays * config.link_delay / 2)
-
-        payload = json.loads(json.dumps(snapshot_partitioned_run(live)))
-        restored = restore_partitioned_run(_GRAPH, payload)
-        for ours, theirs in zip(live.parts, restored.parts):
-            assert _rng_states(theirs.network) == _rng_states(ours.network)
-        live.converge()
-        restored.converge()
-        assert restored.now == live.now and restored.windows == live.windows
-        assert dict(restored.collect_counters()[0].received) == dict(
-            live.collect_counters()[0].received
-        )
-        for ours, theirs in zip(live.parts, restored.parts):
-            assert _rng_states(theirs.network) == _rng_states(ours.network)
 
 
 class TestWrongCountNeverResumes:

@@ -3,7 +3,7 @@
 A document whose envelope is stamped 1.4.0 must pass the restore gate
 *and* produce the same continuation as a document stamped with the
 running version — for every kind that is restored from disk:
-``network``, ``sweep-unit`` and ``partition``.
+``network`` and ``sweep-unit``.
 
 1.6.0 changed the node layout (RNG streams as draw counts, sparse
 defaults).  The second half writes 1.5.0 documents the way 1.5.0 did —
@@ -17,7 +17,6 @@ import json
 import pytest
 
 import repro.checkpoint.batch as batch_module
-import repro.checkpoint.partition as partition_module
 from repro._version import __version__
 from repro.bgp.config import BGPConfig
 from repro.checkpoint import restore_network, snapshot_network
@@ -25,22 +24,10 @@ from repro.checkpoint.batch import (
     execute_sweep_unit_checkpointed,
     unit_checkpoint_path,
 )
-from repro.checkpoint.format import (
-    KIND_NETWORK,
-    KIND_PARTITION,
-    read_checkpoint,
-    write_checkpoint,
-)
-from repro.checkpoint.partition import (
-    restore_partitioned_run,
-    snapshot_partitioned_run,
-)
+from repro.checkpoint.format import KIND_NETWORK, read_checkpoint, write_checkpoint
 from repro.core.sweep import SweepUnit, execute_sweep_unit
-from repro.prefix.prefix import host_prefix
 from repro.sim.network import SimNetwork
-from repro.sim.partition import LockstepRunner, build_local_parts
 from repro.topology.generator import generate_topology
-from repro.topology.partition import partition_graph
 from repro.topology.scenarios import scenario_params
 
 from tests.checkpoint.legacy import legacy_snapshot_network
@@ -136,34 +123,6 @@ def test_sweep_unit_checkpoint_from_previous_release_resumes(tmp_path, monkeypat
     assert resumed.measured_messages == plain.measured_messages
 
 
-def test_partition_checkpoint_from_previous_release_restores(tmp_path):
-    graph = generate_topology(scenario_params("BASELINE", 30), seed=5)
-    partition = partition_graph(graph, 2)
-    parts = build_local_parts(graph, partition, FAST, seed=3)
-    runner = LockstepRunner(partition, parts, link_delay=FAST.link_delay)
-    runner.set_counting(True)
-    runner.apply("originate", graph.node_ids[0], host_prefix(0))
-    target = runner.now
-    while not runner.pending_border_events():
-        target += FAST.link_delay / 2
-        runner.advance(target)
-        assert target < 5.0, "flood never produced in-flight border events"
-    path = tmp_path / "run.ckpt"
-    write_checkpoint(path, KIND_PARTITION, snapshot_partitioned_run(runner))
-    _stamp(path, PREVIOUS_RELEASE)
-
-    document = read_checkpoint(path, expected_kind=KIND_PARTITION)
-    assert document.code_version == PREVIOUS_RELEASE
-    restored = restore_partitioned_run(graph, document.payload)
-    runner.converge()
-    restored.converge()
-    assert restored.now == runner.now
-    assert restored.windows == runner.windows
-    assert dict(restored.collect_counters()[0].received) == dict(
-        runner.collect_counters()[0].received
-    )
-
-
 # ----------------------------------------------------------------------
 # 1.5.0 documents: the pre-1.6 node layout, full RNG states included
 # ----------------------------------------------------------------------
@@ -248,42 +207,3 @@ def test_full_state_sweep_unit_checkpoint_resumes(tmp_path, monkeypatch):
     assert [payload["next_index"] for payload in rewritten] == [3]
     assert all("rng" in state for _, state in rewritten[0]["network"]["nodes"])
     _assert_identical(plain, resumed)
-
-
-def test_full_state_partition_checkpoint_restores_and_round_trips(
-    tmp_path, monkeypatch
-):
-    graph = generate_topology(scenario_params("BASELINE", 30), seed=5)
-    partition = partition_graph(graph, 2)
-    parts = build_local_parts(graph, partition, FAST, seed=3)
-    runner = LockstepRunner(partition, parts, link_delay=FAST.link_delay)
-    runner.set_counting(True)
-    runner.apply("originate", graph.node_ids[0], host_prefix(0))
-    target = runner.now
-    while not runner.pending_border_events():
-        target += FAST.link_delay / 2
-        runner.advance(target)
-        assert target < 5.0, "flood never produced in-flight border events"
-    path = tmp_path / "run.ckpt"
-    with monkeypatch.context() as patch:
-        patch.setattr(partition_module, "snapshot_network", legacy_snapshot_network)
-        write_checkpoint(path, KIND_PARTITION, snapshot_partitioned_run(runner))
-    _stamp(path, FULL_STATE_RELEASE)
-
-    document = read_checkpoint(path, expected_kind=KIND_PARTITION)
-    assert document.code_version == FULL_STATE_RELEASE
-    assert "rng" in document.payload["parts"][0]["nodes"][0][1]
-    restored = restore_partitioned_run(graph, document.payload)
-    again = restore_partitioned_run(
-        graph, json.loads(json.dumps(snapshot_partitioned_run(restored)))
-    )
-    for continued in (runner, restored, again):
-        continued.converge()
-    for continued in (restored, again):
-        assert continued.now == runner.now
-        assert continued.windows == runner.windows
-        assert dict(continued.collect_counters()[0].received) == dict(
-            runner.collect_counters()[0].received
-        )
-        for live, other in zip(runner.parts, continued.parts):
-            assert _rng_states(other.network) == _rng_states(live.network)

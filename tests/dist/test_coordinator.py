@@ -364,3 +364,10 @@ class TestLifecycle:
     def test_rejects_invalid_lease_timeout(self):
         with pytest.raises(DistributedError, match="lease_timeout"):
             Coordinator("127.0.0.1", 0, lease_timeout=0.0)
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_rejects_non_finite_lease_timeout(self, value):
+        # A NaN deadline never passes, so a silent worker's lease would
+        # never expire.
+        with pytest.raises(DistributedError, match="finite"):
+            Coordinator("127.0.0.1", 0, lease_timeout=value)

@@ -26,7 +26,7 @@ from repro.dist.protocol import (
     unit_from_wire,
     unit_to_wire,
 )
-from repro.errors import ProtocolError
+from repro.errors import ConnectionLostError, ProtocolError
 
 FAST = BGPConfig(mrai=2.0, link_delay=0.001, processing_time_max=0.01)
 
@@ -159,6 +159,31 @@ class TestFrameFuzz:
         blob = json.dumps({"v": PROTOCOL_VERSION, "type": "teleport"}).encode()
         writer.sendall(struct.pack("!I", len(blob)) + blob)
         with pytest.raises(ProtocolError, match="unknown message type"):
+            stream.recv()
+
+    @pytest.mark.parametrize("kind", ["partition", "pcmd", "preport"])
+    def test_retired_partition_kinds_name_the_removal(self, pipe, kind):
+        # Version 2 still speaks the lease frames, so a peer built before
+        # the partition mode was removed passes the version check and is
+        # told why its frame is refused.
+        stream, writer = pipe
+        blob = json.dumps({"v": PROTOCOL_VERSION, "type": kind}).encode()
+        writer.sendall(struct.pack("!I", len(blob)) + blob)
+        with pytest.raises(ProtocolError, match="partition mode, which was removed"):
+            stream.recv()
+        with pytest.raises(ProtocolError, match="unknown message type"):
+            encode_frame({"type": kind})
+
+    def test_broken_connection_is_told_from_a_bad_frame(self, pipe):
+        stream, writer = pipe
+        blob = b"[1,2,3]"
+        writer.sendall(struct.pack("!I", len(blob)) + blob)
+        with pytest.raises(ProtocolError) as bad_frame:
+            stream.recv()
+        assert not isinstance(bad_frame.value, ConnectionLostError)
+        writer.sendall(struct.pack("!I", 100) + b'{"v":2')
+        writer.close()
+        with pytest.raises(ConnectionLostError, match="truncated"):
             stream.recv()
 
     def test_decode_payload_direct(self):

@@ -322,6 +322,13 @@ class TestSimulateCommand:
             main(["simulate", str(tmp_path / "t.json"), "--rib-backend", "dict"])
         assert exc.value.code == 2
 
+    def test_negative_origins_exits_2(self, tmp_path, capsys):
+        out = tmp_path / "topo.json"
+        main(["topology", "generate", "-n", "60", "--seed", "1", "-o", str(out)])
+        capsys.readouterr()
+        assert main(["simulate", str(out), "--origins=-3"]) == 2
+        assert "error: number of origins must be >= 0" in capsys.readouterr().err
+
 
 class TestWorkloadCommand:
     def test_workload_report(self, tmp_path, capsys):
@@ -504,6 +511,21 @@ class TestDistributedOptions:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["serve", "--scale", "smoke"])
 
+    @pytest.mark.parametrize(
+        "option",
+        [
+            ["--partitions", "2"],
+            ["--mrai", "5"],
+            ["--wrate"],
+            ["--topology", "t.json"],
+            ["--origins", "4"],
+        ],
+    )
+    def test_serve_has_no_partition_mode_options(self, tmp_path, option):
+        with pytest.raises(SystemExit) as exc:
+            main(["serve", "-o", str(tmp_path / "out"), *option])
+        assert exc.value.code == 2
+
     def test_worker_args(self, tmp_path):
         args = build_parser().parse_args(
             [
@@ -537,6 +559,32 @@ class TestDistributedOptions:
         )
         assert rc == 2
         assert "error" in capsys.readouterr().err
+
+
+class TestUnitTimeoutIsChecked:
+    """``run``, ``campaign`` and ``profile`` refuse an unusable timeout
+    before running anything (the API checks the same rule on its spec)."""
+
+    VERBS = {
+        "run": lambda tmp: ["run", "fig04", "--scale", "smoke"],
+        "campaign": lambda tmp: [
+            "campaign", "--scale", "smoke", "--experiment", "fig04",
+            "--jobs", "2", "-o", str(tmp / "out"),
+        ],
+        "profile": lambda tmp: [
+            "profile", "fig04", "--scale", "smoke", "--no-profile",
+            "-o", str(tmp / "fig04.jsonl"),
+        ],
+    }
+
+    @pytest.mark.parametrize("value", ["0", "-1", "nan", "inf"])
+    @pytest.mark.parametrize("verb", sorted(VERBS))
+    def test_unusable_value_exits_2(self, tmp_path, capsys, verb, value):
+        argv = self.VERBS[verb](tmp_path) + [f"--unit-timeout={value}"]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert "error: unit_timeout must be within (0, 86400]" in captured.err
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestCacheGcCommand:

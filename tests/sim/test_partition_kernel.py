@@ -172,32 +172,6 @@ class TestBorderRouting:
 
 
 class TestBorderEventCodec:
-    def test_jsonable_round_trip(self):
-        from repro.prefix.prefix import host_prefix
-
-        event = BorderEvent(
-            sent_at=1.5,
-            deliver_at=1.502,
-            sender=7,
-            receiver=9,
-            prefix=host_prefix(3),
-            path=(7, 4, 2),
-        )
-        assert BorderEvent.from_jsonable(event.to_jsonable()) == event
-
-    def test_jsonable_round_trip_withdrawal_and_int_prefix(self):
-        event = BorderEvent(
-            sent_at=0.25,
-            deliver_at=0.252,
-            sender=1,
-            receiver=2,
-            prefix=17,
-            path=None,
-        )
-        restored = BorderEvent.from_jsonable(event.to_jsonable())
-        assert restored == event
-        assert restored.to_message().is_withdrawal
-
     def test_sort_key_orders_canonically(self):
         early = BorderEvent(0.1, 0.102, 5, 6, 1, (5,))
         late = BorderEvent(0.2, 0.202, 1, 2, 1, (1,))
