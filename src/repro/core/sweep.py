@@ -9,13 +9,14 @@ increases).
 
 Execution model: a sweep is decomposed into independent, picklable
 :class:`SweepUnit` work items — one ``(scenario, n, origin-batch)``
-simulation each — which run either inline or on the worker processes of
-a :class:`UnitQueue` (``jobs=N``).  A queue outlives a sweep: it takes
-the units of as many sweeps as its owner submits, and collecting one
-sweep waits for that sweep's units only.  Every unit derives its seeds
-from the sweep's master seed alone, and unit results are merged in a
-fixed order (:func:`merge_sweep`), so serial and parallel runs of the
-same sweep are bit-identical.
+simulation each — and every unit runs through a :class:`UnitQueue`,
+whose transport is the calling process (one job), a process pool
+(``jobs=N``) or a :class:`repro.dist.Coordinator`'s remote workers.  A
+queue outlives a sweep: it takes the units of as many sweeps as its
+owner submits, and collecting one sweep waits for that sweep's units
+only.  Every unit derives its seeds from the sweep's master seed alone,
+and unit results are merged in a fixed order (:func:`merge_sweep`), so
+every transport returns bit-identical sweeps.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ import time
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from pathlib import Path
-from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.bgp.config import BGPConfig
 from repro.bgp.route import clear_intern_caches
@@ -51,6 +52,9 @@ from repro.topology.generator import generate_topology
 from repro.topology.scenarios import scenario_params
 from repro.topology.types import NodeType, Relationship
 
+if TYPE_CHECKING:
+    from repro.dist.coordinator import Coordinator
+
 _LOG = logging.getLogger(__name__)
 
 #: Default size grid: same spirit as the paper's 1000..10000 at laptop scale.
@@ -69,8 +73,9 @@ ProgressFn = Callable[[str, int, CEventStats], None]
 
 #: Signature of a per-unit completion callback: (unit,).  Invoked from the
 #: submitting process as soon as a unit's result lands — from the pool's
-#: management thread under parallel execution, so implementations must be
-#: thread-safe (``repro.obs.progress.ProgressLine`` is).
+#: management thread or a coordinator's connection thread unless the unit
+#: ran inline, so implementations must be thread-safe
+#: (``repro.obs.progress.ProgressLine`` is).
 UnitDoneFn = Callable[["SweepUnit"], None]
 
 #: What a unit runner returns: the unit's result and the counters its
@@ -236,8 +241,8 @@ def execute_sweep_unit(unit: SweepUnit) -> CEventBatchResult:
     """Run one sweep unit from scratch (topology + origin batch).
 
     Module-level so ``ProcessPoolExecutor`` can pickle it by reference;
-    also the serial executor's inner loop, so both paths are one code
-    path by construction.
+    every transport of :class:`UnitQueue` ends here, so all of them are
+    one code path by construction.
     """
     params = scenario_params(unit.scenario, unit.n, **dict(unit.scenario_kwargs))
     topo_seed, sim_seed = sweep_point_seeds(unit.seed, unit.n)
@@ -270,7 +275,7 @@ def _execute(
 ) -> CEventBatchResult:
     """One unit in this process, checkpointed when a directory is given.
 
-    Every runner — the serial loop, pool workers, serial re-runs of lost
+    Every runner — the inline queue, pool workers, serial re-runs of lost
     pool units and ``repro.dist`` workers — goes through here, so each
     unit starts from the same process state.  When a unit already ran in
     this process, what it left behind goes first: the route, path and
@@ -403,32 +408,42 @@ class _Ticket:
 
 
 class UnitQueue:
-    """Sweep units queued on one process pool, collected sweep by sweep.
+    """Sweep units queued on one transport, collected sweep by sweep.
 
     :meth:`submit` queues units (in the order given) and returns their
     tickets; :meth:`collect` waits for some tickets and returns their
-    results in ticket order.  The pool starts at the first submit and
-    serves every later one, so the owner — a sweep execution context or
-    a standalone :func:`run_growth_sweep` — can queue all its work up
-    front and no sweep waits for another's slowest unit.
+    results in ticket order.  The transport is fixed at construction:
+
+    * ``coordinator`` — a started :class:`repro.dist.Coordinator` — leases
+      the units to its remote workers (``jobs`` is then ignored);
+    * else ``jobs`` > 1 runs them on a process pool, started at the first
+      submit and serving every later one;
+    * else they run inline: :meth:`collect` executes its pending tickets
+      in this process, in the order it is given them.
+
+    The owner — a sweep execution context or a standalone
+    :func:`run_growth_sweep` — can therefore queue all its work up front,
+    and no sweep waits for another's slowest unit.
 
     Failure handling is written once, here:
 
-    * a worker that dies breaks the pool (``BrokenProcessPool``); a unit
-      that runs longer than ``unit_timeout`` — counted from when a worker
-      picked it up, not from when it was queued — gets the pool killed.
-      Either way the tickets being collected that lost their result re-run
-      *serially* in this process, from their checkpoints when configured:
-      one bounded retry another crash cannot kill.  Every other unit still
-      outstanding goes to a fresh pool;
-    * a unit that raises (a simulation error) propagates from
-      :meth:`collect`, as it would serially;
-    * ``on_unit_done`` fires exactly once per ticket, whichever of a pool
+    * a pool worker that dies breaks the pool (``BrokenProcessPool``); a
+      unit that runs longer than ``unit_timeout`` on a pool worker —
+      counted from when the worker picked it up, not from when it was
+      queued — gets the pool killed.  Either way the tickets being
+      collected that lost their result re-run *serially* in this process,
+      from their checkpoints when configured: one bounded retry another
+      crash cannot kill.  Every other unit still outstanding goes to a
+      fresh pool.  A coordinator re-leases lost units by itself;
+    * a unit that raises (a simulation error, or a worker's NACK) raises
+      from :meth:`collect`, as it would serially;
+    * ``on_unit_done`` fires exactly once per ticket, whichever of a
       completion or a retry delivered it.
 
-    Each unit's counters are folded into the collecting thread's hub when
-    its result is collected.  Counters ``sweep.pools`` and ``sweep.units``
-    count the pools started and the units submitted.
+    Each remote unit's counters are folded into the collecting thread's
+    hub when its result is collected; an inline unit counts into that hub
+    directly.  Counters ``sweep.pools`` and ``sweep.units`` count the
+    pools started and the units submitted.
     """
 
     def __init__(
@@ -439,12 +454,15 @@ class UnitQueue:
         checkpoint_every: int = 1,
         on_unit_done: Optional[UnitDoneFn] = None,
         unit_timeout: Optional[float] = None,
+        coordinator: Optional["Coordinator"] = None,
     ) -> None:
         self.jobs = jobs
         self.checkpoint_dir = checkpoint_dir
         self.checkpoint_every = checkpoint_every
         self.on_unit_done = on_unit_done
         self.unit_timeout = unit_timeout
+        self.coordinator = coordinator
+        self._inline = coordinator is None and jobs <= 1
         self._pool: Optional[ProcessPoolExecutor] = None
         self._board: Optional[Sequence[float]] = None
         #: bumped whenever a pool is torn down after a failure
@@ -474,25 +492,29 @@ class UnitQueue:
         current_telemetry().inc("sweep.units", len(tickets))
         for ticket in tickets:
             self._live[ticket.index] = ticket
-            self._dispatch(ticket)
+            if not self._inline:
+                self._dispatch(ticket)
         return tickets
 
     def _dispatch(self, ticket: _Ticket) -> None:
         ticket.future = None
         ticket.started = None
-        try:
-            future = self._running_pool().submit(
-                _pool_task,
-                ticket.index,
-                ticket.unit,
-                self.checkpoint_dir,
-                self.checkpoint_every,
-            )
-        except BrokenProcessPool:
-            # The pool broke while nobody was collecting from it.
-            self._restart(keep=(), kill=False)
-            self._dispatch(ticket)
-            return
+        if self.coordinator is not None:
+            future = self.coordinator.submit(ticket.unit)
+        else:
+            try:
+                future = self._running_pool().submit(
+                    _pool_task,
+                    ticket.index,
+                    ticket.unit,
+                    self.checkpoint_dir,
+                    self.checkpoint_every,
+                )
+            except BrokenProcessPool:
+                # The pool broke while nobody was collecting from it.
+                self._restart(keep=(), kill=False)
+                self._dispatch(ticket)
+                return
         ticket.future = future
         ticket.generation = self._generation
         future.add_done_callback(
@@ -537,8 +559,8 @@ class UnitQueue:
     # Collection
     # ------------------------------------------------------------------
     def landed(self, tickets: Sequence[_Ticket]) -> bool:
-        """Whether every ticket's unit finished successfully on the pool
-        (so :meth:`collect` would return without waiting)."""
+        """Whether every ticket's unit finished successfully (so
+        :meth:`collect` would return without waiting or running one)."""
         return all(
             ticket.result is not None
             or (
@@ -559,9 +581,17 @@ class UnitQueue:
 
         ``on_wait`` runs whenever the wait wakes up with tickets still
         outstanding (a unit landed, or a timeout poll): the owner's chance
-        to do something with the results of *other* tickets.
+        to do something with the results of *other* tickets.  Inline, the
+        pending tickets run here, one after another, and nothing waits.
         """
         waiting = [ticket for ticket in tickets if ticket.result is None]
+        if self._inline:
+            for ticket in waiting:
+                ticket.result = _execute(
+                    ticket.unit, self.checkpoint_dir, self.checkpoint_every
+                )
+                self._notify(ticket)
+            waiting = []
         lost: List[_Ticket] = []
         timed_out: set = set()
         while waiting:
@@ -682,6 +712,8 @@ def sweep_units(
     """The full work list, in deterministic (size, batch) order."""
     if not sizes:
         raise ExperimentError("empty size grid")
+    if num_origins < 1:
+        raise ExperimentError(f"num_origins must be >= 1, got {num_origins}")
     if origin_batch_size is not None and origin_batch_size < 1:
         raise ExperimentError(
             f"origin_batch_size must be >= 1, got {origin_batch_size}"
@@ -767,11 +799,6 @@ def run_growth_sweep(
     progress: Optional[ProgressFn] = None,
     jobs: Optional[int] = None,
     origin_batch_size: Optional[int] = None,
-    checkpoint_dir: Optional[Union[str, Path]] = None,
-    checkpoint_every: int = 1,
-    on_unit_done: Optional[UnitDoneFn] = None,
-    unit_timeout: Optional[float] = None,
-    coordinator: Optional[object] = None,
 ) -> SweepResult:
     """Run a full size sweep for one named growth scenario.
 
@@ -782,30 +809,15 @@ def run_growth_sweep(
     ``jobs`` > 1 runs the work units on a :class:`UnitQueue` of that many
     worker processes (``0`` = one per usable CPU); results are merged in
     fixed (size, batch) order, so the returned numbers are bit-identical
-    to a serial run.  A unit whose worker process dies is re-run serially
-    instead of aborting the sweep, and ``unit_timeout`` bounds how long
-    any single unit may run on a worker (hung workers take the same
-    serial-retry path).  ``origin_batch_size`` bounds how many
-    origins one unit simulates: smaller batches expose more parallelism
-    within a single size (each batch runs on its own deterministically
-    seeded network, so the batch size — unlike ``jobs`` — is part of the
-    sweep's reproducibility key).
+    to a serial run.  ``origin_batch_size`` bounds how many origins one
+    unit simulates: smaller batches expose more parallelism within a
+    single size (each batch runs on its own deterministically seeded
+    network, so the batch size — unlike ``jobs`` — is part of the sweep's
+    reproducibility key).
 
-    ``checkpoint_dir`` enables per-unit checkpoints every
-    ``checkpoint_every`` measured C-events (see
-    :mod:`repro.checkpoint.batch`): interrupted or crashed units resume
-    mid-batch instead of restarting.  Checkpointing never changes the
-    returned numbers.
-
-    ``coordinator`` — a started :class:`repro.dist.Coordinator` — routes
-    the units to remote pull-based workers instead of local processes
-    (``jobs`` is then ignored).  Distribution never changes the returned
-    numbers either: every execution mode is bit-identical.
-
-    ``on_unit_done`` is invoked once per completed work unit (live, i.e.
-    in completion order under parallel execution) — the hook behind the
-    CLI's progress line.  Purely observational: it sees the
-    :class:`SweepUnit`, not its result.
+    Checkpoints, unit timeouts, per-unit callbacks and remote workers
+    belong to a campaign's execution context
+    (:func:`repro.experiments.cache.sweep_execution`).
     """
     config = config if config is not None else BGPConfig()
     units = sweep_units(
@@ -817,24 +829,8 @@ def run_growth_sweep(
         dict(scenario_kwargs or {}),
         origin_batch_size,
     )
-    effective_jobs = resolve_jobs(jobs)
-    if coordinator is not None:
-        batch_results = coordinator.run_units(units, on_unit_done=on_unit_done)
-    elif effective_jobs > 1 and len(units) > 1:
-        with UnitQueue(
-            min(effective_jobs, len(units)),
-            checkpoint_dir=checkpoint_dir,
-            checkpoint_every=checkpoint_every,
-            on_unit_done=on_unit_done,
-            unit_timeout=unit_timeout,
-        ) as queue:
-            batch_results = queue.collect(queue.submit(units))
-    else:
-        batch_results = []
-        for unit in units:
-            batch_results.append(_execute(unit, checkpoint_dir, checkpoint_every))
-            if on_unit_done is not None:
-                on_unit_done(unit)
+    with UnitQueue(min(resolve_jobs(jobs), len(units))) as queue:
+        batch_results = queue.collect(queue.submit(units))
     return merge_sweep(units, batch_results, progress)
 
 
@@ -846,13 +842,6 @@ def run_scenario_comparison(
     num_origins: int = 20,
     seed: int = 0,
     progress: Optional[ProgressFn] = None,
-    jobs: Optional[int] = None,
-    origin_batch_size: Optional[int] = None,
-    checkpoint_dir: Optional[Union[str, Path]] = None,
-    checkpoint_every: int = 1,
-    on_unit_done: Optional[UnitDoneFn] = None,
-    unit_timeout: Optional[float] = None,
-    coordinator: Optional[object] = None,
 ) -> Dict[str, SweepResult]:
     """Sweep several scenarios over the same size grid (Fig. 8–11 style)."""
     results: Dict[str, SweepResult] = {}
@@ -864,12 +853,5 @@ def run_scenario_comparison(
             num_origins=num_origins,
             seed=seed,
             progress=progress,
-            jobs=jobs,
-            origin_batch_size=origin_batch_size,
-            checkpoint_dir=checkpoint_dir,
-            checkpoint_every=checkpoint_every,
-            on_unit_done=on_unit_done,
-            unit_timeout=unit_timeout,
-            coordinator=coordinator,
         )
     return results

@@ -7,8 +7,9 @@ those units out across worker *processes on other hosts*:
 
 * :mod:`repro.dist.protocol` — the wire format: length-prefixed
   canonical-JSON frames with a versioned, strictly-decoded schema;
-* :mod:`repro.dist.coordinator` — the server side: a lease-based unit
-  queue with heartbeat tracking and lost-worker requeue;
+* :mod:`repro.dist.coordinator` — the server side: a lease-based
+  transport of :class:`~repro.core.sweep.UnitQueue` with heartbeat
+  tracking and lost-worker requeue;
 * :mod:`repro.dist.worker` — the client side: a pull loop that executes
   units (resuming from checkpoints after a crash) and streams results
   and telemetry back.

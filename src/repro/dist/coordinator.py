@@ -1,12 +1,15 @@
 """The coordinator: a lease-based sweep-unit queue served over TCP.
 
 One :class:`Coordinator` lives inside the campaign process (``repro-bgp
-serve``).  Workers connect at any time, register, and *pull* leases; the
-campaign thread hands each sweep's unit list to :meth:`run_units` and
-blocks until every slot is filled, exactly where the process-pool
-executor would have blocked — so the distributed path slots under
-:func:`~repro.experiments.cache.cached_sweep` and inherits the PR-1
-cache short-circuit unchanged (a cached sweep never reaches the wire).
+serve``).  Workers connect at any time, register, and *pull* leases.
+The coordinator is one transport of :class:`~repro.core.sweep.UnitQueue`:
+the queue hands it each unit through :meth:`Coordinator.submit` and gets
+back a :class:`concurrent.futures.Future` that resolves to the unit's
+``(result, counters)`` — what a pool future carries — so ticket order,
+``on_unit_done``, counter folding and the assembly of planned sweeps are
+the queue's, written once for every transport.  A campaign plans every
+sweep it will read up front, so the coordinator sees all of them at
+once, and a cached sweep never reaches the wire.
 
 Scheduling is lease-based:
 
@@ -20,23 +23,19 @@ Scheduling is lease-based:
 * duplicate results — the original worker finishing after its lease was
   re-assigned — are deduplicated by the unit's content key
   (:func:`~repro.checkpoint.batch.unit_checkpoint_key`): the first
-  result wins, later ones are acknowledged as duplicates and discarded.
-  Every unit is deterministically seeded, so *which* result wins is
-  irrelevant — they are bit-identical.
+  result wins, later ones are acknowledged as duplicates and discarded,
+  and identical units submitted while one is outstanding share its
+  future.  Every unit is deterministically seeded, so *which* result
+  wins is irrelevant — they are bit-identical.
 
-Results are placed into submission-order slots before the merge, so a
-distributed sweep returns numbers bit-identical to a serial run.
-
-Worker-side telemetry counters arriving in RESULT frames are folded
-(:meth:`~repro.obs.telemetry.Telemetry.absorb`) into the hub that was
-ambient where :meth:`Coordinator.run_units` was called — the connection
-threads are handed it, since a hub is per thread — once per accepted
-result, so a distributed campaign's ``telemetry.jsonl`` counts what a
-serial one does; purely observational.
+A NACK (a unit's own error on the worker) fails that unit's future with
+:class:`~repro.errors.DistributedError`, as does :meth:`Coordinator.close`
+for every unit still outstanding.
 """
 
 from __future__ import annotations
 
+import concurrent.futures
 import dataclasses
 import logging
 import math
@@ -44,11 +43,11 @@ import socket
 import threading
 import time
 import uuid
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.checkpoint.batch import unit_checkpoint_key
 from repro.core.cevent import CEventBatchResult
-from repro.core.sweep import SweepUnit, UnitDoneFn
+from repro.core.sweep import SweepUnit
 from repro.dist.protocol import (
     MSG_HEARTBEAT,
     MSG_LEASE,
@@ -62,7 +61,6 @@ from repro.dist.protocol import (
 )
 from repro.errors import DistributedError, ProtocolError
 from repro.obs.progress import ProgressLine, format_eta
-from repro.obs.telemetry import NULL_TELEMETRY, current_telemetry
 
 _LOG = logging.getLogger(__name__)
 
@@ -115,20 +113,41 @@ class _WorkerState:
 
 @dataclasses.dataclass
 class _UnitJob:
-    """One distinct unit of the active sweep (dedup'd by content key)."""
+    """One distinct outstanding unit (dedup'd by content key)."""
 
     key: str
     unit: SweepUnit
-    #: result slots this job fills (submission-order indices)
-    indices: List[int]
+    #: resolves to the unit's (result, counters)
+    future: concurrent.futures.Future
+    #: submissions sharing this job (identical units)
+    copies: int = 1
     lease_id: Optional[str] = None
     worker_id: Optional[str] = None
     deadline: float = 0.0
-    requeues: int = 0
 
     @property
     def leased(self) -> bool:
         return self.lease_id is not None
+
+
+def _busy_seconds(message: dict, result: CEventBatchResult) -> float:
+    """The unit time a RESULT frame reports, else the result's own.
+
+    Raises :class:`~repro.errors.ProtocolError` unless the reported time
+    is absent or a finite number >= 0.
+    """
+    value = message.get("wall_clock_seconds")
+    if value is None:
+        return result.wall_clock_seconds
+    if (
+        isinstance(value, bool)
+        or not isinstance(value, (int, float))
+        or not (math.isfinite(value) and value >= 0)
+    ):
+        raise ProtocolError(
+            f"wall_clock_seconds must be a finite number >= 0, got {value!r}"
+        )
+    return float(value) or result.wall_clock_seconds
 
 
 class Coordinator:
@@ -159,28 +178,22 @@ class Coordinator:
         #: workers should heartbeat a few times per lease window
         self.heartbeat_interval = max(0.05, lease_timeout / 4.0)
         self._echo = echo
-        self._show_progress = show_progress
         self._listener: Optional[socket.socket] = None
         self._accept_thread: Optional[threading.Thread] = None
         self._closing = threading.Event()
-        self._cond = threading.Condition()
-        # --- all state below is guarded by self._cond ---
+        self._lock = threading.Lock()
+        # --- all state below is guarded by self._lock ---
         self._workers: Dict[str, _WorkerState] = {}
         self._worker_counter = 0
-        self._jobs: Dict[str, _UnitJob] = {}  # active run, by unit key
+        self._jobs: Dict[str, _UnitJob] = {}  # outstanding units, by unit key
         self._queue: List[str] = []  # unleased job keys, FIFO
         #: live leases by lease id → unit key.  Heartbeats arrive a few
         #: times per lease window per worker; resolving them through this
         #: index keeps each beat O(1) instead of a scan over every job of
         #: a large grid.
         self._leases: Dict[str, str] = {}
-        self._results: List[Optional[CEventBatchResult]] = []
-        self._filled = 0
-        self._failure: Optional[str] = None
-        self._on_unit_done: Optional[UnitDoneFn] = None
-        #: the active run's hub, for the connection threads
-        self._telemetry = NULL_TELEMETRY
-        self._progress: Optional[ProgressLine] = None
+        #: units submitted so far / completed
+        self._progress = ProgressLine(total=0, label="units", enabled=show_progress)
         # cumulative stats (over the coordinator's lifetime)
         self.units_completed = 0
         self.dedupe_hits = 0
@@ -208,7 +221,8 @@ class Coordinator:
                 f"cannot bind coordinator to {self._host}:{self._port}: {exc}"
             ) from exc
         listener.listen(64)
-        # A short accept timeout keeps the loop responsive to close().
+        # A short accept timeout keeps the loop responsive to close() and
+        # lets it expire silent leases.
         listener.settimeout(0.2)
         self._listener = listener
         self._accept_thread = threading.Thread(
@@ -218,13 +232,21 @@ class Coordinator:
         return self
 
     def close(self) -> None:
-        """Shut down: broadcast SHUTDOWN, drop workers, stop listening."""
+        """Shut down: fail every outstanding unit's future, broadcast
+        SHUTDOWN, drop workers, stop listening."""
         if self._closing.is_set():
             return
         self._closing.set()
-        with self._cond:
+        with self._lock:
             workers = list(self._workers.values())
-            self._cond.notify_all()
+            outstanding = list(self._jobs.values())
+            self._jobs.clear()
+            self._queue.clear()
+            self._leases.clear()
+        for job in outstanding:
+            job.future.set_exception(
+                DistributedError("coordinator shut down with units outstanding")
+            )
         for worker in workers:
             try:
                 worker.send({"type": MSG_SHUTDOWN})
@@ -234,11 +256,11 @@ class Coordinator:
         # connection threads then clean up) before forcing sockets shut.
         deadline = time.monotonic() + 2.0
         while time.monotonic() < deadline:
-            with self._cond:
+            with self._lock:
                 if not self._workers:
                     break
             time.sleep(0.05)
-        with self._cond:
+        with self._lock:
             leftover = list(self._workers.values())
         for worker in leftover:
             worker.stream.close()
@@ -246,6 +268,8 @@ class Coordinator:
             self._accept_thread.join(timeout=5.0)
         if self._listener is not None:
             self._listener.close()
+        if self._progress.total:
+            self._progress.finish()
 
     def __enter__(self) -> "Coordinator":
         return self.start()
@@ -256,12 +280,12 @@ class Coordinator:
     @property
     def worker_count(self) -> int:
         """Currently connected (registered) workers."""
-        with self._cond:
+        with self._lock:
             return len(self._workers)
 
     def worker_stats(self) -> List[Dict[str, object]]:
         """Per-worker completion stats (for the campaign summary)."""
-        with self._cond:
+        with self._lock:
             return [
                 {
                     "worker_id": worker.worker_id,
@@ -273,76 +297,43 @@ class Coordinator:
             ]
 
     # ------------------------------------------------------------------
-    # The blocking executor interface (what the sweep layer calls)
+    # The transport interface (what UnitQueue calls)
     # ------------------------------------------------------------------
-    def run_units(
-        self,
-        units: Sequence[SweepUnit],
-        on_unit_done: Optional[UnitDoneFn] = None,
-    ) -> List[CEventBatchResult]:
-        """Distribute ``units`` and block until all results are in.
+    def submit(self, unit: SweepUnit) -> concurrent.futures.Future:
+        """Queue ``unit`` for the workers.
 
-        Results come back in submission order, exactly like the serial
-        and process-pool executors, so the downstream merge is identical.
-        Raises :class:`~repro.errors.DistributedError` if a worker NACKs
-        a unit (deterministic simulation errors propagate, mirroring the
-        serial path) or the coordinator is shut down mid-sweep.
+        The returned future resolves to the unit's ``(result, counters)``,
+        or fails with :class:`~repro.errors.DistributedError` when a
+        worker NACKs the unit (deterministic simulation errors are not
+        retried, as an inline run would have raised too) or the
+        coordinator closes first.  An identical unit still outstanding
+        shares its future.
         """
         if self._listener is None:
             raise DistributedError("coordinator is not listening; call start()")
-        with self._cond:
-            if self._jobs:
-                raise DistributedError("a distributed sweep is already running")
-            self._results = [None] * len(units)
-            self._filled = 0
-            self._failure = None
-            self._on_unit_done = on_unit_done
-            self._telemetry = current_telemetry()
-            for index, unit in enumerate(units):
-                key = unit_checkpoint_key(unit)
-                job = self._jobs.get(key)
-                if job is not None:  # identical unit twice in one sweep
-                    job.indices.append(index)
-                    self.dedupe_hits += 1
-                    continue
-                self._jobs[key] = _UnitJob(key=key, unit=unit, indices=[index])
+        key = unit_checkpoint_key(unit)
+        with self._lock:
+            if self._closing.is_set():
+                raise DistributedError("coordinator is shut down")
+            self._progress.total += 1
+            job = self._jobs.get(key)
+            if job is not None:
+                job.copies += 1
+                self.dedupe_hits += 1
+            else:
+                job = _UnitJob(key=key, unit=unit, future=concurrent.futures.Future())
+                self._jobs[key] = job
                 self._queue.append(key)
-            self._progress = ProgressLine(
-                total=len(units),
-                label=f"units[{units[0].scenario.upper()}]" if units else "units",
-                enabled=self._show_progress,
-            )
-            self._cond.notify_all()
-            try:
-                while self._filled < len(units) and self._failure is None:
-                    if self._closing.is_set():
-                        raise DistributedError(
-                            "coordinator shut down with units outstanding"
-                        )
-                    self._requeue_expired_locked()
-                    self._cond.wait(timeout=0.2)
-                if self._failure is not None:
-                    raise DistributedError(self._failure)
-                results = list(self._results)
-            finally:
-                self._jobs.clear()
-                self._queue.clear()
-                self._leases.clear()
-                self._results = []
-                self._on_unit_done = None
-                self._telemetry = NULL_TELEMETRY
-                if self._progress is not None:
-                    self._progress.finish()
-                    self._progress = None
-        return results  # type: ignore[return-value]  # all slots filled
+        return job.future
 
     # ------------------------------------------------------------------
-    # Lease bookkeeping (all *_locked helpers expect self._cond held)
+    # Lease bookkeeping (all *_locked helpers expect self._lock held)
     # ------------------------------------------------------------------
     def _requeue_expired_locked(self) -> None:
         now = time.monotonic()
-        for job in self._jobs.values():
-            if job.leased and job.indices and now > job.deadline:
+        for key in list(self._leases.values()):
+            job = self._jobs[key]
+            if now > job.deadline:
                 _LOG.warning(
                     "lease %s on unit n=%d batch %d expired (worker %s silent); "
                     "requeueing",
@@ -353,27 +344,29 @@ class Coordinator:
                 )
                 self._release_job_locked(job)
 
-    def _release_job_locked(self, job: _UnitJob) -> None:
-        """Return a leased, unfinished job to the queue."""
-        worker = self._workers.get(job.worker_id or "")
-        if worker is not None:
-            worker.leases.discard(job.key)
+    def _drop_lease_locked(self, job: _UnitJob) -> None:
+        """Forget ``job``'s lease, if it has one."""
+        holder = self._workers.get(job.worker_id or "")
+        if holder is not None:
+            holder.leases.discard(job.key)
         if job.lease_id is not None:
             self._leases.pop(job.lease_id, None)
         job.lease_id = None
         job.worker_id = None
         job.deadline = 0.0
-        job.requeues += 1
+
+    def _release_job_locked(self, job: _UnitJob) -> None:
+        """Return a leased, unfinished job to the queue."""
+        self._drop_lease_locked(job)
         self.requeues += 1
         if job.key not in self._queue:
             self._queue.append(job.key)
-        self._cond.notify_all()
 
     def _next_lease_locked(self, worker: _WorkerState) -> Optional[_UnitJob]:
         while self._queue:
             key = self._queue.pop(0)
             job = self._jobs.get(key)
-            if job is None or job.leased or not job.indices:
+            if job is None or job.leased:
                 continue
             job.lease_id = uuid.uuid4().hex
             job.worker_id = worker.worker_id
@@ -393,15 +386,13 @@ class Coordinator:
             parts.append(f"{self.dedupe_hits} deduped")
         # Per-worker ETA: mean unit cost over the busy workers' throughput.
         done = [w for w in self._workers.values() if w.units_done]
-        if done and workers:
+        if done and workers and self._jobs:
             mean_unit = sum(w.busy_seconds for w in done) / sum(
                 w.units_done for w in done
             )
-            remaining = len(self._results) - self._filled
-            if remaining > 0:
-                parts.append(
-                    f"~{format_eta(mean_unit * remaining / workers)}/worker"
-                )
+            parts.append(
+                f"~{format_eta(mean_unit * len(self._jobs) / workers)}/worker"
+            )
         return ", ".join(parts)
 
     # ------------------------------------------------------------------
@@ -410,6 +401,8 @@ class Coordinator:
     def _accept_loop(self) -> None:
         assert self._listener is not None
         while not self._closing.is_set():
+            with self._lock:
+                self._requeue_expired_locked()
             try:
                 conn, addr = self._listener.accept()
             except socket.timeout:
@@ -423,7 +416,6 @@ class Coordinator:
                 name=f"dist-conn-{addr[1]}",
                 daemon=True,
             ).start()
-
     def _serve_connection(self, conn: socket.socket, address: str) -> None:
         stream = FrameStream(conn)
         worker: Optional[_WorkerState] = None
@@ -468,7 +460,7 @@ class Coordinator:
     def _handle_register(
         self, stream: FrameStream, address: str
     ) -> _WorkerState:
-        with self._cond:
+        with self._lock:
             self._worker_counter += 1
             worker = _WorkerState(
                 worker_id=f"w{self._worker_counter}",
@@ -477,7 +469,6 @@ class Coordinator:
                 connected_at=time.monotonic(),
             )
             self._workers[worker.worker_id] = worker
-            self._cond.notify_all()
         if self._echo is not None:
             self._echo(f"worker {worker.worker_id} joined from {address}")
         worker.send(
@@ -491,7 +482,7 @@ class Coordinator:
         return worker
 
     def _handle_lease_request(self, worker: _WorkerState) -> None:
-        with self._cond:
+        with self._lock:
             job = self._next_lease_locked(worker)
         if self._closing.is_set():
             worker.send({"type": MSG_SHUTDOWN})
@@ -514,7 +505,7 @@ class Coordinator:
     def _handle_heartbeat(self, worker: _WorkerState, message: dict) -> None:
         lease_id = message.get("lease_id")
         known = False
-        with self._cond:
+        with self._lock:
             key = self._leases.get(lease_id) if isinstance(lease_id, str) else None
             job = self._jobs.get(key) if key is not None else None
             if (
@@ -530,76 +521,62 @@ class Coordinator:
         key = message.get("unit_key")
         try:
             result = batch_result_from_wire(message["result"])
+            busy_seconds = _busy_seconds(message, result)
         except (KeyError, ProtocolError) as exc:
             worker.send(
                 {"type": MSG_RESULT, "accepted": False, "error": str(exc)}
             )
             return
-        accepted = False
-        with self._cond:
-            job = self._jobs.get(key) if isinstance(key, str) else None
-            if job is not None and job.indices:
-                for index in job.indices:
-                    self._results[index] = result
-                self._filled += len(job.indices)
+        with self._lock:
+            # The first result closes the job; late duplicates find none.
+            job = self._jobs.pop(key, None) if isinstance(key, str) else None
+            if job is not None:
+                self._drop_lease_locked(job)
                 self.units_completed += 1
                 worker.units_done += 1
-                worker.busy_seconds += float(
-                    message.get("wall_clock_seconds") or result.wall_clock_seconds
+                worker.busy_seconds += busy_seconds
+                self._progress.advance(
+                    amount=job.copies, extra=self._progress_extra_locked()
                 )
-                worker.leases.discard(job.key)
-                done_unit, done_count = job.unit, len(job.indices)
-                job.indices = []  # job closed; late duplicates are discarded
-                if job.lease_id is not None:
-                    self._leases.pop(job.lease_id, None)
-                job.lease_id = None
-                accepted = True
-                on_unit_done = self._on_unit_done
-                telemetry = self._telemetry
-                if self._progress is not None:
-                    self._progress.advance(
-                        amount=done_count, extra=self._progress_extra_locked()
-                    )
-                self._cond.notify_all()
-        if accepted:
-            telemetry.absorb(message.get("telemetry"))
+        if job is not None:
+            job.future.set_result((result, message.get("telemetry")))
         worker.send(
             {
                 "type": MSG_RESULT,
-                "accepted": accepted,
-                "duplicate": not accepted,
+                "accepted": job is not None,
+                "duplicate": job is None,
             }
         )
-        if accepted and on_unit_done is not None:
-            for _ in range(done_count):
-                on_unit_done(done_unit)
 
     def _handle_nack(self, worker: _WorkerState, message: dict) -> None:
         error = str(message.get("error") or "unit failed on worker")
-        with self._cond:
-            job = None
-            for candidate in self._jobs.values():
-                if candidate.lease_id == message.get("lease_id"):
-                    job = candidate
-                    break
+        lease_id = message.get("lease_id")
+        with self._lock:
+            key = self._leases.get(lease_id) if isinstance(lease_id, str) else None
+            job = self._jobs.pop(key) if key is not None else None
             if job is not None:
-                # Deterministic simulation errors are not retried (the
-                # serial executor would have raised too); fail the sweep.
-                self._failure = (
+                self._drop_lease_locked(job)
+        if job is not None:
+            job.future.set_exception(
+                DistributedError(
                     f"worker {worker.worker_id} failed unit n={job.unit.n} "
                     f"batch {job.unit.batch_index}: {error}"
                 )
-            else:
-                self._failure = f"worker {worker.worker_id} reported: {error}"
-            self._cond.notify_all()
+            )
+        else:
+            _LOG.warning(
+                "worker %s reported an error on no live lease: %s",
+                worker.worker_id,
+                error,
+            )
         worker.send({"type": MSG_NACK})
 
     def _forget_worker(self, worker: _WorkerState) -> None:
-        with self._cond:
+        with self._lock:
             self._workers.pop(worker.worker_id, None)
             for key in list(worker.leases):
                 job = self._jobs.get(key)
-                if job is not None and job.indices:
+                if job is not None:
                     _LOG.warning(
                         "worker %s disconnected holding unit n=%d batch %d; "
                         "requeueing",
@@ -609,6 +586,5 @@ class Coordinator:
                     )
                     self._release_job_locked(job)
             worker.leases.clear()
-            self._cond.notify_all()
         if self._echo is not None and not self._closing.is_set():
             self._echo(f"worker {worker.worker_id} left")

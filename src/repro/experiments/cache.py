@@ -19,14 +19,14 @@ unhashable scenario kwargs (lists, dicts) are legal and mutation-proof,
 and the key is stable across processes and hash randomization.
 
 :func:`sweep_execution` installs ambient execution policy (parallel
-``jobs``, ``cache_dir``, origin batching) plus hit/miss telemetry, so
-callers like :func:`~repro.experiments.campaign.run_campaign` can wire
-``--jobs``/``--cache-dir`` through without threading parameters into
-every figure module.  Under ``jobs`` > 1 the context owns one
-:class:`~repro.core.sweep.UnitQueue` for its lifetime: every sweep it
-computes runs on the same worker processes, and
-:meth:`SweepExecution.plan` can queue the units of sweeps an experiment
-will only ask for later (see :class:`SweepRequest`).
+``jobs`` or a coordinator, ``cache_dir``, origin batching) plus hit/miss
+telemetry, so callers like :func:`~repro.experiments.campaign.run_campaign`
+can wire ``--jobs``/``--cache-dir`` through without threading parameters
+into every figure module.  The context owns one
+:class:`~repro.core.sweep.UnitQueue` for its lifetime — inline, on a
+process pool or on a coordinator's workers: every sweep it computes runs
+there, and :meth:`SweepExecution.plan` can queue the units of sweeps an
+experiment will only ask for later (see :class:`SweepRequest`).
 """
 
 from __future__ import annotations
@@ -52,7 +52,6 @@ from typing import (
 from repro._version import __version__
 from repro.bgp.config import BGPConfig
 from repro.core.sweep import (
-    ProgressFn,
     SweepResult,
     SweepUnit,
     UnitDoneFn,
@@ -60,7 +59,6 @@ from repro.core.sweep import (
     check_unit_timeout,
     merge_sweep,
     resolve_jobs,
-    run_growth_sweep,
     sweep_units,
 )
 from repro.errors import SerializationError
@@ -152,8 +150,8 @@ class SweepRequest(NamedTuple):
 # ----------------------------------------------------------------------
 @dataclasses.dataclass
 class SweepExecution:
-    """Policy, counters and (under ``jobs`` > 1) the unit queue for the
-    sweeps of one logical run."""
+    """Policy, counters and the unit queue for the sweeps of one logical
+    run."""
 
     jobs: Optional[int] = None
     cache_dir: Optional[Path] = None
@@ -192,24 +190,17 @@ class SweepExecution:
         """Sweeps answered from either cache layer."""
         return self.memory_hits + self.disk_hits
 
-    @property
-    def pooled(self) -> bool:
-        """Whether this context's sweeps run on its unit queue."""
-        return self.coordinator is None and resolve_jobs(self.jobs) > 1
-
     def plan(
         self, requests: Iterable[SweepRequest], scale: Scale, *, seed: int
     ) -> None:
         """Queue the units of every requested sweep that is neither cached
         (in memory or on disk) nor queued already, largest ``n`` first.
 
-        A no-op unless :attr:`pooled`.  A planned sweep is merged and
-        cached as soon as its last unit lands, whoever is waiting at the
-        time; :func:`cached_sweep` then finds it, or waits for just its
-        units.
+        On a pool or a coordinator, a planned sweep is merged and cached
+        as soon as its last unit lands, whoever is waiting at the time;
+        :func:`cached_sweep` then finds it, or waits for just its units.
+        Inline, a planned sweep runs when :func:`cached_sweep` asks for it.
         """
-        if not self.pooled:
-            return
         slots: Dict[str, list] = {}
         entries = []
         for request in requests:
@@ -271,18 +262,17 @@ class SweepExecution:
                 checkpoint_every=self.checkpoint_every,
                 on_unit_done=self.on_unit_done,
                 unit_timeout=self.unit_timeout,
+                coordinator=self.coordinator,
             )
         return self._queue
 
-    def _run_queued(
-        self, key: str, units: List[SweepUnit], progress: Optional[ProgressFn]
-    ) -> SweepResult:
+    def _run_queued(self, key: str, units: List[SweepUnit]) -> SweepResult:
         """One sweep off the unit queue: its planned tickets, or its units
         queued now; other planned sweeps are assembled while it waits."""
         queue = self._unit_queue()
         tickets = self._planned.pop(key, None) or queue.submit(units)
         results = queue.collect(tickets, on_wait=self._assemble_landed)
-        return merge_sweep(units, results, progress)
+        return merge_sweep(units, results)
 
     def _assemble_landed(self) -> None:
         """Merge and cache every planned sweep whose units have all landed."""
@@ -492,16 +482,14 @@ def cached_sweep(
     config: Optional[BGPConfig] = None,
     seed: int = 0,
     scenario_kwargs: Optional[Dict[str, object]] = None,
-    progress: Optional[ProgressFn] = None,
-    jobs: Optional[int] = None,
     cache_dir: Optional[Union[str, Path]] = None,
 ) -> SweepResult:
     """A growth sweep, memoized in-process and (optionally) on disk.
 
-    ``jobs`` and ``cache_dir`` default to the ambient
-    :func:`sweep_execution` context; a miss in a pooled context runs on
-    the context's unit queue.  Parallelism never affects the returned
-    numbers, so it is deliberately *not* part of the cache key.
+    ``cache_dir`` defaults to the ambient :func:`sweep_execution`
+    context's; a miss runs on that context's unit queue.  The queue's
+    transport never affects the returned numbers, so it is deliberately
+    *not* part of the cache key.
     """
     config = config if config is not None else BGPConfig()
     execution = current_execution()
@@ -535,26 +523,8 @@ def cached_sweep(
                 _CACHE[key] = result
                 return result
 
-    if jobs is None and execution.pooled:
-        units = execution._units(scenario, scale, config, seed, scenario_kwargs)
-        result = execution._run_queued(key, units, progress)
-    else:
-        result = run_growth_sweep(
-            scenario,
-            sizes=scale.sizes,
-            config=config,
-            num_origins=scale.origins,
-            seed=seed,
-            scenario_kwargs=scenario_kwargs,
-            progress=progress,
-            jobs=jobs if jobs is not None else execution.jobs,
-            origin_batch_size=execution.origin_batch_size,
-            checkpoint_dir=execution.checkpoint_dir,
-            checkpoint_every=execution.checkpoint_every,
-            on_unit_done=execution.on_unit_done,
-            unit_timeout=execution.unit_timeout,
-            coordinator=execution.coordinator,
-        )
+    units = execution._units(scenario, scale, config, seed, scenario_kwargs)
+    result = execution._run_queued(key, units)
     execution._store(key, result, cache_dir)
     return result
 

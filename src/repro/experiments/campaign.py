@@ -416,23 +416,25 @@ def run_campaign(
     resume with a different subset is rejected rather than silently
     merged.
 
-    ``jobs`` runs the sweeps on one pool of that many worker processes:
-    before the first experiment, the units of every sweep the remaining
+    Before the first experiment, the units of every sweep the remaining
     experiments declare (and no cache holds) are queued, largest ``n``
-    first, and each experiment waits only for its own sweeps.
-    ``cache_dir`` enables the persistent sweep cache; neither changes any
-    measured number (``campaign.json`` is byte-identical for every
-    ``jobs`` value and for cold vs warm caches).  ``unit_timeout`` bounds
+    first, on the campaign's one unit queue.  ``jobs`` runs them on one
+    pool of that many worker processes, and each experiment waits only
+    for its own sweeps; serially, each sweep runs when an experiment
+    reads it.  ``cache_dir`` enables the persistent sweep cache; neither
+    changes any measured number (``campaign.json`` is byte-identical for
+    every ``jobs`` value and for cold vs warm caches).  ``unit_timeout`` bounds
     how long one sweep unit may run on a pool worker, counted from when
     the worker picks it up.
 
     ``distributed="host:port"`` turns this process into a
     :class:`repro.dist.Coordinator` bound to that address: sweep units
     are leased to ``repro-bgp worker`` processes (local or remote)
-    instead of a local pool, with lost workers detected via
-    ``lease_timeout`` and their units re-leased.  Every unit is
-    deterministically seeded, so the artifacts stay byte-identical to a
-    serial run — the same guarantee ``jobs`` carries.
+    instead of a local pool (``jobs`` and ``unit_timeout`` are then
+    unused), with lost workers detected via ``lease_timeout`` and their
+    units re-leased.  Every unit is deterministically seeded, so the
+    artifacts stay byte-identical to a serial run — the same guarantee
+    ``jobs`` carries.
 
     ``checkpoint_dir`` makes the campaign restartable: each completed
     experiment is recorded there as it finishes, sweep workers checkpoint
@@ -587,8 +589,8 @@ def run_campaign(
             )
         )
         try:
-            # Under --jobs every sweep the campaign will read is queued now,
-            # largest units first, on the execution's one pool.
+            # Every sweep the campaign will read is queued now, largest
+            # units first, on the execution's one unit queue.
             todo = [experiment_id for experiment_id in ids if experiment_id not in done]
             execution.plan(declared_sweeps(todo, scale, seed=seed), scale, seed=seed)
             for experiment_id in ids:

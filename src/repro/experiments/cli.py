@@ -24,9 +24,9 @@ Subcommands:
 * ``stats`` — render the telemetry log of a previous run (a run
   directory or a ``telemetry.jsonl`` path);
 * ``serve`` / ``worker`` — distributed execution: ``serve`` runs a
-  campaign as a lease-based coordinator, ``worker`` connects (from any
-  host) and executes the sweep units it leases, with byte-identical
-  artifacts;
+  campaign as a lease-based coordinator that queues every sweep's units
+  up front, ``worker`` connects (from any host) and executes the sweep
+  units it leases, with byte-identical artifacts;
 * ``api`` — campaign-as-a-service: an asyncio HTTP server accepting
   campaign specs as JSON, deduplicating identical requests, queueing
   them under per-tenant quotas and streaming live progress as NDJSON
@@ -164,7 +164,6 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     _add_execution_options(campaign_parser)
-    _add_distributed_options(campaign_parser)
 
     serve_parser = sub.add_parser(
         "serve",
@@ -203,7 +202,27 @@ def build_parser() -> argparse.ArgumentParser:
             "given to another worker (default: 60)"
         ),
     )
-    _add_execution_options(serve_parser)
+    serve_parser.add_argument(
+        "--cache-dir",
+        type=Path,
+        default=None,
+        metavar="DIR",
+        help=(
+            "persistent sweep cache directory: cached sweeps never reach "
+            "the workers, and computed ones are stored for later runs"
+        ),
+    )
+    serve_parser.add_argument(
+        "--checkpoint-dir",
+        type=Path,
+        default=None,
+        metavar="DIR",
+        help=(
+            "record completed experiments there, so --resume continues an "
+            "interrupted campaign (workers checkpoint their units with "
+            "their own --checkpoint-dir)"
+        ),
+    )
 
     api_parser = sub.add_parser(
         "api",
@@ -574,28 +593,6 @@ def _add_execution_options(parser: argparse.ArgumentParser) -> None:
         default=1,
         metavar="N",
         help="write a checkpoint every N measured C-events (default: 1)",
-    )
-
-
-def _add_distributed_options(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--distributed",
-        default=None,
-        metavar="HOST:PORT",
-        help=(
-            "serve sweep units to 'repro-bgp worker' processes from this "
-            "address instead of running them locally"
-        ),
-    )
-    parser.add_argument(
-        "--lease-timeout",
-        type=float,
-        default=60.0,
-        metavar="SECONDS",
-        help=(
-            "how long a silent worker keeps a unit leased before it is "
-            "given to another worker (default: 60)"
-        ),
     )
 
 

@@ -15,23 +15,25 @@ from repro.experiments.scale import get_scale
 
 
 def main(args: argparse.Namespace) -> int:
+    serve = args.command == "serve"
     spec = CampaignSpec(
         scale=get_scale(args.scale).name,
         seed=args.seed,
         include_extensions=args.extensions,
         experiments=tuple(args.experiment) if args.experiment else None,
-        jobs=args.jobs,
-        unit_timeout=args.unit_timeout,
+        **({} if serve else {"jobs": args.jobs, "unit_timeout": args.unit_timeout}),
     )
     summary = spec.run(
         output_dir=args.output,
         echo=print,
         cache_dir=args.cache_dir,
         checkpoint_dir=args.checkpoint_dir,
-        checkpoint_every=args.checkpoint_every,
         resume=args.resume,
-        distributed=args.bind if args.command == "serve" else args.distributed,
-        lease_timeout=args.lease_timeout,
+        **(
+            {"distributed": args.bind, "lease_timeout": args.lease_timeout}
+            if serve
+            else {"checkpoint_every": args.checkpoint_every}
+        ),
     )
     print(summary.to_text())
     return 0 if summary.passed else 1

@@ -1,6 +1,8 @@
 """Tests for growth sweeps."""
 
+import dataclasses
 import os
+import threading
 
 import pytest
 
@@ -8,11 +10,13 @@ from repro.bgp.config import BGPConfig
 from repro.core.sweep import (
     SweepResult,
     SweepUnit,
+    UnitQueue,
     execute_sweep_unit,
     resolve_jobs,
     run_growth_sweep,
     run_scenario_comparison,
     split_origins,
+    sweep_units,
 )
 from repro.errors import ExperimentError
 from repro.topology.types import NodeType, Relationship
@@ -157,6 +161,43 @@ class TestParallelExecution:
                 num_origins=1,
                 origin_batch_size=0,
             )
+
+    @pytest.mark.parametrize("origin_batch_size", [None, 1])
+    @pytest.mark.parametrize("num_origins", [0, -1])
+    def test_no_origins_rejected(self, num_origins, origin_batch_size):
+        with pytest.raises(ExperimentError, match="num_origins"):
+            run_growth_sweep(
+                "BASELINE",
+                sizes=(80,),
+                config=FAST,
+                num_origins=num_origins,
+                origin_batch_size=origin_batch_size,
+            )
+
+
+class TestInlineQueue:
+    def test_runs_units_here_in_order_and_notifies_each_once(self):
+        # One job: the queue starts no pool; collect runs the units in
+        # the calling thread, in (size, batch) order, exactly as a serial
+        # loop over execute_sweep_unit would.
+        units = sweep_units("BASELINE", SIZES, FAST, 2, 1, {}, None)
+        seen = []
+
+        def record(unit):
+            seen.append((unit, threading.get_ident()))
+
+        with UnitQueue(1, on_unit_done=record) as queue:
+            tickets = queue.submit(units)
+            assert not queue.landed(tickets) and seen == []
+            results = queue.collect(tickets)
+            assert queue.landed(tickets)
+        assert seen == [(unit, threading.get_ident()) for unit in units]
+        assert [
+            dataclasses.replace(result, wall_clock_seconds=0.0) for result in results
+        ] == [
+            dataclasses.replace(execute_sweep_unit(unit), wall_clock_seconds=0.0)
+            for unit in units
+        ]
 
 
 class TestSweepUnits:

@@ -12,10 +12,13 @@ from repro.core.sweep import (
     FAULT_INJECT_ENV,
     FAULT_MODE_ENV,
     SweepUnit,
+    UnitQueue,
     _run_unit,
     execute_sweep_unit,
     maybe_inject_fault,
+    merge_sweep,
     run_growth_sweep,
+    sweep_units,
 )
 from repro.errors import ExperimentError
 
@@ -65,6 +68,21 @@ def _series(result):
     ]
 
 
+def _pooled_sweep(**queue_kw):
+    """The Baseline sweep of SWEEP_KW on a two-worker :class:`UnitQueue`."""
+    units = sweep_units(
+        "baseline",
+        SWEEP_KW["sizes"],
+        FAST,
+        SWEEP_KW["num_origins"],
+        SWEEP_KW["seed"],
+        {},
+        None,
+    )
+    with UnitQueue(2, **queue_kw) as queue:
+        return merge_sweep(units, queue.collect(queue.submit(units)))
+
+
 @pytest.fixture(scope="module")
 def serial_sweep():
     return run_growth_sweep("baseline", **SWEEP_KW)
@@ -80,11 +98,8 @@ class TestWorkerDeathRecovery:
         marker = tmp_path / "died.marker"
         # Kill the process running the n=80 unit after its first event.
         monkeypatch.setenv(FAULT_INJECT_ENV, f"BASELINE:80:0:1:{marker}")
-        result = run_growth_sweep(
-            "baseline",
-            jobs=2,
-            checkpoint_dir=(tmp_path / "ck") if with_checkpoints else None,
-            **SWEEP_KW,
+        result = _pooled_sweep(
+            checkpoint_dir=(tmp_path / "ck") if with_checkpoints else None
         )
         assert marker.exists(), "the fault should actually have fired"
         assert _series(result) == _series(serial_sweep)
@@ -145,13 +160,7 @@ class TestHungWorkerTimeout:
         # re-run the unit serially (the marker disarms the fault there).
         monkeypatch.setenv(FAULT_INJECT_ENV, f"BASELINE:80:0:1:{marker}")
         monkeypatch.setenv(FAULT_MODE_ENV, "sleep:300")
-        result = run_growth_sweep(
-            "baseline",
-            jobs=2,
-            unit_timeout=5.0,
-            checkpoint_dir=tmp_path / "ck",
-            **SWEEP_KW,
-        )
+        result = _pooled_sweep(unit_timeout=5.0, checkpoint_dir=tmp_path / "ck")
         assert marker.exists(), "the hang should actually have fired"
         assert _series(result) == _series(serial_sweep)
         # The serial retry resumed from checkpoint, completed, cleaned up.
@@ -159,9 +168,7 @@ class TestHungWorkerTimeout:
 
     def test_generous_timeout_changes_nothing(self, serial_sweep, monkeypatch):
         monkeypatch.delenv(FAULT_INJECT_ENV, raising=False)
-        result = run_growth_sweep(
-            "baseline", jobs=2, unit_timeout=600.0, **SWEEP_KW
-        )
+        result = _pooled_sweep(unit_timeout=600.0)
         assert _series(result) == _series(serial_sweep)
 
     def test_timed_out_unit_notifies_exactly_once(
@@ -185,13 +192,7 @@ class TestHungWorkerTimeout:
             with lock:
                 seen.append((unit.n, unit.batch_index))
 
-        result = run_growth_sweep(
-            "baseline",
-            jobs=2,
-            unit_timeout=1.0,
-            on_unit_done=record,
-            **SWEEP_KW,
-        )
+        result = _pooled_sweep(unit_timeout=1.0, on_unit_done=record)
         assert (tmp_path / "slept-60-0").exists(), "the slow unit never slept"
         assert _series(result) == _series(serial_sweep)
         assert sorted(seen) == [(60, 0), (80, 0)], (
@@ -237,7 +238,6 @@ class TestQueuedSweepsSurviveWorkerDeath:
     def test_worker_dies_in_sweep_one_while_sweep_two_is_queued(
         self, serial_sweep, tmp_path, monkeypatch
     ):
-        from repro.core.sweep import UnitQueue, merge_sweep, sweep_units
         from repro.obs.telemetry import Telemetry, telemetry_session
 
         marker = tmp_path / "died.marker"

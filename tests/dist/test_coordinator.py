@@ -12,7 +12,12 @@ import threading
 import pytest
 
 from repro.bgp.config import BGPConfig
-from repro.core.sweep import SweepUnit, execute_sweep_unit
+from repro.core.sweep import (
+    SweepUnit,
+    UnitQueue,
+    execute_sweep_unit,
+    run_growth_sweep,
+)
 from repro.dist.coordinator import Coordinator, parse_address
 from repro.dist.protocol import (
     PROTOCOL_VERSION,
@@ -26,6 +31,9 @@ from repro.dist.protocol import (
     unit_from_wire,
 )
 from repro.errors import DistributedError
+from repro.experiments import cache
+from repro.experiments.cache import SweepRequest, cached_sweeps, sweep_execution
+from repro.experiments.scale import Scale
 
 FAST = BGPConfig(mrai=2.0, link_delay=0.001, processing_time_max=0.01)
 
@@ -88,7 +96,8 @@ class _FakeWorker:
 
 
 class _SweepThread:
-    """Drive coordinator.run_units in the background; join to collect."""
+    """Collect ``units`` from a UnitQueue on the coordinator in the
+    background; join to collect."""
 
     def __init__(self, coordinator, units):
         self.results = None
@@ -96,7 +105,8 @@ class _SweepThread:
 
         def run():
             try:
-                self.results = coordinator.run_units(units)
+                queue = UnitQueue(1, coordinator=coordinator)
+                self.results = queue.collect(queue.submit(units))
             except Exception as exc:  # re-raised by join()
                 self.error = exc
 
@@ -105,7 +115,7 @@ class _SweepThread:
 
     def join(self, timeout=30.0):
         self.thread.join(timeout=timeout)
-        assert not self.thread.is_alive(), "run_units did not finish"
+        assert not self.thread.is_alive(), "the sweep did not finish"
         if self.error is not None:
             raise self.error
         return self.results
@@ -331,6 +341,36 @@ class TestFailureRecovery:
             sweep.join()
         worker.close()
 
+    def test_unusable_wall_clock_rejected_before_any_state_change(
+        self, coordinator
+    ):
+        # A RESULT whose reported unit time is no finite number >= 0 is
+        # rejected like a malformed result: the worker gets its reply, the
+        # job stays open, and the real result still completes the unit.
+        unit = _unit()
+        sweep = _SweepThread(coordinator, [unit])
+        worker = _FakeWorker(coordinator)
+        reply = worker.lease()
+        result = batch_result_to_wire(execute_sweep_unit(unit))
+        for bad in ("soon", -1.0, [1.0]):
+            ack = worker.request(
+                {
+                    "type": MSG_RESULT,
+                    "lease_id": reply["lease_id"],
+                    "unit_key": reply["unit_key"],
+                    "result": result,
+                    "wall_clock_seconds": bad,
+                }
+            )
+            assert ack["accepted"] is False
+            assert "wall_clock_seconds" in ack["error"]
+        assert coordinator.units_completed == 0
+        assert worker.submit(reply)["accepted"] is True
+        sweep.join()
+        assert coordinator.units_completed == 1
+        assert coordinator.worker_stats()[0]["units_done"] == 1
+        worker.close()
+
     def test_malformed_result_rejected_not_fatal(self, coordinator):
         sweep = _SweepThread(coordinator, [_unit()])
         worker = _FakeWorker(coordinator)
@@ -350,10 +390,10 @@ class TestFailureRecovery:
 
 
 class TestLifecycle:
-    def test_run_units_requires_start(self):
+    def test_submit_requires_start(self):
         coord = Coordinator("127.0.0.1", 0)
         with pytest.raises(DistributedError, match="not listening"):
-            coord.run_units([_unit()])
+            coord.submit(_unit())
 
     def test_close_mid_sweep_raises(self, coordinator):
         sweep = _SweepThread(coordinator, [_unit()])
@@ -371,3 +411,43 @@ class TestLifecycle:
         # never expire.
         with pytest.raises(DistributedError, match="finite"):
             Coordinator("127.0.0.1", 0, lease_timeout=value)
+
+
+class TestServedCampaignPlans:
+    """Under a coordinator, a campaign's plan reaches the workers at once."""
+
+    @pytest.fixture(autouse=True)
+    def _isolated_cache(self):
+        cache.clear_cache()
+        yield
+        cache.clear_cache()
+
+    def test_plan_leases_every_sweep_largest_n_first(self, coordinator):
+        scale = Scale(name="tiny-served", sizes=(60, 70), origins=2, metric_sources=10)
+        requests = [SweepRequest("BASELINE", FAST), SweepRequest("TREE", FAST)]
+        worker = _FakeWorker(coordinator)
+        with sweep_execution(coordinator=coordinator) as execution:
+            execution.plan(requests, scale, seed=9)
+            # Every unit of both sweeps is offered before any result of
+            # the first one is in.
+            replies = [worker.lease() for _ in range(4)]
+            assert [
+                (unit.scenario, unit.n)
+                for unit in (unit_from_wire(reply["unit"]) for reply in replies)
+            ] == [("BASELINE", 70), ("TREE", 70), ("BASELINE", 60), ("TREE", 60)]
+            for reply in replies:
+                assert worker.submit(reply)["accepted"] is True
+            baseline, tree = cached_sweeps(requests, scale, seed=9)
+        assert execution.misses == 2
+        for sweep, request in zip((baseline, tree), requests):
+            serial = run_growth_sweep(
+                request.scenario,
+                sizes=scale.sizes,
+                config=FAST,
+                num_origins=scale.origins,
+                seed=9,
+            )
+            assert [stats.measured_messages for stats in sweep.stats] == [
+                stats.measured_messages for stats in serial.stats
+            ]
+        worker.close()

@@ -14,7 +14,13 @@ from pathlib import Path
 import pytest
 
 from repro.bgp.config import BGPConfig
-from repro.core.sweep import FAULT_INJECT_ENV, run_growth_sweep
+from repro.core.sweep import (
+    FAULT_INJECT_ENV,
+    UnitQueue,
+    merge_sweep,
+    run_growth_sweep,
+    sweep_units,
+)
 from repro.dist.coordinator import Coordinator
 from repro.dist.worker import run_worker
 from repro.errors import DistributedError
@@ -40,6 +46,22 @@ def _series(result):
         )
         for stats in result.stats
     ]
+
+
+def _distributed_sweep(coordinator, on_unit_done=None):
+    """The Baseline sweep of SWEEP_KW on a :class:`UnitQueue` whose
+    transport is ``coordinator``."""
+    units = sweep_units(
+        "baseline",
+        SWEEP_KW["sizes"],
+        FAST,
+        SWEEP_KW["num_origins"],
+        SWEEP_KW["seed"],
+        {},
+        None,
+    )
+    with UnitQueue(1, on_unit_done=on_unit_done, coordinator=coordinator) as queue:
+        return merge_sweep(units, queue.collect(queue.submit(units)))
 
 
 @pytest.fixture(scope="module")
@@ -87,7 +109,7 @@ class TestDistributedDeterminism:
     def test_two_workers_match_serial(self, serial_sweep):
         with Coordinator("127.0.0.1", 0, lease_timeout=30.0) as coord:
             threads = _worker_threads(coord, 2)
-            result = run_growth_sweep("baseline", coordinator=coord, **SWEEP_KW)
+            result = _distributed_sweep(coord)
         for thread in threads:
             thread.join(timeout=10.0)
             assert not thread.is_alive(), "worker did not exit on SHUTDOWN"
@@ -105,9 +127,7 @@ class TestDistributedDeterminism:
                 if not late:
                     late.extend(_worker_threads(coord, 1))
 
-            result = run_growth_sweep(
-                "baseline", coordinator=coord, on_unit_done=start_late, **SWEEP_KW
-            )
+            result = _distributed_sweep(coord, on_unit_done=start_late)
         assert _series(result) == _series(serial_sweep)
 
     def test_max_units_bounds_a_worker(self):
@@ -132,9 +152,7 @@ class TestDistributedDeterminism:
                 if not done:
                     _worker_threads(coord, 1)
 
-            result = run_growth_sweep(
-                "baseline", coordinator=coord, on_unit_done=start_backup, **SWEEP_KW
-            )
+            result = _distributed_sweep(coord, on_unit_done=start_backup)
             bounded.join(timeout=10.0)
         assert done == [1]  # exited voluntarily after exactly one unit
         assert result.sizes == [60, 80]
@@ -145,7 +163,7 @@ class TestDistributedDeterminism:
 
         def run():
             try:
-                run_growth_sweep("baseline", coordinator=coord, **SWEEP_KW)
+                _distributed_sweep(coord)
             except DistributedError as exc:
                 error.append(exc)
 
@@ -178,9 +196,7 @@ class TestWorkerKillRecovery:
                 for _ in range(2)
             ]
             try:
-                result = run_growth_sweep(
-                    "baseline", coordinator=coord, **SWEEP_KW
-                )
+                result = _distributed_sweep(coord)
             finally:
                 for proc in workers:
                     proc.terminate()

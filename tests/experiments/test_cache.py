@@ -125,7 +125,7 @@ class TestDiskCache:
         def boom(*args, **kwargs):
             raise AssertionError("cache miss: simulation re-ran")
 
-        monkeypatch.setattr(cache, "run_growth_sweep", boom)
+        monkeypatch.setattr(cache.SweepExecution, "_run_queued", boom)
         second = cached_sweep(
             "BASELINE", TINY, config=FAST, seed=1, cache_dir=tmp_path
         )

@@ -461,29 +461,17 @@ class TestStatsCommand:
 
 
 class TestDistributedOptions:
-    def test_campaign_accepts_distributed_flags(self):
-        args = build_parser().parse_args(
-            [
-                "campaign",
-                "-o",
-                "out",
-                "--distributed",
-                "0.0.0.0:7787",
-                "--lease-timeout",
-                "30",
-                "--unit-timeout",
-                "120",
-            ]
-        )
-        assert args.distributed == "0.0.0.0:7787"
-        assert args.lease_timeout == 30.0
-        assert args.unit_timeout == 120.0
+    def test_campaign_has_no_distributed_options(self, tmp_path):
+        # ``serve --bind`` / ``--lease-timeout`` is the one spelling.
+        for option in (["--distributed", "0.0.0.0:7787"], ["--lease-timeout", "30"]):
+            with pytest.raises(SystemExit) as exc:
+                main(["campaign", "-o", str(tmp_path / "out"), *option])
+            assert exc.value.code == 2
 
     def test_campaign_distributed_defaults_off(self):
         args = build_parser().parse_args(["campaign", "-o", "out"])
-        assert args.distributed is None
+        assert not hasattr(args, "distributed")
         assert args.unit_timeout is None
-        assert args.lease_timeout == 60.0
 
     def test_jobs_zero_is_accepted(self):
         args = build_parser().parse_args(["campaign", "-o", "out", "--jobs", "0"])
@@ -519,6 +507,10 @@ class TestDistributedOptions:
             ["--wrate"],
             ["--topology", "t.json"],
             ["--origins", "4"],
+            # read by no one under a coordinator
+            ["--jobs", "2"],
+            ["--unit-timeout", "5"],
+            ["--checkpoint-every", "2"],
         ],
     )
     def test_serve_has_no_partition_mode_options(self, tmp_path, option):
