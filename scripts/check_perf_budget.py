@@ -24,8 +24,9 @@ at n=2000 (a per-link scan of a tier-1's adjacency gave ~7x); and three
 checkpoint invariants: RNG streams take under 25 % of a snapshot's bytes
 (full generator states took 86 %), a snapshot after four C-events is at
 most 5 % larger than after the first (keeping every measured prefix made
-it 67 % larger), and a checkpointed sweep unit costs at most 2x the same
-unit run plain (it cost 4.2-4.7x); and two kernel
+it 67 % larger), and a checkpointed sweep unit costs at most 1.4x the
+same unit run plain (full snapshots cost 1.3-1.6x, with full RNG states
+4.2-4.7x); and two kernel
 hot-path invariants, on a count that does not depend on the host: one
 engine event costs at most 32 interpreter calls (it cost 46-53), and a
 live telemetry hub adds at most one call per event to the null sink's
@@ -133,11 +134,12 @@ CHECKPOINT_RNG_SHARE_LIMIT = 0.25
 CHECKPOINT_GROWTH_LIMIT = 1.05
 
 #: Allowed cost of a checkpointed sweep unit relative to the plain unit
-#: (n=400, 4 C-events, 3 checkpoints).  The design goal is 1.5; run to
-#: run the reference host reads 1.3-1.6, so the gate sits where host
-#: noise does not trip it and the return of either full RNG states or
-#: the double serialization (together 4.2-4.7x) does.
-CHECKPOINT_UNIT_RATIO_LIMIT = 2.0
+#: (n=400, 4 C-events, 3 checkpoints).  Boundary records read 1.1-1.2 on
+#: the reference host; full network snapshots read 1.3-1.6 (with full
+#: RNG states and a double serialization, 4.2-4.7x).  The gate sits
+#: where host noise does not trip it and a return to full snapshots
+#: does.
+CHECKPOINT_UNIT_RATIO_LIMIT = 1.4
 
 #: Interpreter calls (cProfile's total, builtins included) one engine
 #: event may cost inside a C-event at n=400.  Measured 25.2 (NO-WRATE)

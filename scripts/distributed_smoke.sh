@@ -8,6 +8,14 @@
 # framing, or merge-order bug in a transport of the unit queue shows up
 # as a diff here.  summary.txt is excluded (it reports wall clock and
 # worker counts, which legitimately differ).
+#
+# A fourth leg kills a pool worker mid-unit: Fig. 7 on --jobs 2 with
+# --checkpoint-dir, where REPRO_FAULT_INJECT ends the worker running
+# Baseline n=400 batch 0 right after its event-2 checkpoint.  The unit
+# must be re-run from that checkpoint (resumed, never discarded), leave
+# the checkpoint directory empty, and write the serial run's artifacts.
+# The broken pool also loses the unit on the other worker, which resumes
+# too when it had already checkpointed: the resume count is 1 or 2.
 set -euo pipefail
 
 SCALE="${REPRO_SCALE:-smoke}"
@@ -38,3 +46,29 @@ for run in pool dist; do
     diff "$WORK/serial/campaign.md" "$WORK/$run/campaign.md"
 done
 echo "OK: pool and distributed campaign.json and campaign.md are byte-identical to serial"
+
+echo "== kill and resume: fig07 serial, then --jobs 2 --checkpoint-dir with a worker killed =="
+python -m repro.experiments.cli campaign --scale "$SCALE" --experiment fig07 \
+    -o "$WORK/fig07-serial"
+REPRO_FAULT_INJECT="BASELINE:400:0:2:$WORK/fault-marker" \
+    python -m repro.experiments.cli campaign --scale "$SCALE" --experiment fig07 \
+    --jobs 2 --checkpoint-dir "$WORK/checkpoints" -o "$WORK/fig07-resumed" \
+    2> "$WORK/fig07-resumed.err"
+cat "$WORK/fig07-resumed.err" >&2
+test -e "$WORK/fault-marker" || { echo "FAIL: the fault never fired"; exit 1; }
+grep -qF "worker died while running sweep unit BASELINE n=400 batch 0/1" \
+    "$WORK/fig07-resumed.err" || { echo "FAIL: the killed unit was not re-run"; exit 1; }
+diff "$WORK/fig07-serial/campaign.json" "$WORK/fig07-resumed/campaign.json"
+diff "$WORK/fig07-serial/campaign.md" "$WORK/fig07-resumed/campaign.md"
+if [ -n "$(ls -A "$WORK/checkpoints")" ]; then
+    echo "FAIL: checkpoints left behind: $(ls "$WORK/checkpoints")"
+    exit 1
+fi
+TELEMETRY="$WORK/fig07-resumed/telemetry.jsonl"
+if grep -qF '"name":"checkpoint.discarded"' "$TELEMETRY"; then
+    echo "FAIL: a checkpoint was discarded instead of resumed"
+    exit 1
+fi
+grep -qxE '\{"kind":"counter","name":"checkpoint.resumes","value":[12]\}' "$TELEMETRY" \
+    || { echo "FAIL: telemetry does not count the resume"; exit 1; }
+echo "OK: the killed unit resumed from its checkpoint, artifacts byte-identical to serial"

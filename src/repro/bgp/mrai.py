@@ -79,10 +79,11 @@ class OutputChannel:
     about this neighbour on every update (``to_customer`` for the
     no-valley filter, ``import_pref`` for routes learned from it,
     ``rel_slot`` for the per-relationship counts) sits here, resolved
-    once from the relationship.  A node passes ``relationship`` and the
-    objects its channels share (``params``, ``counts``, its bound
-    ``rng.random``); a channel built on its own makes them from
-    ``config`` / ``rng`` and takes fresh counts from ``telemetry``.
+    once from the relationship.  A node passes ``relationship``, the
+    objects its channels share (``params``, ``counts``) and its
+    :meth:`~repro.bgp.node.BGPNode.draw`, which remembers the value drawn
+    last; a channel built on its own makes them from ``config`` /
+    ``rng`` and takes fresh counts from ``telemetry``.
     """
 
     __slots__ = (

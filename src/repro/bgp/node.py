@@ -22,7 +22,7 @@ from typing import Callable, Deque, Dict, Optional
 
 from repro.bgp.config import BGPConfig
 from repro.bgp.damping import FlapKind, RouteFlapDamper
-from repro.bgp.decision import select_best
+from repro.bgp.decision import better, not_worse, select_best
 from repro.bgp.messages import UpdateMessage
 from repro.bgp.mrai import ChannelParams, OutputChannel
 from repro.bgp.policy import exportable
@@ -95,6 +95,7 @@ class BGPNode:
         "_rng",
         "_random",
         "_rng_counted",
+        "_last_draw",
         "_transmit",
         "_counts",
         "_service_event",
@@ -144,6 +145,10 @@ class BGPNode:
         #: False once restored from a pre-1.6 checkpoint, whose full RNG
         #: state says nothing about how many draws produced it.
         self._rng_counted = True
+        #: The value the stream returned last (None before the first
+        #: draw): with the draw count, a boundary record's O(1)
+        #: fingerprint of the stream (see :meth:`boundary_state`).
+        self._last_draw: Optional[float] = None
         self._transmit = transmit
         self._counts = counts if counts is not None else telemetry.new_counts()
         #: Scheduled once per service; stateless, so one object serves.
@@ -152,6 +157,7 @@ class BGPNode:
         self._busy = False
         self.adj_rib_in, self.loc_rib = AdjRIBIn(), LocRIB()
         self._local_routes: Dict[int, Route] = {}
+        draw = self.draw  # one bound method for every channel, not one each
         self._channels: Dict[int, OutputChannel] = {
             neighbor: OutputChannel(
                 node_id,
@@ -161,7 +167,7 @@ class BGPNode:
                 relationship=relationship,
                 params=params,
                 counts=counts,
-                draw=self._random,
+                draw=draw,
             )
             for neighbor, relationship in neighbors.items()
         }
@@ -291,10 +297,17 @@ class BGPNode:
         """Current in-queue occupancy (including the message in service)."""
         return len(self._in_queue)
 
+    def draw(self) -> float:
+        """One ``random()`` from this node's stream (a channel's timer jitter)."""
+        value = self._last_draw = self._random()
+        return value
+
     def _start_service(self) -> None:
         self._busy = True
+        # The service start's draw, inline (see :meth:`draw`).
+        value = self._last_draw = self._random()
         # uniform(0, max) drawn as the product it is (bit-equal, one call).
-        delay = self._config.processing_time_max * self._random()
+        delay = self._config.processing_time_max * value
         self._service_delay = delay
         self._engine.schedule(delay, self._service_event)
 
@@ -448,11 +461,11 @@ class BGPNode:
                 # The replaced entry was the best; it keeps its position
                 # in candidate order, so the new route wins iff it is no
                 # worse than the old best (everything later has a >= key).
-                if route.preference_key(node_id) <= current.preference_key(node_id):
+                if not_worse(route, current, node_id):
                     best = route
                 else:
                     best = select_best(node_id, self._candidates(prefix, now))
-            elif route.preference_key(node_id) < current.preference_key(node_id):
+            elif better(route, current, node_id):
                 best = route
             else:
                 return  # the installed best stands
@@ -609,6 +622,8 @@ class BGPNode:
         (every completed one, plus the one in flight) and a timer arming
         on any output channel.  With the seed, this count *is* the
         stream: a checkpoint stores it in place of the generator state.
+        Both draw through the node, which keeps the value drawn last as
+        the stream's fingerprint.
         """
         return (
             self.processed_count
@@ -673,7 +688,7 @@ class BGPNode:
                     f"node {self.node_id}: a draw-count checkpoint restores "
                     "only onto a freshly built node"
                 )
-            advance_rng(self._rng, state["rng_draws"])
+            self._replay_stream(state["rng_draws"])
             if rng_mark(self._rng) != state["rng_mark"]:
                 raise CheckpointError(
                     f"node {self.node_id}: RNG stream replayed from "
@@ -718,6 +733,131 @@ class BGPNode:
             raise CheckpointError(
                 f"node {self.node_id}: checkpoint records {state['rng_draws']} "
                 f"RNG draws but its counters account for {self.rng_draws}"
+            )
+
+    def _replay_stream(self, draws: int) -> None:
+        """Bring a freshly seeded stream to ``draws`` draws.
+
+        The last draw is taken one call at a time, so the value it
+        returned — the stream's fingerprint — is recovered on the way.
+        """
+        if draws > 0:
+            advance_rng(self._rng, draws - 1)
+            self._last_draw = self._random()
+
+    def boundary_state(self) -> Optional[tuple]:
+        """This node as the few numbers a C-event boundary leaves, or None.
+
+        Once a C-event has converged and its prefix is retired, a node
+        holds no route, queue, wakeup or damping record: what is left is
+        its RNG stream (draw count and the value drawn last), its work
+        counters and its channels' timers.  Returns ``(row,
+        prefix_gates)``: ``row`` is ``[draws, last draw, processed_count,
+        busy_time, service_delay, max_queue_length, decisions_run,
+        decisions_skipped, arms, interface_gates]`` with the last two in
+        neighbour order, ``prefix_gates`` the ``(neighbor, prefix, gate)``
+        per-prefix MRAI gates that outlive a retirement.  None when the
+        node holds anything else, or was restored from a full RNG state
+        (its draw count is unknown): only a full snapshot captures it.
+        """
+        if (
+            self._busy
+            or self._in_queue
+            or not self._rng_counted
+            or self._local_routes
+            or len(self.adj_rib_in)
+            or self.adj_rib_in.dirty_count
+            or len(self.loc_rib)
+            or self.best_change_count
+            or self._reuse_pending
+            or self._down_neighbors
+            or self._damper.dump_state()
+        ):
+            return None
+        for at in self._wakeup_at.values():
+            if at is not None:
+                return None
+        arms = []
+        gates = []
+        prefix_gates = []
+        for neighbor, channel in self._channels.items():
+            if channel._sent or channel._pending:
+                return None
+            arms.append(channel.arms)
+            gates.append(channel._interface_gate)
+            for prefix, gate in channel._prefix_gates.items():
+                prefix_gates.append((neighbor, prefix, gate))
+        row = [
+            self.processed_count + sum(arms),  # rng_draws of an idle node
+            self._last_draw,
+            self.processed_count,
+            self.busy_time,
+            self._service_delay,
+            self.max_queue_length,
+            self.decisions_run,
+            self.decisions_skipped,
+            arms,
+            gates,
+        ]
+        return row, prefix_gates
+
+    def restore_boundary(self, row: list, prefix_gates) -> None:
+        """Inverse of :meth:`boundary_state`, onto a freshly built node.
+
+        Replays the stream to the recorded count and raises
+        :class:`~repro.errors.CheckpointError` when the value drawn last
+        differs from the recorded one or the counters do not account for
+        the count — the same refusals as :meth:`restore_state`.
+        """
+        (
+            draws,
+            last_draw,
+            processed_count,
+            busy_time,
+            service_delay,
+            max_queue_length,
+            decisions_run,
+            decisions_skipped,
+            arms,
+            gates,
+        ) = row
+        if not self._rng_counted or self.rng_draws:
+            raise SimulationError(
+                f"node {self.node_id}: a boundary record restores only onto "
+                "a freshly built node"
+            )
+        channels = self._channels
+        if len(arms) != len(channels) or len(gates) != len(channels):
+            raise CheckpointError(
+                f"node {self.node_id}: boundary record has {len(arms)} timer "
+                f"counts and {len(gates)} gates for {len(channels)} channels"
+            )
+        self._replay_stream(draws)
+        if self._last_draw != last_draw:
+            raise CheckpointError(
+                f"node {self.node_id}: RNG stream replayed from {draws} draws "
+                "does not end on the recorded last draw"
+            )
+        self.processed_count = processed_count
+        self.busy_time = busy_time
+        self._service_delay = service_delay
+        self.max_queue_length = max_queue_length
+        self.decisions_run = decisions_run
+        self.decisions_skipped = decisions_skipped
+        for channel, count, gate in zip(channels.values(), arms, gates):
+            channel.arms = count
+            channel._interface_gate = gate
+        for neighbor, prefix, gate in prefix_gates:
+            if neighbor not in channels:
+                raise CheckpointError(
+                    f"node {self.node_id}: boundary record has a gate towards "
+                    f"{neighbor}, which is not a neighbour"
+                )
+            channels[neighbor]._prefix_gates[prefix] = gate
+        if self.rng_draws != draws:
+            raise CheckpointError(
+                f"node {self.node_id}: boundary record has {draws} RNG draws "
+                f"but its counters account for {self.rng_draws}"
             )
 
     def adopt_pending_event(self, entry: list) -> None:

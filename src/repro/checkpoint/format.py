@@ -18,6 +18,15 @@ and bit-rot independent of how the file was formatted.  Files are
 written atomically (tmp + rename): a crash mid-write never leaves a
 half-checkpoint that a resume could trip over.
 
+Payload layouts are told apart by shape, not by a version field.  A
+``sweep-unit`` payload is either a *boundary record* (``boundary`` +
+``sums``: per-node draw counts, last draws and counters, the factor
+sums as columns; what a C-event boundary leaves) or a *full snapshot*
+(``raw`` + ``network``: the only layout written before boundary records,
+and still the one for a network the record cannot express).  Inside a ``network`` payload
+a node carries either ``rng_draws``/``rng_mark`` (1.6.0) or a full
+``rng`` state (1.5.0 and earlier).
+
 Restores refuse checkpoints written by a different code version — the
 simulator's event vocabulary and state layout are only guaranteed
 stable within one version, and the byte-identity contract would be
@@ -255,9 +264,13 @@ def inspect_checkpoint(path: Union[str, Path]) -> dict:
                 "events_total": len(payload.get("origins", [])),
             }
         )
-        network = payload.get("network", {})
-        summary.update(_network_summary(network))
-        summary.update(_size_summary([network]))
+        if "boundary" in payload:
+            summary.update(_boundary_summary(payload["boundary"]))
+        else:
+            network = payload.get("network", {})
+            summary["layout"] = "full snapshot"
+            summary.update(_network_summary(network))
+            summary.update(_size_summary([network]))
     elif document.kind == KIND_CAMPAIGN:
         summary.update(
             {
@@ -283,6 +296,23 @@ def _network_summary(payload: dict) -> dict:
         "executed_events": engine.get("executed_events"),
         "pending_events": len(engine.get("pending", [])),
         "delivered_messages": payload.get("delivered_messages"),
+    }
+
+
+def _boundary_summary(record: dict) -> dict:
+    """The network part of a sweep unit's boundary record."""
+    rows = record.get("nodes", [])
+    draws = sum(row[0] for row in rows if isinstance(row, list) and row)
+    return {
+        "layout": "boundary record",
+        "n": len(rows),
+        "sim_time": record.get("now"),
+        "executed_events": record.get("executed_events"),
+        "pending_events": 0,
+        "delivered_messages": record.get("delivered_messages"),
+        "rng_encoding": f"draw counts + last draws ({draws:,} total)",
+        "prefix_gates": len(record.get("prefix_gates", [])),
+        "network_bytes": f"{len(_CANONICAL.encode(record)):,}",
     }
 
 

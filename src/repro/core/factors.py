@@ -107,6 +107,27 @@ class RawFactorSums:
             total_updates={i: 0 for i in node_ids},
         )
 
+    @classmethod
+    def from_columns(cls, node_ids, columns: dict) -> "RawFactorSums":
+        """Inverse of :meth:`FactorAccumulator.sum_columns`.
+
+        Raises ``ValueError`` unless every column covers ``node_ids``.
+        """
+
+        def by_node(per_rel_columns) -> Dict[int, Dict[Relationship, int]]:
+            rows = zip(*per_rel_columns, strict=True)
+            return {
+                node_id: dict(zip(_RELS, counts, strict=True))
+                for node_id, counts in zip(node_ids, rows, strict=True)
+            }
+
+        return cls(
+            events=columns["events"],
+            updates=by_node(columns["updates"]),
+            active=by_node(columns["active"]),
+            total_updates=dict(zip(node_ids, columns["total_updates"], strict=True)),
+        )
+
     def copy(self) -> "RawFactorSums":
         """An independent deep copy."""
         return RawFactorSums(
@@ -238,6 +259,22 @@ class FactorAccumulator:
     def raw_sums(self) -> RawFactorSums:
         """A deep copy of the accumulated sums (picklable, mergeable)."""
         return self._raw.copy()
+
+    def sum_columns(self) -> dict:
+        """The accumulated sums as columns in node order, read in place.
+
+        ``updates`` and ``active`` hold one column per relationship class
+        (customer, peer, provider): what a checkpoint stores, without the
+        deep copy :meth:`raw_sums` makes.
+        """
+        raw = self._raw
+        node_ids = self._summary.node_ids
+        return {
+            "events": raw.events,
+            "updates": [[raw.updates[i][rel] for i in node_ids] for rel in _RELS],
+            "active": [[raw.active[i][rel] for i in node_ids] for rel in _RELS],
+            "total_updates": [raw.total_updates[i] for i in node_ids],
+        }
 
     def load_raw_sums(self, raw: RawFactorSums) -> None:
         """Replace the accumulated sums (checkpoint restore).

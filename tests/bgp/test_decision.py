@@ -1,8 +1,17 @@
 """Tests for the decision process."""
 
-from repro.bgp.decision import rank, select_best
-from repro.bgp.route import import_route, local_route
-from repro.topology.types import Relationship
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.bgp.decision import better, not_worse, rank, select_best
+from repro.bgp.route import (
+    LOCAL_ROUTE_PREF,
+    Route,
+    best_route,
+    import_route,
+    local_route,
+)
+from repro.topology.types import LOCAL_PREFERENCE, Relationship
 
 CUST = Relationship.CUSTOMER
 PEER = Relationship.PEER
@@ -52,3 +61,42 @@ class TestRank:
             import_route(0, (2, 9), PROV),
         ]
         assert rank(0, routes)[0] == select_best(0, routes)
+
+
+# ----------------------------------------------------------------------
+# better / not_worse: the preference order without a key for every route
+# ----------------------------------------------------------------------
+#: Few distinct values, so equal preferences, equal lengths and equal
+#: paths (full ties) are common.
+_PREFS = sorted(set(LOCAL_PREFERENCE.values())) + [LOCAL_ROUTE_PREF]
+_routes = st.builds(
+    Route,
+    prefix=st.just(0),
+    path=st.lists(st.integers(min_value=1, max_value=6), max_size=4).map(tuple),
+    local_pref=st.sampled_from(_PREFS),
+)
+
+
+class TestPreferenceHelpers:
+    @given(a=_routes, b=_routes, receiver=st.integers(min_value=0, max_value=6))
+    @settings(max_examples=300, deadline=None)
+    def test_helpers_agree_with_key_comparison(self, a, b, receiver):
+        key_a, key_b = a.preference_key(receiver), b.preference_key(receiver)
+        assert better(a, b, receiver) == (key_a < key_b)
+        assert not_worse(a, b, receiver) == (key_a <= key_b)
+
+    @given(route=_routes, receiver=st.integers(min_value=0, max_value=6))
+    def test_a_route_ties_with_itself(self, route, receiver):
+        twin = Route(route.prefix, route.path, route.local_pref)
+        assert not better(route, twin, receiver) and not better(twin, route, receiver)
+        assert not_worse(route, twin, receiver) and not_worse(twin, route, receiver)
+
+    @given(
+        routes=st.lists(_routes, max_size=8),
+        receiver=st.integers(min_value=0, max_value=6),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_select_best_equals_the_key_based_reference(self, routes, receiver):
+        chosen = select_best(receiver, routes)
+        reference = best_route(routes, receiver)
+        assert chosen is reference  # the same object: first of equals wins

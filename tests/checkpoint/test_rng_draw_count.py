@@ -17,28 +17,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import repro.checkpoint.batch as batch_module
 from repro.bgp.config import BGPConfig, DampingConfig, MRAIMode
 from repro.bgp.node import advance_rng, rng_mark
 from repro.checkpoint import restore_network, snapshot_network
-from repro.checkpoint.batch import (
-    execute_sweep_unit_checkpointed,
-    unit_checkpoint_path,
-)
-from repro.checkpoint.format import KIND_SWEEP_UNIT, read_checkpoint, write_checkpoint
-from repro.core.sweep import execute_sweep_unit
 from repro.errors import CheckpointError
 from repro.sim.network import SimNetwork
 from repro.topology.generator import generate_topology
 from repro.topology.scenarios import scenario_params
 
-from tests.checkpoint.test_batch import (
-    FAST,
-    Interrupt,
-    _assert_identical,
-    _interrupt_after,
-    _unit,
-)
+from tests.checkpoint.test_boundary_record import resume_from_a_tampered_file
 
 _GRAPH = generate_topology(scenario_params("BASELINE", 40), seed=7)
 _STUBS = [n for n in _GRAPH.node_ids if not _GRAPH.customers_of(n)]
@@ -194,29 +181,18 @@ class TestWrongCountNeverResumes:
     def test_unit_with_a_wrong_count_is_recomputed_from_scratch(
         self, tmp_path, monkeypatch, capsys
     ):
-        unit = _unit("baseline", 60, FAST)
-        _interrupt_after(monkeypatch, events=2)
-        with pytest.raises(Interrupt):
-            execute_sweep_unit_checkpointed(unit, tmp_path)
-        monkeypatch.undo()
+        # One count off, with a *valid* digest: only the stream check
+        # stands between the file and a different trajectory.
+        def tamper(payload):
+            busiest = max(payload["boundary"]["nodes"], key=lambda row: row[0])
+            busiest[0] += 1
 
-        # Re-write the file with one count off and a *valid* digest: only
-        # the stream check stands between it and a different trajectory.
-        path = unit_checkpoint_path(tmp_path, unit)
-        payload = read_checkpoint(path).payload
-        self._busiest(payload["network"])["rng_draws"] += 1
-        write_checkpoint(path, KIND_SWEEP_UNIT, payload)
-        assert read_checkpoint(path).digest_ok
+        resume_from_a_tampered_file(tmp_path, monkeypatch, capsys, tamper)
 
-        run_batch = batch_module.run_c_event_batch
-        starts = []
+    def test_full_snapshot_unit_with_a_wrong_count_is_recomputed_from_scratch(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        def tamper(payload):
+            self._busiest(payload["network"])["rng_draws"] += 1
 
-        def recording(*args, **kwargs):
-            starts.append(kwargs["cursor"])
-            return run_batch(*args, **kwargs)
-
-        monkeypatch.setattr(batch_module, "run_c_event_batch", recording)
-        result = execute_sweep_unit_checkpointed(unit, tmp_path)
-        assert starts == [None], "a wrong draw count must not be resumed"
-        assert "discarding checkpoint" in capsys.readouterr().err
-        _assert_identical(execute_sweep_unit(unit), result)
+        resume_from_a_tampered_file(tmp_path, monkeypatch, capsys, tamper, full=True)

@@ -9,7 +9,9 @@ running version — for every kind that is restored from disk:
 defaults).  The second half writes 1.5.0 documents the way 1.5.0 did —
 full ``rng`` states, every field present (``tests/checkpoint/legacy.py``)
 — and requires the same of them, plus that the restored network, which
-no longer knows its draw counts, snapshots and restores again.
+no longer knows its draw counts, snapshots and restores again.  Sweep
+units now checkpoint as boundary records; the full-snapshot unit files
+1.5.0 and 1.6.0 wrote still resume.
 """
 
 import json
@@ -30,7 +32,7 @@ from repro.sim.network import SimNetwork
 from repro.topology.generator import generate_topology
 from repro.topology.scenarios import scenario_params
 
-from tests.checkpoint.legacy import legacy_snapshot_network
+from tests.checkpoint.legacy import legacy_snapshot_network, write_full_snapshot_units
 from tests.checkpoint.test_batch import (
     Interrupt,
     _assert_identical,
@@ -178,7 +180,7 @@ def test_full_state_sweep_unit_checkpoint_resumes(tmp_path, monkeypatch):
     run_batch = batch_module.run_c_event_batch
 
     _interrupt_after(monkeypatch, events=2)
-    monkeypatch.setattr(batch_module, "snapshot_network", legacy_snapshot_network)
+    write_full_snapshot_units(monkeypatch, legacy_snapshot_network)
     with pytest.raises(Interrupt):
         execute_sweep_unit_checkpointed(unit, tmp_path)
     monkeypatch.undo()
@@ -203,7 +205,49 @@ def test_full_state_sweep_unit_checkpoint_resumes(tmp_path, monkeypatch):
     monkeypatch.setattr(batch_module, "write_checkpoint", keeping)
     resumed = execute_sweep_unit_checkpointed(unit, tmp_path)
     assert resumed_from == [2], "1.5.0 checkpoint was discarded, not resumed"
-    # The checkpoint after event 3 comes from nodes of unknown draw count.
+    # The checkpoint after event 3 comes from nodes of unknown draw count:
+    # a full snapshot again, never a boundary record.
     assert [payload["next_index"] for payload in rewritten] == [3]
+    assert "boundary" not in rewritten[0]
     assert all("rng" in state for _, state in rewritten[0]["network"]["nodes"])
+    _assert_identical(plain, resumed)
+
+
+def test_draw_count_sweep_unit_checkpoint_resumes_to_boundary_records(
+    tmp_path, monkeypatch
+):
+    """A 1.6.0 unit file (a full snapshot with draw counts) resumes, and
+    the replay recovers every stream's last draw: the next checkpoint is
+    a boundary record."""
+    unit = _unit("baseline", 60, FAST)
+    plain = execute_sweep_unit(unit)
+    run_batch = batch_module.run_c_event_batch
+
+    _interrupt_after(monkeypatch, events=2)
+    write_full_snapshot_units(monkeypatch)
+    with pytest.raises(Interrupt):
+        execute_sweep_unit_checkpointed(unit, tmp_path)
+    monkeypatch.undo()
+    written = read_checkpoint(unit_checkpoint_path(tmp_path, unit)).payload
+    assert "rng_mark" in written["network"]["nodes"][0][1]
+
+    resumed_from = []
+    rewritten = []
+    write = batch_module.write_checkpoint
+
+    def recording(*args, **kwargs):
+        cursor = kwargs["cursor"]
+        resumed_from.append(None if cursor is None else cursor.next_index)
+        return run_batch(*args, **kwargs)
+
+    def keeping(path, kind, payload):
+        rewritten.append(payload)
+        return write(path, kind, payload)
+
+    monkeypatch.setattr(batch_module, "run_c_event_batch", recording)
+    monkeypatch.setattr(batch_module, "write_checkpoint", keeping)
+    resumed = execute_sweep_unit_checkpointed(unit, tmp_path)
+    assert resumed_from == [2], "1.6.0 checkpoint was discarded, not resumed"
+    assert [payload["next_index"] for payload in rewritten] == [3]
+    assert "network" not in rewritten[0] and "boundary" in rewritten[0]
     _assert_identical(plain, resumed)

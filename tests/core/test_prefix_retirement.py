@@ -33,6 +33,8 @@ from repro.sim.network import SimNetwork
 from repro.topology.generator import generate_topology
 from repro.topology.params import baseline_params
 
+from tests.checkpoint.legacy import legacy_snapshot_network, write_full_snapshot_units
+
 _N = 150
 _ORIGINS = 4
 _TOPOLOGY_SEED = 42
@@ -217,16 +219,28 @@ class _Interrupt(Exception):
     """Stand-in for a crash between two measured events."""
 
 
-def test_a_keeping_checkpoint_resumes_under_retirement(tmp_path, monkeypatch):
+def _resume_a_keeping_checkpoint(tmp_path, monkeypatch, encoder=None):
+    """Checkpoint a unit at event 2 on the keeping kernel, resume it under
+    retirement; returns the payloads written (the first before the
+    resume) and the resumed result, which must equal the retiring run's."""
     unit = SweepUnit(
         scenario="baseline", n=120, num_origins=4, batch_index=0, num_batches=1,
         seed=17, config=BGPConfig(wrate=True, mrai_mode=MRAIMode.PER_PREFIX),
         scenario_kwargs=(),
     )
     retiring = _measured(execute_sweep_unit(unit))
+    written = []
+    write = batch_module.write_checkpoint
 
+    def keeping(path, kind, payload):
+        written.append(payload)
+        return write(path, kind, payload)
+
+    monkeypatch.setattr(batch_module, "write_checkpoint", keeping)
     with monkeypatch.context() as patch:
         _keep_every_prefix(patch)
+        if encoder is not None:
+            write_full_snapshot_units(patch, encoder)
         original = batch_module.run_c_event_batch
 
         def dying(*args, **kwargs):
@@ -252,6 +266,29 @@ def test_a_keeping_checkpoint_resumes_under_retirement(tmp_path, monkeypatch):
         resumed = _measured(execute_sweep_unit_checkpointed(unit, tmp_path))
     assert hub.counters["checkpoint.resumes"] == 1
     assert resumed == retiring
+    return [payload for payload in written if payload["next_index"] == 2] + [
+        payload for payload in written if payload["next_index"] == 3
+    ]
+
+
+def test_a_keeping_checkpoint_resumes_under_retirement(tmp_path, monkeypatch):
+    """Routes of kept prefixes are more than a boundary record holds: the
+    writer falls back to a full snapshot, before the resume and after it
+    (the restored network still holds the two kept prefixes)."""
+    written = _resume_a_keeping_checkpoint(tmp_path, monkeypatch)
+    assert [payload["next_index"] for payload in written] == [2, 3]
+    for payload in written:
+        assert "boundary" not in payload and "network" in payload
+
+
+def test_a_keeping_full_state_checkpoint_resumes_under_retirement(
+    tmp_path, monkeypatch
+):
+    """The same file as 1.5.0 wrote it: full RNG states."""
+    written = _resume_a_keeping_checkpoint(
+        tmp_path, monkeypatch, encoder=legacy_snapshot_network
+    )
+    assert "rng" in written[0]["network"]["nodes"][0][1]
 
 
 # ----------------------------------------------------------------------
