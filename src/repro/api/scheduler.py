@@ -122,7 +122,6 @@ class CampaignScheduler:
         max_queued_per_tenant: int = 8,
         max_running_per_tenant: int = 1,
         cache_dir: Optional[Union[str, Path]] = None,
-        checkpoint_every: int = 1,
     ) -> None:
         if max_running < 1:
             raise ApiError(500, f"max_running must be >= 1, got {max_running}")
@@ -136,7 +135,6 @@ class CampaignScheduler:
         self.max_running = max_running
         self.max_queued_per_tenant = max_queued_per_tenant
         self.max_running_per_tenant = max_running_per_tenant
-        self.checkpoint_every = checkpoint_every
         self._cond = threading.Condition()
         # --- state below is guarded by self._cond ---
         self._jobs: Dict[str, CampaignJob] = {}
@@ -396,7 +394,6 @@ class CampaignScheduler:
                 output_dir=output_dir,
                 cache_dir=self.cache_dir if job.spec.use_cache else None,
                 checkpoint_dir=checkpoint_dir,
-                checkpoint_every=self.checkpoint_every,
                 resume=True,
                 show_progress=False,
                 on_event=lambda event: self._record(job, event),

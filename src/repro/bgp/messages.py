@@ -4,9 +4,9 @@ A message is either an **announcement** (carries an AS path) or an explicit
 **withdrawal** (no path).  The distinction matters for the MRAI variants:
 NO-WRATE lets withdrawals bypass the rate-limiting timer, WRATE does not.
 
-Prefixes are opaque tokens: legacy bare ints (one synthetic prefix per
-C-event origin) or real :class:`~repro.prefix.prefix.Prefix` values —
-the message layer never looks inside them.
+Prefixes are opaque tokens: real :class:`~repro.prefix.prefix.Prefix`
+values, or bare ints in the scenarios that never migrated — the message
+layer never looks inside them.
 """
 
 from __future__ import annotations

@@ -598,10 +598,6 @@ class BGPNode:
         )
 
     def _mrai_wakeup(self, neighbor: int, at: float) -> None:
-        if self._wakeup_at[neighbor] != at:
-            # Superseded wakeup without a cancellation handle — only
-            # possible for events restored from a pre-1.2 checkpoint.
-            return
         self._wakeup_at[neighbor] = None
         self._wakeup_entries[neighbor] = None
         now = self._engine.now
@@ -726,9 +722,8 @@ class BGPNode:
         self._service_delay = state["service_delay"]
         self.max_queue_length = state["max_queue_length"]
         self.best_change_count = dict(state["best_change_count"])
-        # Absent in pre-1.3 checkpoints: the counters restart at zero.
-        self.decisions_run = state.get("decisions_run", 0)
-        self.decisions_skipped = state.get("decisions_skipped", 0)
+        self.decisions_run = state["decisions_run"]
+        self.decisions_skipped = state["decisions_skipped"]
         if self._rng_counted and self.rng_draws != state["rng_draws"]:
             raise CheckpointError(
                 f"node {self.node_id}: checkpoint records {state['rng_draws']} "
@@ -866,20 +861,42 @@ class BGPNode:
         Called once per restored pending event that targets this node.
         The entry is the engine's own ``[time, sequence, event]`` heap
         record; holding it lets supersession keep cancelling in O(1)
-        after a restore, exactly as in the uninterrupted run.  Events
-        that do not match the restored timer bookkeeping (stale wakeups
-        from a pre-1.2 checkpoint) are left alone — the execution-time
-        guards still neutralize them.
+        after a restore, exactly as in the uninterrupted run.  A snapshot
+        holds only live events, so an MRAI wakeup must be the one timer
+        record of its channel: any other raises
+        :class:`~repro.errors.CheckpointError` (it would flush the
+        channel early).  :meth:`check_wakeups_adopted` covers the other
+        direction once every event is adopted.
         """
         event = entry[2]
         if isinstance(event, MRAIWakeup):
-            if self._wakeup_at.get(event.neighbor) == event.at:
-                self._wakeup_entries[event.neighbor] = entry
+            neighbor = event.neighbor
+            if (
+                self._wakeup_at.get(neighbor) != event.at
+                or self._wakeup_entries[neighbor] is not None
+            ):
+                raise CheckpointError(
+                    f"node {self.node_id}: pending MRAI wakeup towards "
+                    f"{neighbor} at {event.at} does not match its timer record "
+                    f"({self._wakeup_at.get(neighbor)})"
+                )
+            self._wakeup_entries[neighbor] = entry
         elif isinstance(event, DampingReuseCheck):
             at = entry[0]
             pending = self._reuse_pending.get(event.prefix)
             if pending is None or at < pending[0]:
                 self._reuse_pending[event.prefix] = (at, entry)
+
+    def check_wakeups_adopted(self) -> None:
+        """Raise :class:`~repro.errors.CheckpointError` when a restored
+        timer record has no pending wakeup (its channel would never
+        flush)."""
+        for neighbor, at in self._wakeup_at.items():
+            if at is not None and self._wakeup_entries[neighbor] is None:
+                raise CheckpointError(
+                    f"node {self.node_id}: MRAI timer towards {neighbor} is "
+                    f"set for {at} but no wakeup is pending"
+                )
 
     # ------------------------------------------------------------------
     # Introspection

@@ -6,8 +6,9 @@ execution with periodic on-disk checkpoints so a unit killed mid-flight
 (worker crash, OOM, Ctrl-C) resumes from its last completed C-event
 instead of starting over.
 
-Checkpoints are written at origin boundaries — after each measured
-C-event but the last, every ``checkpoint_every`` events.  There the
+Checkpoints are written at origin boundaries — after every measured
+C-event but the last, so a crash loses at most one C-event per unit.
+This module alone decides that cadence; no caller sets it.  There the
 event heap is empty and the event's prefix is retired, so no node holds
 a route: the checkpoint is a *boundary record* — the engine clock, one
 row of counters per node (its RNG stream as a draw count plus the value
@@ -411,16 +412,12 @@ def load_unit_cursor(
 def execute_sweep_unit_checkpointed(
     unit: SweepUnit,
     checkpoint_dir: Union[str, Path],
-    *,
-    checkpoint_every: int = 1,
-    resume: bool = True,
 ) -> CEventBatchResult:
-    """Run one sweep unit with periodic checkpoints under ``checkpoint_dir``.
+    """Run one sweep unit with a checkpoint after every C-event but the last.
 
-    Resumes from an existing valid checkpoint of the same unit (unless
-    ``resume=False``); an invalid or foreign checkpoint file is reported
-    on stderr, counted (``checkpoint.discarded``) and the unit restarts
-    from scratch.  On success the checkpoint file is removed — a
+    Resumes from an existing valid checkpoint of the same unit; an
+    invalid or foreign checkpoint file is reported on stderr, counted
+    (``checkpoint.discarded``) and the unit restarts from scratch.  On success the checkpoint file is removed — a
     populated checkpoint directory always means interrupted work.
 
     Under a telemetry session the cost shows up as the ``checkpoint``
@@ -431,10 +428,6 @@ def execute_sweep_unit_checkpointed(
     :func:`~repro.core.sweep.execute_sweep_unit` for the same unit,
     whether or not the execution was interrupted and resumed.
     """
-    if checkpoint_every < 1:
-        raise CheckpointError(
-            f"checkpoint_every must be >= 1, got {checkpoint_every}"
-        )
     params = scenario_params(unit.scenario, unit.n, **dict(unit.scenario_kwargs))
     topo_seed, sim_seed = sweep_point_seeds(unit.seed, unit.n)
     graph = generate_topology(params, seed=topo_seed)
@@ -445,7 +438,7 @@ def execute_sweep_unit_checkpointed(
     key = unit_checkpoint_key(unit)
     path = unit_checkpoint_path(checkpoint_dir, unit)
     cursor: Optional[BatchCursor] = None
-    if resume and path.exists():
+    if path.exists():
         try:
             cursor = load_unit_cursor(path, unit, graph, batch)
             obs.inc("checkpoint.resumes")
@@ -462,7 +455,7 @@ def execute_sweep_unit_checkpointed(
     maybe_inject_fault(unit, cursor.next_index if cursor is not None else 0)
 
     def after_event(live: BatchCursor) -> None:
-        if live.next_index < len(batch) and live.next_index % checkpoint_every == 0:
+        if live.next_index < len(batch):
             # One pause over the payload's whole life: built, written and
             # dropped before the collector gets to look at it.
             with obs.phase("checkpoint"), gc_paused():

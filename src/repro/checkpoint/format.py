@@ -27,15 +27,14 @@ and still the one for a network the record cannot express).  Inside a ``network`
 a node carries either ``rng_draws``/``rng_mark`` (1.6.0) or a full
 ``rng`` state (1.5.0 and earlier).
 
-Restores refuse checkpoints written by a different code version — the
-simulator's event vocabulary and state layout are only guaranteed
-stable within one version, and the byte-identity contract would be
-meaningless across versions anyway.  The one exception is the explicit
-migration allow-list :data:`COMPATIBLE_CODE_VERSIONS`: versions whose
-payload layout this build still reads (the state *schema* is unchanged
-even though execution trajectories may differ across the versions, so
-restored runs are deterministic but not byte-comparable to runs of the
-writing version).
+Which files a build restores is decided here alone: a document whose
+``code_version`` is an ``X.Y.Z`` release from :data:`OLDEST_RESTORABLE`
+up to this build's own version (:func:`restorable`), so each release
+restores the previous release's files with no list to edit.  Across
+releases the state *schema* is read, but execution trajectories may
+differ, so a restored run is deterministic without being byte-comparable
+to runs of the writing version.  ``verify`` and ``inspect`` read files
+of any version.
 """
 
 from __future__ import annotations
@@ -45,8 +44,9 @@ import dataclasses
 import gc
 import hashlib
 import json
+import re
 from pathlib import Path
-from typing import Optional, Union
+from typing import Optional, Tuple, Union
 
 from repro._version import __version__
 from repro.errors import CheckpointError
@@ -55,26 +55,34 @@ from repro.files import atomic_writer
 FORMAT_NAME = "repro-checkpoint"
 FORMAT_VERSION = 1
 
-#: Older code versions whose checkpoints this build can still restore.
-#: 1.1.0 wrote the same state layout (the 1.2.0 kernel changed in-memory
-#: representations — slotted/interned routes, cancellable heap entries —
-#: but not the serialized schema); its heaps may carry stale superseded
-#: wakeups, which the node-level execution guards neutralize.  1.2.0
-#: documents are a strict subset of the 1.3.0 schema: prefixes are bare
-#: ints (1.3.0 additionally writes ``[addr, length]`` pairs for real
-#: prefixes) and the per-node decision counters are absent (they restore
-#: as zero).  1.3.0 documents read unchanged under 1.4.0, which only
-#: added a ``partition`` kind (a graph-partitioned run's member
-#: snapshots); that kind is no longer written or restored, though
-#: ``checkpoint verify`` and ``inspect`` still read its envelope.  1.5.0
-#: (measured-topology import, long-memory analysis) did not touch
-#: ``repro.checkpoint`` at all, so 1.4.0 documents read unchanged.
-#: 1.6.0 changed the node layout (RNG streams as ``rng_draws`` /
-#: ``rng_mark``, a per-channel ``arms`` count, construction defaults
-#: left out); the reader still takes the older form, full ``rng``
-#: states included, so 1.5.0 documents restore — to nodes that keep
+#: The oldest release whose checkpoints this build restores: 1.3.0 was
+#: the first to write prefixes as ``[addr, length]`` pairs and the
+#: per-node decision counters.  Every release from it up to this build's
+#: own restores (:func:`restorable`); the envelope's ``format_version``
+#: stays the layout gate.  Inside that range the readers still take the
+#: older node form: 1.5.0 and earlier store a node's full ``rng`` state
+#: and no per-channel ``arms`` count, and restore to nodes that keep
 #: writing full states, since their draw counts are unknown.
-COMPATIBLE_CODE_VERSIONS = frozenset({"1.1.0", "1.2.0", "1.3.0", "1.4.0", "1.5.0"})
+OLDEST_RESTORABLE = "1.3.0"
+
+_RELEASE = re.compile(r"(\d+)\.(\d+)\.(\d+)", re.ASCII)
+
+
+def _release(version: str) -> Optional[Tuple[int, ...]]:
+    """``X.Y.Z`` as a comparable triple; None for anything else."""
+    match = _RELEASE.fullmatch(version)
+    return tuple(map(int, match.groups())) if match else None
+
+
+def restorable(code_version: str) -> bool:
+    """Whether a checkpoint written by ``code_version`` restores here:
+    an ``X.Y.Z`` release in ``[OLDEST_RESTORABLE, __version__]``."""
+    release = _release(code_version)
+    return (
+        release is not None
+        and _release(OLDEST_RESTORABLE) <= release <= _release(__version__)
+    )
+
 
 #: Recognised checkpoint kinds (the envelope's ``kind`` field).
 KIND_NETWORK = "network"
@@ -179,7 +187,7 @@ def read_checkpoint(
 
     Raises :class:`~repro.errors.CheckpointError` on unreadable files,
     foreign formats, digest mismatches, kind mismatches, and (by
-    default) checkpoints written by a different library version.
+    default) checkpoints of a version outside :func:`restorable`.
     """
     target = Path(path)
     try:
@@ -215,14 +223,11 @@ def read_checkpoint(
         raise CheckpointError(
             f"{target}: payload digest mismatch (file is corrupt or was edited)"
         )
-    if (
-        require_code_version
-        and document.code_version != __version__
-        and document.code_version not in COMPATIBLE_CODE_VERSIONS
-    ):
+    if require_code_version and not restorable(document.code_version):
         raise CheckpointError(
-            f"{target}: written by repro {document.code_version}, this build is "
-            f"{__version__}; refusing to restore across versions"
+            f"{target}: written by repro {document.code_version}, outside the "
+            f"releases {OLDEST_RESTORABLE} to {__version__} this build restores; "
+            "refusing to restore"
         )
     return document
 
@@ -231,7 +236,7 @@ def verify_checkpoint(path: Union[str, Path]) -> CheckpointDocument:
     """Full integrity check (digest included), ignoring the code version.
 
     Verification answers "is this file intact", which is meaningful for
-    checkpoints from older builds too; only *restoring* is version-bound.
+    checkpoints of any version; only *restoring* is version-bound.
     """
     return read_checkpoint(path, verify_digest=True, require_code_version=False)
 

@@ -94,6 +94,8 @@ def restore_network(graph: "ASGraph", payload: dict) -> SimNetwork:
     ``graph`` must be the same topology the snapshot was taken from
     (same scenario, size, and structure); a digest mismatch raises
     :class:`~repro.errors.CheckpointError` before any state is touched.
+    So does a payload whose pending MRAI wakeups and per-node timer
+    records disagree in either direction.
     """
     try:
         topology = payload["topology"]
@@ -145,6 +147,8 @@ def restore_network(graph: "ASGraph", payload: dict) -> SimNetwork:
         node = getattr(entry[2], "node", None)
         if node is not None:
             node.adopt_pending_event(entry)
+    for node in network.nodes.values():
+        node.check_wakeups_adopted()
 
     network.delivered_messages = delivered
     network.counter.load_state(counter_state_from_json(counter_data))

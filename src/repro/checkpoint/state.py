@@ -266,10 +266,8 @@ def node_state_from_json(data: dict) -> dict:
                 prefix_from_json(prefix): int(count)
                 for prefix, count in data["best_change_count"]
             },
-            # Schema 1.3.0 additions; older documents restart the saved-work
-            # counters at zero.
-            "decisions_run": int(data.get("decisions_run", 0)),
-            "decisions_skipped": int(data.get("decisions_skipped", 0)),
+            "decisions_run": int(data["decisions_run"]),
+            "decisions_skipped": int(data["decisions_skipped"]),
         }
     except (KeyError, TypeError, ValueError) as exc:
         raise CheckpointError(f"malformed node state in checkpoint: {exc}") from exc

@@ -10,10 +10,6 @@ __getattr__, __dir__, __all__ = _lazy_exports(
             "pick_origins",
             "run_c_event_experiment",
         ),
-        "repro.core.convergence": (
-            "ConvergenceProfile",
-            "convergence_profile",
-        ),
         "repro.core.exploration": (
             "ExplorationStats",
             "exploration_comparison",

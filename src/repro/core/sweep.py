@@ -271,7 +271,6 @@ _RAN_UNIT = False
 def _execute(
     unit: SweepUnit,
     checkpoint_dir: Optional[Union[str, Path]],
-    checkpoint_every: int,
 ) -> CEventBatchResult:
     """One unit in this process, checkpointed when a directory is given.
 
@@ -297,15 +296,12 @@ def _execute(
         return execute_sweep_unit(unit)
     from repro.checkpoint.batch import execute_sweep_unit_checkpointed
 
-    return execute_sweep_unit_checkpointed(
-        unit, checkpoint_dir, checkpoint_every=checkpoint_every
-    )
+    return execute_sweep_unit_checkpointed(unit, checkpoint_dir)
 
 
 def _run_unit(
     unit: SweepUnit,
     checkpoint_dir: Optional[Union[str, Path]],
-    checkpoint_every: int,
 ) -> UnitOutcome:
     """The unit runner of every process that is not the campaign's own.
 
@@ -316,7 +312,7 @@ def _run_unit(
     Module-level, so a pool pickles it by reference.
     """
     with telemetry_session(Telemetry()) as hub:
-        result = _execute(unit, checkpoint_dir, checkpoint_every)
+        result = _execute(unit, checkpoint_dir)
     return result, hub.counters
 
 
@@ -353,7 +349,6 @@ def _pool_task(
     ticket: int,
     unit: SweepUnit,
     checkpoint_dir: Optional[Union[str, Path]],
-    checkpoint_every: int,
 ) -> UnitOutcome:
     """One unit on a pool worker.
 
@@ -363,7 +358,7 @@ def _pool_task(
     if _BOARD is not None:
         _BOARD[2 * _SLOT + 1] = time.monotonic()
         _BOARD[2 * _SLOT] = ticket
-    return _run_unit(unit, checkpoint_dir, checkpoint_every)
+    return _run_unit(unit, checkpoint_dir)
 
 
 def _lost(future: concurrent.futures.Future) -> bool:
@@ -451,14 +446,12 @@ class UnitQueue:
         jobs: int,
         *,
         checkpoint_dir: Optional[Union[str, Path]] = None,
-        checkpoint_every: int = 1,
         on_unit_done: Optional[UnitDoneFn] = None,
         unit_timeout: Optional[float] = None,
         coordinator: Optional["Coordinator"] = None,
     ) -> None:
         self.jobs = jobs
         self.checkpoint_dir = checkpoint_dir
-        self.checkpoint_every = checkpoint_every
         self.on_unit_done = on_unit_done
         self.unit_timeout = unit_timeout
         self.coordinator = coordinator
@@ -504,11 +497,7 @@ class UnitQueue:
         else:
             try:
                 future = self._running_pool().submit(
-                    _pool_task,
-                    ticket.index,
-                    ticket.unit,
-                    self.checkpoint_dir,
-                    self.checkpoint_every,
+                    _pool_task, ticket.index, ticket.unit, self.checkpoint_dir
                 )
             except BrokenProcessPool:
                 # The pool broke while nobody was collecting from it.
@@ -587,9 +576,7 @@ class UnitQueue:
         waiting = [ticket for ticket in tickets if ticket.result is None]
         if self._inline:
             for ticket in waiting:
-                ticket.result = _execute(
-                    ticket.unit, self.checkpoint_dir, self.checkpoint_every
-                )
+                ticket.result = _execute(ticket.unit, self.checkpoint_dir)
                 self._notify(ticket)
             waiting = []
         lost: List[_Ticket] = []
@@ -628,7 +615,7 @@ class UnitQueue:
                 unit.num_batches,
                 " (resuming from checkpoint)" if self.checkpoint_dir else "",
             )
-            ticket.result = _execute(unit, self.checkpoint_dir, self.checkpoint_every)
+            ticket.result = _execute(unit, self.checkpoint_dir)
             ticket.future = None
             self._notify(ticket)
         for ticket in tickets:

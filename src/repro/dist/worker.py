@@ -153,7 +153,6 @@ def run_worker(
     address: Union[str, Tuple[str, int]],
     *,
     checkpoint_dir: Optional[Union[str, Path]] = None,
-    checkpoint_every: int = 1,
     max_units: Optional[int] = None,
     max_connect_attempts: int = 8,
     backoff_base: float = 0.5,
@@ -246,9 +245,7 @@ def run_worker(
                 started = time.monotonic()
                 try:
                     with _HeartbeatPump(connection, lease_id):
-                        result, counters = _run_unit(
-                            unit, checkpoint_dir, checkpoint_every
-                        )
+                        result, counters = _run_unit(unit, checkpoint_dir)
                 except ReproError as exc:
                     # Deterministic failure: retrying elsewhere cannot
                     # help, so tell the coordinator to fail the sweep.

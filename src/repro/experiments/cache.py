@@ -158,8 +158,6 @@ class SweepExecution:
     origin_batch_size: Optional[int] = None
     #: directory for in-progress sweep-unit checkpoints (None = disabled)
     checkpoint_dir: Optional[Path] = None
-    #: write a unit checkpoint every N measured C-events
-    checkpoint_every: int = 1
     #: live per-unit completion hook (the CLI progress line); observational
     on_unit_done: Optional[UnitDoneFn] = None
     #: upper bound on one unit's run on a pool worker, counted from when
@@ -259,7 +257,6 @@ class SweepExecution:
             self._queue = UnitQueue(
                 resolve_jobs(self.jobs),
                 checkpoint_dir=self.checkpoint_dir,
-                checkpoint_every=self.checkpoint_every,
                 on_unit_done=self.on_unit_done,
                 unit_timeout=self.unit_timeout,
                 coordinator=self.coordinator,
@@ -336,7 +333,6 @@ def sweep_execution(
     cache_dir: Optional[Union[str, Path]] = None,
     origin_batch_size: Optional[int] = None,
     checkpoint_dir: Optional[Union[str, Path]] = None,
-    checkpoint_every: int = 1,
     on_unit_done: Optional[UnitDoneFn] = None,
     unit_timeout: Optional[float] = None,
     coordinator: Optional[object] = None,
@@ -354,7 +350,6 @@ def sweep_execution(
         cache_dir=Path(cache_dir) if cache_dir is not None else None,
         origin_batch_size=origin_batch_size,
         checkpoint_dir=Path(checkpoint_dir) if checkpoint_dir is not None else None,
-        checkpoint_every=checkpoint_every,
         on_unit_done=on_unit_done,
         unit_timeout=check_unit_timeout(unit_timeout),
         coordinator=coordinator,

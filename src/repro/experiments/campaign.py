@@ -30,7 +30,7 @@ from repro.checkpoint.format import (
     read_checkpoint,
     write_checkpoint,
 )
-from repro.core.sweep import check_unit_timeout
+from repro.core.sweep import check_unit_timeout, resolve_jobs
 from repro.errors import CheckpointError, ExperimentError, SerializationError
 from repro.experiments.cache import sweep_execution
 from repro.obs.progress import ProgressLine
@@ -165,7 +165,6 @@ class CampaignSpec:
         echo=None,
         cache_dir: Optional[Union[str, Path]] = None,
         checkpoint_dir: Optional[Union[str, Path]] = None,
-        checkpoint_every: int = 1,
         resume: bool = False,
         telemetry: Optional[Telemetry] = None,
         show_progress: Optional[bool] = None,
@@ -192,7 +191,6 @@ class CampaignSpec:
             jobs=self.jobs,
             cache_dir=cache_dir if self.use_cache else None,
             checkpoint_dir=checkpoint_dir,
-            checkpoint_every=checkpoint_every,
             resume=resume,
             telemetry=telemetry,
             show_progress=show_progress,
@@ -233,9 +231,11 @@ def _spec_int(lo: int, hi: int):
 
 
 def _spec_jobs(name: str, value: object) -> Optional[int]:
+    """Auto (0) or at most this host's usable CPUs: a pool forks all its
+    workers at the first unit, so a client must not choose more."""
     if value is None:
         return None
-    return _spec_int(0, 1024)(name, value)
+    return _spec_int(0, resolve_jobs(0))(name, value)
 
 
 def _spec_experiments(name: str, value: object) -> Optional[tuple]:
@@ -391,7 +391,6 @@ def run_campaign(
     jobs: Optional[int] = None,
     cache_dir: Optional[Union[str, Path]] = None,
     checkpoint_dir: Optional[Union[str, Path]] = None,
-    checkpoint_every: int = 1,
     resume: bool = False,
     telemetry: Optional[Telemetry] = None,
     show_progress: Optional[bool] = None,
@@ -438,7 +437,7 @@ def run_campaign(
 
     ``checkpoint_dir`` makes the campaign restartable: each completed
     experiment is recorded there as it finishes, sweep workers checkpoint
-    their in-progress units every ``checkpoint_every`` C-events, and
+    their in-progress units after every C-event but the last, and
     ``resume=True`` picks a killed campaign up where it left off —
     producing artifacts identical to an uninterrupted run.  A
     ``KeyboardInterrupt`` flushes completed state before propagating,
@@ -582,7 +581,6 @@ def run_campaign(
                 jobs=jobs,
                 cache_dir=cache_dir,
                 checkpoint_dir=checkpoint_dir,
-                checkpoint_every=checkpoint_every,
                 unit_timeout=unit_timeout,
                 coordinator=coordinator,
                 on_unit_done=unit_done if on_event is not None else None,

@@ -285,10 +285,6 @@ def build_parser() -> argparse.ArgumentParser:
             "name tenants for quota accounting)"
         ),
     )
-    api_parser.add_argument(
-        "--checkpoint-every", type=int, default=1, metavar="N",
-        help="write a unit checkpoint every N measured C-events (default: 1)",
-    )
 
     worker_parser = sub.add_parser(
         "worker",
@@ -306,10 +302,6 @@ def build_parser() -> argparse.ArgumentParser:
             "checkpoint in-progress units there and resume them after a "
             "worker crash (results are byte-identical either way)"
         ),
-    )
-    worker_parser.add_argument(
-        "--checkpoint-every", type=int, default=1, metavar="N",
-        help="write a unit checkpoint every N measured C-events (default: 1)",
     )
     worker_parser.add_argument(
         "--max-units", type=int, default=None, metavar="N",
@@ -586,13 +578,6 @@ def _add_execution_options(parser: argparse.ArgumentParser) -> None:
             "their state there and resume after a crash or interrupt "
             "(results are byte-identical either way)"
         ),
-    )
-    parser.add_argument(
-        "--checkpoint-every",
-        type=int,
-        default=1,
-        metavar="N",
-        help="write a checkpoint every N measured C-events (default: 1)",
     )
 
 

@@ -34,7 +34,6 @@ def main(args: argparse.Namespace) -> int:
         max_queued_per_tenant=args.max_queued_per_tenant,
         max_running_per_tenant=args.max_running_per_tenant,
         cache_dir=args.cache_dir,
-        checkpoint_every=args.checkpoint_every,
     ) as scheduler:
         try:
             asyncio.run(_serve(scheduler))

@@ -32,7 +32,7 @@ def main(args: argparse.Namespace) -> int:
         **(
             {"distributed": args.bind, "lease_timeout": args.lease_timeout}
             if serve
-            else {"checkpoint_every": args.checkpoint_every}
+            else {}
         ),
     )
     print(summary.to_text())

@@ -19,7 +19,6 @@ def main(args: argparse.Namespace) -> int:
         jobs=args.jobs,
         cache_dir=args.cache_dir,
         checkpoint_dir=args.checkpoint_dir,
-        checkpoint_every=args.checkpoint_every,
         unit_timeout=args.unit_timeout,
     ):
         if args.experiment.lower() == "all":

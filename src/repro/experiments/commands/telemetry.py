@@ -76,7 +76,6 @@ def _profile(args: argparse.Namespace) -> int:
         jobs=args.jobs,
         cache_dir=args.cache_dir,
         checkpoint_dir=args.checkpoint_dir,
-        checkpoint_every=args.checkpoint_every,
         unit_timeout=args.unit_timeout,
     ), maybe_profile(not args.no_profile) as profiler:
         # The outer "experiment" phase guarantees a per-phase row even for

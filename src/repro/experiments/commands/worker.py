@@ -12,7 +12,6 @@ def main(args: argparse.Namespace) -> int:
     units = run_worker(
         args.address,
         checkpoint_dir=args.checkpoint_dir,
-        checkpoint_every=args.checkpoint_every,
         max_units=args.max_units,
         max_connect_attempts=args.connect_attempts,
         echo=echo,

@@ -9,18 +9,13 @@ pairs so aggregation, longest-match and covering relations exist.
 :class:`Prefix` follows the :class:`~repro.bgp.route.Route` hot-path
 idiom: frozen, with a process-global intern table (:func:`make_prefix`)
 so one churning prefix re-imported thousands of times is a single shared
-object — and it *is* the ``(addr, length)`` tuple, so dict lookups hash
-and compare it without entering the interpreter.
+object — and it *is* the ``(addr, length)`` tuple, so dict lookups hash,
+compare and order it without entering the interpreter.
 
-Mixed-token ordering
---------------------
-
-Old checkpoints (and scenarios that never migrated) still use bare-int
-tokens, and the MRAI flush sorts pending prefixes.  To keep every such
-sort total and deterministic, :class:`Prefix` defines ordering against
-ints as well: *all ints sort before all prefixes*, ints among themselves
-and prefixes among themselves keep their natural (value, then
-(addr, length)) order.  Equality across the two kinds is always False —
+Bare-int tokens stay legal as opaque tokens (scenarios that never
+migrated still use them), but the two kinds do not order against each
+other: a run keeps to one kind, so the MRAI flush's sort of pending
+prefixes never mixes them.  Equality across the kinds is always False —
 an int token never aliases a Prefix token.
 """
 
@@ -86,29 +81,6 @@ class Prefix(tuple):
 
     def __delattr__(self, name: str) -> None:
         raise FrozenInstanceError(f"cannot delete field {name!r}")
-
-    # Total order: (addr, length) among prefixes — the tuple order;
-    # every int sorts before every Prefix (see module docstring on
-    # mixed-token sorts).
-    def __lt__(self, other: object) -> bool:
-        if isinstance(other, int):
-            return False
-        return tuple.__lt__(self, other)
-
-    def __le__(self, other: object) -> bool:
-        if isinstance(other, int):
-            return False
-        return tuple.__le__(self, other)
-
-    def __gt__(self, other: object) -> bool:
-        if isinstance(other, int):
-            return True
-        return tuple.__gt__(self, other)
-
-    def __ge__(self, other: object) -> bool:
-        if isinstance(other, int):
-            return True
-        return tuple.__ge__(self, other)
 
     def __str__(self) -> str:
         octets = (
@@ -211,10 +183,9 @@ def prefix_to_json(token: PrefixToken) -> Union[int, list]:
     """JSON form of a prefix token: bare ints pass through (the legacy
     convention), a :class:`Prefix` becomes ``[addr, length]``.
 
-    Part of the checkpoint format (schema 1.3.0): documents written by
-    older versions contain only ints, which deserialize unchanged — the
-    BGP machinery treats both token kinds opaquely, so a migrated run
-    continues byte-identically.
+    Part of the checkpoint format since 1.3.0, the oldest release whose
+    files restore: both forms deserialize to the token kind they were
+    written from, so a restored run continues byte-identically.
     """
     if isinstance(token, Prefix):
         return [token.addr, token.length]

@@ -384,6 +384,15 @@ class TestMalformedRequests:
         assert status == 400
         assert "surprise" in body["error"]
 
+    def test_jobs_above_the_usable_cpus(self, fake_service):
+        from repro.core.sweep import resolve_jobs
+
+        status, body = fake_service.request_json(
+            "POST", "/campaigns", {"scale": "smoke", "jobs": resolve_jobs(0) + 1}
+        )
+        assert status == 400
+        assert "jobs" in body["error"]
+
     def test_unknown_scale(self, fake_service):
         status, _ = fake_service.request_json(
             "POST", "/campaigns", {"scale": "galactic"}

@@ -11,6 +11,7 @@ import json
 import pytest
 
 from repro.api import wire
+from repro.core.sweep import resolve_jobs
 from repro.errors import ApiError
 
 
@@ -159,10 +160,31 @@ class TestResponses:
 
 class TestParseSpec:
     def test_valid_spec(self):
-        spec = wire.parse_spec(b'{"scale": "smoke", "seed": 3, "jobs": 2}')
+        spec = wire.parse_spec(b'{"scale": "smoke", "seed": 3, "jobs": 1}')
         assert spec.scale == "smoke"
         assert spec.seed == 3
-        assert spec.jobs == 2
+        assert spec.jobs == 1
+
+    def test_jobs_up_to_the_usable_cpus(self):
+        for jobs in (None, 0, resolve_jobs(0)):
+            body = json.dumps({"scale": "smoke", "jobs": jobs}).encode()
+            assert wire.parse_spec(body).jobs == jobs
+
+    @pytest.mark.parametrize("excess", [1, 1024])
+    def test_jobs_above_the_usable_cpus_is_a_client_error(self, excess):
+        # A pool forks all its workers at the first unit: a client must
+        # not choose how many processes the server starts.
+        body = json.dumps(
+            {
+                "scale": "smoke",
+                "seed": 1,
+                "experiments": ["fig07"],
+                "jobs": resolve_jobs(0) + excess,
+            }
+        ).encode()
+        with pytest.raises(ApiError, match="jobs") as excinfo:
+            wire.parse_spec(body)
+        assert excinfo.value.status == 400
 
     @pytest.mark.parametrize(
         "body",

@@ -265,19 +265,6 @@ class TestWakeupEdgeCases:
         flushed, _ = ch.wakeup(now=gate)
         assert [m.prefix for m in flushed] == [0]
 
-    def test_superseded_wakeup_is_ignored_by_node(self, diamond, fast_config):
-        from repro.sim.network import SimNetwork
-
-        network = SimNetwork(diamond, fast_config, seed=3)
-        node = network.node(2)
-        # Arm a wakeup at a late time, then supersede it with an earlier
-        # one; delivering the stale MRAIWakeup must be a no-op.
-        node._schedule_wakeup(4, 50.0)
-        node._schedule_wakeup(4, 20.0)
-        assert node._wakeup_at[4] == 20.0
-        node._mrai_wakeup(4, 50.0)  # stale: at != scheduled
-        assert node._wakeup_at[4] == 20.0  # untouched, no send attempted
-
     def test_wakeup_before_gate_reschedules(self, diamond, fast_config):
         from repro.sim.network import SimNetwork
 

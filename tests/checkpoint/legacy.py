@@ -1,6 +1,6 @@
 """Writers of old checkpoint layouts, kept to test that they still resume.
 
-The 1.1.0–1.5.0 node encoder: those releases stored every node's full
+The 1.3.0–1.5.0 node encoder (1.1.0 and 1.2.0 wrote it too): those releases stored every node's full
 ``random.Random`` state (625 words) under ``rng`` and wrote every field,
 construction defaults and ``None`` wakeups included; channels had no
 ``arms`` count.  The body of :func:`legacy_node_state_to_json` is the

@@ -15,7 +15,6 @@ from repro.checkpoint.batch import (
 from repro.checkpoint.format import read_checkpoint
 from repro.core.factors import RawFactorSums
 from repro.core.sweep import SweepUnit, execute_sweep_unit
-from repro.errors import CheckpointError
 from repro.obs import telemetry_session
 
 FAST = BGPConfig(mrai=2.0, link_delay=0.001, processing_time_max=0.01)
@@ -122,29 +121,23 @@ class TestResumeRobustness:
         result = execute_sweep_unit_checkpointed(unit, tmp_path)
         _assert_identical(execute_sweep_unit(unit), result)
 
-    def test_resume_false_ignores_checkpoint(self, tmp_path, monkeypatch):
+    def test_every_event_but_the_last_is_checkpointed(self, tmp_path, monkeypatch):
         unit = _unit("baseline", 60, FAST)
-        _interrupt_after(monkeypatch, events=2)
-        with pytest.raises(Interrupt):
-            execute_sweep_unit_checkpointed(unit, tmp_path)
-        monkeypatch.undo()
-        result = execute_sweep_unit_checkpointed(unit, tmp_path, resume=False)
-        _assert_identical(execute_sweep_unit(unit), result)
-
-    def test_checkpoint_every_bounds_writes(self, tmp_path, monkeypatch):
-        unit = _unit("baseline", 60, FAST)
-        writes = []
+        written = []
         import repro.checkpoint.batch as batch_module
 
         original = batch_module.write_checkpoint
         monkeypatch.setattr(
             batch_module,
             "write_checkpoint",
-            lambda *a, **kw: (writes.append(1), original(*a, **kw)),
+            lambda path, kind, payload: (
+                written.append(payload["next_index"]),
+                original(path, kind, payload),
+            ),
         )
-        execute_sweep_unit_checkpointed(unit, tmp_path, checkpoint_every=2)
-        # 4 origins, every 2nd event; nothing is written after the last.
-        assert len(writes) == 1
+        execute_sweep_unit_checkpointed(unit, tmp_path)
+        # 4 origins: after events 1, 2 and 3; nothing after the last.
+        assert written == [1, 2, 3]
 
     def test_kill_after_last_event_resumes_from_previous_checkpoint(
         self, tmp_path, monkeypatch
@@ -190,11 +183,6 @@ class TestResumeRobustness:
         assert second.counters["checkpoint.resumes"] == 1
         assert second.counters["checkpoint.writes"] == 1  # event 3 of 4 only
         assert "checkpoint.discarded" not in second.counters
-
-    def test_checkpoint_every_must_be_positive(self, tmp_path):
-        unit = _unit("baseline", 60, FAST)
-        with pytest.raises(CheckpointError, match="checkpoint_every"):
-            execute_sweep_unit_checkpointed(unit, tmp_path, checkpoint_every=0)
 
 
 class TestUnitKeys:

@@ -122,28 +122,49 @@ class TestValidation:
         # ...but verification is version-agnostic by design.
         assert verify_checkpoint(path).code_version == "0.0.0-other"
 
-    def test_compatible_old_code_version_accepted(self, path):
-        """Checkpoints from the 1.1.x kernel restore into the current one.
-
-        The 1.2.0 fast-path kernel changed in-memory representations but
-        not the checkpoint schema, so every version in
-        COMPATIBLE_CODE_VERSIONS must pass the restore gate.
-        """
-        from repro.checkpoint.format import COMPATIBLE_CODE_VERSIONS
-
-        assert "1.1.0" in COMPATIBLE_CODE_VERSIONS
-        for old_version in COMPATIBLE_CODE_VERSIONS:
-            write_checkpoint(path, KIND_NETWORK, {"value": 1})
-            data = json.loads(path.read_text(encoding="utf-8"))
-            data["code_version"] = old_version
-            path.write_text(json.dumps(data), encoding="utf-8")
-            document = read_checkpoint(path)
-            assert document.code_version == old_version
-            assert document.payload == {"value": 1}
-
     def test_digest_is_format_independent(self):
         # Same payload, different key order -> same digest.
         assert payload_digest({"a": 1, "b": 2}) == payload_digest({"b": 2, "a": 1})
+
+
+def _stamped(path, code_version):
+    """Write a checkpoint claiming to come from ``code_version``."""
+    write_checkpoint(path, KIND_NETWORK, {"value": 1})
+    data = json.loads(path.read_text(encoding="utf-8"))
+    data["code_version"] = code_version
+    path.write_text(json.dumps(data), encoding="utf-8")
+
+
+def _next_minor():
+    major, minor, _patch = __version__.split(".")
+    return f"{major}.{int(minor) + 1}.0"
+
+
+class TestReleaseRange:
+    """Restore takes an ``X.Y.Z`` release from 1.3.0 up to this build's."""
+
+    @pytest.mark.parametrize("version", ["1.3.0", "1.4.0", "1.5.0", __version__])
+    def test_releases_in_range_restore(self, path, version):
+        _stamped(path, version)
+        document = read_checkpoint(path)
+        assert document.code_version == version
+        assert document.payload == {"value": 1}
+
+    def test_current_release_restores_after_a_version_bump(self, path, monkeypatch):
+        write_checkpoint(path, KIND_NETWORK, {"value": 1})
+        monkeypatch.setattr("repro.checkpoint.format.__version__", _next_minor())
+        assert read_checkpoint(path).code_version == __version__
+
+    @pytest.mark.parametrize(
+        "version",
+        ["1.0.0", "1.1.0", "1.2.0", _next_minor(), "1.6", "v1.6.0", "1.6.0rc1"],
+    )
+    def test_other_versions_refused_but_verified_and_inspected(self, path, version):
+        _stamped(path, version)
+        with pytest.raises(CheckpointError, match="refusing to restore"):
+            read_checkpoint(path)
+        assert verify_checkpoint(path).code_version == version
+        assert inspect_checkpoint(path)["code_version"] == version
 
 
 class TestInspect:

@@ -177,3 +177,35 @@ class TestRestoreValidation:
         del payload["engine"]
         with pytest.raises(CheckpointError, match="malformed network payload"):
             restore_network(graph, payload)
+
+
+class TestWakeupConsistency:
+    """A restored MRAI wakeup is exactly its channel's timer record."""
+
+    def _payload(self):
+        graph, network = _build("baseline", 60, BGPConfig(mrai=2.0, **FAST))
+        _drive(network, steps=200)
+        payload = json.loads(json.dumps(snapshot_network(network)))
+        wakeups = [
+            entry
+            for entry in payload["engine"]["pending"]
+            if entry[2][0] == "mrai-wakeup"
+        ]
+        assert wakeups, "the snapshot should hold pending MRAI wakeups"
+        return graph, payload, wakeups[0]
+
+    def test_consistent_payload_restores(self):
+        graph, payload, _wakeup = self._payload()
+        restore_network(graph, payload).run_to_convergence()
+
+    def test_wakeup_at_another_time_refused(self):
+        graph, payload, wakeup = self._payload()
+        wakeup[2][3] += 1.0  # descriptor: [kind, node, neighbor, at]
+        with pytest.raises(CheckpointError, match="does not match its timer"):
+            restore_network(graph, payload)
+
+    def test_timer_record_without_pending_wakeup_refused(self):
+        graph, payload, wakeup = self._payload()
+        payload["engine"]["pending"].remove(wakeup)
+        with pytest.raises(CheckpointError, match="no wakeup is pending"):
+            restore_network(graph, payload)

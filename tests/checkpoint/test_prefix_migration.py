@@ -4,8 +4,9 @@ Two directions:
 
 * a run using real :class:`Prefix` tokens must round-trip byte-identically
   (tokens come back as the *same interned objects*);
-* a 1.2.0-style document — bare-int prefixes, no per-node decision
-  counters — must still restore, with the counters starting at zero.
+* bare-int tokens in a current-layout document restore as ints, while a
+  document without the per-node decision counters (the 1.2.0 layout,
+  older than any restorable release) is refused as malformed.
 """
 
 import json
@@ -16,7 +17,7 @@ from repro.bgp.config import BGPConfig
 from repro.checkpoint import restore_network, snapshot_network
 from repro.checkpoint.state import node_state_from_json, node_state_to_json
 from repro.core.prefix_churn import loc_rib_digest
-from repro.errors import SerializationError
+from repro.errors import CheckpointError, SerializationError
 from repro.prefix.prefix import Prefix, make_prefix
 from repro.sim.network import SimNetwork
 from repro.topology.generator import generate_topology
@@ -119,8 +120,8 @@ class TestPrefixTokenRoundTrip:
 
 
 class TestIntPrefixMigration:
-    def _legacy_node_document(self):
-        """A node state as a 1.2.0 build would have written it."""
+    def _int_token_node_document(self):
+        """A node state of a run that uses bare-int prefix tokens."""
         _, network = _build()
         stubs = [
             nid
@@ -132,24 +133,23 @@ class TestIntPrefixMigration:
         network.run_to_convergence()
         node = network.nodes[stubs[2]]
         document = node_state_to_json(node.checkpoint_state())
-        # 1.2.0 documents predate the decision counters.
-        del document["decisions_run"]
-        del document["decisions_skipped"]
         return json.loads(json.dumps(document))
 
-    def test_counters_default_to_zero(self):
-        state = node_state_from_json(self._legacy_node_document())
-        assert state["decisions_run"] == 0
-        assert state["decisions_skipped"] == 0
+    @pytest.mark.parametrize("counter", ["decisions_run", "decisions_skipped"])
+    def test_counterless_node_document_is_refused(self, counter):
+        document = self._int_token_node_document()
+        del document[counter]
+        with pytest.raises(CheckpointError, match=counter):
+            node_state_from_json(document)
 
     def test_int_tokens_stay_ints(self):
-        state = node_state_from_json(self._legacy_node_document())
+        state = node_state_from_json(self._int_token_node_document())
         prefixes = [prefix for prefix, _n, _r in state["adj_rib_in"]]
         prefixes += [prefix for prefix, _r in state["loc_rib"]]
         assert prefixes, "the sampled node must have learned routes"
         assert all(isinstance(prefix, int) for prefix in prefixes)
 
-    def test_network_restore_accepts_a_counterless_payload(self):
+    def test_network_restore_refuses_a_counterless_payload(self):
         graph, network = _build()
         stub = [
             nid for nid in graph.node_ids if not graph.customers_of(nid)
@@ -158,12 +158,6 @@ class TestIntPrefixMigration:
         for _ in range(120):
             network.engine.step()
         payload = json.loads(json.dumps(snapshot_network(network)))
-        for _node_id, state in payload["nodes"]:
-            del state["decisions_run"]
-            del state["decisions_skipped"]
-        restored = restore_network(graph, payload)
-        assert all(
-            node.decisions_run == 0 and node.decisions_skipped == 0
-            for node in restored.nodes.values()
-        )
-        restored.run_to_convergence()  # and the run continues cleanly
+        del payload["nodes"][0][1]["decisions_run"]
+        with pytest.raises(CheckpointError, match="malformed node state"):
+            restore_network(graph, payload)

@@ -31,7 +31,7 @@ _SLOW_DIR_ENV = "REPRO_TEST_SLOW_DIR"
 _real_run_unit = _run_unit
 
 
-def _slow_run_unit(unit, checkpoint_dir, checkpoint_every):
+def _slow_run_unit(unit, checkpoint_dir):
     """``_run_unit`` that sleeps once per unit before executing it.
 
     Module-level so the process pool can pickle it by reference when a
@@ -48,7 +48,7 @@ def _slow_run_unit(unit, checkpoint_dir, checkpoint_every):
         if not marker.exists():
             marker.write_text("", encoding="utf-8")
             time.sleep(1.5 if unit.n == 60 else 3.0)
-    return _real_run_unit(unit, checkpoint_dir, checkpoint_every)
+    return _real_run_unit(unit, checkpoint_dir)
 
 
 def _series(result):

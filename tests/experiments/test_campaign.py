@@ -4,6 +4,7 @@ import threading
 
 import pytest
 
+from repro.core.sweep import resolve_jobs
 from repro.errors import ReproError
 from repro.experiments import cache
 from repro.experiments import campaign as campaign_module
@@ -180,7 +181,7 @@ class TestCampaignSpec:
         ).key()
 
     def test_from_dict_round_trip(self, tiny_preset):
-        spec = CampaignSpec(scale=tiny_preset, seed=3, jobs=2, priority=-1)
+        spec = CampaignSpec(scale=tiny_preset, seed=3, jobs=1, priority=-1)
         assert CampaignSpec.from_dict(spec.to_dict()) == spec
 
     @pytest.mark.parametrize(
@@ -200,6 +201,7 @@ class TestCampaignSpec:
             {"use_cache": "yes"},
             {"priority": 1000},
             {"scale": "no-such-preset"},
+            {"jobs": resolve_jobs(0) + 1},  # more workers than usable CPUs
         ],
     )
     def test_from_dict_rejects_malformed(self, tiny_preset, bad):

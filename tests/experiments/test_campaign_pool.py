@@ -40,11 +40,11 @@ SRC = Path(__file__).resolve().parents[2] / "src"
 _real_run_unit = sweep_module._run_unit
 
 
-def _unit_taking_a_second(unit, checkpoint_dir, checkpoint_every):
+def _unit_taking_a_second(unit, checkpoint_dir):
     """``_run_unit`` plus one second of sleep (installed into the pool's
     workers by monkeypatching before the pool forks)."""
     time.sleep(1.0)
-    return _real_run_unit(unit, checkpoint_dir, checkpoint_every)
+    return _real_run_unit(unit, checkpoint_dir)
 
 
 @pytest.fixture(autouse=True)

@@ -144,7 +144,6 @@ class TestParser:
         assert args.jobs is None
         assert args.cache_dir is None
         assert args.checkpoint_dir is None
-        assert args.checkpoint_every == 1
         assert args.resume is False
 
     def test_checkpoint_options(self, tmp_path):
@@ -155,14 +154,30 @@ class TestParser:
                 "out",
                 "--checkpoint-dir",
                 str(tmp_path),
-                "--checkpoint-every",
-                "5",
                 "--resume",
             ]
         )
         assert args.checkpoint_dir == tmp_path
-        assert args.checkpoint_every == 5
         assert args.resume is True
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["run", "fig04"],
+            ["campaign", "-o", "out"],
+            ["profile", "fig04"],
+            ["worker", "localhost:7787"],
+            ["api", "--data-dir", "state"],
+        ],
+        ids=lambda argv: argv[0],
+    )
+    def test_checkpoint_cadence_is_not_an_option(self, argv):
+        # A unit checkpoints after every C-event but the last; the
+        # argument lists are otherwise valid.
+        build_parser().parse_args(argv)
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args([*argv, "--checkpoint-every", "1"])
+        assert exc.value.code == 2
 
     def test_scale_choices_are_the_presets(self):
         from repro.experiments.cli import SCALE_NAMES

@@ -64,19 +64,7 @@ class TestValueSemantics:
 
 
 class TestMixedTokenOrdering:
-    """Int tokens and Prefix tokens must sort totally and deterministically."""
-
-    def test_every_int_sorts_before_every_prefix(self):
-        smallest = make_prefix(0, 0)
-        assert 10**9 < smallest
-        assert smallest > -5
-        assert not smallest < 0
-        assert smallest >= 0
-
-    def test_mixed_sort_is_total(self):
-        tokens = [make_prefix(0x0A000000, 8), 3, make_prefix(0, 0), 1, 2]
-        ordered = sorted(tokens)
-        assert ordered == [1, 2, 3, make_prefix(0, 0), make_prefix(0x0A000000, 8)]
+    """Int and Prefix tokens never alias; prefixes order as their tuples."""
 
     def test_equality_across_kinds_is_false(self):
         assert make_prefix(0, 32) != 0
