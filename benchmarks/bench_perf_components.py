@@ -823,17 +823,15 @@ def test_campaign_pool_budget(results_dir):
     to 1.
     """
     from repro.experiments import cache
-    from repro.experiments.campaign import run_campaign
-    from repro.experiments.scale import get_scale
+    from repro.experiments.campaign import CampaignSpec, run_campaign
 
     jobs = 2
     hub = Telemetry()
     cache.clear_cache()
     summary = run_campaign(
-        get_scale("smoke"),
-        seed=0,
-        experiments=["fig07", "fig10", "fig11"],
-        jobs=jobs,
+        CampaignSpec(
+            scale="smoke", seed=0, experiments=("fig07", "fig10", "fig11"), jobs=jobs
+        ),
         telemetry=hub,
     )
     cache.clear_cache()

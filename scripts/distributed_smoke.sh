@@ -16,6 +16,13 @@
 # the checkpoint directory empty, and write the serial run's artifacts.
 # The broken pool also loses the unit on the other worker, which resumes
 # too when it had already checkpointed: the resume count is 1 or 2.
+#
+# A fifth leg kills a whole serial campaign: fig07 + fig10 with
+# --checkpoint-dir, ended one event into fig10's NO-PEERING n=200 unit
+# (fig07 is complete and flushed by then).  Rerunning the same command
+# must restore fig07 from the campaign state, resume the unit from its
+# checkpoint, leave the checkpoint directory empty, and write an
+# uninterrupted run's artifacts.
 set -euo pipefail
 
 SCALE="${REPRO_SCALE:-smoke}"
@@ -72,3 +79,30 @@ fi
 grep -qxE '\{"kind":"counter","name":"checkpoint.resumes","value":[12]\}' "$TELEMETRY" \
     || { echo "FAIL: telemetry does not count the resume"; exit 1; }
 echo "OK: the killed unit resumed from its checkpoint, artifacts byte-identical to serial"
+
+echo "== kill and resume a campaign: fig07 + fig10 serial, killed in fig10, rerun as is =="
+python -m repro.experiments.cli campaign --scale "$SCALE" --experiment fig07 \
+    --experiment fig10 -o "$WORK/campaign-reference"
+CAMPAIGN=(python -m repro.experiments.cli campaign --scale "$SCALE" --experiment fig07
+          --experiment fig10 --checkpoint-dir "$WORK/campaign-checkpoints"
+          -o "$WORK/campaign-resumed")
+if REPRO_FAULT_INJECT="NO-PEERING:200:0:1:$WORK/campaign-fault-marker" \
+        "${CAMPAIGN[@]}" > "$WORK/campaign-killed.out" 2>&1; then
+    echo "FAIL: the campaign survived its fault"
+    exit 1
+fi
+test -e "$WORK/campaign-fault-marker" || { echo "FAIL: the fault never fired"; exit 1; }
+"${CAMPAIGN[@]}" 2> "$WORK/campaign-resumed.err"
+cat "$WORK/campaign-resumed.err" >&2
+grep -qxF "resuming: 1 completed experiment(s) restored (fig07)" \
+    "$WORK/campaign-resumed.err" || { echo "FAIL: fig07 was not restored"; exit 1; }
+grep -qxF '{"kind":"counter","name":"checkpoint.resumes","value":1}' \
+    "$WORK/campaign-resumed/telemetry.jsonl" \
+    || { echo "FAIL: telemetry does not count one unit resume"; exit 1; }
+if [ -n "$(ls -A "$WORK/campaign-checkpoints")" ]; then
+    echo "FAIL: checkpoints left behind: $(ls "$WORK/campaign-checkpoints")"
+    exit 1
+fi
+diff "$WORK/campaign-reference/campaign.json" "$WORK/campaign-resumed/campaign.json"
+diff "$WORK/campaign-reference/campaign.md" "$WORK/campaign-resumed/campaign.md"
+echo "OK: the rerun restored fig07 and resumed fig10's unit, artifacts byte-identical to an uninterrupted run"

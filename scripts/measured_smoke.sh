@@ -16,7 +16,6 @@ WORK="$(mktemp -d)"
 trap 'rm -rf "$WORK"' EXIT
 
 export PYTHONPATH=src
-export REPRO_SCALE=smoke
 
 echo "== import fixture (plain and gzip) =="
 python -m repro.experiments.cli topology import "$FIXTURE" \
@@ -41,11 +40,11 @@ echo "identical"
 
 echo "== ext-longmem campaign on the measured fixture (run 1) =="
 export REPRO_LONGMEM_TOPOLOGY="$FIXTURE"
-python -m repro.experiments.cli campaign --experiment ext-longmem \
+python -m repro.experiments.cli campaign --scale smoke --experiment ext-longmem \
     --seed 1 -o "$WORK/run1" --cache-dir "$WORK/cache1"
 
 echo "== ext-longmem campaign on the measured fixture (run 2) =="
-python -m repro.experiments.cli campaign --experiment ext-longmem \
+python -m repro.experiments.cli campaign --scale smoke --experiment ext-longmem \
     --seed 1 -o "$WORK/run2" --cache-dir "$WORK/cache2"
 
 echo "== diff: campaign.json run 1 vs run 2 =="

@@ -36,6 +36,7 @@ from repro.experiments.campaign import (
     CampaignCancelled,
     CampaignSpec,
     CampaignSummary,
+    run_campaign,
 )
 
 STATE_QUEUED = "queued"
@@ -390,11 +391,11 @@ class CampaignScheduler:
         output_dir = self.job_dir(job.job_id)
         checkpoint_dir = self.data_dir / "checkpoints" / job.job_id
         try:
-            summary = job.spec.run(
+            summary = run_campaign(
+                job.spec,
                 output_dir=output_dir,
-                cache_dir=self.cache_dir if job.spec.use_cache else None,
+                cache_dir=self.cache_dir,
                 checkpoint_dir=checkpoint_dir,
-                resume=True,
                 show_progress=False,
                 on_event=lambda event: self._record(job, event),
                 cancel=job.cancel_event,

@@ -37,13 +37,6 @@ __getattr__, __dir__, __all__ = _lazy_exports(
             "load_report",
             "run_load_probe",
         ),
-        "repro.core.model": (
-            "FactorScaling",
-            "attribute_growth",
-            "decomposition_residual",
-            "dominant_term",
-            "predict_updates",
-        ),
         "repro.core.mrai_sweep": (
             "DEFAULT_MRAI_VALUES",
             "MRAISweepResult",

@@ -319,9 +319,7 @@ def predicted_u(factors: TypeFactors, relationship: Optional[Relationship] = Non
 
     With ``relationship`` given, returns the single term
     ``m_y · q_y · e_y``; otherwise the full sum over classes.  By
-    construction of the aggregation this matches the measured U exactly;
-    the analytical-model module uses it to extrapolate *hypothetical*
-    factor changes.
+    construction of the aggregation this matches the measured U exactly.
     """
     if relationship is not None:
         return (

@@ -5,12 +5,16 @@ given scale and seed, with the rendered reports, the raw series (JSON)
 and a pass/fail summary written to an output directory.  EXPERIMENTS.md's
 recorded section is one campaign's markdown.
 
+:func:`run_campaign` is the one driver that runs experiments: the
+``run``, ``profile``, ``campaign`` and ``serve`` verbs and the API
+scheduler all hand it a :class:`CampaignSpec`.
+
 Campaigns are interruptible: with a checkpoint directory, the campaign
 records every completed experiment as it finishes (and, through the
 sweep executor, every in-progress sweep unit), so a killed campaign
-rerun with ``resume=True`` skips all completed work and produces
-artifacts identical to an uninterrupted run.  ``Ctrl-C`` flushes the
-completed results before the interrupt propagates.
+rerun with the same checkpoint directory skips all completed work and
+produces artifacts identical to an uninterrupted run.  ``Ctrl-C``
+flushes the completed results before the interrupt propagates.
 """
 
 from __future__ import annotations
@@ -19,6 +23,7 @@ import contextlib
 import dataclasses
 import hashlib
 import json
+import sys
 import threading
 import time
 from pathlib import Path
@@ -36,7 +41,12 @@ from repro.experiments.cache import sweep_execution
 from repro.obs.progress import ProgressLine
 from repro.obs.runlog import TELEMETRY_FILENAME, write_telemetry_jsonl
 from repro.obs.telemetry import Telemetry, telemetry_session
-from repro.experiments.registry import declared_sweeps, experiment_ids, run_experiment
+from repro.experiments.registry import (
+    declared_sweeps,
+    experiment_ids,
+    get_experiment,
+    run_experiment,
+)
 from repro.experiments.report import ExperimentResult
 from repro.experiments.results_io import (
     result_from_dict,
@@ -73,6 +83,11 @@ class CampaignSpec:
     execution policy (parallelism, timeouts, queueing priority): they
     never change an artifact byte and are deliberately excluded from the
     key, mirroring the sweep cache's discipline.
+
+    Construction canonicalises the identity fields, so every spelling of
+    one campaign is one spec: ``scale`` becomes its preset's name and
+    ``experiments`` the named ids in registry order without repeats
+    (unknown presets and ids raise here, before anything runs).
     """
 
     scale: str = "default"
@@ -93,6 +108,22 @@ class CampaignSpec:
 
     #: accepted JSON fields and their validators, for :meth:`from_dict`
     _FIELDS = None  # populated below the class body
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "scale", self.resolve_scale().name)
+        if self.experiments is not None:
+            requested = {get_experiment(item).experiment_id for item in self.experiments}
+            if not requested:
+                raise ExperimentError("experiments subset must not be empty")
+            object.__setattr__(
+                self,
+                "experiments",
+                tuple(
+                    experiment_id
+                    for experiment_id in experiment_ids(include_extensions=True)
+                    if experiment_id in requested
+                ),
+            )
 
     def identity(self) -> dict:
         """The fields (plus code version) that determine the artifacts."""
@@ -154,52 +185,7 @@ class CampaignSpec:
         for name, validate in cls._FIELDS.items():
             if name in data:
                 kwargs[name] = validate(name, data[name])
-        spec = cls(**kwargs)
-        spec.resolve_scale()  # unknown presets fail here, at parse time
-        return spec
-
-    def run(
-        self,
-        *,
-        output_dir: Optional[Union[str, Path]] = None,
-        echo=None,
-        cache_dir: Optional[Union[str, Path]] = None,
-        checkpoint_dir: Optional[Union[str, Path]] = None,
-        resume: bool = False,
-        telemetry: Optional[Telemetry] = None,
-        show_progress: Optional[bool] = None,
-        distributed: Optional[str] = None,
-        lease_timeout: float = 60.0,
-        on_event: Optional[CampaignEventFn] = None,
-        cancel: Optional[threading.Event] = None,
-    ) -> "CampaignSummary":
-        """Execute this spec through :func:`run_campaign`.
-
-        This is the single execution core behind the ``campaign`` and
-        ``serve`` CLI commands and the API scheduler: the spec carries
-        what to compute, the keyword arguments carry where to put it and
-        how to observe it (storage paths are caller policy — a network
-        client never chooses server filesystem locations).
-        """
-        return run_campaign(
-            self.resolve_scale(),
-            seed=self.seed,
-            include_extensions=self.include_extensions,
-            experiments=self.experiments,
-            output_dir=output_dir,
-            echo=echo,
-            jobs=self.jobs,
-            cache_dir=cache_dir if self.use_cache else None,
-            checkpoint_dir=checkpoint_dir,
-            resume=resume,
-            telemetry=telemetry,
-            show_progress=show_progress,
-            unit_timeout=self.unit_timeout,
-            distributed=distributed,
-            lease_timeout=lease_timeout,
-            on_event=on_event,
-            cancel=cancel,
-        )
+        return cls(**kwargs)
 
 
 def _check_type(name: str, value: object, types: tuple, label: str) -> object:
@@ -241,17 +227,13 @@ def _spec_jobs(name: str, value: object) -> Optional[int]:
 def _spec_experiments(name: str, value: object) -> Optional[tuple]:
     if value is None:
         return None
-    if not isinstance(value, (list, tuple)) or not value:
+    if not isinstance(value, (list, tuple)):
         raise ExperimentError(
             f"spec field {name!r} must be a non-empty list of experiment ids"
         )
-    from repro.experiments.registry import get_experiment
-
-    ids = []
     for item in value:
         _check_type(name, item, (str,), "a list of strings")
-        ids.append(get_experiment(item).experiment_id)  # unknown ids raise
-    return tuple(ids)
+    return tuple(value)  # canonicalised (and unknown ids refused) by the spec
 
 
 def _spec_timeout(name: str, value: object) -> Optional[float]:
@@ -282,8 +264,8 @@ class CampaignSummary:
     results: List[ExperimentResult]
     wall_clock_seconds: float
     output_dir: Optional[Path]
-    #: sweep workers used (None = serial, the historical behaviour)
-    jobs: Optional[int] = None
+    #: sweep workers the pool used (1 = serial or coordinated)
+    jobs: int = 1
     #: aggregate simulation time across all sweep workers
     worker_seconds: float = 0.0
     #: sweeps answered from the in-process or on-disk cache
@@ -320,7 +302,7 @@ class CampaignSummary:
             f"in {self.wall_clock_seconds:.0f}s"
         ]
         lines.append(
-            f"  execution: jobs={self.jobs if self.jobs else 1}, "
+            f"  execution: jobs={self.jobs}, "
             f"{self.worker_seconds:.1f}s worker simulation time, "
             f"{self.speedup:.1f}x speedup, {self.cache_hits} sweep cache hit(s)"
         )
@@ -334,20 +316,6 @@ class CampaignSummary:
 #: payload embeds the completed experiments' full results, so a single
 #: digest-protected file carries everything a resume needs.
 _STATE_FILE = "campaign-state.json"
-
-
-def _campaign_identity(
-    scale: Scale,
-    seed: int,
-    include_extensions: bool,
-    experiments: Optional[List[str]],
-) -> dict:
-    return {
-        "scale": scale.name,
-        "seed": seed,
-        "include_extensions": include_extensions,
-        "experiments": experiments,
-    }
 
 
 def _load_campaign_state(state_path: Path, identity: dict) -> List[ExperimentResult]:
@@ -369,79 +337,65 @@ def _load_campaign_state(state_path: Path, identity: dict) -> List[ExperimentRes
         ) from exc
 
 
-def _echo_worker_stats(coordinator, echo) -> None:
-    """Per-worker summary lines, emitted before the coordinator closes."""
-    for stats in coordinator.worker_stats():
-        echo(
-            f"worker {stats['worker_id']} "
-            f"({stats['address']}): "
-            f"{stats['units_done']} unit(s), "
-            f"{stats['busy_seconds']:.1f}s busy"
-        )
-
-
 def run_campaign(
-    scale: Optional[Scale] = None,
+    spec: CampaignSpec,
     *,
-    seed: int = 0,
-    include_extensions: bool = False,
-    experiments: Optional[Union[List[str], tuple]] = None,
     output_dir: Optional[Union[str, Path]] = None,
     echo=None,
-    jobs: Optional[int] = None,
     cache_dir: Optional[Union[str, Path]] = None,
     checkpoint_dir: Optional[Union[str, Path]] = None,
-    resume: bool = False,
     telemetry: Optional[Telemetry] = None,
     show_progress: Optional[bool] = None,
-    unit_timeout: Optional[float] = None,
-    distributed: Optional[str] = None,
-    lease_timeout: float = 60.0,
+    coordinator: Optional[object] = None,
     on_event: Optional[CampaignEventFn] = None,
     cancel: Optional[threading.Event] = None,
 ) -> CampaignSummary:
-    """Run all registered experiments; optionally persist the artifacts.
+    """Run the experiments ``spec`` names; optionally persist the artifacts.
 
-    With ``output_dir`` the campaign writes ``campaign.md`` (markdown of
+    This is the one driver behind every verb that runs experiments and
+    the API scheduler: the spec carries what to compute (scale, seed,
+    experiments) and how to fan it out (``jobs``, ``unit_timeout``,
+    ``use_cache``); the keyword arguments carry where to put it and how
+    to observe it (storage paths are caller policy — a network client
+    never chooses server filesystem locations).
+
+    The experiments are ``spec.experiments`` (already in registry order)
+    or, without a subset, every paper artifact plus, with
+    ``spec.include_extensions``, the extension studies.  With
+    ``output_dir`` the campaign writes ``campaign.md`` (markdown of
     every result), ``campaign.json`` (raw series + checks, reloadable via
     :func:`repro.experiments.results_io.load_results`) and
-    ``summary.txt``.
-
-    ``experiments`` restricts the run to an explicit subset of ids (in
-    registry order, regardless of request order); a subset may name
-    extension experiments whatever ``include_extensions`` says.  Unknown
-    ids raise :class:`~repro.errors.ExperimentError` before any work
-    starts, and the subset is part of the checkpoint identity, so a
-    resume with a different subset is rejected rather than silently
-    merged.
+    ``summary.txt``; ``echo`` receives each result's text as it
+    completes, and the resume and interrupt notices go to stderr.
 
     Before the first experiment, the units of every sweep the remaining
     experiments declare (and no cache holds) are queued, largest ``n``
-    first, on the campaign's one unit queue.  ``jobs`` runs them on one
-    pool of that many worker processes, and each experiment waits only
-    for its own sweeps; serially, each sweep runs when an experiment
-    reads it.  ``cache_dir`` enables the persistent sweep cache; neither
-    changes any measured number (``campaign.json`` is byte-identical for
-    every ``jobs`` value and for cold vs warm caches).  ``unit_timeout`` bounds
-    how long one sweep unit may run on a pool worker, counted from when
-    the worker picks it up.
+    first, on the campaign's one unit queue.  ``spec.jobs`` runs them on
+    one pool of that many worker processes, and each experiment waits
+    only for its own sweeps; serially, each sweep runs when an experiment
+    reads it.  ``cache_dir`` enables the persistent sweep cache (unless
+    ``spec.use_cache`` is false); neither changes any measured number
+    (``campaign.json`` is byte-identical for every ``jobs`` value and
+    for cold vs warm caches).  ``spec.unit_timeout`` bounds how long one
+    sweep unit may run on a pool worker, counted from when the worker
+    picks it up.
 
-    ``distributed="host:port"`` turns this process into a
-    :class:`repro.dist.Coordinator` bound to that address: sweep units
-    are leased to ``repro-bgp worker`` processes (local or remote)
-    instead of a local pool (``jobs`` and ``unit_timeout`` are then
-    unused), with lost workers detected via ``lease_timeout`` and their
-    units re-leased.  Every unit is deterministically seeded, so the
+    ``coordinator`` — a started :class:`repro.dist.Coordinator`, owned
+    by the caller — leases the sweep units to ``repro-bgp worker``
+    processes instead of a local pool (``jobs`` and ``unit_timeout`` are
+    then unused).  Every unit is deterministically seeded, so the
     artifacts stay byte-identical to a serial run — the same guarantee
     ``jobs`` carries.
 
     ``checkpoint_dir`` makes the campaign restartable: each completed
-    experiment is recorded there as it finishes, sweep workers checkpoint
-    their in-progress units after every C-event but the last, and
-    ``resume=True`` picks a killed campaign up where it left off —
-    producing artifacts identical to an uninterrupted run.  A
-    ``KeyboardInterrupt`` flushes completed state before propagating,
-    whether or not checkpointing is enabled.
+    experiment is recorded there as it finishes, and sweep units
+    checkpoint after every C-event but the last.  A campaign state found
+    there is resumed — completed experiments are restored, the
+    interrupted unit continues from its checkpoint — producing artifacts
+    identical to an uninterrupted run; a state of another campaign, or a
+    corrupt one, raises :class:`~repro.errors.CheckpointError` before
+    any work starts.  A ``KeyboardInterrupt`` flushes completed state
+    before propagating, whether or not checkpointing is enabled.
 
     Observability: ``telemetry`` (or, when ``output_dir`` is set, a hub
     created here) is installed as the ambient sink for the campaign's
@@ -456,44 +410,31 @@ def run_campaign(
     ``cancel`` — a :class:`threading.Event` — requests cooperative
     cancellation: the campaign checks it between experiments and raises
     :class:`CampaignCancelled`, flushing completed state exactly like a
-    ``KeyboardInterrupt`` (so a later run with ``resume=True`` continues
-    where cancellation struck).
+    ``KeyboardInterrupt`` (so a later run with the same checkpoint
+    directory continues where cancellation struck).
     """
-    scale = scale if scale is not None else get_scale()
+    scale = spec.resolve_scale()
+    seed = spec.seed
     started = time.monotonic()
-    if resume and checkpoint_dir is None:
-        raise CheckpointError("resume requires a checkpoint directory")
     state_path = None
     if checkpoint_dir is not None:
         checkpoint_dir = Path(checkpoint_dir)
         state_path = checkpoint_dir / _STATE_FILE
 
-    subset: Optional[List[str]] = None
-    if experiments is not None:
-        from repro.experiments.registry import get_experiment
-
-        if not experiments:
-            raise ExperimentError("experiments subset must not be empty")
-        # Canonicalise (and reject unknown ids) before anything persists.
-        requested = {get_experiment(item).experiment_id for item in experiments}
-        # Registry order, not request order: the artifact layout must not
-        # depend on how the caller happened to spell the subset.
-        subset = [
-            experiment_id
-            for experiment_id in experiment_ids(include_extensions=True)
-            if experiment_id in requested
-        ]
-
-    identity = _campaign_identity(scale, seed, include_extensions, subset)
+    # The state payload records the identity without the code version
+    # (unit checkpoints check their own release range).
+    identity = {
+        key: value for key, value in spec.identity().items() if key != "code_version"
+    }
     results: List[ExperimentResult] = []
-    if resume and state_path is not None and state_path.exists():
+    if state_path is not None and state_path.exists():
         results = _load_campaign_state(state_path, identity)
         if echo is not None and results:
-            echo(
+            print(
                 f"resuming: {len(results)} completed experiment(s) restored "
-                f"({', '.join(r.experiment_id for r in results)})"
+                f"({', '.join(r.experiment_id for r in results)})",
+                file=sys.stderr,
             )
-            echo("")
     done: Set[str] = {result.experiment_id for result in results}
 
     def flush_state() -> None:
@@ -509,9 +450,9 @@ def run_campaign(
         )
 
     ids = (
-        subset
-        if subset is not None
-        else experiment_ids(include_extensions=include_extensions)
+        list(spec.experiments)
+        if spec.experiments is not None
+        else experiment_ids(include_extensions=spec.include_extensions)
     )
     if telemetry is None and output_dir is not None:
         telemetry = Telemetry(
@@ -546,42 +487,14 @@ def run_campaign(
         )
 
     with contextlib.ExitStack() as stack:
-        coordinator = None
-        if distributed is not None:
-            from repro.dist import Coordinator, parse_address
-
-            host, port = parse_address(distributed)
-            # The coordinator is started *inside* the stack: a failure
-            # anywhere below — entering the telemetry session or sweep
-            # execution, or the campaign loop itself — always closes the
-            # listening socket and joins the accept thread instead of
-            # leaking them past the raise.
-            coordinator = stack.enter_context(
-                Coordinator(
-                    host,
-                    port,
-                    lease_timeout=lease_timeout,
-                    echo=echo,
-                    show_progress=show_progress,
-                )
-            )
-            if echo is not None:
-                stack.callback(_echo_worker_stats, coordinator, echo)
-                bound_host, bound_port = coordinator.address
-                echo(
-                    f"coordinator listening on {bound_host}:{bound_port}; "
-                    "start workers with: repro-bgp worker "
-                    f"{bound_host}:{bound_port}"
-                )
-                echo("")
         if telemetry is not None:
             stack.enter_context(telemetry_session(telemetry))
         execution = stack.enter_context(
             sweep_execution(
-                jobs=jobs,
-                cache_dir=cache_dir,
+                jobs=spec.jobs,
+                cache_dir=cache_dir if spec.use_cache else None,
                 checkpoint_dir=checkpoint_dir,
-                unit_timeout=unit_timeout,
+                unit_timeout=spec.unit_timeout,
                 coordinator=coordinator,
                 on_unit_done=unit_done if on_event is not None else None,
             )
@@ -635,9 +548,11 @@ def run_campaign(
                 }
             )
             if echo is not None:
-                echo(
+                print(
                     f"interrupted: {len(results)} experiment(s) completed "
-                    "and flushed; rerun with resume to continue"
+                    "and flushed; rerun with the same checkpoint directory "
+                    "to continue",
+                    file=sys.stderr,
                 )
             raise
         finally:
@@ -650,7 +565,7 @@ def run_campaign(
         results=results,
         wall_clock_seconds=time.monotonic() - started,
         output_dir=Path(output_dir) if output_dir is not None else None,
-        jobs=jobs,
+        jobs=resolve_jobs(spec.jobs),
         worker_seconds=execution.worker_seconds,
         cache_hits=execution.cache_hits,
     )

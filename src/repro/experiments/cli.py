@@ -4,6 +4,10 @@ Subcommands:
 
 * ``list`` / ``run`` — the paper's tables and figures (see
   :mod:`repro.experiments.registry`);
+* ``campaign`` — run every experiment (or a ``--experiment`` subset) and
+  persist markdown, JSON, a summary and telemetry; with
+  ``--checkpoint-dir``, a rerun with the same directory resumes an
+  interrupted campaign;
 * ``topology generate | metrics | validate`` — create, inspect and check
   AS-level topologies on disk (JSON or CAIDA as-rel format);
 * ``topology import | stats`` — import measured CAIDA serial-1 snapshots
@@ -34,9 +38,14 @@ Subcommands:
 * ``cache gc`` — prune on-disk sweep-cache entries written by a stale
   key/code version and report the reclaimed bytes.
 
+``run``, ``profile``, ``campaign`` and ``serve`` (and the API) all run
+experiments through one driver,
+:func:`~repro.experiments.campaign.run_campaign`.
+
 Examples::
 
     repro-bgp run fig04 --scale default
+    repro-bgp campaign --scale smoke -o runs/smoke --checkpoint-dir runs/ck
     repro-bgp serve --bind 127.0.0.1:7787 --scale default -o runs/dist
     repro-bgp worker 127.0.0.1:7787
     repro-bgp api --bind 127.0.0.1:7788 --data-dir runs/service
@@ -110,8 +119,8 @@ def build_parser() -> argparse.ArgumentParser:
     run_parser.add_argument(
         "--scale",
         choices=SCALE_NAMES,
-        default=None,
-        help="scale preset (default: REPRO_SCALE env or 'default')",
+        default="default",
+        help="scale preset (default: default)",
     )
     run_parser.add_argument("--seed", type=int, default=0, help="master seed")
     run_parser.add_argument(
@@ -139,7 +148,7 @@ def build_parser() -> argparse.ArgumentParser:
         "campaign", help="run all experiments and persist md/json/summary"
     )
     campaign_parser.add_argument(
-        "--scale", choices=SCALE_NAMES, default=None,
+        "--scale", choices=SCALE_NAMES, default="default",
     )
     campaign_parser.add_argument("--seed", type=int, default=0)
     campaign_parser.add_argument("-o", "--output", type=Path, required=True)
@@ -154,15 +163,6 @@ def build_parser() -> argparse.ArgumentParser:
             "may name extensions regardless of --extensions)"
         ),
     )
-    campaign_parser.add_argument(
-        "--resume",
-        action="store_true",
-        help=(
-            "continue an interrupted campaign from --checkpoint-dir: "
-            "completed experiments are restored, the interrupted sweep "
-            "resumes from its last unit checkpoint"
-        ),
-    )
     _add_execution_options(campaign_parser)
 
     serve_parser = sub.add_parser(
@@ -173,7 +173,7 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     serve_parser.add_argument(
-        "--scale", choices=SCALE_NAMES, default=None,
+        "--scale", choices=SCALE_NAMES, default="default",
     )
     serve_parser.add_argument("--seed", type=int, default=0)
     serve_parser.add_argument("-o", "--output", type=Path, required=True)
@@ -185,7 +185,6 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="ID",
         help="restrict the campaign to this experiment id (repeatable)",
     )
-    serve_parser.add_argument("--resume", action="store_true")
     serve_parser.add_argument(
         "--bind",
         default="127.0.0.1:7787",
@@ -218,9 +217,9 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         metavar="DIR",
         help=(
-            "record completed experiments there, so --resume continues an "
-            "interrupted campaign (workers checkpoint their units with "
-            "their own --checkpoint-dir)"
+            "record completed experiments there; a rerun with the same "
+            "directory continues an interrupted campaign (workers "
+            "checkpoint their units with their own --checkpoint-dir)"
         ),
     )
 
@@ -459,8 +458,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     profile.add_argument("experiment", help="experiment id, e.g. fig04")
     profile.add_argument(
-        "--scale", choices=SCALE_NAMES, default=None,
-        help="scale preset (default: REPRO_SCALE env or 'default')",
+        "--scale", choices=SCALE_NAMES, default="default",
+        help="scale preset (default: default)",
     )
     profile.add_argument("--seed", type=int, default=0, help="master seed")
     profile.add_argument(
@@ -574,9 +573,10 @@ def _add_execution_options(parser: argparse.ArgumentParser) -> None:
         default=None,
         metavar="DIR",
         help=(
-            "checkpoint directory: in-progress simulations snapshot "
-            "their state there and resume after a crash or interrupt "
-            "(results are byte-identical either way)"
+            "checkpoint directory: completed experiments and in-progress "
+            "sweep units are recorded there, and a rerun with the same "
+            "directory resumes them after a crash or interrupt (results "
+            "are byte-identical either way)"
         ),
     )
 

@@ -4,9 +4,8 @@ from __future__ import annotations
 
 import argparse
 
-from repro.experiments.cache import sweep_execution
-from repro.experiments.registry import experiment_ids, run_all, run_experiment
-from repro.experiments.scale import get_scale
+from repro.experiments.campaign import CampaignSpec, run_campaign
+from repro.experiments.registry import experiment_ids
 
 
 def main(args: argparse.Namespace) -> int:
@@ -14,24 +13,17 @@ def main(args: argparse.Namespace) -> int:
         for experiment_id in experiment_ids():
             print(experiment_id)
         return 0
-    scale = get_scale(args.scale)
-    with sweep_execution(
+    spec = CampaignSpec(
+        scale=args.scale,
+        seed=args.seed,
+        include_extensions=args.extensions,
+        experiments=None if args.experiment.lower() == "all" else [args.experiment],
         jobs=args.jobs,
-        cache_dir=args.cache_dir,
-        checkpoint_dir=args.checkpoint_dir,
         unit_timeout=args.unit_timeout,
-    ):
-        if args.experiment.lower() == "all":
-            results = run_all(
-                scale,
-                seed=args.seed,
-                echo=print,
-                include_extensions=args.extensions,
-            )
-        else:
-            result = run_experiment(args.experiment, scale, seed=args.seed)
-            print(result.to_text())
-            results = [result]
+    )
+    results = run_campaign(
+        spec, echo=print, cache_dir=args.cache_dir, checkpoint_dir=args.checkpoint_dir
+    ).results
     if args.plot:
         from repro.experiments.plot import render_result
 

@@ -56,37 +56,42 @@ def _render_telemetry(snapshot: dict) -> str:
 
 
 def _profile(args: argparse.Namespace) -> int:
-    from repro.experiments.cache import sweep_execution
-    from repro.experiments.registry import run_experiment
-    from repro.experiments.scale import get_scale
+    from repro.experiments.campaign import CampaignSpec, run_campaign
     from repro.obs.profiler import format_top_entries, maybe_profile, top_entries
     from repro.obs.runlog import write_telemetry_jsonl
-    from repro.obs.telemetry import Telemetry, telemetry_session
+    from repro.obs.telemetry import Telemetry
 
-    scale = get_scale(args.scale)
+    spec = CampaignSpec(
+        scale=args.scale,
+        seed=args.seed,
+        experiments=[args.experiment],
+        jobs=args.jobs,
+        unit_timeout=args.unit_timeout,
+    )
+    (experiment_id,) = spec.experiments
     telemetry = Telemetry(
         meta={
             "run_kind": "profile",
-            "experiment": args.experiment,
-            "scale": scale.name,
-            "seed": args.seed,
+            "experiment": experiment_id,
+            "scale": spec.scale,
+            "seed": spec.seed,
         }
     )
-    with telemetry_session(telemetry), sweep_execution(
-        jobs=args.jobs,
-        cache_dir=args.cache_dir,
-        checkpoint_dir=args.checkpoint_dir,
-        unit_timeout=args.unit_timeout,
-    ), maybe_profile(not args.no_profile) as profiler:
-        # The outer "experiment" phase guarantees a per-phase row even for
-        # experiments that run no simulation (e.g. fig01's synthetic
-        # series); simulation-backed ones additionally report
-        # topology-gen/warmup/measured/analysis from the sweep machinery.
-        with telemetry.phase("experiment"):
-            result = run_experiment(args.experiment, scale, seed=args.seed)
+    # The outer "experiment" phase guarantees a per-phase row even for
+    # experiments that run no simulation (e.g. fig01's synthetic
+    # series); simulation-backed ones additionally report
+    # topology-gen/warmup/measured/analysis from the sweep machinery.
+    with maybe_profile(not args.no_profile) as profiler, telemetry.phase("experiment"):
+        (result,) = run_campaign(
+            spec,
+            cache_dir=args.cache_dir,
+            checkpoint_dir=args.checkpoint_dir,
+            telemetry=telemetry,
+            show_progress=False,
+        ).results
     output = args.output
     if output is None:
-        output = Path(f"{args.experiment}-telemetry.jsonl")
+        output = Path(f"{experiment_id}-telemetry.jsonl")
     write_telemetry_jsonl(telemetry, output)
     print(result.to_text())
     print()

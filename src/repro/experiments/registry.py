@@ -132,25 +132,3 @@ def run_experiment(
 ) -> ExperimentResult:
     """Run one experiment by id."""
     return get_experiment(experiment_id).run(scale, seed=seed)
-
-
-def run_all(
-    scale: Optional[Scale] = None,
-    *,
-    seed: int = 0,
-    echo: Optional[Callable[[str], None]] = None,
-    include_extensions: bool = False,
-) -> List[ExperimentResult]:
-    """Run the figure set in order (sweeps are cached across figures).
-
-    Extension studies are opt-in; the recorded EXPERIMENTS.md campaign is
-    paper artifacts only.
-    """
-    results = []
-    for experiment_id in experiment_ids(include_extensions=include_extensions):
-        result = run_experiment(experiment_id, scale, seed=seed)
-        results.append(result)
-        if echo is not None:
-            echo(result.to_text())
-            echo("")
-    return results

@@ -2,8 +2,9 @@
 
 The paper sweeps n = 1000 → 10000 with 100 event originators per point; a
 pure-Python simulator reproduces the *shapes* at smaller scales in minutes
-rather than hours.  Each experiment accepts a :class:`Scale`, and the
-``REPRO_SCALE`` environment variable selects the default preset:
+rather than hours.  Each experiment accepts a :class:`Scale`; the
+presets are selected by name (``--scale`` on the CLI, ``scale`` in a
+campaign spec), and ``default`` is used when none is given:
 
 * ``smoke`` — seconds; used by the test suite and CI;
 * ``default`` — a few minutes for the whole figure set;
@@ -14,7 +15,6 @@ rather than hours.  Each experiment accepts a :class:`Scale`, and the
 from __future__ import annotations
 
 import dataclasses
-import os
 from typing import Dict, Tuple
 
 from repro.errors import ParameterError
@@ -68,10 +68,8 @@ PRESETS: Dict[str, Scale] = {
 }
 
 
-def get_scale(name: str | None = None) -> Scale:
-    """Resolve a preset by name, or from ``REPRO_SCALE`` (default: default)."""
-    if name is None:
-        name = os.environ.get("REPRO_SCALE", "default")
+def get_scale(name: str = "default") -> Scale:
+    """Resolve a preset by name (case-insensitive)."""
     try:
         return PRESETS[name.lower()]
     except KeyError as exc:

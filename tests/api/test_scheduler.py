@@ -13,6 +13,7 @@ from types import SimpleNamespace
 
 import pytest
 
+from repro.api import scheduler as scheduler_module
 from repro.api.scheduler import (
     ARTIFACT_NAMES,
     STATE_CANCELLED,
@@ -32,7 +33,7 @@ from repro.experiments.campaign import (
 
 @pytest.fixture()
 def fake_runs(monkeypatch):
-    """Replace CampaignSpec.run with a gated, observable fake.
+    """Replace the scheduler's run_campaign with a gated, observable fake.
 
     Every run blocks until ``release`` is set (checking its cancel event
     every 10ms), then writes the four public artifacts and returns an
@@ -42,30 +43,30 @@ def fake_runs(monkeypatch):
         started=[], release=threading.Event(), fail_seeds=set()
     )
 
-    def run(self, *, output_dir=None, cancel=None, on_event=None, **kwargs):
-        state.started.append(self.seed)
+    def run(spec, *, output_dir=None, cancel=None, on_event=None, **kwargs):
+        state.started.append(spec.seed)
         while not state.release.wait(0.01):
             if cancel is not None and cancel.is_set():
                 raise CampaignCancelled("cancelled by test")
         if cancel is not None and cancel.is_set():
             raise CampaignCancelled("cancelled by test")
-        if self.seed in state.fail_seeds:
+        if spec.seed in state.fail_seeds:
             raise ExperimentError("synthetic failure")
         out = Path(output_dir)
         out.mkdir(parents=True, exist_ok=True)
         for name in ARTIFACT_NAMES:
             (out / name).write_text(
-                f"{name} for seed {self.seed}\n", encoding="utf-8"
+                f"{name} for seed {spec.seed}\n", encoding="utf-8"
             )
         return CampaignSummary(
-            scale=self.scale,
-            seed=self.seed,
+            scale=spec.scale,
+            seed=spec.seed,
             results=[],
             wall_clock_seconds=0.01,
             output_dir=out,
         )
 
-    monkeypatch.setattr(CampaignSpec, "run", run)
+    monkeypatch.setattr(scheduler_module, "run_campaign", run)
     return state
 
 
@@ -130,6 +131,24 @@ class TestDedupe:
         )
         assert job_a is job_b
         assert scheduled is False
+
+    def test_equivalent_spellings_share_one_execution(self, sched, fake_runs):
+        spellings = [
+            [{"scale": "SMOKE"}, {"scale": "smoke"}],
+            [
+                {"scale": "smoke", "experiments": ["fig07", "fig04"]},
+                {"scale": "smoke", "experiments": ["fig04", "fig07"]},
+                {"scale": "smoke", "experiments": ["fig04", "fig04", "fig07"]},
+            ],
+        ]
+        fake_runs.release.set()
+        for group in spellings:
+            jobs = [
+                sched.submit(CampaignSpec.from_dict(body))[0] for body in group
+            ]
+            assert len({job.job_id for job in jobs}) == 1
+            _wait_terminal(sched, jobs[0].job_id)
+        assert sched.executions == len(spellings)
 
     def test_different_identities_run_separately(self, sched, fake_runs):
         fake_runs.release.set()

@@ -22,7 +22,7 @@ import pytest
 
 from repro.api import ApiServer, CampaignScheduler
 from repro.experiments import cache
-from repro.experiments.campaign import run_campaign
+from repro.experiments.campaign import CampaignSpec, run_campaign
 from repro.experiments.scale import PRESETS, Scale
 
 # reuse the gated fake execution from the scheduler tests
@@ -155,7 +155,7 @@ class TestEndToEnd:
         # the served artifact must be byte-identical, with one execution
         # answering both concurrent clients.
         direct_dir = tmp_path / "direct"
-        run_campaign(TINY_API, seed=5, output_dir=direct_dir)
+        run_campaign(CampaignSpec(scale=tiny_preset, seed=5), output_dir=direct_dir)
         cache.clear_cache()  # the service's execution starts cold
 
         spec = {"scale": tiny_preset, "seed": 5}
@@ -228,7 +228,7 @@ class TestEndToEnd:
         self, service, tmp_path, tiny_preset
     ):
         direct_dir = tmp_path / "direct"
-        run_campaign(TINY_API, seed=7, output_dir=direct_dir)
+        run_campaign(CampaignSpec(scale=tiny_preset, seed=7), output_dir=direct_dir)
         cache.clear_cache()
 
         spec = {"scale": tiny_preset, "seed": 7}

@@ -1,5 +1,6 @@
 """Tests for campaign orchestration."""
 
+import os
 import threading
 
 import pytest
@@ -20,11 +21,26 @@ from repro.experiments.scale import PRESETS, Scale
 TINY = Scale(name="tiny-campaign", sizes=(100, 200), origins=2, metric_sources=10)
 
 
+@pytest.fixture(scope="module", autouse=True)
+def tiny_preset():
+    """TINY registered as a named preset, so specs can name it."""
+    PRESETS[TINY.name] = TINY
+    try:
+        yield TINY.name
+    finally:
+        PRESETS.pop(TINY.name, None)
+
+
+def tiny(**fields):
+    """A seed-5 campaign spec at the TINY scale."""
+    return CampaignSpec(**{"scale": TINY.name, "seed": 5, **fields})
+
+
 @pytest.fixture(scope="module")
 def campaign(tmp_path_factory):
     cache.clear_cache()
     output = tmp_path_factory.mktemp("campaign")
-    summary = run_campaign(TINY, seed=5, output_dir=output)
+    summary = run_campaign(tiny(), output_dir=output)
     cache.clear_cache()
     return summary, output
 
@@ -81,7 +97,7 @@ class TestParallelCampaign:
         cache.clear_cache()
         output = tmp_path / "parallel"
         summary = run_campaign(
-            TINY, seed=5, output_dir=output, jobs=2, cache_dir=tmp_path / "cache"
+            tiny(jobs=2), output_dir=output, cache_dir=tmp_path / "cache"
         )
         cache.clear_cache()
         assert summary.jobs == 2
@@ -95,11 +111,9 @@ class TestParallelCampaign:
         _, serial_output = campaign
         cache_dir = tmp_path / "cache"
         cache.clear_cache()
-        cold = run_campaign(TINY, seed=5, cache_dir=cache_dir)
+        cold = run_campaign(tiny(), cache_dir=cache_dir)
         cache.clear_cache()
-        warm = run_campaign(
-            TINY, seed=5, output_dir=tmp_path / "warm", cache_dir=cache_dir
-        )
+        warm = run_campaign(tiny(), output_dir=tmp_path / "warm", cache_dir=cache_dir)
         cache.clear_cache()
         assert cold.worker_seconds > 0  # cold run actually simulated
         assert warm.cache_hits > 0
@@ -107,6 +121,16 @@ class TestParallelCampaign:
         assert (tmp_path / "warm" / "campaign.json").read_bytes() == (
             serial_output / "campaign.json"
         ).read_bytes()
+
+    def test_summary_records_the_pool_size_used(self, tmp_path, monkeypatch):
+        # jobs=0 means one worker per usable CPU: the summary reports
+        # that count, not the 0 that asked for it.
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        cache.clear_cache()
+        summary = run_campaign(tiny(jobs=0, experiments=("fig04",)), output_dir=tmp_path)
+        cache.clear_cache()
+        assert summary.jobs == 2
+        assert "execution: jobs=2," in (tmp_path / "summary.txt").read_text()
 
 
 class TestCampaignObservability:
@@ -137,9 +161,7 @@ class TestCampaignObservability:
         _, serial_output = campaign
         cache.clear_cache()
         output = tmp_path / "observed"
-        summary = run_campaign(
-            TINY, seed=5, output_dir=output, show_progress=False
-        )
+        summary = run_campaign(tiny(), output_dir=output, show_progress=False)
         cache.clear_cache()
         assert summary.passed == load_and_pass(serial_output)
         assert (output / "campaign.json").read_bytes() == (
@@ -148,7 +170,7 @@ class TestCampaignObservability:
 
     def test_progress_line_forced_on(self, tmp_path, capsys):
         cache.clear_cache()
-        run_campaign(TINY, seed=5, show_progress=True)
+        run_campaign(tiny(), show_progress=True)
         cache.clear_cache()
         err = capsys.readouterr().err
         assert "experiments:" in err
@@ -157,16 +179,6 @@ class TestCampaignObservability:
 
 def load_and_pass(output):
     return all(result.passed for result in load_results(output / "campaign.json"))
-
-
-@pytest.fixture()
-def tiny_preset():
-    """TINY registered as a named preset, so string specs can name it."""
-    PRESETS[TINY.name] = TINY
-    try:
-        yield TINY.name
-    finally:
-        PRESETS.pop(TINY.name, None)
 
 
 class TestCampaignSpec:
@@ -208,11 +220,30 @@ class TestCampaignSpec:
         with pytest.raises(ReproError):
             CampaignSpec.from_dict(bad)
 
-    def test_run_matches_run_campaign(self, campaign, tmp_path, tiny_preset):
+    @pytest.mark.parametrize(
+        "spelling, canonical",
+        [
+            ({"scale": "SMOKE"}, {"scale": "smoke"}),
+            ({"experiments": ["fig07", "fig04"]}, {"experiments": ["fig04", "fig07"]}),
+            (
+                {"experiments": ["fig04", "FIG04", "fig07"]},
+                {"experiments": ["fig04", "fig07"]},
+            ),
+        ],
+    )
+    def test_equivalent_spellings_share_one_key(self, spelling, canonical):
+        spec = CampaignSpec.from_dict(spelling)
+        assert spec == CampaignSpec.from_dict(canonical)
+        assert spec.key() == CampaignSpec.from_dict(canonical).key()
+        assert spec.to_dict() == CampaignSpec.from_dict(canonical).to_dict()
+
+    def test_spelled_scale_runs_the_canonical_campaign(self, campaign, tmp_path):
         _, serial_output = campaign
         cache.clear_cache()
-        summary = CampaignSpec(scale=tiny_preset, seed=5).run(
-            output_dir=tmp_path / "spec-run", show_progress=False
+        summary = run_campaign(
+            tiny(scale=TINY.name.upper()),
+            output_dir=tmp_path / "spec-run",
+            show_progress=False,
         )
         cache.clear_cache()
         assert summary.scale == TINY.name
@@ -225,9 +256,7 @@ class TestCampaignEventsAndCancel:
     def test_on_event_stream_shape(self, tmp_path):
         cache.clear_cache()
         events = []
-        run_campaign(
-            TINY, seed=5, show_progress=False, on_event=events.append
-        )
+        run_campaign(tiny(), show_progress=False, on_event=events.append)
         cache.clear_cache()
         kinds = [event["event"] for event in events]
         assert kinds[0] == "campaign_started"
@@ -255,8 +284,7 @@ class TestCampaignEventsAndCancel:
         cache.clear_cache()
         with pytest.raises(CampaignCancelled):
             run_campaign(
-                TINY,
-                seed=5,
+                tiny(),
                 checkpoint_dir=checkpoint_dir,
                 show_progress=False,
                 on_event=trip,
@@ -264,11 +292,9 @@ class TestCampaignEventsAndCancel:
             )
         assert (checkpoint_dir / "campaign-state.json").exists()
         summary = run_campaign(
-            TINY,
-            seed=5,
+            tiny(),
             output_dir=tmp_path / "resumed",
             checkpoint_dir=checkpoint_dir,
-            resume=True,
             show_progress=False,
         )
         cache.clear_cache()
@@ -284,8 +310,7 @@ class TestCampaignEventsAndCancel:
         cancel.set()
         with pytest.raises(CampaignCancelled):
             run_campaign(
-                TINY,
-                seed=5,
+                tiny(),
                 checkpoint_dir=tmp_path / "ck",
                 show_progress=False,
                 cancel=cancel,
@@ -293,12 +318,12 @@ class TestCampaignEventsAndCancel:
 
 
 class TestCoordinatorLifecycle:
-    def test_coordinator_closed_when_setup_fails(self, monkeypatch):
-        # Regression: the coordinator used to be started before the
-        # try/finally, so a failure entering the telemetry session or the
-        # sweep execution context leaked its listening socket and accept
-        # thread past the raise.
+    def test_coordinator_closed_when_setup_fails(self, monkeypatch, tmp_path):
+        # Regression: a failure entering the sweep execution context must
+        # not leak serve's listening socket and accept thread past the
+        # raise.
         import repro.dist as dist
+        from repro.experiments.cli import main
 
         created = []
         real_coordinator = dist.Coordinator
@@ -314,8 +339,9 @@ class TestCoordinatorLifecycle:
         monkeypatch.setattr(dist, "Coordinator", Recording)
         monkeypatch.setattr(campaign_module, "sweep_execution", boom)
         with pytest.raises(RuntimeError, match="injected failure"):
-            run_campaign(
-                TINY, seed=5, distributed="127.0.0.1:0", show_progress=False
+            main(
+                ["serve", "--scale", "smoke", "--bind", "127.0.0.1:0",
+                 "-o", str(tmp_path / "out")]
             )
         assert len(created) == 1
         coordinator = created[0]
@@ -360,10 +386,8 @@ class TestCampaignSubset:
         cache.clear_cache()
         try:
             summary = run_campaign(
-                TINY,
-                seed=5,
+                tiny(experiments=["fig04", "fig01"]),
                 output_dir=tmp_path,
-                experiments=["fig04", "fig01"],
                 show_progress=False,
             )
         finally:
@@ -375,8 +399,6 @@ class TestCampaignSubset:
 
     def test_run_campaign_rejects_bad_subset(self):
         with pytest.raises(ReproError):
-            run_campaign(TINY, seed=5, experiments=[], show_progress=False)
+            run_campaign(tiny(experiments=[]), show_progress=False)
         with pytest.raises(ReproError):
-            run_campaign(
-                TINY, seed=5, experiments=["nope"], show_progress=False
-            )
+            run_campaign(tiny(experiments=["nope"]), show_progress=False)

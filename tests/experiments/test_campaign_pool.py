@@ -28,9 +28,9 @@ from repro.experiments.cache import (
     sweep_cache_key,
     sweep_execution,
 )
-from repro.experiments.campaign import run_campaign
+from repro.experiments.campaign import CampaignSpec, run_campaign
 from repro.experiments.registry import experiment_ids, get_experiment
-from repro.experiments.scale import Scale, get_scale
+from repro.experiments.scale import PRESETS, Scale, get_scale
 from repro.obs.telemetry import Telemetry, current_telemetry, telemetry_session
 
 TINY = Scale(name="tiny-pool", sizes=(100, 200), origins=2, metric_sources=10)
@@ -48,7 +48,8 @@ def _unit_taking_a_second(unit, checkpoint_dir):
 
 
 @pytest.fixture(autouse=True)
-def _isolated_cache():
+def _isolated_cache(monkeypatch):
+    monkeypatch.setitem(PRESETS, TINY.name, TINY)
     cache.clear_cache()
     yield
     cache.clear_cache()
@@ -152,11 +153,8 @@ class TestOnePoolPerCampaign:
             hub = Telemetry()
             output = tmp_path / f"jobs{jobs}"
             run_campaign(
-                SMOKE,
-                seed=2,
-                experiments=self.SLICE,
+                CampaignSpec(scale="smoke", seed=2, experiments=self.SLICE, jobs=jobs),
                 output_dir=output,
-                jobs=jobs,
                 cache_dir=tmp_path / "cache" if jobs == 2 else None,
                 telemetry=hub,
             )
@@ -174,11 +172,8 @@ class TestOnePoolPerCampaign:
         cache.clear_cache()
         hub = Telemetry()
         summary = run_campaign(
-            SMOKE,
-            seed=2,
-            experiments=self.SLICE,
+            CampaignSpec(scale="smoke", seed=2, experiments=self.SLICE, jobs=2),
             output_dir=tmp_path / "warm",
-            jobs=2,
             cache_dir=tmp_path / "cache",
             telemetry=hub,
         )
@@ -192,11 +187,10 @@ class TestOnePoolPerCampaign:
             cache.clear_cache()
             output = tmp_path / f"jobs{jobs}"
             run_campaign(
-                TINY,
-                seed=5,
-                experiments=["fig04", "fig12"],
+                CampaignSpec(
+                    scale=TINY.name, seed=5, experiments=("fig04", "fig12"), jobs=jobs
+                ),
                 output_dir=output,
-                jobs=jobs,
                 checkpoint_dir=tmp_path / f"ck{jobs}",
             )
             runs[jobs] = _counters(output)
@@ -216,19 +210,18 @@ class TestOnePoolPerCampaign:
         # queueing + running would kill a healthy pool; counted from when
         # a worker picks a unit up, no unit comes near it.
         run_campaign(
-            TINY, seed=5, experiments=["fig11"], output_dir=tmp_path / "serial"
+            CampaignSpec(scale=TINY.name, seed=5, experiments=("fig11",)),
+            output_dir=tmp_path / "serial",
         )
         cache.clear_cache()
         monkeypatch.setattr(sweep_module, "_run_unit", _unit_taking_a_second)
         hub = Telemetry()
         started = time.monotonic()
         run_campaign(
-            TINY,
-            seed=5,
-            experiments=["fig11"],
+            CampaignSpec(
+                scale=TINY.name, seed=5, experiments=("fig11",), jobs=2, unit_timeout=2.5
+            ),
             output_dir=tmp_path / "pooled",
-            jobs=2,
-            unit_timeout=2.5,
             telemetry=hub,
         )
         assert time.monotonic() - started > 2.5, "units should have queued"
@@ -266,19 +259,17 @@ class TestContextPerThread:
 
 _DRIVER = """
 import sys
-from repro.experiments.campaign import run_campaign
-from repro.experiments.scale import Scale
+from repro.experiments.campaign import CampaignSpec, run_campaign
+from repro.experiments.scale import PRESETS, Scale
 
-TINY = Scale(name="tiny-pool", sizes=(100, 200), origins=2, metric_sources=10)
+PRESETS["tiny-pool"] = Scale(
+    name="tiny-pool", sizes=(100, 200), origins=2, metric_sources=10
+)
 run_campaign(
-    TINY,
-    seed=5,
-    experiments=["fig04", "fig12"],
+    CampaignSpec(scale="tiny-pool", seed=5, experiments=("fig04", "fig12"), jobs=2),
     output_dir=sys.argv[1],
     cache_dir=sys.argv[2],
     checkpoint_dir=sys.argv[3],
-    resume=(sys.argv[4] == "resume"),
-    jobs=2,
 )
 """
 
@@ -287,7 +278,7 @@ run_campaign(
 class TestKilledPooledCampaign:
     """SIGKILL of a ``--jobs 2`` campaign and its workers, then resume."""
 
-    def _command(self, tmp_path, label, mode):
+    def _command(self, tmp_path, label):
         return [
             sys.executable,
             "-c",
@@ -295,7 +286,6 @@ class TestKilledPooledCampaign:
             str(tmp_path / f"out-{label}"),
             str(tmp_path / f"cache-{label}"),
             str(tmp_path / f"ck-{label}"),
-            mode,
         ]
 
     def _env(self, **extra):
@@ -306,7 +296,7 @@ class TestKilledPooledCampaign:
 
     def test_killed_campaign_resumes_identically(self, tmp_path):
         reference = subprocess.run(
-            self._command(tmp_path, "reference", "fresh"),
+            self._command(tmp_path, "reference"),
             env=self._env(),
             capture_output=True,
             text=True,
@@ -318,7 +308,7 @@ class TestKilledPooledCampaign:
         # first checkpoint; the whole process group is then SIGKILLed.
         marker = tmp_path / "hung.marker"
         process = subprocess.Popen(
-            self._command(tmp_path, "killed", "fresh"),
+            self._command(tmp_path, "killed"),
             env=self._env(
                 REPRO_FAULT_INJECT=f"BASELINE:200:0:1:{marker}",
                 REPRO_FAULT_MODE="sleep:120",
@@ -340,7 +330,7 @@ class TestKilledPooledCampaign:
         assert list((tmp_path / "ck-killed").glob("unit-*.json"))
 
         resumed = subprocess.run(
-            self._command(tmp_path, "killed", "resume"),
+            self._command(tmp_path, "killed"),
             env=self._env(),
             capture_output=True,
             text=True,

@@ -9,8 +9,10 @@ import pytest
 
 from repro.experiments import cache
 from repro.experiments import campaign as campaign_module
-from repro.experiments.campaign import run_campaign
-from repro.experiments.scale import Scale
+from repro.checkpoint.format import KIND_CAMPAIGN, write_checkpoint
+from repro.experiments.campaign import CampaignSpec, run_campaign
+from repro.experiments.results_io import result_to_dict
+from repro.experiments.scale import PRESETS, Scale
 from repro.errors import CheckpointError
 
 TINY = Scale(name="tiny-resume", sizes=(100, 200), origins=2, metric_sources=10)
@@ -21,10 +23,15 @@ SLICE = ["fig04", "fig05", "fig12"]
 
 
 @pytest.fixture(autouse=True)
-def _isolated_cache():
+def _isolated_cache(monkeypatch):
+    monkeypatch.setitem(PRESETS, TINY.name, TINY)
     cache.clear_cache()
     yield
     cache.clear_cache()
+
+
+def tiny(seed=5):
+    return CampaignSpec(scale=TINY.name, seed=seed)
 
 
 @pytest.fixture
@@ -42,7 +49,7 @@ class TestKeyboardInterrupt:
     ):
         # Reference: one uninterrupted run.
         reference = tmp_path / "reference"
-        run_campaign(TINY, seed=5, output_dir=reference)
+        run_campaign(tiny(), output_dir=reference)
         cache.clear_cache()
 
         # Interrupted run: Ctrl-C arrives while fig12 is executing.
@@ -58,8 +65,7 @@ class TestKeyboardInterrupt:
         checkpoints = tmp_path / "checkpoints"
         with pytest.raises(KeyboardInterrupt):
             run_campaign(
-                TINY,
-                seed=5,
+                tiny(),
                 output_dir=output,
                 cache_dir=tmp_path / "cache",
                 checkpoint_dir=checkpoints,
@@ -79,12 +85,10 @@ class TestKeyboardInterrupt:
 
         monkeypatch.setattr(campaign_module, "run_experiment", counting_run)
         summary = run_campaign(
-            TINY,
-            seed=5,
+            tiny(),
             output_dir=output,
             cache_dir=tmp_path / "cache",
             checkpoint_dir=checkpoints,
-            resume=True,
         )
         assert ran == ["fig12"]
         assert [r.experiment_id for r in summary.results] == SLICE
@@ -122,7 +126,7 @@ class TestKeyboardInterrupt:
         monkeypatch.setattr(campaign_module, "run_experiment", interrupted_run)
         checkpoints = tmp_path / "nested" / "checkpoints"
         with pytest.raises(KeyboardInterrupt):
-            run_campaign(TINY, seed=5, checkpoint_dir=checkpoints)
+            run_campaign(tiny(), checkpoint_dir=checkpoints)
         assert (checkpoints / "campaign-state.json").exists()
 
     def test_interrupt_without_checkpoint_dir_still_propagates(
@@ -133,14 +137,10 @@ class TestKeyboardInterrupt:
 
         monkeypatch.setattr(campaign_module, "run_experiment", boom)
         with pytest.raises(KeyboardInterrupt):
-            run_campaign(TINY, seed=5, output_dir=tmp_path / "out")
+            run_campaign(tiny(), output_dir=tmp_path / "out")
 
 
 class TestResumeValidation:
-    def test_resume_requires_checkpoint_dir(self):
-        with pytest.raises(CheckpointError, match="requires a checkpoint"):
-            run_campaign(TINY, seed=5, resume=True)
-
     def test_resume_refuses_different_campaign(
         self, tmp_path, monkeypatch, sliced_registry
     ):
@@ -154,35 +154,74 @@ class TestResumeValidation:
         monkeypatch.setattr(campaign_module, "run_experiment", interrupted_run)
         checkpoints = tmp_path / "checkpoints"
         with pytest.raises(KeyboardInterrupt):
-            run_campaign(TINY, seed=5, checkpoint_dir=checkpoints)
+            run_campaign(tiny(), checkpoint_dir=checkpoints)
         monkeypatch.setattr(campaign_module, "run_experiment", real_run)
         with pytest.raises(CheckpointError, match="cannot resume"):
-            run_campaign(TINY, seed=6, checkpoint_dir=checkpoints, resume=True)
+            run_campaign(tiny(seed=6), checkpoint_dir=checkpoints)
+
+    def test_corrupt_state_is_refused(self, tmp_path, sliced_registry):
+        checkpoints = tmp_path / "checkpoints"
+        checkpoints.mkdir()
+        (checkpoints / "campaign-state.json").write_text("{not json", encoding="utf-8")
+        with pytest.raises(CheckpointError):
+            run_campaign(tiny(), checkpoint_dir=checkpoints)
 
     def test_resume_with_no_state_runs_from_scratch(
         self, tmp_path, sliced_registry
     ):
-        summary = run_campaign(
-            TINY, seed=5, checkpoint_dir=tmp_path / "empty", resume=True
-        )
+        summary = run_campaign(tiny(), checkpoint_dir=tmp_path / "empty")
         assert [r.experiment_id for r in summary.results] == SLICE
+
+    def test_state_of_the_documented_layout_resumes(
+        self, tmp_path, monkeypatch, sliced_registry
+    ):
+        # The campaign-state payload is the identity (scale, seed,
+        # include_extensions, experiments) plus the completed results —
+        # the layout earlier releases wrote, so their states resume.
+        (reference,) = run_campaign(
+            CampaignSpec(scale=TINY.name, seed=5, experiments=("fig04",))
+        ).results
+        checkpoints = tmp_path / "checkpoints"
+        write_checkpoint(
+            checkpoints / "campaign-state.json",
+            KIND_CAMPAIGN,
+            {
+                "scale": TINY.name,
+                "seed": 5,
+                "include_extensions": False,
+                "experiments": None,
+                "completed": [result_to_dict(reference)],
+            },
+        )
+        ran = []
+        real_run = campaign_module.run_experiment
+
+        def counting_run(experiment_id, scale, seed=0):
+            ran.append(experiment_id)
+            return real_run(experiment_id, scale, seed=seed)
+
+        monkeypatch.setattr(campaign_module, "run_experiment", counting_run)
+        summary = run_campaign(tiny(), checkpoint_dir=checkpoints)
+        assert ran == ["fig05", "fig12"]
+        assert [r.experiment_id for r in summary.results] == SLICE
+        assert not (checkpoints / "campaign-state.json").exists()
 
 
 _DRIVER = """
 import sys
 from repro.experiments import campaign as campaign_module
-from repro.experiments.campaign import run_campaign
-from repro.experiments.scale import Scale
+from repro.experiments.campaign import CampaignSpec, run_campaign
+from repro.experiments.scale import PRESETS, Scale
 
 campaign_module.experiment_ids = lambda include_extensions=False: ["fig04"]
-TINY = Scale(name="tiny-resume", sizes=(100, 200), origins=2, metric_sources=10)
+PRESETS["tiny-resume"] = Scale(
+    name="tiny-resume", sizes=(100, 200), origins=2, metric_sources=10
+)
 summary = run_campaign(
-    TINY,
-    seed=5,
+    CampaignSpec(scale="tiny-resume", seed=5),
     output_dir=sys.argv[1],
     cache_dir=sys.argv[2],
     checkpoint_dir=sys.argv[3],
-    resume=(sys.argv[4] == "resume"),
 )
 """
 
@@ -191,7 +230,7 @@ summary = run_campaign(
 class TestKilledProcess:
     """The acceptance scenario: SIGKILL-grade death mid-sweep, then resume."""
 
-    def _run(self, tmp_path, label, *, fault=None, resume=False):
+    def _run(self, tmp_path, label, *, fault=None):
         env = dict(os.environ)
         env["PYTHONPATH"] = str(Path(__file__).resolve().parents[2] / "src")
         env.pop("REPRO_FAULT_INJECT", None)
@@ -207,7 +246,6 @@ class TestKilledProcess:
                     str(out),
                     str(tmp_path / f"cache-{label}"),
                     str(tmp_path / f"ck-{label}"),
-                    "resume" if resume else "fresh",
                 ],
                 env=env,
                 capture_output=True,
@@ -234,26 +272,9 @@ class TestKilledProcess:
         checkpoints = tmp_path / "ck-killed"
         assert list(checkpoints.glob("unit-*.json")), "unit checkpoint expected"
 
-        # Resume: reuse the killed run's cache + checkpoint dirs.
-        env_fix = {"cache": "cache-killed", "ck": "ck-killed"}
-        proc2 = subprocess.run(
-            [
-                sys.executable,
-                "-c",
-                _DRIVER,
-                str(output),
-                str(tmp_path / env_fix["cache"]),
-                str(tmp_path / env_fix["ck"]),
-                "resume",
-            ],
-            env={
-                **os.environ,
-                "PYTHONPATH": str(Path(__file__).resolve().parents[2] / "src"),
-            },
-            capture_output=True,
-            text=True,
-            timeout=300,
-        )
+        # Resume: the same command, on the killed run's cache and
+        # checkpoint dirs.
+        proc2, _ = self._run(tmp_path, "killed")
         assert proc2.returncode == 0, proc2.stderr
         assert (output / "campaign.json").read_bytes() == (
             reference / "campaign.json"

@@ -144,7 +144,6 @@ class TestParser:
         assert args.jobs is None
         assert args.cache_dir is None
         assert args.checkpoint_dir is None
-        assert args.resume is False
 
     def test_checkpoint_options(self, tmp_path):
         args = build_parser().parse_args(
@@ -154,11 +153,26 @@ class TestParser:
                 "out",
                 "--checkpoint-dir",
                 str(tmp_path),
-                "--resume",
             ]
         )
         assert args.checkpoint_dir == tmp_path
-        assert args.resume is True
+
+    @pytest.mark.parametrize("verb", ["campaign", "serve"])
+    def test_resume_is_not_an_option(self, verb, tmp_path):
+        # A checkpoint directory resumes what it holds; there is no flag.
+        argv = [verb, "-o", "out", "--checkpoint-dir", str(tmp_path)]
+        build_parser().parse_args(argv)
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args([*argv, "--resume"])
+        assert exc.value.code == 2
+
+    def test_corrupt_campaign_state_exits_2(self, tmp_path, capsys):
+        (tmp_path / "campaign-state.json").write_text("{", encoding="utf-8")
+        argv = ["campaign", "--scale", "smoke", "--experiment", "fig01",
+                "--checkpoint-dir", str(tmp_path), "-o", str(tmp_path / "out")]
+        assert main(argv) == 2
+        assert "error" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize(
         "argv",

@@ -29,9 +29,9 @@ class TestGetScale:
     def test_by_name_case_insensitive(self):
         assert get_scale("SMOKE") is PRESETS["smoke"]
 
-    def test_env_fallback(self, monkeypatch):
+    def test_environment_does_not_choose_the_preset(self, monkeypatch):
         monkeypatch.setenv("REPRO_SCALE", "smoke")
-        assert get_scale() is PRESETS["smoke"]
+        assert get_scale() is PRESETS["default"]
 
     def test_default_without_env(self, monkeypatch):
         monkeypatch.delenv("REPRO_SCALE", raising=False)
