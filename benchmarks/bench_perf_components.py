@@ -643,15 +643,17 @@ CLI_VERBS = {
 }
 
 
-def test_topology_build_budget(results_dir):
+def test_topology_build_budget(results_dir, tmp_path):
     """Budget rows for building a topology and for CLI start-up.
 
     Exact: link count and canonical-JSON digest of the fixed-seed
     Baseline graph at n=2000 and n=8000 (the generator's output is part
-    of every experiment's identity).  Cost: µs per link to generate and
-    to load at n=8000.  Per verb of :data:`CLI_VERBS`, what a fresh
-    interpreter pays before the verb runs — importing the CLI and the
-    module :func:`~repro.experiments.cli.main` dispatches to: the wall
+    of every experiment's identity), and the sha256 of the file
+    ``save_json`` writes for it at n=2000.  Cost: µs per link to
+    generate, to load and to save at n=8000.  Per verb of
+    :data:`CLI_VERBS`, what a fresh interpreter pays before the verb
+    runs — importing the CLI and the module
+    :func:`~repro.experiments.cli.main` dispatches to: the wall
     time (``cli_import_ms_<verb>``) and the number of ``repro`` modules
     loaded (``modules_loaded_<verb>``, a ceiling in the gate).  The
     scaling invariant — the per-link cost at n=8000 stays within 3x of
@@ -662,7 +664,7 @@ def test_topology_build_budget(results_dir):
     import hashlib
     import subprocess
 
-    from repro.topology.serialization import from_json_dict, to_json_dict
+    from repro.topology.serialization import from_json_dict, save_json, to_json_dict
 
     topology_build = {}
     for n in (2000, 8000):
@@ -677,10 +679,17 @@ def test_topology_build_budget(results_dir):
         ).hexdigest()
         generate_s = _best_of(lambda: generate_topology(params, seed=3), 3)
         load_s = _best_of(lambda: from_json_dict(document), 3)
+        path = tmp_path / f"baseline-n{n}.json"
+        save_s = _best_of(lambda: save_json(graph, path), 3)
         # The budgeted cost rows are the n=8000 ones; n=2000 is their base.
         suffix = "_n2000" if n == 2000 else ""
         topology_build[f"generate_us_per_link{suffix}"] = generate_s / links * 1e6
         topology_build[f"load_us_per_link{suffix}"] = load_s / links * 1e6
+        topology_build[f"save_us_per_link{suffix}"] = save_s / links * 1e6
+        if n == 2000:
+            topology_build["file_digest_n2000"] = hashlib.sha256(
+                path.read_bytes()
+            ).hexdigest()
 
     src = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
     env = dict(os.environ, PYTHONPATH=src)
@@ -708,7 +717,9 @@ def test_topology_build_budget(results_dir):
         f"{topology_build['generate_us_per_link_n2000']:.1f} -> "
         f"{topology_build['generate_us_per_link']:.1f} us/link, load "
         f"{topology_build['load_us_per_link_n2000']:.1f} -> "
-        f"{topology_build['load_us_per_link']:.1f} us/link (n=2000 -> 8000)"
+        f"{topology_build['load_us_per_link']:.1f} us/link, save "
+        f"{topology_build['save_us_per_link_n2000']:.1f} -> "
+        f"{topology_build['save_us_per_link']:.1f} us/link (n=2000 -> 8000)"
     )
     for verb in CLI_VERBS:
         print(

@@ -18,9 +18,10 @@ benchmark records (see ``benchmarks/bench_perf_components.py``):
 
 Additionally the supersession invariant itself is asserted: the tracked
 scenario must execute at most half the events the pre-fix kernel did;
-and the topology-construction scaling invariant: generating and loading
-a Baseline topology may cost at most 3x more *per link* at n=8000 than
-at n=2000 (a per-link scan of a tier-1's adjacency gave ~7x); and three
+and the topology-construction scaling invariant: generating, loading
+and saving a Baseline topology may cost at most 3x more *per link* at
+n=8000 than at n=2000 (a per-link scan of a tier-1's adjacency gave
+~7x); and three
 checkpoint invariants: RNG streams take under 25 % of a snapshot's bytes
 (full generator states took 86 %), a snapshot after four C-events is at
 most 5 % larger than after the first (keeping every measured prefix made
@@ -76,6 +77,7 @@ EXACT_COUNTERS = [
     ("topology_build", "graph_digest_n2000"),
     ("topology_build", "links_n8000"),
     ("topology_build", "graph_digest_n8000"),
+    ("topology_build", "file_digest_n2000"),
     ("checkpoint_cost", "snapshot_bytes_first_event"),
     ("checkpoint_cost", "snapshot_bytes"),
     ("checkpoint_cost", "rng_draws"),
@@ -111,6 +113,7 @@ COST_METRICS = [
     ("longmem_analysis", "dfa_per_point_us"),
     ("topology_build", "generate_us_per_link"),
     ("topology_build", "load_us_per_link"),
+    ("topology_build", "save_us_per_link"),
     ("topology_build", "cli_import_ms_version"),
     ("topology_build", "cli_import_ms_topology_generate"),
     ("topology_build", "cli_import_ms_simulate"),
@@ -240,7 +243,7 @@ def main(argv=None) -> int:
             "decision economy"
         )
 
-    for phase in ("generate", "load"):
+    for phase in ("generate", "load", "save"):
         small = float(
             _get(current, "topology_build", f"{phase}_us_per_link_n2000", args.current)
         )
@@ -251,8 +254,8 @@ def main(argv=None) -> int:
             failures.append(
                 f"topology_build: {phase} costs {large:.1f} us/link at n=8000 vs "
                 f"{small:.1f} at n=2000 ({large / small:.1f}x > "
-                f"{TOPOLOGY_SCALING_LIMIT}x) — building a topology is no longer "
-                "near-linear in its links"
+                f"{TOPOLOGY_SCALING_LIMIT}x) — {phase} is no longer near-linear "
+                "in a topology's links"
             )
 
     rng_share = float(_get(current, "checkpoint_cost", "rng_share", args.current))

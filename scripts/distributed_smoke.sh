@@ -7,7 +7,8 @@
 # artifacts byte-for-byte against the serial ones.  Any scheduling,
 # framing, or merge-order bug in a transport of the unit queue shows up
 # as a diff here.  summary.txt is excluded (it reports wall clock and
-# worker counts, which legitimately differ).
+# worker counts, which legitimately differ); the coordinator's must
+# count both workers (jobs=2).
 #
 # A fourth leg kills a pool worker mid-unit: Fig. 7 on --jobs 2 with
 # --checkpoint-dir, where REPRO_FAULT_INJECT ends the worker running
@@ -46,6 +47,9 @@ SERVE_PID=$!
 python -m repro.experiments.cli worker "127.0.0.1:$PORT" --quiet &
 python -m repro.experiments.cli worker "127.0.0.1:$PORT" --quiet &
 wait "$SERVE_PID"
+# summary.txt counts the workers that ran units, not the default jobs=1.
+grep -qF "execution: jobs=2," "$WORK/dist/summary.txt" \
+    || { echo "FAIL: serve summary does not count both workers:"; cat "$WORK/dist/summary.txt"; exit 1; }
 
 echo "== diffing artifacts =="
 for run in pool dist; do

@@ -20,7 +20,7 @@ The generator is fully deterministic given a seed.
 from __future__ import annotations
 
 import random
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, FrozenSet, Iterator, List, Optional, Sequence, Tuple
 
 from repro.errors import TopologyError
 from repro.topology.attachment import (
@@ -392,8 +392,14 @@ def _draw_peer_uniform(
 
 
 def _add_cp_peering(state: _GeneratorState, initiators: Sequence[int]) -> None:
-    """Add CP–M and CP–CP peering links, uniform selection within region."""
+    """Add CP–M and CP–CP peering links, uniform selection within region.
+
+    A CP node is offered the other CP nodes sharing a region with it, in
+    ``state.cp_nodes`` order.  That list is filtered once per distinct
+    region set (a handful) rather than once per CP node.
+    """
     params = state.params
+    cp_sharing: Dict[FrozenSet[int], List[int]] = {}
     for node_id in initiators:
         with state.m_candidates_for(node_id, state.m_peers) as offered:
             m_candidates = list(offered)
@@ -402,12 +408,13 @@ def _add_cp_peering(state: _GeneratorState, initiators: Sequence[int]) -> None:
             if peer is None:
                 break
             state.add_peering(node_id, peer)
-        node_regions = state.graph.node(node_id).regions
-        cp_candidates = [
-            cp
-            for cp in state.cp_nodes
-            if cp != node_id and state.graph.node(cp).regions & node_regions
-        ]
+        regions = state.graph.node(node_id).regions
+        sharing = cp_sharing.get(regions)
+        if sharing is None:
+            sharing = cp_sharing[regions] = [
+                cp for cp in state.cp_nodes if state.graph.node(cp).regions & regions
+            ]
+        cp_candidates = [cp for cp in sharing if cp != node_id]
         for _ in range(draw_link_count(params.p_cp_cp, state.rng, minimum=0)):
             peer = _draw_peer_uniform(state, node_id, cp_candidates)
             if peer is None:

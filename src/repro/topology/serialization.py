@@ -3,7 +3,11 @@
 Two formats are supported:
 
 * a JSON document (lossless: node types, regions, relationships, scenario
-  name) — the library's native interchange format;
+  name) — the library's native interchange format.  :func:`to_json_dict`
+  defines it; :func:`save_json` writes the bytes the standard library's
+  encoder gives that dict at ``indent=1``, but formats them straight
+  from the graph, a few hundred records per write, so neither the
+  document dict nor the whole string is ever built;
 * a CAIDA-style ``as-rel`` text format (``<a>|<b>|<rel>`` with ``-1`` for
   provider→customer and ``0`` for peer) — convenient for feeding real
   inferred topologies into the simulator.  Node types and regions are not
@@ -14,9 +18,10 @@ Two formats are supported:
 
 from __future__ import annotations
 
+import itertools
 import json
 from pathlib import Path
-from typing import Union
+from typing import Callable, Iterator, List, Union
 
 from repro.errors import SerializationError, TopologyError
 from repro.files import atomic_writer
@@ -92,11 +97,82 @@ def from_json_dict(data: dict) -> ASGraph:
     return graph
 
 
+#: Records formatted per ``write`` call by :func:`save_json`.
+_CHUNK = 256
+
+#: One item of each top-level list, laid out as at ``indent=1`` (items
+#: sit at depth 2).  Node types and link kinds are plain identifiers, so
+#: they go in unescaped.
+_NODE = '  {\n   "id": %d,\n   "type": "%s",\n   "regions": %s\n  }'
+_LINK = '  {\n   "a": %d,\n   "b": %d,\n   "kind": "%s"\n  }'
+_ADJACENCY = "  [\n   %d,\n   %s\n  ]"
+
+
+def _int_list(values: List[int], indent: str) -> str:
+    """``values`` laid out as ``json`` does at ``indent=1`` for a list of
+    ints whose opening bracket sits on a line indented by ``indent``."""
+    if not values:
+        return "[]"
+    pad = "\n " + indent
+    return "[" + pad + ("," + pad).join(map(str, values)) + "\n" + indent + "]"
+
+
+def _write_list(write: Callable[[str], object], records: Iterator[str]) -> None:
+    """Write a top-level list value whose items are formatted ``records``,
+    ``_CHUNK`` of them per ``write``."""
+    write("[")
+    separator = "\n"
+    while chunk := list(itertools.islice(records, _CHUNK)):
+        write(separator + ",\n".join(chunk))
+        separator = ",\n"
+    write("]" if separator == "\n" else "\n ]")
+
+
 def save_json(graph: ASGraph, path: Union[str, Path]) -> None:
-    """Write the topology to ``path`` as JSON, streamed into the file
-    (the document is never held as one string) and replaced atomically."""
+    """Write the topology to ``path`` as JSON, replaced atomically.
+
+    The bytes are those ``json`` writes for :func:`to_json_dict` at
+    ``indent=1``: nodes in id order, links from :meth:`ASGraph.edges`,
+    adjacency from :meth:`ASGraph.adjacency_order`.  Each record is
+    formatted from the graph by a template and written in chunks of
+    ``_CHUNK``, so the file is streamed and the document never held.
+    """
     with atomic_writer(path) as handle:
-        json.dump(to_json_dict(graph), handle, indent=1)
+        write = handle.write
+        write(
+            '{\n "format_version": %d,\n "scenario": %s,\n "nodes": '
+            % (_FORMAT_VERSION, json.dumps(graph.scenario))
+        )
+        _write_list(
+            write,
+            (
+                _NODE
+                % (
+                    node.node_id,
+                    node.node_type.value,
+                    _int_list(sorted(node.regions), "   "),
+                )
+                for node in graph.nodes()
+            ),
+        )
+        write(',\n "links": ')
+        _write_list(
+            write,
+            (
+                _LINK % (u, v, "peer" if rel is Relationship.PEER else "transit")
+                for u, v, rel in graph.edges()
+            ),
+        )
+        write(',\n "adjacency": ')
+        _write_list(
+            write,
+            (
+                _ADJACENCY
+                % (node_id, _int_list(graph.adjacency_order(node_id), "   "))
+                for node_id in graph.node_ids
+            ),
+        )
+        write("\n}")
 
 
 def load_json(path: Union[str, Path]) -> ASGraph:

@@ -6,7 +6,6 @@ import pytest
 
 from repro.experiments.commands import write_json_artifact
 from repro.files import atomic_writer
-from repro.topology import serialization
 from repro.topology.generator import generate_topology
 from repro.topology.params import baseline_params
 from repro.topology.serialization import save_as_rel, save_json, to_json_dict
@@ -26,11 +25,10 @@ class _EdgesThenFail:
 
 
 def _fail_json_midway(path, monkeypatch):
-    # The first keys stream out, then a value json cannot encode.
-    monkeypatch.setattr(
-        serialization, "to_json_dict", lambda graph: {"format_version": 1, "z": object()}
-    )
-    save_json(None, path)
+    # The nodes stream out (two chunks and more), then the links break.
+    graph = generate_topology(baseline_params(300), seed=2)
+    monkeypatch.setattr(graph, "edges", _EdgesThenFail().edges)
+    save_json(graph, path)
 
 
 WRITERS = {

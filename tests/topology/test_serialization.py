@@ -1,10 +1,17 @@
 """Tests for topology serialization (JSON and as-rel formats)."""
 
+import json
+import tracemalloc
+
 import pytest
 
 from repro.errors import SerializationError
+from repro.topology import serialization
+from repro.topology.evolve import evolve_topology
 from repro.topology.generator import generate_topology
+from repro.topology.graph import ASGraph
 from repro.topology.params import baseline_params
+from repro.topology.scenarios import scenario_names, scenario_params
 from repro.topology.serialization import (
     from_json_dict,
     load_as_rel,
@@ -60,6 +67,90 @@ class TestJsonRoundTrip:
         data["links"][0]["kind"] = "sibling"
         with pytest.raises(SerializationError):
             from_json_dict(data)
+
+
+def _reference_bytes(graph: ASGraph) -> str:
+    """What ``json.dump(to_json_dict(graph), handle, indent=1)`` writes."""
+    return json.dumps(to_json_dict(graph), indent=1)
+
+
+def _saved(graph: ASGraph, tmp_path) -> str:
+    path = tmp_path / "topology.json"
+    save_json(graph, path)
+    return path.read_text(encoding="utf-8")
+
+
+def _chain_graph(nodes: int) -> ASGraph:
+    """``nodes`` nodes in one peering chain: ``nodes`` node and adjacency
+    records, ``nodes - 1`` link records."""
+    graph = ASGraph(scenario="chain")
+    for node_id in range(nodes):
+        graph.add_node(node_id, NodeType.CP, [node_id % 3])
+    for node_id in range(1, nodes):
+        graph.add_peering_link(node_id - 1, node_id)
+    return graph
+
+
+class TestStreamedJsonWriter:
+    """``save_json`` formats the document from the graph; its bytes are
+    those of ``json.dump(to_json_dict(graph), indent=1)``."""
+
+    @pytest.mark.parametrize("n", [10, 300, 1200])
+    @pytest.mark.parametrize("scenario", scenario_names())
+    def test_bytes_equal_the_reference_for_every_scenario(self, scenario, n, tmp_path):
+        for seed in (1, 2):
+            graph = generate_topology(scenario_params(scenario, n), seed=seed)
+            assert _saved(graph, tmp_path) == _reference_bytes(graph), (scenario, n, seed)
+
+    def test_evolved_graph(self, tmp_path):
+        graph = generate_topology(baseline_params(300), seed=7)
+        evolve_topology(graph, baseline_params(500), seed=8)
+        assert _saved(graph, tmp_path) == _reference_bytes(graph)
+
+    def test_as_rel_loaded_graph(self, tmp_path):
+        source = tmp_path / "source.as-rel"
+        save_as_rel(generate_topology(baseline_params(400), seed=5), source)
+        graph = load_as_rel(source)
+        assert _saved(graph, tmp_path) == _reference_bytes(graph)
+
+    def test_empty_graph(self, tmp_path):
+        graph = ASGraph()
+        text = _saved(graph, tmp_path)
+        assert text == _reference_bytes(graph)
+        assert '"nodes": [],' in text and '"adjacency": []\n}' in text
+
+    def test_node_without_neighbours(self, diamond, tmp_path):
+        diamond.add_node(9, NodeType.C, [0, 2])
+        text = _saved(diamond, tmp_path)
+        assert text == _reference_bytes(diamond)
+        assert "   9,\n   []\n" in text
+        assert list(load_json(tmp_path / "topology.json").neighbors(9)) == []
+
+    def test_scenario_name_is_escaped(self, diamond, tmp_path):
+        diamond.scenario = 'say "hi" \\ größe → 東京\n'
+        assert _saved(diamond, tmp_path) == _reference_bytes(diamond)
+        assert load_json(tmp_path / "topology.json").scenario == diamond.scenario
+
+    @pytest.mark.parametrize(
+        "offset", [-1, 0, 1, 2], ids=["chunk-1", "chunk", "chunk+1", "chunk+2"]
+    )
+    def test_record_counts_around_a_chunk_boundary(self, offset, tmp_path):
+        for chunks in (1, 2):
+            graph = _chain_graph(chunks * serialization._CHUNK + offset)
+            assert _saved(graph, tmp_path) == _reference_bytes(graph)
+
+    def test_document_is_never_held_whole(self, tmp_path):
+        graph = generate_topology(baseline_params(5000), seed=3)
+        path = tmp_path / "topology.json"
+        tracemalloc.start()
+        try:
+            save_json(graph, path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        size = path.stat().st_size
+        # json.dump of the document dict peaked at ~3.5x the file's size.
+        assert peak < size / 2, f"save_json peaked at {peak} B for a {size} B file"
 
 
 class TestRoundTripProperties:
