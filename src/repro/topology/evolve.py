@@ -119,9 +119,9 @@ def _densify_mhd(
     """Add provider links so the group's mean MHD approaches the target.
 
     Each node draws its extra-provider count from the same uniform spread
-    the generator uses, centred on the group's current deficit; candidate
-    providers that are already connected or would close a provider loop
-    are skipped by the slot machinery.
+    the generator uses, centred on the group's current deficit; a drawn
+    provider the graph refuses (already connected, a provider loop, or a
+    peering link pulled inside a customer tree) is skipped.
     """
     if not nodes:
         return
@@ -135,36 +135,7 @@ def _densify_mhd(
         if extra == 0:
             continue
         for provider in _provider_slots(state, node_id, extra, t_probability):
-            if graph.has_link(node_id, provider):
+            try:
+                state.add_transit(node_id, provider)
+            except TopologyError:
                 continue
-            if graph.is_in_customer_tree(ancestor=node_id, descendant=provider):
-                continue
-            if _would_break_peering(graph, customer=node_id, provider=provider):
-                continue
-            state.add_transit(node_id, provider)
-
-
-def _would_break_peering(graph: ASGraph, *, customer: int, provider: int) -> bool:
-    """Whether the transit link would pull a peering link inside a tree.
-
-    The new edge adds ``customer`` and its whole customer cone to the
-    cones of ``provider`` and every ancestor of ``provider``.  If any of
-    those ancestors currently peers with a member of that cone, the
-    no-peering-inside-the-customer-tree invariant would break (the graph
-    only validates *new* links, so evolution must check existing peering
-    itself).
-    """
-    members = graph.customer_tree(customer)
-    members.add(customer)
-    seen = set()
-    stack = [provider]
-    while stack:
-        current = stack.pop()
-        if current in seen:
-            continue
-        seen.add(current)
-        for peer in graph.peers_of(current):
-            if peer in members:
-                return True
-        stack.extend(graph.providers_of(current))
-    return False

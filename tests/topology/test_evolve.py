@@ -76,8 +76,8 @@ class TestGrowth:
             assert find_violations(graph) == []
 
     def test_would_break_peering_detected(self):
-        """White-box check of the guard itself."""
-        from repro.topology.evolve import _would_break_peering
+        """Densification relies on the graph refusing a provider link
+        that would pull an existing peering link inside a customer tree."""
         from repro.topology.graph import ASGraph
 
         graph = ASGraph()
@@ -91,10 +91,13 @@ class TestGrowth:
         graph.add_peering_link(1, 2)
         # transit 2 -> 3 would make 2 a member of 1's customer tree while
         # 1 still peers with 2
-        assert _would_break_peering(graph, customer=2, provider=3)
+        with pytest.raises(TopologyError, match="customer tree of its peer"):
+            graph.add_transit_link(2, 3)
+        assert not graph.has_link(2, 3)
         # a harmless candidate: 3 -> 2 (2 has no peered ancestors whose
         # peer lies in 3's cone)
-        assert not _would_break_peering(graph, customer=3, provider=2)
+        graph.add_transit_link(3, 2)
+        assert find_violations(graph) == []
 
     def test_deterministic(self):
         a = generate_topology(baseline_params(200), seed=11)
