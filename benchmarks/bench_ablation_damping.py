@@ -10,10 +10,13 @@ flap propagates globally.
 import pytest
 
 from repro.bgp.config import BGPConfig, DampingConfig
+from repro.prefix.prefix import host_prefix
 from repro.sim.network import SimNetwork
 from repro.topology.generator import generate_topology
 from repro.topology.params import baseline_params
 from repro.topology.types import NodeType
+
+P0 = host_prefix(0)
 
 FLAPS = 8
 FLAP_PERIOD = 20.0
@@ -33,17 +36,17 @@ def flap_storm(damping_enabled: bool) -> int:
         mrai=2.0, link_delay=0.001, processing_time_max=0.01, damping=damping
     )
     network = SimNetwork(graph, config, seed=7)
-    network.originate(origin, 0)
+    network.originate(origin, P0)
     network.run_to_convergence()
     network.start_counting()
     start = network.engine.now
     for k in range(FLAPS):
         network.engine.schedule_at(
-            start + k * FLAP_PERIOD, lambda: network.withdraw(origin, 0)
+            start + k * FLAP_PERIOD, lambda: network.withdraw(origin, P0)
         )
         network.engine.schedule_at(
             start + k * FLAP_PERIOD + FLAP_PERIOD / 2,
-            lambda: network.originate(origin, 0),
+            lambda: network.originate(origin, P0),
         )
     network.engine.run(until=start + FLAPS * FLAP_PERIOD + 60.0)
     return network.counter.total

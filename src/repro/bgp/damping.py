@@ -18,7 +18,7 @@ import math
 from typing import Dict, Optional
 
 from repro.bgp.config import DampingConfig
-from repro.prefix.prefix import PrefixToken
+from repro.prefix.prefix import Prefix
 
 
 class FlapKind(enum.Enum):
@@ -59,9 +59,9 @@ class RouteFlapDamper:
 
     def __init__(self, config: DampingConfig) -> None:
         self._config = config
-        self._records: Dict[PrefixToken, Dict[int, PenaltyRecord]] = {}
+        self._records: Dict[Prefix, Dict[int, PenaltyRecord]] = {}
 
-    def _record(self, neighbor: int, prefix: PrefixToken) -> Optional[PenaltyRecord]:
+    def _record(self, neighbor: int, prefix: Prefix) -> Optional[PenaltyRecord]:
         by_neighbor = self._records.get(prefix)
         if by_neighbor is None:
             return None
@@ -80,7 +80,7 @@ class RouteFlapDamper:
         return self._config.attribute_change_penalty
 
     def record_flap(
-        self, neighbor: int, prefix: PrefixToken, kind: FlapKind, now: float
+        self, neighbor: int, prefix: Prefix, kind: FlapKind, now: float
     ) -> float:
         """Register a flap; returns the updated penalty."""
         record = self._records.setdefault(prefix, {}).setdefault(
@@ -93,7 +93,7 @@ class RouteFlapDamper:
             record.suppressed = True
         return record.penalty
 
-    def is_suppressed(self, neighbor: int, prefix: PrefixToken, now: float) -> bool:
+    def is_suppressed(self, neighbor: int, prefix: Prefix, now: float) -> bool:
         """Whether routes from ``neighbor`` for ``prefix`` are unusable now."""
         if not self._config.enabled:
             return False
@@ -112,7 +112,7 @@ class RouteFlapDamper:
         return True
 
     def time_until_reuse(
-        self, neighbor: int, prefix: PrefixToken, now: float
+        self, neighbor: int, prefix: Prefix, now: float
     ) -> Optional[float]:
         """Seconds until the record decays to the reuse threshold.
 
@@ -127,7 +127,7 @@ class RouteFlapDamper:
         wait = self._config.half_life * math.log2(penalty / self._config.reuse_threshold)
         return min(wait, max(0.0, self._config.max_suppress_time - (now - record.last_update)))
 
-    def earliest_reuse(self, prefix: int, now: float) -> Optional[float]:
+    def earliest_reuse(self, prefix: Prefix, now: float) -> Optional[float]:
         """Shortest wait until any record for ``prefix`` leaves suppression.
 
         Returns None when nothing for the prefix is suppressed at ``now``.
@@ -158,7 +158,7 @@ class RouteFlapDamper:
                 best = wait
         return best
 
-    def forget(self, prefix: PrefixToken) -> None:
+    def forget(self, prefix: Prefix) -> None:
         """Drop every record for ``prefix`` (it will never flap again)."""
         if prefix in self._records:
             del self._records[prefix]
@@ -186,7 +186,7 @@ class RouteFlapDamper:
             record.suppressed = suppressed
             self._records.setdefault(prefix, {})[neighbor] = record
 
-    def penalty(self, neighbor: int, prefix: PrefixToken, now: float) -> float:
+    def penalty(self, neighbor: int, prefix: Prefix, now: float) -> float:
         """Current decayed penalty (0 when no record exists)."""
         record = self._record(neighbor, prefix)
         if record is None:

@@ -33,7 +33,7 @@ from typing import TYPE_CHECKING, Callable, Dict, List, Type
 from repro.bgp.messages import UpdateMessage
 from repro.bgp.route import intern_path
 from repro.errors import CheckpointError
-from repro.prefix.prefix import PrefixToken, prefix_from_json, prefix_to_json
+from repro.prefix.prefix import Prefix, prefix_from_json, prefix_to_json
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
     from repro.bgp.node import BGPNode
@@ -111,7 +111,7 @@ class DampingReuseCheck(SimEvent):
     __slots__ = ("node", "prefix")
     kind = "damping-reuse-check"
 
-    def __init__(self, node: "BGPNode", prefix: PrefixToken) -> None:
+    def __init__(self, node: "BGPNode", prefix: Prefix) -> None:
         self.node = node
         self.prefix = prefix
 

@@ -4,9 +4,8 @@ A message is either an **announcement** (carries an AS path) or an explicit
 **withdrawal** (no path).  The distinction matters for the MRAI variants:
 NO-WRATE lets withdrawals bypass the rate-limiting timer, WRATE does not.
 
-Prefixes are opaque tokens: real :class:`~repro.prefix.prefix.Prefix`
-values, or bare ints in the scenarios that never migrated — the message
-layer never looks inside them.
+The prefix is a :class:`~repro.prefix.prefix.Prefix`; the message layer
+never looks inside it.
 """
 
 from __future__ import annotations
@@ -15,7 +14,7 @@ import dataclasses
 from typing import Optional, Tuple
 
 from repro.bgp.route import intern_path
-from repro.prefix.prefix import PrefixToken
+from repro.prefix.prefix import Prefix
 
 
 @dataclasses.dataclass(frozen=True, slots=True)
@@ -28,7 +27,7 @@ class UpdateMessage:
 
     sender: int
     receiver: int
-    prefix: PrefixToken
+    prefix: Prefix
     path: Optional[Tuple[int, ...]]
 
     @property
@@ -51,7 +50,7 @@ class UpdateMessage:
 
 
 def announcement(
-    sender: int, receiver: int, prefix: PrefixToken, path: Tuple[int, ...]
+    sender: int, receiver: int, prefix: Prefix, path: Tuple[int, ...]
 ) -> UpdateMessage:
     """Build an announcement message (path must be non-empty)."""
     if not path:
@@ -61,6 +60,6 @@ def announcement(
     )
 
 
-def withdrawal(sender: int, receiver: int, prefix: PrefixToken) -> UpdateMessage:
+def withdrawal(sender: int, receiver: int, prefix: Prefix) -> UpdateMessage:
     """Build an explicit withdrawal message."""
     return UpdateMessage(sender=sender, receiver=receiver, prefix=prefix, path=None)

@@ -30,7 +30,7 @@ from repro.bgp.config import BGPConfig, MRAIMode, SendDiscipline
 from repro.bgp.messages import UpdateMessage
 from repro.bgp.route import intern_path
 from repro.obs.telemetry import NULL_TELEMETRY, RELATIONSHIP_SLOTS, KernelCounts
-from repro.prefix.prefix import PrefixToken
+from repro.prefix.prefix import Prefix
 from repro.topology.types import LOCAL_PREFERENCE, Relationship
 
 #: A target state for a prefix at a neighbour: the AS path to advertise,
@@ -129,12 +129,12 @@ class OutputChannel:
         #: What the neighbour currently believes, per prefix (None/absent =
         #: no route).  Only explicitly advertised-then-withdrawn prefixes
         #: keep a None entry; never-advertised prefixes are absent.
-        self._sent: Dict[PrefixToken, TargetState] = {}
+        self._sent: Dict[Prefix, TargetState] = {}
         #: Updates waiting for the timer, newest target per prefix.
-        self._pending: Dict[PrefixToken, TargetState] = {}
+        self._pending: Dict[Prefix, TargetState] = {}
         #: Gate(s): time at which the next rate-limited send is allowed.
         self._interface_gate = 0.0
-        self._prefix_gates: Dict[PrefixToken, float] = {}
+        self._prefix_gates: Dict[Prefix, float] = {}
         #: Timer armings so far, each one draw from the owner's RNG
         #: stream.  Never reset: a checkpoint records the stream as its
         #: draw count (see :meth:`BGPNode.rng_draws`).
@@ -148,13 +148,9 @@ class OutputChannel:
         """Number of prefixes with an update waiting in the out-queue."""
         return len(self._pending)
 
-    def advertised(self, prefix: PrefixToken) -> TargetState:
+    def advertised(self, prefix: Prefix) -> TargetState:
         """The state last sent to the neighbour for ``prefix``."""
         return self._sent.get(prefix)
-
-    def has_advertised(self, prefix: PrefixToken) -> bool:
-        """Whether an announcement for ``prefix`` is currently outstanding."""
-        return self._sent.get(prefix) is not None
 
     def reset(self) -> None:
         """Forget all session state (used when the BGP session goes down).
@@ -193,7 +189,7 @@ class OutputChannel:
     # Main entry points
     # ------------------------------------------------------------------
     def set_target(
-        self, prefix: PrefixToken, target: TargetState, now: float
+        self, prefix: Prefix, target: TargetState, now: float
     ) -> Tuple[List[UpdateMessage], Optional[float]]:
         """Declare the state the neighbour *should* have for ``prefix``.
 
@@ -281,7 +277,7 @@ class OutputChannel:
     # ------------------------------------------------------------------
     # Internals
     # ------------------------------------------------------------------
-    def _arm(self, prefix: PrefixToken, now: float) -> float:
+    def _arm(self, prefix: Prefix, now: float) -> float:
         self.arms += 1
         params = self._params
         gate = now + params.mrai * (
@@ -294,7 +290,7 @@ class OutputChannel:
         return gate
 
     def _send(
-        self, prefix: PrefixToken, target: TargetState, now: float, arm_timer: bool
+        self, prefix: Prefix, target: TargetState, now: float, arm_timer: bool
     ) -> UpdateMessage:
         """Put ``target`` on the wire (``arm_timer`` only on a limited path)."""
         self._sent[prefix] = target

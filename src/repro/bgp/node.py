@@ -28,9 +28,10 @@ from repro.bgp.mrai import ChannelParams, OutputChannel
 from repro.bgp.policy import exportable
 from repro.bgp.rib import AdjRIBIn, LocRIB
 from repro.bgp.route import Route, local_route, make_route
-from repro.errors import CheckpointError, SimulationError
+from repro.errors import CheckpointError, ParameterError, SimulationError
 from repro.bgp.events import DampingReuseCheck, MRAIWakeup, ServiceCompletion
 from repro.obs.telemetry import NULL_TELEMETRY, KernelCounts
+from repro.prefix.prefix import Prefix
 from repro.topology.types import LOCAL_PREFERENCE, NodeType, Relationship
 
 TransmitFn = Callable[[UpdateMessage, float], None]
@@ -156,7 +157,7 @@ class BGPNode:
         self._in_queue: Deque[UpdateMessage] = collections.deque()
         self._busy = False
         self.adj_rib_in, self.loc_rib = AdjRIBIn(), LocRIB()
-        self._local_routes: Dict[int, Route] = {}
+        self._local_routes: Dict[Prefix, Route] = {}
         draw = self.draw  # one bound method for every channel, not one each
         self._channels: Dict[int, OutputChannel] = {
             neighbor: OutputChannel(
@@ -178,7 +179,7 @@ class BGPNode:
         self._wakeup_entries: Dict[int, Optional[list]] = {n: None for n in neighbors}
         #: (due time, engine handle) of the single pending damping
         #: reuse check per prefix (dedupes the per-flap event spray).
-        self._reuse_pending: Dict[int, tuple] = {}
+        self._reuse_pending: Dict[Prefix, tuple] = {}
         self._down_neighbors: set[int] = set()
         self._damper = RouteFlapDamper(config.damping)
         #: Messages processed by this node (for queue/occupancy statistics).
@@ -197,7 +198,7 @@ class BGPNode:
         self.max_queue_length = 0
         #: Number of times the best route changed, per prefix.  The diff
         #: between two snapshots measures path exploration depth.
-        self.best_change_count: Dict[int, int] = {}
+        self.best_change_count: Dict[Prefix, int] = {}
         #: Decisions actually run (full or incremental).
         self.decisions_run = 0
         #: Decisions avoided by per-prefix dirty-set tracking: on every
@@ -213,12 +214,15 @@ class BGPNode:
     # ------------------------------------------------------------------
     # Origin operations
     # ------------------------------------------------------------------
-    def originate(self, prefix: int) -> None:
-        """Start announcing ``prefix`` as its origin AS."""
+    def originate(self, prefix: Prefix) -> None:
+        """Start announcing ``prefix`` as its origin AS (every prefix
+        enters the kernel here, so anything but a ``Prefix`` is refused)."""
+        if not isinstance(prefix, Prefix):
+            raise ParameterError(f"prefix must be a Prefix, got {prefix!r}")
         self._local_routes[prefix] = local_route(prefix)
         self._run_decision(prefix, self._engine.now)
 
-    def withdraw_origin(self, prefix: int) -> None:
+    def withdraw_origin(self, prefix: Prefix) -> None:
         """Stop originating ``prefix`` (the DOWN half of a C-event)."""
         if prefix not in self._local_routes:
             raise SimulationError(
@@ -227,11 +231,11 @@ class BGPNode:
         del self._local_routes[prefix]
         self._run_decision(prefix, self._engine.now)
 
-    def originates(self, prefix: int) -> bool:
+    def originates(self, prefix: Prefix) -> bool:
         """Whether this node currently originates ``prefix``."""
         return prefix in self._local_routes
 
-    def retire(self, prefix: int) -> None:
+    def retire(self, prefix: Prefix) -> None:
         """Forget ``prefix`` everywhere in this node, sending nothing.
 
         For a prefix that will never be touched again, once the network
@@ -364,7 +368,7 @@ class BGPNode:
         previous: Optional[Route],
         route: Optional[Route],
         sender: int,
-        prefix: int,
+        prefix: Prefix,
         now: float,
     ) -> None:
         if previous is not None and route is None:
@@ -381,7 +385,7 @@ class BGPNode:
             if wait is not None and wait > 0:
                 self._schedule_reuse_check(prefix, now + wait)
 
-    def _schedule_reuse_check(self, prefix: int, at: float) -> None:
+    def _schedule_reuse_check(self, prefix: Prefix, at: float) -> None:
         """Keep exactly one pending reuse check per prefix.
 
         An identical-or-earlier pending check already covers ``at``; a
@@ -395,7 +399,7 @@ class BGPNode:
         entry = self._engine.schedule_at(at, DampingReuseCheck(self, prefix))
         self._reuse_pending[prefix] = (at, entry)
 
-    def _reuse_check(self, prefix: int) -> None:
+    def _reuse_check(self, prefix: Prefix) -> None:
         """Re-run the decision once a damped route may be reusable.
 
         Because checks are deduped to one pending event per prefix, this
@@ -412,7 +416,7 @@ class BGPNode:
             if wait is not None:
                 self._schedule_reuse_check(prefix, now + max(wait, _REUSE_EPSILON))
 
-    def _candidates(self, prefix: int, now: float) -> list[Route]:
+    def _candidates(self, prefix: Prefix, now: float) -> list[Route]:
         candidates: list[Route] = []
         local = self._local_routes.get(prefix)
         if local is not None:
@@ -423,7 +427,7 @@ class BGPNode:
             candidates.append(route)
         return candidates
 
-    def _run_decision(self, prefix: int, now: float) -> None:
+    def _run_decision(self, prefix: Prefix, now: float) -> None:
         self._counts.decision_runs += 1
         self.decisions_run += 1
         self.adj_rib_in.clear_dirty(prefix)
@@ -432,7 +436,7 @@ class BGPNode:
 
     def _run_decision_incremental(
         self,
-        prefix: int,
+        prefix: Prefix,
         previous: Optional[Route],
         route: Optional[Route],
         now: float,
@@ -475,12 +479,12 @@ class BGPNode:
             best = select_best(node_id, self._candidates(prefix, now))
         self._install(prefix, best, now)
 
-    def _install(self, prefix: int, best: Optional[Route], now: float) -> None:
+    def _install(self, prefix: Prefix, best: Optional[Route], now: float) -> None:
         if self.loc_rib.install(prefix, best):
             self.best_change_count[prefix] = self.best_change_count.get(prefix, 0) + 1
             self._export(prefix, best, now)
 
-    def _export(self, prefix: int, best: Optional[Route], now: float) -> None:
+    def _export(self, prefix: Prefix, best: Optional[Route], now: float) -> None:
         """Tell every live session what it should now hold for ``prefix``.
 
         The export decision is :func:`repro.bgp.policy.exportable` with
@@ -901,11 +905,11 @@ class BGPNode:
     # ------------------------------------------------------------------
     # Introspection
     # ------------------------------------------------------------------
-    def best_route(self, prefix: int) -> Optional[Route]:
+    def best_route(self, prefix: Prefix) -> Optional[Route]:
         """The currently selected route for ``prefix``."""
         return self.loc_rib.best(prefix)
 
-    def advertised_to(self, neighbor: int, prefix: int):
+    def advertised_to(self, neighbor: int, prefix: Prefix):
         """The state last sent to ``neighbor`` for ``prefix`` (path or None)."""
         return self._channels[neighbor].advertised(prefix)
 

@@ -16,6 +16,7 @@ from __future__ import annotations
 from typing import Dict, Iterator, List, Optional, Tuple
 
 from repro.bgp.route import Route
+from repro.prefix.prefix import Prefix
 
 
 class AdjRIBIn:
@@ -38,11 +39,11 @@ class AdjRIBIn:
     """
 
     def __init__(self) -> None:
-        self._routes: Dict[Tuple[int, int], Route] = {}
-        self._by_prefix: Dict[int, Dict[int, Route]] = {}
-        self._dirty: Dict[int, None] = {}
+        self._routes: Dict[Tuple[Prefix, int], Route] = {}
+        self._by_prefix: Dict[Prefix, Dict[int, Route]] = {}
+        self._dirty: Dict[Prefix, None] = {}
 
-    def update(self, prefix: int, neighbor: int, route: Optional[Route]) -> Optional[Route]:
+    def update(self, prefix: Prefix, neighbor: int, route: Optional[Route]) -> Optional[Route]:
         """Install ``route`` (or remove on ``None``); returns the previous route."""
         key = (prefix, neighbor)
         previous = self._routes.get(key)
@@ -63,7 +64,7 @@ class AdjRIBIn:
         self._dirty[prefix] = None
         return previous
 
-    def retire(self, prefix: int) -> None:
+    def retire(self, prefix: Prefix) -> None:
         """Forget every entry for ``prefix``, without marking it dirty."""
         by_prefix = self._by_prefix
         if prefix in by_prefix:
@@ -74,13 +75,13 @@ class AdjRIBIn:
         if prefix in self._dirty:
             del self._dirty[prefix]
 
-    def take_dirty(self) -> List[int]:
+    def take_dirty(self) -> List[Prefix]:
         """Prefixes whose entries changed since the last take (mark order)."""
         dirty = list(self._dirty)
         self._dirty.clear()
         return dirty
 
-    def clear_dirty(self, prefix: int) -> None:
+    def clear_dirty(self, prefix: Prefix) -> None:
         """Acknowledge that ``prefix`` has been re-decided."""
         self._dirty.pop(prefix, None)
 
@@ -89,18 +90,18 @@ class AdjRIBIn:
         """Number of prefixes currently awaiting a decision."""
         return len(self._dirty)
 
-    def route_from(self, prefix: int, neighbor: int) -> Optional[Route]:
+    def route_from(self, prefix: Prefix, neighbor: int) -> Optional[Route]:
         """The route ``neighbor`` currently advertises for ``prefix``."""
         return self._routes.get((prefix, neighbor))
 
-    def candidates(self, prefix: int) -> List[Tuple[int, Route]]:
+    def candidates(self, prefix: Prefix) -> List[Tuple[int, Route]]:
         """All (neighbour, route) pairs for ``prefix``."""
         per_prefix = self._by_prefix.get(prefix)
         if per_prefix is None:
             return []
         return list(per_prefix.items())
 
-    def prefixes(self) -> Iterator[int]:
+    def prefixes(self) -> Iterator[Prefix]:
         """All prefixes with at least one learned route (repeat-free)."""
         seen = set()
         for prefix, _neighbor in self._routes:
@@ -108,11 +109,11 @@ class AdjRIBIn:
                 seen.add(prefix)
                 yield prefix
 
-    def prefixes_from(self, neighbor: int) -> List[int]:
+    def prefixes_from(self, neighbor: int) -> List[Prefix]:
         """All prefixes for which ``neighbor`` currently advertises a route."""
         return [pfx for (pfx, nbr) in self._routes if nbr == neighbor]
 
-    def entries(self) -> List[Tuple[int, int, Route]]:
+    def entries(self) -> List[Tuple[Prefix, int, Route]]:
         """All ``(prefix, neighbor, route)`` entries in insertion order.
 
         Replaying them through :meth:`update` on an empty RIB reproduces
@@ -132,13 +133,13 @@ class LocRIB:
     """Selected best route per prefix."""
 
     def __init__(self) -> None:
-        self._best: Dict[int, Route] = {}
+        self._best: Dict[Prefix, Route] = {}
 
-    def best(self, prefix: int) -> Optional[Route]:
+    def best(self, prefix: Prefix) -> Optional[Route]:
         """The currently selected route for ``prefix`` (None if unreachable)."""
         return self._best.get(prefix)
 
-    def install(self, prefix: int, route: Optional[Route]) -> bool:
+    def install(self, prefix: Prefix, route: Optional[Route]) -> bool:
         """Set the best route; returns True if it changed."""
         previous = self._best.get(prefix)
         if route == previous:
@@ -149,16 +150,16 @@ class LocRIB:
             self._best[prefix] = route
         return True
 
-    def retire(self, prefix: int) -> None:
+    def retire(self, prefix: Prefix) -> None:
         """Forget ``prefix``'s entry (no change is reported)."""
         if prefix in self._best:
             del self._best[prefix]
 
-    def prefixes(self) -> List[int]:
+    def prefixes(self) -> List[Prefix]:
         """All prefixes with an installed route."""
         return list(self._best)
 
-    def entries(self) -> List[Tuple[int, Route]]:
+    def entries(self) -> List[Tuple[Prefix, Route]]:
         """All ``(prefix, route)`` pairs in insertion order (checkpointing)."""
         return list(self._best.items())
 

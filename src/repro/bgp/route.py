@@ -48,7 +48,7 @@ from repro.topology.types import LOCAL_PREFERENCE, Relationship
 if TYPE_CHECKING:  # pragma: no cover - the prefix package imports this
     # module at runtime (workload generation hashes with stable_hash), so
     # the reverse import must stay typing-only to avoid a cycle.
-    from repro.prefix.prefix import PrefixToken
+    from repro.prefix.prefix import Prefix
 
 #: Local preference of a locally-originated route — above customer routes.
 LOCAL_ROUTE_PREF = max(LOCAL_PREFERENCE.values()) + 1
@@ -104,7 +104,7 @@ class Route:
     __slots__ = ("prefix", "path", "local_pref", "_pref_keys")
 
     def __init__(
-        self, prefix: "PrefixToken", path: Tuple[int, ...], local_pref: int
+        self, prefix: "Prefix", path: Tuple[int, ...], local_pref: int
     ) -> None:
         _set = object.__setattr__
         _set(self, "prefix", prefix)
@@ -187,7 +187,7 @@ class Route:
         return key
 
 
-def make_route(prefix: "PrefixToken", path: Tuple[int, ...], local_pref: int) -> Route:
+def make_route(prefix: "Prefix", path: Tuple[int, ...], local_pref: int) -> Route:
     """Build (or reuse) the interned :class:`Route` for these attributes."""
     key = (prefix, path, local_pref)
     route = _ROUTE_INTERN.get(key)
@@ -199,13 +199,13 @@ def make_route(prefix: "PrefixToken", path: Tuple[int, ...], local_pref: int) ->
     return route
 
 
-def local_route(prefix: "PrefixToken") -> Route:
+def local_route(prefix: "Prefix") -> Route:
     """The origin's own route to ``prefix``."""
     return make_route(prefix, (), LOCAL_ROUTE_PREF)
 
 
 def import_route(
-    prefix: "PrefixToken", path: Tuple[int, ...], learned_from_relationship: Relationship
+    prefix: "Prefix", path: Tuple[int, ...], learned_from_relationship: Relationship
 ) -> Route:
     """Build the imported :class:`Route` for an announcement from a neighbour."""
     return make_route(prefix, path, LOCAL_PREFERENCE[learned_from_relationship])

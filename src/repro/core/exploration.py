@@ -22,6 +22,7 @@ from typing import Dict, Optional
 from repro.bgp.config import BGPConfig
 from repro.core.cevent import pick_origins
 from repro.errors import ExperimentError
+from repro.prefix.prefix import host_prefix
 from repro.sim.engine import DEFAULT_MAX_EVENTS
 from repro.sim.network import SimNetwork
 from repro.topology.graph import ASGraph
@@ -73,7 +74,7 @@ def measure_path_exploration(
     node_types = {node.node_id: node.node_type for node in graph.nodes()}
 
     for index, origin in enumerate(origins):
-        prefix = index
+        prefix = host_prefix(index)
         network.stop_counting()
         network.originate(origin, prefix)
         network.run_to_convergence(max_events=max_events)

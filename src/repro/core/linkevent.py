@@ -18,6 +18,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from repro.bgp.config import BGPConfig
 from repro.core.factors import FactorAccumulator, TypeFactors
 from repro.errors import ExperimentError
+from repro.prefix.prefix import host_prefix
 from repro.sim.engine import DEFAULT_MAX_EVENTS
 from repro.sim.network import SimNetwork
 from repro.sim.rng import derive_rng
@@ -92,7 +93,7 @@ def run_link_event_experiment(
     network = SimNetwork(graph, config, seed=seed)
     accumulator = FactorAccumulator(graph)
     settle = settle_factor * config.mrai if config.mrai > 0 else 1.0
-    prefix = 0
+    prefix = host_prefix(0)
     down_convergence = 0.0
     up_convergence = 0.0
 

@@ -18,6 +18,7 @@ from typing import Dict, Optional
 from repro.bgp.config import BGPConfig
 from repro.core.cevent import pick_origins
 from repro.errors import ExperimentError
+from repro.prefix.prefix import host_prefix
 from repro.sim.engine import DEFAULT_MAX_EVENTS
 from repro.sim.network import SimNetwork
 from repro.topology.graph import ASGraph
@@ -105,11 +106,12 @@ def run_load_probe(
     network.stop_counting()
     settle = 2.0 * config.mrai if config.mrai > 0 else 1.0
     for index, origin in enumerate(origins):
-        network.originate(origin, index)
+        prefix = host_prefix(index)
+        network.originate(origin, prefix)
         network.run_to_convergence(max_events=max_events)
-        network.withdraw(origin, index)
+        network.withdraw(origin, prefix)
         network.run_to_convergence(max_events=max_events)
-        network.originate(origin, index)
+        network.originate(origin, prefix)
         network.run_to_convergence(max_events=max_events)
         network.engine.run(until=network.engine.now + settle)
     return load_report(network)

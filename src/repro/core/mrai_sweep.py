@@ -57,10 +57,6 @@ class MRAISweepResult:
         """Mean convergence seconds after the re-announcement, per value."""
         return [s.mean_up_convergence for s in self.stats]
 
-    def messages_series(self) -> List[float]:
-        """Total measured updates per MRAI value."""
-        return [float(s.measured_messages) for s in self.stats]
-
     def stats_at(self, mrai: float) -> CEventStats:
         """The stats for one specific timer value."""
         for value, stat in zip(self.values, self.stats):

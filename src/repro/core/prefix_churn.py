@@ -83,11 +83,7 @@ def loc_rib_digest(network: SimNetwork) -> str:
             [
                 [prefix_to_json(prefix), list(route.path)]
                 for prefix, route in sorted(
-                    network.nodes[node_id].loc_rib.entries(),
-                    key=lambda entry: (
-                        isinstance(entry[0], Prefix),
-                        prefix_to_json(entry[0]),
-                    ),
+                    network.nodes[node_id].loc_rib.entries(), key=lambda entry: entry[0]
                 )
             ],
         ]

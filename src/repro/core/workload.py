@@ -20,7 +20,7 @@ from typing import List, Optional, Sequence
 
 from repro.bgp.config import BGPConfig
 from repro.errors import ExperimentError, ParameterError
-from repro.prefix.prefix import PrefixToken, host_prefix
+from repro.prefix.prefix import Prefix, host_prefix
 from repro.sim.engine import DEFAULT_MAX_EVENTS
 from repro.sim.network import SimNetwork
 from repro.sim.rng import derive_rng
@@ -35,7 +35,7 @@ class WorkloadEvent:
 
     time: float
     origin: int
-    prefix: PrefixToken
+    prefix: Prefix
     downtime: float
 
 
@@ -236,7 +236,7 @@ def run_workload(
             event.downtime, lambda: _restore(event.origin, event.prefix)
         )
 
-    def _restore(origin: int, prefix: PrefixToken) -> None:
+    def _restore(origin: int, prefix: Prefix) -> None:
         node = network.node(origin)
         if not node.originates(prefix):
             node.originate(prefix)

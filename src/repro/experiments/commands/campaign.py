@@ -50,7 +50,7 @@ def _serve(spec: CampaignSpec, args: argparse.Namespace, options: dict) -> Campa
         try:
             return run_campaign(spec, coordinator=coordinator, **options)
         finally:
-            # Emitted while the coordinator still holds its workers' stats.
+            # Every worker that registered, including any that left.
             for stats in coordinator.worker_stats():
                 print(
                     f"worker {stats['worker_id']} ({stats['address']}): "

@@ -14,6 +14,7 @@ from typing import List, Optional
 from repro.bgp.config import BGPConfig, DampingConfig
 from repro.experiments.report import ExperimentResult
 from repro.experiments.scale import Scale, get_scale
+from repro.prefix.prefix import host_prefix
 from repro.sim.network import SimNetwork
 from repro.sim.rng import derive_seed
 from repro.topology.generator import generate_topology
@@ -39,17 +40,18 @@ def _storm_updates(n: int, *, damping: bool, seed: int, config: BGPConfig) -> in
     network = SimNetwork(
         graph, config.replace(damping=damping_config), seed=derive_seed(seed, n, 2)
     )
-    network.originate(origin, 0)
+    prefix = host_prefix(0)
+    network.originate(origin, prefix)
     network.run_to_convergence()
     network.start_counting()
     start = network.engine.now
     for k in range(FLAPS):
         network.engine.schedule_at(
-            start + k * FLAP_PERIOD, lambda: network.withdraw(origin, 0)
+            start + k * FLAP_PERIOD, lambda: network.withdraw(origin, prefix)
         )
         network.engine.schedule_at(
             start + k * FLAP_PERIOD + FLAP_PERIOD / 2,
-            lambda: network.originate(origin, 0),
+            lambda: network.originate(origin, prefix),
         )
     network.engine.run(until=start + FLAPS * FLAP_PERIOD + 3 * config.mrai)
     return network.counter.total

@@ -13,7 +13,6 @@ __getattr__, __dir__, __all__ = _lazy_exports(
         "repro.prefix.prefix": (
             "ADDRESS_BITS",
             "Prefix",
-            "PrefixToken",
             "clear_prefix_intern_cache",
             "host_prefix",
             "iter_block",

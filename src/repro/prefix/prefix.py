@@ -1,10 +1,11 @@
 """The :class:`Prefix` value type — an IPv4 network address with a length.
 
-The BGP machinery treats prefixes as *opaque tokens*: dict keys in the
-RIBs, MRAI out-queues and damping tables, sort keys in the batched MRAI
-flush.  Historically those tokens were bare ints (one synthetic "prefix"
-per C-event origin); multi-prefix workloads need real (address, length)
-pairs so aggregation, longest-match and covering relations exist.
+:class:`Prefix` is the one prefix token of the BGP machinery: dict keys
+in the RIBs, MRAI out-queues and damping tables, sort keys in the batched
+MRAI flush.  Single-prefix drivers (C-events, link events, exploration,
+load, damping flaps) use the ``/32`` :func:`host_prefix` of a small
+index; multi-prefix workloads use real (address, length) pairs, so
+aggregation, longest-match and covering relations exist.
 
 :class:`Prefix` follows the :class:`~repro.bgp.route.Route` hot-path
 idiom: frozen, with a process-global intern table (:func:`make_prefix`)
@@ -12,20 +13,19 @@ so one churning prefix re-imported thousands of times is a single shared
 object — and it *is* the ``(addr, length)`` tuple, so dict lookups hash,
 compare and order it without entering the interpreter.
 
-Bare-int tokens stay legal as opaque tokens (scenarios that never
-migrated still use them), but the two kinds do not order against each
-other: a run keeps to one kind, so the MRAI flush's sort of pending
-prefixes never mixes them.  Equality across the kinds is always False —
-an int token never aliases a Prefix token.
+Checkpoints write a prefix as ``[addr, length]``.  Releases 1.3.0–1.6.0
+also wrote bare ints for single-prefix runs; :func:`prefix_from_json`
+reads those as host prefixes, which sort exactly like the ints, so such
+a file continues on the trajectory it was written on.
 """
 
 from __future__ import annotations
 
 import operator
 from dataclasses import FrozenInstanceError
-from typing import Dict, Iterator, Optional, Tuple, Union
+from typing import Dict, Iterator, Optional, Tuple
 
-from repro.errors import ParameterError
+from repro.errors import CheckpointError, ParameterError
 
 #: Number of address bits (IPv4).
 ADDRESS_BITS = 32
@@ -36,10 +36,6 @@ _ADDRESS_MASK = (1 << ADDRESS_BITS) - 1
 _INTERN_CAP = 1 << 17
 
 _PREFIX_INTERN: Dict[Tuple[int, int], "Prefix"] = {}
-
-#: A prefix token as the BGP machinery sees it: a legacy bare int or a
-#: real :class:`Prefix`.  Everything in ``repro.bgp`` accepts either.
-PrefixToken = Union[int, "Prefix"]
 
 
 def _netmask(length: int) -> int:
@@ -167,9 +163,9 @@ def make_prefix(addr: int, length: int) -> Prefix:
 def host_prefix(addr: int) -> Prefix:
     """The /32 host prefix for ``addr``.
 
-    The single-prefix C-event machinery uses ``host_prefix(origin)`` as
-    its per-origin token (origins are small node ids, so the addresses
-    never collide and sort exactly like the ints they replace).
+    The single-prefix drivers use ``host_prefix(index)`` as their token
+    (small indices, so the addresses never collide and sort exactly like
+    the ints).
     """
     return make_prefix(addr & _ADDRESS_MASK, ADDRESS_BITS)
 
@@ -179,25 +175,26 @@ def clear_prefix_intern_cache() -> None:
     _PREFIX_INTERN.clear()
 
 
-def prefix_to_json(token: PrefixToken) -> Union[int, list]:
-    """JSON form of a prefix token: bare ints pass through (the legacy
-    convention), a :class:`Prefix` becomes ``[addr, length]``.
+def prefix_to_json(prefix: Prefix) -> list:
+    """JSON form of a prefix: ``[addr, length]`` (the checkpoint format)."""
+    return [prefix.addr, prefix.length]
 
-    Part of the checkpoint format since 1.3.0, the oldest release whose
-    files restore: both forms deserialize to the token kind they were
-    written from, so a restored run continues byte-identically.
+
+def prefix_from_json(data: object) -> Prefix:
+    """Inverse of :func:`prefix_to_json`, interned.
+
+    A bare int in ``[0, 2**32)`` — the single-prefix token of files
+    written by releases 1.3.0–1.6.0 — reads as its :func:`host_prefix`.
+    Anything else that is not an ``[addr, length]`` pair of ints naming
+    a canonical prefix raises :class:`~repro.errors.CheckpointError`.
     """
-    if isinstance(token, Prefix):
-        return [token.addr, token.length]
-    return token
-
-
-def prefix_from_json(data: object) -> PrefixToken:
-    """Inverse of :func:`prefix_to_json` (interned for Prefix tokens)."""
-    if isinstance(data, (list, tuple)):
-        addr, length = data
-        return make_prefix(int(addr), int(length))
-    return int(data)
+    pair = [data, ADDRESS_BITS] if type(data) is int else data
+    if type(pair) is list and len(pair) == 2 and type(pair[0]) is type(pair[1]) is int:
+        try:
+            return make_prefix(*pair)
+        except ParameterError:
+            pass
+    raise CheckpointError(f"malformed prefix {data!r}")
 
 
 def iter_block(base: Prefix, length: int) -> Iterator[Prefix]:

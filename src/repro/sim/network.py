@@ -24,6 +24,7 @@ from repro.bgp.route import clear_intern_caches, stable_hash
 from repro.errors import SimulationError
 from repro.bgp.events import Delivery
 from repro.obs.telemetry import current_telemetry
+from repro.prefix.prefix import Prefix
 from repro.sim.counters import UpdateCounter
 from repro.sim.engine import DEFAULT_MAX_EVENTS, Engine
 from repro.sim.trace import MonitorTrace
@@ -166,15 +167,15 @@ class SimNetwork:
         except KeyError as exc:
             raise SimulationError(f"unknown node id {node_id}") from exc
 
-    def originate(self, origin: int, prefix: int) -> None:
+    def originate(self, origin: int, prefix: Prefix) -> None:
         """Inject a locally-originated prefix at ``origin``."""
         self.node(origin).originate(prefix)
 
-    def withdraw(self, origin: int, prefix: int) -> None:
+    def withdraw(self, origin: int, prefix: Prefix) -> None:
         """Withdraw a locally-originated prefix at ``origin``."""
         self.node(origin).withdraw_origin(prefix)
 
-    def retire(self, prefix: int) -> None:
+    def retire(self, prefix: Prefix) -> None:
         """Drop every node's state for ``prefix``, which is done with.
 
         Call once the network has converged on a prefix no operation will
@@ -233,7 +234,7 @@ class SimNetwork:
         """Stop tracing (the existing trace object remains readable)."""
         self.trace = None
 
-    def nodes_with_route(self, prefix: int) -> List[int]:
+    def nodes_with_route(self, prefix: Prefix) -> List[int]:
         """Ids of all nodes currently holding a route for ``prefix``."""
         return [
             node_id

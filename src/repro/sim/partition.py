@@ -52,7 +52,7 @@ from repro.core.cevent import CEventBatchResult, merge_c_event_batches, pick_ori
 from repro.core.factors import FactorAccumulator
 from repro.errors import ExperimentError, SimulationError
 from repro.obs.telemetry import current_telemetry
-from repro.prefix.prefix import PrefixToken, host_prefix
+from repro.prefix.prefix import Prefix, host_prefix
 from repro.sim.counters import UpdateCounter
 from repro.sim.network import SimNetwork
 from repro.topology.graph import ASGraph
@@ -73,7 +73,7 @@ class BorderEvent:
     deliver_at: float
     sender: int
     receiver: int
-    prefix: PrefixToken
+    prefix: Prefix
     #: AS path as sent on the wire; ``None`` marks a withdrawal.
     path: Optional[Tuple[int, ...]]
 
@@ -293,10 +293,7 @@ class LockstepRunner:
         self.now = at
 
     # -- member operations ------------------------------------------------
-    def part_for(self, node_id: int) -> LocalPart:
-        return self.parts[self.partition.part_of(node_id)]
-
-    def apply(self, op: str, node_id: int, prefix: PrefixToken) -> None:
+    def apply(self, op: str, node_id: int, prefix: Prefix) -> None:
         """Originate/withdraw at the member owning ``node_id``."""
         index = self.partition.part_of(node_id)
         report = self.parts[index].call(op, node=node_id, prefix=prefix)

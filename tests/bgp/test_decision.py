@@ -11,7 +11,10 @@ from repro.bgp.route import (
     import_route,
     local_route,
 )
+from repro.prefix.prefix import host_prefix
 from repro.topology.types import LOCAL_PREFERENCE, Relationship
+
+P0 = host_prefix(0)
 
 CUST = Relationship.CUSTOMER
 PEER = Relationship.PEER
@@ -23,42 +26,42 @@ class TestSelectBest:
         assert select_best(0, []) is None
 
     def test_prefers_customer_over_peer_over_provider(self):
-        cust = import_route(0, (1, 9), CUST)
-        peer = import_route(0, (2, 9), PEER)
-        prov = import_route(0, (3, 9), PROV)
+        cust = import_route(P0, (1, 9), CUST)
+        peer = import_route(P0, (2, 9), PEER)
+        prov = import_route(P0, (3, 9), PROV)
         assert select_best(0, [prov, peer, cust]) == cust
         assert select_best(0, [prov, peer]) == peer
 
     def test_shortest_path_within_class(self):
-        short = import_route(0, (1, 9), CUST)
-        long = import_route(0, (2, 8, 9), CUST)
+        short = import_route(P0, (1, 9), CUST)
+        long = import_route(P0, (2, 8, 9), CUST)
         assert select_best(0, [long, short]) == short
 
     def test_local_route_beats_all(self):
-        routes = [local_route(0), import_route(0, (1,), CUST)]
+        routes = [local_route(P0), import_route(P0, (1,), CUST)]
         assert select_best(0, routes).is_local
 
     def test_input_order_irrelevant(self):
-        a = import_route(0, (1, 9), PEER)
-        b = import_route(0, (2, 9), PEER)
+        a = import_route(P0, (1, 9), PEER)
+        b = import_route(P0, (2, 9), PEER)
         assert select_best(0, [a, b]) == select_best(0, [b, a])
 
 
 class TestRank:
     def test_rank_is_sorted_by_preference(self):
         routes = [
-            import_route(0, (3, 9), PROV),
-            import_route(0, (1, 9), CUST),
-            import_route(0, (2, 9), PEER),
+            import_route(P0, (3, 9), PROV),
+            import_route(P0, (1, 9), CUST),
+            import_route(P0, (2, 9), PEER),
         ]
         ranked = rank(0, routes)
         assert ranked[0].local_pref > ranked[1].local_pref > ranked[2].local_pref
 
     def test_rank_head_equals_select_best(self):
         routes = [
-            import_route(0, (3, 9), PROV),
-            import_route(0, (1, 8, 9), PROV),
-            import_route(0, (2, 9), PROV),
+            import_route(P0, (3, 9), PROV),
+            import_route(P0, (1, 8, 9), PROV),
+            import_route(P0, (2, 9), PROV),
         ]
         assert rank(0, routes)[0] == select_best(0, routes)
 

@@ -27,11 +27,14 @@ from repro.bgp.route import (
     intern_path,
     stable_hash,
 )
+from repro.prefix.prefix import host_prefix
 from repro.sim.engine import Engine
 from repro.sim.network import SimNetwork
 from repro.topology.generator import generate_topology
 from repro.topology.params import baseline_params
 from repro.topology.types import NodeType, Relationship
+
+P0, P3, P7 = map(host_prefix, (0, 3, 7))
 
 FAST = BGPConfig(mrai=2.0, link_delay=0.001, processing_time_max=0.01)
 
@@ -52,26 +55,26 @@ def _make_node(engine, config=FAST, neighbors=None, sent=None):
 class TestRouteInterning:
     def test_import_route_returns_shared_object(self):
         clear_intern_caches()
-        a = import_route(0, (2, 5, 9), Relationship.PEER)
-        b = import_route(0, (2, 5, 9), Relationship.PEER)
+        a = import_route(P0, (2, 5, 9), Relationship.PEER)
+        b = import_route(P0, (2, 5, 9), Relationship.PEER)
         assert a is b
 
     def test_paths_are_shared_across_routes(self):
         clear_intern_caches()
-        a = Route(prefix=0, path=(1, 2, 3), local_pref=10)
-        b = Route(prefix=7, path=(1, 2, 3), local_pref=20)
+        a = Route(prefix=P0, path=(1, 2, 3), local_pref=10)
+        b = Route(prefix=P7, path=(1, 2, 3), local_pref=20)
         assert a.path is b.path
 
     def test_route_is_frozen(self):
-        route = Route(prefix=0, path=(1, 2), local_pref=5)
+        route = Route(prefix=P0, path=(1, 2), local_pref=5)
         with pytest.raises(Exception):
-            route.prefix = 9
+            route.prefix = P7
         with pytest.raises(Exception):
             del route.path
 
     def test_equality_and_hash_ignore_key_cache(self):
-        a = Route(prefix=0, path=(1, 2), local_pref=5)
-        b = Route(prefix=0, path=(1, 2), local_pref=5)
+        a = Route(prefix=P0, path=(1, 2), local_pref=5)
+        b = Route(prefix=P0, path=(1, 2), local_pref=5)
         a.preference_key(7)  # warm one cache, not the other
         assert a == b
         assert hash(a) == hash(b)
@@ -80,7 +83,7 @@ class TestRouteInterning:
     def test_pickle_round_trip_drops_cache(self):
         import pickle
 
-        route = Route(prefix=3, path=(4, 5), local_pref=90)
+        route = Route(prefix=P3, path=(4, 5), local_pref=90)
         route.preference_key(11)
         clone = pickle.loads(pickle.dumps(route))
         assert clone == route
@@ -109,7 +112,7 @@ class TestPreferenceKeyMemo:
     )
     @settings(max_examples=200, deadline=None)
     def test_memoized_key_matches_fresh_computation(self, path, receiver, local_pref):
-        route = Route(prefix=0, path=tuple(path), local_pref=local_pref)
+        route = Route(prefix=P0, path=tuple(path), local_pref=local_pref)
         expected = (-local_pref, len(path), stable_hash(receiver, *path))
         assert route.preference_key(receiver) == expected
         # Second call must serve the memo and stay identical.
@@ -123,8 +126,8 @@ class TestPreferenceKeyMemo:
     )
     @settings(max_examples=100, deadline=None)
     def test_per_receiver_caches_are_independent(self, path, receivers):
-        route = Route(prefix=0, path=tuple(path), local_pref=50)
-        fresh = Route(prefix=0, path=tuple(path), local_pref=50)
+        route = Route(prefix=P0, path=tuple(path), local_pref=50)
+        fresh = Route(prefix=P0, path=tuple(path), local_pref=50)
         for receiver in receivers:
             assert route.preference_key(receiver) == fresh.preference_key(receiver)
 
@@ -155,55 +158,55 @@ class TestIncrementalDecision:
         neighbors = {n: Relationship.PEER for n in range(2, 6)}
         node = _make_node(engine, neighbors=neighbors)
         for neighbor, tail in ops:
-            previous = node.adj_rib_in.route_from(0, neighbor)
+            previous = node.adj_rib_in.route_from(P0, neighbor)
             if tail is None:
                 route = None
             else:
-                route = import_route(0, (neighbor, *tail), Relationship.PEER)
-            node.adj_rib_in.update(0, neighbor, route)
-            node._run_decision_incremental(0, previous, route, engine.now)
-            reference = select_best(node.node_id, node._candidates(0, engine.now))
-            assert node.loc_rib.best(0) == reference
+                route = import_route(P0, (neighbor, *tail), Relationship.PEER)
+            node.adj_rib_in.update(P0, neighbor, route)
+            node._run_decision_incremental(P0, previous, route, engine.now)
+            reference = select_best(node.node_id, node._candidates(P0, engine.now))
+            assert node.loc_rib.best(P0) == reference
 
     def test_replacing_best_with_worse_route_falls_back_to_scan(self):
         engine = Engine()
         node = _make_node(engine)
-        good = import_route(0, (2, 9), Relationship.PEER)
-        backup = import_route(0, (3, 8, 9), Relationship.PROVIDER)
-        node.adj_rib_in.update(0, 2, good)
-        node._run_decision_incremental(0, None, good, 0.0)
-        node.adj_rib_in.update(0, 3, backup)
-        node._run_decision_incremental(0, None, backup, 0.0)
-        assert node.loc_rib.best(0) == good
+        good = import_route(P0, (2, 9), Relationship.PEER)
+        backup = import_route(P0, (3, 8, 9), Relationship.PROVIDER)
+        node.adj_rib_in.update(P0, 2, good)
+        node._run_decision_incremental(P0, None, good, 0.0)
+        node.adj_rib_in.update(P0, 3, backup)
+        node._run_decision_incremental(P0, None, backup, 0.0)
+        assert node.loc_rib.best(P0) == good
         # Replace the installed best with a longer (worse) path: the
         # backup route must take over, exactly as a full scan would pick.
-        worse = import_route(0, (2, 7, 8, 9), Relationship.PEER)
-        node.adj_rib_in.update(0, 2, worse)
-        node._run_decision_incremental(0, good, worse, 0.0)
-        assert node.loc_rib.best(0) == select_best(
-            node.node_id, node._candidates(0, 0.0)
+        worse = import_route(P0, (2, 7, 8, 9), Relationship.PEER)
+        node.adj_rib_in.update(P0, 2, worse)
+        node._run_decision_incremental(P0, good, worse, 0.0)
+        assert node.loc_rib.best(P0) == select_best(
+            node.node_id, node._candidates(P0, 0.0)
         )
 
     def test_withdrawing_non_best_changes_nothing(self):
         engine = Engine()
         node = _make_node(engine)
-        good = import_route(0, (2, 9), Relationship.PEER)
-        backup = import_route(0, (3, 8, 9), Relationship.PROVIDER)
-        node.adj_rib_in.update(0, 2, good)
-        node._run_decision_incremental(0, None, good, 0.0)
-        node.adj_rib_in.update(0, 3, backup)
-        node._run_decision_incremental(0, None, backup, 0.0)
-        changes_before = node.best_change_count.get(0, 0)
-        node.adj_rib_in.update(0, 3, None)
-        node._run_decision_incremental(0, backup, None, 0.0)
-        assert node.loc_rib.best(0) == good
-        assert node.best_change_count.get(0, 0) == changes_before
+        good = import_route(P0, (2, 9), Relationship.PEER)
+        backup = import_route(P0, (3, 8, 9), Relationship.PROVIDER)
+        node.adj_rib_in.update(P0, 2, good)
+        node._run_decision_incremental(P0, None, good, 0.0)
+        node.adj_rib_in.update(P0, 3, backup)
+        node._run_decision_incremental(P0, None, backup, 0.0)
+        changes_before = node.best_change_count.get(P0, 0)
+        node.adj_rib_in.update(P0, 3, None)
+        node._run_decision_incremental(P0, backup, None, 0.0)
+        assert node.loc_rib.best(P0) == good
+        assert node.best_change_count.get(P0, 0) == changes_before
 
     def test_best_route_helper_unchanged_semantics(self):
         routes = [
-            import_route(0, (2, 5), Relationship.PEER),
-            import_route(0, (3, 5), Relationship.PEER),
-            import_route(0, (4, 5), Relationship.CUSTOMER),
+            import_route(P0, (2, 5), Relationship.PEER),
+            import_route(P0, (3, 5), Relationship.PEER),
+            import_route(P0, (4, 5), Relationship.CUSTOMER),
         ]
         assert best_route(routes, 1) == select_best(1, routes)
 
@@ -252,11 +255,11 @@ class TestStaleWakeupSupersession:
         graph = generate_topology(baseline_params(100), seed=6)
         network = SimNetwork(graph, config, seed=6)
         stubs = [n for n in graph.node_ids if not graph.customers_of(n)]
-        for prefix, origin in enumerate(stubs[:3]):
-            network.originate(origin, prefix)
+        for index, origin in enumerate(stubs[:3]):
+            network.originate(origin, host_prefix(index))
         network.run_to_convergence()
-        for prefix, origin in enumerate(stubs[:3]):
-            network.withdraw(origin, prefix)
+        for index, origin in enumerate(stubs[:3]):
+            network.withdraw(origin, host_prefix(index))
         network.run_to_convergence()
         assert network.engine.cancelled_events > 0
         assert network.engine.pending_events == 0
@@ -283,16 +286,16 @@ class TestReuseCheckDedupe:
         # would also execute every chained reuse check, clearing the
         # very suppression state the tests need to observe.
         for _ in range(times):
-            network.withdraw(origin, 0)
+            network.withdraw(origin, P0)
             network.engine.run(until=network.engine.now + 3.0)
-            network.originate(origin, 0)
+            network.originate(origin, P0)
             network.engine.run(until=network.engine.now + 3.0)
 
     def test_at_most_one_pending_reuse_check_per_node_and_prefix(self):
         graph = generate_topology(baseline_params(80), seed=8)
         network = SimNetwork(graph, self.DAMPING, seed=8)
         origin = [n for n in graph.node_ids if not graph.customers_of(n)][0]
-        network.originate(origin, 0)
+        network.originate(origin, P0)
         network.run_to_convergence()
         self._flap(network, origin, 3)
         keys = [
@@ -307,7 +310,7 @@ class TestReuseCheckDedupe:
         graph = generate_topology(baseline_params(80), seed=8)
         network = SimNetwork(graph, self.DAMPING, seed=8)
         origin = [n for n in graph.node_ids if not graph.customers_of(n)][0]
-        network.originate(origin, 0)
+        network.originate(origin, P0)
         network.run_to_convergence()
         self._flap(network, origin, 3)
         suppressed_nodes = [
@@ -321,7 +324,7 @@ class TestReuseCheckDedupe:
         network.run_to_convergence()
         for node in suppressed_nodes:
             assert not any(record[4] for record in node._damper.dump_state())
-            assert node.loc_rib.best(0) is not None
+            assert node.loc_rib.best(P0) is not None
 
 
 class TestAdoptedHandles:
@@ -336,7 +339,7 @@ class TestAdoptedHandles:
         graph = generate_topology(baseline_params(60), seed=11)
         network = SimNetwork(graph, config, seed=11)
         stub = [n for n in graph.node_ids if not graph.customers_of(n)][-1]
-        network.originate(stub, 0)
+        network.originate(stub, P0)
         for _ in range(150):
             if not network.engine.step():
                 break

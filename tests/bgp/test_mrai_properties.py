@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 
 from repro.bgp.config import BGPConfig, MRAIMode, SendDiscipline
 from repro.bgp.mrai import OutputChannel
+from repro.prefix.prefix import host_prefix
 
 MRAI = 10.0
 
@@ -36,7 +37,7 @@ def channel_script(draw):
         st.lists(
             st.tuples(
                 st.floats(min_value=0.01, max_value=25.0),  # time gap
-                st.integers(min_value=0, max_value=2),  # prefix
+                st.integers(min_value=0, max_value=2).map(host_prefix),  # prefix
                 st.one_of(  # target: None (withdraw) or a path
                     st.none(),
                     st.lists(

@@ -4,7 +4,10 @@ import pytest
 
 from repro.bgp.policy import export_allowed, exportable, learned_relationship
 from repro.bgp.route import import_route, local_route
+from repro.prefix.prefix import host_prefix
 from repro.topology.types import Relationship
+
+P0 = host_prefix(0)
 
 CUST = Relationship.CUSTOMER
 PEER = Relationship.PEER
@@ -13,36 +16,36 @@ PROV = Relationship.PROVIDER
 
 class TestLearnedRelationship:
     def test_local_route(self):
-        assert learned_relationship(local_route(0)) is None
+        assert learned_relationship(local_route(P0)) is None
 
     @pytest.mark.parametrize("rel", [CUST, PEER, PROV])
     def test_imported(self, rel):
-        assert learned_relationship(import_route(0, (1,), rel)) is rel
+        assert learned_relationship(import_route(P0, (1,), rel)) is rel
 
 
 class TestNoValleyMatrix:
     """The full Gao–Rexford export matrix."""
 
     def test_customer_routes_to_everyone(self):
-        route = import_route(0, (1,), CUST)
+        route = import_route(P0, (1,), CUST)
         assert export_allowed(route, CUST)
         assert export_allowed(route, PEER)
         assert export_allowed(route, PROV)
 
     def test_peer_routes_only_to_customers(self):
-        route = import_route(0, (1,), PEER)
+        route = import_route(P0, (1,), PEER)
         assert export_allowed(route, CUST)
         assert not export_allowed(route, PEER)
         assert not export_allowed(route, PROV)
 
     def test_provider_routes_only_to_customers(self):
-        route = import_route(0, (1,), PROV)
+        route = import_route(P0, (1,), PROV)
         assert export_allowed(route, CUST)
         assert not export_allowed(route, PEER)
         assert not export_allowed(route, PROV)
 
     def test_local_routes_to_everyone(self):
-        route = local_route(0)
+        route = local_route(P0)
         assert export_allowed(route, CUST)
         assert export_allowed(route, PEER)
         assert export_allowed(route, PROV)
@@ -50,16 +53,16 @@ class TestNoValleyMatrix:
 
 class TestLoopAvoidance:
     def test_never_export_to_node_on_path(self):
-        route = import_route(0, (3, 4, 5), CUST)
+        route = import_route(P0, (3, 4, 5), CUST)
         assert not exportable(route, 4, CUST)
         assert not exportable(route, 3, CUST)
 
     def test_export_to_node_off_path(self):
-        route = import_route(0, (3, 4, 5), CUST)
+        route = import_route(P0, (3, 4, 5), CUST)
         assert exportable(route, 9, CUST)
 
     def test_loop_check_composes_with_valley_filter(self):
-        route = import_route(0, (3,), PROV)
+        route = import_route(P0, (3,), PROV)
         assert not exportable(route, 9, PEER)  # valley
         assert not exportable(route, 3, CUST)  # loop
         assert exportable(route, 9, CUST)
@@ -84,10 +87,10 @@ class TestInlinedExportFilter:
         if learned_from is None:
             if on_path:
                 pytest.skip("a locally originated route has no path to be on")
-            route = local_route(0)
+            route = local_route(P0)
         else:
             path = (3, self.NEIGHBOR, 9) if on_path else (3, 8, 9)
-            route = import_route(0, path, learned_from)
+            route = import_route(P0, path, learned_from)
         sent = []
         node = BGPNode(
             node_id=1,

@@ -4,8 +4,10 @@ import random
 
 from repro.bgp.rib import AdjRIBIn, LocRIB
 from repro.bgp.route import import_route, make_route
-from repro.prefix.prefix import make_prefix
+from repro.prefix.prefix import host_prefix, make_prefix
 from repro.topology.types import Relationship
+
+P0, P1, P2, P3, P7 = map(host_prefix, (0, 1, 2, 3, 7))
 
 
 def route(prefix, path):
@@ -15,92 +17,92 @@ def route(prefix, path):
 class TestAdjRIBIn:
     def test_install_and_lookup(self):
         rib = AdjRIBIn()
-        r = route(0, (5,))
-        assert rib.update(0, 5, r) is None
-        assert rib.route_from(0, 5) == r
+        r = route(P0, (5,))
+        assert rib.update(P0, 5, r) is None
+        assert rib.route_from(P0, 5) == r
         assert len(rib) == 1
 
     def test_replace_returns_previous(self):
         rib = AdjRIBIn()
-        first = route(0, (5,))
-        second = route(0, (5, 6))
-        rib.update(0, 5, first)
-        assert rib.update(0, 5, second) == first
-        assert rib.route_from(0, 5) == second
+        first = route(P0, (5,))
+        second = route(P0, (5, 6))
+        rib.update(P0, 5, first)
+        assert rib.update(P0, 5, second) == first
+        assert rib.route_from(P0, 5) == second
 
     def test_withdrawal_removes(self):
         rib = AdjRIBIn()
-        rib.update(0, 5, route(0, (5,)))
-        previous = rib.update(0, 5, None)
+        rib.update(P0, 5, route(P0, (5,)))
+        previous = rib.update(P0, 5, None)
         assert previous is not None
-        assert rib.route_from(0, 5) is None
+        assert rib.route_from(P0, 5) is None
         assert len(rib) == 0
 
     def test_withdrawal_of_absent_is_noop(self):
         rib = AdjRIBIn()
-        assert rib.update(0, 5, None) is None
+        assert rib.update(P0, 5, None) is None
 
     def test_candidates_scoped_by_prefix(self):
         rib = AdjRIBIn()
-        rib.update(0, 5, route(0, (5,)))
-        rib.update(0, 6, route(0, (6,)))
-        rib.update(1, 5, route(1, (5,)))
-        candidates = dict(rib.candidates(0))
+        rib.update(P0, 5, route(P0, (5,)))
+        rib.update(P0, 6, route(P0, (6,)))
+        rib.update(P1, 5, route(P1, (5,)))
+        candidates = dict(rib.candidates(P0))
         assert set(candidates) == {5, 6}
-        assert len(rib.candidates(1)) == 1
+        assert len(rib.candidates(P1)) == 1
 
     def test_prefixes_iteration(self):
         rib = AdjRIBIn()
-        rib.update(0, 5, route(0, (5,)))
-        rib.update(1, 5, route(1, (5,)))
-        rib.update(1, 6, route(1, (6,)))
-        assert sorted(rib.prefixes()) == [0, 1]
+        rib.update(P0, 5, route(P0, (5,)))
+        rib.update(P1, 5, route(P1, (5,)))
+        rib.update(P1, 6, route(P1, (6,)))
+        assert sorted(rib.prefixes()) == [P0, P1]
 
     def test_prefixes_from_neighbor(self):
         rib = AdjRIBIn()
-        rib.update(0, 5, route(0, (5,)))
-        rib.update(1, 5, route(1, (5,)))
-        rib.update(2, 6, route(2, (6,)))
-        assert sorted(rib.prefixes_from(5)) == [0, 1]
+        rib.update(P0, 5, route(P0, (5,)))
+        rib.update(P1, 5, route(P1, (5,)))
+        rib.update(P2, 6, route(P2, (6,)))
+        assert sorted(rib.prefixes_from(5)) == [P0, P1]
         assert rib.prefixes_from(7) == []
 
 
 class TestLocRIB:
     def test_install_reports_change(self):
         rib = LocRIB()
-        r = route(0, (5,))
-        assert rib.install(0, r) is True
-        assert rib.install(0, r) is False  # unchanged
-        assert rib.best(0) == r
+        r = route(P0, (5,))
+        assert rib.install(P0, r) is True
+        assert rib.install(P0, r) is False  # unchanged
+        assert rib.best(P0) == r
 
     def test_uninstall(self):
         rib = LocRIB()
-        rib.install(0, route(0, (5,)))
-        assert rib.install(0, None) is True
-        assert rib.best(0) is None
-        assert rib.install(0, None) is False
+        rib.install(P0, route(P0, (5,)))
+        assert rib.install(P0, None) is True
+        assert rib.best(P0) is None
+        assert rib.install(P0, None) is False
 
     def test_prefix_listing(self):
         rib = LocRIB()
-        rib.install(0, route(0, (5,)))
-        rib.install(3, route(3, (5,)))
-        assert sorted(rib.prefixes()) == [0, 3]
+        rib.install(P0, route(P0, (5,)))
+        rib.install(P3, route(P3, (5,)))
+        assert sorted(rib.prefixes()) == [P0, P3]
         assert len(rib) == 2
 
 
 # ----------------------------------------------------------------------
 # Behaviours the decision process and checkpoints rely on, checked on
-# mixed Prefix / bare-int tokens against a plain-dict model.
+# prefixes of several lengths against a plain-dict model.
 # ----------------------------------------------------------------------
 NEIGHBORS = [2, 3, 5, 8]
 
 
 def token_pool():
-    """A mixed pool of Prefix and bare-int tokens."""
+    """Prefixes of several lengths, covering ones and host prefixes."""
     tokens = [make_prefix(index << 16, 16) for index in range(12)]
     low, high = tokens[0].children()
     tokens += [low, high, tokens[0].parent()]
-    tokens += [0, 1, 7]
+    tokens += [P0, P1, P7]
     return tokens
 
 
@@ -150,10 +152,10 @@ class TestAdjRIBInModel:
         rib = AdjRIBIn()
         a, b = make_prefix(0x0A000000, 8), make_prefix(0x0B000000, 8)
         rib.update(b, 2, make_route(b, (2,), 0))
-        rib.update(7, 2, make_route(7, (2,), 0))
+        rib.update(P7, 2, make_route(P7, (2,), 0))
         rib.update(a, 2, make_route(a, (2,), 0))
         rib.update(b, 3, make_route(b, (3,), 0))  # b already marked
-        assert rib.take_dirty() == [b, 7, a]
+        assert rib.take_dirty() == [b, P7, a]
         assert rib.take_dirty() == []
 
     def test_identical_interned_route_is_not_a_change(self):
@@ -168,7 +170,7 @@ class TestAdjRIBInModel:
     def test_withdrawing_absent_entry_is_a_noop(self):
         rib = AdjRIBIn()
         assert rib.update(make_prefix(0, 8), 2, None) is None
-        assert rib.update(7, 2, None) is None
+        assert rib.update(P7, 2, None) is None
         assert rib.dirty_count == 0
         assert len(rib) == 0
 
@@ -198,4 +200,4 @@ class TestLocRIBModel:
         route = make_route(prefix, (2,), 0)
         assert rib.install(prefix, route)
         assert not rib.install(prefix, route)
-        assert not rib.install(7, None)  # removing an absent int token
+        assert not rib.install(P7, None)  # removing an absent prefix

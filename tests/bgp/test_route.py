@@ -10,7 +10,10 @@ from repro.bgp.route import (
     local_route,
     stable_hash,
 )
+from repro.prefix.prefix import host_prefix
 from repro.topology.types import Relationship
+
+P1, P2, P7 = map(host_prefix, (1, 2, 7))
 
 
 class TestStableHash:
@@ -36,14 +39,14 @@ class TestStableHash:
 
 class TestRoute:
     def test_local_route(self):
-        route = local_route(7)
+        route = local_route(P7)
         assert route.is_local
         assert route.next_hop is None
         assert route.origin is None
         assert route.local_pref == LOCAL_ROUTE_PREF
 
     def test_imported_route_fields(self):
-        route = import_route(1, (5, 6, 7), Relationship.CUSTOMER)
+        route = import_route(P1, (5, 6, 7), Relationship.CUSTOMER)
         assert route.next_hop == 5
         assert route.origin == 7
         assert not route.is_local
@@ -51,36 +54,36 @@ class TestRoute:
         assert not route.contains(99)
 
     def test_local_pref_by_relationship(self):
-        cust = import_route(1, (2,), Relationship.CUSTOMER)
-        peer = import_route(1, (2,), Relationship.PEER)
-        prov = import_route(1, (2,), Relationship.PROVIDER)
+        cust = import_route(P1, (2,), Relationship.CUSTOMER)
+        peer = import_route(P1, (2,), Relationship.PEER)
+        prov = import_route(P1, (2,), Relationship.PROVIDER)
         assert cust.local_pref > peer.local_pref > prov.local_pref
-        assert local_route(1).local_pref > cust.local_pref
+        assert local_route(P1).local_pref > cust.local_pref
 
 
 class TestPreference:
     def test_local_pref_dominates_length(self):
         """A long customer route beats a short provider route."""
-        long_cust = import_route(1, (2, 3, 4, 5), Relationship.CUSTOMER)
-        short_prov = import_route(1, (9,), Relationship.PROVIDER)
+        long_cust = import_route(P1, (2, 3, 4, 5), Relationship.CUSTOMER)
+        short_prov = import_route(P1, (9,), Relationship.PROVIDER)
         assert best_route([long_cust, short_prov], receiver_id=0) == long_cust
 
     def test_shorter_path_wins_within_class(self):
-        short = import_route(1, (2, 3), Relationship.PEER)
-        long = import_route(1, (4, 5, 6), Relationship.PEER)
+        short = import_route(P1, (2, 3), Relationship.PEER)
+        long = import_route(P1, (4, 5, 6), Relationship.PEER)
         assert best_route([short, long], receiver_id=0) == short
 
     def test_hash_tie_break_deterministic(self):
-        a = import_route(1, (2, 9), Relationship.PEER)
-        b = import_route(1, (3, 9), Relationship.PEER)
+        a = import_route(P1, (2, 9), Relationship.PEER)
+        b = import_route(P1, (3, 9), Relationship.PEER)
         winner1 = best_route([a, b], receiver_id=0)
         winner2 = best_route([b, a], receiver_id=0)
         assert winner1 == winner2
 
     def test_tie_break_varies_by_receiver(self):
         """Different receivers may break the same tie differently."""
-        a = import_route(1, (2, 9), Relationship.PEER)
-        b = import_route(1, (3, 9), Relationship.PEER)
+        a = import_route(P1, (2, 9), Relationship.PEER)
+        b = import_route(P1, (3, 9), Relationship.PEER)
         winners = {
             best_route([a, b], receiver_id=r).next_hop for r in range(64)
         }
@@ -91,18 +94,18 @@ class TestPreference:
 
     def test_local_route_always_wins(self):
         routes = [
-            local_route(1),
-            import_route(1, (2,), Relationship.CUSTOMER),
+            local_route(P1),
+            import_route(P1, (2,), Relationship.CUSTOMER),
         ]
         assert best_route(routes, receiver_id=0).is_local
 
     def test_preference_key_total_order(self):
         routes = [
-            local_route(1),
-            import_route(1, (2,), Relationship.CUSTOMER),
-            import_route(1, (3, 4), Relationship.CUSTOMER),
-            import_route(1, (5,), Relationship.PEER),
-            import_route(1, (6,), Relationship.PROVIDER),
+            local_route(P1),
+            import_route(P1, (2,), Relationship.CUSTOMER),
+            import_route(P1, (3, 4), Relationship.CUSTOMER),
+            import_route(P1, (5,), Relationship.PEER),
+            import_route(P1, (6,), Relationship.PROVIDER),
         ]
         keys = [r.preference_key(0) for r in routes]
         assert keys == sorted(keys)
@@ -110,8 +113,8 @@ class TestPreference:
 
 class TestRouteEquality:
     def test_routes_hashable_and_comparable(self):
-        a = import_route(1, (2, 3), Relationship.PEER)
-        b = import_route(1, (2, 3), Relationship.PEER)
+        a = import_route(P1, (2, 3), Relationship.PEER)
+        b = import_route(P1, (2, 3), Relationship.PEER)
         assert a == b
         assert hash(a) == hash(b)
-        assert a != import_route(2, (2, 3), Relationship.PEER)
+        assert a != import_route(P2, (2, 3), Relationship.PEER)

@@ -29,6 +29,7 @@ from repro.core.cevent import pick_origins, run_c_event_batch
 from repro.core.sweep import execute_sweep_unit
 from repro.errors import CheckpointError
 from repro.obs import telemetry_session
+from repro.prefix.prefix import host_prefix
 from repro.sim.network import SimNetwork
 from repro.topology.generator import generate_topology
 from repro.topology.scenarios import scenario_params
@@ -41,6 +42,8 @@ from tests.checkpoint.test_batch import (
     _interrupt_after,
     _unit,
 )
+
+P0 = host_prefix(0)
 
 _GRAPH = generate_topology(scenario_params("BASELINE", 60), seed=7)
 _SEED = 5
@@ -115,13 +118,13 @@ class TestRecordRebuildsTheNetwork:
 
     def test_a_network_mid_flood_is_not_a_boundary(self):
         network = SimNetwork(_GRAPH, FAST, seed=_SEED)
-        network.originate(pick_origins(_GRAPH, 1, _SEED)[0], 0)
+        network.originate(pick_origins(_GRAPH, 1, _SEED)[0], P0)
         for _ in range(50):
             network.engine.step()
         assert boundary_record(network) is None
         network.run_to_convergence()
         assert boundary_record(network) is None  # still holds the routes
-        network.retire(0)
+        network.retire(P0)
         assert boundary_record(network) is not None
 
 

@@ -18,6 +18,9 @@ from repro.checkpoint.format import (
     write_checkpoint,
 )
 from repro.errors import CheckpointError
+from repro.prefix.prefix import host_prefix
+
+P0 = host_prefix(0)
 
 
 @pytest.fixture
@@ -202,7 +205,7 @@ class TestInspect:
 
         graph = generate_topology(scenario_params("baseline", 60), seed=11)
         network = SimNetwork(graph, seed=12)
-        network.originate(graph.node_ids[-1], 0)
+        network.originate(graph.node_ids[-1], P0)
         network.run_to_convergence()
         payload = snapshot_network(network)
         draws = sum(node.rng_draws for node in network.nodes.values())

@@ -14,9 +14,12 @@ import pytest
 from repro.bgp.config import BGPConfig
 from repro.checkpoint import restore_network, snapshot_network
 from repro.errors import CheckpointError
+from repro.prefix.prefix import host_prefix
 from repro.sim.network import SimNetwork
 from repro.topology.generator import generate_topology
 from repro.topology.scenarios import scenario_params
+
+P0, P1 = host_prefix(0), host_prefix(1)
 
 FAST = dict(link_delay=0.001, processing_time_max=0.01)
 
@@ -43,14 +46,14 @@ def _drive(network, *, steps):
     """Originate + withdraw at two stubs and execute ``steps`` events."""
     stubs = [nid for nid in network.graph.node_ids if not network.graph.customers_of(nid)]
     network.start_counting()
-    network.originate(stubs[-1], 0)
-    network.originate(stubs[0], 1)
+    network.originate(stubs[-1], P0)
+    network.originate(stubs[0], P1)
     executed = 0
     while executed < steps and network.engine.step():
         executed += 1
     if network.engine.pending_events == 0:
         # Keep some events in flight so the snapshot exercises the heap.
-        network.withdraw(stubs[-1], 0)
+        network.withdraw(stubs[-1], P0)
         for _ in range(min(steps, 10)):
             network.engine.step()
 
@@ -133,14 +136,14 @@ class TestTraceAndDamping:
         )
         graph, network = _build("baseline", 60, config)
         stub = [n for n in graph.node_ids if not graph.customers_of(n)][-1]
-        network.originate(stub, 0)
+        network.originate(stub, P0)
         network.run_to_convergence()
         # Flap to build damping penalties and schedule reuse checks.
         for _ in range(3):
-            network.withdraw(stub, 0)
+            network.withdraw(stub, P0)
             for _ in range(30):
                 network.engine.step()
-            network.originate(stub, 0)
+            network.originate(stub, P0)
             for _ in range(30):
                 network.engine.step()
         restored = restore_network(graph, snapshot_network(network))

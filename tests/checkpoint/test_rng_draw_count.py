@@ -21,11 +21,14 @@ from repro.bgp.config import BGPConfig, DampingConfig, MRAIMode
 from repro.bgp.node import advance_rng, rng_mark
 from repro.checkpoint import restore_network, snapshot_network
 from repro.errors import CheckpointError
+from repro.prefix.prefix import host_prefix
 from repro.sim.network import SimNetwork
 from repro.topology.generator import generate_topology
 from repro.topology.scenarios import scenario_params
 
 from tests.checkpoint.test_boundary_record import resume_from_a_tampered_file
+
+P0 = host_prefix(0)
 
 _GRAPH = generate_topology(scenario_params("BASELINE", 40), seed=7)
 _STUBS = [n for n in _GRAPH.node_ids if not _GRAPH.customers_of(n)]
@@ -67,12 +70,12 @@ def _set_link(network, up):
 def _flood(network, before_flap, down_for, after_flap):
     """Four announcements, a withdrawal and one link flap, stopped part-way."""
     network.start_counting()
-    for prefix, stub in enumerate((_STUBS[0], _STUBS[-1], _STUBS[1], _STUBS[-2])):
-        network.originate(stub, prefix)
+    for index, stub in enumerate((_STUBS[0], _STUBS[-1], _STUBS[1], _STUBS[-2])):
+        network.originate(stub, host_prefix(index))
     _step(network, before_flap)
     _set_link(network, up=False)
     _step(network, down_for)
-    network.withdraw(_STUBS[0], 0)
+    network.withdraw(_STUBS[0], P0)
     _set_link(network, up=True)
     _step(network, after_flap)
 

@@ -28,6 +28,7 @@ from repro.checkpoint.batch import (
 )
 from repro.checkpoint.format import KIND_NETWORK, read_checkpoint, write_checkpoint
 from repro.core.sweep import SweepUnit, execute_sweep_unit
+from repro.prefix.prefix import host_prefix
 from repro.sim.network import SimNetwork
 from repro.topology.generator import generate_topology
 from repro.topology.scenarios import scenario_params
@@ -39,6 +40,8 @@ from tests.checkpoint.test_batch import (
     _interrupt_after,
     _unit,
 )
+
+P0 = host_prefix(0)
 
 PREVIOUS_RELEASE = "1.4.0"
 #: The last release of the full-RNG-state node layout.
@@ -58,7 +61,7 @@ def test_network_checkpoint_from_previous_release_restores(tmp_path):
     graph = generate_topology(scenario_params("baseline", 60), seed=11)
     network = SimNetwork(graph, FAST, seed=12)
     network.start_counting()
-    network.originate(graph.node_ids[-1], 0)
+    network.originate(graph.node_ids[-1], P0)
     for _ in range(150):
         network.engine.step()
     path = tmp_path / "net.ckpt"
@@ -136,7 +139,7 @@ def _mid_flood_network():
     graph = generate_topology(scenario_params("baseline", 60), seed=11)
     network = SimNetwork(graph, FAST, seed=12)
     network.start_counting()
-    network.originate(graph.node_ids[-1], 0)
+    network.originate(graph.node_ids[-1], P0)
     for _ in range(150):
         network.engine.step()
     assert network.engine.pending_events, "snapshot point must be mid-flood"

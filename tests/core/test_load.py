@@ -4,8 +4,11 @@ import pytest
 
 from repro.bgp.config import BGPConfig
 from repro.core.load import load_report, run_load_probe
+from repro.prefix.prefix import host_prefix
 from repro.sim.network import SimNetwork
 from repro.topology.types import NodeType
+
+P0 = host_prefix(0)
 
 FAST = BGPConfig(mrai=1.0, link_delay=0.001, processing_time_max=0.01)
 
@@ -13,7 +16,7 @@ FAST = BGPConfig(mrai=1.0, link_delay=0.001, processing_time_max=0.01)
 class TestLoadReport:
     def test_counters_populated(self, diamond, fast_config):
         network = SimNetwork(diamond, fast_config, seed=1)
-        network.originate(4, 0)
+        network.originate(4, P0)
         network.run_to_convergence()
         report = load_report(network)
         assert report.n == 5
@@ -25,7 +28,7 @@ class TestLoadReport:
 
     def test_busiest_node_consistent(self, diamond, fast_config):
         network = SimNetwork(diamond, fast_config, seed=1)
-        network.originate(4, 0)
+        network.originate(4, P0)
         network.run_to_convergence()
         report = load_report(network)
         for load in report.per_type.values():

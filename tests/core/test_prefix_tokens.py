@@ -1,8 +1,9 @@
-"""Prefix-token agnosticism of the single-prefix C-event machinery.
+"""The token of the single-prefix drivers.
 
-The C-event sweep migrated from bare-int prefixes to interned ``/32``
-host prefixes; because host prefixes sort exactly like the ints they
-replaced, fixed-seed measurements must be unaffected.
+C-events, link events, exploration, load and damping flaps moved from
+bare-int prefixes to interned ``/32`` host prefixes; because host
+prefixes sort exactly like the ints they replaced, fixed-seed
+measurements are unaffected (the kernel digests pin them).
 """
 
 from repro.prefix.prefix import Prefix

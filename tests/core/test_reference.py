@@ -5,11 +5,14 @@ import pytest
 from repro.bgp.config import BGPConfig
 from repro.core.reference import steady_state_routes
 from repro.errors import ExperimentError
+from repro.prefix.prefix import host_prefix
 from repro.sim.network import SimNetwork
 from repro.topology.generator import generate_topology
 from repro.topology.graph import ASGraph
 from repro.topology.params import baseline_params
 from repro.topology.types import NodeType, Relationship
+
+P0 = host_prefix(0)
 
 FAST = BGPConfig(mrai=1.0, link_delay=0.001, processing_time_max=0.01)
 
@@ -88,11 +91,11 @@ class TestSimulatorAgreesWithOracle:
         origins = graph.nodes_of_type(NodeType.C)[:3]
         for origin in origins:
             network = SimNetwork(graph, FAST, seed=seed)
-            network.originate(origin, 0)
+            network.originate(origin, P0)
             network.run_to_convergence()
             oracle = steady_state_routes(graph, origin)
             for node_id, node in network.nodes.items():
-                best = node.best_route(0)
+                best = node.best_route(P0)
                 expected = oracle.get(node_id)
                 assert (best is None) == (expected is None), (
                     f"reachability mismatch at {node_id}"
@@ -112,7 +115,7 @@ class TestSimulatorAgreesWithOracle:
     def test_oracle_reachability_equals_sim_count(self, small_baseline):
         origin = small_baseline.nodes_of_type(NodeType.C)[0]
         network = SimNetwork(small_baseline, FAST, seed=1)
-        network.originate(origin, 0)
+        network.originate(origin, P0)
         network.run_to_convergence()
         oracle = steady_state_routes(small_baseline, origin)
-        assert set(network.nodes_with_route(0)) == set(oracle)
+        assert set(network.nodes_with_route(P0)) == set(oracle)

@@ -11,10 +11,13 @@ from hypothesis import strategies as st
 
 from repro.bgp.config import BGPConfig
 from repro.core.reference import steady_state_routes
+from repro.prefix.prefix import host_prefix
 from repro.sim.network import SimNetwork
 from repro.topology.generator import generate_topology
 from repro.topology.params import baseline_params
 from repro.topology.types import NodeType
+
+P0, P1 = host_prefix(0), host_prefix(1)
 
 FAST = BGPConfig(mrai=1.0, link_delay=0.001, processing_time_max=0.005)
 
@@ -27,33 +30,38 @@ def check_prefix(network, graph, origin, prefix):
         assert len(best.path) == expected.length
 
 
+def _prefixed(origins):
+    """(prefix, origin) pairs: the i-th origin announces host prefix i."""
+    return [(host_prefix(index), origin) for index, origin in enumerate(origins)]
+
+
 class TestConcurrentAnnouncements:
     def test_simultaneous_origins_converge_independently(self):
         graph = generate_topology(baseline_params(120), seed=3)
         origins = graph.nodes_of_type(NodeType.C)[:4]
         network = SimNetwork(graph, FAST, seed=3)
-        for prefix, origin in enumerate(origins):
+        for prefix, origin in _prefixed(origins):
             network.originate(origin, prefix)  # all injected at t=0
         network.run_to_convergence()
-        for prefix, origin in enumerate(origins):
+        for prefix, origin in _prefixed(origins):
             check_prefix(network, graph, origin, prefix)
 
     def test_interleaved_flaps_do_not_cross_talk(self):
         graph = generate_topology(baseline_params(120), seed=4)
         a, b = graph.nodes_of_type(NodeType.C)[:2]
         network = SimNetwork(graph, FAST, seed=4)
-        network.originate(a, 0)
-        network.originate(b, 1)
+        network.originate(a, P0)
+        network.originate(b, P1)
         network.run_to_convergence()
         # withdraw a while b flaps, staggered mid-convergence
-        network.withdraw(a, 0)
+        network.withdraw(a, P0)
         network.engine.run(until=network.engine.now + 0.5)
-        network.withdraw(b, 1)
+        network.withdraw(b, P1)
         network.engine.run(until=network.engine.now + 0.5)
-        network.originate(b, 1)
+        network.originate(b, P1)
         network.run_to_convergence()
-        assert network.nodes_with_route(0) == []
-        check_prefix(network, graph, b, 1)
+        assert network.nodes_with_route(P0) == []
+        check_prefix(network, graph, b, P1)
 
     @given(
         seed=st.integers(min_value=0, max_value=10**4),
@@ -65,13 +73,13 @@ class TestConcurrentAnnouncements:
         origins = graph.nodes_of_type(NodeType.C)[:3]
         network = SimNetwork(graph, FAST, seed=seed)
         start = 0.0
-        for prefix, origin in enumerate(origins):
+        for prefix, origin in _prefixed(origins):
             network.engine.schedule_at(
-                start + prefix * stagger,
+                start + prefix.addr * stagger,
                 lambda o=origin, p=prefix: network.node(o).originate(p),
             )
         network.run_to_convergence()
-        for prefix, origin in enumerate(origins):
+        for prefix, origin in _prefixed(origins):
             check_prefix(network, graph, origin, prefix)
 
 
@@ -82,14 +90,14 @@ class TestPerInterfaceCoupling:
         graph = generate_topology(baseline_params(100), seed=7)
         origins = graph.nodes_of_type(NodeType.C)[:3]
         network = SimNetwork(graph, FAST, seed=7)
-        for prefix, origin in enumerate(origins):
+        for prefix, origin in _prefixed(origins):
             network.originate(origin, prefix)
         network.run_to_convergence()
         # flap everything at once: maximal out-queue sharing
-        for prefix, origin in enumerate(origins):
+        for prefix, origin in _prefixed(origins):
             network.withdraw(origin, prefix)
-        for prefix, origin in enumerate(origins):
+        for prefix, origin in _prefixed(origins):
             network.originate(origin, prefix)
         network.run_to_convergence()
-        for prefix, origin in enumerate(origins):
+        for prefix, origin in _prefixed(origins):
             check_prefix(network, graph, origin, prefix)

@@ -7,10 +7,13 @@ from hypothesis import strategies as st
 
 from repro.bgp.config import BGPConfig, MRAIMode, SendDiscipline
 from repro.core.reference import steady_state_routes
+from repro.prefix.prefix import host_prefix
 from repro.sim.network import SimNetwork
 from repro.topology.generator import generate_topology
 from repro.topology.params import baseline_params
 from repro.topology.types import NodeType
+
+P0 = host_prefix(0)
 
 
 def fast_config(**overrides):
@@ -42,12 +45,12 @@ class TestConvergenceCorrectness:
         graph = generate_topology(baseline_params(n), seed=topo_seed)
         origin = graph.nodes_of_type(NodeType.C)[0]
         network = SimNetwork(graph, config, seed=sim_seed)
-        network.originate(origin, 0)
+        network.originate(origin, P0)
         network.run_to_convergence()
         oracle = steady_state_routes(graph, origin)
-        assert set(network.nodes_with_route(0)) == set(oracle)
+        assert set(network.nodes_with_route(P0)) == set(oracle)
         for node_id, expected in oracle.items():
-            best = network.node(node_id).best_route(0)
+            best = network.node(node_id).best_route(P0)
             assert len(best.path) == expected.length
             if expected.category is not None:
                 node = network.node(node_id)
@@ -61,11 +64,11 @@ class TestConvergenceCorrectness:
         graph = generate_topology(baseline_params(n), seed=topo_seed)
         origin = graph.nodes_of_type(NodeType.C)[0]
         network = SimNetwork(graph, config, seed=sim_seed)
-        network.originate(origin, 0)
+        network.originate(origin, P0)
         network.run_to_convergence()
-        network.withdraw(origin, 0)
+        network.withdraw(origin, P0)
         network.run_to_convergence()
-        assert network.nodes_with_route(0) == []
+        assert network.nodes_with_route(P0) == []
         # and all output queues have drained
         for node in network.nodes.values():
             for neighbor in node.neighbors:
@@ -79,18 +82,18 @@ class TestConvergenceCorrectness:
         graph = generate_topology(baseline_params(n), seed=topo_seed)
         origin = graph.nodes_of_type(NodeType.C)[0]
         network = SimNetwork(graph, config, seed=sim_seed)
-        network.originate(origin, 0)
+        network.originate(origin, P0)
         network.run_to_convergence()
         before = {
-            node_id: network.node(node_id).best_route(0)
+            node_id: network.node(node_id).best_route(P0)
             for node_id in network.nodes
         }
-        network.withdraw(origin, 0)
+        network.withdraw(origin, P0)
         network.run_to_convergence()
-        network.originate(origin, 0)
+        network.originate(origin, P0)
         network.run_to_convergence()
         after = {
-            node_id: network.node(node_id).best_route(0)
+            node_id: network.node(node_id).best_route(P0)
             for node_id in network.nodes
         }
         # the decision process is deterministic, so the stable state is

@@ -9,8 +9,11 @@ suppression periods and letting penalties decay between flaps.
 import pytest
 
 from repro.bgp.config import BGPConfig, DampingConfig
+from repro.prefix.prefix import host_prefix
 from repro.sim.network import SimNetwork
 from repro.topology.types import NodeType
+
+P0 = host_prefix(0)
 
 FLAP_PERIOD = 20.0
 
@@ -29,17 +32,17 @@ def storm_network(diamond, *, enabled, flaps=5):
         mrai=1.0, link_delay=0.001, processing_time_max=0.005, damping=damping
     )
     network = SimNetwork(diamond, config, seed=9)
-    network.originate(4, 0)
+    network.originate(4, P0)
     network.run_to_convergence()
     network.start_counting()
     start = network.engine.now
     for k in range(flaps):
         network.engine.schedule_at(
-            start + k * FLAP_PERIOD, lambda: network.withdraw(4, 0)
+            start + k * FLAP_PERIOD, lambda: network.withdraw(4, P0)
         )
         network.engine.schedule_at(
             start + k * FLAP_PERIOD + FLAP_PERIOD / 2,
-            lambda: network.originate(4, 0),
+            lambda: network.originate(4, P0),
         )
     storm_end = start + flaps * FLAP_PERIOD
     network.engine.run(until=storm_end)
@@ -57,15 +60,15 @@ class TestDampingInNetwork:
         network = storm_network(diamond, enabled=True, flaps=5)
         now = network.engine.now
         # the origin itself always has its local route
-        assert network.node(4).best_route(0) is not None
+        assert network.node(4).best_route(P0) is not None
         suppressed = [
             p
             for p in (2, 3)
-            if network.node(p)._damper.is_suppressed(4, 0, now)
+            if network.node(p)._damper.is_suppressed(4, P0, now)
         ]
         assert suppressed
         for p in suppressed:
-            best = network.node(p).best_route(0)
+            best = network.node(p).best_route(P0)
             assert best is None or best.next_hop != 4
 
     def test_route_reusable_after_decay(self, diamond):
@@ -74,11 +77,11 @@ class TestDampingInNetwork:
         # still-announced prefix is reinstated from the Adj-RIB-In
         network.run_to_convergence()
         network.engine.run(until=network.engine.now + 5000.0)
-        network.withdraw(4, 0)
+        network.withdraw(4, P0)
         network.run_to_convergence()
-        network.originate(4, 0)
+        network.originate(4, P0)
         network.run_to_convergence()
-        best = network.node(2).best_route(0)
+        best = network.node(2).best_route(P0)
         assert best is not None
         assert best.next_hop == 4
 
@@ -87,5 +90,5 @@ class TestDampingInNetwork:
         network = storm_network(diamond, enabled=True, flaps=5)
         network.run_to_convergence()  # includes pending reuse checks
         for p in (2, 3):
-            best = network.node(p).best_route(0)
+            best = network.node(p).best_route(P0)
             assert best is not None

@@ -12,9 +12,12 @@ from repro.obs.telemetry import (
     current_telemetry,
     telemetry_session,
 )
+from repro.prefix.prefix import host_prefix
 from repro.sim.engine import Engine
 from repro.sim.network import SimNetwork
 from repro.topology.types import Relationship
+
+P0 = host_prefix(0)
 
 
 class TestCountersAndGauges:
@@ -185,9 +188,9 @@ class TestEndToEnd:
         config = BGPConfig(mrai=2.0, link_delay=0.001, processing_time_max=0.01)
         with telemetry_session() as hub:
             network = SimNetwork(diamond, config, seed=1)
-            network.originate(4, 0)
+            network.originate(4, P0)
             network.run_to_convergence()
-            network.withdraw(4, 0)
+            network.withdraw(4, P0)
             network.run_to_convergence()
         counters = hub.counters
         assert counters["network.deliveries"] > 0
@@ -204,7 +207,7 @@ class TestEndToEnd:
             network = SimNetwork(diamond, fast_config, seed=1)
             node = network.node(2)
             node.set_link_down(4)
-            node.receive(announcement(4, 2, 0, (4,)))
+            node.receive(announcement(4, 2, P0, (4,)))
         assert hub.counters["network.drops"] == 1
 
     def test_telemetry_does_not_change_results(self, diamond, fast_config):
@@ -212,9 +215,9 @@ class TestEndToEnd:
         # exactly the numbers of an uninstrumented one.
         def run(telemetry):
             network = SimNetwork(diamond, fast_config, seed=9, telemetry=telemetry)
-            network.originate(4, 0)
+            network.originate(4, P0)
             network.run_to_convergence()
-            network.withdraw(4, 0)
+            network.withdraw(4, P0)
             network.run_to_convergence()
             return (
                 network.delivered_messages,

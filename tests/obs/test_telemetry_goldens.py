@@ -23,10 +23,13 @@ from repro.bgp.config import BGPConfig, MRAIMode
 from repro.bgp.events import Delivery
 from repro.core.cevent import pick_origins, run_c_event_experiment
 from repro.obs.telemetry import telemetry_session
+from repro.prefix.prefix import host_prefix
 from repro.sim.network import SimNetwork
 from repro.sim.partition import run_partitioned_c_event_experiment
 from repro.topology.generator import generate_topology
 from repro.topology.params import baseline_params
+
+P0 = host_prefix(0)
 
 GOLDENS_PATH = Path(__file__).parent / "data" / "telemetry_goldens.json"
 
@@ -86,7 +89,7 @@ def _link_failure() -> dict:
     origin = pick_origins(graph, 1, _SEED)[0]
     with telemetry_session() as hub:
         network = SimNetwork(graph, BGPConfig(), seed=_SEED)
-        network.originate(origin, 0)
+        network.originate(origin, P0)
         # Fail a link while an update is in flight over it: the receiver
         # drops the delivery.  Repeat a few times along the announce wave.
         failed = []

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.errors import ParameterError
+from repro.errors import CheckpointError, ParameterError
 from repro.prefix.prefix import (
     ADDRESS_BITS,
     Prefix,
@@ -62,14 +62,6 @@ class TestValueSemantics:
         with pytest.raises(ParameterError):
             Prefix(1 << 32, 32)
 
-
-class TestMixedTokenOrdering:
-    """Int and Prefix tokens never alias; prefixes order as their tuples."""
-
-    def test_equality_across_kinds_is_false(self):
-        assert make_prefix(0, 32) != 0
-        assert not (make_prefix(0, 32) == 0)
-
     @given(prefixes(), prefixes())
     def test_prefix_order_is_addr_then_length(self, a, b):
         assert (a < b) == ((a.addr, a.length) < (b.addr, b.length))
@@ -89,9 +81,19 @@ class TestTextAndJson:
             with pytest.raises(ParameterError):
                 Prefix.parse(text)
 
-    def test_json_int_passthrough(self):
-        assert prefix_to_json(7) == 7
-        assert prefix_from_json(7) == 7
+    def test_json_int_reads_as_its_host_prefix(self):
+        # Releases 1.3.0-1.6.0 wrote single-prefix tokens as bare ints.
+        assert prefix_from_json(7) is host_prefix(7)
+        assert prefix_from_json(2**32 - 1) is host_prefix(2**32 - 1)
+
+    @pytest.mark.parametrize(
+        "data",
+        ["5", 5.7, True, -1, 2**32, [1], ["0", "32"], [1.9, 32], [1, 33], [1, 8], None],
+        ids=repr,
+    )
+    def test_json_reader_refuses_anything_else(self, data):
+        with pytest.raises(CheckpointError, match="malformed prefix"):
+            prefix_from_json(data)
 
     def test_json_prefix_is_addr_length_pair(self):
         prefix = make_prefix(0x0A000000, 8)

@@ -4,8 +4,11 @@ import pytest
 
 from repro.bgp.config import BGPConfig
 from repro.errors import SimulationError
+from repro.prefix.prefix import host_prefix
 from repro.sim.network import SimNetwork
 from repro.topology.types import NodeType, Relationship
+
+P0 = host_prefix(0)
 
 
 class TestConstruction:
@@ -30,19 +33,19 @@ class TestCounting:
     def test_counts_only_while_enabled(self, diamond, fast_config):
         network = SimNetwork(diamond, fast_config, seed=1)
         network.stop_counting()
-        network.originate(4, 0)
+        network.originate(4, P0)
         network.run_to_convergence()
         assert network.counter.total == 0
         assert network.delivered_messages > 0
 
         network.start_counting()
-        network.withdraw(4, 0)
+        network.withdraw(4, P0)
         network.run_to_convergence()
         assert network.counter.total > 0
 
     def test_updates_per_type_averages(self, diamond, fast_config):
         network = SimNetwork(diamond, fast_config, seed=1)
-        network.originate(4, 0)
+        network.originate(4, P0)
         network.run_to_convergence()
         per_type = network.updates_per_type()
         assert per_type[NodeType.T] > 0
@@ -50,7 +53,7 @@ class TestCounting:
 
     def test_sender_relationship_classification(self, diamond, fast_config):
         network = SimNetwork(diamond, fast_config, seed=1)
-        network.originate(4, 0)
+        network.originate(4, P0)
         network.run_to_convergence()
         # M2 heard the announcement from its customer C4
         assert network.counter.updates_at_by_relationship(
@@ -59,24 +62,24 @@ class TestCounting:
 
     def test_nodes_with_route(self, diamond, fast_config):
         network = SimNetwork(diamond, fast_config, seed=1)
-        network.originate(4, 0)
+        network.originate(4, P0)
         network.run_to_convergence()
-        assert set(network.nodes_with_route(0)) == {0, 1, 2, 3, 4}
-        network.withdraw(4, 0)
+        assert set(network.nodes_with_route(P0)) == {0, 1, 2, 3, 4}
+        network.withdraw(4, P0)
         network.run_to_convergence()
-        assert network.nodes_with_route(0) == []
+        assert network.nodes_with_route(P0) == []
 
 
 class TestDeterminism:
     def test_same_seed_same_outcome(self, diamond, fast_config):
         def run(seed):
             network = SimNetwork(diamond, fast_config, seed=seed)
-            network.originate(4, 0)
+            network.originate(4, P0)
             network.run_to_convergence()
             return (
                 network.delivered_messages,
                 network.engine.now,
-                {n: network.node(n).best_route(0) for n in network.nodes},
+                {n: network.node(n).best_route(P0) for n in network.nodes},
             )
 
         assert run(11) == run(11)
@@ -84,7 +87,7 @@ class TestDeterminism:
     def test_different_seed_different_timing(self, diamond, fast_config):
         def run(seed):
             network = SimNetwork(diamond, fast_config, seed=seed)
-            network.originate(4, 0)
+            network.originate(4, P0)
             network.run_to_convergence()
             return network.engine.now
 
@@ -135,9 +138,9 @@ class TestKernelCounts:
 
         def run(telemetry):
             network = SimNetwork(diamond, fast_config, seed=5, telemetry=telemetry)
-            network.originate(4, 0)
+            network.originate(4, P0)
             network.run_to_convergence()
-            network.withdraw(4, 0)
+            network.withdraw(4, P0)
             network.run_to_convergence()
             return network
 

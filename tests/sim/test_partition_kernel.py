@@ -14,6 +14,7 @@ import pytest
 from repro.bgp.config import BGPConfig
 from repro.core.cevent import pick_origins, run_c_event_experiment
 from repro.errors import SimulationError
+from repro.prefix.prefix import host_prefix
 from repro.sim.network import SimNetwork
 from repro.sim.partition import (
     BorderEvent,
@@ -126,8 +127,6 @@ class TestLockstepRunner:
         parts = build_local_parts(graph, partition, config, seed=0)
         runner = LockstepRunner(partition, parts, link_delay=config.link_delay)
         origin = pick_origins(graph, 1, seed=0)[0]
-        from repro.prefix.prefix import host_prefix
-
         runner.apply("originate", origin, host_prefix(0))
         runner.converge()
         assert runner.windows > 0
@@ -144,8 +143,6 @@ class TestBorderRouting:
         network = SimNetwork(graph, config, seed=0, local_nodes=members)
         assert set(network.nodes) == set(members)
         origin = members[0]
-        from repro.prefix.prefix import host_prefix
-
         network.originate(origin, host_prefix(0))
         network.run_to_convergence()
         # A BASELINE graph cut always carries some border traffic.
@@ -165,7 +162,10 @@ class TestBorderRouting:
         from repro.bgp.messages import UpdateMessage
 
         message = UpdateMessage(
-            sender=members[0], receiver=outsider, prefix=1, path=(members[0],)
+            sender=members[0],
+            receiver=outsider,
+            prefix=host_prefix(1),
+            path=(members[0],),
         )
         with pytest.raises(SimulationError):
             network.inject_border(message, deliver_at=1.0)
@@ -173,8 +173,8 @@ class TestBorderRouting:
 
 class TestBorderEventCodec:
     def test_sort_key_orders_canonically(self):
-        early = BorderEvent(0.1, 0.102, 5, 6, 1, (5,))
-        late = BorderEvent(0.2, 0.202, 1, 2, 1, (1,))
+        early = BorderEvent(0.1, 0.102, 5, 6, host_prefix(1), (5,))
+        late = BorderEvent(0.2, 0.202, 1, 2, host_prefix(1), (1,))
         assert early.sort_key() < late.sort_key()
 
 

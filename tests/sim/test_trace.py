@@ -4,8 +4,11 @@ import pytest
 
 from repro.bgp.config import BGPConfig
 from repro.errors import ParameterError, SimulationError
+from repro.prefix.prefix import host_prefix
 from repro.sim.network import SimNetwork
 from repro.sim.trace import MonitorTrace
+
+P0 = host_prefix(0)
 
 
 class TestMonitorTrace:
@@ -118,7 +121,7 @@ class TestEdgeCases:
     def test_no_monitors_records_nothing(self, diamond, fast_config):
         network = SimNetwork(diamond, fast_config, seed=1)
         trace = network.attach_monitors([])
-        network.originate(4, 0)
+        network.originate(4, P0)
         network.run_to_convergence()
         assert len(trace) == 0
 
@@ -163,7 +166,7 @@ class TestNetworkIntegration:
     def test_attach_and_record(self, diamond, fast_config):
         network = SimNetwork(diamond, fast_config, seed=1)
         trace = network.attach_monitors([0])
-        network.originate(4, 0)
+        network.originate(4, P0)
         network.run_to_convergence()
         assert len(trace) > 0
         assert all(u.receiver == 0 for u in trace.updates())
@@ -174,11 +177,11 @@ class TestNetworkIntegration:
     def test_detach_stops_recording(self, diamond, fast_config):
         network = SimNetwork(diamond, fast_config, seed=1)
         trace = network.attach_monitors([0])
-        network.originate(4, 0)
+        network.originate(4, P0)
         network.run_to_convergence()
         before = len(trace)
         network.detach_monitors()
-        network.withdraw(4, 0)
+        network.withdraw(4, P0)
         network.run_to_convergence()
         assert len(trace) == before
 
