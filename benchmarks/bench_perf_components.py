@@ -314,9 +314,13 @@ def test_sim_core_budget(results_dir):
     path_bytes = sys.getsizeof(route.path)  # shared across interned copies
 
     # --- per-node memory of a built network --------------------------
-    # Mostly RNG state (2.5 kB), RIB/channel dicts and the node itself;
-    # an unslotted BGPNode adds ~1.5 kB (no key-sharing dict at its
-    # attribute count), which is what this row is here to catch.
+    # About half is the Mersenne-Twister state (2.5 kB); the rest is one
+    # OutputChannel per neighbour with its sent/pending dicts, the
+    # channel dict, the RIBs and the node itself.  A second per-neighbour
+    # record, an idle in-queue or damping/per-prefix-gate state the
+    # config turns off each shows here (they took 7.3 kB to 4.8 kB), as
+    # does an unslotted BGPNode (+1.5 kB: no key-sharing dict at its
+    # attribute count).
     footprint_n = 2000
     footprint_graph = generate_topology(baseline_params(footprint_n), seed=3)
     gc.collect()

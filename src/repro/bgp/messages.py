@@ -10,19 +10,22 @@ never looks inside it.
 
 from __future__ import annotations
 
-import dataclasses
-from typing import Optional, Tuple
+from typing import NamedTuple, Optional, Tuple
 
 from repro.bgp.route import intern_path
 from repro.prefix.prefix import Prefix
 
 
-@dataclasses.dataclass(frozen=True, slots=True)
-class UpdateMessage:
+class UpdateMessage(NamedTuple):
     """One BGP UPDATE for a single prefix.
 
     ``path`` is the AS path as sent on the wire (sender prepended);
     ``None`` marks an explicit withdrawal.
+
+    A named tuple: immutable, equal and hashed by its four fields, and
+    built by one ``tuple.__new__`` call — a simulation builds one per
+    send, and a frozen dataclass's ``__init__`` took four
+    ``object.__setattr__`` calls per message.
     """
 
     sender: int

@@ -174,6 +174,7 @@ def boundary_record(network: SimNetwork) -> Optional[dict]:
         "now": engine.now,
         "next_sequence": engine.next_sequence,
         "executed_events": engine.executed_events,
+        "cancelled_events": engine.cancelled_events,
         "delivered_messages": network.delivered_messages,
         "nodes": rows,
         "prefix_gates": prefix_gates,
@@ -213,6 +214,9 @@ def restore_boundary(graph, config, seed: int, record: dict) -> SimNetwork:
         now=_amount(record["now"], "clock"),
         next_sequence=_count(record["next_sequence"], "event sequence"),
         executed_events=_count(record["executed_events"], "executed events"),
+        cancelled_events=_count(
+            record.get("cancelled_events", 0), "cancelled events"
+        ),
         pending=[],
     )
     network.delivered_messages = _count(

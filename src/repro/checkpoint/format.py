@@ -299,6 +299,7 @@ def _network_summary(payload: dict) -> dict:
         "n": topology.get("n"),
         "sim_time": engine.get("now"),
         "executed_events": engine.get("executed_events"),
+        "cancelled_events": engine.get("cancelled_events", 0),
         "pending_events": len(engine.get("pending", [])),
         "delivered_messages": payload.get("delivered_messages"),
     }
@@ -313,6 +314,7 @@ def _boundary_summary(record: dict) -> dict:
         "n": len(rows),
         "sim_time": record.get("now"),
         "executed_events": record.get("executed_events"),
+        "cancelled_events": record.get("cancelled_events", 0),
         "pending_events": 0,
         "delivered_messages": record.get("delivered_messages"),
         "rng_encoding": f"draw counts + last draws ({draws:,} total)",

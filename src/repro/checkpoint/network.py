@@ -72,6 +72,7 @@ def snapshot_network(network: SimNetwork) -> dict:
             "now": engine.now,
             "next_sequence": engine.next_sequence,
             "executed_events": engine.executed_events,
+            "cancelled_events": engine.cancelled_events,
             "pending": [
                 [time, sequence, descriptor]
                 for time, sequence, descriptor in pending
@@ -141,6 +142,8 @@ def restore_network(graph: "ASGraph", payload: dict) -> SimNetwork:
         now=float(engine_state["now"]),
         next_sequence=int(engine_state["next_sequence"]),
         executed_events=int(engine_state["executed_events"]),
+        # Files written before the count was kept read as none cancelled.
+        cancelled_events=int(engine_state.get("cancelled_events", 0)),
         pending=pending,
     )
     for entry in pending:

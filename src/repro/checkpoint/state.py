@@ -32,16 +32,25 @@ from repro.topology.types import Relationship
 # ----------------------------------------------------------------------
 # Scalars and small records
 # ----------------------------------------------------------------------
-def rng_state_to_json(state: tuple) -> list:
-    """``random.Random.getstate()`` → JSON list."""
-    version, internal, gauss_next = state
-    return [version, list(internal), gauss_next]
+#: The ``random.Random`` state version the full-state layout was written
+#: with; its third field (the cached ``gauss`` value) is always null, as
+#: no node draws ``gauss()``.
+_RNG_STATE_VERSION = 3
+
+
+def rng_state_to_json(words: tuple) -> list:
+    """A Mersenne-Twister state (``_random.Random.getstate()``: 624 words
+    and the position) → the JSON list ``random.Random.getstate()`` maps to."""
+    return [_RNG_STATE_VERSION, list(words), None]
 
 
 def rng_state_from_json(data: list) -> tuple:
-    """Inverse of :func:`rng_state_to_json` (exact ``setstate`` input)."""
-    version, internal, gauss_next = data
-    return (int(version), tuple(int(word) for word in internal), gauss_next)
+    """Inverse of :func:`rng_state_to_json` (exact ``_random.Random.setstate``
+    input); raises ``ValueError`` for a state version it cannot read."""
+    version, internal, _gauss_next = data
+    if version != _RNG_STATE_VERSION:
+        raise ValueError(f"RNG state version {version!r} is not {_RNG_STATE_VERSION}")
+    return tuple(int(word) for word in internal)
 
 
 def path_to_json(path: Optional[Tuple[int, ...]]) -> Optional[list]:

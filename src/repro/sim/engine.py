@@ -177,6 +177,7 @@ class Engine:
         next_sequence: int,
         executed_events: int,
         pending: List,
+        cancelled_events: int = 0,
     ) -> None:
         """Install a previously captured engine state (checkpoint restore).
 
@@ -203,6 +204,7 @@ class Engine:
         self.now = now
         self._next_sequence = next_sequence
         self.executed_events = executed_events
+        self.cancelled_events = cancelled_events
         self._cancelled = 0
 
     def step(self) -> bool:

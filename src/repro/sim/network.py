@@ -13,7 +13,7 @@ depend on Python hash randomization or dict ordering.
 
 from __future__ import annotations
 
-import random
+import _random
 from typing import Dict, FrozenSet, Iterable, List, Optional, Tuple
 
 from repro.bgp.config import BGPConfig
@@ -83,7 +83,9 @@ class SimNetwork:
             # so a partition member draws exactly the same randomness it
             # would in a whole-graph network — the basis of the
             # serial-vs-partitioned equivalence guarantee.
-            rng = random.Random(stable_hash(seed, node.node_id))
+            # A bare ``_random.Random``: the same Mersenne-Twister stream
+            # as ``random.Random`` without its per-instance dict.
+            rng = _random.Random(stable_hash(seed, node.node_id))
             self.nodes[node.node_id] = BGPNode(
                 node_id=node.node_id,
                 node_type=node.node_type,
@@ -145,7 +147,7 @@ class SimNetwork:
             self.counter.record(
                 receiver_id,
                 sender,
-                receiver.neighbors[sender],
+                receiver._channels[sender].relationship,
                 is_withdrawal=is_withdrawal,
             )
         if self.trace is not None and self.trace.watches(receiver_id):

@@ -315,17 +315,7 @@ class LockstepRunner:
         for part in self.parts:
             counter, part_delivered = part.call("collect")
             delivered += part_delivered
-            merged.total += counter.total
-            for key, count in counter.received.items():
-                merged.received[key] += count
-            for key, count in counter.received_by_relationship.items():
-                merged.received_by_relationship[key] += count
-            for key, count in counter.received_by_pair.items():
-                merged.received_by_pair[key] += count
-            for key, count in counter.announcements.items():
-                merged.announcements[key] += count
-            for key, count in counter.withdrawals.items():
-                merged.withdrawals[key] += count
+            merged.merge(counter)
         return merged, delivered
 
     def report_telemetry(self) -> None:

@@ -347,10 +347,11 @@ class TestAdoptedHandles:
         restored = restore_network(graph, payload)
         adopted = 0
         for node in restored.nodes.values():
-            for neighbor, at in node._wakeup_at.items():
+            for channel in node._channels.values():
+                at = channel.wakeup_at
                 if at is None:
                     continue
-                entry = node._wakeup_entries.get(neighbor)
+                entry = channel.wakeup_handle
                 assert entry is not None, "pending wakeup has no live handle"
                 assert entry[0] == at and isinstance(entry[2], MRAIWakeup)
                 adopted += 1

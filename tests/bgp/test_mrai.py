@@ -278,7 +278,7 @@ class TestWakeupEdgeCases:
         assert gate is not None
         # Fire the node's wakeup handler before the gate expires: nothing
         # may be sent, and the correct next wakeup must be re-armed.
-        node._wakeup_at[4] = 5.0
+        node.channel(4).wakeup_at = 5.0
         node._mrai_wakeup(4, 5.0)
         assert ch.pending_count == 1
-        assert node._wakeup_at[4] == pytest.approx(gate)
+        assert node.channel(4).wakeup_at == pytest.approx(gate)

@@ -226,7 +226,7 @@ class TestDampingIntegration:
         node.receive(announcement(1, 0, P0, (1, 5)))
         node.receive(withdrawal(1, 0, P0))
         network.run_to_convergence()
-        assert node._damper.penalty(1, P0, network.engine.now) == 0.0
+        assert node._damper is None
 
 
 class TestIntrospection:
@@ -279,7 +279,7 @@ class TestIntrospection:
         network.originate(4, P0)
         horizon = 0.002  # far shorter than a typical drawn service time
         network.engine.run(until=horizon)
-        assert any(node._busy for node in network.nodes.values())
+        assert any(node.queue_length for node in network.nodes.values())
         for node in network.nodes.values():
             assert node.busy_time <= network.engine.now
 

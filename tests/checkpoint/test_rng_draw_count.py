@@ -105,13 +105,17 @@ class TestStreamIsSeedAndDrawCount:
 
         def unfinished():
             return (
-                any(node._busy and node.queue_length > 1 for node in nodes)
+                any(node.queue_length > 1 for node in nodes)
                 and any(
                     channel.pending_count
                     for node in nodes
                     for channel in node._channels.values()
                 )
-                and any(at is not None for n in nodes for at in n._wakeup_at.values())
+                and any(
+                    channel.wakeup_at is not None
+                    for node in nodes
+                    for channel in node._channels.values()
+                )
             )
 
         while not unfinished():

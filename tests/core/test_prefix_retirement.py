@@ -137,18 +137,22 @@ def _held_prefixes(node, now) -> dict:
         "adj-rib-in dirty": set(rib._dirty),
         "loc-rib": set(node.loc_rib.prefixes()),
         "best changes": set(node.best_change_count),
-        "damper": {row[1] for row in node._damper.dump_state()},
-        "reuse checks": set(node._reuse_pending),
+        "damper": (
+            {row[1] for row in node._damper.dump_state()}
+            if node._damper is not None
+            else set()
+        ),
+        "reuse checks": set(node._reuse_pending or ()),
         "sent": {prefix for channel in channels for prefix in channel._sent},
         "pending": {prefix for channel in channels for prefix in channel._pending},
         "expired gates": {
             prefix
             for channel in channels
-            for prefix, gate in channel._prefix_gates.items()
+            for prefix, gate in (channel._prefix_gates or {}).items()
             if gate <= now
         },
         "live gates": {
-            prefix for channel in channels for prefix in channel._prefix_gates
+            prefix for channel in channels for prefix in (channel._prefix_gates or ())
         },
     }
     return held
