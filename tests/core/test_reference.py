@@ -108,7 +108,7 @@ class TestSimulatorAgreesWithOracle:
                 if expected.category is None:
                     assert best.is_local
                 else:
-                    assert node.neighbors[best.next_hop] is expected.category, (
+                    assert node.channel(best.next_hop).relationship is expected.category, (
                         f"category mismatch at {node_id}"
                     )
 

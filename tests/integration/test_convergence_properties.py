@@ -54,7 +54,7 @@ class TestConvergenceCorrectness:
             assert len(best.path) == expected.length
             if expected.category is not None:
                 node = network.node(node_id)
-                assert node.neighbors[best.next_hop] is expected.category
+                assert node.channel(best.next_hop).relationship is expected.category
 
     @given(setup=sim_setup())
     @settings(max_examples=15, deadline=None)
@@ -71,7 +71,7 @@ class TestConvergenceCorrectness:
         assert network.nodes_with_route(P0) == []
         # and all output queues have drained
         for node in network.nodes.values():
-            for neighbor in node.neighbors:
+            for neighbor in graph.neighbors(node.node_id):
                 assert node.channel(neighbor).pending_count == 0
 
     @given(setup=sim_setup())

@@ -19,7 +19,8 @@ class TestConstruction:
 
     def test_neighbor_wiring_matches_graph(self, diamond, fast_config):
         network = SimNetwork(diamond, fast_config)
-        assert network.node(4).neighbors == {
+        sessions = network.node(4)._channels
+        assert {n: channel.relationship for n, channel in sessions.items()} == {
             2: Relationship.PROVIDER,
             3: Relationship.PROVIDER,
         }
