@@ -9,7 +9,7 @@
 # the service layer shows up as a diff here.
 set -euo pipefail
 
-SCALE="${REPRO_SCALE:-smoke}"
+SCALE=smoke
 PORT="${1:-7788}"
 WORK="$(mktemp -d)"
 trap 'kill $(jobs -p) 2>/dev/null || true; rm -rf "$WORK"' EXIT

@@ -26,7 +26,7 @@
 # uninterrupted run's artifacts.
 set -euo pipefail
 
-SCALE="${REPRO_SCALE:-smoke}"
+SCALE=smoke
 PORT="${1:-7799}"
 WORK="$(mktemp -d)"
 trap 'kill $(jobs -p) 2>/dev/null || true; rm -rf "$WORK"' EXIT

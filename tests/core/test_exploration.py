@@ -60,3 +60,24 @@ class TestWrateComparison:
             > results["NO-WRATE"].changes_per_type[t] + 0.05
             for t in results["WRATE"].changes_per_type
         )
+
+    def test_wrate_explores_more_below_the_core_and_most_at_the_edge(self):
+        """Strictly more exploration under WRATE at M, CP and C nodes, and
+        the excess is larger at the edge (longer paths, more alternates)
+        than in the tier-1 core, as in the paper and Oliveira et al."""
+        graph = generate_topology(baseline_params(300), seed=41)
+        results = exploration_comparison(
+            graph,
+            BGPConfig(mrai=2.0, link_delay=0.001, processing_time_max=0.01),
+            num_origins=6,
+            seed=41,
+        )
+        no_wrate, wrate = results["NO-WRATE"], results["WRATE"]
+        for node_type in (NodeType.M, NodeType.CP, NodeType.C):
+            assert (
+                wrate.changes_per_type[node_type]
+                > no_wrate.changes_per_type[node_type]
+            )
+        assert wrate.exploration_excess(NodeType.C) + 1.0 >= (
+            wrate.exploration_excess(NodeType.T)
+        )

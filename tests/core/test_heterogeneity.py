@@ -11,6 +11,8 @@ from repro.core.heterogeneity import (
     top_share,
 )
 from repro.errors import ParameterError
+from repro.topology.generator import generate_topology
+from repro.topology.params import baseline_params
 from repro.topology.types import NodeType
 
 FAST = BGPConfig(mrai=1.0, link_delay=0.001, processing_time_max=0.005)
@@ -99,3 +101,19 @@ class TestChurnHeterogeneity:
         )
         report = churn_heterogeneity(stats)[NodeType.M]
         assert report.gini > 0.1
+
+    def test_small_fraction_of_m_nodes_carries_outsized_churn(self):
+        """Ref [5] (Broido et al.): a small fraction of ASes carries a
+        disproportionate share of the updates.  At smoke scale the
+        ext-heterogeneity experiment does not show it; a 400-node network
+        does."""
+        graph = generate_topology(baseline_params(400), seed=61)
+        stats = run_c_event_experiment(
+            graph,
+            BGPConfig(mrai=2.0, link_delay=0.001, processing_time_max=0.01),
+            num_origins=8,
+            seed=61,
+        )
+        report = churn_heterogeneity(stats)[NodeType.M]
+        assert report.gini > 0.15
+        assert report.top_10_percent_share > 0.15

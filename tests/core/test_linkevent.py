@@ -3,8 +3,11 @@
 import pytest
 
 from repro.bgp.config import BGPConfig
+from repro.core.cevent import run_c_event_experiment
 from repro.core.linkevent import pick_links, run_link_event_experiment
 from repro.errors import ExperimentError
+from repro.topology.generator import generate_topology
+from repro.topology.params import baseline_params
 from repro.topology.types import NodeType
 
 FAST = BGPConfig(mrai=1.0, link_delay=0.001, processing_time_max=0.01)
@@ -68,3 +71,21 @@ class TestLinkEventExperiment:
             small_baseline, FAST, origin=origin, links=[(origin, providers[0])], seed=2
         )
         assert stats.u(NodeType.T) >= 0  # runs to completion
+
+    def test_backup_path_failure_churns_core_no_more_than_c_event(self):
+        """A failure with a backup path churns the tier-1 core no more than
+        a full C-event: the prefix never disappears globally, so only the
+        affected subtree re-routes."""
+        fast = BGPConfig(mrai=2.0, link_delay=0.001, processing_time_max=0.01)
+        graph = generate_topology(baseline_params(300), seed=8)
+        origin = next(
+            node
+            for node in graph.nodes_of_type(NodeType.C)
+            if len(graph.providers_of(node)) >= 2
+        )
+        provider = graph.providers_of(origin)[0]
+        link_stats = run_link_event_experiment(
+            graph, fast, origin=origin, links=[(origin, provider)], seed=8
+        )
+        c_stats = run_c_event_experiment(graph, fast, origins=[origin], seed=8)
+        assert link_stats.u(NodeType.T) <= c_stats.u(NodeType.T)

@@ -3,12 +3,17 @@
 import pytest
 
 from repro.bgp.config import BGPConfig
+from repro.core.cevent import run_c_event_experiment
 from repro.experiments import cache
 from repro.experiments.ext_damping import run as run_damping
 from repro.experiments.ext_evolution import run as run_evolution
 from repro.experiments.ext_mrai import run as run_mrai
 from repro.experiments.ext_prefix_scaling import run as run_prefix_scaling
 from repro.experiments.scale import Scale
+from repro.topology.evolve import evolve_topology
+from repro.topology.generator import generate_topology
+from repro.topology.params import baseline_params
+from repro.topology.types import NodeType
 
 TINY = Scale(name="tiny-ext", sizes=(120, 240), origins=3, metric_sources=10)
 FAST = BGPConfig(mrai=2.0, link_delay=0.001, processing_time_max=0.01)
@@ -63,6 +68,19 @@ class TestExtEvolution:
         names = [c.name for c in result.checks]
         assert "tier-1 churn sustained on the evolving network" in names
         assert result.notes  # the scale caveat is documented
+
+    def test_tier1_churn_grows_over_a_3x_trajectory(self):
+        """At smoke scale (a 2x span) ext-evolution checks only that churn
+        is sustained; grown 200 -> 600, one network's U(T) rises."""
+        graph = generate_topology(baseline_params(200), seed=31)
+        n_t = graph.type_counts()[NodeType.T]
+        series = []
+        for n in (200, 400, 600):
+            if len(graph) < n:
+                evolve_topology(graph, baseline_params(n, n_t=n_t), seed=n)
+            stats = run_c_event_experiment(graph, FAST, num_origins=6, seed=31)
+            series.append(stats.u(NodeType.T))
+        assert series[-1] > series[0]
 
     def test_wide_span_uses_growth_check(self):
         wide = Scale(name="wide-ext", sizes=(100, 200, 400), origins=3)

@@ -4,8 +4,8 @@ import pytest
 
 from repro.bgp.config import BGPConfig
 from repro.experiments import cache
-from repro.experiments import fig01, fig12
-from repro.experiments.scale import Scale
+from repro.experiments import fig01, fig08, fig12
+from repro.experiments.scale import Scale, get_scale
 
 TINY = Scale(name="tiny-opt", sizes=(120, 240), origins=2, metric_sources=10)
 FAST = BGPConfig(mrai=2.0, link_delay=0.001, processing_time_max=0.01)
@@ -30,6 +30,15 @@ class TestFig01Options:
         smoke = Scale(name="smoke", sizes=(200,), origins=1)
         result = fig01.run(smoke, seed=1)
         assert len(result.x_values) == 365 // 30
+
+
+class TestFig08:
+    def test_rich_middle_churns_more_than_no_middle_at_smoke(self):
+        """A hierarchy rich in M nodes churns more at T than a flat one
+        without them; fig08's checks compare RICH-MIDDLE only with
+        BASELINE and flat growth only with Baseline growth."""
+        result = fig08.run(get_scale("smoke"), seed=0)
+        assert result.series["RICH-MIDDLE"][-1] > result.series["NO-MIDDLE"][-1]
 
 
 class TestFig12Options:
