@@ -29,7 +29,6 @@ from repro.sim.counters import UpdateCounter
 from repro.sim.engine import DEFAULT_MAX_EVENTS, Engine
 from repro.sim.trace import MonitorTrace
 from repro.topology.graph import ASGraph
-from repro.topology.types import NodeType
 
 
 class SimNetwork:
@@ -208,18 +207,6 @@ class SimNetwork:
     def stop_counting(self) -> None:
         """Freeze counters (e.g. during warm-up announcements)."""
         self.counter.enabled = False
-
-    def updates_per_type(self) -> Dict[NodeType, float]:
-        """Average updates received per node, per node type."""
-        totals: Dict[NodeType, int] = {t: 0 for t in NodeType}
-        counts: Dict[NodeType, int] = {t: 0 for t in NodeType}
-        for node in self.graph.nodes():
-            totals[node.node_type] += self.counter.updates_at(node.node_id)
-            counts[node.node_type] += 1
-        return {
-            node_type: (totals[node_type] / counts[node_type] if counts[node_type] else 0.0)
-            for node_type in NodeType
-        }
 
     def attach_monitors(self, monitors: List[int]) -> MonitorTrace:
         """Start tracing update arrivals at the given nodes.

@@ -402,51 +402,6 @@ class ASGraph:
             memo[node_id] = ancestors
         return ancestors
 
-    def all_customer_tree_sizes(self) -> Dict[int, int]:
-        """Customer-tree size for every node, computed in one bottom-up pass.
-
-        Because cones of multihomed nodes overlap, sizes are computed as
-        true set sizes (memoized union of descendant sets) rather than sums.
-        """
-        memo: Dict[int, frozenset] = {}
-
-        def cone(node_id: int) -> frozenset:
-            cached = memo.get(node_id)
-            if cached is not None:
-                return cached
-            members: Set[int] = set()
-            for customer in self.customers_of(node_id):
-                members.add(customer)
-                members.update(cone(customer))
-            result = frozenset(members)
-            memo[node_id] = result
-            return result
-
-        # The hierarchy is acyclic by construction, but recursion depth can
-        # reach the hierarchy depth times branching; use an explicit
-        # post-order traversal to stay safe on deep chains.
-        order: List[int] = []
-        visited: Set[int] = set()
-        for start in self.node_ids:
-            if start in visited:
-                continue
-            stack: List[Tuple[int, bool]] = [(start, False)]
-            while stack:
-                current, expanded = stack.pop()
-                if expanded:
-                    order.append(current)
-                    continue
-                if current in visited:
-                    continue
-                visited.add(current)
-                stack.append((current, True))
-                for customer in self.customers_of(current):
-                    if customer not in visited:
-                        stack.append((customer, False))
-        for node_id in order:
-            cone(node_id)
-        return {node_id: len(memo[node_id]) for node_id in self.node_ids}
-
     # ------------------------------------------------------------------
     # Summaries
     # ------------------------------------------------------------------

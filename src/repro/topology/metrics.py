@@ -320,24 +320,6 @@ def mean_peering_degree(graph: ASGraph, node_type: NodeType) -> float:
     return sum(graph.peering_degree(node_id) for node_id in nodes) / len(nodes)
 
 
-def mean_neighbor_counts(
-    graph: ASGraph, node_type: NodeType
-) -> Dict[Relationship, float]:
-    """The paper's m-factors: average neighbour count per relationship.
-
-    Returns ``{CUSTOMER: m_c, PEER: m_p, PROVIDER: m_d}`` averaged over all
-    nodes of ``node_type``.
-    """
-    nodes = graph.nodes_of_type(node_type)
-    totals = {rel: 0 for rel in Relationship}
-    for node_id in nodes:
-        for rel in graph.neighbors(node_id).values():
-            totals[rel] += 1
-    if not nodes:
-        return {rel: 0.0 for rel in Relationship}
-    return {rel: totals[rel] / len(nodes) for rel in Relationship}
-
-
 def summarize(graph: ASGraph, *, path_length_sources: int = 50) -> Dict[str, float]:
     """One-call summary of the headline topology metrics."""
     counts = graph.type_counts()

@@ -44,14 +44,6 @@ class TestCounting:
         network.run_to_convergence()
         assert network.counter.total > 0
 
-    def test_updates_per_type_averages(self, diamond, fast_config):
-        network = SimNetwork(diamond, fast_config, seed=1)
-        network.originate(4, P0)
-        network.run_to_convergence()
-        per_type = network.updates_per_type()
-        assert per_type[NodeType.T] > 0
-        assert per_type[NodeType.C] == 0.0  # the origin hears nothing back
-
     def test_sender_relationship_classification(self, diamond, fast_config):
         network = SimNetwork(diamond, fast_config, seed=1)
         network.originate(4, P0)

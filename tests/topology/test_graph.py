@@ -190,22 +190,6 @@ class TestCustomerTree:
         assert not diamond.is_in_customer_tree(ancestor=4, descendant=0)
         assert not diamond.is_in_customer_tree(ancestor=0, descendant=0)
 
-    def test_all_customer_tree_sizes(self, diamond):
-        sizes = diamond.all_customer_tree_sizes()
-        assert sizes == {0: 3, 1: 2, 2: 1, 3: 1, 4: 0}
-
-    def test_sizes_count_multihomed_once(self):
-        """A multihomed descendant appears once in an ancestor's cone."""
-        graph = ASGraph()
-        for i in range(4):
-            graph.add_node(i, NodeType.M, [0])
-        graph.add_transit_link(1, 0)
-        graph.add_transit_link(2, 0)
-        graph.add_transit_link(3, 1)
-        graph.add_transit_link(3, 2)  # 3 multihomed under both 1 and 2
-        sizes = graph.all_customer_tree_sizes()
-        assert sizes[0] == 3  # {1, 2, 3}, not 4
-
 
 class TestSummaries:
     def test_type_counts(self, diamond):

@@ -11,14 +11,13 @@ from repro.topology.metrics import (
     degree_ccdf,
     degree_distribution,
     mean_multihoming_degree,
-    mean_neighbor_counts,
     power_law_alpha,
     summarize,
     to_networkx,
     valley_free_path_lengths,
 )
 from repro.topology.params import baseline_params
-from repro.topology.types import NodeType, Relationship
+from repro.topology.types import NodeType
 
 
 class TestDegreeDistribution:
@@ -124,16 +123,8 @@ class TestAggregates:
         assert mean_multihoming_degree(diamond, NodeType.M) == pytest.approx(1.5)
         assert mean_multihoming_degree(diamond, NodeType.T) == 0.0
 
-    def test_mean_neighbor_counts(self, diamond):
-        counts = mean_neighbor_counts(diamond, NodeType.T)
-        assert counts[Relationship.PEER] == pytest.approx(1.0)
-        assert counts[Relationship.CUSTOMER] == pytest.approx(1.5)
-        assert counts[Relationship.PROVIDER] == 0.0
-
     def test_empty_type_returns_zero(self, diamond):
         assert mean_multihoming_degree(diamond, NodeType.CP) == 0.0
-        counts = mean_neighbor_counts(diamond, NodeType.CP)
-        assert all(v == 0.0 for v in counts.values())
 
     def test_summarize_keys(self):
         graph = generate_topology(baseline_params(150), seed=0)

@@ -108,11 +108,3 @@ class TestGraphProperties:
         assert len(edge_list) == graph.edge_count()
         for u, v, rel in edge_list:
             assert graph.relationship(u, v) is rel
-
-    @given(seed=st.integers(min_value=0, max_value=2**16))
-    @settings(max_examples=10, deadline=None)
-    def test_cone_sizes_consistent_with_membership(self, seed):
-        graph = generate_topology(baseline_params(90), seed=seed)
-        sizes = graph.all_customer_tree_sizes()
-        for node in graph.node_ids:
-            assert sizes[node] == len(graph.customer_tree(node))
