@@ -35,6 +35,12 @@ live telemetry hub adds at most one call per event to the null sink's
 fig07+fig10+fig11 campaign at ``jobs=2`` starts exactly one process pool
 (a pool per sweep started six).
 
+The budget table names the interpreter build that recorded it
+(``interpreter``).  The checker prints both tables' builds; when they
+differ, or the baseline names none, it marks the ``kernel_hot_path``
+rows as recorded on another build, since cProfile's call counts depend
+on the build.  The bounds are the same either way.
+
 Usage::
 
     python scripts/check_perf_budget.py \
@@ -206,6 +212,17 @@ def main(argv=None) -> int:
     baseline = _load(args.baseline)
     failures = []
 
+    # cProfile's call counts depend on the interpreter build, so the
+    # kernel_hot_path rows of two tables compare only on one build.
+    baseline_build = baseline.get("interpreter")
+    current_build = current.get("interpreter")
+    print(
+        f"baseline build: {baseline_build or 'not recorded'}; "
+        f"current build: {current_build or 'not recorded'}"
+    )
+    other_build = baseline_build is None or baseline_build != current_build
+    build_mark = " [baseline recorded on another build]" if other_build else ""
+
     for section, key in EXACT_COUNTERS:
         got = _get(current, section, key, args.current)
         want = _get(baseline, section, key, args.baseline)
@@ -320,10 +337,13 @@ def main(argv=None) -> int:
         got = float(_get(current, section, key, args.current))
         want = float(_get(baseline, section, key, args.baseline))
         limit = want * args.tolerance
+        mark = build_mark if section == "kernel_hot_path" else ""
+        if mark:
+            print(f"{section}.{key}: {got:.2f} (baseline {want:.2f}){mark}")
         if got > limit:
             failures.append(
                 f"{section}.{key}: {got:.3f} exceeds budget {limit:.3f} "
-                f"(baseline {want:.3f} x tolerance {args.tolerance})"
+                f"(baseline {want:.3f} x tolerance {args.tolerance}){mark}"
             )
 
     for section, key in THROUGHPUT_METRICS:
