@@ -1,8 +1,9 @@
 """Smoke tests: every figure experiment runs end-to-end at tiny scale.
 
 These use a single shared tiny scale and a fast BGP config so the whole
-module stays test-suite friendly; the *claims* are validated at larger
-scale by the benchmark harness (see benchmarks/ and EXPERIMENTS.md).
+module stays test-suite friendly; the *claims* are each experiment's
+checks, which ``repro-bgp campaign`` runs at smoke scale and above (see
+EXPERIMENTS.md).
 """
 
 import pytest
