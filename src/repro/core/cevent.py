@@ -207,7 +207,7 @@ def run_c_event_batch(
         cursor = new_batch_cursor(graph, config, origins=origin_list, seed=seed)
     cursor.started = _time.monotonic()
     settle = settle_factor * config.mrai if config.mrai > 0 else 1.0
-    node_types = {node.node_id: node.node_type for node in graph.nodes()}
+    accumulator = cursor.accumulator
     network = cursor.network
     obs = current_telemetry()
 
@@ -231,9 +231,7 @@ def run_c_event_batch(
             network.withdraw(origin, prefix)
             network.run_to_convergence(max_events=max_events)
             cursor.down_convergence += network.engine.now - event_start
-            down_snapshot = dict(network.counter.received)
-            for node_id, count in down_snapshot.items():
-                cursor.down_totals[node_types[node_id]] += count
+            down = accumulator.type_totals(network.counter)
             network.engine.run(until=network.engine.now + settle)
 
             # UP: re-announce and converge, still counted (same counter run).
@@ -241,13 +239,15 @@ def run_c_event_batch(
             network.originate(origin, prefix)
             network.run_to_convergence(max_events=max_events)
             cursor.up_convergence += network.engine.now - event_start
-            for node_id, count in network.counter.received.items():
-                cursor.up_totals[node_types[node_id]] += count - down_snapshot.get(
-                    node_id, 0
-                )
+            both = accumulator.type_totals(network.counter)
+            # Whole numbers: adding a type's total at once gives the
+            # float that adding node by node gave.
+            for node_type, down_count, count in zip(NodeType, down, both):
+                cursor.down_totals[node_type] += down_count
+                cursor.up_totals[node_type] += count - down_count
             cursor.measured_messages += network.counter.total
 
-        cursor.accumulator.add_event(network.counter)
+        accumulator.add_event(network.counter)
         network.stop_counting()
         # Measured and converged: the prefix is never touched again, so
         # its state goes now and a batch's memory stays flat in its
@@ -258,11 +258,11 @@ def run_c_event_batch(
             after_event(cursor)
 
     return CEventBatchResult(
-        summary=cursor.accumulator.summary,
+        summary=accumulator.summary,
         config=config,
         seed=seed,
         origins=origin_list,
-        raw=cursor.accumulator.raw_sums(),
+        raw=accumulator.raw_sums(),
         down_totals=cursor.down_totals,
         up_totals=cursor.up_totals,
         down_convergence=cursor.down_convergence,

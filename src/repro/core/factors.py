@@ -12,8 +12,9 @@ where, per relationship class y ∈ {customer, peer, provider}:
 * ``e_y`` — average number of updates contributed by each active
   neighbour.
 
-:class:`FactorAccumulator` consumes the relationship-classified counters
-of one measured C-event at a time and aggregates them so that the identity
+:class:`FactorAccumulator` consumes the per-(receiver, sender) counters
+of one measured C-event at a time, classifies each sender by its link,
+and aggregates them so that the identity
 ``U_y = m_y · q_y · e_y`` holds *exactly* for the aggregated estimates
 (sums over nodes and events are combined before the ratios are taken).
 """
@@ -21,14 +22,27 @@ of one measured C-event at a time and aggregates them so that the identity
 from __future__ import annotations
 
 import dataclasses
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.errors import ExperimentError
 from repro.sim.counters import UpdateCounter
 from repro.topology.graph import ASGraph
-from repro.topology.types import NODE_TYPE_ORDER, NodeType, Relationship
+from repro.topology.types import (
+    NODE_TYPE_ORDER,
+    RELATIONSHIP_ORDER,
+    NodeType,
+    Relationship,
+)
 
-_RELS = (Relationship.CUSTOMER, Relationship.PEER, Relationship.PROVIDER)
+#: The relationship classes in column order: customer, peer, provider.
+_RELS = RELATIONSHIP_ORDER
+_CUSTOMER, _PEER = _RELS[:2]
+_NODE_TYPES = tuple(NodeType)
+
+
+def _column(rel: Relationship) -> int:
+    """The column of a relationship class (identity tests, no enum hash)."""
+    return 0 if rel is _CUSTOMER else 1 if rel is _PEER else 2
 
 
 @dataclasses.dataclass(frozen=True)
@@ -38,48 +52,48 @@ class GraphSummary:
     Carries exactly what factor aggregation needs — node order, types and
     the static per-node ``m`` counts — so parallel sweep workers can ship
     mergeable results between processes without pickling whole graphs.
+    Every field is a tuple in node order: position ``i`` describes node
+    ``node_ids[i]``.
     """
 
     scenario: str
     node_ids: Tuple[int, ...]
-    node_types: Dict[int, NodeType]
-    m: Dict[int, Dict[Relationship, int]]
+    node_types: Tuple[NodeType, ...]
+    #: neighbour counts as one column per class (customer, peer, provider)
+    m: Tuple[Tuple[int, ...], ...]
 
     @classmethod
     def from_graph(cls, graph: ASGraph) -> "GraphSummary":
         """Extract the digest (node order matches ``graph.node_ids``)."""
         node_ids = tuple(graph.node_ids)
-        node_types = {node.node_id: node.node_type for node in graph.nodes()}
-        m: Dict[int, Dict[Relationship, int]] = {}
+        m: Tuple[List[int], ...] = ([], [], [])
         for node_id in node_ids:
-            counts = {rel: 0 for rel in _RELS}
+            counts = [0, 0, 0]
             for rel in graph.neighbors(node_id).values():
-                counts[rel] += 1
-            m[node_id] = counts
+                counts[_column(rel)] += 1
+            for column, count in zip(m, counts):
+                column.append(count)
         return cls(
             scenario=graph.scenario,
             node_ids=node_ids,
-            node_types=node_types,
-            m=m,
+            node_types=tuple(node.node_type for node in graph.nodes()),
+            m=tuple(tuple(column) for column in m),
         )
 
     def __len__(self) -> int:
         return len(self.node_ids)
 
-    def nodes_of_type(self, node_type: NodeType) -> List[int]:
-        """Ids of all nodes of the given type, ascending."""
+    def positions_of_type(self, node_type: NodeType) -> List[int]:
+        """Positions of all nodes of the given type, ascending."""
         return [
-            node_id
-            for node_id in self.node_ids
-            if self.node_types[node_id] is node_type
+            position
+            for position, type_ in enumerate(self.node_types)
+            if type_ is node_type
         ]
 
     def type_counts(self) -> Dict[NodeType, int]:
         """Number of nodes of each type."""
-        counts = {node_type: 0 for node_type in NodeType}
-        for node_type in self.node_types.values():
-            counts[node_type] += 1
-        return counts
+        return {node_type: self.node_types.count(node_type) for node_type in NodeType}
 
 
 @dataclasses.dataclass
@@ -89,69 +103,71 @@ class RawFactorSums:
     All fields are sums over events and nodes, so two instances measured
     on disjoint origin batches of the same topology merge exactly with
     :meth:`absorb` — the basis of the parallel sweep's bit-identical
-    serial/parallel guarantee.
+    serial/parallel guarantee.  The sums are columns in node order
+    (``node_ids``): ``updates`` and ``active`` hold one column per
+    relationship class (customer, peer, provider), the layout a boundary
+    checkpoint stores.
     """
 
     events: int
-    updates: Dict[int, Dict[Relationship, int]]
-    active: Dict[int, Dict[Relationship, int]]
-    total_updates: Dict[int, int]
+    node_ids: Tuple[int, ...]
+    updates: List[List[int]]
+    active: List[List[int]]
+    total_updates: List[int]
 
     @classmethod
-    def zeros(cls, node_ids) -> "RawFactorSums":
+    def zeros(cls, node_ids: Sequence[int]) -> "RawFactorSums":
         """All-zero sums for the given node population."""
+        n = len(node_ids)
         return cls(
             events=0,
-            updates={i: {rel: 0 for rel in _RELS} for i in node_ids},
-            active={i: {rel: 0 for rel in _RELS} for i in node_ids},
-            total_updates={i: 0 for i in node_ids},
+            node_ids=tuple(node_ids),
+            updates=[[0] * n for _ in _RELS],
+            active=[[0] * n for _ in _RELS],
+            total_updates=[0] * n,
         )
 
     @classmethod
-    def from_columns(cls, node_ids, columns: dict) -> "RawFactorSums":
-        """Inverse of :meth:`FactorAccumulator.sum_columns`.
+    def from_columns(cls, node_ids: Sequence[int], columns: dict) -> "RawFactorSums":
+        """The sums :meth:`FactorAccumulator.sum_columns` returned.
 
-        Raises ``ValueError`` unless every column covers ``node_ids``.
+        The columns are taken as they are.  Raises ``ValueError`` unless
+        every column covers ``node_ids``.
         """
-
-        def by_node(per_rel_columns) -> Dict[int, Dict[Relationship, int]]:
-            rows = zip(*per_rel_columns, strict=True)
-            return {
-                node_id: dict(zip(_RELS, counts, strict=True))
-                for node_id, counts in zip(node_ids, rows, strict=True)
-            }
-
-        return cls(
+        sums = cls(
             events=columns["events"],
-            updates=by_node(columns["updates"]),
-            active=by_node(columns["active"]),
-            total_updates=dict(zip(node_ids, columns["total_updates"], strict=True)),
+            node_ids=tuple(node_ids),
+            updates=columns["updates"],
+            active=columns["active"],
+            total_updates=columns["total_updates"],
         )
+        if len(sums.updates) != len(_RELS) or len(sums.active) != len(_RELS):
+            raise ValueError("factor sums must cover every relationship")
+        for column in sums.updates + sums.active + [sums.total_updates]:
+            if len(column) != len(node_ids):
+                raise ValueError("factor sum columns do not cover the topology")
+        return sums
 
     def copy(self) -> "RawFactorSums":
         """An independent deep copy."""
         return RawFactorSums(
             events=self.events,
-            updates={i: dict(per) for i, per in self.updates.items()},
-            active={i: dict(per) for i, per in self.active.items()},
-            total_updates=dict(self.total_updates),
+            node_ids=self.node_ids,
+            updates=[list(column) for column in self.updates],
+            active=[list(column) for column in self.active],
+            total_updates=list(self.total_updates),
         )
 
     def absorb(self, other: "RawFactorSums") -> None:
         """Fold another batch's sums into this one (exact integer adds)."""
-        if set(self.total_updates) != set(other.total_updates):
+        if self.node_ids != other.node_ids:
             raise ExperimentError("cannot merge factor sums of different node sets")
         self.events += other.events
-        for node_id, per_rel in other.updates.items():
-            mine = self.updates[node_id]
-            for rel, count in per_rel.items():
-                mine[rel] += count
-        for node_id, per_rel in other.active.items():
-            mine = self.active[node_id]
-            for rel, count in per_rel.items():
-                mine[rel] += count
-        for node_id, count in other.total_updates.items():
-            self.total_updates[node_id] += count
+        for mine, theirs in zip(
+            self.updates + self.active + [self.total_updates],
+            other.updates + other.active + [other.total_updates],
+        ):
+            mine[:] = [a + b for a, b in zip(mine, theirs)]
 
 
 def compute_type_factors(
@@ -165,22 +181,23 @@ def compute_type_factors(
     """
     if raw.events == 0:
         raise ExperimentError("no events accumulated")
-    nodes = summary.nodes_of_type(node_type)
-    count = len(nodes)
+    positions = summary.positions_of_type(node_type)
+    count = len(positions)
     events = raw.events
     u_by_rel: Dict[Relationship, float] = {}
     m_by_rel: Dict[Relationship, float] = {}
     q_by_rel: Dict[Relationship, float] = {}
     e_by_rel: Dict[Relationship, float] = {}
-    for rel in _RELS:
-        sum_updates = sum(raw.updates[node][rel] for node in nodes)
-        sum_active = sum(raw.active[node][rel] for node in nodes)
-        sum_m = sum(summary.m[node][rel] for node in nodes)
+    for rel, updates, active, m in zip(_RELS, raw.updates, raw.active, summary.m):
+        sum_updates = sum([updates[i] for i in positions])
+        sum_active = sum([active[i] for i in positions])
+        sum_m = sum([m[i] for i in positions])
         u_by_rel[rel] = sum_updates / (count * events) if count else 0.0
         m_by_rel[rel] = sum_m / count if count else 0.0
         q_by_rel[rel] = sum_active / (sum_m * events) if sum_m else 0.0
         e_by_rel[rel] = sum_updates / sum_active if sum_active else 0.0
-    per_node = [raw.total_updates[node] / events for node in nodes]
+    total = raw.total_updates
+    per_node = [total[i] / events for i in positions]
     return TypeFactors(
         node_type=node_type,
         node_count=count,
@@ -201,7 +218,7 @@ def compute_all_type_factors(
     return {
         node_type: compute_type_factors(summary, raw, node_type)
         for node_type in NODE_TYPE_ORDER
-        if summary.nodes_of_type(node_type)
+        if node_type in summary.node_types
     }
 
 
@@ -244,6 +261,11 @@ class FactorAccumulator:
     def __init__(self, graph: ASGraph) -> None:
         self._graph = graph
         self._summary = GraphSummary.from_graph(graph)
+        self._position = {
+            node_id: position for position, node_id in enumerate(self._summary.node_ids)
+        }
+        #: each node's type as its index in ``NodeType`` order
+        self._type_slots = [_NODE_TYPES.index(t) for t in self._summary.node_types]
         self._raw = RawFactorSums.zeros(self._summary.node_ids)
 
     @property
@@ -261,57 +283,64 @@ class FactorAccumulator:
         return self._raw.copy()
 
     def sum_columns(self) -> dict:
-        """The accumulated sums as columns in node order, read in place.
+        """The accumulated sums as a checkpoint stores them, read in place.
 
         ``updates`` and ``active`` hold one column per relationship class
-        (customer, peer, provider): what a checkpoint stores, without the
-        deep copy :meth:`raw_sums` makes.
+        (customer, peer, provider).  The columns are the live ones, not
+        the deep copy :meth:`raw_sums` makes.
         """
         raw = self._raw
-        node_ids = self._summary.node_ids
         return {
             "events": raw.events,
-            "updates": [[raw.updates[i][rel] for i in node_ids] for rel in _RELS],
-            "active": [[raw.active[i][rel] for i in node_ids] for rel in _RELS],
-            "total_updates": [raw.total_updates[i] for i in node_ids],
+            "updates": raw.updates,
+            "active": raw.active,
+            "total_updates": raw.total_updates,
         }
 
     def load_raw_sums(self, raw: RawFactorSums) -> None:
         """Replace the accumulated sums (checkpoint restore).
 
-        ``raw`` must cover exactly this accumulator's node population.
+        ``raw`` must cover exactly this accumulator's nodes, in order.
         """
-        if set(raw.total_updates) != set(self._raw.total_updates):
+        if raw.node_ids != self._raw.node_ids:
             raise ExperimentError(
                 "cannot load factor sums for a different node set"
             )
         self._raw = raw.copy()
 
-    def add_event(self, counter: UpdateCounter) -> None:
-        """Fold one measured C-event's counters into the aggregate."""
-        self._raw.events += 1
-        for (receiver, rel), count in counter.received_by_relationship.items():
-            self._raw.updates[receiver][rel] += count
-            self._raw.total_updates[receiver] += count
-        # Active neighbours: distinct senders with >= 1 delivered update.
-        for (receiver, sender), count in counter.received_by_pair.items():
-            if count > 0:
-                rel = self._graph.relationship(receiver, sender)
-                self._raw.active[receiver][rel] += 1
+    def type_totals(self, counter: UpdateCounter) -> List[int]:
+        """The counter's updates summed per node type, in ``NodeType`` order."""
+        slots = self._type_slots
+        position = self._position
+        totals = [0] * len(_NODE_TYPES)
+        for (receiver, _sender), count in counter.received_by_pair.items():
+            totals[slots[position[receiver]]] += count
+        return totals
 
-    def type_factors(self, node_type: NodeType) -> TypeFactors:
-        """Aggregate factors over all nodes of ``node_type``."""
-        return compute_type_factors(self._summary, self._raw, node_type)
+    def add_event(self, counter: UpdateCounter) -> None:
+        """Fold one measured C-event's counters into the aggregate.
+
+        Each (receiver, sender) pair adds its count to the receiver's
+        column of the sender's class, and one active neighbour: a pair is
+        recorded by its first delivered update.
+        """
+        raw = self._raw
+        raw.events += 1
+        position = self._position
+        relationship = self._graph.relationship
+        updates, active, total = raw.updates, raw.active, raw.total_updates
+        for (receiver, sender), count in counter.received_by_pair.items():
+            if not count:
+                continue
+            i = position[receiver]
+            k = _column(relationship(receiver, sender))
+            updates[k][i] += count
+            active[k][i] += 1
+            total[i] += count
 
     def all_type_factors(self) -> Dict[NodeType, TypeFactors]:
         """Factors for every node type present in the graph."""
         return compute_all_type_factors(self._summary, self._raw)
-
-    def node_updates(self, node_id: int) -> float:
-        """Mean updates per event at one specific node."""
-        if self._raw.events == 0:
-            raise ExperimentError("no events accumulated")
-        return self._raw.total_updates[node_id] / self._raw.events
 
 
 def predicted_u(factors: TypeFactors, relationship: Optional[Relationship] = None) -> float:

@@ -58,12 +58,17 @@ import struct
 from typing import Dict, Optional
 
 from repro.bgp.config import BGPConfig
-from repro.checkpoint.batch import raw_sums_from_json, raw_sums_to_json
+from repro.checkpoint.batch import (
+    raw_sums_from_json,
+    raw_sums_to_json,
+    relationship_columns,
+    relationship_rows,
+)
 from repro.core.cevent import CEventBatchResult
 from repro.core.factors import GraphSummary
 from repro.core.sweep import SweepUnit
 from repro.errors import CheckpointError, ConnectionLostError, ProtocolError
-from repro.topology.types import NodeType, Relationship
+from repro.topology.types import NodeType
 
 #: Bump on any incompatible schema change; peers must match exactly.
 #: v2 added three partition-mode kinds, since retired (:data:`RETIRED_TYPES`).
@@ -285,29 +290,23 @@ def _summary_to_wire(summary: GraphSummary) -> Dict[str, object]:
         "scenario": summary.scenario,
         "node_ids": list(summary.node_ids),
         "node_types": [
-            [node_id, summary.node_types[node_id].value]
-            for node_id in summary.node_ids
+            [node_id, node_type.value]
+            for node_id, node_type in zip(summary.node_ids, summary.node_types)
         ],
-        "m": [
-            [node_id, [[rel.value, count] for rel, count in per_rel.items()]]
-            for node_id, per_rel in summary.m.items()
-        ],
+        "m": relationship_rows(summary.node_ids, summary.m),
     }
 
 
 def _summary_from_wire(data: Dict[str, object]) -> GraphSummary:
+    node_ids = tuple(int(node_id) for node_id in data["node_ids"])
+    rows = [(int(node_id), NodeType(value)) for node_id, value in data["node_types"]]
+    if [node_id for node_id, _type in rows] != list(node_ids):
+        raise ValueError("summary node types do not follow the node order")
     return GraphSummary(
         scenario=str(data["scenario"]),
-        node_ids=tuple(int(node_id) for node_id in data["node_ids"]),
-        node_types={
-            int(node_id): NodeType(value) for node_id, value in data["node_types"]
-        },
-        m={
-            int(node_id): {
-                Relationship(rel): int(count) for rel, count in per_rel
-            }
-            for node_id, per_rel in data["m"]
-        },
+        node_ids=node_ids,
+        node_types=tuple(node_type for _node_id, node_type in rows),
+        m=tuple(tuple(column) for column in relationship_columns(data["m"], node_ids)),
     )
 
 

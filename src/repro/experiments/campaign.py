@@ -279,8 +279,13 @@ class CampaignSummary:
         return all(result.passed for result in self.results)
 
     @property
-    def speedup(self) -> float:
-        """Worker-seconds per wall-clock second (parallel + cache gain)."""
+    def unit_time_per_wall(self) -> float:
+        """Sweep-unit seconds per campaign wall-clock second.
+
+        Summed over workers, so it tops 1 only when units overlap; it is
+        not a gain over serial (a serial campaign that spends most of its
+        time outside sweep units reads well below 1).
+        """
         if self.wall_clock_seconds <= 0:
             return 0.0
         return self.worker_seconds / self.wall_clock_seconds
@@ -306,7 +311,8 @@ class CampaignSummary:
         lines.append(
             f"  execution: jobs={self.jobs}, "
             f"{self.worker_seconds:.1f}s worker simulation time, "
-            f"{self.speedup:.1f}x speedup, {self.cache_hits} sweep cache hit(s)"
+            f"unit time {self.unit_time_per_wall:.1f}x wall, "
+            f"{self.cache_hits} sweep cache hit(s)"
         )
         for result in self.results:
             status = "PASS" if result.passed else "FAIL"

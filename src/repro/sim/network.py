@@ -47,7 +47,7 @@ class SimNetwork:
         self.config = config if config is not None else BGPConfig()
         self.seed = seed
         self.engine = Engine()
-        self.counter = UpdateCounter()
+        self.counter = UpdateCounter(graph.relationship)
         self.trace: Optional[MonitorTrace] = None
         self.delivered_messages = 0
         #: Content digest of ``graph``, filled in by the first checkpoint
@@ -142,12 +142,8 @@ class SimNetwork:
         if is_withdrawal:
             counts.delivery_withdrawals += 1
         if self.counter.enabled:
-            sender = message.sender
             self.counter.record(
-                receiver_id,
-                sender,
-                receiver._channels[sender].relationship,
-                is_withdrawal=is_withdrawal,
+                receiver_id, message.sender, is_withdrawal=is_withdrawal
             )
         if self.trace is not None and self.trace.watches(receiver_id):
             self.trace.record(

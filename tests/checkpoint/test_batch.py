@@ -201,14 +201,11 @@ class TestUnitKeys:
     def test_raw_sums_json_round_trip(self):
         raw = RawFactorSums.zeros([3, 1, 2])
         raw.events = 4
-        raw.total_updates[1] = 7
-        for rel in raw.updates[3]:
-            raw.updates[3][rel] = 2
-            raw.active[2][rel] = 1
-        blob = json.dumps(raw_sums_to_json(raw))
-        restored = raw_sums_from_json(json.loads(blob))
-        assert restored.events == raw.events
-        assert restored.updates == raw.updates
-        assert restored.active == raw.active
-        assert restored.total_updates == raw.total_updates
-        assert list(restored.total_updates) == [3, 1, 2]  # insertion order
+        raw.total_updates[1] = 7  # node 1
+        for column in raw.updates:
+            column[0] = 2  # node 3, every class
+        raw.active[2][2] = 1  # node 2, providers
+        data = json.loads(json.dumps(raw_sums_to_json(raw)))
+        assert [node_id for node_id, _count in data["total_updates"]] == [3, 1, 2]
+        assert data["updates"][0] == [3, [["customer", 2], ["peer", 2], ["provider", 2]]]
+        assert raw_sums_from_json(data) == raw

@@ -90,6 +90,12 @@ class TestRunCampaign:
         assert summary.worker_seconds > 0
         assert "execution: jobs=1" in summary.to_text()
 
+    def test_summary_reports_unit_time_not_speedup(self, campaign):
+        summary, output = campaign
+        text = (output / "summary.txt").read_text(encoding="utf-8")
+        assert "speedup" not in text
+        assert f"unit time {summary.unit_time_per_wall:.1f}x wall," in text
+
 
 class TestParallelCampaign:
     """Tier-1 smoke: a tiny 2-job campaign with a persistent cache."""

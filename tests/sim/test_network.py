@@ -49,9 +49,12 @@ class TestCounting:
         network.originate(4, P0)
         network.run_to_convergence()
         # M2 heard the announcement from its customer C4
-        assert network.counter.updates_at_by_relationship(
-            2, Relationship.CUSTOMER
-        ) >= 1
+        assert network.counter.received_by_pair[(2, 4)] >= 1
+        assert diamond.relationship(2, 4) is Relationship.CUSTOMER
+        assert any(
+            row[:2] == (2, Relationship.CUSTOMER)
+            for row in network.counter.received_by_relationship()
+        )
 
     def test_nodes_with_route(self, diamond, fast_config):
         network = SimNetwork(diamond, fast_config, seed=1)
