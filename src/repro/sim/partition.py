@@ -382,7 +382,6 @@ def run_partitioned_c_event_batch(
 
     started = _time.monotonic()
     settle = settle_factor * config.mrai if config.mrai > 0 else 1.0
-    node_types = {node.node_id: node.node_type for node in graph.nodes()}
     accumulator = FactorAccumulator(graph)
     down_totals: Dict[NodeType, float] = {t: 0.0 for t in NodeType}
     up_totals: Dict[NodeType, float] = {t: 0.0 for t in NodeType}
@@ -408,9 +407,7 @@ def run_partitioned_c_event_batch(
             runner.converge()
             down_convergence += runner.now - event_start
             counter, _delivered = runner.collect_counters()
-            down_snapshot = dict(counter.received)
-            for node_id, count in down_snapshot.items():
-                down_totals[node_types[node_id]] += count
+            down = accumulator.type_totals(counter)
             runner.advance(runner.now + settle)
 
             # UP: re-announce and converge, still counted.
@@ -419,10 +416,11 @@ def run_partitioned_c_event_batch(
             runner.converge()
             up_convergence += runner.now - event_start
             counter, _delivered = runner.collect_counters()
-            for node_id, count in counter.received.items():
-                up_totals[node_types[node_id]] += count - down_snapshot.get(
-                    node_id, 0
-                )
+            for node_type, down_count, count in zip(
+                NodeType, down, accumulator.type_totals(counter)
+            ):
+                down_totals[node_type] += down_count
+                up_totals[node_type] += count - down_count
             measured_messages += counter.total
 
         accumulator.add_event(counter)
