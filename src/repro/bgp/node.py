@@ -580,11 +580,6 @@ class BGPNode:
                 if wakeup is not None:
                     self._schedule_wakeup(neighbor, wakeup)
 
-    def link_is_down(self, neighbor: int) -> bool:
-        """Whether the session to ``neighbor`` is currently down."""
-        channel = self._channels.get(neighbor)
-        return channel is not None and channel.down
-
     def _session(self, neighbor: int) -> OutputChannel:
         channel = self._channels.get(neighbor)
         if channel is None:
@@ -952,10 +947,6 @@ class BGPNode:
     def best_route(self, prefix: Prefix) -> Optional[Route]:
         """The currently selected route for ``prefix``."""
         return self.loc_rib.best(prefix)
-
-    def advertised_to(self, neighbor: int, prefix: Prefix):
-        """The state last sent to ``neighbor`` for ``prefix`` (path or None)."""
-        return self._channels[neighbor].advertised(prefix)
 
     def channel(self, neighbor: int) -> OutputChannel:
         """The output channel towards ``neighbor`` (tests / diagnostics)."""

@@ -29,7 +29,6 @@ never be resumed by accident.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import math
 import sys
@@ -53,6 +52,7 @@ from repro.core.cevent import (
 from repro.core.factors import FactorAccumulator, RawFactorSums
 from repro.core.sweep import SweepUnit, maybe_inject_fault, split_origins
 from repro.errors import CheckpointError, SimulationError
+from repro.files import sha256
 from repro.obs.telemetry import current_telemetry
 from repro.prefix.prefix import prefix_from_json, prefix_to_json
 from repro.sim.network import SimNetwork
@@ -87,7 +87,7 @@ def unit_checkpoint_key(unit: SweepUnit) -> str:
         "scenario_kwargs": [[str(k), repr(v)] for k, v in unit.scenario_kwargs],
     }
     blob = json.dumps(payload, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(blob.encode("utf-8")).hexdigest()
+    return sha256(blob.encode("utf-8"))
 
 
 def unit_checkpoint_path(checkpoint_dir: Union[str, Path], unit: SweepUnit) -> Path:

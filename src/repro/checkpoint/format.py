@@ -42,7 +42,6 @@ from __future__ import annotations
 import contextlib
 import dataclasses
 import gc
-import hashlib
 import json
 import re
 from pathlib import Path
@@ -50,7 +49,7 @@ from typing import Optional, Tuple, Union
 
 from repro._version import __version__
 from repro.errors import CheckpointError
-from repro.files import atomic_writer
+from repro.files import atomic_writer, sha256
 
 FORMAT_NAME = "repro-checkpoint"
 FORMAT_VERSION = 1
@@ -131,7 +130,7 @@ def _canonical_bytes(payload: dict) -> bytes:
 
 def payload_digest(payload: dict) -> str:
     """SHA-256 over the canonical JSON serialization of ``payload``."""
-    return hashlib.sha256(_canonical_bytes(payload)).hexdigest()
+    return sha256(_canonical_bytes(payload))
 
 
 @dataclasses.dataclass(frozen=True)
@@ -158,7 +157,7 @@ def write_checkpoint(path: Union[str, Path], kind: str, payload: dict) -> None:
     # Simulator state is serialized once: the bytes that are hashed are
     # the bytes spliced into the envelope.
     blob = _canonical_bytes(payload)
-    digest = hashlib.sha256(blob).hexdigest()
+    digest = sha256(blob)
     if kind not in _ORDER_FREE_KINDS:
         blob = json.dumps(payload, separators=(",", ":")).encode("ascii")
     header = json.dumps(

@@ -17,13 +17,13 @@ a quiescent C-event boundary is mostly RIB, gate and counter data.
 
 from __future__ import annotations
 
-import hashlib
 import json
 from typing import List, Optional, Tuple
 
 from repro.bgp.messages import UpdateMessage
 from repro.bgp.route import Route, intern_path, make_route
 from repro.errors import CheckpointError
+from repro.files import sha256
 from repro.prefix.prefix import prefix_from_json, prefix_to_json
 from repro.topology.graph import ASGraph
 from repro.topology.types import Relationship
@@ -358,4 +358,4 @@ def topology_digest(graph: ASGraph) -> str:
         ],
     ]
     blob = json.dumps(canon, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(blob.encode("utf-8")).hexdigest()
+    return sha256(blob.encode("utf-8"))

@@ -14,12 +14,12 @@ workload can be checked for exact routing-state equivalence.
 from __future__ import annotations
 
 import dataclasses
-import hashlib
 import json
 from typing import List, Optional
 
 from repro.bgp.config import BGPConfig
 from repro.errors import ExperimentError
+from repro.files import sha256
 from repro.prefix.prefix import Prefix, prefix_to_json
 from repro.prefix.workload import (
     DEAGGREGATE,
@@ -90,7 +90,7 @@ def loc_rib_digest(network: SimNetwork) -> str:
         for node_id in sorted(network.nodes)
     ]
     blob = json.dumps(canon, separators=(",", ":"))
-    return hashlib.sha256(blob.encode("utf-8")).hexdigest()
+    return sha256(blob.encode("utf-8"))
 
 
 def default_prefix_origins(

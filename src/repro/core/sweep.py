@@ -21,16 +21,11 @@ every transport returns bit-identical sweeps.
 
 from __future__ import annotations
 
-import concurrent.futures
 import dataclasses
 import gc
-import logging
-import multiprocessing
 import os
 import threading
 import time
-from concurrent.futures import ProcessPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
 from pathlib import Path
 from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence, Tuple, Union
 
@@ -43,7 +38,6 @@ from repro.core.cevent import (
     pick_origins,
     run_c_event_batch,
 )
-from repro.core.regression import relative_increase
 from repro.errors import ExperimentError
 from repro.obs.telemetry import Telemetry, current_telemetry, telemetry_session
 from repro.prefix.prefix import clear_prefix_intern_cache
@@ -53,9 +47,11 @@ from repro.topology.scenarios import scenario_params
 from repro.topology.types import NodeType, Relationship
 
 if TYPE_CHECKING:
-    from repro.dist.coordinator import Coordinator
+    import concurrent.futures
+    import multiprocessing.sharedctypes
+    from concurrent.futures import ProcessPoolExecutor
 
-_LOG = logging.getLogger(__name__)
+    from repro.dist.coordinator import Coordinator
 
 #: Default size grid: same spirit as the paper's 1000..10000 at laptop scale.
 DEFAULT_SIZES = (400, 800, 1200, 1600, 2000)
@@ -115,10 +111,6 @@ class SweepResult:
     def e_series(self, node_type: NodeType, relationship: Relationship) -> List[float]:
         """e_y(X) per size."""
         return [s.factors(node_type).e(relationship) for s in self.stats]
-
-    def relative_u_series(self, node_type: NodeType) -> List[float]:
-        """U(X) normalized to 1 at the smallest size (Fig. 6/8 style)."""
-        return relative_increase(self.u_series(node_type))
 
     def stats_at(self, n: int) -> CEventStats:
         """The stats for one specific size."""
@@ -364,6 +356,8 @@ def _pool_task(
 def _lost(future: concurrent.futures.Future) -> bool:
     """Whether a finished future's pool failed it (vs. a result or a
     unit's own error)."""
+    from concurrent.futures.process import BrokenProcessPool
+
     return future.cancelled() or isinstance(future.exception(), BrokenProcessPool)
 
 
@@ -495,6 +489,8 @@ class UnitQueue:
         if self.coordinator is not None:
             future = self.coordinator.submit(ticket.unit)
         else:
+            from concurrent.futures.process import BrokenProcessPool
+
             try:
                 future = self._running_pool().submit(
                     _pool_task, ticket.index, ticket.unit, self.checkpoint_dir
@@ -515,7 +511,11 @@ class UnitQueue:
         )
 
     def _running_pool(self) -> ProcessPoolExecutor:
+        """The pool, started at the first call.  The pool stack (and the
+        logging it imports) loads here: a serial run never pays for it."""
         if self._pool is None:
+            from concurrent.futures import ProcessPoolExecutor
+
             if self.checkpoint_dir is not None:
                 # The workers' unit runner, imported once here rather
                 # than after the fork by every worker.
@@ -524,6 +524,8 @@ class UnitQueue:
             if self.unit_timeout is not None:
                 # Shared memory (and the ctypes it imports) only when a
                 # timeout needs the workers' start times.
+                import multiprocessing
+
                 context = multiprocessing.get_context()
                 self._board = context.RawArray("d", [-1.0] * (2 * self.jobs))
                 slots = context.Value("i", 0)
@@ -598,14 +600,18 @@ class UnitQueue:
                 timed_out.update(ticket.index for ticket in expired)
                 self._restart(keep=tickets, kill=True)
                 continue
+            import concurrent.futures
+
             concurrent.futures.wait(
                 [ticket.future for ticket in waiting],
                 timeout=self._poll_seconds(),
                 return_when=concurrent.futures.FIRST_COMPLETED,
             )
         for ticket in sorted(lost, key=lambda t: t.index):
+            import logging
+
             unit = ticket.unit
-            _LOG.warning(
+            logging.getLogger(__name__).warning(
                 "worker %s while running sweep unit %s n=%d batch %d/%d; "
                 "re-running serially%s",
                 "timed out" if ticket.index in timed_out else "died",

@@ -35,7 +35,6 @@ import contextlib
 import contextvars
 import dataclasses
 import enum
-import hashlib
 import json
 from pathlib import Path
 from typing import (
@@ -62,7 +61,7 @@ from repro.core.sweep import (
     sweep_units,
 )
 from repro.errors import SerializationError
-from repro.files import atomic_writer
+from repro.files import atomic_writer, sha256
 from repro.obs.telemetry import current_telemetry
 from repro.experiments.results_io import load_sweep, sweep_result_to_dict
 from repro.experiments.scale import Scale
@@ -126,7 +125,7 @@ def sweep_cache_key(
         "scenario_kwargs": _canonical(dict(scenario_kwargs or {})),
     }
     blob = json.dumps(payload, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(blob.encode("utf-8")).hexdigest()
+    return sha256(blob.encode("utf-8"))
 
 
 class SweepRequest(NamedTuple):

@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import contextlib
 import dataclasses
-import hashlib
 import json
 import sys
 import threading
@@ -38,6 +37,7 @@ from repro.checkpoint.format import (
 from repro.core.sweep import check_unit_timeout, resolve_jobs
 from repro.errors import CheckpointError, ExperimentError, SerializationError
 from repro.experiments.cache import sweep_execution
+from repro.files import sha256
 from repro.obs.progress import ProgressLine
 from repro.obs.runlog import TELEMETRY_FILENAME, write_telemetry_jsonl
 from repro.obs.telemetry import Telemetry, telemetry_session
@@ -142,7 +142,7 @@ class CampaignSpec:
         blob = json.dumps(
             self.identity(), sort_keys=True, separators=(",", ":")
         )
-        return hashlib.sha256(blob.encode("utf-8")).hexdigest()
+        return sha256(blob.encode("utf-8"))
 
     def resolve_scale(self) -> Scale:
         """The :class:`Scale` preset this spec names (validating)."""

@@ -135,11 +135,6 @@ def format_table(
     return "\n".join(out)
 
 
-def ratio_text(value: float) -> str:
-    """Format a growth/ratio figure the way the paper quotes them."""
-    return f"{value:.2f}x"
-
-
 def series_ratio(series: Sequence[float]) -> float:
     """Last / first — the total relative increase over a sweep."""
     if not series or series[0] == 0:

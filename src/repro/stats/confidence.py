@@ -31,13 +31,6 @@ class ConfidenceInterval:
         """Half the interval width."""
         return (self.high - self.low) / 2.0
 
-    @property
-    def relative_half_width(self) -> float:
-        """Half-width relative to the mean (0 when the mean is 0)."""
-        if self.mean == 0:
-            return 0.0
-        return self.half_width / abs(self.mean)
-
     def contains(self, value: float) -> bool:
         """Whether ``value`` lies inside the interval."""
         return self.low <= value <= self.high

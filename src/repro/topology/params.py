@@ -32,7 +32,6 @@ instance; see :mod:`repro.topology.scenarios`.
 from __future__ import annotations
 
 import dataclasses
-from typing import Dict
 
 from repro.errors import ParameterError
 
@@ -117,10 +116,6 @@ class TopologyParams:
     def replace(self, **changes: object) -> "TopologyParams":
         """Return a copy with the given fields replaced (validated)."""
         return dataclasses.replace(self, **changes)
-
-    def as_dict(self) -> Dict[str, object]:
-        """Plain-dict view, useful for serialization and reporting."""
-        return dataclasses.asdict(self)
 
 
 def baseline_counts(n: int, n_t: int) -> tuple[int, int, int, int]:

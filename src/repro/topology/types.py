@@ -38,15 +38,6 @@ class NodeType(enum.Enum):
         """Whether nodes of this type are at the bottom of the hierarchy."""
         return self in (NodeType.CP, NodeType.C)
 
-    @property
-    def may_peer(self) -> bool:
-        """Whether nodes of this type can hold peering links.
-
-        C nodes are the only type that never peers (Sec. 3: "C nodes do
-        not have peering links").
-        """
-        return self is not NodeType.C
-
     def __str__(self) -> str:  # pragma: no cover - trivial
         return self.value
 
@@ -65,15 +56,6 @@ class Relationship(enum.Enum):
     CUSTOMER = "customer"
     PEER = "peer"
     PROVIDER = "provider"
-
-    @property
-    def inverse(self) -> "Relationship":
-        """The same link seen from the other endpoint."""
-        if self is Relationship.CUSTOMER:
-            return Relationship.PROVIDER
-        if self is Relationship.PROVIDER:
-            return Relationship.CUSTOMER
-        return Relationship.PEER
 
     def __str__(self) -> str:  # pragma: no cover - trivial
         return self.value

@@ -159,7 +159,7 @@ class TestLinkState:
         best = network.node(2).best_route(P0)
         assert best is not None
         assert best.next_hop == 0  # re-routed via provider T0
-        assert network.node(2).link_is_down(4)
+        assert network.node(2).channel(4).down
 
     def test_link_up_restores(self, diamond, fast_config):
         network = SimNetwork(diamond, fast_config, seed=4)
@@ -182,10 +182,10 @@ class TestLinkState:
         node = diamond_network.node(0)
         node.set_link_down(1)
         node.set_link_down(1)
-        assert node.link_is_down(1)
+        assert node.channel(1).down
         node.set_link_up(1)
         node.set_link_up(1)
-        assert not node.link_is_down(1)
+        assert not node.channel(1).down
 
 
 class TestDampingIntegration:
@@ -236,10 +236,10 @@ class TestIntrospection:
         network.run_to_convergence()
         origin = network.node(4)
         # the origin announced (4,) to both providers
-        assert origin.advertised_to(2, P0) == ()
+        assert origin.channel(2).advertised(P0) == ()
         # ... path stored without the owner prepended (empty = local)
         m2 = network.node(2)
-        assert m2.advertised_to(0, P0) is not None
+        assert m2.channel(0).advertised(P0) is not None
 
     def test_best_change_count_tracks_flaps(self, diamond, fast_config):
         network = SimNetwork(diamond, fast_config, seed=6)

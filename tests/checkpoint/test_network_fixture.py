@@ -49,7 +49,7 @@ def _payload():
 def test_the_file_holds_every_kind_of_session_state():
     network = restore_network(_graph(), _payload())
     a, b = _DOWN_LINK
-    assert network.node(a).link_is_down(b) and network.node(b).link_is_down(a)
+    assert network.node(a).channel(b).down and network.node(b).channel(a).down
     assert any(node.queue_length > 1 for node in network.nodes.values())
     assert any(
         isinstance(callback, MRAIWakeup)

@@ -54,8 +54,6 @@ class TestRunGrowthSweep:
         assert len(sweep.m_series(NodeType.T, Relationship.CUSTOMER)) == 2
         assert len(sweep.q_series(NodeType.M, Relationship.PROVIDER)) == 2
         assert len(sweep.e_series(NodeType.M, Relationship.PROVIDER)) == 2
-        rel = sweep.relative_u_series(NodeType.T)
-        assert rel[0] == pytest.approx(1.0)
 
     def test_stats_at(self):
         sweep = run_growth_sweep(

@@ -12,9 +12,16 @@ from repro.experiments.cli import build_parser, main
 from repro.experiments.registry import experiment_ids
 
 
+#: What a process pays before it simulates anything and a verb loads only
+#: when it uses it: OpenSSL's binding (``hashlib`` maps libcrypto) and the
+#: process-pool stack, which imports ``logging``.
+_FLOOR = ("_hashlib", "multiprocessing", "_multiprocessing", "concurrent", "logging")
+
+
 def _modules_after(argv, tmp_path):
-    """The ``repro``, scipy and networkx modules a fresh interpreter holds
-    after ``main(argv)``."""
+    """The ``repro``, scipy, networkx and :data:`_FLOOR` modules a fresh
+    interpreter holds after ``main(argv)``."""
+    roots = ("repro", "scipy", "networkx", *_FLOOR)
     script = (
         "import json, sys\n"
         "from repro.experiments.cli import main\n"
@@ -24,7 +31,7 @@ def _modules_after(argv, tmp_path):
         "    code = stop.code\n"
         "assert code == 0, code\n"
         "print(json.dumps(sorted(m for m in sys.modules\n"
-        "                        if m.split('.')[0] in ('repro', 'scipy', 'networkx'))))\n"
+        f"                        if m.split('.')[0] in {roots!r})))\n"
     )
     env = dict(os.environ)
     env["PYTHONPATH"] = str(Path(__file__).resolve().parents[2] / "src")
@@ -96,7 +103,7 @@ class TestImportHygiene:
         assert _loaded(
             modules,
             "repro.bgp", "repro.sim", "repro.core", "repro.experiments.registry",
-            "repro.api", "repro.dist",
+            "repro.api", "repro.dist", "_hashlib",
         ) == []
 
     def test_simulate_loads_no_service_or_analysis(self, tmp_path):
@@ -108,8 +115,27 @@ class TestImportHygiene:
         assert _loaded(
             modules,
             "repro.api", "repro.dist", "repro.measured", "repro.analysis",
-            "scipy", "networkx",
+            "scipy", "networkx", "_hashlib",
         ) == []
+
+    def test_serial_campaign_loads_no_openssl_or_pool(self, tmp_path):
+        """Keys and checkpoint digests hash with CPython's built-in SHA-256,
+        and a run that starts no pool imports none of its stack."""
+        modules = _modules_after(
+            ["campaign", "--scale", "smoke", "--experiment", "fig07", "-o", "out"],
+            tmp_path,
+        )
+        assert "repro.experiments.campaign" in modules
+        assert _loaded(modules, *_FLOOR) == []
+
+    def test_pool_campaign_loads_no_openssl(self, tmp_path):
+        modules = _modules_after(
+            ["campaign", "--scale", "smoke", "--experiment", "fig07",
+             "--jobs", "2", "-o", "out"],
+            tmp_path,
+        )
+        assert "concurrent.futures.process" in modules  # the pool did start
+        assert _loaded(modules, "_hashlib") == []
 
 
 class TestParser:

@@ -5,7 +5,6 @@ from repro.experiments.report import (
     ShapeCheck,
     format_table,
     monotone_fraction,
-    ratio_text,
     series_ratio,
 )
 
@@ -74,6 +73,3 @@ class TestHelpers:
         assert monotone_fraction([3, 2, 1]) == 0.0
         assert monotone_fraction([1, 3, 2]) == 0.5
         assert monotone_fraction([5]) == 1.0
-
-    def test_ratio_text(self):
-        assert ratio_text(2.5) == "2.50x"

@@ -49,7 +49,7 @@ class TestTInterval:
 
     def test_relative_half_width(self):
         ci = mean_confidence_interval([10.0, 10.0, 10.0, 10.1])
-        assert ci.relative_half_width < 0.05
+        assert ci.half_width / ci.mean < 0.05
 
     def test_needs_two_values(self):
         with pytest.raises(ParameterError):

@@ -1,11 +1,18 @@
-"""Atomic artifact writes: a writer that fails midway changes nothing."""
+"""Atomic artifact writes: a writer that fails midway changes nothing.
+The SHA-256 helper gives ``hashlib``'s digests without loading OpenSSL."""
 
+import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from repro.experiments.commands import write_json_artifact
-from repro.files import atomic_writer
+from repro import files
+from repro.files import atomic_writer, sha256
 from repro.topology.generator import generate_topology
 from repro.topology.params import baseline_params
 from repro.topology.serialization import save_as_rel, save_json, to_json_dict
@@ -73,3 +80,39 @@ def test_json_artifact_is_canonical(tmp_path, capsys):
     write_json_artifact(payload, path, "report")
     assert path.read_text(encoding="utf-8") == json.dumps(payload, indent=1, sort_keys=True) + "\n"
     assert capsys.readouterr().out == f"report written to {path}\n"
+
+
+#: The empty input, one byte and 4 MiB (many compression blocks).
+DIGEST_INPUTS = [b"", b"\x00", bytes(range(256)) * 16384]
+
+
+@pytest.mark.parametrize("data", DIGEST_INPUTS, ids=["empty", "one-byte", "4MiB"])
+def test_sha256_equals_hashlib(data):
+    assert sha256(data) == hashlib.sha256(data).hexdigest()
+
+
+def test_sha256_is_the_built_in_implementation():
+    built_in = "_sha2" if sys.version_info >= (3, 12) else "_sha256"
+    assert files._sha256_constructor().__module__ == built_in
+
+
+def test_sha256_falls_back_to_hashlib():
+    """Without the built-in modules the helper takes ``hashlib``'s
+    constructor, and the digests do not change."""
+    script = (
+        "import hashlib, json, sys\n"
+        "sys.modules['_sha2'] = sys.modules['_sha256'] = None\n"
+        "from repro import files\n"
+        "assert files._sha256_constructor() is hashlib.sha256\n"
+        "inputs = [b'', b'\\x00', bytes(range(256)) * 16384]\n"
+        "print(json.dumps([files.sha256(data) for data in inputs]))\n"
+    )
+    env = dict(os.environ)
+    env["PYTHONPATH"] = str(Path(__file__).resolve().parents[1] / "src")
+    done = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert done.returncode == 0, done.stderr
+    assert json.loads(done.stdout) == [
+        hashlib.sha256(data).hexdigest() for data in DIGEST_INPUTS
+    ]

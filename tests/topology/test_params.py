@@ -98,11 +98,3 @@ class TestReplace:
         assert changed.d_m == 9.0
         assert changed.d_cp == params.d_cp
         assert changed.n == params.n
-
-    def test_as_dict_round_trip(self):
-        params = baseline_params(800)
-        data = params.as_dict()
-        assert data["n"] == 800
-        assert data["scenario"] == "BASELINE"
-        rebuilt = TopologyParams(**data)
-        assert rebuilt == params
