@@ -15,7 +15,9 @@ fixed seeds, two sha256 digests per case:
 One case per corner of the protocol model: NO-WRATE/WRATE x
 PER_INTERFACE/PER_PREFIX x DELAY_FIRST/SEND_FIRST C-events, a flap storm
 under damping, ``mrai=0``, link down/up events, the path-exploration and
-load-probe drivers and a multi-prefix churn run.
+load-probe drivers, a multi-prefix churn run and a Poisson C-event
+workload with flap storms (whose trajectory also holds the monitors'
+arrival trace).
 
 The kernel may get cheaper per event; it may not execute a different
 event, draw a different random number or count a different update, so
@@ -44,7 +46,7 @@ from pathlib import Path
 import pytest
 
 from repro.bgp.config import BGPConfig, DampingConfig, MRAIMode, SendDiscipline
-from repro.core import exploration, linkevent, load, prefix_churn
+from repro.core import exploration, linkevent, load, prefix_churn, workload
 from repro.core.cevent import new_batch_cursor, pick_origins, run_c_event_batch
 from repro.prefix.prefix import host_prefix, prefix_to_json
 from repro.prefix.workload import PrefixChurnSpec
@@ -297,6 +299,37 @@ def _prefix_churn() -> dict:
     )
 
 
+def _workload() -> dict:
+    graph = _graph()
+    spec = workload.WorkloadSpec(
+        duration=300.0,
+        event_rate=0.1,
+        mean_downtime=20.0,
+        storm_probability=0.4,
+        storm_size_mean=4.0,
+        storm_gap=20.0,
+    )
+    with _capture_networks(workload) as built:
+        result = workload.run_workload(graph, spec, BGPConfig(), seed=_SIM_SEED)
+    (network,) = built
+    return _digests(
+        {
+            "monitors": result.monitors,
+            "executed": result.events_executed,
+            "skipped": result.events_skipped,
+            "total": result.total_updates,
+            "duration": result.measured_duration.hex(),
+            "trace": [
+                [update.time.hex(), update.receiver, update.sender, update.is_withdrawal]
+                for update in result.trace.updates()
+            ],
+            "counter": counter_state(network.counter),
+            "network": trajectory_state(network),
+        },
+        retained_state(network),
+    )
+
+
 CASES = {
     f"c-event/{'wrate' if wrate else 'no-wrate'}/{mode.value}/{discipline.value}": _c_event_case(
         BGPConfig(wrate=wrate, mrai_mode=mode, discipline=discipline)
@@ -324,6 +357,7 @@ CASES.update(
         "exploration/wrate": _exploration,
         "load-probe": _load_probe,
         "prefix-churn": _prefix_churn,
+        "workload": _workload,
     }
 )
 
