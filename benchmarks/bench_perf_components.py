@@ -338,8 +338,8 @@ def test_sim_core_budget(results_dir):
     }
 
     # --- multi-prefix table axis -------------------------------------
-    # Incremental re-decide with 1 dirty prefix out of a 10k-entry table
-    # of /24s: the dirty-set design makes this independent of the table
+    # Incremental re-decide of 1 changed prefix out of a 10k-entry table
+    # of /24s: deciding per prefix makes this independent of the table
     # size, so its budget is the proof that multi-prefix events stay cheap.
     table_size = 10_000
     table_prefixes = [make_prefix(index << 8, 24) for index in range(table_size)]
@@ -356,7 +356,6 @@ def test_sim_core_budget(results_dir):
         route = import_route(prefix, (2, 100 + (index % 50)), Relationship.PEER)
         rib_node.adj_rib_in.update(prefix, 2, route)
         rib_node.loc_rib.install(prefix, route)
-        rib_node.adj_rib_in.clear_dirty(prefix)
     dirty_prefix = table_prefixes[table_size // 2]
     dirty_route = rib_node.loc_rib.best(dirty_prefix)
     redecide_us = _time_per_call_us(
@@ -384,7 +383,7 @@ def test_sim_core_budget(results_dir):
         "loc_rib_digest": pc.loc_rib_digest,
     }
     assert pc.decisions_skipped > 10 * pc.decisions_run, (
-        "per-prefix dirty tracking must skip far more decisions than it runs"
+        "per-prefix decisions must skip far more decisions than they run"
     )
 
     payload = {

@@ -21,7 +21,8 @@ from pathlib import Path
 
 from repro import ASGraph, BGPConfig, NodeType
 from repro.core import run_link_event_experiment, steady_state_routes
-from repro.topology.serialization import load_as_rel, save_as_rel
+from repro.measured import load_serial1
+from repro.topology.serialization import save_as_rel
 from repro.topology.validation import validate
 
 
@@ -61,8 +62,8 @@ def main() -> None:
         path = Path(tmp) / "example.as-rel"
         save_as_rel(graph, path)
         print("  " + "\n  ".join(path.read_text().strip().splitlines()))
-        reloaded = load_as_rel(path)
-        assert reloaded.edge_count() == graph.edge_count()
+        reloaded, _report = load_serial1(path)
+        assert list(reloaded.edges()) == list(graph.edges())
 
     config = BGPConfig(mrai=5.0)
     print("\nFailing and restoring CP6's provider links (link events):")

@@ -256,7 +256,7 @@ def main(argv=None) -> int:
     if skipped <= 10 * ran:
         failures.append(
             f"prefix_churn: skipped {skipped} vs run {ran} decisions — "
-            "per-prefix dirty tracking no longer dominates the multi-prefix "
+            "deciding per prefix no longer dominates the multi-prefix "
             "decision economy"
         )
 

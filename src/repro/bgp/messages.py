@@ -38,11 +38,6 @@ class UpdateMessage(NamedTuple):
         """Whether this update withdraws the prefix."""
         return self.path is None
 
-    @property
-    def is_announcement(self) -> bool:
-        """Whether this update announces a path."""
-        return self.path is not None
-
     def __str__(self) -> str:  # pragma: no cover - debugging aid
         if self.is_withdrawal:
             return f"W({self.sender}->{self.receiver} pfx={self.prefix})"

@@ -200,8 +200,8 @@ class BGPNode:
         self.best_change_count: Dict[Prefix, int] = {}
         #: Decisions actually run (full or incremental).
         self.decisions_run = 0
-        #: Decisions avoided by per-prefix dirty-set tracking: on every
-        #: decision trigger, the prefixes in the Loc-RIB that were *not*
+        #: Decisions avoided by deciding per prefix: on every decision
+        #: trigger, the prefixes in the Loc-RIB that were *not*
         #: re-decided.  A full-table implementation re-scans all of them,
         #: so this counter is the saved work — deterministic (no timing
         #: involved), which lets the perf budget gate pin it exactly.
@@ -368,7 +368,7 @@ class BGPNode:
         else:
             previous = self.adj_rib_in.update(prefix, sender, route)
             self._run_decision_incremental(prefix, previous, route, now)
-        # Dirty-set economy: of everything installed, only this one
+        # Per-prefix economy: of everything installed, only this one
         # prefix was re-decided; the rest is the work a full-table
         # re-scan would have burned.  Zero under C-events, whose
         # Loc-RIBs hold only the prefix being measured (earlier ones
@@ -444,7 +444,6 @@ class BGPNode:
     def _run_decision(self, prefix: Prefix, now: float) -> None:
         self._counts.decision_runs += 1
         self.decisions_run += 1
-        self.adj_rib_in.clear_dirty(prefix)
         best = select_best(self.node_id, self._candidates(prefix, now))
         self._install(prefix, best, now)
 
@@ -468,7 +467,6 @@ class BGPNode:
         """
         self._counts.decision_runs += 1
         self.decisions_run += 1
-        self.adj_rib_in.clear_dirty(prefix)
         current = self.loc_rib.best(prefix)
         node_id = self.node_id
         if route is not None:
@@ -550,18 +548,18 @@ class BGPNode:
             self._engine.cancel(channel.wakeup_handle)
         channel.wakeup_at = channel.wakeup_handle = None
         now = self._engine.now
-        # Flush everything first, then drain the dirty set: per-prefix
-        # decisions are independent (each reads only its own prefix's
-        # state) and take_dirty preserves flush order, so this is
-        # trajectory-identical to the historical interleaved loop while
-        # making the decision batch — and its skip accounting — explicit.
-        for prefix in self.adj_rib_in.prefixes_from(neighbor):
+        # Flush everything first, then decide each flushed prefix in flush
+        # order: per-prefix decisions are independent (each reads only its
+        # own prefix's state), so this is trajectory-identical to an
+        # interleaved flush-and-decide loop while making the decision
+        # batch — and its skip accounting — explicit.
+        flushed = self.adj_rib_in.prefixes_from(neighbor)
+        for prefix in flushed:
             self.adj_rib_in.update(prefix, neighbor, None)
-        dirty = self.adj_rib_in.take_dirty()
-        skipped = len(self.loc_rib) - len(dirty)
+        skipped = len(self.loc_rib) - len(flushed)
         if skipped > 0:
             self.decisions_skipped += skipped
-        for prefix in dirty:
+        for prefix in flushed:
             self._run_decision(prefix, now)
 
     def set_link_up(self, neighbor: int) -> None:
@@ -721,7 +719,6 @@ class BGPNode:
         self.adj_rib_in, self.loc_rib = AdjRIBIn(), LocRIB()
         for prefix, neighbor, route in state["adj_rib_in"]:
             self.adj_rib_in.update(prefix, neighbor, route)
-            self.adj_rib_in.clear_dirty(prefix)
         for prefix, route in state["loc_rib"]:
             self.loc_rib.install(prefix, route)
         self._local_routes = {
@@ -800,7 +797,6 @@ class BGPNode:
             or not self._rng_counted
             or self._local_routes
             or len(self.adj_rib_in)
-            or self.adj_rib_in.dirty_count
             or len(self.loc_rib)
             or self.best_change_count
             or self._reuse_pending

@@ -31,17 +31,14 @@ class AdjRIBIn:
     slot position and a delete+reinsert appends, in the flat dict and the
     inner index alike, so candidate iteration order is unchanged.
 
-    A *dirty set* records prefixes whose entries actually changed since
-    the last :meth:`take_dirty`; the node's bulk re-decision paths (link
-    failure flushes) drain it instead of interleaving flush and decision,
-    and the decisions-skipped accounting quantifies how much work the
-    per-prefix incrementality saves over a full-table re-scan.
+    The RIB keeps no record of which prefixes changed: the node decides a
+    prefix again as each of its entries changes, and a session flush
+    decides again exactly the prefixes :meth:`prefixes_from` lists.
     """
 
     def __init__(self) -> None:
         self._routes: Dict[Tuple[Prefix, int], Route] = {}
         self._by_prefix: Dict[Prefix, Dict[int, Route]] = {}
-        self._dirty: Dict[Prefix, None] = {}
 
     def update(self, prefix: Prefix, neighbor: int, route: Optional[Route]) -> Optional[Route]:
         """Install ``route`` (or remove on ``None``); returns the previous route."""
@@ -61,34 +58,16 @@ class AdjRIBIn:
                 return previous  # identical interned route: no state change
             self._routes[key] = route
             self._by_prefix.setdefault(prefix, {})[neighbor] = route
-        self._dirty[prefix] = None
         return previous
 
     def retire(self, prefix: Prefix) -> None:
-        """Forget every entry for ``prefix``, without marking it dirty."""
+        """Forget every entry for ``prefix``."""
         by_prefix = self._by_prefix
         if prefix in by_prefix:
             routes = self._routes
             for neighbor in by_prefix[prefix]:
                 del routes[(prefix, neighbor)]
             del by_prefix[prefix]
-        if prefix in self._dirty:
-            del self._dirty[prefix]
-
-    def take_dirty(self) -> List[Prefix]:
-        """Prefixes whose entries changed since the last take (mark order)."""
-        dirty = list(self._dirty)
-        self._dirty.clear()
-        return dirty
-
-    def clear_dirty(self, prefix: Prefix) -> None:
-        """Acknowledge that ``prefix`` has been re-decided."""
-        self._dirty.pop(prefix, None)
-
-    @property
-    def dirty_count(self) -> int:
-        """Number of prefixes currently awaiting a decision."""
-        return len(self._dirty)
 
     def route_from(self, prefix: Prefix, neighbor: int) -> Optional[Route]:
         """The route ``neighbor`` currently advertises for ``prefix``."""

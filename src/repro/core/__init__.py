@@ -59,7 +59,6 @@ __getattr__, __dir__, __all__ = _lazy_exports(
             "run_scenario_comparison",
         ),
         "repro.core.workload": (
-            "WorkloadEvent",
             "WorkloadResult",
             "WorkloadSpec",
             "default_monitors",

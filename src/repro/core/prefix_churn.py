@@ -5,7 +5,8 @@ plays the multi-prefix streams of :mod:`repro.prefix.workload` — per-prefix
 flaps plus (de)aggregation — against a live :class:`SimNetwork` and
 measures what the paper's scaling question needs at the routing-table
 axis: monitor-side churn, table sizes, and how much decision-process work
-the per-prefix dirty-set tracking saved.
+deciding per prefix saved.  Both drivers play their streams through
+:func:`repro.core.workload.replay_churn`.
 
 The result carries a canonical Loc-RIB digest so two runs of the same
 workload can be checked for exact routing-state equivalence.
@@ -20,14 +21,11 @@ from typing import List, Optional
 from repro.bgp.config import BGPConfig
 from repro.errors import ExperimentError
 from repro.files import sha256
-from repro.prefix.prefix import Prefix, prefix_to_json
+from repro.core.workload import replay_churn
+from repro.prefix.prefix import prefix_to_json
 from repro.prefix.workload import (
-    DEAGGREGATE,
-    FLAP,
-    REAGGREGATE,
     PrefixAllocation,
     PrefixChurnSpec,
-    PrefixEvent,
     allocate_prefixes,
     generate_prefix_churn,
 )
@@ -117,10 +115,11 @@ def run_prefix_churn(
 ) -> PrefixChurnResult:
     """Run one multi-prefix churn workload and measure the table axis.
 
-    Phases mirror :func:`repro.core.workload.run_workload`: every
-    allocated prefix is originated and the network converges uncounted,
-    the clock settles past the MRAI gates, then the churn stream plays
-    inside a counted measurement window.
+    The allocated table is the warm-up of
+    :func:`repro.core.workload.replay_churn`: every allocated prefix is
+    originated and the network converges uncounted, the clock settles
+    past the MRAI gates, then the churn stream plays inside a counted
+    measurement window.
     """
     spec = spec if spec is not None else PrefixChurnSpec()
     config = config if config is not None else BGPConfig()
@@ -130,71 +129,19 @@ def run_prefix_churn(
 
     network = SimNetwork(graph, config, seed=seed)
     events = generate_prefix_churn(allocation, spec, seed=seed)
-
-    # Warm-up: announce the whole table, converge, settle.
-    network.stop_counting()
-    for origin in allocation.origins:
-        node = network.node(origin)
-        for prefix in allocation.assignments[origin]:
-            node.originate(prefix)
-    network.run_to_convergence(max_events=max_events)
-    settle = 2.0 * config.mrai if config.mrai > 0 else 1.0
-    network.engine.run(until=network.engine.now + settle)
-
     # Decision counters measure the churn phase only, not the warm-up
     # table build (the interesting ratio is per *incremental* event).
-    for node in network.nodes.values():
-        node.decisions_run = 0
-        node.decisions_skipped = 0
-
-    network.start_counting()
-    start = network.engine.now
-    executed = 0
-    absorbed = 0
-
-    def fire(event: PrefixEvent) -> None:
-        nonlocal executed, absorbed
-        node = network.node(event.origin)
-        if event.kind == FLAP:
-            if not node.originates(event.prefix):
-                absorbed += 1  # still down from an earlier flap
-                return
-            executed += 1
-            node.withdraw_origin(event.prefix)
-            network.engine.schedule(
-                event.downtime, lambda: _restore(event.origin, event.prefix)
-            )
-        elif event.kind == DEAGGREGATE:
-            if not node.originates(event.prefix):
-                absorbed += 1
-                return
-            executed += 1
-            low, high = event.prefix.children()
-            node.withdraw_origin(event.prefix)
-            node.originate(low)
-            node.originate(high)
-        elif event.kind == REAGGREGATE:
-            low, high = event.prefix.children()
-            if not (node.originates(low) and node.originates(high)):
-                absorbed += 1  # the matching deaggregation never fired
-                return
-            executed += 1
-            node.withdraw_origin(low)
-            node.withdraw_origin(high)
-            node.originate(event.prefix)
-        else:  # pragma: no cover - generator emits only the three kinds
-            raise ExperimentError(f"unknown prefix event kind {event.kind!r}")
-
-    def _restore(origin: int, prefix: Prefix) -> None:
-        node = network.node(origin)
-        if not node.originates(prefix):
-            node.originate(prefix)
-
-    for event in events:
-        network.engine.schedule_at(start + event.time, lambda e=event: fire(e))
-    network.run_to_convergence(max_events=max_events)
-    measured_duration = network.engine.now - start
-    network.stop_counting()
+    window = replay_churn(
+        network,
+        [
+            (origin, prefix)
+            for origin in allocation.origins
+            for prefix in allocation.assignments[origin]
+        ],
+        events,
+        max_events=max_events,
+        reset_decisions=True,
+    )
 
     table_sizes = [len(node.loc_rib) for node in network.nodes.values()]
     return PrefixChurnResult(
@@ -202,10 +149,10 @@ def run_prefix_churn(
         scenario=graph.scenario,
         num_prefixes=allocation.num_prefixes,
         spec=spec,
-        events_executed=executed,
-        events_absorbed=absorbed,
+        events_executed=window.executed,
+        events_absorbed=window.absorbed,
         total_updates=network.counter.total,
-        measured_duration=measured_duration,
+        measured_duration=window.duration,
         mean_table_size=(
             sum(table_sizes) / len(table_sizes) if table_sizes else 0.0
         ),

@@ -11,32 +11,27 @@ every origin's prefix once, lets the network settle, then injects the
 event stream while tracing arrivals at designated monitor nodes, from
 which rate series and peak-to-mean burstiness are derived
 (:mod:`repro.sim.trace`).
+
+:func:`replay_churn` is that announce–settle–replay loop, and the one
+both this runner and the multi-prefix driver
+(:mod:`repro.core.prefix_churn`) play their event streams through.
 """
 
 from __future__ import annotations
 
 import dataclasses
-from typing import List, Optional, Sequence
+from typing import Iterable, List, Optional, Sequence, Tuple
 
 from repro.bgp.config import BGPConfig
 from repro.errors import ExperimentError, ParameterError
 from repro.prefix.prefix import Prefix, host_prefix
+from repro.prefix.workload import DEAGGREGATE, FLAP, REAGGREGATE, PrefixEvent
 from repro.sim.engine import DEFAULT_MAX_EVENTS
 from repro.sim.network import SimNetwork
 from repro.sim.rng import derive_rng
 from repro.sim.trace import BurstinessReport, MonitorTrace
 from repro.topology.graph import ASGraph
 from repro.topology.types import NodeType
-
-
-@dataclasses.dataclass(frozen=True)
-class WorkloadEvent:
-    """One scheduled C-event: withdraw at ``time``, restore after ``downtime``."""
-
-    time: float
-    origin: int
-    prefix: Prefix
-    downtime: float
 
 
 @dataclasses.dataclass(frozen=True)
@@ -87,12 +82,14 @@ class WorkloadSpec:
 
 def generate_poisson_workload(
     graph: ASGraph, spec: WorkloadSpec, *, seed: int = 0
-) -> List[WorkloadEvent]:
+) -> List[PrefixEvent]:
     """Draw the event stream (deterministic for a given seed).
 
-    Origins are sampled uniformly from the participating stub pool; each
-    origin keeps a single prefix for the whole workload, so two events on
-    the same origin are a repeated flap of the same prefix.
+    Every event is a ``FLAP``: withdraw at ``time``, restore after
+    ``downtime``.  Origins are sampled uniformly from the participating
+    stub pool; each origin keeps a single prefix for the whole workload,
+    so two events on the same origin are a repeated flap of the same
+    prefix.
     """
     pool = graph.nodes_of_type(NodeType.C) or graph.nodes_of_type(NodeType.CP)
     if not pool:
@@ -103,17 +100,10 @@ def generate_poisson_workload(
     # /32 host prefixes keyed by origin rank; they sort exactly like the
     # bare indices they replaced, so fixed-seed trajectories are unchanged.
     prefix_of = {origin: host_prefix(index) for index, origin in enumerate(pool)}
-    events: List[WorkloadEvent] = []
+    events: List[PrefixEvent] = []
 
     def add_event(at: float, origin: int, downtime: float) -> None:
-        events.append(
-            WorkloadEvent(
-                time=at,
-                origin=origin,
-                prefix=prefix_of[origin],
-                downtime=downtime,
-            )
-        )
+        events.append(PrefixEvent(at, origin, prefix_of[origin], FLAP, downtime))
 
     clock = 0.0
     while True:
@@ -177,6 +167,34 @@ class WorkloadResult:
         """Peak-to-mean report for one monitor."""
         return self.trace.burstiness(bin_width, node_id=node_id)
 
+    def rate_series(self, bin_width: float) -> List[float]:
+        """Monitor-side update rate per ``bin_width`` bin, all monitors.
+
+        Raises :class:`ExperimentError` when the arrivals span fewer than
+        half the bins the injection window holds: too little churn to
+        analyse.
+        """
+        series = [rate for _, rate in self.trace.rate_series(bin_width)]
+        expected = self.spec.duration / bin_width
+        if len(series) < expected / 2:
+            raise ExperimentError(
+                f"workload produced only {len(series)} rate bins "
+                f"(wanted ~{expected:.0f}); too little churn to analyse"
+            )
+        return series
+
+
+def rate_bin_width(duration: float, bins: int, config: BGPConfig) -> float:
+    """Rate-bin width: ``duration / bins``, but never under 4 MRAI rounds.
+
+    MRAI batching makes monitor arrivals periodic at the MRAI timescale;
+    bins narrower than a few rounds inherit that as bin-to-bin
+    correlation, which the estimators would misread as long memory.
+    Keeping bins ≥ 4·MRAI pushes the batching below bin resolution, so
+    the estimators see the *event process*, not the rate limiter.
+    """
+    return max(duration / bins, 4.0 * config.mrai)
+
 
 def default_monitors(graph: ASGraph) -> List[int]:
     """A T-node and an M-node vantage point (highest-degree of each)."""
@@ -188,6 +206,108 @@ def default_monitors(graph: ASGraph) -> List[int]:
     if not monitors:
         raise ExperimentError("topology has no transit nodes to monitor")
     return monitors
+
+
+@dataclasses.dataclass(frozen=True)
+class ChurnWindow:
+    """What the counted window of one :func:`replay_churn` saw."""
+
+    #: events that mutated origin state when they fired
+    executed: int
+    #: events absorbed because the prefix was down/split when they fired
+    absorbed: int
+    #: simulated time from the window's start to convergence
+    duration: float
+    #: arrivals at the monitors (None when none were attached)
+    trace: Optional[MonitorTrace]
+
+
+def replay_churn(
+    network: SimNetwork,
+    originations: Iterable[Tuple[int, Prefix]],
+    events: Sequence[PrefixEvent],
+    *,
+    max_events: int = DEFAULT_MAX_EVENTS,
+    monitors: Optional[Sequence[int]] = None,
+    reset_decisions: bool = False,
+) -> ChurnWindow:
+    """Play ``events`` against ``network`` inside a counted window.
+
+    Warm-up, uncounted: every ``(origin, prefix)`` of ``originations``
+    is announced in order, the network converges, and the clock settles
+    past the MRAI gates.  Then the window opens — counters reset and
+    enabled, ``monitors`` traced, and with ``reset_decisions`` every
+    node's decision counters zeroed so they count the churn alone — and
+    each event fires at the window's start plus its ``time``.  A
+    ``FLAP`` withdraws a prefix and re-announces it ``downtime`` later;
+    a ``DEAGGREGATE`` replaces a prefix by its two children and a
+    ``REAGGREGATE`` puts it back.  An event whose prefix is not in the
+    state it expects is absorbed.  The window closes at convergence.
+    """
+    network.stop_counting()
+    for origin, prefix in originations:
+        network.originate(origin, prefix)
+    network.run_to_convergence(max_events=max_events)
+    config = network.config
+    settle = 2.0 * config.mrai if config.mrai > 0 else 1.0
+    engine = network.engine
+    engine.run(until=engine.now + settle)
+
+    if reset_decisions:
+        for node in network.nodes.values():
+            node.decisions_run = 0
+            node.decisions_skipped = 0
+    network.start_counting()
+    if monitors is not None:
+        network.attach_monitors(list(monitors))
+    start = engine.now
+    executed = 0
+    absorbed = 0
+
+    def fire(event: PrefixEvent) -> None:
+        nonlocal executed, absorbed
+        node = network.node(event.origin)
+        if event.kind == FLAP:
+            if not node.originates(event.prefix):
+                absorbed += 1  # still down from an earlier flap
+                return
+            executed += 1
+            node.withdraw_origin(event.prefix)
+            engine.schedule(event.downtime, lambda: _restore(event.origin, event.prefix))
+        elif event.kind == DEAGGREGATE:
+            if not node.originates(event.prefix):
+                absorbed += 1
+                return
+            executed += 1
+            low, high = event.prefix.children()
+            node.withdraw_origin(event.prefix)
+            node.originate(low)
+            node.originate(high)
+        elif event.kind == REAGGREGATE:
+            low, high = event.prefix.children()
+            if not (node.originates(low) and node.originates(high)):
+                absorbed += 1  # the matching deaggregation never fired
+                return
+            executed += 1
+            node.withdraw_origin(low)
+            node.withdraw_origin(high)
+            node.originate(event.prefix)
+        else:  # pragma: no cover - the generators emit only the three kinds
+            raise ExperimentError(f"unknown prefix event kind {event.kind!r}")
+
+    def _restore(origin: int, prefix: Prefix) -> None:
+        node = network.node(origin)
+        if not node.originates(prefix):
+            node.originate(prefix)
+
+    for event in events:
+        engine.schedule_at(start + event.time, lambda e=event: fire(e))
+    network.run_to_convergence(max_events=max_events)
+    duration = engine.now - start
+    network.stop_counting()
+    trace = network.trace
+    network.detach_monitors()
+    return ChurnWindow(executed, absorbed, duration, trace)
 
 
 def run_workload(
@@ -206,57 +326,22 @@ def run_workload(
 
     network = SimNetwork(graph, config, seed=seed)
     events = generate_poisson_workload(graph, spec, seed=seed)
-    origins = sorted({event.origin for event in events})
     prefix_of = {event.origin: event.prefix for event in events}
-
-    # Warm-up: announce every participating prefix, converge, settle.
-    network.stop_counting()
-    for origin in origins:
-        network.originate(origin, prefix_of[origin])
-    network.run_to_convergence(max_events=max_events)
-    settle = 2.0 * config.mrai if config.mrai > 0 else 1.0
-    network.engine.run(until=network.engine.now + settle)
-
-    # Measurement window.
-    network.start_counting()
-    network.attach_monitors(monitor_list)
-    start = network.engine.now
-    executed = 0
-    skipped = 0
-
-    def fire(event: WorkloadEvent) -> None:
-        nonlocal executed, skipped
-        node = network.node(event.origin)
-        if not node.originates(event.prefix):
-            skipped += 1  # still down from an earlier flap
-            return
-        executed += 1
-        node.withdraw_origin(event.prefix)
-        network.engine.schedule(
-            event.downtime, lambda: _restore(event.origin, event.prefix)
-        )
-
-    def _restore(origin: int, prefix: Prefix) -> None:
-        node = network.node(origin)
-        if not node.originates(prefix):
-            node.originate(prefix)
-
-    for event in events:
-        network.engine.schedule_at(start + event.time, lambda e=event: fire(e))
-    network.run_to_convergence(max_events=max_events)
-    measured_duration = network.engine.now - start
-    network.stop_counting()
-    trace = network.trace if network.trace is not None else MonitorTrace(monitor_list)
-    network.detach_monitors()
-
+    window = replay_churn(
+        network,
+        [(origin, prefix_of[origin]) for origin in sorted(prefix_of)],
+        events,
+        max_events=max_events,
+        monitors=monitor_list,
+    )
     return WorkloadResult(
         n=len(graph),
         scenario=graph.scenario,
         spec=spec,
         monitors=monitor_list,
-        events_executed=executed,
-        events_skipped=skipped,
+        events_executed=window.executed,
+        events_skipped=window.absorbed,
         total_updates=network.counter.total,
-        measured_duration=measured_duration,
-        trace=trace,
+        measured_duration=window.duration,
+        trace=window.trace,
     )

@@ -284,12 +284,6 @@ class Coordinator:
     def __exit__(self, *exc: object) -> None:
         self.close()
 
-    @property
-    def worker_count(self) -> int:
-        """Currently connected (registered) workers."""
-        with self._lock:
-            return len(self._workers)
-
     def worker_stats(self) -> List[Dict[str, object]]:
         """Completion stats per connection, closed ones first (for the
         campaign summary): a worker that reconnects has one per connection."""

@@ -542,8 +542,3 @@ def cached_sweeps(
 def clear_cache() -> None:
     """Drop all in-process memoized sweeps (tests use this for isolation)."""
     _CACHE.clear()
-
-
-def cache_size() -> int:
-    """Number of in-process memoized sweeps."""
-    return len(_CACHE)

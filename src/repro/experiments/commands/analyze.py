@@ -20,11 +20,12 @@ def main(args: argparse.Namespace) -> int:
             series = [float(v) for v in text.split()]
         label = f"series file {args.series}"
     elif args.topology is not None:
-        from repro.core.workload import WorkloadSpec, run_workload
+        from repro.core.workload import WorkloadSpec, rate_bin_width, run_workload
         from repro.experiments.commands.topology import load_topology
 
         graph = load_topology(args.topology)
         config = bgp_config(args)
+        # ext-longmem's "poisson" workload, binned into 128 rate bins.
         spec = WorkloadSpec(
             duration=args.duration,
             event_rate=args.rate,
@@ -32,8 +33,8 @@ def main(args: argparse.Namespace) -> int:
             storm_probability=0.0,
         )
         result = run_workload(graph, spec, config, seed=args.seed)
-        bin_width = max(args.duration / 128.0, 4.0 * config.mrai)
-        series = [rate for _, rate in result.trace.rate_series(bin_width)]
+        bin_width = rate_bin_width(args.duration, 128, config)
+        series = result.rate_series(bin_width)
         label = (
             f"workload on {args.topology} "
             f"({result.events_executed} events, {bin_width:.0f}s bins)"

@@ -2,7 +2,8 @@
 
 Also the one reader of topology files every other verb uses
 (:func:`load_topology`): writer and reader pick the format from the same
-suffix table, so a file ``generate`` writes always reads back.
+suffix table (:data:`~repro.topology.serialization.SUFFIX_FORMATS`), so a
+file ``generate`` writes always reads back.
 """
 
 from __future__ import annotations
@@ -18,17 +19,8 @@ from repro.topology.generator import generate_topology
 from repro.topology.graph import ASGraph
 from repro.topology.metrics import summarize
 from repro.topology.scenarios import scenario_params
-from repro.topology.serialization import load_as_rel, load_json, save_as_rel, save_json
+from repro.topology.serialization import SUFFIX_FORMATS, load_json, save_as_rel, save_json
 from repro.topology.validation import find_violations
-
-#: File suffix -> topology format, for writing and reading alike; any
-#: other suffix is JSON.  ``serial-1`` (CAIDA, gzip'd) is read-only.
-SUFFIX_FORMATS = {
-    ".as-rel": "as-rel",
-    ".asrel": "as-rel",
-    ".txt": "as-rel",
-    ".gz": "serial-1",
-}
 
 _WRITERS = {"json": save_json, "as-rel": save_as_rel}
 
@@ -39,16 +31,18 @@ def topology_format(path: Path) -> str:
 
 
 def load_topology(path: Path) -> ASGraph:
-    """Read a topology file in the format its suffix names."""
-    fmt = topology_format(path)
-    if fmt == "serial-1":
-        from repro.measured import load_serial1
+    """Read a topology file in the format its suffix names.
 
-        graph, _ = load_serial1(path)
-        return graph
-    if fmt == "as-rel":
-        return load_as_rel(path)
-    return load_json(path)
+    Every AS-relationship file, plain or gzip'd, goes through the one
+    validating reader, :func:`repro.measured.load_serial1` (strict), so a
+    snapshot reads as the same graph whether or not it is compressed.
+    """
+    if topology_format(path) == "json":
+        return load_json(path)
+    from repro.measured import load_serial1
+
+    graph, _ = load_serial1(path)
+    return graph
 
 
 def main(args: argparse.Namespace) -> int:

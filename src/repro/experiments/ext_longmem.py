@@ -35,8 +35,7 @@ import os
 from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
 from repro.bgp.config import BGPConfig
-from repro.core.workload import WorkloadSpec, run_workload
-from repro.errors import ExperimentError
+from repro.core.workload import WorkloadSpec, rate_bin_width, run_workload
 from repro.experiments.report import ExperimentResult
 from repro.experiments.scale import Scale, get_scale
 from repro.obs.telemetry import current_telemetry
@@ -57,8 +56,8 @@ TOPOLOGY_ENV = "REPRO_LONGMEM_TOPOLOGY"
 
 #: scale preset → (topology size, injection window (s), target rate bins)
 #: Durations are sized so that even with the paper's default MRAI (30 s)
-#: the effective bin width (see :func:`_bin_width`) still yields the
-#: target bin count.
+#: the effective bin width (see :func:`repro.core.workload.rate_bin_width`)
+#: still yields the target bin count.
 GRIDS: Dict[str, Tuple[int, float, int]] = {
     "smoke": (120, 7680.0, 64),
     "default": (300, 15360.0, 128),
@@ -92,18 +91,6 @@ def _grid(scale: Scale) -> Tuple[int, float, int]:
     return (scale.sizes[0], 2048.0, 128)
 
 
-def _bin_width(duration: float, bins: int, config: BGPConfig) -> float:
-    """Rate-bin width: the target width, but never under 4 MRAI rounds.
-
-    MRAI batching makes monitor arrivals periodic at the MRAI timescale;
-    bins narrower than a few rounds inherit that as bin-to-bin
-    correlation, which the estimators would misread as long memory.
-    Keeping bins ≥ 4·MRAI pushes the batching below bin resolution, so
-    the estimators see the *event process*, not the rate limiter.
-    """
-    return max(duration / bins, 4.0 * config.mrai)
-
-
 def _topology(n: int, seed: int) -> Tuple[ASGraph, str]:
     """The topology under test: generated, or measured via the env seam."""
     path = os.environ.get(TOPOLOGY_ENV)
@@ -114,26 +101,6 @@ def _topology(n: int, seed: int) -> Tuple[ASGraph, str]:
         return graph, f"measured topology {path} (n={report.num_nodes})"
     graph = generate_topology(baseline_params(n), seed=derive_seed(seed, n, 1))
     return graph, f"generated topology n={n}"
-
-
-def _rate_series(
-    graph: ASGraph,
-    spec: WorkloadSpec,
-    config: BGPConfig,
-    *,
-    bin_width: float,
-    seed: int,
-) -> List[float]:
-    """Monitor-side update-rate series from one workload run."""
-    result = run_workload(graph, spec, config, seed=seed)
-    series = [rate for _, rate in result.trace.rate_series(bin_width)]
-    expected = spec.duration / bin_width
-    if len(series) < expected / 2:
-        raise ExperimentError(
-            f"workload produced only {len(series)} rate bins "
-            f"(wanted ~{expected:.0f}); too little churn to analyse"
-        )
-    return series
 
 
 def _reference_series(seed: int) -> List[float]:
@@ -172,7 +139,7 @@ def run(
     scale = scale if scale is not None else get_scale()
     config = config if config is not None else BGPConfig()
     n, duration, bins = _grid(scale)
-    bin_width = _bin_width(duration, bins, config)
+    bin_width = rate_bin_width(duration, bins, config)
     telemetry = current_telemetry()
     graph, topology_note = _topology(n, seed)
 
@@ -195,13 +162,8 @@ def run(
     reports: Dict[str, LongMemoryReport] = {}
     for index, (name, spec) in enumerate(workloads.items()):
         with telemetry.phase("longmem-workload"):
-            series = _rate_series(
-                graph,
-                spec,
-                config,
-                bin_width=bin_width,
-                seed=derive_seed(seed, index, 2),
-            )
+            churn = run_workload(graph, spec, config, seed=derive_seed(seed, index, 2))
+            series = churn.rate_series(bin_width)
         reports[name] = analyze_churn_series(
             series, seed=derive_seed(seed, index, 3), resamples=50
         )

@@ -11,7 +11,7 @@ a session.
 
 Grids are scale-dependent: the ``paper`` preset reaches 10k prefixes on
 the paper's n=1000 topology; ``smoke`` stays CI-sized.  The run also
-reports the dirty-set saving: with per-prefix decision tracking, a flap
+reports the per-prefix saving: with per-prefix decision tracking, a flap
 of one prefix re-decides only that prefix, so ``decisions skipped``
 should dwarf ``decisions run`` as P grows.
 """

@@ -21,11 +21,9 @@ from typing import Iterable, List, Optional, Sequence, Union
 
 from repro.bgp.config import BGPConfig
 from repro.errors import MeasuredImportError
-from repro.measured.serial1 import ImportReport, load_serial1
+from repro.measured.serial1 import ImportReport, load_serial1, snapshot_label
 from repro.topology.graph import ASGraph
-
-#: suffixes recognised when scanning a snapshot directory
-_SNAPSHOT_SUFFIXES = (".txt", ".as-rel", ".asrel", ".gz")
+from repro.topology.serialization import SUFFIX_FORMATS
 
 
 @dataclasses.dataclass(frozen=True)
@@ -43,15 +41,6 @@ class Snapshot:
         return len(self.graph)
 
 
-def _snapshot_label(path: Path) -> str:
-    """The sort/display label of a snapshot file (suffixes stripped)."""
-    name = path.name
-    for suffix in (".gz", ".txt", ".as-rel", ".asrel"):
-        if name.endswith(suffix):
-            name = name[: -len(suffix)]
-    return name
-
-
 def load_snapshot_sequence(
     source: Union[str, Path, Iterable[Union[str, Path]]],
     *,
@@ -59,10 +48,11 @@ def load_snapshot_sequence(
 ) -> List[Snapshot]:
     """Load a measured topology time series.
 
-    ``source`` is either a directory (every ``.txt``/``.as-rel``/``.gz``
-    file in it, sorted by label) or an explicit iterable of paths (kept
-    in the given order).  Raises :class:`MeasuredImportError` when the
-    sequence is empty or any snapshot fails to import.
+    ``source`` is either a directory (every file in it whose suffix
+    :data:`~repro.topology.serialization.SUFFIX_FORMATS` names an
+    AS-relationship format, sorted by label) or an explicit iterable of
+    paths (kept in the given order).  Raises :class:`MeasuredImportError`
+    when the sequence is empty or any snapshot fails to import.
     """
     if isinstance(source, (str, Path)):
         root = Path(source)
@@ -75,9 +65,9 @@ def load_snapshot_sequence(
             (
                 path
                 for path in root.iterdir()
-                if path.is_file() and path.suffix in _SNAPSHOT_SUFFIXES
+                if path.is_file() and path.suffix in SUFFIX_FORMATS
             ),
-            key=_snapshot_label,
+            key=snapshot_label,
         )
     else:
         paths = [Path(p) for p in source]
@@ -88,7 +78,7 @@ def load_snapshot_sequence(
         graph, report = load_serial1(path, strict=strict)
         snapshots.append(
             Snapshot(
-                label=_snapshot_label(path),
+                label=snapshot_label(path),
                 path=path,
                 graph=graph,
                 report=report,

@@ -1,5 +1,11 @@
 """CAIDA serial-1 AS-relationship importer.
 
+This is the one reader of AS-relationship files: every ``<a>|<b>|<rel>``
+file the package reads — a CAIDA snapshot, a
+``topology generate -o t.txt`` dump, plain or gzip'd, through
+``topology import``, ``simulate``, ``workload``, ``analyze`` or any other
+verb — is parsed here, so one file always reads as one graph.
+
 The serial-1 format is line-oriented text: ``#``-prefixed comment
 headers, then one edge per line — ``<provider>|<customer>|-1`` for a
 transit (provider-to-customer) link and ``<peer>|<peer>|0`` for
@@ -28,9 +34,13 @@ before it builds:
 AS numbers are renumbered to the dense ``0..n-1`` ids the simulator
 requires, deterministically: dense id order is ascending original ASN,
 and the full mapping is kept in the report (``as_numbers[i]`` is the
-original ASN of dense node ``i``).  Node types are inferred structurally
-from the *kept* edge set, exactly like
-:func:`repro.topology.serialization.load_as_rel`.
+original ASN of dense node ``i``).  A file that
+:func:`repro.topology.serialization.save_as_rel` wrote from a generated
+graph (ids ``0..n-1``) therefore reads back with the same ids.  Node
+types are inferred structurally from the *kept* edge set (no providers
+→ T, customers → M, peering stub → CP, otherwise C), and the graph is
+named after the file's :func:`snapshot_label`, which drops the
+compression suffix.
 """
 
 from __future__ import annotations
@@ -43,6 +53,7 @@ from typing import Dict, List, Set, Tuple, Union
 from repro.errors import MeasuredImportError, TopologyError
 from repro.obs.telemetry import current_telemetry
 from repro.topology.graph import ASGraph
+from repro.topology.serialization import SUFFIX_FORMATS
 from repro.topology.types import NodeType
 
 #: relationship code -> kind, per the serial-1 specification
@@ -118,6 +129,18 @@ class ImportReport:
             "components": list(self.components),
             "num_nodes": self.num_nodes,
         }
+
+
+def snapshot_label(path: Path) -> str:
+    """A snapshot file's name without its AS-relationship suffixes.
+
+    ``20040101.as-rel.txt.gz`` -> ``20040101``: the plain and the gzip'd
+    copy of one snapshot share a label (and so a graph name).
+    """
+    name = path.name
+    while (suffix := Path(name).suffix) in SUFFIX_FORMATS:
+        name = name[: -len(suffix)]
+    return name
 
 
 def load_serial1(
@@ -267,8 +290,7 @@ def _parse(
             continue
         survivors.append((a, b, code))
 
-    # Structural type inference over the kept edges (same rules as
-    # repro.topology.serialization.load_as_rel): no providers -> T,
+    # Structural type inference over the kept edges: no providers -> T,
     # customers -> M, peering stub -> CP, otherwise C.
     has_provider: Set[int] = set()
     has_customer: Set[int] = set()
@@ -290,7 +312,7 @@ def _parse(
             return NodeType.CP
         return NodeType.C
 
-    graph = ASGraph(scenario=f"measured:{Path(source).name}")
+    graph = ASGraph(scenario=f"measured:{snapshot_label(Path(source))}")
     for asn in as_numbers:
         graph.add_node(dense[asn], node_type(asn), [0])
     transit_edges = 0

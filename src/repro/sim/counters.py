@@ -166,10 +166,6 @@ class UpdateCounter:
                 "totals do not match the per-pair counts"
             )
 
-    def updates_at(self, node_id: int) -> int:
-        """Total updates received at ``node_id``."""
-        return self.announcements.get(node_id, 0) + self.withdrawals.get(node_id, 0)
-
     def active_senders(self, node_id: int) -> Dict[int, int]:
         """Senders that delivered at least one update to ``node_id`` → count."""
         return {

@@ -10,10 +10,13 @@ Two formats are supported:
   document dict nor the whole string is ever built;
 * a CAIDA-style ``as-rel`` text format (``<a>|<b>|<rel>`` with ``-1`` for
   provider→customer and ``0`` for peer) — convenient for feeding real
-  inferred topologies into the simulator.  Node types and regions are not
-  part of that format, so loading infers types structurally (no providers →
-  T, customers → M, peering stub → CP, otherwise C) and assigns every node
-  to a single region.
+  inferred topologies into the simulator.  :func:`save_as_rel` writes
+  it; every AS-relationship file, plain or gzip'd, is read by the one
+  validating reader, :func:`repro.measured.serial1.load_serial1`, which
+  infers node types structurally and numbers nodes densely.
+
+:data:`SUFFIX_FORMATS` maps a file's suffix to its format, for writers
+and readers alike.
 """
 
 from __future__ import annotations
@@ -29,6 +32,16 @@ from repro.topology.graph import ASGraph
 from repro.topology.types import NodeType, Relationship
 
 _FORMAT_VERSION = 1
+
+#: File suffix -> topology format, for writing and reading alike; any
+#: other suffix is JSON.  Both formats here are AS-relationship text;
+#: ``serial-1`` (CAIDA's, gzip'd) is read-only.
+SUFFIX_FORMATS = {
+    ".as-rel": "as-rel",
+    ".asrel": "as-rel",
+    ".txt": "as-rel",
+    ".gz": "serial-1",
+}
 
 
 def to_json_dict(graph: ASGraph) -> dict:
@@ -185,7 +198,10 @@ def load_json(path: Union[str, Path]) -> ASGraph:
 
 
 def save_as_rel(graph: ASGraph, path: Union[str, Path]) -> None:
-    """Write the topology in CAIDA as-rel format (types/regions are lost)."""
+    """Write the topology in CAIDA as-rel format.
+
+    Regions are lost; node types are inferred again when the file is read.
+    """
     with atomic_writer(path) as handle:
         handle.write("# generated by repro; <provider>|<customer>|-1 or <peer>|<peer>|0\n")
         for u, v, rel in graph.edges():
@@ -194,71 +210,3 @@ def save_as_rel(graph: ASGraph, path: Union[str, Path]) -> None:
             else:
                 # edges() yields (customer, provider) for transit links.
                 handle.write(f"{v}|{u}|-1\n")
-
-
-def load_as_rel(path: Union[str, Path]) -> ASGraph:
-    """Load a CAIDA as-rel file, inferring node types structurally."""
-    try:
-        text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
-        raise SerializationError(f"cannot read as-rel file {path}: {exc}") from exc
-    transit: list[tuple[int, int]] = []  # (provider, customer)
-    peering: list[tuple[int, int]] = []
-    node_ids: set[int] = set()
-    for line_number, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        parts = line.split("|")
-        if len(parts) != 3:
-            raise SerializationError(
-                f"{path}:{line_number}: expected '<a>|<b>|<rel>', got {raw!r}"
-            )
-        try:
-            a, b, rel = int(parts[0]), int(parts[1]), int(parts[2])
-        except ValueError as exc:
-            raise SerializationError(
-                f"{path}:{line_number}: non-integer field in {raw!r}"
-            ) from exc
-        node_ids.update((a, b))
-        if rel == -1:
-            transit.append((a, b))
-        elif rel == 0:
-            peering.append((a, b))
-        else:
-            raise SerializationError(
-                f"{path}:{line_number}: unknown relationship code {rel}"
-            )
-    graph = ASGraph(scenario=f"as-rel:{Path(path).name}")
-    providers_of: dict[int, set[int]] = {node: set() for node in node_ids}
-    customers_of: dict[int, set[int]] = {node: set() for node in node_ids}
-    peers_of: dict[int, set[int]] = {node: set() for node in node_ids}
-    for provider, customer in transit:
-        providers_of[customer].add(provider)
-        customers_of[provider].add(customer)
-    for a, b in peering:
-        peers_of[a].add(b)
-        peers_of[b].add(a)
-    for node_id in sorted(node_ids):
-        graph.add_node(node_id, _infer_type(node_id, providers_of, customers_of, peers_of), [0])
-    for provider, customer in transit:
-        graph.add_transit_link(customer, provider)
-    for a, b in peering:
-        graph.add_peering_link(a, b)
-    return graph
-
-
-def _infer_type(
-    node_id: int,
-    providers_of: dict[int, set[int]],
-    customers_of: dict[int, set[int]],
-    peers_of: dict[int, set[int]],
-) -> NodeType:
-    """Structural type inference for as-rel imports."""
-    if not providers_of[node_id]:
-        return NodeType.T
-    if customers_of[node_id]:
-        return NodeType.M
-    if peers_of[node_id]:
-        return NodeType.CP
-    return NodeType.C

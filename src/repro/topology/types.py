@@ -29,11 +29,6 @@ class NodeType(enum.Enum):
     C = "C"
 
     @property
-    def is_transit(self) -> bool:
-        """Whether nodes of this type sell transit (have customers)."""
-        return self in (NodeType.T, NodeType.M)
-
-    @property
     def is_stub(self) -> bool:
         """Whether nodes of this type are at the bottom of the hierarchy."""
         return self in (NodeType.CP, NodeType.C)

@@ -11,7 +11,6 @@ P0 = host_prefix(0)
 class TestConstruction:
     def test_announcement(self):
         msg = announcement(1, 2, P0, (1, 5, 9))
-        assert msg.is_announcement
         assert not msg.is_withdrawal
         assert msg.path == (1, 5, 9)
         assert msg.sender == 1 and msg.receiver == 2
@@ -19,7 +18,6 @@ class TestConstruction:
     def test_withdrawal(self):
         msg = withdrawal(1, 2, P0)
         assert msg.is_withdrawal
-        assert not msg.is_announcement
         assert msg.path is None
 
     def test_empty_path_rejected(self):

@@ -118,7 +118,6 @@ class TestAdjRIBInModel:
             pool = token_pool()
             rib = AdjRIBIn()
             routes = {}  # (prefix, neighbour) -> route, in insertion order
-            dirty = {}  # prefixes in first-change order since the last take
             for _step in range(400):
                 prefix = rng.choice(pool)
                 neighbor = rng.choice(NEIGHBORS)
@@ -127,18 +126,11 @@ class TestAdjRIBInModel:
                 assert rib.update(prefix, neighbor, route) is previous
                 if route is None and previous is not None:
                     del routes[(prefix, neighbor)]
-                    dirty[prefix] = None
                 elif route is not None and route is not previous:
                     routes[(prefix, neighbor)] = route
-                    dirty[prefix] = None
                 assert rib.candidates(prefix) == [
                     (nbr, r) for (pfx, nbr), r in routes.items() if pfx == prefix
                 ]
-                assert rib.dirty_count == len(dirty)
-                if rng.random() < 0.1:
-                    assert rib.take_dirty() == list(dirty)
-                    dirty.clear()
-                    assert rib.dirty_count == 0
             assert rib.entries() == [(p, n, r) for (p, n), r in routes.items()]
             assert list(rib.prefixes()) == list(dict.fromkeys(p for p, _n in routes))
             for neighbor in NEIGHBORS:
@@ -146,33 +138,24 @@ class TestAdjRIBInModel:
                     p for (p, n) in routes if n == neighbor
                 ]
             assert len(rib) == len(routes)
-            assert rib.take_dirty() == list(dirty)
-
-    def test_dirty_marks_drain_in_change_order(self):
-        rib = AdjRIBIn()
-        a, b = make_prefix(0x0A000000, 8), make_prefix(0x0B000000, 8)
-        rib.update(b, 2, make_route(b, (2,), 0))
-        rib.update(P7, 2, make_route(P7, (2,), 0))
-        rib.update(a, 2, make_route(a, (2,), 0))
-        rib.update(b, 3, make_route(b, (3,), 0))  # b already marked
-        assert rib.take_dirty() == [b, P7, a]
-        assert rib.take_dirty() == []
 
     def test_identical_interned_route_is_not_a_change(self):
         rib = AdjRIBIn()
         prefix = make_prefix(0x0A000000, 8)
         route = make_route(prefix, (2,), 0)
+        other = make_prefix(0x0B000000, 8)
         rib.update(prefix, 2, route)
-        rib.take_dirty()
+        rib.update(other, 2, make_route(other, (2,), 0))
         assert rib.update(prefix, 2, route) is route
-        assert rib.dirty_count == 0
+        # No delete+reinsert: the entry keeps its slot ahead of ``other``.
+        assert [entry[0] for entry in rib.entries()] == [prefix, other]
 
     def test_withdrawing_absent_entry_is_a_noop(self):
         rib = AdjRIBIn()
         assert rib.update(make_prefix(0, 8), 2, None) is None
         assert rib.update(P7, 2, None) is None
-        assert rib.dirty_count == 0
         assert len(rib) == 0
+        assert rib.entries() == [] and list(rib.prefixes()) == []
 
 
 class TestLocRIBModel:

@@ -51,7 +51,7 @@ class TestMeasurement:
         result = run(graph, allocation)
         assert result.events_executed > 0
         assert result.decisions_run > 0
-        # The per-prefix dirty set is the point of the subsystem: one
+        # Deciding per prefix is the point of the subsystem: one
         # flapping prefix must not re-decide the other 23.
         assert result.decisions_skipped > 10 * result.decisions_run
 

@@ -134,7 +134,6 @@ def _held_prefixes(node, now) -> dict:
     held = {
         "local routes": set(node._local_routes),
         "adj-rib-in": {prefix for prefix, _neighbor, _route in rib.entries()},
-        "adj-rib-in dirty": set(rib._dirty),
         "loc-rib": set(node.loc_rib.prefixes()),
         "best changes": set(node.best_change_count),
         "damper": (

@@ -149,7 +149,7 @@ class TestLeasing:
     def test_register_hello_carries_intervals(self, coordinator):
         worker = _FakeWorker(coordinator)
         assert worker.worker_id == "w1"
-        assert coordinator.worker_count == 1
+        assert [stats["worker_id"] for stats in coordinator.worker_stats()] == ["w1"]
         worker.close()
 
     def test_lease_without_work_says_retry(self, coordinator):
@@ -316,10 +316,10 @@ class TestFailureRecovery:
         sweep.join()
         worker.close()
         for _ in range(100):
-            if coordinator.worker_count == 0:
+            if coordinator._departed:
                 break
             threading.Event().wait(0.02)
-        assert coordinator.worker_count == 0
+        assert not coordinator._workers
         (stats,) = coordinator.worker_stats()
         assert stats["worker_id"] == worker.worker_id
         assert stats["units_done"] == 1

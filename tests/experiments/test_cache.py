@@ -7,7 +7,6 @@ import pytest
 from repro.bgp.config import BGPConfig
 from repro.experiments import cache
 from repro.experiments.cache import (
-    cache_size,
     cached_sweep,
     clear_cache,
     current_execution,
@@ -33,17 +32,17 @@ class TestCachedSweep:
         a = cached_sweep("BASELINE", TINY, config=FAST, seed=1)
         b = cached_sweep("BASELINE", TINY, config=FAST, seed=1)
         assert a is b
-        assert cache_size() == 1
+        assert len(cache._CACHE) == 1
 
     def test_config_distinguishes_entries(self):
         cached_sweep("BASELINE", TINY, config=FAST, seed=1)
         cached_sweep("BASELINE", TINY, config=FAST.replace(wrate=True), seed=1)
-        assert cache_size() == 2
+        assert len(cache._CACHE) == 2
 
     def test_seed_distinguishes_entries(self):
         cached_sweep("BASELINE", TINY, config=FAST, seed=1)
         cached_sweep("BASELINE", TINY, config=FAST, seed=2)
-        assert cache_size() == 2
+        assert len(cache._CACHE) == 2
 
     def test_scenario_kwargs_distinguish_entries(self):
         cached_sweep("STATIC-MIDDLE", TINY, config=FAST, seed=1)
@@ -54,12 +53,12 @@ class TestCachedSweep:
             seed=1,
             scenario_kwargs={"reference_n": 80},
         )
-        assert cache_size() == 2
+        assert len(cache._CACHE) == 2
 
     def test_clear(self):
         cached_sweep("BASELINE", TINY, config=FAST, seed=1)
         clear_cache()
-        assert cache_size() == 0
+        assert len(cache._CACHE) == 0
 
 
 class TestCanonicalKey:

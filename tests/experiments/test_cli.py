@@ -734,6 +734,74 @@ class TestTopologyImportAndStats:
         assert payloads[0] == payloads[1]
 
 
+class TestOneAsRelationshipReader:
+    """Every verb reads an AS-relationship file one way, gzip'd or not."""
+
+    FIXTURE = Path("tests/topology/data/fixture_serial1.txt")
+
+    def test_plain_and_gzip_snapshot_read_as_one_graph(self):
+        from repro.experiments.commands.topology import load_topology
+
+        plain = load_topology(self.FIXTURE)
+        gz = load_topology(Path(f"{self.FIXTURE}.gz"))
+        assert plain.scenario == gz.scenario == "measured:fixture_serial1"
+        assert list(plain.node_ids) == list(gz.node_ids) == list(range(len(plain)))
+        assert [plain.node(v).node_type for v in plain.node_ids] == [
+            gz.node(v).node_type for v in gz.node_ids
+        ]
+        assert list(plain.edges()) == list(gz.edges())
+        assert [plain.adjacency_order(v) for v in plain.node_ids] == [
+            gz.adjacency_order(v) for v in gz.node_ids
+        ]
+
+    def test_plain_and_gzip_snapshot_simulate_to_the_same_bytes(self, tmp_path, capsys):
+        artifacts = []
+        for name, path in (("plain", self.FIXTURE), ("gz", f"{self.FIXTURE}.gz")):
+            out = tmp_path / f"{name}.json"
+            assert main(
+                ["simulate", str(path), "--origins", "4", "--seed", "1",
+                 "--churn-json", str(out)]
+            ) == 0
+            artifacts.append(out.read_bytes())
+        capsys.readouterr()
+        assert artifacts[0] == artifacts[1]
+
+    BAD_LINES = {
+        "duplicate": ("1|2|-1", "duplicate edge 1|2|-1"),
+        "conflict": ("2|1|-1", "conflicting relationship"),
+        "self-loop": ("3|3|0", "self-loop at AS 3"),
+    }
+
+    VERBS = {
+        "topology-metrics": ["topology", "metrics", "{path}"],
+        "topology-validate": ["topology", "validate", "{path}"],
+        "topology-dot": ["topology", "dot", "{path}", "-o", "{tmp}/t.dot"],
+        "topology-stats": ["topology", "stats", "{path}"],
+        "topology-stats-against": ["topology", "stats", "{good}", "--against", "{path}"],
+        "topology-import": ["topology", "import", "{path}", "-o", "{tmp}/t.json"],
+        "simulate": ["simulate", "{path}", "--origins", "1"],
+        "workload": ["workload", "{path}", "--duration", "10"],
+        "analyze": ["analyze", "churn", "--topology", "{path}", "--duration", "10"],
+    }
+
+    @pytest.mark.parametrize("verb", sorted(VERBS))
+    @pytest.mark.parametrize("kind", sorted(BAD_LINES))
+    def test_bad_line_fails_with_file_and_line_in_every_verb(
+        self, kind, verb, tmp_path, capsys
+    ):
+        line, message = self.BAD_LINES[kind]
+        good = tmp_path / "good.txt"
+        good.write_text("1|2|-1\n2|3|0\n", encoding="utf-8")
+        path = tmp_path / "bad.txt"
+        path.write_text(f"# header\n1|2|-1\n{line}\n2|4|-1\n", encoding="utf-8")
+        argv = [
+            arg.format(path=path, good=good, tmp=tmp_path) for arg in self.VERBS[verb]
+        ]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert f"{path}:3: {message}" in err
+
+
 class TestAnalyzeCommand:
     def test_parser_requires_source(self):
         with pytest.raises(SystemExit):
@@ -781,6 +849,19 @@ class TestAnalyzeCommand:
             ["analyze", "churn", "--series", str(path), "--resamples", "25"]
         ) == 0
         capsys.readouterr()
+
+    def test_topology_workload_with_too_little_churn_exits_2(self, tmp_path, capsys):
+        """The ``--topology`` series gets ext-longmem's bin-count check."""
+        topology = tmp_path / "t.json"
+        assert main(["topology", "generate", "-n", "100", "-o", str(topology)]) == 0
+        capsys.readouterr()
+        assert main(
+            [
+                "analyze", "churn", "--topology", str(topology),
+                "--duration", "2000", "--rate", "0.0002", "--mrai", "5",
+            ]
+        ) == 2
+        assert "too little churn to analyse" in capsys.readouterr().err
 
     def test_degenerate_series_exits_2(self, tmp_path, capsys):
         path = tmp_path / "flat.txt"

@@ -55,4 +55,4 @@ class TestFig12Options:
     def test_wrate_and_no_wrate_sweeps_cached_separately(self):
         fig12.run(TINY, seed=2, config=FAST, include_dense_core=False)
         # BASELINE x {wrate, no-wrate} -> 2 cache entries
-        assert cache.cache_size() == 2
+        assert len(cache._CACHE) == 2

@@ -19,11 +19,10 @@ class TestRecording:
         counter.record(1, 2, is_withdrawal=True)
         counter.record(1, 3, is_withdrawal=False)
         assert counter.total == 3
-        assert counter.updates_at(1) == 3
-        assert counter.updates_at(9) == 0
         assert counter.received_by_pair == {(1, 2): 2, (1, 3): 1}
         assert counter.announcements[1] == 2
         assert counter.withdrawals[1] == 1
+        assert counter.announcements.get(9, 0) == counter.withdrawals.get(9, 0) == 0
 
     def test_disabled_counter_ignores(self):
         counter = UpdateCounter()
@@ -49,7 +48,7 @@ class TestRecording:
         counter.record(1, 2, is_withdrawal=True)
         counter.reset()
         assert counter.total == 0
-        assert counter.updates_at(1) == 0
+        assert counter.announcements.get(1, 0) == counter.withdrawals.get(1, 0) == 0
         assert counter.active_senders(1) == {}
         assert counter.enabled  # reset keeps the enabled flag
 

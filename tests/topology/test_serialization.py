@@ -1,4 +1,8 @@
-"""Tests for topology serialization (JSON and as-rel formats)."""
+"""Tests for topology serialization (JSON and as-rel formats).
+
+AS-relationship files are written by ``save_as_rel`` and read by the one
+reader of such files, ``repro.measured.load_serial1``.
+"""
 
 import json
 import tracemalloc
@@ -6,6 +10,7 @@ import tracemalloc
 import pytest
 
 from repro.errors import SerializationError
+from repro.measured import load_serial1
 from repro.topology import serialization
 from repro.topology.evolve import evolve_topology
 from repro.topology.generator import generate_topology
@@ -14,7 +19,6 @@ from repro.topology.params import baseline_params
 from repro.topology.scenarios import scenario_names, scenario_params
 from repro.topology.serialization import (
     from_json_dict,
-    load_as_rel,
     load_json,
     save_as_rel,
     save_json,
@@ -110,7 +114,7 @@ class TestStreamedJsonWriter:
     def test_as_rel_loaded_graph(self, tmp_path):
         source = tmp_path / "source.as-rel"
         save_as_rel(generate_topology(baseline_params(400), seed=5), source)
-        graph = load_as_rel(source)
+        graph, _ = load_serial1(source)
         assert _saved(graph, tmp_path) == _reference_bytes(graph)
 
     def test_empty_graph(self, tmp_path):
@@ -174,20 +178,40 @@ class TestRoundTripProperties:
     @given(seed=st.integers(min_value=0, max_value=2**16))
     @settings(max_examples=10, deadline=None)
     def test_as_rel_round_trip_preserves_relationships(self, seed, tmp_path_factory):
+        """A generated graph reads back with its ids and links, and every
+        node gets the type its links show (no providers -> T, customers
+        -> M, peering stub -> CP, otherwise C): an M node without
+        customers or a CP node without peers cannot be told from the
+        format, while every T and C node keeps its type."""
         graph = generate_topology(baseline_params(100), seed=seed)
         path = tmp_path_factory.mktemp("asrel") / "graph.as-rel"
         save_as_rel(graph, path)
-        loaded = load_as_rel(path)
-        assert loaded.edge_count() == graph.edge_count()
+        loaded, report = load_serial1(path)
+        assert report.as_numbers == tuple(graph.node_ids)
+        assert list(loaded.node_ids) == list(graph.node_ids)
+        assert list(loaded.edges()) == list(graph.edges())
         for u, v, rel in graph.edges():
             assert loaded.relationship(u, v) is rel
+        for node in graph.nodes():
+            node_id = node.node_id
+            if not graph.providers_of(node_id):
+                shown = NodeType.T
+            elif graph.customers_of(node_id):
+                shown = NodeType.M
+            elif graph.peers_of(node_id):
+                shown = NodeType.CP
+            else:
+                shown = NodeType.C
+            assert loaded.node(node_id).node_type is shown
+            if node.node_type in (NodeType.T, NodeType.C):
+                assert shown is node.node_type
 
 
 class TestAsRel:
     def test_round_trip_structure(self, diamond, tmp_path):
         path = tmp_path / "topo.as-rel"
         save_as_rel(diamond, path)
-        loaded = load_as_rel(path)
+        loaded, _ = load_serial1(path)
         assert len(loaded) == len(diamond)
         assert loaded.edge_count() == diamond.edge_count()
         # relationships survive even though node types are inferred
@@ -197,7 +221,7 @@ class TestAsRel:
     def test_type_inference(self, diamond, tmp_path):
         path = tmp_path / "topo.as-rel"
         save_as_rel(diamond, path)
-        loaded = load_as_rel(path)
+        loaded, _ = load_serial1(path)
         assert loaded.node(0).node_type is NodeType.T
         assert loaded.node(2).node_type is NodeType.M
         assert loaded.node(4).node_type is NodeType.C
@@ -205,28 +229,31 @@ class TestAsRel:
     def test_comments_and_blank_lines_skipped(self, tmp_path):
         path = tmp_path / "mini.as-rel"
         path.write_text("# header\n\n1|2|-1\n2|3|0\n", encoding="utf-8")
-        loaded = load_as_rel(path)
+        loaded, report = load_serial1(path)
         assert len(loaded) == 3
-        assert loaded.relationship(2, 1) is Relationship.PROVIDER
+        # ASes 1, 2, 3 are numbered densely: 0, 1, 2.
+        assert report.as_numbers == (1, 2, 3)
+        assert loaded.relationship(1, 0) is Relationship.PROVIDER
+        assert loaded.relationship(1, 2) is Relationship.PEER
 
     def test_malformed_line(self, tmp_path):
         path = tmp_path / "bad.as-rel"
         path.write_text("1|2\n", encoding="utf-8")
         with pytest.raises(SerializationError, match="expected"):
-            load_as_rel(path)
+            load_serial1(path)
 
     def test_non_integer_field(self, tmp_path):
         path = tmp_path / "bad.as-rel"
         path.write_text("a|2|-1\n", encoding="utf-8")
         with pytest.raises(SerializationError, match="non-integer"):
-            load_as_rel(path)
+            load_serial1(path)
 
     def test_unknown_relationship_code(self, tmp_path):
         path = tmp_path / "bad.as-rel"
         path.write_text("1|2|7\n", encoding="utf-8")
         with pytest.raises(SerializationError, match="unknown relationship"):
-            load_as_rel(path)
+            load_serial1(path)
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(SerializationError):
-            load_as_rel(tmp_path / "nope.as-rel")
+            load_serial1(tmp_path / "nope.as-rel")

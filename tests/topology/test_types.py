@@ -14,10 +14,8 @@ from repro.topology.types import (
 
 class TestNodeType:
     def test_transit_types(self):
-        assert NodeType.T.is_transit
-        assert NodeType.M.is_transit
-        assert not NodeType.CP.is_transit
-        assert not NodeType.C.is_transit
+        # Every type that is not a stub sells transit: T and M.
+        assert {t for t in NodeType if not t.is_stub} == {NodeType.T, NodeType.M}
 
     def test_stub_types(self):
         assert NodeType.CP.is_stub
