@@ -11,16 +11,17 @@
 # count both workers (jobs=2).
 #
 # A fourth leg kills a pool worker mid-unit: Fig. 7 on --jobs 2 with
-# --checkpoint-dir, where REPRO_FAULT_INJECT ends the worker running
-# Baseline n=400 batch 0 right after its event-2 checkpoint.  The unit
+# --checkpoint-dir, run through tests/fault_launcher.py, which ends the
+# worker running Baseline n=400 batch 0 right after its event-2
+# checkpoint.  The unit
 # must be re-run from that checkpoint (resumed, never discarded), leave
 # the checkpoint directory empty, and write the serial run's artifacts.
 # The broken pool also loses the unit on the other worker, which resumes
 # too when it had already checkpointed: the resume count is 1 or 2.
 #
 # A fifth leg kills a whole serial campaign: fig07 + fig10 with
-# --checkpoint-dir, ended one event into fig10's NO-PEERING n=200 unit
-# (fig07 is complete and flushed by then).  Rerunning the same command
+# --checkpoint-dir, ended by the same launcher one event into fig10's
+# NO-PEERING n=200 unit (fig07 is complete and flushed by then).  Rerunning the same command
 # must restore fig07 from the campaign state, resume the unit from its
 # checkpoint, leave the checkpoint directory empty, and write an
 # uninterrupted run's artifacts.
@@ -61,8 +62,8 @@ echo "OK: pool and distributed campaign.json and campaign.md are byte-identical 
 echo "== kill and resume: fig07 serial, then --jobs 2 --checkpoint-dir with a worker killed =="
 python -m repro.experiments.cli campaign --scale "$SCALE" --experiment fig07 \
     -o "$WORK/fig07-serial"
-REPRO_FAULT_INJECT="BASELINE:400:0:2:$WORK/fault-marker" \
-    python -m repro.experiments.cli campaign --scale "$SCALE" --experiment fig07 \
+python -m tests.fault_launcher "BASELINE:400:0:2:$WORK/fault-marker" exit \
+    campaign --scale "$SCALE" --experiment fig07 \
     --jobs 2 --checkpoint-dir "$WORK/checkpoints" -o "$WORK/fig07-resumed" \
     2> "$WORK/fig07-resumed.err"
 cat "$WORK/fig07-resumed.err" >&2
@@ -87,16 +88,16 @@ echo "OK: the killed unit resumed from its checkpoint, artifacts byte-identical 
 echo "== kill and resume a campaign: fig07 + fig10 serial, killed in fig10, rerun as is =="
 python -m repro.experiments.cli campaign --scale "$SCALE" --experiment fig07 \
     --experiment fig10 -o "$WORK/campaign-reference"
-CAMPAIGN=(python -m repro.experiments.cli campaign --scale "$SCALE" --experiment fig07
+CAMPAIGN=(campaign --scale "$SCALE" --experiment fig07
           --experiment fig10 --checkpoint-dir "$WORK/campaign-checkpoints"
           -o "$WORK/campaign-resumed")
-if REPRO_FAULT_INJECT="NO-PEERING:200:0:1:$WORK/campaign-fault-marker" \
+if python -m tests.fault_launcher "NO-PEERING:200:0:1:$WORK/campaign-fault-marker" exit \
         "${CAMPAIGN[@]}" > "$WORK/campaign-killed.out" 2>&1; then
     echo "FAIL: the campaign survived its fault"
     exit 1
 fi
 test -e "$WORK/campaign-fault-marker" || { echo "FAIL: the fault never fired"; exit 1; }
-"${CAMPAIGN[@]}" 2> "$WORK/campaign-resumed.err"
+python -m repro.experiments.cli "${CAMPAIGN[@]}" 2> "$WORK/campaign-resumed.err"
 cat "$WORK/campaign-resumed.err" >&2
 grep -qxF "resuming: 1 completed experiment(s) restored (fig07)" \
     "$WORK/campaign-resumed.err" || { echo "FAIL: fig07 was not restored"; exit 1; }

@@ -6,9 +6,9 @@
 # resulting topology JSON), simulates both copies (diffing the churn
 # JSON: every verb reads an AS-relationship file through the one
 # reader, compressed or not), checks the fidelity report is byte-stable
-# across runs, then runs the ext-longmem campaign twice on the measured
-# fixture topology (separate cache dirs, so the second run really
-# recomputes) and diffs campaign.json byte-for-byte.  Any seeding,
+# across runs, then runs the long-memory analysis of a Poisson workload
+# on the measured fixture topology twice (`analyze churn --topology`)
+# and diffs the two JSON reports byte-for-byte.  Any seeding,
 # pivot-sampling, bootstrap or serialization nondeterminism shows up as
 # a diff here.
 set -euo pipefail
@@ -47,17 +47,16 @@ python -m repro.experiments.cli topology stats "$WORK/generated.json" \
 diff "$WORK/fidelity-a.json" "$WORK/fidelity-b.json"
 echo "identical"
 
-echo "== ext-longmem campaign on the measured fixture (run 1) =="
-export REPRO_LONGMEM_TOPOLOGY="$FIXTURE"
-python -m repro.experiments.cli campaign --scale smoke --experiment ext-longmem \
-    --seed 1 -o "$WORK/run1" --cache-dir "$WORK/cache1"
+echo "== long-memory analysis on the measured fixture (run 1) =="
+python -m repro.experiments.cli analyze churn --topology "$FIXTURE" \
+    --seed 1 --json "$WORK/longmem1.json"
 
-echo "== ext-longmem campaign on the measured fixture (run 2) =="
-python -m repro.experiments.cli campaign --scale smoke --experiment ext-longmem \
-    --seed 1 -o "$WORK/run2" --cache-dir "$WORK/cache2"
+echo "== long-memory analysis on the measured fixture (run 2) =="
+python -m repro.experiments.cli analyze churn --topology "$FIXTURE" \
+    --seed 1 --json "$WORK/longmem2.json"
 
-echo "== diff: campaign.json run 1 vs run 2 =="
-diff "$WORK/run1/campaign.json" "$WORK/run2/campaign.json"
+echo "== diff: report run 1 vs run 2 =="
+diff "$WORK/longmem1.json" "$WORK/longmem2.json"
 echo "identical"
 
 echo "PASS: measured import and long-memory analysis are byte-deterministic"

@@ -43,22 +43,14 @@ from repro.checkpoint.format import (
     write_checkpoint,
 )
 from repro.checkpoint.network import restore_network, snapshot_network
-from repro.core.cevent import (
-    BatchCursor,
-    CEventBatchResult,
-    pick_origins,
-    run_c_event_batch,
-)
+from repro.core.cevent import BatchCursor, CEventBatchResult, run_c_event_batch
 from repro.core.factors import FactorAccumulator, RawFactorSums
-from repro.core.sweep import SweepUnit, maybe_inject_fault, split_origins
+from repro.core.sweep import SweepUnit, unit_inputs
 from repro.errors import CheckpointError, SimulationError
 from repro.files import sha256
 from repro.obs.telemetry import current_telemetry
 from repro.prefix.prefix import prefix_from_json, prefix_to_json
 from repro.sim.network import SimNetwork
-from repro.sim.rng import origin_batch_seed, sweep_point_seeds
-from repro.topology.generator import generate_topology
-from repro.topology.scenarios import scenario_params
 from repro.topology.types import RELATIONSHIP_ORDER, NodeType
 
 #: The relationship classes in factor-sum column order.
@@ -406,23 +398,25 @@ def _cursor_from_payload(
 
 
 def load_unit_cursor(
-    path: Union[str, Path], unit: SweepUnit, graph, origins
+    path: Union[str, Path], unit: SweepUnit, graph, origins, seed: int
 ) -> BatchCursor:
     """Rebuild a batch cursor from a unit checkpoint file.
+
+    ``graph``, ``origins`` and ``seed`` are the unit's inputs (see
+    :func:`~repro.core.sweep.unit_inputs`).
 
     Raises :class:`~repro.errors.CheckpointError` if the file is corrupt,
     malformed, was written by another code version, or belongs to a
     different unit.
     """
     document = read_checkpoint(path, expected_kind=KIND_SWEEP_UNIT)
-    _topo_seed, sim_seed = sweep_point_seeds(unit.seed, unit.n)
     return _cursor_from_payload(
         document.payload,
         key=unit_checkpoint_key(unit),
         graph=graph,
         origins=origins,
         config=unit.config,
-        seed=origin_batch_seed(sim_seed, unit.batch_index, unit.num_batches),
+        seed=seed,
     )
 
 
@@ -445,19 +439,14 @@ def execute_sweep_unit_checkpointed(
     :func:`~repro.core.sweep.execute_sweep_unit` for the same unit,
     whether or not the execution was interrupted and resumed.
     """
-    params = scenario_params(unit.scenario, unit.n, **dict(unit.scenario_kwargs))
-    topo_seed, sim_seed = sweep_point_seeds(unit.seed, unit.n)
-    graph = generate_topology(params, seed=topo_seed)
-    origin_list = pick_origins(graph, unit.num_origins, sim_seed)
-    batch = split_origins(origin_list, unit.num_batches)[unit.batch_index]
-
+    graph, batch, seed = unit_inputs(unit)
     obs = current_telemetry()
     key = unit_checkpoint_key(unit)
     path = unit_checkpoint_path(checkpoint_dir, unit)
     cursor: Optional[BatchCursor] = None
     if path.exists():
         try:
-            cursor = load_unit_cursor(path, unit, graph, batch)
+            cursor = load_unit_cursor(path, unit, graph, batch, seed)
             obs.inc("checkpoint.resumes")
         except CheckpointError as exc:
             # Unusable checkpoint: recompute from scratch, but say so.
@@ -468,8 +457,6 @@ def execute_sweep_unit_checkpointed(
                 f"recomputing the unit from scratch: {exc}",
                 file=sys.stderr,
             )
-
-    maybe_inject_fault(unit, cursor.next_index if cursor is not None else 0)
 
     def after_event(live: BatchCursor) -> None:
         if live.next_index < len(batch):
@@ -482,13 +469,12 @@ def execute_sweep_unit_checkpointed(
             if obs.enabled:
                 obs.inc("checkpoint.writes")
                 obs.inc("checkpoint.bytes", path.stat().st_size)
-        maybe_inject_fault(unit, live.next_index)
 
     result = run_c_event_batch(
         graph,
         unit.config,
         origins=batch,
-        seed=origin_batch_seed(sim_seed, unit.batch_index, unit.num_batches),
+        seed=seed,
         cursor=cursor,
         after_event=after_event,
     )

@@ -43,6 +43,7 @@ from repro.obs.telemetry import Telemetry, current_telemetry, telemetry_session
 from repro.prefix.prefix import clear_prefix_intern_cache
 from repro.sim.rng import origin_batch_seed, sweep_point_seeds
 from repro.topology.generator import generate_topology
+from repro.topology.graph import ASGraph
 from repro.topology.scenarios import scenario_params
 from repro.topology.types import NodeType, Relationship
 
@@ -55,14 +56,6 @@ if TYPE_CHECKING:
 
 #: Default size grid: same spirit as the paper's 1000..10000 at laptop scale.
 DEFAULT_SIZES = (400, 800, 1200, 1600, 2000)
-
-#: Env var for the crash-injection test hook (see :func:`maybe_inject_fault`).
-FAULT_INJECT_ENV = "REPRO_FAULT_INJECT"
-
-#: Companion env var selecting the injected fault's behaviour:
-#: ``exit`` (default — die hard) or ``sleep:<seconds>`` (hang, for
-#: timeout tests).  Both fire exactly once, disarmed by the marker file.
-FAULT_MODE_ENV = "REPRO_FAULT_MODE"
 
 #: Signature of a progress callback: (scenario, n, stats).
 ProgressFn = Callable[[str, int, CEventStats], None]
@@ -170,63 +163,22 @@ def split_origins(origins: Sequence[int], num_batches: int) -> List[List[int]]:
     return batches
 
 
-def _fault_mode() -> tuple:
-    """Parse ``REPRO_FAULT_MODE``: ("exit",) or ("sleep", seconds)."""
-    mode = os.environ.get(FAULT_MODE_ENV, "exit")
-    if mode == "exit":
-        return ("exit",)
-    if mode.startswith("sleep:"):
-        try:
-            seconds = float(mode.split(":", 1)[1])
-        except ValueError as exc:
-            raise ExperimentError(
-                f"malformed {FAULT_MODE_ENV} value {mode!r} "
-                "(want 'exit' or 'sleep:<seconds>')"
-            ) from exc
-        return ("sleep", seconds)
-    raise ExperimentError(
-        f"malformed {FAULT_MODE_ENV} value {mode!r} "
-        "(want 'exit' or 'sleep:<seconds>')"
-    )
+def unit_inputs(unit: SweepUnit) -> Tuple[ASGraph, List[int], int]:
+    """What one sweep unit simulates: its topology, origins and seed.
 
-
-def maybe_inject_fault(unit: SweepUnit, events_done: int) -> None:
-    """Fault-injection hook for fault-tolerance and timeout tests.
-
-    When ``REPRO_FAULT_INJECT`` is set to
-    ``"scenario:n:batch_index:event_index:marker_path"``, the process
-    executing the matching unit misbehaves once it reaches the given
-    measured-event count: it dies hard (``os._exit``) by default, or
-    hangs for ``REPRO_FAULT_MODE=sleep:<seconds>`` — exactly once either
-    way: the marker file is created before the fault fires, and a set
-    marker disarms the hook, so the retried unit survives.  Inherited by
-    pool workers through the environment under both fork and spawn start
-    methods.
-
-    A no-op unless the env var is set; production runs never pay for it.
+    The topology is regenerated from the unit's seeds inside the
+    ``topology-gen`` phase; the origins are the unit's batch of the
+    point's origin list.  Returns ``(graph, batch, batch_seed)``, the
+    inputs both the plain and the checkpointed runner pass to
+    :func:`~repro.core.cevent.run_c_event_batch`.
     """
-    spec = os.environ.get(FAULT_INJECT_ENV)
-    if not spec:
-        return
-    try:
-        scenario, n, batch_index, event_index, marker = spec.split(":", 4)
-        wanted = (scenario.upper(), int(n), int(batch_index), int(event_index))
-    except ValueError as exc:
-        raise ExperimentError(
-            f"malformed {FAULT_INJECT_ENV} spec {spec!r} "
-            "(want scenario:n:batch_index:event_index:marker_path)"
-        ) from exc
-    mode = _fault_mode()  # validate eagerly, even when the unit won't match
-    if (unit.scenario.upper(), unit.n, unit.batch_index, events_done) != wanted:
-        return
-    marker_path = Path(marker)
-    if marker_path.exists():
-        return
-    marker_path.write_text("fault injected\n", encoding="utf-8")
-    if mode[0] == "sleep":
-        time.sleep(mode[1])
-        return
-    os._exit(1)
+    params = scenario_params(unit.scenario, unit.n, **dict(unit.scenario_kwargs))
+    topo_seed, sim_seed = sweep_point_seeds(unit.seed, unit.n)
+    with current_telemetry().phase("topology-gen"):
+        graph = generate_topology(params, seed=topo_seed)
+    origin_list = pick_origins(graph, unit.num_origins, sim_seed)
+    batch = split_origins(origin_list, unit.num_batches)[unit.batch_index]
+    return graph, batch, origin_batch_seed(sim_seed, unit.batch_index, unit.num_batches)
 
 
 def execute_sweep_unit(unit: SweepUnit) -> CEventBatchResult:
@@ -236,24 +188,8 @@ def execute_sweep_unit(unit: SweepUnit) -> CEventBatchResult:
     every transport of :class:`UnitQueue` ends here, so all of them are
     one code path by construction.
     """
-    params = scenario_params(unit.scenario, unit.n, **dict(unit.scenario_kwargs))
-    topo_seed, sim_seed = sweep_point_seeds(unit.seed, unit.n)
-    with current_telemetry().phase("topology-gen"):
-        graph = generate_topology(params, seed=topo_seed)
-    origin_list = pick_origins(graph, unit.num_origins, sim_seed)
-    batch = split_origins(origin_list, unit.num_batches)[unit.batch_index]
-    maybe_inject_fault(unit, 0)
-    return run_c_event_batch(
-        graph,
-        unit.config,
-        origins=batch,
-        seed=origin_batch_seed(sim_seed, unit.batch_index, unit.num_batches),
-        after_event=(
-            (lambda cursor: maybe_inject_fault(unit, cursor.next_index))
-            if os.environ.get(FAULT_INJECT_ENV)
-            else None
-        ),
-    )
+    graph, batch, seed = unit_inputs(unit)
+    return run_c_event_batch(graph, unit.config, origins=batch, seed=seed)
 
 
 #: Whether a unit already ran in this process (see :func:`_execute`).

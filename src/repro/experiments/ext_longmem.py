@@ -22,16 +22,15 @@ Three series are analysed side by side:
    H sits inside the measured band — this is what real churn looks like
    to the estimators.
 
-Set the ``REPRO_LONGMEM_TOPOLOGY`` environment variable to a serial-1
-snapshot path to run the simulated workloads on a *measured* topology
-instead of the generative model (the measured-smoke CI gate does this
-with the test fixture).
+The experiment always runs on the generative model.  The same Poisson
+workload and bin-width rule on a *measured* topology is
+``repro-bgp analyze churn --topology FILE``, whose inputs are all on its
+command line (the measured-smoke CI gate runs it on the test fixture).
 """
 
 from __future__ import annotations
 
 import math
-import os
 from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
 from repro.bgp.config import BGPConfig
@@ -42,7 +41,6 @@ from repro.obs.telemetry import current_telemetry
 from repro.sim.rng import derive_seed
 from repro.stats.timeseries import ChurnSeriesSpec, synthesize_churn_series
 from repro.topology.generator import generate_topology
-from repro.topology.graph import ASGraph
 from repro.topology.params import baseline_params
 
 if TYPE_CHECKING:
@@ -50,9 +48,6 @@ if TYPE_CHECKING:
 
 EXPERIMENT_ID = "ext-longmem"
 TITLE = "Long-memory structure of simulated churn (DFA/Hurst validation)"
-
-#: environment seam: path to a serial-1 snapshot to use as the topology
-TOPOLOGY_ENV = "REPRO_LONGMEM_TOPOLOGY"
 
 #: scale preset → (topology size, injection window (s), target rate bins)
 #: Durations are sized so that even with the paper's default MRAI (30 s)
@@ -89,18 +84,6 @@ def _grid(scale: Scale) -> Tuple[int, float, int]:
         return grid
     # Custom scales (the test suite's tiny presets): stay tiny.
     return (scale.sizes[0], 2048.0, 128)
-
-
-def _topology(n: int, seed: int) -> Tuple[ASGraph, str]:
-    """The topology under test: generated, or measured via the env seam."""
-    path = os.environ.get(TOPOLOGY_ENV)
-    if path:
-        from repro.measured import load_serial1
-
-        graph, report = load_serial1(path)
-        return graph, f"measured topology {path} (n={report.num_nodes})"
-    graph = generate_topology(baseline_params(n), seed=derive_seed(seed, n, 1))
-    return graph, f"generated topology n={n}"
 
 
 def _reference_series(seed: int) -> List[float]:
@@ -141,7 +124,7 @@ def run(
     n, duration, bins = _grid(scale)
     bin_width = rate_bin_width(duration, bins, config)
     telemetry = current_telemetry()
-    graph, topology_note = _topology(n, seed)
+    graph = generate_topology(baseline_params(n), seed=derive_seed(seed, n, 1))
 
     workloads: Dict[str, WorkloadSpec] = {
         "poisson": WorkloadSpec(
@@ -184,7 +167,7 @@ def run(
             "ci high": [reports[k].dfa1_interval.high for k in names],
         },
     )
-    result.notes.append(topology_note)
+    result.notes.append(f"generated topology n={n}")
     result.notes.append(
         f"duration={duration:.0f}s, bin width {bin_width:.0f}s, "
         f"event_rate={EVENT_RATE}/s"

@@ -36,9 +36,11 @@ requires, deterministically: dense id order is ascending original ASN,
 and the full mapping is kept in the report (``as_numbers[i]`` is the
 original ASN of dense node ``i``).  A file that
 :func:`repro.topology.serialization.save_as_rel` wrote from a generated
-graph (ids ``0..n-1``) therefore reads back with the same ids.  Node
-types are inferred structurally from the *kept* edge set (no providers
-→ T, customers → M, peering stub → CP, otherwise C), and the graph is
+graph (ids ``0..n-1``) therefore reads back with the same ids.  The
+file keeps no node types: they are inferred structurally from the
+*kept* edge set (no providers → T, customers → M, peering stub → CP,
+otherwise C), so a generated graph's types need not survive a round
+trip through as-rel text (JSON keeps them), and the graph is
 named after the file's :func:`snapshot_label`, which drops the
 compression suffix.
 """
@@ -48,7 +50,7 @@ from __future__ import annotations
 import dataclasses
 import gzip
 from pathlib import Path
-from typing import Dict, List, Set, Tuple, Union
+from typing import Dict, List, Tuple, Union
 
 from repro.errors import MeasuredImportError, TopologyError
 from repro.obs.telemetry import current_telemetry
@@ -264,22 +266,25 @@ def _parse(
     as_numbers = tuple(sorted({asn for _, a, b, _ in kept for asn in (a, b)}))
     dense = {asn: index for index, asn in enumerate(as_numbers)}
 
-    # First pass: apply the graph's own invariant checks (provider loops,
-    # peering into one's own customer tree) with placeholder node types,
-    # recording which edges survive.  Types depend on the *kept* edge
-    # set, so they can only be inferred after this pass.
-    trial = ASGraph(scenario="measured-import-trial")
-    for asn in as_numbers:
-        trial.add_node(dense[asn], NodeType.C, [0])
-    survivors: List[Tuple[int, int, int]] = []
+    # Each node is added once; the graph's own invariant checks (provider
+    # loops, peering into one's own customer tree) then decide which
+    # edges survive.  Links read no node type, so the types are inferred
+    # afterwards from the surviving links of this same graph.
+    graph = ASGraph(scenario=f"measured:{snapshot_label(Path(source))}")
+    for node_id in range(len(as_numbers)):
+        graph.add_node(node_id, NodeType.C, [0])
+    transit_edges = 0
+    peer_edges = 0
     invariant_drops: List[str] = []
     for line_number, a, b, code in kept:
         u, v = dense[a], dense[b]
         try:
             if code == _TRANSIT_CODE:
-                trial.add_transit_link(customer=v, provider=u)
+                graph.add_transit_link(customer=v, provider=u)
+                transit_edges += 1
             else:
-                trial.add_peering_link(u, v)
+                graph.add_peering_link(u, v)
+                peer_edges += 1
         except TopologyError as exc:
             reason = (
                 f"{source}:{line_number}: edge {a}|{b}|{code} rejected: {exc}"
@@ -287,43 +292,16 @@ def _parse(
             if strict:
                 raise MeasuredImportError(reason) from exc
             invariant_drops.append(reason)
-            continue
-        survivors.append((a, b, code))
 
     # Structural type inference over the kept edges: no providers -> T,
     # customers -> M, peering stub -> CP, otherwise C.
-    has_provider: Set[int] = set()
-    has_customer: Set[int] = set()
-    has_peer: Set[int] = set()
-    for a, b, code in survivors:
-        if code == _TRANSIT_CODE:
-            has_customer.add(a)
-            has_provider.add(b)
-        else:
-            has_peer.add(a)
-            has_peer.add(b)
-
-    def node_type(asn: int) -> NodeType:
-        if asn not in has_provider:
-            return NodeType.T
-        if asn in has_customer:
-            return NodeType.M
-        if asn in has_peer:
-            return NodeType.CP
-        return NodeType.C
-
-    graph = ASGraph(scenario=f"measured:{snapshot_label(Path(source))}")
-    for asn in as_numbers:
-        graph.add_node(dense[asn], node_type(asn), [0])
-    transit_edges = 0
-    peer_edges = 0
-    for a, b, code in survivors:
-        if code == _TRANSIT_CODE:
-            graph.add_transit_link(customer=dense[b], provider=dense[a])
-            transit_edges += 1
-        else:
-            graph.add_peering_link(dense[a], dense[b])
-            peer_edges += 1
+    for node_id in range(len(as_numbers)):
+        if not graph.multihoming_degree(node_id):
+            graph.set_node_type(node_id, NodeType.T)
+        elif graph.customers_of(node_id):
+            graph.set_node_type(node_id, NodeType.M)
+        elif graph.peering_degree(node_id):
+            graph.set_node_type(node_id, NodeType.CP)
 
     report = ImportReport(
         source=source,

@@ -84,6 +84,11 @@ class ASGraph:
         self._customers[node_id] = []
         return node
 
+    def set_node_type(self, node_id: int, node_type: NodeType) -> None:
+        """Retype an existing AS; no link depends on a node's type."""
+        node = self.node(node_id)
+        self._nodes[node_id] = dataclasses.replace(node, node_type=node_type)
+
     def add_transit_link(self, customer: int, provider: int) -> None:
         """Add a customer→provider transit link.
 

@@ -20,7 +20,6 @@ customer links.
 from __future__ import annotations
 
 import collections
-import math
 import random
 from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
@@ -64,14 +63,15 @@ def power_law_alpha(graph: ASGraph, *, d_min: int = 2) -> float:
     Uses the discrete Clauset–Shalizi–Newman approximation
     ``alpha = 1 + n / sum(ln(d / (d_min - 0.5)))`` over degrees >= d_min.
     """
+    from repro.stats.powerlaw import _mle_alpha
+
     if d_min < 1:
         raise ParameterError(f"d_min must be >= 1, got {d_min}")
-    degrees = [graph.degree(node_id) for node_id in graph.node_ids]
-    tail = [d for d in degrees if d >= d_min]
+    # The tail in node order, not sorted: the sum's rounding stays fixed.
+    tail = [d for d in map(graph.degree, graph.node_ids) if d >= d_min]
     if len(tail) < 2:
         raise ParameterError("not enough tail degrees to fit a power law")
-    log_sum = sum(math.log(d / (d_min - 0.5)) for d in tail)
-    return 1.0 + len(tail) / log_sum
+    return _mle_alpha(tail, d_min)
 
 
 def to_networkx(graph: ASGraph) -> nx.Graph:

@@ -13,7 +13,10 @@ Two formats are supported:
   inferred topologies into the simulator.  :func:`save_as_rel` writes
   it; every AS-relationship file, plain or gzip'd, is read by the one
   validating reader, :func:`repro.measured.serial1.load_serial1`, which
-  infers node types structurally and numbers nodes densely.
+  infers node types structurally and numbers nodes densely.  The file
+  keeps no node types or regions, and the inferred types can differ
+  from a generated graph's own, so JSON is the format that loses
+  nothing.
 
 :data:`SUFFIX_FORMATS` maps a file's suffix to its format, for writers
 and readers alike.

@@ -184,6 +184,15 @@ class TestResumeRobustness:
         assert second.counters["checkpoint.writes"] == 1  # event 3 of 4 only
         assert "checkpoint.discarded" not in second.counters
 
+    def test_topology_generation_is_a_phase_as_in_the_plain_runner(self, tmp_path):
+        unit = _unit("baseline", 60, FAST)
+        with telemetry_session() as plain:
+            execute_sweep_unit(unit)
+        with telemetry_session() as checkpointed:
+            execute_sweep_unit_checkpointed(unit, tmp_path)
+        assert plain.phase_seconds["topology-gen"] > 0.0
+        assert checkpointed.phase_seconds["topology-gen"] > 0.0
+
 
 class TestUnitKeys:
     def test_key_distinguishes_units(self):

@@ -1,4 +1,8 @@
-"""Fault-tolerant parallel sweeps: worker death must not lose the sweep."""
+"""Fault-tolerant parallel sweeps: worker death must not lose the sweep.
+
+Workers are killed or hung by :mod:`tests.fault_launcher`, whose tests
+live here too.
+"""
 
 import os
 import threading
@@ -8,19 +12,18 @@ from pathlib import Path
 import pytest
 
 from repro.bgp.config import BGPConfig
+import repro.core.sweep as sweep_module
 from repro.core.sweep import (
-    FAULT_INJECT_ENV,
-    FAULT_MODE_ENV,
     SweepUnit,
     UnitQueue,
     _run_unit,
     execute_sweep_unit,
-    maybe_inject_fault,
     merge_sweep,
     run_growth_sweep,
     sweep_units,
 )
 from repro.errors import ExperimentError
+from tests.fault_launcher import Fault, install
 
 FAST = BGPConfig(mrai=2.0, link_delay=0.001, processing_time_max=0.01)
 SWEEP_KW = dict(sizes=[60, 80], config=FAST, num_origins=4, seed=9)
@@ -97,7 +100,7 @@ class TestWorkerDeathRecovery:
     ):
         marker = tmp_path / "died.marker"
         # Kill the process running the n=80 unit after its first event.
-        monkeypatch.setenv(FAULT_INJECT_ENV, f"BASELINE:80:0:1:{marker}")
+        install(f"BASELINE:80:0:1:{marker}", "exit", monkeypatch.setattr)
         result = _pooled_sweep(
             checkpoint_dir=(tmp_path / "ck") if with_checkpoints else None
         )
@@ -113,41 +116,46 @@ class TestWorkerDeathRecovery:
             run_growth_sweep("baseline", sizes=[], config=FAST)
 
 
-class TestFaultInjectionHook:
-    def _unit(self):
-        return SweepUnit(
-            scenario="baseline",
-            n=60,
-            num_origins=2,
-            batch_index=0,
-            num_batches=1,
-            seed=9,
-            config=FAST,
-            scenario_kwargs=(),
-        )
+def _unit():
+    return SweepUnit(
+        scenario="baseline",
+        n=60,
+        num_origins=2,
+        batch_index=0,
+        num_batches=1,
+        seed=9,
+        config=FAST,
+        scenario_kwargs=(),
+    )
 
-    def test_noop_without_env(self, monkeypatch):
-        monkeypatch.delenv(FAULT_INJECT_ENV, raising=False)
-        maybe_inject_fault(self._unit(), 0)  # must not raise or exit
+
+class TestFaultInjectionHook:
+    """The launcher's fault fires in the unit runner, at its unit only."""
+
+    def test_noop_without_env(self, tmp_path, monkeypatch):
+        # Only a unit the runner notes can fault: a direct call of the
+        # plain runner (as benchmarks make) never does.
+        marker = tmp_path / "m"
+        install(f"BASELINE:60:0:0:{marker}", "exit", monkeypatch.setattr)
+        assert execute_sweep_unit(_unit()).raw.events == 2
+        assert not marker.exists()
 
     def test_noop_for_other_unit(self, tmp_path, monkeypatch):
         marker = tmp_path / "m"
-        monkeypatch.setenv(FAULT_INJECT_ENV, f"BASELINE:999:0:0:{marker}")
-        maybe_inject_fault(self._unit(), 0)
+        install(f"BASELINE:999:0:0:{marker}", "exit", monkeypatch.setattr)
+        assert sweep_module._execute(_unit(), None).raw.events == 2
         assert not marker.exists()
 
     def test_disarmed_by_marker(self, tmp_path, monkeypatch):
         marker = tmp_path / "m"
         marker.write_text("already died\n", encoding="utf-8")
-        monkeypatch.setenv(FAULT_INJECT_ENV, f"BASELINE:60:0:0:{marker}")
-        maybe_inject_fault(self._unit(), 0)  # survives: die-once semantics
-        result = execute_sweep_unit(self._unit())
-        assert result.raw.events == 2
+        install(f"BASELINE:60:0:0:{marker}", "exit", monkeypatch.setattr)
+        # survives: die-once semantics
+        assert sweep_module._execute(_unit(), None).raw.events == 2
 
-    def test_malformed_spec_rejected(self, monkeypatch):
-        monkeypatch.setenv(FAULT_INJECT_ENV, "nonsense")
-        with pytest.raises(ExperimentError, match="malformed"):
-            maybe_inject_fault(self._unit(), 0)
+    def test_malformed_spec_rejected(self):
+        with pytest.raises(ValueError, match="malformed"):
+            Fault("nonsense")
 
 
 class TestHungWorkerTimeout:
@@ -158,16 +166,14 @@ class TestHungWorkerTimeout:
         # The process running the n=80 unit sleeps far past the timeout
         # after its first event; the collector must give up on it and
         # re-run the unit serially (the marker disarms the fault there).
-        monkeypatch.setenv(FAULT_INJECT_ENV, f"BASELINE:80:0:1:{marker}")
-        monkeypatch.setenv(FAULT_MODE_ENV, "sleep:300")
+        install(f"BASELINE:80:0:1:{marker}", "sleep:300", monkeypatch.setattr)
         result = _pooled_sweep(unit_timeout=5.0, checkpoint_dir=tmp_path / "ck")
         assert marker.exists(), "the hang should actually have fired"
         assert _series(result) == _series(serial_sweep)
         # The serial retry resumed from checkpoint, completed, cleaned up.
         assert list((tmp_path / "ck").glob("unit-*.json")) == []
 
-    def test_generous_timeout_changes_nothing(self, serial_sweep, monkeypatch):
-        monkeypatch.delenv(FAULT_INJECT_ENV, raising=False)
+    def test_generous_timeout_changes_nothing(self, serial_sweep):
         result = _pooled_sweep(unit_timeout=600.0)
         assert _series(result) == _series(serial_sweep)
 
@@ -181,10 +187,8 @@ class TestHungWorkerTimeout:
         # done-callback.  The serial retry then completes the unit a
         # second time.  on_unit_done must still fire exactly once per
         # unit: progress counts and API event streams rely on it.
-        import repro.core.sweep as sweep_mod
-
         monkeypatch.setenv(_SLOW_DIR_ENV, str(tmp_path))
-        monkeypatch.setattr(sweep_mod, "_run_unit", _slow_run_unit)
+        monkeypatch.setattr(sweep_module, "_run_unit", _slow_run_unit)
         seen = []
         lock = threading.Lock()
 
@@ -201,34 +205,22 @@ class TestHungWorkerTimeout:
 
 
 class TestFaultMode:
-    def _unit(self):
-        return SweepUnit(
-            scenario="baseline",
-            n=60,
-            num_origins=2,
-            batch_index=0,
-            num_batches=1,
-            seed=9,
-            config=FAST,
-            scenario_kwargs=(),
-        )
-
     def test_sleep_mode_hangs_then_disarms(self, tmp_path, monkeypatch):
         marker = tmp_path / "m"
-        monkeypatch.setenv(FAULT_INJECT_ENV, f"BASELINE:60:0:0:{marker}")
-        monkeypatch.setenv(FAULT_MODE_ENV, "sleep:0.01")
-        maybe_inject_fault(self._unit(), 0)  # sleeps briefly, returns
+        install(f"BASELINE:60:0:1:{marker}", "sleep:0.01", monkeypatch.setattr)
+        plain = execute_sweep_unit(_unit())
+        hung = sweep_module._execute(_unit(), None)  # sleeps briefly, goes on
         assert marker.exists()
-        maybe_inject_fault(self._unit(), 0)  # marker set: no second fault
+        marker.write_text("", encoding="utf-8")
+        sweep_module._execute(_unit(), None)  # marker set: no second fault
+        assert marker.read_text(encoding="utf-8") == ""
+        assert hung.raw == plain.raw
 
     @pytest.mark.parametrize("bad", ["sleep:", "sleep:abc", "hang", "exit:5"])
-    def test_malformed_mode_rejected(self, bad, tmp_path, monkeypatch):
-        marker = tmp_path / "m"
-        monkeypatch.setenv(FAULT_INJECT_ENV, f"OTHER:999:0:0:{marker}")
-        monkeypatch.setenv(FAULT_MODE_ENV, bad)
-        # Validated eagerly, even though the unit does not match the spec.
-        with pytest.raises(ExperimentError, match="malformed"):
-            maybe_inject_fault(self._unit(), 0)
+    def test_malformed_mode_rejected(self, bad, tmp_path):
+        # Validated when the fault is made, whatever unit it names.
+        with pytest.raises(ValueError, match="malformed"):
+            Fault(f"OTHER:999:0:0:{tmp_path / 'm'}", bad)
 
 
 class TestQueuedSweepsSurviveWorkerDeath:
@@ -241,7 +233,7 @@ class TestQueuedSweepsSurviveWorkerDeath:
         from repro.obs.telemetry import Telemetry, telemetry_session
 
         marker = tmp_path / "died.marker"
-        monkeypatch.setenv(FAULT_INJECT_ENV, f"BASELINE:80:0:1:{marker}")
+        install(f"BASELINE:80:0:1:{marker}", "exit", monkeypatch.setattr)
         kw = dict(
             sizes=SWEEP_KW["sizes"],
             config=FAST,
@@ -270,7 +262,7 @@ class TestQueuedSweepsSurviveWorkerDeath:
 
         assert marker.exists(), "the fault should actually have fired"
         assert _series(result_one) == _series(serial_sweep)
-        monkeypatch.delenv(FAULT_INJECT_ENV)
+        monkeypatch.undo()
         assert _series(result_two) == _series(run_growth_sweep("tree", **SWEEP_KW))
         # Sweep two went to a fresh pool rather than running serially here.
         assert hub.counters["sweep.pools"] == 2

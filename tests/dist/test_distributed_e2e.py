@@ -15,7 +15,6 @@ import pytest
 
 from repro.bgp.config import BGPConfig
 from repro.core.sweep import (
-    FAULT_INJECT_ENV,
     UnitQueue,
     merge_sweep,
     run_growth_sweep,
@@ -28,7 +27,8 @@ from repro.errors import DistributedError
 FAST = BGPConfig(mrai=2.0, link_delay=0.001, processing_time_max=0.01)
 SWEEP_KW = dict(sizes=[60, 80], config=FAST, num_origins=4, seed=9)
 
-_SRC = str(Path(__file__).resolve().parents[2] / "src")
+_ROOT = Path(__file__).resolve().parents[2]
+_SRC = str(_ROOT / "src")
 
 
 def _series(result):
@@ -87,16 +87,21 @@ def _worker_threads(coordinator, count, **kwargs):
     return threads
 
 
-def _spawn_worker_process(coordinator, tmp_path, *, extra_env=None):
+def _spawn_worker_process(coordinator, tmp_path, *, fault=None):
+    """A worker process; ``fault`` is a :mod:`tests.fault_launcher` spec."""
     host, port = coordinator.address
     env = dict(os.environ)
-    env["PYTHONPATH"] = _SRC + os.pathsep + env.get("PYTHONPATH", "")
-    env.update(extra_env or {})
+    env["PYTHONPATH"] = os.pathsep.join([_SRC, str(_ROOT), env.get("PYTHONPATH", "")])
+    install = (
+        f"from tests.fault_launcher import install; install(r'{fault}'); "
+        if fault is not None
+        else ""
+    )
     return subprocess.Popen(
         [
             sys.executable,
             "-c",
-            "import sys; from repro.dist.worker import run_worker; "
+            f"{install}from repro.dist.worker import run_worker; "
             f"run_worker('{host}:{port}', checkpoint_dir=r'{tmp_path}')",
         ],
         env=env,
@@ -182,17 +187,15 @@ class TestWorkerKillRecovery:
         self, serial_sweep, tmp_path, monkeypatch
     ):
         # Two real worker *processes*; whichever leases the n=80 unit
-        # first dies hard (os._exit via the fault hook) after its first
-        # measured event.  The coordinator must detect the loss, re-lease
+        # first dies hard (os._exit, from tests.fault_launcher) after its
+        # first measured event.  The coordinator must detect the loss, re-lease
         # the unit (the marker file disarms the fault for the retry), and
         # finish with numbers bit-identical to serial.
         marker = tmp_path / "died.marker"
-        fault = {FAULT_INJECT_ENV: f"BASELINE:80:0:1:{marker}"}
+        fault = f"BASELINE:80:0:1:{marker}"
         with Coordinator("127.0.0.1", 0, lease_timeout=30.0) as coord:
             workers = [
-                _spawn_worker_process(
-                    coord, tmp_path / "ck", extra_env=fault
-                )
+                _spawn_worker_process(coord, tmp_path / "ck", fault=fault)
                 for _ in range(2)
             ]
             try:

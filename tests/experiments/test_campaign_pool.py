@@ -35,7 +35,8 @@ from repro.obs.telemetry import Telemetry, current_telemetry, telemetry_session
 
 TINY = Scale(name="tiny-pool", sizes=(100, 200), origins=2, metric_sources=10)
 SMOKE = get_scale("smoke")
-SRC = Path(__file__).resolve().parents[2] / "src"
+ROOT = Path(__file__).resolve().parents[2]
+SRC = ROOT / "src"
 
 _real_run_unit = sweep_module._run_unit
 
@@ -262,6 +263,10 @@ import sys
 from repro.experiments.campaign import CampaignSpec, run_campaign
 from repro.experiments.scale import PRESETS, Scale
 
+if len(sys.argv) > 4:
+    from tests.fault_launcher import install
+
+    install(*sys.argv[4:])
 PRESETS["tiny-pool"] = Scale(
     name="tiny-pool", sizes=(100, 200), origins=2, metric_sources=10
 )
@@ -278,7 +283,8 @@ run_campaign(
 class TestKilledPooledCampaign:
     """SIGKILL of a ``--jobs 2`` campaign and its workers, then resume."""
 
-    def _command(self, tmp_path, label):
+    def _command(self, tmp_path, label, *fault):
+        """The driver; ``fault`` is a :mod:`tests.fault_launcher` spec and mode."""
         return [
             sys.executable,
             "-c",
@@ -286,13 +292,11 @@ class TestKilledPooledCampaign:
             str(tmp_path / f"out-{label}"),
             str(tmp_path / f"cache-{label}"),
             str(tmp_path / f"ck-{label}"),
+            *fault,
         ]
 
-    def _env(self, **extra):
-        env = {k: v for k, v in os.environ.items() if not k.startswith("REPRO_FAULT")}
-        env["PYTHONPATH"] = str(SRC)
-        env.update(extra)
-        return env
+    def _env(self):
+        return dict(os.environ, PYTHONPATH=os.pathsep.join([str(SRC), str(ROOT)]))
 
     def test_killed_campaign_resumes_identically(self, tmp_path):
         reference = subprocess.run(
@@ -308,11 +312,10 @@ class TestKilledPooledCampaign:
         # first checkpoint; the whole process group is then SIGKILLed.
         marker = tmp_path / "hung.marker"
         process = subprocess.Popen(
-            self._command(tmp_path, "killed"),
-            env=self._env(
-                REPRO_FAULT_INJECT=f"BASELINE:200:0:1:{marker}",
-                REPRO_FAULT_MODE="sleep:120",
+            self._command(
+                tmp_path, "killed", f"BASELINE:200:0:1:{marker}", "sleep:120"
             ),
+            env=self._env(),
             stdout=subprocess.DEVNULL,
             stderr=subprocess.DEVNULL,
             start_new_session=True,

@@ -214,6 +214,10 @@ from repro.experiments.campaign import CampaignSpec, run_campaign
 from repro.experiments.scale import PRESETS, Scale
 
 campaign_module.experiment_ids = lambda include_extensions=False: ["fig04"]
+if len(sys.argv) > 4:
+    from tests.fault_launcher import install
+
+    install(sys.argv[4])
 PRESETS["tiny-resume"] = Scale(
     name="tiny-resume", sizes=(100, 200), origins=2, metric_sources=10
 )
@@ -231,11 +235,9 @@ class TestKilledProcess:
     """The acceptance scenario: SIGKILL-grade death mid-sweep, then resume."""
 
     def _run(self, tmp_path, label, *, fault=None):
+        root = Path(__file__).resolve().parents[2]
         env = dict(os.environ)
-        env["PYTHONPATH"] = str(Path(__file__).resolve().parents[2] / "src")
-        env.pop("REPRO_FAULT_INJECT", None)
-        if fault is not None:
-            env["REPRO_FAULT_INJECT"] = fault
+        env["PYTHONPATH"] = os.pathsep.join([str(root / "src"), str(root)])
         out = tmp_path / label
         return (
             subprocess.run(
@@ -246,6 +248,7 @@ class TestKilledProcess:
                     str(out),
                     str(tmp_path / f"cache-{label}"),
                     str(tmp_path / f"ck-{label}"),
+                    *([fault] if fault is not None else []),
                 ],
                 env=env,
                 capture_output=True,

@@ -863,6 +863,25 @@ class TestAnalyzeCommand:
         ) == 2
         assert "too little churn to analyse" in capsys.readouterr().err
 
+    def test_measured_topology_report_is_byte_stable(self, tmp_path, capsys):
+        """ext-longmem's Poisson workload on a measured snapshot: the
+        path to a measured topology, every input on the command line."""
+        fixture = Path(__file__).parents[1] / "topology" / "data" / "fixture_serial1.txt"
+        reports = []
+        for run in ("a", "b"):
+            payload = tmp_path / f"{run}.json"
+            assert main(
+                [
+                    "analyze", "churn", "--topology", str(fixture),
+                    "--duration", "1024", "--mrai", "2", "--resamples", "25",
+                    "--seed", "1", "--json", str(payload),
+                ]
+            ) == 0
+            reports.append(payload.read_bytes())
+        assert f"workload on {fixture}" in capsys.readouterr().out
+        assert reports[0] == reports[1]
+        assert json.loads(reports[0])["hurst"] > 0.0
+
     def test_degenerate_series_exits_2(self, tmp_path, capsys):
         path = tmp_path / "flat.txt"
         path.write_text(" ".join(["5.0"] * 256))

@@ -1,19 +1,15 @@
 """Tests for the ext-longmem churn long-memory experiment."""
 
-from pathlib import Path
-
 import pytest
 
 from repro.bgp.config import BGPConfig
 from repro.experiments import cache
-from repro.experiments.ext_longmem import TOPOLOGY_ENV, run as run_longmem
+from repro.experiments.ext_longmem import run as run_longmem
 from repro.experiments.registry import experiment_ids, get_experiment
 from repro.experiments.scale import Scale
 
 TINY = Scale(name="tiny-ext", sizes=(120, 240), origins=3, metric_sources=10)
 FAST = BGPConfig(mrai=2.0, link_delay=0.001, processing_time_max=0.01)
-
-FIXTURE = Path(__file__).parent.parent / "topology" / "data" / "fixture_serial1.txt"
 
 
 @pytest.fixture(autouse=True)
@@ -49,12 +45,3 @@ class TestExtLongmem:
         a = run_longmem(TINY, seed=0, config=FAST)
         b = run_longmem(TINY, seed=0, config=FAST)
         assert a.series == b.series
-
-    def test_measured_topology_seam(self, monkeypatch):
-        monkeypatch.setenv(TOPOLOGY_ENV, str(FIXTURE))
-        result = run_longmem(TINY, seed=0, config=FAST)
-        assert any("measured topology" in note for note in result.notes)
-        # The analysis-chain checks don't depend on the topology source.
-        by_name = {check.name: check for check in result.checks}
-        assert by_name["estimators recover the known reference H"].passed
-        assert by_name["reference series sits in the measured churn band"].passed
