@@ -5,8 +5,8 @@ deterministic event counters and ceilings and merges them into
 ``benchmark_results/BENCH_sim_core.json``, which
 ``scripts/check_perf_budget.py`` compares with the committed
 ``benchmarks/baselines/BENCH_sim_core.json``.  The table also names the
-interpreter build that wrote it.  ``test_oracle_n1000`` times the
-steady-state oracle under pytest-benchmark.
+interpreter build that wrote it.  ``test_oracle_n1000`` runs the
+steady-state oracle at n=1000.
 """
 
 import cProfile
@@ -74,7 +74,7 @@ def _merge_bench_json(results_dir, payload: dict) -> None:
     out.write_text(json.dumps(existing, indent=1) + "\n", encoding="utf-8")
 
 
-def test_sim_core_telemetry(benchmark, results_dir):
+def test_sim_core_telemetry(results_dir):
     """Telemetry cost on the simulation core: disabled vs enabled.
 
     The kernel counts where the work happens whether or not a hub reads
@@ -106,7 +106,7 @@ def test_sim_core_telemetry(benchmark, results_dir):
         enabled_seconds = min(
             enabled_seconds, _best_of(run_enabled, 1, time.process_time)
         )
-    hub = benchmark.pedantic(run_enabled, rounds=1, iterations=1)
+    hub = run_enabled()
 
     snapshot = hub.snapshot()
     overhead_pct = (
@@ -163,8 +163,7 @@ def test_sim_core_budget(results_dir):
     tolerance band.  Regenerate with::
 
         PYTHONPATH=src python -m pytest \
-            benchmarks/bench_perf_components.py::test_sim_core_budget \
-            -q --benchmark-disable
+            benchmarks/bench_perf_components.py::test_sim_core_budget -q
     """
     rounds = 20_000
 
@@ -471,11 +470,11 @@ def test_kernel_hot_path_budget(results_dir):
     )
 
 
-def test_oracle_n1000(benchmark):
+def test_oracle_n1000():
     """Steady-state oracle on a 1000-node topology."""
     graph = generate_topology(baseline_params(1000), seed=4)
     origin = graph.nodes_of_type(NodeType.C)[0]
-    routes = benchmark(lambda: steady_state_routes(graph, origin))
+    routes = steady_state_routes(graph, origin)
     assert len(routes) > 900
 
 

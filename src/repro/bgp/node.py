@@ -788,9 +788,10 @@ class BGPNode:
         busy_time, service_delay, max_queue_length, decisions_run,
         decisions_skipped, arms, interface_gates]`` with the last two in
         neighbour order, ``prefix_gates`` the ``(neighbor, prefix, gate)``
-        per-prefix MRAI gates that outlive a retirement.  None when the
-        node holds anything else, or was restored from a full RNG state
-        (its draw count is unknown): only a full snapshot captures it.
+        per-prefix MRAI gates that outlive a retirement: all a sweep-unit
+        checkpoint keeps of a node.  None when the node holds anything
+        else, or its draw count is unknown (restored from a full RNG
+        state); only a ``network`` snapshot captures such a node.
         """
         if (
             self._in_service is not None

@@ -10,14 +10,14 @@ Checkpoints are written at origin boundaries — after every measured
 C-event but the last, so a crash loses at most one C-event per unit.
 This module alone decides that cadence; no caller sets it.  There the
 event heap is empty and the event's prefix is retired, so no node holds
-a route: the checkpoint is a *boundary record* — the engine clock, one
-row of counters per node (its RNG stream as a draw count plus the value
-drawn last), the channels' timers, and the factor sums as columns — from
-which a fresh network is rebuilt byte-identical to the live one.  A
-network the record cannot express (one that still holds routes, or a
-node restored from a pre-1.6 full RNG state) is written as a full
-:func:`~repro.checkpoint.network.snapshot_network` payload instead, and
-the reader tells the two layouts apart by shape.  Nothing is written
+a route: a unit checkpoint has one layout, the *boundary record* — the
+engine clock, one row of counters per node (its RNG stream as a draw
+count plus the value drawn last), the channels' timers, and the factor
+sums as columns — from which a fresh network is rebuilt byte-identical
+to the live one.  A network the record cannot express at a boundary is
+a kernel fault (:class:`~repro.errors.SimulationError`), and a payload
+without a record (the full-snapshot unit files of earlier builds) is
+discarded and the unit recomputed, never resumed.  Nothing is written
 after the last event: the unit's result is returned (and the file
 removed) on the next line, and a crash in between resumes from the
 previous checkpoint to the same result.
@@ -33,7 +33,7 @@ import json
 import math
 import sys
 from pathlib import Path
-from typing import List, Optional, Union
+from typing import Optional, Union
 
 from repro._version import __version__
 from repro.checkpoint.format import (
@@ -42,7 +42,6 @@ from repro.checkpoint.format import (
     read_checkpoint,
     write_checkpoint,
 )
-from repro.checkpoint.network import restore_network, snapshot_network
 from repro.core.cevent import BatchCursor, CEventBatchResult, run_c_event_batch
 from repro.core.factors import FactorAccumulator, RawFactorSums
 from repro.core.sweep import SweepUnit, unit_inputs
@@ -51,10 +50,7 @@ from repro.files import sha256
 from repro.obs.telemetry import current_telemetry
 from repro.prefix.prefix import prefix_from_json, prefix_to_json
 from repro.sim.network import SimNetwork
-from repro.topology.types import RELATIONSHIP_ORDER, NodeType
-
-#: The relationship classes in factor-sum column order.
-_REL_VALUES = tuple(rel.value for rel in RELATIONSHIP_ORDER)
+from repro.topology.types import NodeType
 
 
 # ----------------------------------------------------------------------
@@ -88,72 +84,6 @@ def unit_checkpoint_path(checkpoint_dir: Union[str, Path], unit: SweepUnit) -> P
 
 
 # ----------------------------------------------------------------------
-# Raw factor sums codec
-# ----------------------------------------------------------------------
-def relationship_rows(node_ids, columns) -> list:
-    """Per-class columns as rows in node order.
-
-    A row is ``[node_id, [[class, count], ...]]`` with the classes in
-    column order (customer, peer, provider): how files and frames store
-    per-node, per-relationship counts.
-    """
-    return [
-        [node_id, [[value, count] for value, count in zip(_REL_VALUES, counts)]]
-        for node_id, *counts in zip(node_ids, *columns)
-    ]
-
-
-def relationship_columns(rows, node_ids) -> List[List[int]]:
-    """Inverse of :func:`relationship_rows`.
-
-    Raises :class:`~repro.errors.CheckpointError` unless the rows list
-    ``node_ids`` in order and each covers the classes in column order.
-    """
-    if [int(node_id) for node_id, _per_rel in rows] != list(node_ids):
-        raise CheckpointError("per-relationship rows do not follow the node order")
-    columns: List[List[int]] = [[] for _ in _REL_VALUES]
-    for _node_id, per_rel in rows:
-        if [rel for rel, _count in per_rel] != list(_REL_VALUES):
-            raise CheckpointError(
-                "per-relationship rows must list customer, peer, provider"
-            )
-        for column, (_rel, count) in zip(columns, per_rel):
-            column.append(int(count))
-    return columns
-
-
-def raw_sums_to_json(raw: RawFactorSums) -> dict:
-    """Serialize :class:`RawFactorSums` as rows in node order.
-
-    The ``raw`` layout of a full-snapshot checkpoint and of a result
-    frame.
-    """
-    return {
-        "events": raw.events,
-        "updates": relationship_rows(raw.node_ids, raw.updates),
-        "active": relationship_rows(raw.node_ids, raw.active),
-        "total_updates": [
-            [node_id, count] for node_id, count in zip(raw.node_ids, raw.total_updates)
-        ],
-    }
-
-
-def raw_sums_from_json(data: dict) -> RawFactorSums:
-    """Inverse of :func:`raw_sums_to_json`."""
-    try:
-        node_ids = [int(node_id) for node_id, _count in data["total_updates"]]
-        return RawFactorSums(
-            events=int(data["events"]),
-            node_ids=tuple(node_ids),
-            updates=relationship_columns(data["updates"], node_ids),
-            active=relationship_columns(data["active"], node_ids),
-            total_updates=[int(count) for _node_id, count in data["total_updates"]],
-        )
-    except (KeyError, TypeError, ValueError) as exc:
-        raise CheckpointError(f"malformed factor sums in checkpoint: {exc}") from exc
-
-
-# ----------------------------------------------------------------------
 # The boundary record
 # ----------------------------------------------------------------------
 def boundary_record(network: SimNetwork) -> Optional[dict]:
@@ -166,8 +96,8 @@ def boundary_record(network: SimNetwork) -> Optional[dict]:
     gates that outlive the retirement.  The update counter is left out:
     the next measured phase starts by clearing it.  None when the network
     holds anything more (a pending event, a route, a monitor trace, a
-    node restored from a full RNG state): only a full snapshot captures
-    that.
+    node restored from a full RNG state): at a sweep unit's C-event
+    boundary that is a kernel fault.
     """
     engine = network.engine
     if engine.pending_events or network.trace is not None:
@@ -309,12 +239,14 @@ def _cursor_payload(unit: SweepUnit, key: str, origins, cursor: BatchCursor) -> 
         "wall_clock_seconds": cursor.elapsed(),
     }
     record = boundary_record(cursor.network)
-    if record is not None:
-        payload["boundary"] = record
-        payload["sums"] = cursor.accumulator.sum_columns()
-    else:
-        payload["raw"] = raw_sums_to_json(cursor.accumulator.raw_sums())
-        payload["network"] = snapshot_network(cursor.network)
+    if record is None:
+        raise SimulationError(
+            f"sweep unit {unit.scenario} n={unit.n} batch {unit.batch_index}/"
+            f"{unit.num_batches}: the network after C-event {cursor.next_index} "
+            "holds more than a boundary record (a route, a pending event or a trace)"
+        )
+    payload["boundary"] = record
+    payload["sums"] = cursor.accumulator.sum_columns()
     return payload
 
 
@@ -325,14 +257,12 @@ def _type_totals(pairs, what: str) -> dict:
     return totals
 
 
-def _checked_sums(raw: RawFactorSums, node_ids, events: int) -> RawFactorSums:
+def _checked_sums(raw: RawFactorSums, events: int) -> RawFactorSums:
     """``raw`` if it is a complete set of non-negative integer sums."""
     if raw.events != events:
         raise CheckpointError(
             f"factor sums cover {raw.events} events, the cursor {events}"
         )
-    if raw.node_ids != tuple(node_ids):
-        raise CheckpointError("factor sums do not cover this topology's nodes")
     for column in raw.updates + raw.active + [raw.total_updates]:
         for count in column:
             _count(count, "factor sum")
@@ -342,13 +272,11 @@ def _checked_sums(raw: RawFactorSums, node_ids, events: int) -> RawFactorSums:
 def _cursor_from_payload(
     payload: dict, *, key: str, graph, origins, config, seed: int
 ) -> BatchCursor:
-    """One reader for both layouts, told apart by shape.
+    """The batch cursor a boundary-record payload holds.
 
-    A payload with ``boundary`` is a record (the network rebuilt from
-    draw counts and last draws, the sums stored as columns); one with
-    ``network`` is a full snapshot: the only layout written before
-    boundary records, and still the one for a network the record cannot
-    express.
+    The network is rebuilt from draw counts and last draws, the sums
+    come from columns.  A payload without ``boundary`` (the full-snapshot
+    layout of earlier builds) is refused like any other unusable file.
     Every field is type- and range-checked: a malformed or inconsistent
     file is a :class:`~repro.errors.CheckpointError`, never a crash or a
     resumed batch with wrong sums.
@@ -373,15 +301,15 @@ def _cursor_from_payload(
         up_convergence = _amount(payload["up_convergence"], "convergence time")
         measured_messages = _count(payload["measured_messages"], "message count")
         wall_clock = _amount(payload["wall_clock_seconds"], "wall clock")
-        node_ids = graph.node_ids
-        if "boundary" in payload:
-            raw = RawFactorSums.from_columns(node_ids, payload["sums"])
-            network = restore_boundary(graph, config, seed, payload["boundary"])
-        else:
-            raw = raw_sums_from_json(payload["raw"])
-            network = restore_network(graph, payload["network"])
+        if "boundary" not in payload:
+            raise CheckpointError(
+                "not a boundary record: a full-snapshot unit file of an "
+                "earlier build is recomputed, never resumed"
+            )
+        raw = RawFactorSums.from_columns(graph.node_ids, payload["sums"])
+        network = restore_boundary(graph, config, seed, payload["boundary"])
         accumulator = FactorAccumulator(graph)
-        accumulator.load_raw_sums(_checked_sums(raw, node_ids, next_index))
+        accumulator.load_raw_sums(_checked_sums(raw, next_index))
     except (KeyError, TypeError, ValueError, SimulationError) as exc:
         raise CheckpointError(f"malformed sweep-unit checkpoint: {exc}") from exc
     return BatchCursor(
@@ -397,29 +325,6 @@ def _cursor_from_payload(
     )
 
 
-def load_unit_cursor(
-    path: Union[str, Path], unit: SweepUnit, graph, origins, seed: int
-) -> BatchCursor:
-    """Rebuild a batch cursor from a unit checkpoint file.
-
-    ``graph``, ``origins`` and ``seed`` are the unit's inputs (see
-    :func:`~repro.core.sweep.unit_inputs`).
-
-    Raises :class:`~repro.errors.CheckpointError` if the file is corrupt,
-    malformed, was written by another code version, or belongs to a
-    different unit.
-    """
-    document = read_checkpoint(path, expected_kind=KIND_SWEEP_UNIT)
-    return _cursor_from_payload(
-        document.payload,
-        key=unit_checkpoint_key(unit),
-        graph=graph,
-        origins=origins,
-        config=unit.config,
-        seed=seed,
-    )
-
-
 def execute_sweep_unit_checkpointed(
     unit: SweepUnit,
     checkpoint_dir: Union[str, Path],
@@ -432,7 +337,7 @@ def execute_sweep_unit_checkpointed(
     populated checkpoint directory always means interrupted work.
 
     Under a telemetry session the cost shows up as the ``checkpoint``
-    phase (record or snapshot, and write) and the ``checkpoint.writes``
+    phase (record and write) and the ``checkpoint.writes``
     / ``.bytes`` / ``.resumes`` / ``.discarded`` counters.
 
     The returned result is byte-identical to
@@ -446,7 +351,14 @@ def execute_sweep_unit_checkpointed(
     cursor: Optional[BatchCursor] = None
     if path.exists():
         try:
-            cursor = load_unit_cursor(path, unit, graph, batch, seed)
+            cursor = _cursor_from_payload(
+                read_checkpoint(path, expected_kind=KIND_SWEEP_UNIT).payload,
+                key=key,
+                graph=graph,
+                origins=batch,
+                config=unit.config,
+                seed=seed,
+            )
             obs.inc("checkpoint.resumes")
         except CheckpointError as exc:
             # Unusable checkpoint: recompute from scratch, but say so.

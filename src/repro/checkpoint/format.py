@@ -18,14 +18,14 @@ and bit-rot independent of how the file was formatted.  Files are
 written atomically (tmp + rename): a crash mid-write never leaves a
 half-checkpoint that a resume could trip over.
 
-Payload layouts are told apart by shape, not by a version field.  A
-``sweep-unit`` payload is either a *boundary record* (``boundary`` +
-``sums``: per-node draw counts, last draws and counters, the factor
-sums as columns; what a C-event boundary leaves) or a *full snapshot*
-(``raw`` + ``network``: the only layout written before boundary records,
-and still the one for a network the record cannot express).  Inside a ``network`` payload
-a node carries either ``rng_draws``/``rng_mark`` (1.6.0) or a full
-``rng`` state (1.5.0 and earlier).
+A ``sweep-unit`` payload has one layout, the *boundary record*
+(``boundary`` + ``sums``: per-node draw counts, last draws and counters,
+the factor sums as columns; what a C-event boundary leaves).  A unit
+file of another build (such as ``raw`` + ``network``, the full snapshot
+earlier builds wrote, which ``inspect`` still describes) is discarded
+and recomputed, never resumed.  Inside a ``network`` payload a node
+carries either ``rng_draws``/``rng_mark`` (1.6.0) or a full ``rng``
+state (1.5.0 and earlier).
 
 Which files a build restores is decided here alone: a document whose
 ``code_version`` is an ``X.Y.Z`` release from :data:`OLDEST_RESTORABLE`
@@ -33,8 +33,9 @@ up to this build's own version (:func:`restorable`), so each release
 restores the previous release's files with no list to edit.  Across
 releases the state *schema* is read, but execution trajectories may
 differ, so a restored run is deterministic without being byte-comparable
-to runs of the writing version.  ``verify`` and ``inspect`` read files
-of any version.
+to runs of the writing version.  A sweep unit's file name and key hash
+the code version, so a unit only ever reads its own release's file.
+``verify`` and ``inspect`` read files of any version.
 """
 
 from __future__ import annotations

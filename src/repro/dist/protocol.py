@@ -55,20 +55,14 @@ from __future__ import annotations
 import json
 import socket
 import struct
-from typing import Dict, Optional
+from typing import Dict, List, Optional
 
 from repro.bgp.config import BGPConfig
-from repro.checkpoint.batch import (
-    raw_sums_from_json,
-    raw_sums_to_json,
-    relationship_columns,
-    relationship_rows,
-)
 from repro.core.cevent import CEventBatchResult
-from repro.core.factors import GraphSummary
+from repro.core.factors import GraphSummary, RawFactorSums
 from repro.core.sweep import SweepUnit
-from repro.errors import CheckpointError, ConnectionLostError, ProtocolError
-from repro.topology.types import NodeType
+from repro.errors import ConnectionLostError, ProtocolError
+from repro.topology.types import RELATIONSHIP_ORDER, NodeType
 
 #: Bump on any incompatible schema change; peers must match exactly.
 #: v2 added three partition-mode kinds, since retired (:data:`RETIRED_TYPES`).
@@ -79,6 +73,9 @@ PROTOCOL_VERSION = 2
 MAX_FRAME_BYTES = 64 * 1024 * 1024
 
 _LENGTH = struct.Struct("!I")
+
+#: The relationship classes in factor-sum column order.
+_REL_VALUES = tuple(rel.value for rel in RELATIONSHIP_ORDER)
 
 MSG_REGISTER = "register"
 MSG_LEASE = "lease"
@@ -285,6 +282,68 @@ def unit_from_wire(data: Dict[str, object]) -> SweepUnit:
 # ----------------------------------------------------------------------
 # Batch-result codec
 # ----------------------------------------------------------------------
+def relationship_rows(node_ids, columns) -> list:
+    """Per-class columns as rows in node order.
+
+    A row is ``[node_id, [[class, count], ...]]`` with the classes in
+    column order (customer, peer, provider): how result frames store
+    per-node, per-relationship counts.
+    """
+    return [
+        [node_id, [[value, count] for value, count in zip(_REL_VALUES, counts)]]
+        for node_id, *counts in zip(node_ids, *columns)
+    ]
+
+
+def relationship_columns(rows, node_ids) -> List[List[int]]:
+    """Inverse of :func:`relationship_rows`.
+
+    Raises :class:`~repro.errors.ProtocolError` unless the rows list
+    ``node_ids`` in order and each covers the classes in column order.
+    """
+    if [int(node_id) for node_id, _per_rel in rows] != list(node_ids):
+        raise ProtocolError("per-relationship rows do not follow the node order")
+    columns: List[List[int]] = [[] for _ in _REL_VALUES]
+    for _node_id, per_rel in rows:
+        if [rel for rel, _count in per_rel] != list(_REL_VALUES):
+            raise ProtocolError(
+                "per-relationship rows must list customer, peer, provider"
+            )
+        for column, (_rel, count) in zip(columns, per_rel):
+            column.append(int(count))
+    return columns
+
+
+def raw_sums_to_json(raw: RawFactorSums) -> dict:
+    """Serialize :class:`RawFactorSums` as rows in node order.
+
+    The ``raw`` field of a result frame.
+    """
+    return {
+        "events": raw.events,
+        "updates": relationship_rows(raw.node_ids, raw.updates),
+        "active": relationship_rows(raw.node_ids, raw.active),
+        "total_updates": [
+            [node_id, count] for node_id, count in zip(raw.node_ids, raw.total_updates)
+        ],
+    }
+
+
+def raw_sums_from_json(data: dict) -> RawFactorSums:
+    """Inverse of :func:`raw_sums_to_json`."""
+    try:
+        node_ids = [int(node_id) for node_id, _count in data["total_updates"]]
+        return RawFactorSums(
+            events=int(data["events"]),
+            node_ids=tuple(node_ids),
+            updates=relationship_columns(data["updates"], node_ids),
+            active=relationship_columns(data["active"], node_ids),
+            total_updates=[int(count) for _node_id, count in data["total_updates"]],
+        )
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ProtocolError(f"malformed factor sums in checkpoint: {exc}") from exc
+
+
 def _summary_to_wire(summary: GraphSummary) -> Dict[str, object]:
     return {
         "scenario": summary.scenario,
@@ -357,5 +416,5 @@ def batch_result_from_wire(data: Dict[str, object]) -> CEventBatchResult:
             measured_messages=int(data["measured_messages"]),
             wall_clock_seconds=float(data["wall_clock_seconds"]),
         )
-    except (KeyError, TypeError, ValueError, CheckpointError) as exc:
+    except (KeyError, TypeError, ValueError, ProtocolError) as exc:
         raise ProtocolError(f"malformed batch result on the wire: {exc}") from exc

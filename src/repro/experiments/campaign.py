@@ -556,10 +556,13 @@ def run_campaign(
                 }
             )
             if echo is not None:
+                resume = (
+                    ""
+                    if checkpoint_dir is None
+                    else f"; rerun with --checkpoint-dir {checkpoint_dir} to continue"
+                )
                 print(
-                    f"interrupted: {len(results)} experiment(s) completed "
-                    "and flushed; rerun with the same checkpoint directory "
-                    "to continue",
+                    f"interrupted: {len(results)} experiment(s) completed{resume}",
                     file=sys.stderr,
                 )
             raise

@@ -71,6 +71,7 @@ from __future__ import annotations
 
 import argparse
 import importlib
+import os
 import sys
 from pathlib import Path
 from typing import List, Optional
@@ -590,15 +591,29 @@ def _add_bgp_options(parser: argparse.ArgumentParser) -> None:
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    """CLI main; returns the process exit code."""
+    """CLI main; returns the process exit code.
+
+    A reader that closes stdout early (``… | head -1``) ends the verb
+    quietly with 141 (128 + SIGPIPE), Ctrl-C with 130; neither prints a
+    traceback.
+    """
     args = build_parser().parse_args(argv)  # --version and --help exit here
     from repro.errors import ReproError
 
     try:
-        return importlib.import_module(VERB_MODULES[args.command]).main(args)
+        code = importlib.import_module(VERB_MODULES[args.command]).main(args)
+        sys.stdout.flush()  # a closed pipe fails here, not at exit
+        return code
     except ReproError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except BrokenPipeError:
+        # The interpreter flushes stdout again at exit: point it at
+        # devnull, as the ``signal`` docs show, so that flush succeeds.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
+    except KeyboardInterrupt:
+        return 130
 
 
 if __name__ == "__main__":  # pragma: no cover

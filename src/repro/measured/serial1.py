@@ -27,6 +27,8 @@ before it builds:
 * edges that would violate the :class:`~repro.topology.graph.ASGraph`
   invariants the whole simulator relies on — provider loops, peering
   into one's own customer tree — are likewise rejected or dropped;
+* a file left with no link (empty, comments only, or every line dropped
+  by a lenient read) raises :class:`MeasuredImportError`: it is no graph;
 * disconnected components are always detected and reported (the
   simulator happily runs a disconnected graph; the report makes sure
   nobody does so unknowingly).
@@ -292,6 +294,8 @@ def _parse(
             if strict:
                 raise MeasuredImportError(reason) from exc
             invariant_drops.append(reason)
+    if not transit_edges + peer_edges:
+        raise MeasuredImportError(f"{source} holds no AS links")
 
     # Structural type inference over the kept edges: no providers -> T,
     # customers -> M, peering stub -> CP, otherwise C.

@@ -5,13 +5,8 @@ The 1.3.0–1.5.0 node encoder (1.1.0 and 1.2.0 wrote it too): those releases st
 construction defaults and ``None`` wakeups included; channels had no
 ``arms`` count.  The body of :func:`legacy_node_state_to_json` is the
 1.5.0 ``node_state_to_json``.
-
-The full-snapshot sweep-unit layout: every release up to the boundary
-record wrote a unit checkpoint as factor sums plus a whole
-:func:`snapshot_network` payload (:func:`write_full_snapshot_units`).
 """
 
-import repro.checkpoint.batch as batch_module
 from repro.checkpoint.network import snapshot_network
 from repro.checkpoint.state import (
     message_to_json,
@@ -86,14 +81,3 @@ def legacy_snapshot_network(network) -> dict:
     ]
     return payload
 
-
-def write_full_snapshot_units(monkeypatch, snapshot=snapshot_network) -> None:
-    """Make sweep units checkpoint as the full-snapshot layout.
-
-    Every network then looks like one the boundary record cannot
-    express, so the writer falls back to ``raw`` + ``network`` — the
-    layout 1.6.0 wrote for every unit — with ``snapshot`` as the network
-    encoder (:func:`legacy_snapshot_network` for a 1.5.0 file).
-    """
-    monkeypatch.setattr(batch_module, "boundary_record", lambda network: None)
-    monkeypatch.setattr(batch_module, "snapshot_network", snapshot)

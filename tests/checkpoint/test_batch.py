@@ -1,19 +1,14 @@
 """Checkpointed sweep-unit execution: equivalence and resume."""
 
-import json
-
 import pytest
 
 from repro.bgp.config import BGPConfig
 from repro.checkpoint.batch import (
     execute_sweep_unit_checkpointed,
-    raw_sums_from_json,
-    raw_sums_to_json,
     unit_checkpoint_key,
     unit_checkpoint_path,
 )
 from repro.checkpoint.format import read_checkpoint
-from repro.core.factors import RawFactorSums
 from repro.core.sweep import SweepUnit, execute_sweep_unit
 from repro.obs import telemetry_session
 
@@ -206,15 +201,3 @@ class TestUnitKeys:
             _unit("baseline", 60, FAST, batch_index=1, num_batches=2),
         ):
             assert unit_checkpoint_key(other) != unit_checkpoint_key(base)
-
-    def test_raw_sums_json_round_trip(self):
-        raw = RawFactorSums.zeros([3, 1, 2])
-        raw.events = 4
-        raw.total_updates[1] = 7  # node 1
-        for column in raw.updates:
-            column[0] = 2  # node 3, every class
-        raw.active[2][2] = 1  # node 2, providers
-        data = json.loads(json.dumps(raw_sums_to_json(raw)))
-        assert [node_id for node_id, _count in data["total_updates"]] == [3, 1, 2]
-        assert data["updates"][0] == [3, [["customer", 2], ["peer", 2], ["provider", 2]]]
-        assert raw_sums_from_json(data) == raw

@@ -6,12 +6,14 @@ channel timers and RNG streams (draw count plus the value drawn last)
 rebuilds it exactly.  Covered here: the rebuilt network equals the live
 one and a resumed unit equals an uninterrupted one under every MRAI
 variant; a stream whose count is off is refused; a network with more
-state falls back to the full snapshot; and a malformed or inconsistent
-unit file — record or full snapshot — is discarded, never resumed.
+state is no boundary; and a malformed or inconsistent unit file — a
+record, or the full snapshot (``raw`` + ``network``) an earlier build
+wrote — is discarded, never resumed.
 """
 
 import json
 import math
+from pathlib import Path
 
 import pytest
 
@@ -34,7 +36,6 @@ from repro.sim.network import SimNetwork
 from repro.topology.generator import generate_topology
 from repro.topology.scenarios import scenario_params
 
-from tests.checkpoint.legacy import write_full_snapshot_units
 from tests.checkpoint.test_batch import (
     FAST,
     Interrupt,
@@ -186,8 +187,8 @@ def _drop_type(field, node_type="M"):
     return edit
 
 
-#: Edits of the fields both layouts share.
-COMMON_EDITS = [
+#: Edits of the cursor fields around the record.
+CURSOR_EDITS = [
     pytest.param(_set("down_convergence", value="abc"), id="convergence-not-a-number"),
     pytest.param(_set("up_convergence", value=-1.0), id="negative-convergence"),
     pytest.param(_drop_type("down_totals"), id="totals-without-M"),
@@ -233,22 +234,25 @@ SNAPSHOT_EDITS = [
     ),
 ]
 
+#: The unit's checkpoint after event 2 as an earlier build wrote it.
+FULL_SNAPSHOT = Path(__file__).parent / "data" / "sweep_unit_snapshot.json"
+
 
 def resume_from_a_tampered_file(tmp_path, monkeypatch, capsys, edit, full=False):
-    """Checkpoint a unit at event 2 (as a full snapshot if ``full``),
-    ``edit`` the payload and re-write it with a valid digest, resume: the
-    unit must be recomputed from scratch, reported and counted."""
+    """Checkpoint a unit at event 2 (or take :data:`FULL_SNAPSHOT` if
+    ``full``), ``edit`` the payload and re-write it with a valid digest,
+    resume: the unit must be recomputed from scratch, reported and
+    counted."""
     unit = _unit("baseline", 60, FAST)
-    _interrupt_after(monkeypatch, events=2)
-    if full:
-        write_full_snapshot_units(monkeypatch)
-    with pytest.raises(Interrupt):
-        execute_sweep_unit_checkpointed(unit, tmp_path)
-    monkeypatch.undo()
-
     path = unit_checkpoint_path(tmp_path, unit)
-    payload = read_checkpoint(path).payload
-    assert ("network" in payload) is full
+    if full:
+        payload = read_checkpoint(FULL_SNAPSHOT).payload
+    else:
+        _interrupt_after(monkeypatch, events=2)
+        with pytest.raises(Interrupt):
+            execute_sweep_unit_checkpointed(unit, tmp_path)
+        monkeypatch.undo()
+        payload = read_checkpoint(path).payload
     edit(payload)
     write_checkpoint(path, KIND_SWEEP_UNIT, payload)  # with a valid digest
 
@@ -269,28 +273,31 @@ def resume_from_a_tampered_file(tmp_path, monkeypatch, capsys, edit, full=False)
     assert 0.0 <= result.wall_clock_seconds < math.inf
 
 
-@pytest.mark.parametrize("edit", COMMON_EDITS + RECORD_EDITS)
+@pytest.mark.parametrize("edit", CURSOR_EDITS + RECORD_EDITS)
 def test_a_malformed_record_is_recomputed(tmp_path, monkeypatch, capsys, edit):
     resume_from_a_tampered_file(tmp_path, monkeypatch, capsys, edit)
 
 
-@pytest.mark.parametrize("edit", COMMON_EDITS + SNAPSHOT_EDITS)
+@pytest.mark.parametrize("edit", CURSOR_EDITS + SNAPSHOT_EDITS)
 def test_a_malformed_full_snapshot_is_recomputed(tmp_path, monkeypatch, capsys, edit):
     resume_from_a_tampered_file(tmp_path, monkeypatch, capsys, edit, full=True)
 
 
-
 @pytest.mark.parametrize("full", [False, True], ids=["record", "full-snapshot"])
 def test_inspect_names_the_layout(tmp_path, monkeypatch, full):
+    """``inspect`` describes a unit file of either layout; the full
+    snapshot is the pinned file of an earlier build."""
     from repro.checkpoint import inspect_checkpoint
 
-    unit = _unit("baseline", 60, FAST)
-    _interrupt_after(monkeypatch, events=2)
     if full:
-        write_full_snapshot_units(monkeypatch)
-    with pytest.raises(Interrupt):
-        execute_sweep_unit_checkpointed(unit, tmp_path)
-    summary = inspect_checkpoint(unit_checkpoint_path(tmp_path, unit))
+        path = FULL_SNAPSHOT
+    else:
+        unit = _unit("baseline", 60, FAST)
+        _interrupt_after(monkeypatch, events=2)
+        with pytest.raises(Interrupt):
+            execute_sweep_unit_checkpointed(unit, tmp_path)
+        path = unit_checkpoint_path(tmp_path, unit)
+    summary = inspect_checkpoint(path)
     assert summary["events_measured"] == 2
     assert summary["n"] == 60 and summary["pending_events"] == 0
     if full:

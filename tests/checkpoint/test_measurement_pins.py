@@ -7,15 +7,17 @@ service times up to 10 ms (``FAST`` and ``_unit`` in ``test_batch.py``).
 * ``sweep_unit_record.json`` is the unit's checkpoint after 2 of its 4
   C-events, written as a boundary record (``boundary`` + ``sums``).
 * ``sweep_unit_snapshot.json`` is the same point as a full snapshot
-  (``raw`` + ``network``), written with the record switched off
-  (:func:`tests.checkpoint.legacy.write_full_snapshot_units`).
+  (``raw`` + ``network``), the layout earlier builds wrote.  It carries
+  this release's unit key, so it is read, refused and recomputed.
 * ``result_frame.json`` is the body of the worker's ``result`` frame for
   the finished unit (the frame minus its 4-byte length prefix).
 
-However the factor sums are held in memory, each file must read into the
-same merged :class:`~repro.core.cevent.CEventStats` as a fresh run of the
-unit, and write back byte for byte.  The two release-1.6.0 network files
-must also re-dump their update-counter state unchanged.
+However the factor sums are held in memory, the record and the frame
+must read into the same merged :class:`~repro.core.cevent.CEventStats`
+as a fresh run of the unit and write back byte for byte, and the full
+snapshot must be recomputed to the same statistics.  The two
+release-1.6.0 network files must also re-dump their update-counter state
+unchanged.
 """
 
 import dataclasses
@@ -28,6 +30,10 @@ import pytest
 import repro.checkpoint.batch as batch_module
 import repro.checkpoint.format as format_module
 from repro.checkpoint import KIND_NETWORK, restore_network, snapshot_network
+from repro.checkpoint.batch import (
+    execute_sweep_unit_checkpointed,
+    unit_checkpoint_path,
+)
 from repro.checkpoint.format import KIND_SWEEP_UNIT, read_checkpoint, write_checkpoint
 from repro.core.cevent import merge_c_event_batches, pick_origins, run_c_event_batch
 from repro.core.sweep import execute_sweep_unit
@@ -38,15 +44,16 @@ from repro.dist.protocol import (
     encode_frame,
 )
 from repro.experiments.results_io import cevent_stats_to_dict
+from repro.obs import telemetry_session
 from repro.sim.rng import origin_batch_seed, sweep_point_seeds
 from repro.topology.generator import generate_topology
 from repro.topology.scenarios import scenario_params
 
-from tests.checkpoint.legacy import write_full_snapshot_units
 from tests.checkpoint.test_batch import FAST, _unit
 
 DATA = Path(__file__).parent / "data"
-CHECKPOINTS = ["sweep_unit_record.json", "sweep_unit_snapshot.json"]
+CHECKPOINTS = ["sweep_unit_record.json"]
+FULL_SNAPSHOT = DATA / "sweep_unit_snapshot.json"
 RESULT_FRAME = DATA / "result_frame.json"
 
 #: SHA-256 of the unit's merged statistics (``cevent_stats_to_dict``,
@@ -103,8 +110,6 @@ def test_a_checkpoint_resumes_to_the_pinned_statistics(name):
 def test_a_checkpoint_is_written_back_byte_for_byte(name, tmp_path, monkeypatch):
     fixture = DATA / name
     document = read_checkpoint(fixture, expected_kind=KIND_SWEEP_UNIT)
-    if "network" in document.payload:
-        write_full_snapshot_units(monkeypatch)
     _graph, origins, _seed, cursor = _cursor(document.payload)
     payload = batch_module._cursor_payload(
         UNIT, document.payload["unit_key"], origins, cursor
@@ -115,6 +120,33 @@ def test_a_checkpoint_is_written_back_byte_for_byte(name, tmp_path, monkeypatch)
     written = tmp_path / name
     write_checkpoint(written, KIND_SWEEP_UNIT, payload)
     assert written.read_bytes() == fixture.read_bytes()
+
+
+def test_a_full_snapshot_is_recomputed_to_the_pinned_statistics(
+    tmp_path, monkeypatch, capsys
+):
+    path = unit_checkpoint_path(tmp_path, UNIT)
+    path.write_bytes(FULL_SNAPSHOT.read_bytes())
+    starts = []
+    run_batch = batch_module.run_c_event_batch
+
+    def recording(*args, **kwargs):
+        starts.append(kwargs["cursor"])
+        return run_batch(*args, **kwargs)
+
+    monkeypatch.setattr(batch_module, "run_c_event_batch", recording)
+    with telemetry_session() as hub:
+        result = execute_sweep_unit_checkpointed(UNIT, tmp_path)
+    assert starts == [None]
+    assert hub.counters["checkpoint.discarded"] == 1
+    assert "checkpoint.resumes" not in hub.counters
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(
+        f"repro: discarding checkpoint {path.name} of baseline n=60 batch 0/1"
+    )
+    assert "not a boundary record" in err[0]
+    assert _stats_digest(merge_c_event_batches([result])) == EXPECTED_STATS
+    assert not path.exists()
 
 
 def test_the_result_frame_merges_to_the_pinned_statistics():

@@ -9,9 +9,9 @@ running version — for every kind that is restored from disk:
 defaults).  The second half writes 1.5.0 documents the way 1.5.0 did —
 full ``rng`` states, every field present (``tests/checkpoint/legacy.py``)
 — and requires the same of them, plus that the restored network, which
-no longer knows its draw counts, snapshots and restores again.  Sweep
-units now checkpoint as boundary records; the full-snapshot unit files
-1.5.0 and 1.6.0 wrote still resume.
+no longer knows its draw counts, snapshots and restores again.  A sweep
+unit's file name and unit key hash the code version, so the unit file
+of another release is never read: the unit runs from scratch.
 """
 
 import json
@@ -19,6 +19,7 @@ import json
 import pytest
 
 import repro.checkpoint.batch as batch_module
+import repro.checkpoint.format as format_module
 from repro._version import __version__
 from repro.bgp.config import BGPConfig
 from repro.checkpoint import restore_network, snapshot_network
@@ -28,12 +29,13 @@ from repro.checkpoint.batch import (
 )
 from repro.checkpoint.format import KIND_NETWORK, read_checkpoint, write_checkpoint
 from repro.core.sweep import SweepUnit, execute_sweep_unit
+from repro.obs import telemetry_session
 from repro.prefix.prefix import host_prefix
 from repro.sim.network import SimNetwork
 from repro.topology.generator import generate_topology
 from repro.topology.scenarios import scenario_params
 
-from tests.checkpoint.legacy import legacy_snapshot_network, write_full_snapshot_units
+from tests.checkpoint.legacy import legacy_snapshot_network
 from tests.checkpoint.test_batch import (
     Interrupt,
     _assert_identical,
@@ -177,80 +179,34 @@ def test_full_state_network_checkpoint_restores_and_round_trips(tmp_path):
         assert _rng_states(continued) == _rng_states(network)
 
 
-def test_full_state_sweep_unit_checkpoint_resumes(tmp_path, monkeypatch):
+def test_a_unit_file_of_another_release_is_never_read(tmp_path, monkeypatch):
+    """A 1.5.0 build names its unit files after its own key: the running
+    build looks under another name, so the unit runs fresh and the old
+    file is neither resumed nor discarded."""
     unit = _unit("baseline", 60, FAST)
     plain = execute_sweep_unit(unit)
+    with monkeypatch.context() as patch:
+        patch.setattr(batch_module, "__version__", FULL_STATE_RELEASE)
+        patch.setattr(format_module, "__version__", FULL_STATE_RELEASE)
+        _interrupt_after(patch, events=2)
+        with pytest.raises(Interrupt):
+            execute_sweep_unit_checkpointed(unit, tmp_path)
+    (old_file,) = tmp_path.iterdir()
+    assert read_checkpoint(old_file).code_version == FULL_STATE_RELEASE
+    assert old_file != unit_checkpoint_path(tmp_path, unit)
+
+    starts = []
     run_batch = batch_module.run_c_event_batch
 
-    _interrupt_after(monkeypatch, events=2)
-    write_full_snapshot_units(monkeypatch, legacy_snapshot_network)
-    with pytest.raises(Interrupt):
-        execute_sweep_unit_checkpointed(unit, tmp_path)
-    monkeypatch.undo()
-    path = unit_checkpoint_path(tmp_path, unit)
-    _stamp(path, FULL_STATE_RELEASE)
-    assert "rng" in read_checkpoint(path).payload["network"]["nodes"][0][1]
-
-    resumed_from = []
-    rewritten = []
-    write = batch_module.write_checkpoint
-
     def recording(*args, **kwargs):
-        cursor = kwargs["cursor"]
-        resumed_from.append(None if cursor is None else cursor.next_index)
+        starts.append(kwargs["cursor"])
         return run_batch(*args, **kwargs)
 
-    def keeping(path, kind, payload):
-        rewritten.append(payload)
-        return write(path, kind, payload)
-
     monkeypatch.setattr(batch_module, "run_c_event_batch", recording)
-    monkeypatch.setattr(batch_module, "write_checkpoint", keeping)
-    resumed = execute_sweep_unit_checkpointed(unit, tmp_path)
-    assert resumed_from == [2], "1.5.0 checkpoint was discarded, not resumed"
-    # The checkpoint after event 3 comes from nodes of unknown draw count:
-    # a full snapshot again, never a boundary record.
-    assert [payload["next_index"] for payload in rewritten] == [3]
-    assert "boundary" not in rewritten[0]
-    assert all("rng" in state for _, state in rewritten[0]["network"]["nodes"])
-    _assert_identical(plain, resumed)
-
-
-def test_draw_count_sweep_unit_checkpoint_resumes_to_boundary_records(
-    tmp_path, monkeypatch
-):
-    """A 1.6.0 unit file (a full snapshot with draw counts) resumes, and
-    the replay recovers every stream's last draw: the next checkpoint is
-    a boundary record."""
-    unit = _unit("baseline", 60, FAST)
-    plain = execute_sweep_unit(unit)
-    run_batch = batch_module.run_c_event_batch
-
-    _interrupt_after(monkeypatch, events=2)
-    write_full_snapshot_units(monkeypatch)
-    with pytest.raises(Interrupt):
-        execute_sweep_unit_checkpointed(unit, tmp_path)
-    monkeypatch.undo()
-    written = read_checkpoint(unit_checkpoint_path(tmp_path, unit)).payload
-    assert "rng_mark" in written["network"]["nodes"][0][1]
-
-    resumed_from = []
-    rewritten = []
-    write = batch_module.write_checkpoint
-
-    def recording(*args, **kwargs):
-        cursor = kwargs["cursor"]
-        resumed_from.append(None if cursor is None else cursor.next_index)
-        return run_batch(*args, **kwargs)
-
-    def keeping(path, kind, payload):
-        rewritten.append(payload)
-        return write(path, kind, payload)
-
-    monkeypatch.setattr(batch_module, "run_c_event_batch", recording)
-    monkeypatch.setattr(batch_module, "write_checkpoint", keeping)
-    resumed = execute_sweep_unit_checkpointed(unit, tmp_path)
-    assert resumed_from == [2], "1.6.0 checkpoint was discarded, not resumed"
-    assert [payload["next_index"] for payload in rewritten] == [3]
-    assert "network" not in rewritten[0] and "boundary" in rewritten[0]
-    _assert_identical(plain, resumed)
+    with telemetry_session() as hub:
+        fresh = execute_sweep_unit_checkpointed(unit, tmp_path)
+    assert starts == [None]
+    assert hub.counters.get("checkpoint.resumes", 0) == 0
+    assert hub.counters.get("checkpoint.discarded", 0) == 0
+    assert list(tmp_path.iterdir()) == [old_file]
+    _assert_identical(plain, fresh)

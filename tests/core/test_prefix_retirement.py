@@ -18,22 +18,18 @@ import weakref
 import pytest
 
 import repro.bgp.route as route_module
-import repro.checkpoint.batch as batch_module
 import repro.core.cevent as cevent_module
 from repro.bgp.config import BGPConfig, DampingConfig, MRAIMode, SendDiscipline
 from repro.bgp.node import BGPNode
-from repro.checkpoint.batch import execute_sweep_unit_checkpointed, unit_checkpoint_path
-from repro.checkpoint.format import read_checkpoint
+from repro.checkpoint.batch import execute_sweep_unit_checkpointed
 from repro.core.cevent import pick_origins, run_c_event_batch
-from repro.core.sweep import SweepUnit, execute_sweep_unit, run_growth_sweep
+from repro.core.sweep import SweepUnit, run_growth_sweep
 from repro.errors import SimulationError
 from repro.obs import Telemetry, telemetry_session
 from repro.prefix.prefix import host_prefix
 from repro.sim.network import SimNetwork
 from repro.topology.generator import generate_topology
 from repro.topology.params import baseline_params
-
-from tests.checkpoint.legacy import legacy_snapshot_network, write_full_snapshot_units
 
 _N = 150
 _ORIGINS = 4
@@ -216,82 +212,23 @@ def test_retire_refuses_a_prefix_still_queued(graph):
 
 
 # ----------------------------------------------------------------------
-# Checkpoints written before retirement existed
+# Checkpoints
 # ----------------------------------------------------------------------
-class _Interrupt(Exception):
-    """Stand-in for a crash between two measured events."""
-
-
-def _resume_a_keeping_checkpoint(tmp_path, monkeypatch, encoder=None):
-    """Checkpoint a unit at event 2 on the keeping kernel, resume it under
-    retirement; returns the payloads written (the first before the
-    resume) and the resumed result, which must equal the retiring run's."""
+def test_a_boundary_that_still_holds_routes_is_a_kernel_fault(tmp_path, monkeypatch):
+    """On the keeping kernel a C-event boundary still holds the earlier
+    prefixes' routes, which no boundary record expresses: the writer
+    refuses, naming the unit and the event, and leaves no file."""
     unit = SweepUnit(
         scenario="baseline", n=120, num_origins=4, batch_index=0, num_batches=1,
         seed=17, config=BGPConfig(wrate=True, mrai_mode=MRAIMode.PER_PREFIX),
         scenario_kwargs=(),
     )
-    retiring = _measured(execute_sweep_unit(unit))
-    written = []
-    write = batch_module.write_checkpoint
-
-    def keeping(path, kind, payload):
-        written.append(payload)
-        return write(path, kind, payload)
-
-    monkeypatch.setattr(batch_module, "write_checkpoint", keeping)
-    with monkeypatch.context() as patch:
-        _keep_every_prefix(patch)
-        if encoder is not None:
-            write_full_snapshot_units(patch, encoder)
-        original = batch_module.run_c_event_batch
-
-        def dying(*args, **kwargs):
-            inner = kwargs["after_event"]
-
-            def hook(cursor):
-                inner(cursor)
-                if cursor.next_index == 2:
-                    raise _Interrupt
-
-            kwargs["after_event"] = hook
-            return original(*args, **kwargs)
-
-        patch.setattr(batch_module, "run_c_event_batch", dying)
-        with pytest.raises(_Interrupt):
-            execute_sweep_unit_checkpointed(unit, tmp_path)
-
-    path = unit_checkpoint_path(tmp_path, unit)
-    network = read_checkpoint(path).payload["network"]
-    assert max(len(state["loc_rib"]) for _node_id, state in network["nodes"]) == 2
-
-    with telemetry_session(Telemetry()) as hub:
-        resumed = _measured(execute_sweep_unit_checkpointed(unit, tmp_path))
-    assert hub.counters["checkpoint.resumes"] == 1
-    assert resumed == retiring
-    return [payload for payload in written if payload["next_index"] == 2] + [
-        payload for payload in written if payload["next_index"] == 3
-    ]
-
-
-def test_a_keeping_checkpoint_resumes_under_retirement(tmp_path, monkeypatch):
-    """Routes of kept prefixes are more than a boundary record holds: the
-    writer falls back to a full snapshot, before the resume and after it
-    (the restored network still holds the two kept prefixes)."""
-    written = _resume_a_keeping_checkpoint(tmp_path, monkeypatch)
-    assert [payload["next_index"] for payload in written] == [2, 3]
-    for payload in written:
-        assert "boundary" not in payload and "network" in payload
-
-
-def test_a_keeping_full_state_checkpoint_resumes_under_retirement(
-    tmp_path, monkeypatch
-):
-    """The same file as 1.5.0 wrote it: full RNG states."""
-    written = _resume_a_keeping_checkpoint(
-        tmp_path, monkeypatch, encoder=legacy_snapshot_network
-    )
-    assert "rng" in written[0]["network"]["nodes"][0][1]
+    _keep_every_prefix(monkeypatch)
+    with pytest.raises(
+        SimulationError, match=r"baseline n=120 batch 0/1: .* after C-event 1 "
+    ):
+        execute_sweep_unit_checkpointed(unit, tmp_path)
+    assert list(tmp_path.iterdir()) == []
 
 
 # ----------------------------------------------------------------------

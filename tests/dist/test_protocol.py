@@ -7,12 +7,17 @@ deadlock the test instead of passing it.
 """
 
 import json
+import os
 import socket
 import struct
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from repro.bgp.config import BGPConfig
+from repro.core.factors import RawFactorSums
 from repro.core.sweep import SweepUnit, execute_sweep_unit
 from repro.dist.protocol import (
     MAX_FRAME_BYTES,
@@ -23,6 +28,8 @@ from repro.dist.protocol import (
     batch_result_to_wire,
     decode_frame_payload,
     encode_frame,
+    raw_sums_from_json,
+    raw_sums_to_json,
     unit_from_wire,
     unit_to_wire,
 )
@@ -232,3 +239,64 @@ class TestBatchResultCodec:
     def test_malformed_wire_result_rejected(self):
         with pytest.raises(ProtocolError, match="malformed batch result"):
             batch_result_from_wire({"seed": 1})
+
+    def test_raw_sums_json_round_trip(self):
+        raw = RawFactorSums.zeros([3, 1, 2])
+        raw.events = 4
+        raw.total_updates[1] = 7  # node 1
+        for column in raw.updates:
+            column[0] = 2  # node 3, every class
+        raw.active[2][2] = 1  # node 2, providers
+        data = json.loads(json.dumps(raw_sums_to_json(raw)))
+        assert [node_id for node_id, _count in data["total_updates"]] == [3, 1, 2]
+        assert data["updates"][0] == [3, [["customer", 2], ["peer", 2], ["provider", 2]]]
+        assert raw_sums_from_json(data) == raw
+
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (
+                lambda raw: raw["updates"].reverse(),
+                "per-relationship rows do not follow the node order",
+            ),
+            (
+                lambda raw: raw["active"][0][1].reverse(),
+                "per-relationship rows must list customer, peer, provider",
+            ),
+            (
+                lambda raw: raw.pop("events"),
+                "malformed factor sums in checkpoint: 'events'",
+            ),
+        ],
+        ids=["rows-out-of-order", "classes-out-of-order", "no-events"],
+    )
+    def test_malformed_factor_sums_are_a_protocol_error(self, edit, message):
+        wire = json.loads(json.dumps(batch_result_to_wire(execute_sweep_unit(_unit()))))
+        edit(wire["raw"])
+        with pytest.raises(ProtocolError) as failure:
+            batch_result_from_wire(wire)
+        assert str(failure.value) == f"malformed batch result on the wire: {message}"
+
+
+def test_the_codecs_load_no_checkpoint_module():
+    """The frame codecs own their row codec, and the unit checkpoint
+    writes no network snapshot: neither loads the other's layer."""
+    script = (
+        "import json, sys\n"
+        "import repro.dist.protocol\n"
+        "before = sorted(m for m in sys.modules if m.startswith('repro.checkpoint'))\n"
+        "import repro.checkpoint.batch\n"
+        "after = sorted(m for m in sys.modules if m.startswith('repro.checkpoint'))\n"
+        "print(json.dumps([before, after]))\n"
+    )
+    env = dict(os.environ)
+    env["PYTHONPATH"] = str(Path(__file__).resolve().parents[2] / "src")
+    done = subprocess.run(
+        [sys.executable, "-c", script],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    assert json.loads(done.stdout) == [
+        [],
+        ["repro.checkpoint", "repro.checkpoint.batch", "repro.checkpoint.format"],
+    ]

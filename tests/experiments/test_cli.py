@@ -766,10 +766,17 @@ class TestOneAsRelationshipReader:
         capsys.readouterr()
         assert artifacts[0] == artifacts[1]
 
-    BAD_LINES = {
-        "duplicate": ("1|2|-1", "duplicate edge 1|2|-1"),
-        "conflict": ("2|1|-1", "conflicting relationship"),
-        "self-loop": ("3|3|0", "self-loop at AS 3"),
+    #: file text -> the error every verb must print (``{path}``: the file)
+    BAD_FILES = {
+        "duplicate": (
+            "# header\n1|2|-1\n1|2|-1\n2|4|-1\n", "{path}:3: duplicate edge 1|2|-1"
+        ),
+        "conflict": (
+            "# header\n1|2|-1\n2|1|-1\n2|4|-1\n", "{path}:3: conflicting relationship"
+        ),
+        "self-loop": ("# header\n1|2|-1\n3|3|0\n2|4|-1\n", "{path}:3: self-loop at AS 3"),
+        "empty": ("", "{path} holds no AS links"),
+        "comments-only": ("# header\n# no links\n", "{path} holds no AS links"),
     }
 
     VERBS = {
@@ -785,21 +792,21 @@ class TestOneAsRelationshipReader:
     }
 
     @pytest.mark.parametrize("verb", sorted(VERBS))
-    @pytest.mark.parametrize("kind", sorted(BAD_LINES))
+    @pytest.mark.parametrize("kind", sorted(BAD_FILES))
     def test_bad_line_fails_with_file_and_line_in_every_verb(
         self, kind, verb, tmp_path, capsys
     ):
-        line, message = self.BAD_LINES[kind]
+        text, message = self.BAD_FILES[kind]
         good = tmp_path / "good.txt"
         good.write_text("1|2|-1\n2|3|0\n", encoding="utf-8")
         path = tmp_path / "bad.txt"
-        path.write_text(f"# header\n1|2|-1\n{line}\n2|4|-1\n", encoding="utf-8")
+        path.write_text(text, encoding="utf-8")
         argv = [
             arg.format(path=path, good=good, tmp=tmp_path) for arg in self.VERBS[verb]
         ]
         assert main(argv) == 2
         err = capsys.readouterr().err
-        assert f"{path}:3: {message}" in err
+        assert message.format(path=path) in err
 
 
 class TestAnalyzeCommand:
@@ -906,3 +913,75 @@ class TestCampaignSubsetFlag:
     def test_default_is_none(self):
         args = build_parser().parse_args(["campaign", "-o", "out"])
         assert args.experiment is None
+
+
+class TestProcessBoundary:
+    """A closed pipe and Ctrl-C are ordinary exits: a status and at most
+    one stderr line, never a traceback."""
+
+    ROOT = Path(__file__).resolve().parents[2]
+
+    def _env(self):
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join([str(self.ROOT / "src"), str(self.ROOT)])
+        return env
+
+    def test_a_closed_pipe_exits_141_quietly(self, tmp_path, capsys):
+        topology = tmp_path / "t.json"
+        assert main(
+            ["topology", "generate", "-n", "120", "--seed", "1", "-o", str(topology)]
+        ) == 0
+        capsys.readouterr()
+        read_end, write_end = os.pipe()
+        os.close(read_end)  # the reader is gone before the child writes
+        try:
+            done = subprocess.run(
+                [sys.executable, "-m", "repro.experiments.cli",
+                 "topology", "metrics", str(topology)],
+                env=self._env(),
+                stdout=write_end,
+                stderr=subprocess.PIPE,
+                text=True,
+                timeout=120,
+            )
+        finally:
+            os.close(write_end)
+        assert (done.returncode, done.stderr) == (141, "")
+
+    @pytest.mark.slow
+    def test_an_interrupted_campaign_exits_130_naming_its_checkpoint_dir(
+        self, tmp_path
+    ):
+        import signal
+        import time
+
+        marker = tmp_path / "marker"
+        checkpoints = tmp_path / "ck"
+        child = subprocess.Popen(
+            [sys.executable, "-m", "tests.fault_launcher",
+             f"BASELINE:400:0:1:{marker}", "sleep:120",
+             "campaign", "--scale", "smoke", "--seed", "0",
+             "--experiment", "fig07", "--checkpoint-dir", str(checkpoints),
+             "-o", str(tmp_path / "out")],
+            cwd=self.ROOT,
+            env=self._env(),
+            stdout=subprocess.DEVNULL,
+            stderr=subprocess.PIPE,
+            text=True,
+        )
+        try:
+            deadline = time.monotonic() + 120
+            while not marker.exists():  # the unit hangs after its first C-event
+                assert child.poll() is None and time.monotonic() < deadline
+                time.sleep(0.05)
+            child.send_signal(signal.SIGINT)
+            _out, err = child.communicate(timeout=60)
+        finally:
+            child.kill()
+            child.wait()
+        assert child.returncode == 130
+        assert err.splitlines() == [
+            f"interrupted: 0 experiment(s) completed; rerun with --checkpoint-dir "
+            f"{checkpoints} to continue"
+        ]
+        assert [path.name[:5] for path in checkpoints.iterdir()] == ["unit-"]

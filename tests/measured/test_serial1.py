@@ -109,6 +109,15 @@ class TestValidation:
         with pytest.raises(MeasuredImportError, match="conflicting"):
             parse_serial1_text("2|3|-1\n3|2|-1\n")
 
+    @pytest.mark.parametrize(
+        "text, strict",
+        [("", True), ("# header\n\n# comment\n", True), ("1|1|-1\n", False)],
+        ids=["empty", "comments-only", "lenient-drops-every-line"],
+    )
+    def test_no_links_raises(self, text, strict):
+        with pytest.raises(MeasuredImportError, match="^<text> holds no AS links$"):
+            parse_serial1_text(text, strict=strict)
+
     def test_lenient_counts_and_drops(self):
         text = "1|1|-1\n2|3|-1\n2|3|-1\n3|2|-1\n2|3|0\n4|5|0\n3|6|-1\n"
         graph, report = parse_serial1_text(text, strict=False)
